@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .equilibria import q_of_vplus, v_plus_squared
 from .errors import (
     EpsilonAboveHat,
@@ -23,7 +25,7 @@ from .errors import (
     RootFindingFailure,
     SingularBsharp,
 )
-from .model import GodunovState, b_sharp, kinematics, lin_matrix
+from .model import GodunovState, b_sharp_kernel, det_lin_closed, trace_adj_closed
 
 # Points closer than this (in q_tilde) to a separatrix get the curve label;
 # strict sign classification inside the band is floating-point noise.
@@ -69,13 +71,13 @@ def p_coefficients(eps: float) -> tuple[float, float, float, float]:
     return a0, a1, a2, a3
 
 
-def p_eval(z: float, eps: float) -> float:
-    """P(z, eps) by nested multiplication."""
+def p_eval(z, eps: float):
+    """P(z, eps) by nested multiplication; z may be a float or an ndarray."""
     a0, a1, a2, a3 = p_coefficients(eps)
     return ((a3 * z + a2) * z + a1) * z + a0
 
 
-def _p_scale(z: float, eps: float) -> float:
+def _p_scale(z, eps: float):
     """Magnitude of the terms entering P(z, eps); conditioning reference."""
     a0, a1, a2, a3 = p_coefficients(eps)
     az = abs(z)
@@ -198,40 +200,41 @@ def separatrix_q2(eps: float) -> float:
     return q_of_vplus(cubic_roots(eps).w2)
 
 
-def _curves(roots: CubicRoots) -> tuple[float, float | None]:
+# Region label of each code that `classify_row` assigns.
+_ROW_LABELS = (
+    RegionLabel.SEPARATRIX_1,
+    RegionLabel.SEPARATRIX_2,
+    RegionLabel.NODE_BELOW,
+    RegionLabel.NODE_ABOVE,
+    RegionLabel.FOCUS,
+)
+
+
+def classify_row(eps: float, q_tilde: np.ndarray) -> tuple[list[RegionLabel], np.ndarray]:
+    """Region labels and P(v_plus^2, eps) for a vector of q_tilde at one eps.
+
+    Labels place each q_tilde relative to the separatrix curves of one cubic
+    solve; off the bands each is cross-checked against the sign of P and a
+    disagreement raises InternalInconsistency.  Inputs must lie in the square.
+    """
+    q = np.asarray(q_tilde, dtype=float)
+    roots = cubic_roots(eps)
     q1 = q_of_vplus(roots.w3)
-    q2 = q_of_vplus(roots.w2) if roots.w2 > 0.125 else None
-    return q1, q2
-
-
-def _label_from_curves(q_tilde: float, q1: float, q2: float | None) -> RegionLabel:
-    if abs(q_tilde - q1) <= SEPARATRIX_BAND:
-        return RegionLabel.SEPARATRIX_1
-    if q2 is not None and abs(q_tilde - q2) <= SEPARATRIX_BAND:
-        return RegionLabel.SEPARATRIX_2
-    if q_tilde < q1:
-        return RegionLabel.NODE_BELOW
-    if q2 is not None and q_tilde > q2:
-        return RegionLabel.NODE_ABOVE
-    return RegionLabel.FOCUS
-
-
-def _classify_checked(
-    eps: float, q_tilde: float, q1: float, q2: float | None
-) -> tuple[RegionLabel, float]:
-    """Curve-comparison label cross-checked against the sign of P(v+^2, eps)."""
-    label = _label_from_curves(q_tilde, q1, q2)
-    z = v_plus_squared(q_tilde)
+    q2 = q_of_vplus(roots.w2) if roots.w2 > 0.125 else math.inf
+    code = np.where(q < q1, 2, np.where(q > q2, 3, 4))
+    code[np.abs(q - q2) <= SEPARATRIX_BAND] = 1
+    code[np.abs(q - q1) <= SEPARATRIX_BAND] = 0
+    z = v_plus_squared(q)
     pval = p_eval(z, eps)
-    if label in (RegionLabel.SEPARATRIX_1, RegionLabel.SEPARATRIX_2):
-        return label, pval
-    if abs(pval) > 1e-10 * max(1.0, _p_scale(z, eps)):
-        focus_by_sign = pval < 0.0
-        if focus_by_sign != (label is RegionLabel.FOCUS):
-            raise InternalInconsistency(
-                f"separatrix route says {label.value} but P({z}, {eps}) = {pval}"
-            )
-    return label, pval
+    decided = np.abs(pval) > 1e-10 * np.maximum(1.0, _p_scale(z, eps))
+    wrong = decided & (code >= 2) & ((pval < 0.0) != (code == 4))
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise InternalInconsistency(
+            f"separatrix route says {_ROW_LABELS[code[i]].value} "
+            f"but P({z[i]}, {eps}) = {pval[i]}"
+        )
+    return [_ROW_LABELS[c] for c in code.tolist()], pval
 
 
 def classify(eps: float, q_tilde: float) -> RegionLabel:
@@ -243,9 +246,7 @@ def classify(eps: float, q_tilde: float) -> RegionLabel:
     """
     if not (0.0 < eps <= 1.0 and 0.75 < q_tilde < 1.0):
         raise ParamsOutOfOmega(f"({eps}, {q_tilde}) outside (0,1] x (3/4,1)")
-    q1, q2 = _curves(cubic_roots(eps))
-    label, _ = _classify_checked(eps, q_tilde, q1, q2)
-    return label
+    return classify_row(eps, [q_tilde])[0][0]
 
 
 def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
@@ -255,17 +256,13 @@ def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
     match the true profile linearization at rest points, which differs from
     this matrix only by the positive factor (4/3) theta^5.
     """
-    kin = kinematics(psi)
-    b = b_sharp(kin, eps)
-    a = lin_matrix(kin)
-    det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    frob_sq = float((b * b).sum())
-    if abs(det_b) < 1e-12 * frob_sq:
+    if not 0.0 < eps <= 1.0:
+        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    _, _, v, b00, b01, b11, det_b = b_sharp_kernel(psi.psi0, psi.psi1, eps)
+    if abs(det_b) < 1e-12 * (b00 * b00 + 2.0 * b01 * b01 + b11 * b11):
         raise SingularBsharp(f"|det B#| = {abs(det_b)} below 1e-12 * ||B#||^2")
-    tr = (
-        b[1, 1] * a[0, 0] - b[0, 1] * a[1, 0] - b[1, 0] * a[0, 1] + b[0, 0] * a[1, 1]
-    ) / det_b
-    det = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]) / det_b
+    tr = trace_adj_closed(v, eps) / det_b
+    det = det_lin_closed(v * v) / det_b
     disc = tr * tr - 4.0 * det
     if disc >= 0.0:
         s = math.sqrt(disc)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateShock, QOutOfRange, ZOutOfRange
 from .model import GodunovState
 
@@ -54,21 +56,21 @@ class EquilibriumPair:
             raise QOutOfRange("downstream state must have the smaller velocity")
 
 
-def _check_q(q_tilde: float) -> None:
-    if not Q_MIN < q_tilde < Q_MAX:
+def _check_q(q_tilde) -> None:
+    if not np.all((Q_MIN < q_tilde) & (q_tilde < Q_MAX)):
         raise QOutOfRange(f"q_tilde must lie in (3/4, 1), got {q_tilde}")
 
 
-def v_plus_squared(q_tilde: float) -> float:
+def v_plus_squared(q_tilde):
     """Squared velocity of the downstream rest point, in (1/8, 1/2).
 
-    Evaluated in the rationalized form 1 / (4 (2q-1 + sqrt(q(4q-3)))),
-    which is free of cancellation over the whole interval; the textbook
-    quotient ((2q-1) - sqrt(q(4q-3))) / (4(1-q)) loses ~6 digits as
-    q_tilde -> 1.
+    q_tilde may be a float or an ndarray.  Evaluated in the rationalized
+    form 1 / (4 (2q-1 + sqrt(q(4q-3)))), which is free of cancellation over
+    the whole interval; the textbook quotient
+    ((2q-1) - sqrt(q(4q-3))) / (4(1-q)) loses ~6 digits as q_tilde -> 1.
     """
     _check_q(q_tilde)
-    return 1.0 / (4.0 * (2.0 * q_tilde - 1.0 + math.sqrt(q_tilde * (4.0 * q_tilde - 3.0))))
+    return 1.0 / (4.0 * (2.0 * q_tilde - 1.0 + np.sqrt(q_tilde * (4.0 * q_tilde - 3.0))))
 
 
 def v_minus_squared(q_tilde: float) -> float:

@@ -7,9 +7,9 @@ combination, the flux residual whose zeros are the rest points, the scaled
 linearization matrix, and the causality classification of a transport
 triple (eta, mu, nu).
 
-Closed-form determinant/trace identities are provided alongside the matrix
-arithmetic.  Production code uses the matrix route; the closed forms exist
-so tests and the `verify` command can cross-check both paths.
+Production code evaluates B# through `b_sharp_kernel` and the closed forms;
+the matrix builders and `trace_adj_identity` are the reference route that
+tests and the `verify` command check them against.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ class Kinematics:
     v: float
 
 
-def _theta_u_v(psi0: float, psi1: float) -> tuple[float, float, float]:
-    s = psi0 * psi0 - psi1 * psi1
-    if s <= 0.0 or psi0 <= 0.0:
-        raise StateOutsideDomain(f"need psi0 > |psi1|, got ({psi0}, {psi1})")
-    theta = s ** -0.5
+def theta_u_v(psi0, psi1):
+    """(theta, u, v) inside the cone psi0 > |psi1|, for floats or ndarrays."""
+    theta = (psi0 * psi0 - psi1 * psi1) ** -0.5
     return theta, theta * psi0, theta * psi1
 
 
@@ -65,8 +63,7 @@ def kinematics(psi: GodunovState) -> Kinematics:
     theta = (psi0^2 - psi1^2)^(-1/2), (u, v) = theta * (psi0, psi1),
     so that u^2 - v^2 = 1 holds identically.
     """
-    theta, u, v = _theta_u_v(psi.psi0, psi.psi1)
-    return Kinematics(theta=theta, u=u, v=v)
+    return Kinematics(*theta_u_v(psi.psi0, psi.psi1))
 
 
 def b_visc(kin: Kinematics) -> np.ndarray:
@@ -113,6 +110,28 @@ def det_b_sharp_closed(v_sq: float, eps: float) -> float:
     return 9.0 * eps * ((8.0 + eps) * v_sq + eps - 1.0) / (eps - 4.0)
 
 
+def b_sharp_kernel(psi0, psi1, eps):
+    """(theta, u, v, b00, b01, b11, det) of B# at psi = (psi0, psi1).
+
+    The entries expand `b_sharp`; det is `det_b_sharp_closed`, since the
+    products in b00 b11 - b01^2 grow like v^8 while det(B#) grows like v^2.
+    Arithmetic operators only: a float call stays pure Python and an ndarray
+    call broadcasts.  eps is not validated.
+    """
+    theta, u, v = theta_u_v(psi0, psi1)
+    u2 = u * u
+    v2 = v * v
+    uv = u * v
+    # Products, not ** 2: float ** raises OverflowError where * gives inf.
+    w = u2 + v2
+    r = 4.0 * v2 + 1.0
+    c2 = 9.0 * eps / (4.0 - eps)
+    b00 = eps * u2 * v2 - 16.0 * u2 * v2 - c2 * (w * w)
+    b01 = -eps * u2 * uv + 4.0 * uv * r + 2.0 * c2 * w * uv
+    b11 = eps * u2 * u2 - r * r - 4.0 * c2 * u2 * v2
+    return theta, u, v, b00, b01, b11, det_b_sharp_closed(v2, eps)
+
+
 def singular_locus_v_sq(eps: float) -> float:
     """Squared velocity (1-eps)/(8+eps) where det(B#) vanishes."""
     return (1.0 - eps) / (8.0 + eps)
@@ -123,7 +142,7 @@ def flux_residual(psi: GodunovState, q0: float, q1: float) -> np.ndarray:
 
     F = (-(4/3) theta^4 v u + q0,  theta^4 ((4/3) v^2 + 1/3) - q1)
     """
-    theta, u, v = _theta_u_v(psi.psi0, psi.psi1)
+    theta, u, v = theta_u_v(psi.psi0, psi.psi1)
     t4 = theta**4
     return np.array(
         [
@@ -154,8 +173,7 @@ def det_lin_closed(v_sq: float) -> float:
 def trace_adj_identity(kin: Kinematics, eps: float) -> float:
     """trace(adj(B#) A) via plain matrix arithmetic.
 
-    A standing cross-check target for `trace_adj_closed`; the matrix route
-    is the one used by production code.
+    The reference for `trace_adj_closed`, which production code uses.
     """
     b = b_sharp(kin, eps)
     a = lin_matrix(kin)

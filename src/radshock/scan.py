@@ -143,13 +143,11 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
     """
     eps_grid = np.linspace(config.eps_lo, config.eps_hi, config.eps_count)
     q_grid = np.linspace(config.q_lo, config.q_hi, config.q_count)
+    v_plus_sq = v_plus_squared(q_grid).tolist()
     records: list[ScanRecord] = []
-    for e in eps_grid:
-        e = float(e)
-        q1, q2 = cls._curves(cls.cubic_roots(e))
-        for q in q_grid:
-            q = float(q)
-            label, pval = cls._classify_checked(e, q, q1, q2)
+    for e in eps_grid.tolist():
+        labels, pvals = cls.classify_row(e, q_grid)
+        for q, label, z, pval in zip(q_grid.tolist(), labels, v_plus_sq, pvals.tolist()):
             verdict: str | None = None
             oscillatory: bool | None = None
             if config.shoot:
@@ -164,7 +162,7 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
                     eps=e,
                     q_tilde=q,
                     region=label.value,
-                    v_plus_sq=v_plus_squared(q),
+                    v_plus_sq=z,
                     discriminant=pval,
                     shoot_verdict=verdict,
                     oscillatory=oscillatory,

@@ -19,13 +19,14 @@ from scipy.integrate import solve_ivp
 
 from .equilibria import EquilibriumPair, rest_points
 from .errors import (
+    EpsilonOutOfRange,
     NotASaddle,
     ParamsOutOfOmega,
     QOutOfRange,
     SingularBsharp,
     TooFewSamples,
 )
-from .model import GodunovState, Kinematics, b_sharp, kinematics
+from .model import GodunovState, Kinematics, b_sharp_kernel, kinematics, lin_matrix, theta_u_v
 
 # Capture requires the field norm to drop below this fraction of the largest
 # field norm seen along the shot; a radius test alone can false-positive on
@@ -102,48 +103,22 @@ class ProfileResult:
     eps: float
     q_tilde: float
 
-    @property
-    def samples(self) -> list[tuple[float, GodunovState, Kinematics]]:
-        out = []
-        for t, (p0, p1) in zip(self.times, self.states):
-            st = GodunovState(float(p0), float(p1))
-            out.append((float(t), st, kinematics(st)))
-        return out
-
     def kinematics_array(self) -> np.ndarray:
         """Columns (theta, u, v) for every sample."""
-        return _kinematics_columns(self.states)
-
-
-def _kinematics_columns(states: np.ndarray) -> np.ndarray:
-    p0 = states[:, 0]
-    p1 = states[:, 1]
-    theta = (p0 * p0 - p1 * p1) ** -0.5
-    return np.column_stack([theta, theta * p0, theta * p1])
+        return np.column_stack(theta_u_v(self.states[:, 0], self.states[:, 1]))
 
 
 def _raw_field(y0: float, y1: float, eps: float, q0: float, q1: float) -> tuple[float, float]:
     # Hot path shared by the integrator and its events: pure floats, no
-    # validation.  Clamps keep trial evaluations finite just outside the
-    # admissible cone; events stop the integration before they matter.
-    s = y0 * y0 - y1 * y1
-    if s < 1e-300:
-        s = 1e-300
-    th2 = 1.0 / s
-    th = math.sqrt(th2)
-    u = th * y0
-    v = th * y1
-    t4 = th2 * th2
+    # validation.  On or outside the admissible cone the field is NaN, so the
+    # integrator rejects and shrinks such trial steps.
+    if y0 * y0 - y1 * y1 < 1e-300:
+        return math.nan, math.nan
+    theta, u, v, b00, b01, b11, det = b_sharp_kernel(y0, y1, eps)
+    t2 = theta * theta
+    t4 = t2 * t2
     f0 = -(4.0 / 3.0) * t4 * v * u + q0
     f1 = t4 * ((4.0 / 3.0) * v * v + 1.0 / 3.0) - q1
-    u2 = u * u
-    v2 = v * v
-    uv = u * v
-    c2 = 9.0 * eps / (4.0 - eps)
-    b00 = eps * u2 * v2 - 16.0 * u2 * v2 - c2 * (u2 + v2) ** 2
-    b01 = -eps * u2 * uv + 4.0 * uv * (4.0 * v2 + 1.0) + 2.0 * c2 * (u2 + v2) * uv
-    b11 = eps * u2 * u2 - (4.0 * v2 + 1.0) ** 2 - 4.0 * c2 * u2 * v2
-    det = b00 * b11 - b01 * b01
     if det == 0.0:
         det = -1e-300
     return (b11 * f0 - b01 * f1) / det, (b00 * f1 - b01 * f0) / det
@@ -153,13 +128,11 @@ def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
     """Profile field B#^-1 F at one state, via the closed-form 2x2 inverse."""
     if q_tilde <= 0.0:
         raise QOutOfRange(f"q_tilde must be positive, got {q_tilde}")
-    kin = kinematics(psi)
-    b = b_sharp(kin, eps)
-    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    if abs(det) < 1e-12 * float((b * b).sum()):
-        raise SingularBsharp(
-            f"dissipation matrix singular near v^2 = {kin.v**2} at eps = {eps}"
-        )
+    if not 0.0 < eps <= 1.0:
+        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    _, _, v, b00, b01, b11, det = b_sharp_kernel(psi.psi0, psi.psi1, eps)
+    if abs(det) < 1e-12 * (b00 * b00 + 2.0 * b01 * b01 + b11 * b11):
+        raise SingularBsharp(f"dissipation matrix singular near v^2 = {v**2} at eps = {eps}")
     f0, f1 = _raw_field(psi.psi0, psi.psi1, eps, q_tilde**-0.5, 1.0)
     return np.array([f0, f1])
 
@@ -181,6 +154,16 @@ def field_jacobian(
     return jac
 
 
+def _rest_jacobian(psi: GodunovState, eps: float) -> np.ndarray:
+    """Jacobian of the profile field at a rest point, (4/3) theta^5 adj(B#) A / det(B#).
+
+    Exact only where F vanishes, since the derivative of B#^-1 then drops out.
+    """
+    theta, u, v, b00, b01, b11, det = b_sharp_kernel(psi.psi0, psi.psi1, eps)
+    adj = np.array([[b11, -b01], [-b01, b00]])
+    return (4.0 / 3.0) * theta**5 / det * (adj @ lin_matrix(Kinematics(theta, u, v)))
+
+
 def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
     """Unit eigenvector of the saddle's positive eigenvalue, aimed downstream.
 
@@ -188,7 +171,7 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
     makes the kinematic velocity decrease along it.
     """
     pair = rest_points(q_tilde)
-    jac = field_jacobian(pair.psi_minus, eps, q_tilde)
+    jac = _rest_jacobian(pair.psi_minus, eps)
     det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
     if not det < 0.0:
         raise NotASaddle(
@@ -250,12 +233,12 @@ def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> Oscillatio
     arr = np.asarray(states, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise TooFewSamples(f"need an (n >= 3, 2) sample array, got shape {arr.shape}")
-    kin_cols = _kinematics_columns(arr)
+    theta, u, v = theta_u_v(arr[:, 0], arr[:, 1])
     lim = kinematics(psi_plus)
     tracks = {
         "psi": ((arr[:, 0], psi_plus.psi0), (arr[:, 1], psi_plus.psi1)),
-        "theta_v": ((kin_cols[:, 0], lim.theta), (kin_cols[:, 2], lim.v)),
-        "u_v": ((kin_cols[:, 1], lim.u), (kin_cols[:, 2], lim.v)),
+        "theta_v": ((theta, lim.theta), (v, lim.v)),
+        "u_v": ((u, lim.u), (v, lim.v)),
     }
     systems: dict[str, tuple[ComponentCounts, ComponentCounts]] = {}
     flags: dict[str, bool] = {}
@@ -293,12 +276,12 @@ def _integrate(
     r_esc = opts.escape_radius * scale
     sing_level = (1.0 - eps) / (8.0 + eps)
 
+    # Python floats: their arithmetic is about twice as fast as numpy scalars'.
     def rhs(_t, y):
-        return _raw_field(y[0], y[1], eps, q0, 1.0)
+        return _raw_field(*y.tolist(), eps, q0, 1.0)
 
     def field_norm(y):
-        f0, f1 = _raw_field(y[0], y[1], eps, q0, 1.0)
-        return math.hypot(f0, f1)
+        return math.hypot(*_raw_field(*y.tolist(), eps, q0, 1.0))
 
     def ev_capture(_t, y):
         return math.hypot(y[0] - psi_plus[0], y[1] - psi_plus[1]) - r_cap

@@ -16,6 +16,7 @@ from radshock.model import (
     GodunovState,
     b_one,
     b_sharp,
+    b_sharp_kernel,
     b_two,
     b_visc,
     causality_check,
@@ -111,6 +112,34 @@ class TestDissipationMatrices:
         if k.v**2 > singular_locus_v_sq(eps) + 1e-9:
             b = b_sharp(k, eps)
             assert b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0] < 0.0
+
+
+class TestBSharpKernel:
+    @given(states(), eps_values)
+    def test_matches_matrix_route(self, psi, eps):
+        theta, u, v, b00, b01, b11, det = b_sharp_kernel(psi.psi0, psi.psi1, eps)
+        k = kinematics(psi)
+        assert (theta, u, v) == (k.theta, k.u, k.v)
+        b = b_sharp(k, eps)
+        fb = frob_sq(b)
+        for got, want in ((b00, b[0, 0]), (b01, b[0, 1]), (b11, b[1, 1])):
+            assert rel_err(got, want, math.sqrt(fb)) <= 1e-13
+        assert rel_err(det, b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0], fb) <= 1e-12
+
+    def test_array_call_matches_float_calls(self):
+        rng = np.random.default_rng(7)
+        v = rng.uniform(-1.5, 1.5, 500)
+        scale = rng.uniform(0.2, 3.0, 500)
+        eps = rng.uniform(1e-6, 1.0, 500)
+        psi0, psi1 = scale * np.sqrt(1.0 + v * v), scale * v
+        columns = b_sharp_kernel(psi0, psi1, eps)
+        for i, (p0, p1, e) in enumerate(zip(psi0.tolist(), psi1.tolist(), eps.tolist())):
+            row = b_sharp_kernel(p0, p1, e)
+            assert all(type(x) is float for x in row)
+            fb = row[3] ** 2 + 2.0 * row[4] ** 2 + row[5] ** 2
+            for j, want in enumerate(row):
+                # theta, u, v to rounding; entries and det relative to ||B#||^2.
+                assert rel_err(columns[j][i], want, fb if j >= 3 else 0.0) <= 1e-13
 
 
 class TestFluxResidual:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -144,6 +145,40 @@ class TestEmitters:
         assert len(comments) == 2
         regions = {r.region for r in result.records}
         assert {"NodeBelow", "Focus", "NodeAbove"} <= regions
+
+    @pytest.mark.parametrize(
+        "config,digests",
+        [
+            # Default margins, so both 1e-6 edges are cells.
+            (
+                ScanConfig(eps_count=41, q_count=41),
+                (
+                    "83b6f95407a692de623deda0b80dff1e226be542954ef25544e154b59a96783c",
+                    "b5be9be15a1a46dc420db178019979a6606ace4e439f631f9d67641a1ccd995e",
+                    "ef318d6425f255aa8ff8b1f8540aeac8feb1da4234418f697faa9d303b08fd63",
+                ),
+            ),
+            # A box straddling eps_hat and crossing both separatrices.
+            (
+                ScanConfig(eps_lo=0.3, eps_hi=0.9, eps_count=37,
+                           q_lo=0.755, q_hi=0.95, q_count=53),
+                (
+                    "11155f181002dae87a4e311211018b4e44f8a7e71a9487cbd677c574bc163367",
+                    "e7a8b9c790f3d19c90df8d52365882a8fac097f5c8550aa1e865735ae01ed4d6",
+                    "1f2cf86cd1d396ba587694ce92db00a2d4b486f261d9af14c25e6d5adc6f58eb",
+                ),
+            ),
+        ],
+    )
+    def test_golden_bytes(self, config, digests):
+        # The emitted bytes are part of the output contract: they change only
+        # with a deliberate schema_version bump.
+        result = run_scan(config)
+        got = tuple(
+            hashlib.sha256(emit(result).encode()).hexdigest()
+            for emit in (scan_to_csv, scan_to_json, scan_to_svg)
+        )
+        assert got == digests
 
     def test_fmt_field_validated(self):
         with pytest.raises(ValueError):

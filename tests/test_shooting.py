@@ -8,6 +8,7 @@ from radshock.equilibria import rest_points, state_from_v
 from radshock.errors import (
     DegenerateShock,
     ParamsOutOfOmega,
+    RadshockError,
     SingularBsharp,
     TooFewSamples,
 )
@@ -16,6 +17,7 @@ from radshock.shooting import (
     ProfileVerdict,
     ShootOptions,
     _integrate,
+    _rest_jacobian,
     field_jacobian,
     oscillation_report,
     shoot,
@@ -74,6 +76,11 @@ class TestUnstableDirection:
         jac = field_jacobian(pair.psi_minus, eps, q)
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         assert det < 0.0
+        # The analytic rest-point linearization matches the finite-difference
+        # reference at both rest points.
+        for psi in (pair.psi_minus, pair.psi_plus):
+            ref = field_jacobian(psi, eps, q)
+            assert np.max(np.abs(_rest_jacobian(psi, eps) - ref)) <= 1e-7 * np.max(np.abs(ref))
 
     def test_velocity_decreases_downstream(self):
         eps, q = NODE_POINT
@@ -114,22 +121,17 @@ class TestShootNodeRegion:
 
     def test_samples_strictly_increasing_in_domain(self, node_shot):
         t = node_shot.times
+        assert t[0] == 0.0
         assert np.all(np.diff(t) > 0.0)
         p0, p1 = node_shot.states[:, 0], node_shot.states[:, 1]
         assert np.all(p0 > np.abs(p1))
-        u_sq = p0 * p0 / (p0 * p0 - p1 * p1)
-        v_sq = p1 * p1 / (p0 * p0 - p1 * p1)
-        assert np.max(np.abs(u_sq - v_sq - 1.0)) < 1e-10
+        _, u, v = node_shot.kinematics_array().T
+        assert np.max(np.abs(u * u - v * v - 1.0)) < 1e-12
 
     def test_velocity_endpoints(self, node_shot):
         kin = node_shot.kinematics_array()
         assert kin[0, 2] == pytest.approx(math.sqrt(0.7232874559808615), abs=1e-5)
         assert kin[-1, 2] == pytest.approx(math.sqrt(0.3600458773524719), abs=1e-6)
-
-    def test_samples_property(self, node_shot):
-        t, state, kin = node_shot.samples[0]
-        assert t == 0.0
-        assert abs(kin.u**2 - kin.v**2 - 1.0) < 1e-12
 
 
 class TestShootFocusRegion:
@@ -195,6 +197,19 @@ class TestShootGuards:
         # the singular locus and this orbit runs into it: no profile exists.
         res = shoot(0.1, 0.99)
         assert res.verdict is ProfileVerdict.HIT_SINGULAR_LOCUS
+
+    def test_large_amplitude_edge_ends_in_verdict(self):
+        # At psi_minus(0.9999), b00 b11 and b01^2 exceed det(B#) ~5e12-fold,
+        # so the expanded det keeps ~4 digits; with the closed form the shot
+        # ends after a few hundred samples.
+        res = shoot(0.5, 0.9999)
+        assert isinstance(res.verdict, ProfileVerdict)
+        assert res.states.shape[0] < 5000
+
+    def test_upper_scan_edge_raises_typed_error(self):
+        # The default scan's upper q edge: the failure must be a typed one.
+        with pytest.raises(RadshockError):
+            shoot(0.5, 1.0 - 1e-6)
 
 
 class TestShootOptions:
