@@ -26,12 +26,17 @@ from .errors import (
     SingularBsharp,
     TooFewSamples,
 )
-from .model import GodunovState, Kinematics, b_sharp_kernel, kinematics, lin_matrix, theta_u_v
-
-# Capture requires the field norm to drop below this fraction of the largest
-# field norm seen along the shot; a radius test alone can false-positive on
-# slow spirals passing near the rest point.
-_RESIDUAL_FACTOR = 1e-6
+from .model import (
+    GodunovState,
+    Kinematics,
+    b_sharp_kernel,
+    det_b_sharp_closed,
+    det_lin_closed,
+    kinematics,
+    lin_matrix,
+    theta_u_v,
+    trace_adj_closed,
+)
 
 _JACOBIAN_STEP = 1e-6
 
@@ -137,20 +142,18 @@ def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
     return np.array([f0, f1])
 
 
-def field_jacobian(
-    psi: GodunovState, eps: float, q_tilde: float, step: float = _JACOBIAN_STEP
-) -> np.ndarray:
+def field_jacobian(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
     """Central finite-difference Jacobian of the profile field."""
     q0 = q_tilde**-0.5
     y = (psi.psi0, psi.psi1)
     jac = np.empty((2, 2))
     for i in range(2):
         dp = [0.0, 0.0]
-        dp[i] = step
+        dp[i] = _JACOBIAN_STEP
         fp = _raw_field(y[0] + dp[0], y[1] + dp[1], eps, q0, 1.0)
         fm = _raw_field(y[0] - dp[0], y[1] - dp[1], eps, q0, 1.0)
-        jac[0, i] = (fp[0] - fm[0]) / (2.0 * step)
-        jac[1, i] = (fp[1] - fm[1]) / (2.0 * step)
+        jac[0, i] = (fp[0] - fm[0]) / (2.0 * _JACOBIAN_STEP)
+        jac[1, i] = (fp[1] - fm[1]) / (2.0 * _JACOBIAN_STEP)
     return jac
 
 
@@ -172,12 +175,17 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
     """
     pair = rest_points(q_tilde)
     jac = _rest_jacobian(pair.psi_minus, eps)
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    # det J and trace J from the closed forms: the entries of adj(B#) A grow
+    # like v^8 and cancel in det and trace as q_tilde -> 1.
+    theta, _, v = theta_u_v(pair.psi_minus.psi0, pair.psi_minus.psi1)
+    k = (4.0 / 3.0) * theta**5
+    det_b = det_b_sharp_closed(v * v, eps)
+    det = k * k * det_lin_closed(v * v) / det_b
     if not det < 0.0:
         raise NotASaddle(
             f"eigenvalue product {det} not negative at psi_minus({q_tilde}), eps={eps}"
         )
-    tr = jac[0, 0] + jac[1, 1]
+    tr = k * trace_adj_closed(v, eps) / det_b
     lam_pos = 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
     cand_a = np.array([jac[0, 1], lam_pos - jac[0, 0]])
     cand_b = np.array([lam_pos - jac[1, 1], jac[1, 0]])
@@ -228,7 +236,8 @@ def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> Oscillatio
     """Extrema and sign-change counts of a trajectory in three coordinate systems.
 
     `states` is an (n, 2) array of psi samples, n >= 3.  Limits are taken at
-    psi_plus.  The noise floor per component is 1e-10 times its range.
+    psi_plus.  The noise floor per component is 1e-10 times the larger of its
+    range and its limit's magnitude.
     """
     arr = np.asarray(states, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
@@ -245,8 +254,9 @@ def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> Oscillatio
     for name, comps in tracks.items():
         counts = []
         for series, limit in comps:
-            amp = float(series.max() - series.min())
-            floor = 1e-10 * amp
+            # The integrator's error is relative to the state's size, so a
+            # weak shock's small range alone would let that noise count.
+            floor = 1e-10 * max(float(series.max() - series.min()), abs(limit))
             counts.append(
                 ComponentCounts(
                     extrema=_count_extrema(series, floor),
@@ -280,9 +290,8 @@ def _integrate(
     def rhs(_t, y):
         return _raw_field(*y.tolist(), eps, q0, 1.0)
 
-    def field_norm(y):
-        return math.hypot(*_raw_field(*y.tolist(), eps, q0, 1.0))
-
+    # psi_plus is a hyperbolic sink throughout Omega, so an orbit that enters
+    # the capture ball has converged.
     def ev_capture(_t, y):
         return math.hypot(y[0] - psi_plus[0], y[1] - psi_plus[1]) - r_cap
 
@@ -297,86 +306,42 @@ def _integrate(
     def ev_boundary(_t, y):
         return y[0] - abs(y[1]) - _BOUNDARY_MARGIN
 
-    for ev, direction in (
-        (ev_capture, -1), (ev_escape, 1), (ev_singular, -1), (ev_boundary, -1)
-    ):
+    events = (ev_capture, ev_escape, ev_singular, ev_boundary)
+    for ev, direction in zip(events, (-1, 1, -1, -1)):
         ev.terminal = True
         ev.direction = direction
 
-    f_ref = field_norm(y_start)
-    res_scale = 1.0
-    capture_armed = True
-
-    ts = [np.array([0.0])]
-    ys = [y_start.reshape(2, 1)]
-    t_cur, y_cur = 0.0, y_start
-    verdict = None
-    while verdict is None:
-        res_threshold = _RESIDUAL_FACTOR * f_ref * res_scale
-
-        def ev_residual(_t, y, thr=res_threshold):
-            return field_norm(y) - thr
-
-        ev_residual.terminal = True
-        ev_residual.direction = -1
-
-        events = [ev_residual, ev_escape, ev_singular, ev_boundary]
-        if capture_armed:
-            events.append(ev_capture)
-        sol = solve_ivp(
-            rhs,
-            (t_cur, opts.max_pseudo_time),
-            y_cur,
-            method="RK45",
-            rtol=opts.rel_tol,
-            atol=opts.abs_tol,
-            events=events,
-        )
-        if sol.t.size > 1:
-            ts.append(sol.t[1:])
-            ys.append(sol.y[:, 1:])
-            f_ref = max(f_ref, max(field_norm(sol.y[:, j]) for j in range(1, sol.t.size)))
-        if sol.status == 0:
-            verdict = ProfileVerdict.STALLED
-        elif sol.status < 0:
-            # Step underflow.  The field's only blow-up set is the singular
-            # locus, which can be reached asymptotically without the crossing
-            # event ever firing; diagnose by the final squared velocity.
-            y_end = sol.y[:, -1]
-            s = y_end[0] * y_end[0] - y_end[1] * y_end[1]
-            v_sq = y_end[1] * y_end[1] / s if s > 0.0 else math.inf
-            if abs(v_sq - sing_level) <= 1e-5 * (1.0 + sing_level):
-                verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
-            else:
-                verdict = ProfileVerdict.STALLED
-        elif sol.t_events[1].size:
-            verdict = ProfileVerdict.ESCAPED
-        elif sol.t_events[2].size:
+    sol = solve_ivp(
+        rhs,
+        (0.0, opts.max_pseudo_time),
+        y_start,
+        method="RK45",
+        rtol=opts.rel_tol,
+        atol=opts.abs_tol,
+        events=events,
+    )
+    if sol.status == 0:
+        verdict = ProfileVerdict.STALLED
+    elif sol.status < 0:
+        # Step underflow.  The field's only blow-up set is the singular
+        # locus, which can be reached asymptotically without the crossing
+        # event ever firing; diagnose by the final squared velocity.
+        y_end = sol.y[:, -1]
+        s = y_end[0] * y_end[0] - y_end[1] * y_end[1]
+        v_sq = y_end[1] * y_end[1] / s if s > 0.0 else math.inf
+        if abs(v_sq - sing_level) <= 1e-5 * (1.0 + sing_level):
             verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
-        elif sol.t_events[3].size:
-            verdict = ProfileVerdict.ESCAPED
         else:
-            # Radius or residual event.  Event locations carry interpolation
-            # slop of order rel_tol, so "near" allows a 0.1% margin.
-            y_end = sol.y[:, -1]
-            near = math.hypot(*(y_end - psi_plus)) <= r_cap * 1.001
-            quiet = field_norm(y_end) <= _RESIDUAL_FACTOR * f_ref
-            if near and quiet:
-                verdict = ProfileVerdict.CONVERGED_TO_PLUS
-            else:
-                # False alarm.  Resuming exactly on the firing radius would
-                # re-trigger the capture event with no progress, so disarm it
-                # and let the residual event (approached monotonically from
-                # above) take over; a residual false alarm instead halves its
-                # own threshold.  The pseudo-time budget stays the backstop.
-                t_cur, y_cur = sol.t[-1], y_end
-                if capture_armed and sol.t_events[4].size:
-                    capture_armed = False
-                else:
-                    res_scale *= 0.5
-    times = np.concatenate(ts)
-    states = np.concatenate(ys, axis=1).T
-    return verdict, times, states
+            verdict = ProfileVerdict.STALLED
+    else:
+        fired = next(i for i, t in enumerate(sol.t_events) if t.size)
+        verdict = (
+            ProfileVerdict.CONVERGED_TO_PLUS,
+            ProfileVerdict.ESCAPED,
+            ProfileVerdict.HIT_SINGULAR_LOCUS,
+            ProfileVerdict.ESCAPED,
+        )[fired]
+    return verdict, sol.t, sol.y.T
 
 
 def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> ProfileResult:

@@ -175,7 +175,8 @@ def test_criterion_5_rest_point_spectra():
 def test_criterion_6_profile_properties():
     with _Watch("6 profile-properties", 120.0):
         # (a) node-region shots: monotone convergence.
-        node_qs = [round(0.751 + 0.001 * i, 3) for i in range(14)]
+        # The last two are weak shocks near the saddle-node at q -> 3/4.
+        node_qs = [round(0.751 + 0.001 * i, 3) for i in range(14)] + [0.75 + 1e-5, 0.75 + 1e-6]
         for q in node_qs:
             res = shoot(1.0, q)
             assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS, q
