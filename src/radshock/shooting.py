@@ -1,21 +1,26 @@
 """Heteroclinic shooting for the profile field B#(psi, eps) psi' = F(psi, q).
 
 A shot starts a small offset along the unstable eigenvector of the upstream
-saddle and integrates with an adaptive embedded Runge-Kutta pair until it is
-captured at the downstream rest point, escapes, hits the singular locus of
-the dissipation matrix, or exhausts the pseudo-time budget.  The sampled
-trajectory is then scanned for extrema and sign changes in three coordinate
-systems, which is how oscillatory (spiraling) profiles are detected.
+saddle and integrates with LSODA, which switches between Adams and BDF
+formulas as the field turns stiff (eps -> 0), or with RK45 where the saddle's
+rounding noise is too large for LSODA's implicit mode.  The step loop checks
+every accepted step and stops when the orbit is captured at the downstream
+rest point, escapes, hits the singular locus of the dissipation matrix, or
+exhausts the step or pseudo-time budget.  The sampled trajectory is then
+scanned for extrema and sign changes in three coordinate systems, which is
+how oscillatory (spiraling) profiles are detected.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import LSODA, RK45
+from scipy.optimize import brentq
 
 from .equilibria import EquilibriumPair, rest_points
 from .errors import (
@@ -43,6 +48,12 @@ _JACOBIAN_STEP = 1e-6
 # Integration stops (verdict Escaped) if the state comes this close to the
 # boundary of the admissible cone psi0 > |psi1|.
 _BOUNDARY_MARGIN = 1e-9
+
+# A shot ends Stalled after this many accepted steps.  Resolved shots take
+# at most ~850 on the benchmark's points (1,552 at (1e-5, 0.9998)); the
+# unresolved corner (eps <~ 1e-4, q_tilde >~ 0.9999), where RK45 crawls
+# through the stiff field, spends it in about a second.
+_MAX_STEPS = 10_000
 
 COORDINATE_SYSTEMS = ("psi", "theta_v", "u_v")
 
@@ -281,7 +292,7 @@ def _integrate(
     opts: ShootOptions,
 ) -> tuple[ProfileVerdict, np.ndarray, np.ndarray]:
     q0 = q_tilde**-0.5
-    psi_plus = pair.psi_plus.as_array()
+    p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
     r_cap = opts.capture_radius * scale
     r_esc = opts.escape_radius * scale
     sing_level = (1.0 - eps) / (8.0 + eps)
@@ -290,66 +301,67 @@ def _integrate(
     def rhs(_t, y):
         return _raw_field(*y.tolist(), eps, q0, 1.0)
 
-    # psi_plus is a hyperbolic sink throughout Omega, so an orbit that enters
-    # the capture ball has converged.
-    def ev_capture(_t, y):
-        return math.hypot(y[0] - psi_plus[0], y[1] - psi_plus[1]) - r_cap
+    def gap_sq(y0, y1):
+        # v^2 minus its value on the singular locus.
+        s = y0 * y0 - y1 * y1
+        return (y1 * y1 / s if s > 0.0 else math.inf) - sing_level
 
-    def ev_escape(_t, y):
-        return math.hypot(y[0] - psi_plus[0], y[1] - psi_plus[1]) - r_esc
+    def dist(y):
+        return math.hypot(y[0] - p0, y[1] - p1)
 
-    def ev_singular(_t, y):
-        s = y[0] * y[0] - y[1] * y[1]
-        v_sq = y[1] * y[1] / s if s > 0.0 else math.inf
-        return v_sq - sing_level
-
-    def ev_boundary(_t, y):
-        return y[0] - abs(y[1]) - _BOUNDARY_MARGIN
-
-    events = (ev_capture, ev_escape, ev_singular, ev_boundary)
-    for ev, direction in zip(events, (-1, 1, -1, -1)):
-        ev.terminal = True
-        ev.direction = direction
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, opts.max_pseudo_time),
-        y_start,
-        method="RK45",
-        rtol=opts.rel_tol,
-        atol=opts.abs_tol,
-        events=events,
+    # The field's rounding error relative to its size grows like v_minus^2
+    # (vs mpmath at 1e-5 |psi_minus - psi_plus| from psi_minus, eps = 0.5:
+    # 1.4e-9 at q_tilde = 0.99, 3e-7 at 0.9999, 3e-5 at 1 - 1e-6).  LSODA's
+    # stiff mode differences the field for its Jacobian and crawls once that
+    # noise nears rel_tol, while an explicit pair does not care; RK45 takes
+    # those shots (q_tilde >~ 0.99989 at the default rel_tol).
+    noisy = pair.v_minus_sq * sys.float_info.epsilon >= 0.01 * opts.rel_tol
+    solver = (RK45 if noisy else LSODA)(
+        rhs, 0.0, y_start, opts.max_pseudo_time, rtol=opts.rel_tol, atol=opts.abs_tol
     )
-    if sol.status == 0:
-        verdict = ProfileVerdict.STALLED
-    elif sol.status < 0:
-        # Step underflow.  The field's only blow-up set is the singular
-        # locus, which can be reached asymptotically without the crossing
-        # event ever firing; diagnose by the final squared velocity.
-        y_end = sol.y[:, -1]
-        s = y_end[0] * y_end[0] - y_end[1] * y_end[1]
-        v_sq = y_end[1] * y_end[1] / s if s > 0.0 else math.inf
-        if abs(v_sq - sing_level) <= 1e-5 * (1.0 + sing_level):
+    times = [0.0]
+    states = [tuple(y_start)]
+    gap = gap_sq(*states[0])
+    verdict = None
+    while verdict is None:
+        solver.step()
+        if solver.status == "failed":
+            # Step underflow.  The field's only blow-up set is the singular
+            # locus, which can be approached asymptotically without a
+            # crossing; diagnose by the last accepted state's velocity.
+            near = abs(gap_sq(*states[-1])) <= 1e-5 * (1.0 + sing_level)
+            verdict = ProfileVerdict.HIT_SINGULAR_LOCUS if near else ProfileVerdict.STALLED
+            break
+        t, y = solver.t, solver.y.tolist()
+        gap_old, gap = gap, gap_sq(*y)
+        r = dist(y)
+        if r <= r_cap:
+            # psi_plus is a hyperbolic sink throughout Omega, so an orbit that
+            # enters the capture ball has converged.  The last sample is put
+            # on the capture sphere, where the oscillation counts stop.
+            dense = solver.dense_output()
+            t = brentq(lambda s: dist(dense(s)) - r_cap, solver.t_old, t)
+            y = dense(t).tolist()
+            verdict = ProfileVerdict.CONVERGED_TO_PLUS
+        elif r >= r_esc or y[0] - abs(y[1]) <= _BOUNDARY_MARGIN:
+            verdict = ProfileVerdict.ESCAPED
+        elif gap_old >= 0.0 >= gap:
             verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
-        else:
+        elif solver.status == "finished" or len(times) == _MAX_STEPS:
             verdict = ProfileVerdict.STALLED
-    else:
-        fired = next(i for i, t in enumerate(sol.t_events) if t.size)
-        verdict = (
-            ProfileVerdict.CONVERGED_TO_PLUS,
-            ProfileVerdict.ESCAPED,
-            ProfileVerdict.HIT_SINGULAR_LOCUS,
-            ProfileVerdict.ESCAPED,
-        )[fired]
-    return verdict, sol.t, sol.y.T
+        times.append(t)
+        states.append(y)
+    return verdict, np.array(times), np.array(states)
 
 
 def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> ProfileResult:
     """Shoot the unstable manifold of the saddle toward the attractor.
 
     Returns the sampled trajectory, a convergence verdict and the oscillation
-    report.  If the preferred eigenvector orientation escapes, the opposite
-    one is tried before reporting; non-convergence is a verdict, not an error.
+    report.  The samples are the integrator's accepted steps; a converged
+    shot's last sample lies on the capture sphere around psi_plus.  If the
+    preferred eigenvector orientation escapes, the opposite one is tried
+    before reporting; non-convergence is a verdict, not an error.
     """
     if opts is None:
         opts = ShootOptions()

@@ -13,6 +13,7 @@ from radshock.errors import (
 )
 from radshock.model import GodunovState, kinematics
 from radshock.shooting import (
+    _MAX_STEPS,
     ProfileVerdict,
     ShootOptions,
     _integrate,
@@ -214,6 +215,39 @@ class TestShootGuards:
             res = shoot(eps, q)
             assert isinstance(res.verdict, ProfileVerdict), (eps, q)
             assert res.states.shape[0] < 5000, (eps, q)
+
+    @pytest.mark.parametrize(
+        "eps,q",
+        [
+            (1e-6, 0.8),  # default scan's lower eps edge: singularly perturbed
+            (1e-4, 0.8),
+            (0.5, 0.75 + 1e-6),  # decay rate at psi_plus vanishes as q -> 3/4
+        ],
+    )
+    def test_stiff_edge_converges(self, eps, q):
+        # LSODA's BDF mode steps over the fast direction instead of resolving it.
+        res = shoot(eps, q)
+        assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
+        assert res.oscillation.oscillatory is False
+        assert res.states.shape[0] < 1000
+
+    def test_unresolved_corner_ends_within_budget(self):
+        # Both scan edges at once: RK45 crawls here and LSODA never leaves the
+        # saddle, so the step budget ends the shot.
+        res = shoot(1e-6, 1.0 - 1e-6)
+        assert isinstance(res.verdict, ProfileVerdict)
+        assert res.states.shape[0] <= _MAX_STEPS + 1
+
+    @pytest.mark.parametrize("point", [NODE_POINT, FOCUS_POINT, (1e-4, 0.8)])
+    def test_converged_shot_ends_on_capture_sphere(self, point):
+        # The oscillation counts stop where the orbit meets the capture
+        # sphere, so the last sample is placed on it, not at a step's end.
+        res = shoot(*point)
+        assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
+        plus = res.psi_plus.as_array()
+        scale = np.linalg.norm(res.psi_minus.as_array() - plus)
+        r_cap = ShootOptions().capture_radius * scale
+        assert np.linalg.norm(res.states[-1] - plus) == pytest.approx(r_cap, rel=1e-6)
 
 
 class TestShootOptions:
