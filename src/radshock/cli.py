@@ -24,7 +24,7 @@ from .errors import (
     ZOutOfRange,
 )
 from .model import causality_check
-from .scan import ScanConfig, render_scan, run_scan
+from .scan import ScanConfig, _g, render_scan, run_scan
 from .shooting import ShootOptions, shoot
 from .verify import format_report, run_identity_suite
 
@@ -39,15 +39,21 @@ _DOMAIN_ERRORS = (
     StateOutsideDomain,
 )
 
-_g = lambda x: format(float(x), ".17g")  # noqa: E731
 
-
-def _parse_grid(text: str) -> tuple[int, int]:
+def parse_grid(text: str) -> tuple[int, int]:
+    """argparse type for an "NxM" grid: eps count x q count."""
     try:
         a, b = text.lower().split("x")
         return int(a), int(b)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must look like 200x200, got {text!r}") from exc
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def _shoot_options(args) -> ShootOptions:
@@ -167,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("scan", help="sweep the parameter square")
-    p.add_argument("--grid", type=_parse_grid, default=(100, 100), metavar="NxM",
+    p.add_argument("--grid", type=parse_grid, default=(100, 100), metavar="NxM",
                    help="eps count x q count (default 100x100)")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p.add_argument("--out", default=None, help="output path (default scan.<format>)")
@@ -176,18 +182,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-max", type=float, default=1.0)
     p.add_argument("--q-min", type=float, default=0.75 + 1e-6)
     p.add_argument("--q-max", type=float, default=1.0 - 1e-6)
-    p.add_argument("--offset", type=float, default=None)
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
+    p.add_argument("--offset", type=_positive_float, default=None)
+    p.add_argument("--rtol", type=_positive_float, default=None)
+    p.add_argument("--atol", type=_positive_float, default=None)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("profile", help="shoot one heteroclinic profile")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--out", default=None, help="trajectory CSV path (default profile.csv)")
-    p.add_argument("--offset", type=float, default=None)
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
+    p.add_argument("--offset", type=_positive_float, default=None)
+    p.add_argument("--rtol", type=_positive_float, default=None)
+    p.add_argument("--atol", type=_positive_float, default=None)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("verify", help="run the closed-form identity suite")
@@ -215,6 +221,13 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except RadshockError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    except (ValueError, ArithmeticError) as exc:
+        # A stray numpy/scipy failure (LinAlgError is a ValueError) from the
+        # numerical layers is an internal failure too; a traceback's exit 1
+        # would read as a failed verification.
+        detail = str(exc).partition("\n")[0]
+        print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 4
 
 

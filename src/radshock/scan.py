@@ -75,6 +75,9 @@ SCAN_JSON_SCHEMA = {
 
 FORMATS = ("csv", "json", "svg")
 
+# A dict lookup per scan cell; Enum .value goes through a descriptor.
+_REGION_TEXT = {label: label.value for label in cls.RegionLabel}
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -143,11 +146,12 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
     """
     eps_grid = np.linspace(config.eps_lo, config.eps_hi, config.eps_count)
     q_grid = np.linspace(config.q_lo, config.q_hi, config.q_count)
+    q_list = q_grid.tolist()
     v_plus_sq = v_plus_squared(q_grid).tolist()
     records: list[ScanRecord] = []
     for e in eps_grid.tolist():
         labels, pvals = cls.classify_row(e, q_grid)
-        for q, label, z, pval in zip(q_grid.tolist(), labels, v_plus_sq, pvals.tolist()):
+        for q, label, z, pval in zip(q_list, labels, v_plus_sq, pvals.tolist()):
             verdict: str | None = None
             oscillatory: bool | None = None
             if config.shoot:
@@ -158,15 +162,7 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
                 except RadshockError as exc:
                     verdict = type(exc).__name__
             records.append(
-                ScanRecord(
-                    eps=e,
-                    q_tilde=q,
-                    region=label.value,
-                    v_plus_sq=z,
-                    discriminant=pval,
-                    shoot_verdict=verdict,
-                    oscillatory=oscillatory,
-                )
+                ScanRecord(e, q, _REGION_TEXT[label], z, pval, verdict, oscillatory)
             )
     sep1, sep2 = _separatrix_polylines(config)
     return ScanResult(config=config, records=records, separatrix1=sep1, separatrix2=sep2)
@@ -176,13 +172,32 @@ def _g(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _TextMemo(dict):
+    """Text of each distinct number, made once; one per emitter call.
+
+    A grid repeats each eps, q_tilde and v_plus^2 many times.  Zeros are not
+    kept: 0.0 == -0.0 as keys, but the two print differently.
+    """
+
+    def __init__(self, text=_g):
+        super().__init__()
+        self._text = text
+
+    def __missing__(self, x):
+        s = self._text(x)
+        if x:
+            self[x] = s
+        return s
+
+
 def scan_to_csv(result: ScanResult) -> str:
+    g = _TextMemo()
     lines = ["eps,q_tilde,region,v_plus_sq,discriminant,shoot_verdict,oscillatory"]
     for r in result.records:
         verdict = r.shoot_verdict or ""
         osc = "" if r.oscillatory is None else ("true" if r.oscillatory else "false")
         lines.append(
-            f"{_g(r.eps)},{_g(r.q_tilde)},{r.region},{_g(r.v_plus_sq)},"
+            f"{g[r.eps]},{g[r.q_tilde]},{r.region},{g[r.v_plus_sq]},"
             f"{_g(r.discriminant)},{verdict},{osc}"
         )
     lines.append("# separatrix q1")
@@ -202,6 +217,7 @@ def scan_to_json(result: ScanResult) -> str:
     # Hand-assembled so numbers keep the same fixed 17-significant-digit
     # formatting as the CSV emitter.
     c = result.config
+    g = _TextMemo()
     parts = ["{\n"]
     parts.append(
         '  "meta": {"schema_version": 1, '
@@ -214,8 +230,8 @@ def scan_to_json(result: ScanResult) -> str:
         verdict = "null" if r.shoot_verdict is None else f'"{r.shoot_verdict}"'
         osc = "null" if r.oscillatory is None else ("true" if r.oscillatory else "false")
         rec_lines.append(
-            f'    {{"eps": {_g(r.eps)}, "q_tilde": {_g(r.q_tilde)}, '
-            f'"region": "{r.region}", "v_plus_sq": {_g(r.v_plus_sq)}, '
+            f'    {{"eps": {g[r.eps]}, "q_tilde": {g[r.q_tilde]}, '
+            f'"region": "{r.region}", "v_plus_sq": {g[r.v_plus_sq]}, '
             f'"discriminant": {_g(r.discriminant)}, '
             f'"shoot_verdict": {verdict}, "oscillatory": {osc}}}'
         )
@@ -242,6 +258,11 @@ def scan_to_svg(result: ScanResult, width: int = 880, height: int = 640) -> str:
 
     cw = pw / c.eps_count
     ch = ph / c.q_count
+    # A cell's x depends on eps alone and its y on q_tilde alone.  The memo
+    # is keyed by value, so float() keeps the arithmetic off the key's type.
+    cell_x = _TextMemo(lambda e: f"{x_of(float(e)) - cw / 2.0:.2f}")
+    cell_y = _TextMemo(lambda q: f"{y_of(float(q)) - ch / 2.0:.2f}")
+    size = f'width="{cw:.2f}" height="{ch:.2f}"'
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -250,11 +271,8 @@ def scan_to_svg(result: ScanResult, width: int = 880, height: int = 640) -> str:
     ]
     for r in result.records:
         color = _SVG_COLORS.get(r.region, "#999999")
-        x = x_of(r.eps) - cw / 2.0
-        y = y_of(r.q_tilde) - ch / 2.0
         out.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" height="{ch:.2f}" '
-            f'fill="{color}"/>'
+            f'<rect x="{cell_x[r.eps]}" y="{cell_y[r.q_tilde]}" {size} fill="{color}"/>'
         )
     for pts, color in ((result.separatrix1, "#000000"), (result.separatrix2, "#000000")):
         if not pts:

@@ -283,6 +283,20 @@ def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> Oscillatio
     )
 
 
+def _capture_point(dense, t_old: float, t: float, y: list, dist, r_cap: float):
+    """Where the step from t_old to t meets the capture sphere: (time, state).
+
+    `y` is the accepted state at t, inside the sphere.  The step's dense
+    output need not reproduce it bit for bit (RK45's interpolant differs by
+    rounding), so when the interpolant does not cross the sphere on the step
+    the accepted state is kept.
+    """
+    if not dist(dense(t_old)) - r_cap > 0.0 >= dist(dense(t)) - r_cap:
+        return t, y
+    t = brentq(lambda s: dist(dense(s)) - r_cap, t_old, t)
+    return t, dense(t).tolist()
+
+
 def _integrate(
     y_start: np.ndarray,
     eps: float,
@@ -339,9 +353,7 @@ def _integrate(
             # psi_plus is a hyperbolic sink throughout Omega, so an orbit that
             # enters the capture ball has converged.  The last sample is put
             # on the capture sphere, where the oscillation counts stop.
-            dense = solver.dense_output()
-            t = brentq(lambda s: dist(dense(s)) - r_cap, solver.t_old, t)
-            y = dense(t).tolist()
+            t, y = _capture_point(solver.dense_output(), solver.t_old, t, y, dist, r_cap)
             verdict = ProfileVerdict.CONVERGED_TO_PLUS
         elif r >= r_esc or y[0] - abs(y[1]) <= _BOUNDARY_MARGIN:
             verdict = ProfileVerdict.ESCAPED

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import radshock.cli
 from radshock.cli import main
 
 
@@ -77,6 +78,24 @@ class TestProfileCommand:
     def test_degenerate(self):
         assert main(["profile", "--eps", "1", "--q", "0.750000001"]) == 2
 
+    @pytest.mark.parametrize("exc", [ValueError("f(a) and f(b) must have different signs"),
+                                     ZeroDivisionError("float division by zero")])
+    def test_stray_numerical_exception_exit_code(self, monkeypatch, capsys, exc):
+        def broken_shoot(*_args):
+            raise exc
+
+        monkeypatch.setattr(radshock.cli, "shoot", broken_shoot)
+        assert main(["profile", "--eps", "1", "--q", "0.8"]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: {type(exc).__name__}: {exc}"]
+
+    @pytest.mark.parametrize("flag", ["--offset", "--rtol", "--atol"])
+    def test_nonpositive_tolerance_is_a_usage_error(self, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["profile", "--eps", "1", "--q", "0.8", flag, "0"])
+        assert info.value.code == 2
+
 
 class TestScanCommand:
     def test_csv(self, tmp_path, capsys):
@@ -109,6 +128,12 @@ class TestScanCommand:
 
     def test_bad_range_exit_code(self):
         assert main(["scan", "--grid", "4x4", "--q-min", "0.5"]) == 2
+
+    @pytest.mark.parametrize("grid", ["200x", "x200", "20x20x2", "axb"])
+    def test_malformed_grid_is_a_usage_error(self, grid):
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--grid", grid])
+        assert info.value.code == 2
 
     def test_shoot_flag(self, tmp_path):
         out_file = tmp_path / "s.csv"

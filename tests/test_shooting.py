@@ -16,6 +16,7 @@ from radshock.shooting import (
     _MAX_STEPS,
     ProfileVerdict,
     ShootOptions,
+    _capture_point,
     _integrate,
     _rest_jacobian,
     field_jacobian,
@@ -248,6 +249,35 @@ class TestShootGuards:
         scale = np.linalg.norm(res.psi_minus.as_array() - plus)
         r_cap = ShootOptions().capture_radius * scale
         assert np.linalg.norm(res.states[-1] - plus) == pytest.approx(r_cap, rel=1e-6)
+
+
+class TestCapturePoint:
+    # A straight step toward the origin, the centre of a unit capture sphere.
+    @staticmethod
+    def dist(y):
+        return math.hypot(y[0], y[1])
+
+    def test_crossing_is_located_on_the_sphere(self):
+        def dense(s):
+            return np.array([2.0 - s, 0.0])
+
+        t, y = _capture_point(dense, 0.0, 1.5, [0.5, 0.0], self.dist, 1.0)
+        assert t == pytest.approx(1.0, abs=1e-12)
+        assert self.dist(y) == pytest.approx(1.0, abs=1e-12)
+
+    def test_interpolant_ending_just_outside_keeps_the_accepted_state(self):
+        # The accepted state lies within rounding inside the sphere while the
+        # dense output's end value lies within rounding outside it, as RK45's
+        # interpolant can: there is no crossing to bracket.
+        end = math.nextafter(1.0, 2.0)
+
+        def dense(s):
+            return np.array([2.0 + (end - 2.0) * s, 0.0])
+
+        accepted = [math.nextafter(1.0, 0.0), 0.0]
+        assert self.dist(dense(1.0)) > 1.0
+        t, y = _capture_point(dense, 0.0, 1.0, accepted, self.dist, 1.0)
+        assert (t, y) == (1.0, accepted)
 
 
 class TestShootOptions:
