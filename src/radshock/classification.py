@@ -23,9 +23,8 @@ from .errors import (
     InternalInconsistency,
     ParamsOutOfOmega,
     RootFindingFailure,
-    SingularBsharp,
 )
-from .model import GodunovState, b_sharp_kernel, det_lin_closed, trace_adj_closed
+from .model import GodunovState, b_sharp_kernel, check_off_locus, det_lin_closed, trace_adj_closed
 
 # Points closer than this (in q_tilde) to a separatrix get the curve label;
 # strict sign classification inside the band is floating-point noise.
@@ -258,9 +257,8 @@ def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
     """
     if not 0.0 < eps <= 1.0:
         raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
-    _, _, v, b00, b01, b11, det_b = b_sharp_kernel(psi.psi0, psi.psi1, eps)
-    if abs(det_b) < 1e-12 * (b00 * b00 + 2.0 * b01 * b01 + b11 * b11):
-        raise SingularBsharp(f"|det B#| = {abs(det_b)} below 1e-12 * ||B#||^2")
+    _, _, v, _, _, _, det_b = b_sharp_kernel(psi.psi0, psi.psi1, eps)
+    check_off_locus(v * v, eps)
     tr = trace_adj_closed(v, eps) / det_b
     det = det_lin_closed(v * v) / det_b
     disc = tr * tr - 4.0 * det

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EpsilonOutOfRange, NonPositiveParameter, StateOutsideDomain
+from .errors import EpsilonOutOfRange, NonPositiveParameter, SingularBsharp, StateOutsideDomain
 
 # Relative tolerance for the equality cases of the causality bounds.
 CAUSALITY_RTOL = 1e-10
@@ -135,6 +135,18 @@ def b_sharp_kernel(psi0, psi1, eps):
 def singular_locus_v_sq(eps: float) -> float:
     """Squared velocity (1-eps)/(8+eps) where det(B#) vanishes."""
     return (1.0 - eps) / (8.0 + eps)
+
+
+def check_off_locus(v_sq: float, eps: float) -> None:
+    """Raise SingularBsharp if v^2 lies on the singular locus to within its rounding.
+
+    det(B#) is proportional to the gap v^2 - (1-eps)/(8+eps), so it carries
+    the rounding of v^2, which psi0^2 - psi1^2 makes about 2^-52 (u^2 + v^2)
+    = 2^-52 (1 + 2 v^2) relative.  States put on the locus by `state_from_v`
+    land within 6.3 such units of it; the check allows 64.
+    """
+    if abs(v_sq - singular_locus_v_sq(eps)) <= 64.0 * 2.0**-52 * (1.0 + 2.0 * v_sq) * v_sq:
+        raise SingularBsharp(f"v^2 = {v_sq} is on the singular locus at eps = {eps}")
 
 
 def flux_residual(psi: GodunovState, q0: float, q1: float) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 A shot starts a small offset along the unstable eigenvector of the upstream
 saddle and integrates with LSODA, which switches between Adams and BDF
-formulas as the field turns stiff (eps -> 0), or with RK45 where the saddle's
-rounding noise is too large for LSODA's implicit mode.  The step loop checks
+formulas as the field turns stiff (eps -> 0), with the field's Jacobian
+taken by a complex step through the field function.  The step loop checks
 every accepted step and stops when the orbit is captured at the downstream
 rest point, escapes, hits the singular locus of the dissipation matrix, or
 exhausts the step or pseudo-time budget.  The sampled trajectory is then
@@ -14,12 +14,11 @@ how oscillatory (spiraling) profiles are detected.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import LSODA, RK45
+from scipy.integrate import LSODA
 from scipy.optimize import brentq
 
 from .equilibria import EquilibriumPair, rest_points
@@ -28,13 +27,13 @@ from .errors import (
     NotASaddle,
     ParamsOutOfOmega,
     QOutOfRange,
-    SingularBsharp,
     TooFewSamples,
 )
 from .model import (
     GodunovState,
     Kinematics,
     b_sharp_kernel,
+    check_off_locus,
     det_b_sharp_closed,
     det_lin_closed,
     kinematics,
@@ -43,16 +42,19 @@ from .model import (
     trace_adj_closed,
 )
 
-_JACOBIAN_STEP = 1e-6
+# Imaginary step of the complex-step Jacobian (Squire & Trapp, SIAM Rev. 40,
+# 1998): Im f(y + ih e_k) / h has no subtractive cancellation, so any h far
+# below the state's rounding gives the derivative to rounding.
+_COMPLEX_STEP = 1e-30
 
 # Integration stops (verdict Escaped) if the state comes this close to the
 # boundary of the admissible cone psi0 > |psi1|.
 _BOUNDARY_MARGIN = 1e-9
 
 # A shot ends Stalled after this many accepted steps.  Resolved shots take
-# at most ~850 on the benchmark's points (1,552 at (1e-5, 0.9998)); the
-# unresolved corner (eps <~ 1e-4, q_tilde >~ 0.9999), where RK45 crawls
-# through the stiff field, spends it in about a second.
+# at most ~850 on the benchmark's points (5,687 at (1e-5, 0.99995)); the
+# unresolved corner (eps <~ 1e-5, q_tilde >~ 0.99999), where psi_plus nears
+# the singular locus, spends it in about 0.3 s.
 _MAX_STEPS = 10_000
 
 COORDINATE_SYSTEMS = ("psi", "theta_v", "u_v")
@@ -125,10 +127,10 @@ class ProfileResult:
 
 
 def _raw_field(y0: float, y1: float, eps: float, q0: float, q1: float) -> tuple[float, float]:
-    # Hot path shared by the integrator and its events: pure floats, no
-    # validation.  On or outside the admissible cone the field is NaN, so the
-    # integrator rejects and shrinks such trial steps.
-    if y0 * y0 - y1 * y1 < 1e-300:
+    # Hot path shared by the integrator and its complex-step Jacobian: pure
+    # Python numbers, no validation.  On or outside the admissible cone the
+    # field is NaN, so the integrator rejects and shrinks such trial steps.
+    if (y0 * y0 - y1 * y1).real < 1e-300:
         return math.nan, math.nan
     theta, u, v, b00, b01, b11, det = b_sharp_kernel(y0, y1, eps)
     t2 = theta * theta
@@ -146,26 +148,22 @@ def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
         raise QOutOfRange(f"q_tilde must be positive, got {q_tilde}")
     if not 0.0 < eps <= 1.0:
         raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
-    _, _, v, b00, b01, b11, det = b_sharp_kernel(psi.psi0, psi.psi1, eps)
-    if abs(det) < 1e-12 * (b00 * b00 + 2.0 * b01 * b01 + b11 * b11):
-        raise SingularBsharp(f"dissipation matrix singular near v^2 = {v**2} at eps = {eps}")
+    _, _, v = theta_u_v(psi.psi0, psi.psi1)
+    check_off_locus(v * v, eps)
     f0, f1 = _raw_field(psi.psi0, psi.psi1, eps, q_tilde**-0.5, 1.0)
     return np.array([f0, f1])
 
 
+def _field_jacobian(y0: float, y1: float, eps: float, q0: float) -> list[list[float]]:
+    h = _COMPLEX_STEP
+    a0, a1 = _raw_field(complex(y0, h), y1, eps, q0, 1.0)
+    b0, b1 = _raw_field(y0, complex(y1, h), eps, q0, 1.0)
+    return [[a0.imag / h, b0.imag / h], [a1.imag / h, b1.imag / h]]
+
+
 def field_jacobian(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
-    """Central finite-difference Jacobian of the profile field."""
-    q0 = q_tilde**-0.5
-    y = (psi.psi0, psi.psi1)
-    jac = np.empty((2, 2))
-    for i in range(2):
-        dp = [0.0, 0.0]
-        dp[i] = _JACOBIAN_STEP
-        fp = _raw_field(y[0] + dp[0], y[1] + dp[1], eps, q0, 1.0)
-        fm = _raw_field(y[0] - dp[0], y[1] - dp[1], eps, q0, 1.0)
-        jac[0, i] = (fp[0] - fm[0]) / (2.0 * _JACOBIAN_STEP)
-        jac[1, i] = (fp[1] - fm[1]) / (2.0 * _JACOBIAN_STEP)
-    return jac
+    """Jacobian of the profile field at any state in the cone, by complex step."""
+    return np.array(_field_jacobian(psi.psi0, psi.psi1, eps, q_tilde**-0.5))
 
 
 def _rest_jacobian(psi: GodunovState, eps: float) -> np.ndarray:
@@ -286,10 +284,10 @@ def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> Oscillatio
 def _capture_point(dense, t_old: float, t: float, y: list, dist, r_cap: float):
     """Where the step from t_old to t meets the capture sphere: (time, state).
 
-    `y` is the accepted state at t, inside the sphere.  The step's dense
-    output need not reproduce it bit for bit (RK45's interpolant differs by
-    rounding), so when the interpolant does not cross the sphere on the step
-    the accepted state is kept.
+    `y` is the accepted state at t, inside the sphere.  A dense output need
+    not reproduce it bit for bit (an interpolant may differ by rounding), so
+    when the interpolant does not cross the sphere on the step the accepted
+    state is kept.
     """
     if not dist(dense(t_old)) - r_cap > 0.0 >= dist(dense(t)) - r_cap:
         return t, y
@@ -323,15 +321,12 @@ def _integrate(
     def dist(y):
         return math.hypot(y[0] - p0, y[1] - p1)
 
-    # The field's rounding error relative to its size grows like v_minus^2
-    # (vs mpmath at 1e-5 |psi_minus - psi_plus| from psi_minus, eps = 0.5:
-    # 1.4e-9 at q_tilde = 0.99, 3e-7 at 0.9999, 3e-5 at 1 - 1e-6).  LSODA's
-    # stiff mode differences the field for its Jacobian and crawls once that
-    # noise nears rel_tol, while an explicit pair does not care; RK45 takes
-    # those shots (q_tilde >~ 0.99989 at the default rel_tol).
-    noisy = pair.v_minus_sq * sys.float_info.epsilon >= 0.01 * opts.rel_tol
-    solver = (RK45 if noisy else LSODA)(
-        rhs, 0.0, y_start, opts.max_pseudo_time, rtol=opts.rel_tol, atol=opts.abs_tol
+    def jac(_t, y):
+        return _field_jacobian(*y.tolist(), eps, q0)
+
+    solver = LSODA(
+        rhs, 0.0, y_start, opts.max_pseudo_time,
+        rtol=opts.rel_tol, atol=opts.abs_tol, jac=jac,
     )
     times = [0.0]
     states = [tuple(y_start)]
@@ -371,9 +366,8 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
 
     Returns the sampled trajectory, a convergence verdict and the oscillation
     report.  The samples are the integrator's accepted steps; a converged
-    shot's last sample lies on the capture sphere around psi_plus.  If the
-    preferred eigenvector orientation escapes, the opposite one is tried
-    before reporting; non-convergence is a verdict, not an error.
+    shot's last sample lies on the capture sphere around psi_plus.
+    Non-convergence is a verdict, not an error.
     """
     if opts is None:
         opts = ShootOptions()
@@ -383,29 +377,20 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     direction = unstable_direction(eps, q_tilde)
     psi_minus = pair.psi_minus.as_array()
     scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
-    first: ProfileResult | None = None
-    for sign in (1.0, -1.0):
-        start = psi_minus + sign * opts.offset * scale * direction
-        verdict, times, states = _integrate(start, eps, q_tilde, pair, scale, opts)
-        report = (
-            oscillation_report(states, pair.psi_plus)
-            if states.shape[0] >= 3
-            else OscillationReport(systems={}, oscillatory_by_system={}, oscillatory=False)
-        )
-        result = ProfileResult(
-            times=times,
-            states=states,
-            verdict=verdict,
-            oscillation=report,
-            psi_minus=pair.psi_minus,
-            psi_plus=pair.psi_plus,
-            eps=eps,
-            q_tilde=q_tilde,
-        )
-        if verdict is ProfileVerdict.CONVERGED_TO_PLUS:
-            return result
-        if first is None:
-            first = result
-        if verdict is not ProfileVerdict.ESCAPED:
-            break
-    return first
+    start = psi_minus + opts.offset * scale * direction
+    verdict, times, states = _integrate(start, eps, q_tilde, pair, scale, opts)
+    report = (
+        oscillation_report(states, pair.psi_plus)
+        if states.shape[0] >= 3
+        else OscillationReport(systems={}, oscillatory_by_system={}, oscillatory=False)
+    )
+    return ProfileResult(
+        times=times,
+        states=states,
+        verdict=verdict,
+        oscillation=report,
+        psi_minus=pair.psi_minus,
+        psi_plus=pair.psi_plus,
+        eps=eps,
+        q_tilde=q_tilde,
+    )

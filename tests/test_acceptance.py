@@ -140,7 +140,7 @@ def test_criterion_4_figure_reproduction():
         assert abs(separatrix_q2(1e-4) - 0.75) <= 1e-2
         assert abs(separatrix_q2(EPS_HAT - 1e-4) - 1.0) <= 1e-2
 
-        # A-based vs finite-difference-Jacobian node/focus decision.
+        # A-based vs complex-step-Jacobian node/focus decision.
         disagreements = 0
         for e in np.linspace(0.02, 1.0, 50):
             e = float(e)
@@ -154,8 +154,8 @@ def test_criterion_4_figure_reproduction():
                 jac = field_jacobian(rest_points(q).psi_plus, e, q)
                 tr = jac[0, 0] + jac[1, 1]
                 det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-                fd_sign = tr * tr - 4.0 * det < 0.0
-                if p_sign != fd_sign:
+                jac_sign = tr * tr - 4.0 * det < 0.0
+                if p_sign != jac_sign:
                     disagreements += 1
         assert disagreements == 0
 

@@ -19,6 +19,12 @@ class TestClassifyCommand:
         assert main(["classify", "--eps", "1", "--q", "0.8"]) == 0
         assert "region: Focus" in capsys.readouterr().out
 
+    def test_default_scan_corner(self, capsys):
+        # det B#(psi_plus) is ~7.6e-12 here, yet v_plus^2 is 4.2e-7 off the
+        # singular locus, far beyond its rounding: the spectrum is defined.
+        assert main(["classify", "--eps", "1e-6", "--q", "0.999999"]) == 0
+        assert "region: NodeAbove" in capsys.readouterr().out
+
     def test_q2_printed_below_hat(self, capsys):
         assert main(["classify", "--eps", "0.3", "--q", "0.8"]) == 0
         assert "separatrix q2" in capsys.readouterr().out

@@ -18,6 +18,7 @@ from radshock.shooting import (
     ShootOptions,
     _capture_point,
     _integrate,
+    _raw_field,
     _rest_jacobian,
     field_jacobian,
     oscillation_report,
@@ -28,6 +29,21 @@ from radshock.shooting import (
 
 NODE_POINT = (1.0, 0.76)
 FOCUS_POINT = (1.0, 0.80)
+
+
+def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
+    """Reference for `field_jacobian`: central differences of the field."""
+    q0 = q_tilde**-0.5
+    y = (psi.psi0, psi.psi1)
+    jac = np.empty((2, 2))
+    for i in range(2):
+        dp = [0.0, 0.0]
+        dp[i] = step
+        fp = _raw_field(y[0] + dp[0], y[1] + dp[1], eps, q0, 1.0)
+        fm = _raw_field(y[0] - dp[0], y[1] - dp[1], eps, q0, 1.0)
+        jac[0, i] = (fp[0] - fm[0]) / (2.0 * step)
+        jac[1, i] = (fp[1] - fm[1]) / (2.0 * step)
+    return jac
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +93,25 @@ class TestUnstableDirection:
         jac = field_jacobian(pair.psi_minus, eps, q)
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         assert det < 0.0
-        # The analytic rest-point linearization matches the finite-difference
-        # reference at both rest points.
+        # The analytic rest-point linearization matches the general-state
+        # complex-step Jacobian at both rest points.
         for psi in (pair.psi_minus, pair.psi_plus):
             ref = field_jacobian(psi, eps, q)
             assert np.max(np.abs(_rest_jacobian(psi, eps) - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.1, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("q", [0.76, 0.85, 0.95, 0.99])
+    def test_field_jacobian_off_rest_points(self, eps, q):
+        # Between the rest points F does not vanish, so the derivative of
+        # B#^-1 counts too; central differences of the field are the
+        # reference, good to ~1e-7 of max |J| (largest measured 1.03e-7).
+        pair = rest_points(q)
+        a, b = pair.psi_minus.as_array(), pair.psi_plus.as_array()
+        for s in (0.05, 0.35, 0.65, 0.95):
+            psi = GodunovState(*(a + s * (b - a)))
+            jac = field_jacobian(psi, eps, q)
+            ref = central_difference_jacobian(psi, eps, q)
+            assert np.max(np.abs(jac - ref)) <= 5e-7 * np.max(np.abs(jac)), s
 
     def test_velocity_decreases_downstream(self):
         eps, q = NODE_POINT
@@ -233,11 +263,32 @@ class TestShootGuards:
         assert res.states.shape[0] < 1000
 
     def test_unresolved_corner_ends_within_budget(self):
-        # Both scan edges at once: RK45 crawls here and LSODA never leaves the
-        # saddle, so the step budget ends the shot.
+        # Both scan edges at once: psi_plus lies 4e-7 in v^2 above the
+        # singular locus, and the orbit creeps past it at 5e-5 of the shock's
+        # size in steps of ~1e-8, so the step budget ends the shot.
         res = shoot(1e-6, 1.0 - 1e-6)
         assert isinstance(res.verdict, ProfileVerdict)
         assert res.states.shape[0] <= _MAX_STEPS + 1
+
+    def test_stiff_near_infinite_amplitude_converges(self):
+        # A stiff sink at large v_minus^2: LSODA's BDF mode with the exact
+        # Jacobian converges, where an explicit pair crawls to the budget.
+        res = shoot(1e-4, 0.9999)
+        assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
+        assert res.states.shape[0] < 2000
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.1, 0.5])
+    def test_q_sweep_has_one_existence_boundary(self, eps):
+        # At fixed eps, profiles exist up to a boundary q*(eps) and the orbit
+        # runs into the singular locus beyond it: the verdicts along q are a
+        # run of ConvergedToPlus and then only HitSingularLocus, with no
+        # Stalled shot that would mark the integrator, not the physics.
+        qs = (0.98, 0.985, 0.99, 0.995, 0.998, 0.999, 0.9995, 0.9998, 0.9999,
+              0.99995, 0.99999, 0.999995, 1.0 - 1e-6)
+        verdicts = [shoot(eps, q).verdict for q in qs]
+        n = verdicts.count(ProfileVerdict.CONVERGED_TO_PLUS)
+        assert n > 0
+        assert verdicts[n:] == [ProfileVerdict.HIT_SINGULAR_LOCUS] * (len(qs) - n), verdicts
 
     @pytest.mark.parametrize("point", [NODE_POINT, FOCUS_POINT, (1e-4, 0.8)])
     def test_converged_shot_ends_on_capture_sphere(self, point):
@@ -267,7 +318,7 @@ class TestCapturePoint:
 
     def test_interpolant_ending_just_outside_keeps_the_accepted_state(self):
         # The accepted state lies within rounding inside the sphere while the
-        # dense output's end value lies within rounding outside it, as RK45's
+        # dense output's end value lies within rounding outside it, as an
         # interpolant can: there is no crossing to bracket.
         end = math.nextafter(1.0, 2.0)
 
