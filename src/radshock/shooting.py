@@ -3,10 +3,13 @@
 A shot starts a small offset along the unstable eigenvector of the upstream
 saddle and integrates with LSODA, which switches between Adams and BDF
 formulas as the field turns stiff (eps -> 0), with the field's Jacobian
-taken by a complex step through the field function.  The step loop checks
-every accepted step and stops when the orbit is captured at the downstream
-rest point, escapes, hits the singular locus of the dissipation matrix, or
-exhausts the step or pseudo-time budget.  The sampled trajectory is then
+taken by a complex step through the field function.  The step loop drives
+ODEPACK's LSODA through scipy's `ode` integrator one step per call, as
+scipy's `LSODA` solver does, without that solver's per-step and
+per-evaluation bookkeeping.  It checks every accepted step and stops when
+the orbit is captured at the downstream rest point, escapes, hits the
+singular locus of the dissipation matrix, or exhausts the step or
+pseudo-time budget.  The sampled trajectory is then
 scanned for extrema and sign changes in three coordinate systems, which is
 how oscillatory (spiraling) profiles are detected.
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import LSODA
+from scipy.integrate import ode
 from scipy.optimize import brentq
 
 from .equilibria import EquilibriumPair, rest_points
@@ -54,7 +57,7 @@ _BOUNDARY_MARGIN = 1e-9
 # A shot ends Stalled after this many accepted steps.  Resolved shots take
 # at most ~850 on the benchmark's points (5,687 at (1e-5, 0.99995)); the
 # unresolved corner (eps <~ 1e-5, q_tilde >~ 0.99999), where psi_plus nears
-# the singular locus, spends it in about 0.3 s.
+# the singular locus, spends it in about 0.2 s.
 _MAX_STEPS = 10_000
 
 COORDINATE_SYSTEMS = ("psi", "theta_v", "u_v")
@@ -182,7 +185,10 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
     The sign is fixed so the vector points toward the attractor side, which
     makes the kinematic velocity decrease along it.
     """
-    pair = rest_points(q_tilde)
+    return _unstable_direction(rest_points(q_tilde), eps, q_tilde)
+
+
+def _unstable_direction(pair: EquilibriumPair, eps: float, q_tilde: float) -> np.ndarray:
     jac = _rest_jacobian(pair.psi_minus, eps)
     # det J and trace J from the closed forms: the entries of adj(B#) A grow
     # like v^8 and cancel in det and trace as q_tilde -> 1.
@@ -295,6 +301,23 @@ def _capture_point(dense, t_old: float, t: float, y: list, dist, r_cap: float):
     return t, dense(t).tolist()
 
 
+def _nordsieck_interpolant(integ, t: float):
+    """Dense output of LSODA's last step, which ended at t, as scipy's LSODA builds it.
+
+    rwork[20:] holds the Nordsieck history array scaled to the next trial
+    step rwork[11], with columns up to the order iwork[13] of the step taken.
+    """
+    iwork, rwork = integ.iwork, integ.rwork
+    order = iwork[13]
+    h = rwork[11]
+    yh = np.reshape(rwork[20:20 + (order + 1) * 2], (2, order + 1), order="F").copy()
+    if iwork[14] < order:
+        # An order decrease leaves the last column scaled to the step taken.
+        yh[:, -1] *= (h / rwork[10]) ** order
+    p = np.arange(order + 1)
+    return lambda s: np.dot(yh, ((s - t) / h) ** p)
+
+
 def _integrate(
     y_start: np.ndarray,
     eps: float,
@@ -324,37 +347,44 @@ def _integrate(
     def jac(_t, y):
         return _field_jacobian(*y.tolist(), eps, q0)
 
-    solver = LSODA(
-        rhs, 0.0, y_start, opts.max_pseudo_time,
-        rtol=opts.rel_tol, atol=opts.abs_tol, jac=jac,
-    )
+    # One LSODA step per call, as scipy's LSODA solver steps it: itask 5
+    # never steps past tcrit = rwork[0].
+    solver = ode(rhs, jac).set_integrator("lsoda", rtol=opts.rel_tol, atol=opts.abs_tol)
+    integ = solver.set_initial_value(y_start)._integrator
+    t_end = opts.max_pseudo_time
+    integ.rwork[0] = t_end
+    integ.call_args[2] = 5
+    arr, t = solver.y, 0.0
     times = [0.0]
     states = [tuple(y_start)]
     gap = gap_sq(*states[0])
     verdict = None
     while verdict is None:
-        solver.step()
-        if solver.status == "failed":
+        t_old = t
+        # The integrator advances `arr` in place and returns it.
+        arr, t = integ.run(rhs, jac, arr, t, t_end, (), ())
+        if not integ.success:
             # Step underflow.  The field's only blow-up set is the singular
             # locus, which can be approached asymptotically without a
             # crossing; diagnose by the last accepted state's velocity.
             near = abs(gap_sq(*states[-1])) <= 1e-5 * (1.0 + sing_level)
             verdict = ProfileVerdict.HIT_SINGULAR_LOCUS if near else ProfileVerdict.STALLED
             break
-        t, y = solver.t, solver.y.tolist()
+        y = arr.tolist()
         gap_old, gap = gap, gap_sq(*y)
         r = dist(y)
         if r <= r_cap:
             # psi_plus is a hyperbolic sink throughout Omega, so an orbit that
             # enters the capture ball has converged.  The last sample is put
             # on the capture sphere, where the oscillation counts stop.
-            t, y = _capture_point(solver.dense_output(), solver.t_old, t, y, dist, r_cap)
+            dense = _nordsieck_interpolant(integ, t)
+            t, y = _capture_point(dense, t_old, t, y, dist, r_cap)
             verdict = ProfileVerdict.CONVERGED_TO_PLUS
         elif r >= r_esc or y[0] - abs(y[1]) <= _BOUNDARY_MARGIN:
             verdict = ProfileVerdict.ESCAPED
         elif gap_old >= 0.0 >= gap:
             verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
-        elif solver.status == "finished" or len(times) == _MAX_STEPS:
+        elif t >= t_end or len(times) == _MAX_STEPS:
             verdict = ProfileVerdict.STALLED
         times.append(t)
         states.append(y)
@@ -374,7 +404,7 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     if not (0.0 < eps <= 1.0 and 0.75 < q_tilde < 1.0):
         raise ParamsOutOfOmega(f"({eps}, {q_tilde}) outside (0,1] x (3/4,1)")
     pair = rest_points(q_tilde)
-    direction = unstable_direction(eps, q_tilde)
+    direction = _unstable_direction(pair, eps, q_tilde)
     psi_minus = pair.psi_minus.as_array()
     scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
     start = psi_minus + opts.offset * scale * direction

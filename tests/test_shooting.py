@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import LSODA
 
 from conftest import spiral_samples
 from radshock.equilibria import rest_points, state_from_v
@@ -12,11 +13,14 @@ from radshock.errors import (
     TooFewSamples,
 )
 from radshock.model import GodunovState, kinematics
+from radshock import shooting
 from radshock.shooting import (
+    _BOUNDARY_MARGIN,
     _MAX_STEPS,
     ProfileVerdict,
     ShootOptions,
     _capture_point,
+    _field_jacobian,
     _integrate,
     _raw_field,
     _rest_jacobian,
@@ -44,6 +48,69 @@ def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
         jac[0, i] = (fp[0] - fm[0]) / (2.0 * step)
         jac[1, i] = (fp[1] - fm[1]) / (2.0 * step)
     return jac
+
+
+def shot_start(eps, q_tilde, opts):
+    """The start state, rest points and length scale `shoot` hands to `_integrate`."""
+    pair = rest_points(q_tilde)
+    psi_minus = pair.psi_minus.as_array()
+    scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
+    return psi_minus + opts.offset * scale * unstable_direction(eps, q_tilde), pair, scale
+
+
+def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
+    """Reference for `_integrate`: the same shot stepped by scipy's public LSODA solver.
+
+    Returns the verdict, times, states and the solver's field-evaluation count.
+    """
+    q0 = q_tilde**-0.5
+    p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
+    r_cap = opts.capture_radius * scale
+    r_esc = opts.escape_radius * scale
+    sing_level = (1.0 - eps) / (8.0 + eps)
+
+    def rhs(_t, y):
+        return _raw_field(*y.tolist(), eps, q0, 1.0)
+
+    def jac(_t, y):
+        return _field_jacobian(*y.tolist(), eps, q0)
+
+    def gap_sq(y0, y1):
+        s = y0 * y0 - y1 * y1
+        return (y1 * y1 / s if s > 0.0 else math.inf) - sing_level
+
+    def dist(y):
+        return math.hypot(y[0] - p0, y[1] - p1)
+
+    solver = LSODA(
+        rhs, 0.0, y_start, opts.max_pseudo_time,
+        rtol=opts.rel_tol, atol=opts.abs_tol, jac=jac,
+    )
+    times = [0.0]
+    states = [tuple(y_start)]
+    gap = gap_sq(*states[0])
+    verdict = None
+    while verdict is None:
+        solver.step()
+        if solver.status == "failed":
+            near = abs(gap_sq(*states[-1])) <= 1e-5 * (1.0 + sing_level)
+            verdict = ProfileVerdict.HIT_SINGULAR_LOCUS if near else ProfileVerdict.STALLED
+            break
+        t, y = solver.t, solver.y.tolist()
+        gap_old, gap = gap, gap_sq(*y)
+        r = dist(y)
+        if r <= r_cap:
+            t, y = _capture_point(solver.dense_output(), solver.t_old, t, y, dist, r_cap)
+            verdict = ProfileVerdict.CONVERGED_TO_PLUS
+        elif r >= r_esc or y[0] - abs(y[1]) <= _BOUNDARY_MARGIN:
+            verdict = ProfileVerdict.ESCAPED
+        elif gap_old >= 0.0 >= gap:
+            verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
+        elif solver.status == "finished" or len(times) == _MAX_STEPS:
+            verdict = ProfileVerdict.STALLED
+        times.append(t)
+        states.append(y)
+    return verdict, np.array(times), np.array(states), solver.nfev
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +337,23 @@ class TestShootGuards:
         assert isinstance(res.verdict, ProfileVerdict)
         assert res.states.shape[0] <= _MAX_STEPS + 1
 
+    def test_rest_points_solved_once_per_shot(self, monkeypatch):
+        calls = []
+
+        def counting_rest_points(q_tilde):
+            calls.append(q_tilde)
+            return rest_points(q_tilde)
+
+        monkeypatch.setattr(shooting, "rest_points", counting_rest_points)
+        shoot(*NODE_POINT)
+        assert calls == [NODE_POINT[1]]
+
+    def test_pseudo_time_budget_ends_stalled_at_its_end(self):
+        # itask 5 stops LSODA at tcrit, so the last step lands on the budget.
+        res = shoot(0.5, 0.9, ShootOptions(max_pseudo_time=3.0))
+        assert res.verdict is ProfileVerdict.STALLED
+        assert res.times[-1] == 3.0
+
     def test_stiff_near_infinite_amplitude_converges(self):
         # A stiff sink at large v_minus^2: LSODA's BDF mode with the exact
         # Jacobian converges, where an explicit pair crawls to the budget.
@@ -329,6 +413,47 @@ class TestCapturePoint:
         assert self.dist(dense(1.0)) > 1.0
         t, y = _capture_point(dense, 0.0, 1.0, accepted, self.dist, 1.0)
         assert (t, y) == (1.0, accepted)
+
+
+class TestStepLoopParity:
+    # `_integrate` steps ODEPACK's LSODA itself; scipy's LSODA solver makes
+    # the same calls, so every sample, the capture on its dense output and
+    # the number of field evaluations must agree bit for bit.  This also
+    # guards the rwork/iwork layout the capture interpolant reads.
+    @pytest.mark.parametrize(
+        "point,expected",
+        [
+            ((1.0, 0.762), ProfileVerdict.CONVERGED_TO_PLUS),  # node
+            ((1.0, 0.8), ProfileVerdict.CONVERGED_TO_PLUS),  # focus
+            ((1e-6, 0.8), ProfileVerdict.CONVERGED_TO_PLUS),  # stiff
+            ((0.5, 0.9999), ProfileVerdict.HIT_SINGULAR_LOCUS),
+            ((1e-6, 1.0 - 1e-6), ProfileVerdict.STALLED),  # step budget
+        ],
+    )
+    def test_samples_match_scipy_lsoda_solver(self, point, expected, monkeypatch):
+        eps, q = point
+        opts = ShootOptions()
+        start, pair, scale = shot_start(eps, q, opts)
+        ref_verdict, ref_times, ref_states, nfev = lsoda_solver_reference(
+            start, eps, q, pair, scale, opts
+        )
+
+        real_calls = 0
+
+        def counting_field(y0, y1, *args):
+            nonlocal real_calls
+            if not isinstance(y0, complex) and not isinstance(y1, complex):
+                real_calls += 1
+            return _raw_field(y0, y1, *args)
+
+        monkeypatch.setattr(shooting, "_raw_field", counting_field)
+        verdict, times, states = _integrate(start, eps, q, pair, scale, opts)
+        assert verdict is ref_verdict is expected
+        assert times.shape == ref_times.shape and times.tobytes() == ref_times.tobytes()
+        assert states.shape == ref_states.shape and states.tobytes() == ref_states.tobytes()
+        assert real_calls == nfev
+        if expected is ProfileVerdict.STALLED:
+            assert times.size == _MAX_STEPS + 1
 
 
 class TestShootOptions:
