@@ -9,7 +9,9 @@ triple (eta, mu, nu).
 
 Production code evaluates B# through `b_sharp_kernel` and the closed forms;
 the matrix builders and `trace_adj_identity` are the reference route that
-tests and the `verify` command check them against.
+tests and the `verify` command check them against.  Shooting's hot path,
+`shooting._field`, unrolls the kernel's lines into its own body; a test
+holds it bit for bit to the kernel, so change the two together.
 """
 
 from __future__ import annotations

@@ -3,9 +3,12 @@
 A shot starts a small offset along the unstable eigenvector of the upstream
 saddle and integrates with LSODA, which switches between Adams and BDF
 formulas as the field turns stiff (eps -> 0), with the field's Jacobian
-taken by a complex step through the field function.  The step loop drives
-ODEPACK's LSODA through scipy's `ode` integrator one step per call, as
-scipy's `LSODA` solver does, without that solver's per-step and
+taken by a complex step through the field function.  That function is one
+closure per shot, built by `_field`: the B# kernel, the flux residual and
+the adjugate solve unrolled into one body for floats and complex numbers
+alike, equal bit for bit to the route through `b_sharp_kernel`.  The step
+loop drives ODEPACK's LSODA through scipy's `ode` integrator one step per
+call, as scipy's `LSODA` solver does, without that solver's per-step and
 per-evaluation bookkeeping.  It checks every accepted step and stops when
 the orbit is captured at the downstream rest point, escapes, hits the
 singular locus of the dissipation matrix, or exhausts the step or
@@ -53,6 +56,9 @@ _COMPLEX_STEP = 1e-30
 # Integration stops (verdict Escaped) if the state comes this close to the
 # boundary of the admissible cone psi0 > |psi1|.
 _BOUNDARY_MARGIN = 1e-9
+
+# The smallest relative tolerance handed to LSODA, scipy's floor for its solvers.
+_MIN_REL_TOL = 100 * 2.0**-52
 
 # A shot ends Stalled after this many accepted steps.  Resolved shots take
 # at most ~850 on the benchmark's points (5,687 at (1e-5, 0.99995)); the
@@ -129,20 +135,50 @@ class ProfileResult:
         return np.column_stack(theta_u_v(self.states[:, 0], self.states[:, 1]))
 
 
-def _raw_field(y0: float, y1: float, eps: float, q0: float, q1: float) -> tuple[float, float]:
-    # Hot path shared by the integrator and its complex-step Jacobian: pure
-    # Python numbers, no validation.  On or outside the admissible cone the
-    # field is NaN, so the integrator rejects and shrinks such trial steps.
-    if (y0 * y0 - y1 * y1).real < 1e-300:
-        return math.nan, math.nan
-    theta, u, v, b00, b01, b11, det = b_sharp_kernel(y0, y1, eps)
-    t2 = theta * theta
-    t4 = t2 * t2
-    f0 = -(4.0 / 3.0) * t4 * v * u + q0
-    f1 = t4 * ((4.0 / 3.0) * v * v + 1.0 / 3.0) - q1
-    if det == 0.0:
-        det = -1e-300
-    return (b11 * f0 - b01 * f1) / det, (b00 * f1 - b01 * f0) / det
+def _field(eps: float, q0: float):
+    """The profile field B#^-1 F at fixed (eps, q0), as `field(y0, y1)`.
+
+    The hot path of every shot, called by the integrator and its complex-step
+    Jacobian with Python floats or complex numbers and no validation.  It is
+    `b_sharp_kernel`, F at q1 = 1 and the adjugate solve unrolled into one
+    body, with the same operations in the same order and the eps-only
+    subexpressions computed once, so it equals that route bit for bit (a test
+    pins it).  On or outside the admissible cone the field is NaN, so the
+    integrator rejects and shrinks such trial steps.
+    """
+    c2 = 9.0 * eps / (4.0 - eps)
+    two_c2 = 2.0 * c2
+    four_c2 = 4.0 * c2
+    neg_eps = -eps
+    nine_eps = 9.0 * eps
+    eps_plus_8 = 8.0 + eps
+    eps_minus_4 = eps - 4.0
+
+    def field(y0, y1):
+        s = y0 * y0 - y1 * y1
+        if s.real < 1e-300:
+            return math.nan, math.nan
+        theta = s ** -0.5
+        u = theta * y0
+        v = theta * y1
+        u2 = u * u
+        v2 = v * v
+        uv = u * v
+        w = u2 + v2
+        r = 4.0 * v2 + 1.0
+        b00 = eps * u2 * v2 - 16.0 * u2 * v2 - c2 * (w * w)
+        b01 = neg_eps * u2 * uv + 4.0 * uv * r + two_c2 * w * uv
+        b11 = eps * u2 * u2 - r * r - four_c2 * u2 * v2
+        det = nine_eps * (eps_plus_8 * v2 + eps - 1.0) / eps_minus_4
+        t2 = theta * theta
+        t4 = t2 * t2
+        f0 = -(4.0 / 3.0) * t4 * v * u + q0
+        f1 = t4 * ((4.0 / 3.0) * v * v + 1.0 / 3.0) - 1.0
+        if det == 0.0:
+            det = -1e-300
+        return (b11 * f0 - b01 * f1) / det, (b00 * f1 - b01 * f0) / det
+
+    return field
 
 
 def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
@@ -153,20 +189,19 @@ def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
         raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
     _, _, v = theta_u_v(psi.psi0, psi.psi1)
     check_off_locus(v * v, eps)
-    f0, f1 = _raw_field(psi.psi0, psi.psi1, eps, q_tilde**-0.5, 1.0)
-    return np.array([f0, f1])
+    return np.array(_field(eps, q_tilde**-0.5)(psi.psi0, psi.psi1))
 
 
-def _field_jacobian(y0: float, y1: float, eps: float, q0: float) -> list[list[float]]:
+def _field_jacobian(field, y0: float, y1: float) -> list[list[float]]:
     h = _COMPLEX_STEP
-    a0, a1 = _raw_field(complex(y0, h), y1, eps, q0, 1.0)
-    b0, b1 = _raw_field(y0, complex(y1, h), eps, q0, 1.0)
+    a0, a1 = field(complex(y0, h), y1)
+    b0, b1 = field(y0, complex(y1, h))
     return [[a0.imag / h, b0.imag / h], [a1.imag / h, b1.imag / h]]
 
 
 def field_jacobian(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
     """Jacobian of the profile field at any state in the cone, by complex step."""
-    return np.array(_field_jacobian(psi.psi0, psi.psi1, eps, q_tilde**-0.5))
+    return np.array(_field_jacobian(_field(eps, q_tilde**-0.5), psi.psi0, psi.psi1))
 
 
 def _rest_jacobian(psi: GodunovState, eps: float) -> np.ndarray:
@@ -212,7 +247,7 @@ def _unstable_direction(pair: EquilibriumPair, eps: float, q_tilde: float) -> np
     return vec
 
 
-def _count_extrema(x: np.ndarray, floor: float) -> int:
+def _count_extrema(x: list[float], floor: float) -> int:
     # Turning points with hysteresis: a direction reversal only counts once
     # the excursion beats the noise floor.
     count = 0
@@ -247,6 +282,18 @@ def _count_sign_changes(dev: np.ndarray, floor: float) -> int:
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
+def _component_counts(series: np.ndarray, limit: float) -> ComponentCounts:
+    # The integrator's error is relative to the state's size, so a weak
+    # shock's small range alone would let that noise count.
+    floor = 1e-10 * max(float(series.max() - series.min()), abs(limit))
+    # A list of Python floats: the extrema loop runs about twice as fast on
+    # it as on numpy scalars.
+    return ComponentCounts(
+        extrema=_count_extrema(series.tolist(), floor),
+        sign_changes=_count_sign_changes(series - limit, floor),
+    )
+
+
 def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> OscillationReport:
     """Extrema and sign-change counts of a trajectory in three coordinate systems.
 
@@ -259,27 +306,19 @@ def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> Oscillatio
         raise TooFewSamples(f"need an (n >= 3, 2) sample array, got shape {arr.shape}")
     theta, u, v = theta_u_v(arr[:, 0], arr[:, 1])
     lim = kinematics(psi_plus)
-    tracks = {
-        "psi": ((arr[:, 0], psi_plus.psi0), (arr[:, 1], psi_plus.psi1)),
-        "theta_v": ((theta, lim.theta), (v, lim.v)),
-        "u_v": ((u, lim.u), (v, lim.v)),
+    # (theta, v) and (u, v) share v's counts.
+    v_counts = _component_counts(v, lim.v)
+    systems = {
+        "psi": (
+            _component_counts(arr[:, 0], psi_plus.psi0),
+            _component_counts(arr[:, 1], psi_plus.psi1),
+        ),
+        "theta_v": (_component_counts(theta, lim.theta), v_counts),
+        "u_v": (_component_counts(u, lim.u), v_counts),
     }
-    systems: dict[str, tuple[ComponentCounts, ComponentCounts]] = {}
-    flags: dict[str, bool] = {}
-    for name, comps in tracks.items():
-        counts = []
-        for series, limit in comps:
-            # The integrator's error is relative to the state's size, so a
-            # weak shock's small range alone would let that noise count.
-            floor = 1e-10 * max(float(series.max() - series.min()), abs(limit))
-            counts.append(
-                ComponentCounts(
-                    extrema=_count_extrema(series, floor),
-                    sign_changes=_count_sign_changes(series - limit, floor),
-                )
-            )
-        systems[name] = (counts[0], counts[1])
-        flags[name] = any(c.sign_changes >= 2 for c in counts)
+    flags = {
+        name: any(c.sign_changes >= 2 for c in counts) for name, counts in systems.items()
+    }
     return OscillationReport(
         systems=systems,
         oscillatory_by_system=flags,
@@ -326,7 +365,7 @@ def _integrate(
     scale: float,
     opts: ShootOptions,
 ) -> tuple[ProfileVerdict, np.ndarray, np.ndarray]:
-    q0 = q_tilde**-0.5
+    field = _field(eps, q_tilde**-0.5)
     p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
     r_cap = opts.capture_radius * scale
     r_esc = opts.escape_radius * scale
@@ -334,7 +373,7 @@ def _integrate(
 
     # Python floats: their arithmetic is about twice as fast as numpy scalars'.
     def rhs(_t, y):
-        return _raw_field(*y.tolist(), eps, q0, 1.0)
+        return field(*y.tolist())
 
     def gap_sq(y0, y1):
         # v^2 minus its value on the singular locus.
@@ -345,11 +384,13 @@ def _integrate(
         return math.hypot(y[0] - p0, y[1] - p1)
 
     def jac(_t, y):
-        return _field_jacobian(*y.tolist(), eps, q0)
+        return _field_jacobian(field, *y.tolist())
 
     # One LSODA step per call, as scipy's LSODA solver steps it: itask 5
-    # never steps past tcrit = rwork[0].
-    solver = ode(rhs, jac).set_integrator("lsoda", rtol=opts.rel_tol, atol=opts.abs_tol)
+    # never steps past tcrit = rwork[0].  Like that solver, raise rel_tol to
+    # 100 ulp; below it ODEPACK can reject the input before the first step.
+    rtol = max(opts.rel_tol, _MIN_REL_TOL)
+    solver = ode(rhs, jac).set_integrator("lsoda", rtol=rtol, atol=opts.abs_tol)
     integ = solver.set_initial_value(y_start)._integrator
     t_end = opts.max_pseudo_time
     integ.rwork[0] = t_end

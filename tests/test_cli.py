@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -70,6 +71,18 @@ class TestProfileCommand:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "pseudo_time,psi0,psi1,theta,u,v"
         assert len(lines) > 50
+
+    def test_rel_tol_below_100_ulp(self, tmp_path, capsys):
+        # LSODA gets rtol raised to 100 ulp, so the shot runs, and no raw
+        # scipy warning escapes.
+        out_file = tmp_path / "traj.csv"
+        args = ["profile", "--eps", "0.5", "--q", "0.9", "--rtol", "1e-16", "--atol", "1e-20"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args + ["--out", str(out_file)]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: ConvergedToPlus" in out
+        assert "samples: 560" in out
 
     def test_focus_profile(self, tmp_path, capsys):
         out_file = tmp_path / "traj.csv"

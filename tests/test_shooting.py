@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import LSODA
 
 from conftest import spiral_samples
@@ -12,7 +15,7 @@ from radshock.errors import (
     SingularBsharp,
     TooFewSamples,
 )
-from radshock.model import GodunovState, kinematics
+from radshock.model import GodunovState, b_sharp_kernel, kinematics
 from radshock import shooting
 from radshock.shooting import (
     _BOUNDARY_MARGIN,
@@ -20,9 +23,9 @@ from radshock.shooting import (
     ProfileVerdict,
     ShootOptions,
     _capture_point,
+    _field,
     _field_jacobian,
     _integrate,
-    _raw_field,
     _rest_jacobian,
     field_jacobian,
     oscillation_report,
@@ -35,6 +38,20 @@ NODE_POINT = (1.0, 0.76)
 FOCUS_POINT = (1.0, 0.80)
 
 
+def kernel_field_reference(y0, y1, eps, q0, q1):
+    """Reference for `_field`: the profile field through `b_sharp_kernel`, F, adjugate."""
+    if (y0 * y0 - y1 * y1).real < 1e-300:
+        return math.nan, math.nan
+    theta, u, v, b00, b01, b11, det = b_sharp_kernel(y0, y1, eps)
+    t2 = theta * theta
+    t4 = t2 * t2
+    f0 = -(4.0 / 3.0) * t4 * v * u + q0
+    f1 = t4 * ((4.0 / 3.0) * v * v + 1.0 / 3.0) - q1
+    if det == 0.0:
+        det = -1e-300
+    return (b11 * f0 - b01 * f1) / det, (b00 * f1 - b01 * f0) / det
+
+
 def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
     """Reference for `field_jacobian`: central differences of the field."""
     q0 = q_tilde**-0.5
@@ -43,8 +60,8 @@ def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
     for i in range(2):
         dp = [0.0, 0.0]
         dp[i] = step
-        fp = _raw_field(y[0] + dp[0], y[1] + dp[1], eps, q0, 1.0)
-        fm = _raw_field(y[0] - dp[0], y[1] - dp[1], eps, q0, 1.0)
+        fp = kernel_field_reference(y[0] + dp[0], y[1] + dp[1], eps, q0, 1.0)
+        fm = kernel_field_reference(y[0] - dp[0], y[1] - dp[1], eps, q0, 1.0)
         jac[0, i] = (fp[0] - fm[0]) / (2.0 * step)
         jac[1, i] = (fp[1] - fm[1]) / (2.0 * step)
     return jac
@@ -69,11 +86,14 @@ def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
     r_esc = opts.escape_radius * scale
     sing_level = (1.0 - eps) / (8.0 + eps)
 
+    def field(y0, y1):
+        return kernel_field_reference(y0, y1, eps, q0, 1.0)
+
     def rhs(_t, y):
-        return _raw_field(*y.tolist(), eps, q0, 1.0)
+        return field(*y.tolist())
 
     def jac(_t, y):
-        return _field_jacobian(*y.tolist(), eps, q0)
+        return _field_jacobian(field, *y.tolist())
 
     def gap_sq(y0, y1):
         s = y0 * y0 - y1 * y1
@@ -123,7 +143,31 @@ def focus_shot():
     return shoot(*FOCUS_POINT)
 
 
+def field_bits(pair):
+    """Type and IEEE bits of both parts of each component, so NaN and -0.0 compare."""
+    return [(type(z), struct.pack("<dd", z.real, z.imag)) for z in pair]
+
+
 class TestVectorField:
+    @given(
+        eps=st.floats(1e-6, 1.0),
+        q_tilde=st.floats(0.75 + 1e-6, 1.0 - 1e-6),
+        y0=st.floats(1e-3, 1e3),
+        # |ratio| >= 1 puts the state on or outside the cone.
+        ratio=st.sampled_from([-1.0, 1.0]) | st.floats(-2.0, 2.0),
+        # None: a float state; 0 or 1: the complex step on that component.
+        stepped=st.sampled_from([None, 0, 1]),
+    )
+    def test_fused_field_matches_kernel_route_bitwise(self, eps, q_tilde, y0, ratio, stepped):
+        y = [y0, ratio * y0]
+        if stepped is not None:
+            y[stepped] = complex(y[stepped], 1e-30)
+        q0 = q_tilde**-0.5
+        got = _field(eps, q0)(*y)
+        assert field_bits(got) == field_bits(kernel_field_reference(*y, eps, q0, 1.0))
+        if abs(ratio) >= 1.0:
+            assert math.isnan(got[0]) and math.isnan(got[1])
+
     @pytest.mark.parametrize("q", [0.76, 0.85, 0.97])
     def test_vanishes_at_rest_points(self, q):
         pair = rest_points(q)
@@ -354,6 +398,20 @@ class TestShootGuards:
         assert res.verdict is ProfileVerdict.STALLED
         assert res.times[-1] == 3.0
 
+    def test_rel_tol_below_100_ulp_is_raised_to_it(self):
+        # ODEPACK rejects such a tolerance before the first step; scipy's
+        # LSODA solver raises it to 100 ulp with a warning, and so does the
+        # step loop, without one.
+        eps, q = 0.5, 0.9
+        opts = ShootOptions(rel_tol=1e-16, abs_tol=1e-20)
+        res = shoot(eps, q, opts)
+        assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
+        start, pair, scale = shot_start(eps, q, opts)
+        with pytest.warns(UserWarning, match="rtol"):
+            _, ref_times, ref_states, _ = lsoda_solver_reference(start, eps, q, pair, scale, opts)
+        assert res.times.tobytes() == ref_times.tobytes()
+        assert res.states.tobytes() == ref_states.tobytes()
+
     def test_stiff_near_infinite_amplitude_converges(self):
         # A stiff sink at large v_minus^2: LSODA's BDF mode with the exact
         # Jacobian converges, where an explicit pair crawls to the budget.
@@ -440,13 +498,18 @@ class TestStepLoopParity:
 
         real_calls = 0
 
-        def counting_field(y0, y1, *args):
-            nonlocal real_calls
-            if not isinstance(y0, complex) and not isinstance(y1, complex):
-                real_calls += 1
-            return _raw_field(y0, y1, *args)
+        def counting_factory(eps, q0):
+            field = _field(eps, q0)
 
-        monkeypatch.setattr(shooting, "_raw_field", counting_field)
+            def counting_field(y0, y1):
+                nonlocal real_calls
+                if not isinstance(y0, complex) and not isinstance(y1, complex):
+                    real_calls += 1
+                return field(y0, y1)
+
+            return counting_field
+
+        monkeypatch.setattr(shooting, "_field", counting_factory)
         verdict, times, states = _integrate(start, eps, q, pair, scale, opts)
         assert verdict is ref_verdict is expected
         assert times.shape == ref_times.shape and times.tobytes() == ref_times.tobytes()
