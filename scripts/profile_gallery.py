@@ -12,7 +12,7 @@ import argparse
 import os
 
 from radshock.classification import classify
-from radshock.shooting import shoot
+from radshock.shooting import profile_to_csv, shoot
 
 POINTS = [
     (1.0, 0.752),
@@ -45,15 +45,9 @@ def main():
         )
         print(f"{eps:>5} {q:>8} {region:>10} {res.verdict.value:>16} "
               f"{sign_changes!s:>8} {str(res.oscillation.oscillatory):>11}")
-        kin = res.kinematics_array()
         path = os.path.join(args.out_dir, f"profile_eps{eps}_q{q}.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("pseudo_time,psi0,psi1,theta,u,v\n")
-            for i, t in enumerate(res.times):
-                fh.write(
-                    f"{t:.17g},{res.states[i, 0]:.17g},{res.states[i, 1]:.17g},"
-                    f"{kin[i, 0]:.17g},{kin[i, 1]:.17g},{kin[i, 2]:.17g}\n"
-                )
+            fh.write(profile_to_csv(res))
     print(f"trajectories written to {args.out_dir}/")
 
 

@@ -8,36 +8,16 @@ failure, 2 usage/domain error, 3 I/O error, 4 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import classification as cls
 from .equilibria import rest_points
-from .errors import (
-    DegenerateShock,
-    EpsilonAboveHat,
-    EpsilonOutOfRange,
-    NonPositiveParameter,
-    ParamsOutOfOmega,
-    QOutOfRange,
-    RadshockError,
-    StateOutsideDomain,
-    ZOutOfRange,
-)
+from .errors import DomainError, RadshockError
 from .model import causality_check
-from .scan import ScanConfig, _g, render_scan, run_scan
-from .shooting import ShootOptions, shoot
+from .scan import EMITTERS, ScanConfig, run_scan
+from .shooting import ShootOptions, profile_to_csv, shoot
 from .verify import format_report, run_identity_suite
-
-_DOMAIN_ERRORS = (
-    ParamsOutOfOmega,
-    QOutOfRange,
-    EpsilonOutOfRange,
-    ZOutOfRange,
-    NonPositiveParameter,
-    DegenerateShock,
-    EpsilonAboveHat,
-    StateOutsideDomain,
-)
 
 
 def parse_grid(text: str) -> tuple[int, int]:
@@ -51,20 +31,20 @@ def parse_grid(text: str) -> tuple[int, int]:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
 def _shoot_options(args) -> ShootOptions:
-    kwargs = {}
-    if args.offset is not None:
-        kwargs["offset"] = args.offset
-    if args.rtol is not None:
-        kwargs["rel_tol"] = args.rtol
-    if args.atol is not None:
-        kwargs["abs_tol"] = args.atol
-    return ShootOptions(**kwargs)
+    return ShootOptions(offset=args.offset, rel_tol=args.rtol, abs_tol=args.atol)
 
 
 def cmd_classify(args) -> int:
@@ -95,10 +75,9 @@ def cmd_scan(args) -> int:
         q_hi=args.q_max,
         q_count=q_count,
         shoot=args.shoot,
-        fmt=args.format,
     )
-    result = run_scan(config, _shoot_options(args) if args.shoot else None)
-    text = render_scan(result)
+    result = run_scan(config, _shoot_options(args))
+    text = EMITTERS[args.format](result)
     out = args.out or f"scan.{args.format}"
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -115,17 +94,10 @@ def cmd_scan(args) -> int:
 
 def cmd_profile(args) -> int:
     result = shoot(args.eps, args.q, _shoot_options(args))
-    kin = result.kinematics_array()
-    lines = ["pseudo_time,psi0,psi1,theta,u,v"]
-    for i, t in enumerate(result.times):
-        lines.append(
-            f"{_g(t)},{_g(result.states[i, 0])},{_g(result.states[i, 1])},"
-            f"{_g(kin[i, 0])},{_g(kin[i, 1])},{_g(kin[i, 2])}"
-        )
     out = args.out or "profile.csv"
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(profile_to_csv(result))
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 3
@@ -167,37 +139,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    shoot_flags = argparse.ArgumentParser(add_help=False)
+    shoot_flags.add_argument("--offset", type=_positive_float, default=ShootOptions.offset)
+    shoot_flags.add_argument("--rtol", type=_positive_float, default=ShootOptions.rel_tol)
+    shoot_flags.add_argument("--atol", type=_positive_float, default=ShootOptions.abs_tol)
+
     p = sub.add_parser("classify", help="classify one (eps, q_tilde) point")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("scan", help="sweep the parameter square")
-    p.add_argument("--grid", type=parse_grid, default=(100, 100), metavar="NxM",
-                   help="eps count x q count (default 100x100)")
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+    p = sub.add_parser("scan", help="sweep the parameter square", parents=[shoot_flags])
+    grid = (ScanConfig.eps_count, ScanConfig.q_count)
+    p.add_argument("--grid", type=parse_grid, default=grid, metavar="NxM",
+                   help=f"eps count x q count (default {grid[0]}x{grid[1]})")
+    p.add_argument("--format", choices=EMITTERS, default="csv")
     p.add_argument("--out", default=None, help="output path (default scan.<format>)")
     p.add_argument("--shoot", action="store_true", help="also shoot a profile per cell")
-    p.add_argument("--eps-min", type=float, default=1e-6)
-    p.add_argument("--eps-max", type=float, default=1.0)
-    p.add_argument("--q-min", type=float, default=0.75 + 1e-6)
-    p.add_argument("--q-max", type=float, default=1.0 - 1e-6)
-    p.add_argument("--offset", type=_positive_float, default=None)
-    p.add_argument("--rtol", type=_positive_float, default=None)
-    p.add_argument("--atol", type=_positive_float, default=None)
+    p.add_argument("--eps-min", type=float, default=ScanConfig.eps_lo)
+    p.add_argument("--eps-max", type=float, default=ScanConfig.eps_hi)
+    p.add_argument("--q-min", type=float, default=ScanConfig.q_lo)
+    p.add_argument("--q-max", type=float, default=ScanConfig.q_hi)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("profile", help="shoot one heteroclinic profile")
+    p = sub.add_parser("profile", help="shoot one heteroclinic profile", parents=[shoot_flags])
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--out", default=None, help="trajectory CSV path (default profile.csv)")
-    p.add_argument("--offset", type=_positive_float, default=None)
-    p.add_argument("--rtol", type=_positive_float, default=None)
-    p.add_argument("--atol", type=_positive_float, default=None)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("verify", help="run the closed-form identity suite")
-    p.add_argument("--samples", type=int, default=4000)
+    p.add_argument("--samples", type=_positive_int, default=4000)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("causality", help="classify transport coefficients")
@@ -213,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

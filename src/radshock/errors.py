@@ -5,27 +5,31 @@ class RadshockError(Exception):
     """Base class for all radshock errors."""
 
 
-class StateOutsideDomain(RadshockError):
+class DomainError(RadshockError):
+    """An input outside the domain a function is defined on (CLI exit 2)."""
+
+
+class StateOutsideDomain(DomainError):
     """State violates psi0 > |psi1|."""
 
 
-class EpsilonOutOfRange(RadshockError):
+class EpsilonOutOfRange(DomainError):
     """Dissipation parameter outside its admissible interval."""
 
 
-class NonPositiveParameter(RadshockError):
-    """Transport coefficient that must be positive is not."""
+class NonPositiveParameter(DomainError):
+    """Transport coefficient that must be positive and finite is not."""
 
 
-class QOutOfRange(RadshockError):
+class QOutOfRange(DomainError):
     """Shock-strength parameter outside (3/4, 1)."""
 
 
-class ZOutOfRange(RadshockError):
+class ZOutOfRange(DomainError):
     """Downstream squared velocity outside (1/8, 1/2)."""
 
 
-class DegenerateShock(RadshockError):
+class DegenerateShock(DomainError):
     """Shock strength too close to the zero-amplitude limit 3/4."""
 
 
@@ -33,11 +37,11 @@ class RootFindingFailure(RadshockError):
     """Residual polishing of a polynomial root stalled."""
 
 
-class EpsilonAboveHat(RadshockError):
+class EpsilonAboveHat(DomainError):
     """Upper separatrix requested where its defining root leaves (1/8, 1/2)."""
 
 
-class ParamsOutOfOmega(RadshockError):
+class ParamsOutOfOmega(DomainError):
     """(eps, q_tilde) outside the parameter square (0,1] x (3/4,1)."""
 
 

@@ -16,6 +16,7 @@ holds it bit for bit to the kernel, so change the two together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -221,8 +222,10 @@ def causality_check(eta: float, mu: float, nu: float) -> CausalityVerdict:
     1e-10 relative band so that float-rounded equality inputs land on the
     boundary rather than just outside it.
     """
-    if eta <= 0.0 or mu <= 0.0 or nu <= 0.0:
-        raise NonPositiveParameter(f"eta, mu, nu must be > 0, got ({eta}, {mu}, {nu})")
+    if not all(0.0 < x < math.inf for x in (eta, mu, nu)):
+        raise NonPositiveParameter(
+            f"eta, mu, nu must be positive and finite, got ({eta}, {mu}, {nu})"
+        )
     eps = 4.0 * eta / (3.0 * mu)
     if eps > 1.0 + CAUSALITY_RTOL:
         return CausalityVerdict(CausalityClass.ACAUSAL)

@@ -20,6 +20,9 @@ from .shooting import ShootOptions, shoot
 EPS_MARGIN = 1e-6
 Q_MARGIN = 1e-6
 
+_SVG_WIDTH = 880
+_SVG_HEIGHT = 640
+
 _SVG_COLORS = {
     "NodeBelow": "#5b8dd9",
     "Focus": "#d96a6a",
@@ -73,8 +76,6 @@ SCAN_JSON_SCHEMA = {
 }
 
 
-FORMATS = ("csv", "json", "svg")
-
 # A dict lookup per scan cell; Enum .value goes through a descriptor.
 _REGION_TEXT = {label: label.value for label in cls.RegionLabel}
 
@@ -88,7 +89,6 @@ class ScanConfig:
     q_hi: float = 1.0 - Q_MARGIN
     q_count: int = 100
     shoot: bool = False
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.eps_count < 2 or self.q_count < 2:
@@ -102,8 +102,6 @@ class ScanConfig:
                 f"q range [{self.q_lo}, {self.q_hi}] outside "
                 f"[{0.75 + Q_MARGIN}, {1.0 - Q_MARGIN}]"
             )
-        if self.fmt not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {self.fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -244,9 +242,10 @@ def scan_to_json(result: ScanResult) -> str:
     return "".join(parts)
 
 
-def scan_to_svg(result: ScanResult, width: int = 880, height: int = 640) -> str:
+def scan_to_svg(result: ScanResult) -> str:
     """Standalone SVG: region-colored grid cells plus both separatrices."""
     c = result.config
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     ml, mr, mt, mb = 70, 170, 30, 55
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -325,12 +324,5 @@ def scan_to_svg(result: ScanResult, width: int = 880, height: int = 640) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_scan(result: ScanResult, fmt: str | None = None) -> str:
-    fmt = result.config.fmt if fmt is None else fmt
-    if fmt == "csv":
-        return scan_to_csv(result)
-    if fmt == "json":
-        return scan_to_json(result)
-    if fmt == "svg":
-        return scan_to_svg(result)
-    raise ValueError(f"unknown format {fmt!r}")
+# The emitter of each output format, by the name the CLI's --format takes.
+EMITTERS = {"csv": scan_to_csv, "json": scan_to_json, "svg": scan_to_svg}

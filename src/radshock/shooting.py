@@ -44,6 +44,7 @@ from .model import (
     det_lin_closed,
     kinematics,
     lin_matrix,
+    singular_locus_v_sq,
     theta_u_v,
     trace_adj_closed,
 )
@@ -60,6 +61,20 @@ _BOUNDARY_MARGIN = 1e-9
 # The smallest relative tolerance handed to LSODA, scipy's floor for its solvers.
 _MIN_REL_TOL = 100 * 2.0**-52
 
+# A shot ends ConvergedToPlus inside this radius around psi_plus and
+# Escaped beyond this one, both relative to |psi_minus - psi_plus|.
+_CAPTURE_RADIUS = 1e-8
+_ESCAPE_RADIUS = 1e2
+
+# The pseudo-time budget, LSODA's tout and tcrit.  It is not only a budget:
+# tout enters ODEPACK's first-step formula (w0 = max(|t|, |tout|)), so any
+# other value changes every shot's samples ((1e-4, 0.8) takes 393 samples
+# at 1e5 and 378 at 1e7, against 367).  At the default tolerances no shot
+# of the benchmark reaches it (the largest final pseudo-time is 5.1e5), but
+# the time to capture grows like 1/(1 - q_tilde): at the default scan's
+# upper edge q_tilde = 1 - 1e-6, (1, 1 - 1e-6) converges at 9.8e5.
+_MAX_PSEUDO_TIME = 1e6
+
 # A shot ends Stalled after this many accepted steps.  Resolved shots take
 # at most ~850 on the benchmark's points (5,687 at (1e-5, 0.99995)); the
 # unresolved corner (eps <~ 1e-5, q_tilde >~ 0.99999), where psi_plus nears
@@ -71,22 +86,16 @@ COORDINATE_SYSTEMS = ("psi", "theta_v", "u_v")
 
 @dataclass(frozen=True)
 class ShootOptions:
-    """Shooting controls; lengths are relative to |psi_minus - psi_plus|."""
+    """Shooting controls; the offset is relative to |psi_minus - psi_plus|."""
 
     offset: float = 1e-7
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    capture_radius: float = 1e-8
-    escape_radius: float = 1e2
-    max_pseudo_time: float = 1e6
 
     def __post_init__(self):
-        for name in ("offset", "rel_tol", "abs_tol", "capture_radius",
-                     "escape_radius", "max_pseudo_time"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not self.capture_radius < self.escape_radius:
-            raise ValueError("capture_radius must be smaller than escape_radius")
+        for name in ("offset", "rel_tol", "abs_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 class ProfileVerdict(str, Enum):
@@ -133,6 +142,14 @@ class ProfileResult:
     def kinematics_array(self) -> np.ndarray:
         """Columns (theta, u, v) for every sample."""
         return np.column_stack(theta_u_v(self.states[:, 0], self.states[:, 1]))
+
+
+def profile_to_csv(result: ProfileResult) -> str:
+    """The trajectory as CSV, one row per sample, 17 significant digits."""
+    rows = np.column_stack((result.times, result.states, result.kinematics_array()))
+    lines = ["pseudo_time,psi0,psi1,theta,u,v"]
+    lines.extend(",".join(format(x, ".17g") for x in row) for row in rows.tolist())
+    return "\n".join(lines) + "\n"
 
 
 def _field(eps: float, q0: float):
@@ -367,9 +384,9 @@ def _integrate(
 ) -> tuple[ProfileVerdict, np.ndarray, np.ndarray]:
     field = _field(eps, q_tilde**-0.5)
     p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
-    r_cap = opts.capture_radius * scale
-    r_esc = opts.escape_radius * scale
-    sing_level = (1.0 - eps) / (8.0 + eps)
+    r_cap = _CAPTURE_RADIUS * scale
+    r_esc = _ESCAPE_RADIUS * scale
+    sing_level = singular_locus_v_sq(eps)
 
     # Python floats: their arithmetic is about twice as fast as numpy scalars'.
     def rhs(_t, y):
@@ -392,7 +409,7 @@ def _integrate(
     rtol = max(opts.rel_tol, _MIN_REL_TOL)
     solver = ode(rhs, jac).set_integrator("lsoda", rtol=rtol, atol=opts.abs_tol)
     integ = solver.set_initial_value(y_start)._integrator
-    t_end = opts.max_pseudo_time
+    t_end = _MAX_PSEUDO_TIME
     integ.rwork[0] = t_end
     integ.call_args[2] = 5
     arr, t = solver.y, 0.0

@@ -46,6 +46,8 @@ def _check(name: str, error: float, tolerance: float = TOLERANCE) -> IdentityChe
 
 
 def run_identity_suite(samples: int = 4000, seed: int = 20240811) -> list[IdentityCheck]:
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
     rng = np.random.default_rng(seed)
     v_sq = rng.uniform(1e-6, 2.0, samples)
     v = np.sqrt(v_sq) * rng.choice([-1.0, 1.0], samples)

@@ -7,6 +7,7 @@ import pytest
 
 import radshock.cli
 from radshock.cli import main
+from radshock.shooting import profile_to_csv, shoot
 
 
 class TestClassifyCommand:
@@ -50,7 +51,9 @@ class TestCausalityCommand:
         assert "StrictlyCausal" in capsys.readouterr().out
 
     def test_nonpositive_exit_code(self):
-        assert main(["causality", "--eta", "-1", "--mu", "1", "--nu", "1"]) == 2
+        for eta, mu, nu in [("-1", "1", "1"), ("nan", "1", "1"), ("1", "1", "nan"),
+                            ("1", "inf", "1")]:
+            assert main(["causality", "--eta", eta, "--mu", mu, "--nu", nu]) == 2
 
 
 class TestVerifyCommand:
@@ -59,6 +62,12 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "all identities passed" in out
         assert out.count("PASS") >= 10
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_is_a_usage_error(self, samples):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--samples", samples])
+        assert info.value.code == 2
 
 
 class TestProfileCommand:
@@ -71,6 +80,11 @@ class TestProfileCommand:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "pseudo_time,psi0,psi1,theta,u,v"
         assert len(lines) > 50
+
+    def test_trajectory_file_is_profile_to_csv(self, tmp_path):
+        out_file = tmp_path / "traj.csv"
+        assert main(["profile", "--eps", "1", "--q", "0.8", "--out", str(out_file)]) == 0
+        assert out_file.read_bytes() == profile_to_csv(shoot(1.0, 0.8)).encode()
 
     def test_rel_tol_below_100_ulp(self, tmp_path, capsys):
         # LSODA gets rtol raised to 100 ulp, so the shot runs, and no raw
@@ -111,9 +125,10 @@ class TestProfileCommand:
 
     @pytest.mark.parametrize("flag", ["--offset", "--rtol", "--atol"])
     def test_nonpositive_tolerance_is_a_usage_error(self, flag):
-        with pytest.raises(SystemExit) as info:
-            main(["profile", "--eps", "1", "--q", "0.8", flag, "0"])
-        assert info.value.code == 2
+        for value in ("0", "nan", "inf"):
+            with pytest.raises(SystemExit) as info:
+                main(["profile", "--eps", "1", "--q", "0.8", flag, value])
+            assert info.value.code == 2
 
 
 class TestScanCommand:
@@ -152,6 +167,11 @@ class TestScanCommand:
     def test_malformed_grid_is_a_usage_error(self, grid):
         with pytest.raises(SystemExit) as info:
             main(["scan", "--grid", grid])
+        assert info.value.code == 2
+
+    def test_unknown_format_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--grid", "4x4", "--format", "pdf"])
         assert info.value.code == 2
 
     def test_shoot_flag(self, tmp_path):

@@ -232,7 +232,14 @@ class TestCausality:
     def test_acausal_heat_bound(self):
         assert causality_check(1.0, 3.0, 4.0).klass is CausalityClass.ACAUSAL
 
-    @pytest.mark.parametrize("triple", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)])
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            (0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0),
+            (math.nan, 1.0, 1.0), (1.0, 1.0, math.nan), (1.0, math.inf, 1.0),
+            (math.inf, 1.0, 1.0), (1.0, 1.0, math.inf),
+        ],
+    )
     def test_nonpositive(self, triple):
         with pytest.raises(NonPositiveParameter):
             causality_check(*triple)

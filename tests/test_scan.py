@@ -206,10 +206,6 @@ class TestEmitters:
         )
         assert got == digests
 
-    def test_fmt_field_validated(self):
-        with pytest.raises(ValueError):
-            ScanConfig(eps_count=4, q_count=4, fmt="pdf")
-
 
 # Per-value reference emitters: the record formatting of the emitters before
 # they formatted each distinct value once per call.

@@ -19,6 +19,9 @@ from radshock.model import GodunovState, b_sharp_kernel, kinematics
 from radshock import shooting
 from radshock.shooting import (
     _BOUNDARY_MARGIN,
+    _CAPTURE_RADIUS,
+    _ESCAPE_RADIUS,
+    _MAX_PSEUDO_TIME,
     _MAX_STEPS,
     ProfileVerdict,
     ShootOptions,
@@ -82,8 +85,8 @@ def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
     """
     q0 = q_tilde**-0.5
     p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
-    r_cap = opts.capture_radius * scale
-    r_esc = opts.escape_radius * scale
+    r_cap = _CAPTURE_RADIUS * scale
+    r_esc = _ESCAPE_RADIUS * scale
     sing_level = (1.0 - eps) / (8.0 + eps)
 
     def field(y0, y1):
@@ -103,7 +106,7 @@ def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
         return math.hypot(y[0] - p0, y[1] - p1)
 
     solver = LSODA(
-        rhs, 0.0, y_start, opts.max_pseudo_time,
+        rhs, 0.0, y_start, _MAX_PSEUDO_TIME,
         rtol=opts.rel_tol, atol=opts.abs_tol, jac=jac,
     )
     times = [0.0]
@@ -392,9 +395,10 @@ class TestShootGuards:
         shoot(*NODE_POINT)
         assert calls == [NODE_POINT[1]]
 
-    def test_pseudo_time_budget_ends_stalled_at_its_end(self):
+    def test_pseudo_time_budget_ends_stalled_at_its_end(self, monkeypatch):
         # itask 5 stops LSODA at tcrit, so the last step lands on the budget.
-        res = shoot(0.5, 0.9, ShootOptions(max_pseudo_time=3.0))
+        monkeypatch.setattr(shooting, "_MAX_PSEUDO_TIME", 3.0)
+        res = shoot(0.5, 0.9)
         assert res.verdict is ProfileVerdict.STALLED
         assert res.times[-1] == 3.0
 
@@ -440,7 +444,7 @@ class TestShootGuards:
         assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
         plus = res.psi_plus.as_array()
         scale = np.linalg.norm(res.psi_minus.as_array() - plus)
-        r_cap = ShootOptions().capture_radius * scale
+        r_cap = _CAPTURE_RADIUS * scale
         assert np.linalg.norm(res.states[-1] - plus) == pytest.approx(r_cap, rel=1e-6)
 
 
@@ -525,10 +529,10 @@ class TestShootOptions:
             ShootOptions(offset=0.0)
         with pytest.raises(ValueError):
             ShootOptions(rel_tol=-1e-10)
-
-    def test_rejects_capture_beyond_escape(self):
-        with pytest.raises(ValueError):
-            ShootOptions(capture_radius=1.0, escape_radius=0.5)
+        for name in ("offset", "rel_tol", "abs_tol"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    ShootOptions(**{name: value})
 
 
 class TestOscillationReport:

@@ -1,3 +1,5 @@
+import pytest
+
 from radshock.verify import format_report, run_identity_suite
 
 
@@ -19,3 +21,9 @@ def test_deterministic():
     a = run_identity_suite(samples=300)
     b = run_identity_suite(samples=300)
     assert [(c.name, c.error) for c in a] == [(c.name, c.error) for c in b]
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_rejects_nonpositive_samples(samples):
+    with pytest.raises(ValueError):
+        run_identity_suite(samples=samples)
