@@ -105,11 +105,8 @@ def _trig_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
     d = a0 / a3
     p = c - b * b / 3.0
     q = d - b * c / 3.0 + 2.0 * b**3 / 27.0
-    if p >= 0.0:
-        # Three real roots force p < 0; reaching this means rounding collapsed
-        # a degenerate configuration.  Return the triple root candidate.
-        t = -q ** (1.0 / 3.0) if q >= 0.0 else (-q) ** (1.0 / 3.0)
-        return sorted([t - b / 3.0] * 3)
+    # p < 0 throughout (0, 1]: it rises to -1/12 only in the limit eps -> 0,
+    # so the trigonometric form always applies.
     m = 2.0 * math.sqrt(-p / 3.0)
     arg = 3.0 * q / (p * m)
     arg = min(1.0, max(-1.0, arg))
@@ -183,8 +180,6 @@ def cubic_roots(eps: float) -> CubicRoots:
 
 def separatrix_q1(eps: float) -> float:
     """Lower separatrix q1(eps) = q_of_vplus(w3(eps)), defined on (0, 1]."""
-    if not 0.0 < eps <= 1.0:
-        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
     return q_of_vplus(cubic_roots(eps).w3)
 
 

@@ -17,7 +17,7 @@ from .errors import DomainError, RadshockError
 from .model import causality_check
 from .scan import EMITTERS, ScanConfig, run_scan
 from .shooting import ShootOptions, profile_to_csv, shoot
-from .verify import format_report, run_identity_suite
+from .verify import DEFAULT_SAMPLES, format_report, run_identity_suite
 
 
 def parse_grid(text: str) -> tuple[int, int]:
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("verify", help="run the closed-form identity suite")
-    p.add_argument("--samples", type=_positive_int, default=4000)
+    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("causality", help="classify transport coefficients")

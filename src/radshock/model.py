@@ -8,8 +8,9 @@ linearization matrix, and the causality classification of a transport
 triple (eta, mu, nu).
 
 Production code evaluates B# through `b_sharp_kernel` and the closed forms;
-the matrix builders and `trace_adj_identity` are the reference route that
-tests and the `verify` command check them against.  Shooting's hot path,
+the matrix builders (`b_sharp`, its blocks, `lin_matrix`) and
+`trace_adj_identity` are the reference route that tests and the `verify`
+command check them against, and have no production caller outside `verify`.  Shooting's hot path,
 `shooting._field`, unrolls the kernel's lines into its own body; a test
 holds it bit for bit to the kernel, so change the two together.
 """

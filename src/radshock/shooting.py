@@ -6,7 +6,9 @@ formulas as the field turns stiff (eps -> 0), with the field's Jacobian
 taken by a complex step through the field function.  That function is one
 closure per shot, built by `_field`: the B# kernel, the flux residual and
 the adjugate solve unrolled into one body for floats and complex numbers
-alike, equal bit for bit to the route through `b_sharp_kernel`.  The step
+alike, equal bit for bit to the route through `b_sharp_kernel`.  Its
+complex step at the saddle also gives the start direction, so a shot
+reaches the field through this one closure.  The step
 loop drives ODEPACK's LSODA through scipy's `ode` integrator one step per
 call, as scipy's `LSODA` solver does, without that solver's per-step and
 per-evaluation bookkeeping.  It checks every accepted step and stops when
@@ -37,13 +39,10 @@ from .errors import (
 )
 from .model import (
     GodunovState,
-    Kinematics,
-    b_sharp_kernel,
     check_off_locus,
     det_b_sharp_closed,
     det_lin_closed,
     kinematics,
-    lin_matrix,
     singular_locus_v_sq,
     theta_u_v,
     trace_adj_closed,
@@ -80,8 +79,6 @@ _MAX_PSEUDO_TIME = 1e6
 # unresolved corner (eps <~ 1e-5, q_tilde >~ 0.99999), where psi_plus nears
 # the singular locus, spends it in about 0.2 s.
 _MAX_STEPS = 10_000
-
-COORDINATE_SYSTEMS = ("psi", "theta_v", "u_v")
 
 
 @dataclass(frozen=True)
@@ -221,27 +218,17 @@ def field_jacobian(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
     return np.array(_field_jacobian(_field(eps, q_tilde**-0.5), psi.psi0, psi.psi1))
 
 
-def _rest_jacobian(psi: GodunovState, eps: float) -> np.ndarray:
-    """Jacobian of the profile field at a rest point, (4/3) theta^5 adj(B#) A / det(B#).
-
-    Exact only where F vanishes, since the derivative of B#^-1 then drops out.
-    """
-    theta, u, v, b00, b01, b11, det = b_sharp_kernel(psi.psi0, psi.psi1, eps)
-    adj = np.array([[b11, -b01], [-b01, b00]])
-    return (4.0 / 3.0) * theta**5 / det * (adj @ lin_matrix(Kinematics(theta, u, v)))
-
-
 def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
     """Unit eigenvector of the saddle's positive eigenvalue, aimed downstream.
 
     The sign is fixed so the vector points toward the attractor side, which
     makes the kinematic velocity decrease along it.
     """
-    return _unstable_direction(rest_points(q_tilde), eps, q_tilde)
+    return _unstable_direction(rest_points(q_tilde), _field(eps, q_tilde**-0.5), eps, q_tilde)
 
 
-def _unstable_direction(pair: EquilibriumPair, eps: float, q_tilde: float) -> np.ndarray:
-    jac = _rest_jacobian(pair.psi_minus, eps)
+def _unstable_direction(pair: EquilibriumPair, field, eps: float, q_tilde: float) -> np.ndarray:
+    (j00, j01), (j10, j11) = _field_jacobian(field, pair.psi_minus.psi0, pair.psi_minus.psi1)
     # det J and trace J from the closed forms: the entries of adj(B#) A grow
     # like v^8 and cancel in det and trace as q_tilde -> 1.
     theta, _, v = theta_u_v(pair.psi_minus.psi0, pair.psi_minus.psi1)
@@ -254,8 +241,8 @@ def _unstable_direction(pair: EquilibriumPair, eps: float, q_tilde: float) -> np
         )
     tr = k * trace_adj_closed(v, eps) / det_b
     lam_pos = 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
-    cand_a = np.array([jac[0, 1], lam_pos - jac[0, 0]])
-    cand_b = np.array([lam_pos - jac[1, 1], jac[1, 0]])
+    cand_a = np.array([j01, lam_pos - j00])
+    cand_b = np.array([lam_pos - j11, j10])
     vec = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
     vec = vec / np.linalg.norm(vec)
     toward_plus = pair.psi_plus.as_array() - pair.psi_minus.as_array()
@@ -375,14 +362,13 @@ def _nordsieck_interpolant(integ, t: float):
 
 
 def _integrate(
+    field,
     y_start: np.ndarray,
     eps: float,
-    q_tilde: float,
     pair: EquilibriumPair,
     scale: float,
     opts: ShootOptions,
 ) -> tuple[ProfileVerdict, np.ndarray, np.ndarray]:
-    field = _field(eps, q_tilde**-0.5)
     p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
     r_cap = _CAPTURE_RADIUS * scale
     r_esc = _ESCAPE_RADIUS * scale
@@ -462,11 +448,12 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     if not (0.0 < eps <= 1.0 and 0.75 < q_tilde < 1.0):
         raise ParamsOutOfOmega(f"({eps}, {q_tilde}) outside (0,1] x (3/4,1)")
     pair = rest_points(q_tilde)
-    direction = _unstable_direction(pair, eps, q_tilde)
+    field = _field(eps, q_tilde**-0.5)
+    direction = _unstable_direction(pair, field, eps, q_tilde)
     psi_minus = pair.psi_minus.as_array()
     scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
     start = psi_minus + opts.offset * scale * direction
-    verdict, times, states = _integrate(start, eps, q_tilde, pair, scale, opts)
+    verdict, times, states = _integrate(field, start, eps, pair, scale, opts)
     report = (
         oscillation_report(states, pair.psi_plus)
         if states.shape[0] >= 3

@@ -28,6 +28,9 @@ from .model import (
 
 TOLERANCE = 1e-10
 
+# Sampled (v, eps) pairs by default, for the library and the `verify` command.
+DEFAULT_SAMPLES = 4000
+
 
 @dataclass(frozen=True)
 class IdentityCheck:
@@ -45,7 +48,9 @@ def _check(name: str, error: float, tolerance: float = TOLERANCE) -> IdentityChe
     return IdentityCheck(name=name, error=error, tolerance=tolerance, passed=error <= tolerance)
 
 
-def run_identity_suite(samples: int = 4000, seed: int = 20240811) -> list[IdentityCheck]:
+def run_identity_suite(
+    samples: int = DEFAULT_SAMPLES, seed: int = 20240811
+) -> list[IdentityCheck]:
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
     rng = np.random.default_rng(seed)

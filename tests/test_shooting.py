@@ -15,7 +15,7 @@ from radshock.errors import (
     SingularBsharp,
     TooFewSamples,
 )
-from radshock.model import GodunovState, b_sharp_kernel, kinematics
+from radshock.model import GodunovState, Kinematics, b_sharp_kernel, kinematics, lin_matrix
 from radshock import shooting
 from radshock.shooting import (
     _BOUNDARY_MARGIN,
@@ -29,7 +29,6 @@ from radshock.shooting import (
     _field,
     _field_jacobian,
     _integrate,
-    _rest_jacobian,
     field_jacobian,
     oscillation_report,
     shoot,
@@ -68,6 +67,55 @@ def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
         jac[0, i] = (fp[0] - fm[0]) / (2.0 * step)
         jac[1, i] = (fp[1] - fm[1]) / (2.0 * step)
     return jac
+
+
+def rest_jacobian_reference(psi, eps):
+    """Reference for `field_jacobian` at a rest point: (4/3) theta^5 adj(B#) A / det(B#).
+
+    Exact only where F vanishes, since the derivative of B#^-1 then drops out.
+    """
+    theta, u, v, b00, b01, b11, det = b_sharp_kernel(psi.psi0, psi.psi1, eps)
+    adj = np.array([[b11, -b01], [-b01, b00]])
+    return (4.0 / 3.0) * theta**5 / det * (adj @ lin_matrix(Kinematics(theta, u, v)))
+
+
+def mpmath_unstable_direction(eps, q_tilde, dps=80):
+    """Reference for `unstable_direction`: the exact saddle's unstable eigenvector.
+
+    The rest points, (4/3) theta^5 adj(B#) A / det(B#) and its eigenvectors
+    are taken in `dps` digits; the unit vector is aimed at psi_plus.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mpf = mpmath.mpf
+    with mpmath.workdps(dps):
+        q, e = mpf(q_tilde), mpf(eps)
+        root = mpmath.sqrt(q * (4 * q - 3))
+
+        def state(v_sq):
+            pref = ((mpf(4) / 3) * v_sq + mpf(1) / 3) ** (mpf(1) / 4)
+            return pref * mpmath.sqrt(1 + v_sq), pref * mpmath.sqrt(v_sq)
+
+        v_sq = (2 * q - 1 + root) / (4 * (1 - q))
+        minus = state(v_sq)
+        plus = state(1 / (4 * (2 * q - 1 + root)))
+        theta = (minus[0] ** 2 - minus[1] ** 2) ** (-mpf(1) / 2)
+        u, v = theta * minus[0], theta * minus[1]
+        u2, v2, uv = u * u, v * v, u * v
+        w, r, c2 = u2 + v2, 4 * v2 + 1, 9 * e / (4 - e)
+        b00 = e * u2 * v2 - 16 * u2 * v2 - c2 * w * w
+        b01 = -e * u2 * uv + 4 * uv * r + 2 * c2 * w * uv
+        b11 = e * u2 * u2 - r * r - 4 * c2 * u2 * v2
+        off = -u * (6 * v2 + 1)
+        lin = mpmath.matrix([[v * (6 * v2 + 5), off], [off, 3 * v * (2 * v2 + 1)]])
+        adj = mpmath.matrix([[b11, -b01], [-b01, b00]])
+        jac = (mpf(4) / 3) * theta**5 / (b00 * b11 - b01 * b01) * (adj * lin)
+        values, vectors = mpmath.eig(jac)
+        k = max(range(2), key=lambda i: mpmath.re(values[i]))
+        vec = [mpmath.re(vectors[i, k]) for i in range(2)]
+        norm = mpmath.sqrt(vec[0] ** 2 + vec[1] ** 2)
+        if vec[0] * (plus[0] - minus[0]) + vec[1] * (plus[1] - minus[1]) < 0:
+            norm = -norm
+        return np.array([float(x / norm) for x in vec])
 
 
 def shot_start(eps, q_tilde, opts):
@@ -207,11 +255,12 @@ class TestUnstableDirection:
         jac = field_jacobian(pair.psi_minus, eps, q)
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         assert det < 0.0
-        # The analytic rest-point linearization matches the general-state
-        # complex-step Jacobian at both rest points.
+        # The complex-step Jacobian matches the analytic rest-point
+        # linearization at both rest points.
         for psi in (pair.psi_minus, pair.psi_plus):
-            ref = field_jacobian(psi, eps, q)
-            assert np.max(np.abs(_rest_jacobian(psi, eps) - ref)) <= 1e-7 * np.max(np.abs(ref))
+            jac = field_jacobian(psi, eps, q)
+            ref = rest_jacobian_reference(psi, eps)
+            assert np.max(np.abs(jac - ref)) <= 1e-7 * np.max(np.abs(jac))
 
     @pytest.mark.parametrize("eps", [1e-3, 0.1, 0.5, 0.8, 1.0])
     @pytest.mark.parametrize("q", [0.76, 0.85, 0.95, 0.99])
@@ -226,6 +275,25 @@ class TestUnstableDirection:
             jac = field_jacobian(psi, eps, q)
             ref = central_difference_jacobian(psi, eps, q)
             assert np.max(np.abs(jac - ref)) <= 5e-7 * np.max(np.abs(jac)), s
+
+    @pytest.mark.parametrize(
+        "eps,q,bound",
+        [
+            (1.0, 0.8, 1e-13),
+            (1e-3, 0.8, 1e-13),
+            (1.0, 0.9999, 1e-7),
+            (1.0, 0.99999, 1e-5),
+            (1.0, 1.0 - 1e-6, 1e-3),
+            (0.9473684736842105, 1.0 - 1e-6, 2e-9),  # a 20x20 scan column
+            (0.5, 1.0 - 1e-6, 2e-9),
+        ],
+    )
+    def test_matches_high_precision_eigenvector(self, eps, q, bound):
+        # The start direction from the complex step at the rounded saddle,
+        # against the exact saddle's eigenvector.  The bounds sit about 10x
+        # above the measured errors, which grow with v_minus^2 as q -> 1.
+        got = unstable_direction(eps, q)
+        assert np.max(np.abs(got - mpmath_unstable_direction(eps, q))) <= bound
 
     def test_velocity_decreases_downstream(self):
         eps, q = NODE_POINT
@@ -333,7 +401,8 @@ class TestShootGuards:
         vec = unstable_direction(eps, q)
         scale = float(np.linalg.norm(pair.psi_minus.as_array() - pair.psi_plus.as_array()))
         start = pair.psi_minus.as_array() - 1e-7 * scale * vec
-        verdict, times, states = _integrate(start, eps, q, pair, scale, ShootOptions())
+        field = _field(eps, q**-0.5)
+        verdict, times, states = _integrate(field, start, eps, pair, scale, ShootOptions())
         assert verdict is ProfileVerdict.ESCAPED
         assert states.shape[0] == times.size
 
@@ -492,7 +561,7 @@ class TestStepLoopParity:
             ((1e-6, 1.0 - 1e-6), ProfileVerdict.STALLED),  # step budget
         ],
     )
-    def test_samples_match_scipy_lsoda_solver(self, point, expected, monkeypatch):
+    def test_samples_match_scipy_lsoda_solver(self, point, expected):
         eps, q = point
         opts = ShootOptions()
         start, pair, scale = shot_start(eps, q, opts)
@@ -500,21 +569,16 @@ class TestStepLoopParity:
             start, eps, q, pair, scale, opts
         )
 
+        field = _field(eps, q**-0.5)
         real_calls = 0
 
-        def counting_factory(eps, q0):
-            field = _field(eps, q0)
+        def counting_field(y0, y1):
+            nonlocal real_calls
+            if not isinstance(y0, complex) and not isinstance(y1, complex):
+                real_calls += 1
+            return field(y0, y1)
 
-            def counting_field(y0, y1):
-                nonlocal real_calls
-                if not isinstance(y0, complex) and not isinstance(y1, complex):
-                    real_calls += 1
-                return field(y0, y1)
-
-            return counting_field
-
-        monkeypatch.setattr(shooting, "_field", counting_factory)
-        verdict, times, states = _integrate(start, eps, q, pair, scale, opts)
+        verdict, times, states = _integrate(counting_field, start, eps, pair, scale, opts)
         assert verdict is ref_verdict is expected
         assert times.shape == ref_times.shape and times.tobytes() == ref_times.tobytes()
         assert states.shape == ref_states.shape and states.tobytes() == ref_states.tobytes()
