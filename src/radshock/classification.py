@@ -24,7 +24,14 @@ from .errors import (
     ParamsOutOfOmega,
     RootFindingFailure,
 )
-from .model import GodunovState, b_sharp_kernel, check_off_locus, det_lin_closed, trace_adj_closed
+from .model import (
+    GodunovState,
+    check_off_locus,
+    det_b_sharp_closed,
+    det_lin_closed,
+    theta_u_v,
+    trace_adj_closed,
+)
 
 # Points closer than this (in q_tilde) to a separatrix get the curve label;
 # strict sign classification inside the band is floating-point noise.
@@ -252,8 +259,9 @@ def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
     """
     if not 0.0 < eps <= 1.0:
         raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
-    _, _, v, _, _, _, det_b = b_sharp_kernel(psi.psi0, psi.psi1, eps)
+    _, _, v = theta_u_v(psi.psi0, psi.psi1)
     check_off_locus(v * v, eps)
+    det_b = det_b_sharp_closed(v * v, eps)
     tr = trace_adj_closed(v, eps) / det_b
     det = det_lin_closed(v * v) / det_b
     disc = tr * tr - 4.0 * det

@@ -7,12 +7,11 @@ combination, the flux residual whose zeros are the rest points, the scaled
 linearization matrix, and the causality classification of a transport
 triple (eta, mu, nu).
 
-Production code evaluates B# through `b_sharp_kernel` and the closed forms;
+Production code reaches B# through the closed forms of its determinant and
+trace and through `shooting._field`, the one body that expands its entries;
 the matrix builders (`b_sharp`, its blocks, `lin_matrix`) and
 `trace_adj_identity` are the reference route that tests and the `verify`
-command check them against, and have no production caller outside `verify`.  Shooting's hot path,
-`shooting._field`, unrolls the kernel's lines into its own body; a test
-holds it bit for bit to the kernel, so change the two together.
+command check them against, and have no production caller outside `verify`.
 """
 
 from __future__ import annotations
@@ -112,28 +111,6 @@ def b_sharp(kin: Kinematics, eps: float) -> np.ndarray:
 def det_b_sharp_closed(v_sq: float, eps: float) -> float:
     """Closed form of det(B#): 9 eps ((8+eps) v^2 + eps - 1) / (eps - 4)."""
     return 9.0 * eps * ((8.0 + eps) * v_sq + eps - 1.0) / (eps - 4.0)
-
-
-def b_sharp_kernel(psi0, psi1, eps):
-    """(theta, u, v, b00, b01, b11, det) of B# at psi = (psi0, psi1).
-
-    The entries expand `b_sharp`; det is `det_b_sharp_closed`, since the
-    products in b00 b11 - b01^2 grow like v^8 while det(B#) grows like v^2.
-    Arithmetic operators only: a float call stays pure Python and an ndarray
-    call broadcasts.  eps is not validated.
-    """
-    theta, u, v = theta_u_v(psi0, psi1)
-    u2 = u * u
-    v2 = v * v
-    uv = u * v
-    # Products, not ** 2: float ** raises OverflowError where * gives inf.
-    w = u2 + v2
-    r = 4.0 * v2 + 1.0
-    c2 = 9.0 * eps / (4.0 - eps)
-    b00 = eps * u2 * v2 - 16.0 * u2 * v2 - c2 * (w * w)
-    b01 = -eps * u2 * uv + 4.0 * uv * r + 2.0 * c2 * w * uv
-    b11 = eps * u2 * u2 - r * r - 4.0 * c2 * u2 * v2
-    return theta, u, v, b00, b01, b11, det_b_sharp_closed(v2, eps)
 
 
 def singular_locus_v_sq(eps: float) -> float:

@@ -4,10 +4,10 @@ A shot starts a small offset along the unstable eigenvector of the upstream
 saddle and integrates with LSODA, which switches between Adams and BDF
 formulas as the field turns stiff (eps -> 0), with the field's Jacobian
 taken by a complex step through the field function.  That function is one
-closure per shot, built by `_field`: the B# kernel, the flux residual and
-the adjugate solve unrolled into one body for floats and complex numbers
-alike, equal bit for bit to the route through `b_sharp_kernel`.  Its
-complex step at the saddle also gives the start direction, so a shot
+closure per shot, built by `_field`: B#'s entries, the flux residual and
+the adjugate solve in one body for floats and complex numbers alike, and
+the only place the package expands B#.  Its complex step at the saddle
+also gives the start direction, so a shot
 reaches the field through this one closure.  The step
 loop drives ODEPACK's LSODA through scipy's `ode` integrator one step per
 call, as scipy's `LSODA` solver does, without that solver's per-step and
@@ -22,6 +22,7 @@ how oscillatory (spiraling) profiles are detected.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -153,12 +154,14 @@ def _field(eps: float, q0: float):
     """The profile field B#^-1 F at fixed (eps, q0), as `field(y0, y1)`.
 
     The hot path of every shot, called by the integrator and its complex-step
-    Jacobian with Python floats or complex numbers and no validation.  It is
-    `b_sharp_kernel`, F at q1 = 1 and the adjugate solve unrolled into one
-    body, with the same operations in the same order and the eps-only
-    subexpressions computed once, so it equals that route bit for bit (a test
-    pins it).  On or outside the admissible cone the field is NaN, so the
-    integrator rejects and shrinks such trial steps.
+    Jacobian with Python floats or complex numbers and no validation.  It
+    expands B#'s entries, F at q1 = 1 and the adjugate solve in one body, the
+    package's only expansion of B#, with the eps-only subexpressions computed
+    once; a test holds it to the matrix route to rounding.  On or
+    outside the admissible cone, and where psi0^2 - psi1^2 overflows to NaN,
+    both components are 1e300, so that LSODA's error test rejects such a
+    trial step and shrinks it.  A NaN would pass that test, since every
+    comparison with it is false, and the step would be accepted.
     """
     c2 = 9.0 * eps / (4.0 - eps)
     two_c2 = 2.0 * c2
@@ -170,8 +173,8 @@ def _field(eps: float, q0: float):
 
     def field(y0, y1):
         s = y0 * y0 - y1 * y1
-        if s.real < 1e-300:
-            return math.nan, math.nan
+        if not s.real >= 1e-300:
+            return 1e300, 1e300
         theta = s ** -0.5
         u = theta * y0
         v = theta * y1
@@ -453,7 +456,12 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     psi_minus = pair.psi_minus.as_array()
     scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
     start = psi_minus + opts.offset * scale * direction
-    verdict, times, states = _integrate(field, start, eps, pair, scale, opts)
+    # Every failure LSODA reports ends the shot with a typed verdict, so
+    # scipy's warning for it ("lsoda: Repeated convergence failures ...") is
+    # not passed on.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "lsoda: ", UserWarning)
+        verdict, times, states = _integrate(field, start, eps, pair, scale, opts)
     report = (
         oscillation_report(states, pair.psi_plus)
         if states.shape[0] >= 3
