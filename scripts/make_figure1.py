@@ -11,6 +11,7 @@ import argparse
 import os
 
 from radshock.cli import parse_grid
+from radshock.equilibria import Q_MAX, Q_MIN
 from radshock.errors import ParamsOutOfOmega
 from radshock.scan import ScanConfig, run_scan, scan_to_csv, scan_to_svg
 
@@ -29,8 +30,8 @@ def main():
             eps_lo=args.eps_min,
             eps_hi=1.0,
             eps_count=eps_count,
-            q_lo=0.75 + args.q_margin,
-            q_hi=1.0 - args.q_margin,
+            q_lo=Q_MIN + args.q_margin,
+            q_hi=Q_MAX - args.q_margin,
             q_count=q_count,
         )
     except ParamsOutOfOmega as exc:

@@ -21,7 +21,6 @@ from .classification import (
 )
 from .equilibria import (
     EquilibriumPair,
-    ShockParams,
     admissible,
     q_of_vplus,
     rest_points,
@@ -75,7 +74,6 @@ __all__ = [
     "ScanConfig",
     "ScanRecord",
     "ScanResult",
-    "ShockParams",
     "ShootOptions",
     "admissible",
     "b_one",

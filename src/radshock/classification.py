@@ -16,16 +16,16 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import q_of_vplus, v_plus_squared
+from .equilibria import check_omega, q_of_vplus, v_plus_squared
 from .errors import (
     EpsilonAboveHat,
     EpsilonOutOfRange,
     InternalInconsistency,
-    ParamsOutOfOmega,
     RootFindingFailure,
 )
 from .model import (
     GodunovState,
+    check_eps,
     check_off_locus,
     det_b_sharp_closed,
     det_lin_closed,
@@ -164,8 +164,7 @@ def cubic_roots(eps: float) -> CubicRoots:
     upper pair is closer than the polishing route can resolve, it is split
     via the factored discriminant instead (see `_split_cluster`).
     """
-    if not 0.0 < eps <= 1.0:
-        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    check_eps(eps)
     coeffs = p_coefficients(eps)
     a0, a1, a2, a3 = coeffs
     raw = _trig_roots(a0, a1, a2, a3)
@@ -192,8 +191,7 @@ def separatrix_q1(eps: float) -> float:
 
 def separatrix_q2(eps: float) -> float:
     """Upper separatrix q2(eps) = q_of_vplus(w2(eps)), defined on (0, eps_hat)."""
-    if not 0.0 < eps <= 1.0:
-        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    check_eps(eps)
     if eps >= _EPS_HAT:
         raise EpsilonAboveHat(
             f"upper separatrix undefined for eps = {eps} >= {_EPS_HAT}"
@@ -245,8 +243,7 @@ def classify(eps: float, q_tilde: float) -> RegionLabel:
     relative to the separatrix curves) and raises InternalInconsistency if
     they disagree outside the tie band.
     """
-    if not (0.0 < eps <= 1.0 and 0.75 < q_tilde < 1.0):
-        raise ParamsOutOfOmega(f"({eps}, {q_tilde}) outside (0,1] x (3/4,1)")
+    check_omega(eps, q_tilde)
     return classify_row(eps, [q_tilde])[0][0]
 
 
@@ -257,8 +254,7 @@ def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
     match the true profile linearization at rest points, which differs from
     this matrix only by the positive factor (4/3) theta^5.
     """
-    if not 0.0 < eps <= 1.0:
-        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    check_eps(eps)
     _, _, v = theta_u_v(psi.psi0, psi.psi1)
     check_off_locus(v * v, eps)
     det_b = det_b_sharp_closed(v * v, eps)

@@ -79,12 +79,8 @@ def cmd_scan(args) -> int:
     result = run_scan(config, _shoot_options(args))
     text = EMITTERS[args.format](result)
     out = args.out or f"scan.{args.format}"
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 3
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
     counts: dict[str, int] = {}
     for r in result.records:
         counts[r.region] = counts.get(r.region, 0) + 1
@@ -95,12 +91,8 @@ def cmd_scan(args) -> int:
 def cmd_profile(args) -> int:
     result = shoot(args.eps, args.q, _shoot_options(args))
     out = args.out or "profile.csv"
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(profile_to_csv(result))
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 3
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(profile_to_csv(result))
     rep = result.oscillation
     print(f"verdict: {result.verdict.value}")
     print(f"oscillatory: {'true' if rep.oscillatory else 'false'}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateShock, QOutOfRange, ZOutOfRange
+from .errors import DegenerateShock, ParamsOutOfOmega, QOutOfRange, ZOutOfRange
 from .model import GodunovState
 
 Q_MIN = 0.75
@@ -24,22 +24,10 @@ Q_MAX = 1.0
 DEGENERATE_BAND = 1e-8
 
 
-@dataclass(frozen=True)
-class ShockParams:
-    """Flux constants (q0, q1) bundled with the shock parameter q_tilde."""
-
-    q_tilde: float
-    q0: float
-    q1: float = 1.0
-
-    def __post_init__(self):
-        if not Q_MIN < self.q_tilde < Q_MAX:
-            raise QOutOfRange(f"q_tilde must lie in (3/4, 1), got {self.q_tilde}")
-
-    @classmethod
-    def from_q_tilde(cls, q_tilde: float) -> "ShockParams":
-        _check_q(q_tilde)
-        return cls(q_tilde=q_tilde, q0=q_tilde**-0.5, q1=1.0)
+def check_omega(eps: float, q_tilde: float) -> None:
+    """Raise ParamsOutOfOmega unless (eps, q_tilde) lies in the square (0, 1] x (3/4, 1)."""
+    if not (0.0 < eps <= 1.0 and Q_MIN < q_tilde < Q_MAX):
+        raise ParamsOutOfOmega(f"({eps}, {q_tilde}) outside (0,1] x (3/4,1)")
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,12 @@ def kinematics(psi: GodunovState) -> Kinematics:
     return Kinematics(*theta_u_v(psi.psi0, psi.psi1))
 
 
+def check_eps(eps: float) -> None:
+    """Raise EpsilonOutOfRange unless the dissipation parameter eps lies in (0, 1]."""
+    if not 0.0 < eps <= 1.0:
+        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
+
+
 def b_visc(kin: Kinematics) -> np.ndarray:
     """Shear-viscosity block of the dissipation matrix."""
     u, v = kin.u, kin.v
@@ -99,8 +105,7 @@ def b_sharp(kin: Kinematics, eps: float) -> np.ndarray:
     B# = eps * b_visc - b_one - (9 eps / (4 - eps)) * b_two for the
     dissipation parameter eps in (0, 1].
     """
-    if not 0.0 < eps <= 1.0:
-        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    check_eps(eps)
     return (
         eps * b_visc(kin)
         - b_one(kin)

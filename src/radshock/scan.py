@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classification as cls
-from .equilibria import v_plus_squared
+from .equilibria import Q_MAX, Q_MIN, v_plus_squared
 from .errors import ParamsOutOfOmega, RadshockError
 from .shooting import ShootOptions, shoot
 
@@ -85,8 +85,8 @@ class ScanConfig:
     eps_lo: float = EPS_MARGIN
     eps_hi: float = 1.0
     eps_count: int = 100
-    q_lo: float = 0.75 + Q_MARGIN
-    q_hi: float = 1.0 - Q_MARGIN
+    q_lo: float = Q_MIN + Q_MARGIN
+    q_hi: float = Q_MAX - Q_MARGIN
     q_count: int = 100
     shoot: bool = False
 
@@ -97,10 +97,10 @@ class ScanConfig:
             raise ParamsOutOfOmega(
                 f"eps range [{self.eps_lo}, {self.eps_hi}] outside [{EPS_MARGIN}, 1]"
             )
-        if not (0.75 + Q_MARGIN <= self.q_lo < self.q_hi <= 1.0 - Q_MARGIN):
+        if not (Q_MIN + Q_MARGIN <= self.q_lo < self.q_hi <= Q_MAX - Q_MARGIN):
             raise ParamsOutOfOmega(
                 f"q range [{self.q_lo}, {self.q_hi}] outside "
-                f"[{0.75 + Q_MARGIN}, {1.0 - Q_MARGIN}]"
+                f"[{Q_MIN + Q_MARGIN}, {Q_MAX - Q_MARGIN}]"
             )
 
 

@@ -30,14 +30,8 @@ import numpy as np
 from scipy.integrate import ode
 from scipy.optimize import brentq
 
-from .equilibria import EquilibriumPair, rest_points
-from .errors import (
-    EpsilonOutOfRange,
-    NotASaddle,
-    ParamsOutOfOmega,
-    QOutOfRange,
-    TooFewSamples,
-)
+from .equilibria import EquilibriumPair, check_omega, rest_points
+from .errors import NotASaddle, TooFewSamples
 from .model import (
     GodunovState,
     check_off_locus,
@@ -150,19 +144,20 @@ def profile_to_csv(result: ProfileResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _field(eps: float, q0: float):
-    """The profile field B#^-1 F at fixed (eps, q0), as `field(y0, y1)`.
+def _field(eps: float, q_tilde: float):
+    """The profile field B#^-1 F at fixed (eps, q_tilde), as `field(y0, y1)`.
 
     The hot path of every shot, called by the integrator and its complex-step
     Jacobian with Python floats or complex numbers and no validation.  It
-    expands B#'s entries, F at q1 = 1 and the adjugate solve in one body, the
-    package's only expansion of B#, with the eps-only subexpressions computed
-    once; a test holds it to the matrix route to rounding.  On or
-    outside the admissible cone, and where psi0^2 - psi1^2 overflows to NaN,
-    both components are 1e300, so that LSODA's error test rejects such a
-    trial step and shrinks it.  A NaN would pass that test, since every
+    expands B#'s entries, F at q1 = 1, q0 = q_tilde^(-1/2) and the adjugate
+    solve in one body, the package's only expansion of B#, with the
+    parameter-only subexpressions computed once; a test holds it to the
+    matrix route to rounding.  On or outside the admissible cone, and where
+    psi0^2 - psi1^2 overflows to NaN, both components are 1e300, so that
+    LSODA's error test rejects such a trial step and shrinks it.  A NaN would pass that test, since every
     comparison with it is false, and the step would be accepted.
     """
+    q0 = q_tilde**-0.5
     c2 = 9.0 * eps / (4.0 - eps)
     two_c2 = 2.0 * c2
     four_c2 = 4.0 * c2
@@ -198,15 +193,17 @@ def _field(eps: float, q0: float):
     return field
 
 
-def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
-    """Profile field B#^-1 F at one state, via the closed-form 2x2 inverse."""
-    if q_tilde <= 0.0:
-        raise QOutOfRange(f"q_tilde must be positive, got {q_tilde}")
-    if not 0.0 < eps <= 1.0:
-        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
+def _checked_field(psi: GodunovState, eps: float, q_tilde: float):
+    # Outside the square the normalised flux has no rest points.
+    check_omega(eps, q_tilde)
     _, _, v = theta_u_v(psi.psi0, psi.psi1)
     check_off_locus(v * v, eps)
-    return np.array(_field(eps, q_tilde**-0.5)(psi.psi0, psi.psi1))
+    return _field(eps, q_tilde)
+
+
+def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
+    """Profile field B#^-1 F at one state, via the closed-form 2x2 inverse."""
+    return np.array(_checked_field(psi, eps, q_tilde)(psi.psi0, psi.psi1))
 
 
 def _field_jacobian(field, y0: float, y1: float) -> list[list[float]]:
@@ -218,7 +215,7 @@ def _field_jacobian(field, y0: float, y1: float) -> list[list[float]]:
 
 def field_jacobian(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
     """Jacobian of the profile field at any state in the cone, by complex step."""
-    return np.array(_field_jacobian(_field(eps, q_tilde**-0.5), psi.psi0, psi.psi1))
+    return np.array(_field_jacobian(_checked_field(psi, eps, q_tilde), psi.psi0, psi.psi1))
 
 
 def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
@@ -227,7 +224,8 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
     The sign is fixed so the vector points toward the attractor side, which
     makes the kinematic velocity decrease along it.
     """
-    return _unstable_direction(rest_points(q_tilde), _field(eps, q_tilde**-0.5), eps, q_tilde)
+    check_omega(eps, q_tilde)
+    return _unstable_direction(rest_points(q_tilde), _field(eps, q_tilde), eps, q_tilde)
 
 
 def _unstable_direction(pair: EquilibriumPair, field, eps: float, q_tilde: float) -> np.ndarray:
@@ -448,10 +446,9 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     """
     if opts is None:
         opts = ShootOptions()
-    if not (0.0 < eps <= 1.0 and 0.75 < q_tilde < 1.0):
-        raise ParamsOutOfOmega(f"({eps}, {q_tilde}) outside (0,1] x (3/4,1)")
+    check_omega(eps, q_tilde)
     pair = rest_points(q_tilde)
-    field = _field(eps, q_tilde**-0.5)
+    field = _field(eps, q_tilde)
     direction = _unstable_direction(pair, field, eps, q_tilde)
     psi_minus = pair.psi_minus.as_array()
     scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import bisect_root
 from radshock.equilibria import (
-    ShockParams,
     admissible,
     q_of_vplus,
     rest_points,
@@ -162,14 +161,3 @@ class TestAdmissible:
             assert pair.v_plus_sq < pair.v_minus_sq
         else:
             assert not 0.75 < q_tilde < 1.0 or q_tilde - 0.75 <= 1e-8
-
-
-class TestShockParams:
-    def test_from_q_tilde(self):
-        p = ShockParams.from_q_tilde(0.81)
-        assert p.q0 == pytest.approx(1.0 / 0.9, rel=1e-15)
-        assert p.q1 == 1.0
-
-    def test_rejects_out_of_window(self):
-        with pytest.raises(QOutOfRange):
-            ShockParams.from_q_tilde(0.5)

@@ -91,9 +91,8 @@ def matrix_field_reference(y0, y1, eps, q0):
 
 def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
     """Reference for `field_jacobian`: central differences of the field."""
-    q0 = q_tilde**-0.5
     y = (psi.psi0, psi.psi1)
-    field = _field(eps, q0)
+    field = _field(eps, q_tilde)
     jac = np.empty((2, 2))
     for i in range(2):
         dp = [0.0, 0.0]
@@ -167,13 +166,12 @@ def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
 
     Returns the verdict, times, states and the solver's field-evaluation count.
     """
-    q0 = q_tilde**-0.5
     p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
     r_cap = _CAPTURE_RADIUS * scale
     r_esc = _ESCAPE_RADIUS * scale
     sing_level = (1.0 - eps) / (8.0 + eps)
 
-    field = _field(eps, q0)
+    field = _field(eps, q_tilde)
 
     def rhs(_t, y):
         return field(*y.tolist())
@@ -243,14 +241,13 @@ class TestVectorField:
         y = [y0, ratio * y0]
         if stepped is not None:
             y[stepped] = complex(y[stepped], 1e-30)
-        q0 = q_tilde**-0.5
-        got = _field(eps, q0)(*y)
+        got = _field(eps, q_tilde)(*y)
         if abs(ratio) >= 1.0:
             assert got == (1e300, 1e300)
             return
         # On the singular locus det(B#) is 0 and the field has no value.
         assume(np.real(det_b_sharp_closed(theta_u_v(*y)[2] ** 2, eps)) != 0.0)
-        want, scale = matrix_field_reference(*y, eps, q0)
+        want, scale = matrix_field_reference(*y, eps, q_tilde**-0.5)
         # 25 ulp of the scale: about 10x the largest error measured over
         # 400,000 random states (2.5 ulp), real and complex-step alike.
         for g, w, sc in zip(got, want, scale):
@@ -439,7 +436,7 @@ class TestShootGuards:
         vec = unstable_direction(eps, q)
         scale = float(np.linalg.norm(pair.psi_minus.as_array() - pair.psi_plus.as_array()))
         start = pair.psi_minus.as_array() - 1e-7 * scale * vec
-        field = _field(eps, q**-0.5)
+        field = _field(eps, q)
         verdict, times, states = _integrate(field, start, eps, pair, scale, ShootOptions())
         assert verdict is ProfileVerdict.ESCAPED
         assert states.shape[0] == times.size
@@ -635,7 +632,7 @@ class TestStepLoopParity:
             start, eps, q, pair, scale, opts
         )
 
-        field = _field(eps, q**-0.5)
+        field = _field(eps, q)
         real_calls = 0
 
         def counting_field(y0, y1):
