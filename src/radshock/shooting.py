@@ -7,11 +7,11 @@ taken by a complex step through the field function.  That function is one
 closure per shot, built by `_field`: B#'s entries, the flux residual and
 the adjugate solve in one body for floats and complex numbers alike, and
 the only place the package expands B#.  Its complex step at the saddle
-also gives the start direction, so a shot
-reaches the field through this one closure.  The step
-loop drives ODEPACK's LSODA through scipy's `ode` integrator one step per
-call, as scipy's `LSODA` solver does, without that solver's per-step and
-per-evaluation bookkeeping.  It checks every accepted step and stops when
+also gives the start direction, so a shot reaches the field through this
+one closure.  The step loop calls ODEPACK's LSODA runner itself, one step
+per call with the arguments scipy's `LSODA` solver hands it, so no Python
+wrapper runs between steps; scipy's `ode` only sets up the work arrays.
+It checks every accepted step and stops when
 the orbit is captured at the downstream rest point, escapes, hits the
 singular locus of the dissipation matrix, or exhausts the step or
 pseudo-time budget.  The sampled trajectory is then
@@ -22,7 +22,6 @@ how oscillatory (spiraling) profiles are detected.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,7 +71,7 @@ _MAX_PSEUDO_TIME = 1e6
 # A shot ends Stalled after this many accepted steps.  Resolved shots take
 # at most ~850 on the benchmark's points (5,687 at (1e-5, 0.99995)); the
 # unresolved corner (eps <~ 1e-5, q_tilde >~ 0.99999), where psi_plus nears
-# the singular locus, spends it in about 0.2 s.
+# the singular locus, spends it in about 0.21 s.
 _MAX_STEPS = 10_000
 
 
@@ -375,9 +374,14 @@ def _integrate(
     r_esc = _ESCAPE_RADIUS * scale
     sing_level = singular_locus_v_sq(eps)
 
+    # The field's pair goes back through one buffer per shot: handed a tuple,
+    # the integrator's callback would build an array from it on every call.
+    out = np.empty(2)
+
     # Python floats: their arithmetic is about twice as fast as numpy scalars'.
     def rhs(_t, y):
-        return field(*y.tolist())
+        out[0], out[1] = field(*y.tolist())
+        return out
 
     def gap_sq(y0, y1):
         # v^2 minus its value on the singular locus.
@@ -393,47 +397,60 @@ def _integrate(
     # One LSODA step per call, as scipy's LSODA solver steps it: itask 5
     # never steps past tcrit = rwork[0].  Like that solver, raise rel_tol to
     # 100 ulp; below it ODEPACK can reject the input before the first step.
+    # scipy's `ode` only builds the work arrays; the loop calls ODEPACK's
+    # runner with them itself.
     rtol = max(opts.rel_tol, _MIN_REL_TOL)
-    solver = ode(rhs, jac).set_integrator("lsoda", rtol=rtol, atol=opts.abs_tol)
+    atol = opts.abs_tol
+    solver = ode(rhs, jac).set_integrator("lsoda", rtol=rtol, atol=atol)
     integ = solver.set_initial_value(y_start)._integrator
+    step = integ.runner
+    rwork, iwork = integ.rwork, integ.iwork
+    sd, si = integ.state_doubles, integ.state_ints
+    jt = integ.call_args[6]
     t_end = _MAX_PSEUDO_TIME
-    integ.rwork[0] = t_end
-    integ.call_args[2] = 5
-    arr, t = solver.y, 0.0
+    rwork[0] = t_end
+    arr, t, istate = solver.y, 0.0, 1
+    # The samples, flat: y0, y1 of each in turn.
+    flat = y_start.tolist()
+    y0, y1 = flat
     times = [0.0]
-    states = [tuple(y_start)]
-    gap = gap_sq(*states[0])
+    gap = gap_sq(y0, y1)
     verdict = None
     while verdict is None:
         t_old = t
-        # The integrator advances `arr` in place and returns it.
-        arr, t = integ.run(rhs, jac, arr, t, t_end, (), ())
-        if not integ.success:
+        # The 17-argument call of scipy 1.17's `lsoda.run`: (fun, y, t, tout,
+        # rtol, atol, itask, istate, rwork, iwork, jac, jt, f_params, tfirst,
+        # jac_params, state_doubles, state_ints).  TestStepLoopParity fails on
+        # any other layout.  A negative istate is LSODA's failure return.
+        arr, t, istate = step(
+            rhs, arr, t, t_end, rtol, atol, 5, istate, rwork, iwork, jac, jt, (), 1, (), sd, si
+        )
+        if istate < 0:
             # Step underflow.  The field's only blow-up set is the singular
             # locus, which can be approached asymptotically without a
             # crossing; diagnose by the last accepted state's velocity.
-            near = abs(gap_sq(*states[-1])) <= 1e-5 * (1.0 + sing_level)
+            near = abs(gap_sq(y0, y1)) <= 1e-5 * (1.0 + sing_level)
             verdict = ProfileVerdict.HIT_SINGULAR_LOCUS if near else ProfileVerdict.STALLED
             break
-        y = arr.tolist()
-        gap_old, gap = gap, gap_sq(*y)
-        r = dist(y)
+        y0, y1 = arr.tolist()
+        gap_old, gap = gap, gap_sq(y0, y1)
+        r = math.hypot(y0 - p0, y1 - p1)
         if r <= r_cap:
             # psi_plus is a hyperbolic sink throughout Omega, so an orbit that
             # enters the capture ball has converged.  The last sample is put
             # on the capture sphere, where the oscillation counts stop.
             dense = _nordsieck_interpolant(integ, t)
-            t, y = _capture_point(dense, t_old, t, y, dist, r_cap)
+            t, (y0, y1) = _capture_point(dense, t_old, t, [y0, y1], dist, r_cap)
             verdict = ProfileVerdict.CONVERGED_TO_PLUS
-        elif r >= r_esc or y[0] - abs(y[1]) <= _BOUNDARY_MARGIN:
+        elif r >= r_esc or y0 - abs(y1) <= _BOUNDARY_MARGIN:
             verdict = ProfileVerdict.ESCAPED
         elif gap_old >= 0.0 >= gap:
             verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
         elif t >= t_end or len(times) == _MAX_STEPS:
             verdict = ProfileVerdict.STALLED
         times.append(t)
-        states.append(y)
-    return verdict, np.array(times), np.array(states)
+        flat += (y0, y1)
+    return verdict, np.array(times), np.array(flat).reshape(-1, 2)
 
 
 def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> ProfileResult:
@@ -453,12 +470,7 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     psi_minus = pair.psi_minus.as_array()
     scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
     start = psi_minus + opts.offset * scale * direction
-    # Every failure LSODA reports ends the shot with a typed verdict, so
-    # scipy's warning for it ("lsoda: Repeated convergence failures ...") is
-    # not passed on.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "lsoda: ", UserWarning)
-        verdict, times, states = _integrate(field, start, eps, pair, scale, opts)
+    verdict, times, states = _integrate(field, start, eps, pair, scale, opts)
     report = (
         oscillation_report(states, pair.psi_plus)
         if states.shape[0] >= 3

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 from types import SimpleNamespace
@@ -511,7 +512,8 @@ class TestShootGuards:
     @pytest.mark.filterwarnings("error")
     def test_lsoda_failure_ends_in_a_verdict_without_a_warning(self):
         # LSODA gives up on the first step ("Repeated convergence failures");
-        # the shot ends on that failure path and scipy's warning stays inside.
+        # the shot ends on that failure path, and ODEPACK's runner, called
+        # directly, raises no warning for it.
         res = shoot(1e-6, 0.75 + 1e-6, ShootOptions(rel_tol=1e-4))
         assert isinstance(res.verdict, ProfileVerdict)
         assert np.all(np.isfinite(res.states))
@@ -609,28 +611,36 @@ class TestCapturePoint:
         assert (t, y) == (1.0, accepted)
 
 
+# (point, options, verdict, whether LSODA itself gives up) for TestStepLoopParity.
+PARITY_CASES = [
+    ((1.0, 0.762), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False),  # node
+    ((1.0, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False),  # focus
+    ((1e-6, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False),  # stiff
+    ((0.5, 0.9999), ShootOptions(), ProfileVerdict.HIT_SINGULAR_LOCUS, False),
+    ((1e-6, 1.0 - 1e-6), ShootOptions(), ProfileVerdict.STALLED, False),  # step budget
+    # "Repeated convergence failures" on the first step: istate < 0.
+    ((1e-6, 0.75 + 1e-6), ShootOptions(rel_tol=1e-4), ProfileVerdict.STALLED, True),
+]
+
+
 class TestStepLoopParity:
     # `_integrate` steps ODEPACK's LSODA itself; scipy's LSODA solver makes
     # the same calls, so every sample, the capture on its dense output and
     # the number of field evaluations must agree bit for bit.  This also
-    # guards the rwork/iwork layout the capture interpolant reads.
+    # guards the runner's call signature and the rwork/iwork layout the
+    # capture interpolant reads.
     @pytest.mark.parametrize(
-        "point,expected",
-        [
-            ((1.0, 0.762), ProfileVerdict.CONVERGED_TO_PLUS),  # node
-            ((1.0, 0.8), ProfileVerdict.CONVERGED_TO_PLUS),  # focus
-            ((1e-6, 0.8), ProfileVerdict.CONVERGED_TO_PLUS),  # stiff
-            ((0.5, 0.9999), ProfileVerdict.HIT_SINGULAR_LOCUS),
-            ((1e-6, 1.0 - 1e-6), ProfileVerdict.STALLED),  # step budget
-        ],
+        "point,opts,expected,lsoda_fails",
+        [pytest.param(*c, id=f"point{i}-{c[2].value}") for i, c in enumerate(PARITY_CASES)],
     )
-    def test_samples_match_scipy_lsoda_solver(self, point, expected):
+    def test_samples_match_scipy_lsoda_solver(self, point, opts, expected, lsoda_fails):
         eps, q = point
-        opts = ShootOptions()
         start, pair, scale = shot_start(eps, q, opts)
-        ref_verdict, ref_times, ref_states, nfev = lsoda_solver_reference(
-            start, eps, q, pair, scale, opts
-        )
+        # scipy's solver warns when LSODA gives up; the step loop does not.
+        with pytest.warns(UserWarning, match="lsoda") if lsoda_fails else contextlib.nullcontext():
+            ref_verdict, ref_times, ref_states, nfev = lsoda_solver_reference(
+                start, eps, q, pair, scale, opts
+            )
 
         field = _field(eps, q)
         real_calls = 0
@@ -646,7 +656,9 @@ class TestStepLoopParity:
         assert times.shape == ref_times.shape and times.tobytes() == ref_times.tobytes()
         assert states.shape == ref_states.shape and states.tobytes() == ref_states.tobytes()
         assert real_calls == nfev
-        if expected is ProfileVerdict.STALLED:
+        if lsoda_fails:
+            assert times.size == 1
+        elif expected is ProfileVerdict.STALLED:
             assert times.size == _MAX_STEPS + 1
 
 
