@@ -37,11 +37,6 @@ from .model import (
 # strict sign classification inside the band is floating-point noise.
 SEPARATRIX_BAND = 1e-10
 
-# Below this gap between the upper two roots the plain trigonometric/Newton
-# route can no longer resolve the pair (its condition number exceeds the
-# separation); switch to the discriminant-based splitting.
-_CLUSTER_GAP = 1e-4
-
 # Critical dissipation value: the middle root crosses 1/8 here and the upper
 # separatrix reaches the infinite-amplitude boundary q_tilde = 1.
 _SQRT6 = math.sqrt(6.0)
@@ -105,23 +100,6 @@ def cubic_discriminant(eps: float) -> float:
     return 1296.0 * eps**5 * (4.0 - eps) ** 3 * discriminant_tail(eps)
 
 
-def _trig_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
-    # Monic reduction z^3 + b z^2 + c z + d, depressed with z = t - b/3.
-    b = a2 / a3
-    c = a1 / a3
-    d = a0 / a3
-    p = c - b * b / 3.0
-    q = d - b * c / 3.0 + 2.0 * b**3 / 27.0
-    # p < 0 throughout (0, 1]: it rises to -1/12 only in the limit eps -> 0,
-    # so the trigonometric form always applies.
-    m = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * m)
-    arg = min(1.0, max(-1.0, arg))
-    phi = math.acos(arg)
-    ts = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)]
-    return sorted(t - b / 3.0 for t in ts)
-
-
 def _newton_polish(w: float, coeffs: tuple[float, float, float, float]) -> float:
     a0, a1, a2, a3 = coeffs
     for _ in range(8):
@@ -137,43 +115,44 @@ def _newton_polish(w: float, coeffs: tuple[float, float, float, float]) -> float
     return w
 
 
-def _split_cluster(
-    w1: float, eps: float, coeffs: tuple[float, float, float, float]
-) -> tuple[float, float]:
-    """Resolve the near-degenerate upper root pair from exact invariants.
-
-    The pair midpoint comes from the root sum -a2/a3 - w1 and the gap from
-    the factored discriminant, sep^2 = disc / (a3^4 (w3-w1)^2 (w2-w1)^2).
-    Both are cancellation-free, so the pair is recovered to full precision
-    even when the roots are only ~eps^(5/2) apart.
-    """
+def _lowest_root(coeffs: tuple[float, float, float, float]) -> float:
+    """The isolated lowest root w1 of P(., eps): trigonometric form, then Newton."""
     a0, a1, a2, a3 = coeffs
-    mid = 0.5 * (-a2 / a3 - w1)
-    gap = mid - w1
-    root_disc = math.sqrt(max(cubic_discriminant(eps), 0.0))
-    sep = root_disc / (a3 * a3 * gap * gap)
-    # One correction step: (w3-w1)(w2-w1) = gap^2 - (sep/2)^2.
-    sep = root_disc / (a3 * a3 * (gap * gap - 0.25 * sep * sep))
-    return mid - 0.5 * sep, mid + 0.5 * sep
+    # Monic reduction z^3 + b z^2 + c z + d, depressed with z = t - b/3.
+    b = a2 / a3
+    c = a1 / a3
+    d = a0 / a3
+    p = c - b * b / 3.0
+    q = d - b * c / 3.0 + 2.0 * b**3 / 27.0
+    # p < 0 throughout (0, 1]: it rises to -1/12 only in the limit eps -> 0,
+    # so the trigonometric form always applies.
+    m = 2.0 * math.sqrt(-p / 3.0)
+    arg = 3.0 * q / (p * m)
+    arg = min(1.0, max(-1.0, arg))
+    # Of the angles (acos(arg) - 2 pi k) / 3, k = 2 gives the smallest root.
+    t = m * math.cos((math.acos(arg) - 4.0 * math.pi) / 3.0)
+    return _newton_polish(t - b / 3.0, coeffs)
 
 
 def cubic_roots(eps: float) -> CubicRoots:
-    """Three real roots of P(., eps), sorted ascending and residual-polished.
+    """Three real roots of P(., eps), sorted ascending.
 
-    Closed-form trigonometric solve followed by Newton polishing; when the
-    upper pair is closer than the polishing route can resolve, it is split
-    via the factored discriminant instead (see `_split_cluster`).
+    w1, well apart from the other two, comes from the trigonometric form and
+    Newton polishing.  The upper pair, which collides like eps^(5/2) as
+    eps -> 0, comes from exact invariants: its midpoint from the root sum
+    -a2/a3 - w1, its half-gap from the factored discriminant
+    disc = a3^4 (w3-w2)^2 (w3-w1)^2 (w2-w1)^2 together with
+    a3 (w3-w1)(w2-w1) = P'(w1).  Neither involves a cancellation, so both
+    roots keep full precision at every eps in (0, 1].
     """
     check_eps(eps)
     coeffs = p_coefficients(eps)
     a0, a1, a2, a3 = coeffs
-    raw = _trig_roots(a0, a1, a2, a3)
-    w1 = _newton_polish(raw[0], coeffs)
-    if raw[2] - raw[1] < _CLUSTER_GAP:
-        w2, w3 = _split_cluster(w1, eps, coeffs)
-    else:
-        w2 = _newton_polish(raw[1], coeffs)
-        w3 = _newton_polish(raw[2], coeffs)
+    w1 = _lowest_root(coeffs)
+    mid = 0.5 * (-a2 / a3 - w1)
+    dp1 = (3.0 * a3 * w1 + 2.0 * a2) * w1 + a1
+    half = math.sqrt(max(cubic_discriminant(eps), 0.0)) / (2.0 * a3 * abs(dp1))
+    w2, w3 = mid - half, mid + half
     if not w1 < w2 < w3:
         raise RootFindingFailure(f"root ordering lost at eps={eps}: {w1}, {w2}, {w3}")
     tol = 1e-10 * max(1.0, abs(a3))

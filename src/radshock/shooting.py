@@ -30,7 +30,7 @@ from scipy.integrate import ode
 from scipy.optimize import brentq
 
 from .equilibria import EquilibriumPair, check_omega, rest_points
-from .errors import NotASaddle, TooFewSamples
+from .errors import NotASaddle, StateOutsideDomain, TooFewSamples
 from .model import (
     GodunovState,
     check_off_locus,
@@ -442,8 +442,12 @@ def _integrate(
             dense = _nordsieck_interpolant(integ, t)
             t, (y0, y1) = _capture_point(dense, t_old, t, [y0, y1], dist, r_cap)
             verdict = ProfileVerdict.CONVERGED_TO_PLUS
-        elif r >= r_esc or y0 - abs(y1) <= _BOUNDARY_MARGIN:
+        elif r >= r_esc or not y0 - abs(y1) > _BOUNDARY_MARGIN:
+            # Written so that a NaN state escapes too.  A state not strictly
+            # inside the cone has no kinematics and is not recorded.
             verdict = ProfileVerdict.ESCAPED
+            if not y0 > abs(y1):
+                break
         elif gap_old >= 0.0 >= gap:
             verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
         elif t >= t_end or len(times) == _MAX_STEPS:
@@ -459,7 +463,8 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     Returns the sampled trajectory, a convergence verdict and the oscillation
     report.  The samples are the integrator's accepted steps; a converged
     shot's last sample lies on the capture sphere around psi_plus.
-    Non-convergence is a verdict, not an error.
+    Non-convergence is a verdict, not an error; an offset that puts the
+    start point outside the cone raises StateOutsideDomain.
     """
     if opts is None:
         opts = ShootOptions()
@@ -470,6 +475,11 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     psi_minus = pair.psi_minus.as_array()
     scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
     start = psi_minus + opts.offset * scale * direction
+    if not start[0] > abs(start[1]):
+        raise StateOutsideDomain(
+            f"offset {opts.offset} puts the start point {start.tolist()} outside the cone "
+            f"psi0 > |psi1| at eps={eps}, q_tilde={q_tilde}"
+        )
     verdict, times, states = _integrate(field, start, eps, pair, scale, opts)
     report = (
         oscillation_report(states, pair.psi_plus)

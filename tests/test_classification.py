@@ -112,6 +112,35 @@ class TestCubicRoots:
         assert r.w2 == pytest.approx(0.499850036864555, abs=1e-12)
         assert r.w3 - r.w2 == pytest.approx(1.2723784248436232e-09, rel=1e-5)
 
+    @pytest.mark.parametrize(
+        "eps",
+        [1e-6, 1e-5, 1e-4, 2e-4, 1e-3, 5e-3, 0.0184, 0.0194, 0.02, 0.0206, 0.023024,
+         0.025, 0.03, 0.05, 0.075, 0.1, 0.15, 0.2, 0.35, 0.5, EPS_HAT, 0.72, 0.82,
+         0.938939, 1.0],
+    )
+    def test_against_50_digit_roots(self, eps):
+        # The cubic's coefficients formed from eps in 50 digits, so the
+        # reference carries no rounding of the float coefficients, which
+        # alone would move the clustered pair by ~sqrt(2^-52) at small eps.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            e = mpmath.mpf(eps)
+            a0 = e * ((4 * e - 20) * e + 16)
+            a1 = (((e - 16) * e + 84) * e - 112) * e + 16
+            a2 = (((2 * e - 20) * e - 24) * e + 160) * e - 64
+            a3 = (e * e + 16) * e * e + 64
+            ref = sorted(mpmath.re(z) for z in mpmath.polyroots([a3, a2, a1, a0], extraprec=200))
+            r = cubic_roots(eps)
+            err = [float(abs(w - z)) for w, z in zip((r.w1, r.w2, r.w3), ref)]
+        ulp = [abs(np.spacing(float(z))) for z in ref]
+        assert err[0] <= 8 * ulp[0]
+        assert err[2] <= 8 * ulp[2]
+        if eps < EPS_HAT:
+            assert err[1] <= 8 * ulp[1]
+        else:
+            # w2 falls to 0 at eps = 1, where no count of its ulp is a bound.
+            assert err[1] <= 1e-15
+
     @given(st.floats(1e-6, 1.0))
     def test_vieta(self, eps):
         a0, a1, a2, a3 = p_coefficients(eps)

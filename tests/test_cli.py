@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import warnings
@@ -30,6 +31,19 @@ class TestClassifyCommand:
     def test_q2_printed_below_hat(self, capsys):
         assert main(["classify", "--eps", "0.3", "--q", "0.8"]) == 0
         assert "separatrix q2" in capsys.readouterr().out
+
+    def test_golden_stdout_at_small_eps(self, capsys):
+        # Every 12-digit line at eps where the upper roots are 1e-4 to 1e-2
+        # apart.  The 50-digit q2(0.03) is 0.75016844359250049, so its line
+        # must round up.
+        for eps in ("0.02", "0.03", "0.05", "0.1"):
+            for q in ("0.8", "0.95"):
+                assert main(["classify", "--eps", eps, "--q", q]) == 0
+        out = capsys.readouterr().out
+        assert out.count("separatrix q2(eps): 0.750168443593\n") == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "42bba648648b0902d0e40bbefaf592faa64ba38abeaaa690e10ac8b3bbf8e021"
+        )
 
     @pytest.mark.parametrize("q", ["0.5", "0.7", "1.0"])
     def test_domain_exit_code(self, q):
@@ -110,6 +124,13 @@ class TestProfileCommand:
 
     def test_degenerate(self):
         assert main(["profile", "--eps", "1", "--q", "0.750000001"]) == 2
+
+    def test_start_outside_the_cone(self, tmp_path, capsys):
+        out_file = tmp_path / "traj.csv"
+        args = ["profile", "--eps", "1", "--q", "0.8", "--offset", "10", "--out", str(out_file)]
+        assert main(args) == 2
+        assert "offset 10.0" in capsys.readouterr().err
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("exc", [ValueError("f(a) and f(b) must have different signs"),
                                      ZeroDivisionError("float division by zero")])

@@ -159,8 +159,8 @@ class TestEmitters:
             (
                 ScanConfig(eps_count=41, q_count=41),
                 (
-                    "83b6f95407a692de623deda0b80dff1e226be542954ef25544e154b59a96783c",
-                    "b5be9be15a1a46dc420db178019979a6606ace4e439f631f9d67641a1ccd995e",
+                    "694037d103da1ad39efe4fed1748c216f3dc679f2d96a0b8ffc70fab631fe75b",
+                    "5d34929100f832a28a477fa7b8cebf502ffcbba31024311d3f0d268de2cf4f92",
                     "ef318d6425f255aa8ff8b1f8540aeac8feb1da4234418f697faa9d303b08fd63",
                 ),
             ),
@@ -169,8 +169,8 @@ class TestEmitters:
                 ScanConfig(eps_lo=0.3, eps_hi=0.9, eps_count=37,
                            q_lo=0.755, q_hi=0.95, q_count=53),
                 (
-                    "11155f181002dae87a4e311211018b4e44f8a7e71a9487cbd677c574bc163367",
-                    "e7a8b9c790f3d19c90df8d52365882a8fac097f5c8550aa1e865735ae01ed4d6",
+                    "66db2b57dcee385dde0b2231bb7f73b6225c3626bc82a42a92063adf70bda793",
+                    "66c94e5f0cc48feeda63b41451ce22a4885a04ad3532c7dca5dd5e1a9a0b1d6c",
                     "1f2cf86cd1d396ba587694ce92db00a2d4b486f261d9af14c25e6d5adc6f58eb",
                 ),
             ),
@@ -178,8 +178,8 @@ class TestEmitters:
             (
                 ScanConfig(eps_count=200, q_count=200),
                 (
-                    "6e26f8bb0afbce6254b4501ee30bed28dcd99b979cdeff132a532c16091c6605",
-                    "ca7e00246870ad1b58db53e0cf08aefd6d441c671e620096920dd96c745e3954",
+                    "9f07113892491ffa3b44d7fb6dfa708076dc6a4ba22c662eb668fa31fadee58d",
+                    "542e18e7b30713fb59173e2694dcf2d8ad164bc92dbaad7b94e3b1f0a1109cda",
                     "71c8da27bd5a1bef0e7b862286fdf37d9b364e84f80e621808ee9540b5152190",
                 ),
             ),
@@ -189,16 +189,17 @@ class TestEmitters:
                 ScanConfig(eps_lo=0.05, eps_hi=1.0, eps_count=3,
                            q_lo=0.76, q_hi=0.99, q_count=3, shoot=True),
                 (
-                    "9ab508e9cafbf0a7f3e20aa6438a9c342598148c61e4873c1f7d679107436bff",
-                    "26ab22cae5e3d862ced529223820c21599cfb08c885e1c8de96a7bd1260761c9",
+                    "7c3ee2029ee0cc7ec5e7037033d502519147010f0c3195c0c44b81b59ef01d84",
+                    "247bf0cfa0421d274bb6298757b38bc08b30d9fc52f3766df640cbba9a9dbfdf",
                     "5583eab6b64489baf1a8a419cda14dac7f63eb4afee81376137cdfdc16703b8d",
                 ),
             ),
         ],
     )
     def test_golden_bytes(self, config, digests):
-        # The emitted bytes are part of the output contract: they change only
-        # with a deliberate schema_version bump.
+        # The emitted bytes are part of the output contract: the layout changes
+        # only with a deliberate schema_version bump, and a value only with a
+        # deliberate change of the quantity behind it.
         result = run_scan(config)
         got = tuple(
             hashlib.sha256(emit(result).encode()).hexdigest()

@@ -207,8 +207,10 @@ def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
         if r <= r_cap:
             t, y = _capture_point(solver.dense_output(), solver.t_old, t, y, dist, r_cap)
             verdict = ProfileVerdict.CONVERGED_TO_PLUS
-        elif r >= r_esc or y[0] - abs(y[1]) <= _BOUNDARY_MARGIN:
+        elif r >= r_esc or not y[0] - abs(y[1]) > _BOUNDARY_MARGIN:
             verdict = ProfileVerdict.ESCAPED
+            if not y[0] > abs(y[1]):
+                break
         elif gap_old >= 0.0 >= gap:
             verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
         elif solver.status == "finished" or len(times) == _MAX_STEPS:
@@ -498,15 +500,20 @@ class TestShootGuards:
             ((0.5, 0.9), 1e-3),
             ((1.0, 0.8), 1e-3),
             ((1e-6, 1.0 - 1e-6), 1e-4),  # a trial state where psi0^2 - psi1^2 is inf - inf
+            # LSODA accepts a NaN state here; the cone test must catch it.
+            ((0.6842108421052632, 0.999999), 1e-2),
+            ((0.8421054210526315, 0.999999), 1e-2),
+            ((1.0, 0.8), 1e10),  # the first step lands outside the cone
         ],
     )
     def test_loose_tolerance_steps_out_of_the_cone_are_rejected(self, point, rel_tol):
         # LSODA's trial steps leave the cone here.  Handed NaN for them, it
         # accepted the step and walked NaN states to the pseudo-time budget,
         # ending Stalled with nan rows; the finite 1e300 makes it shrink the
-        # step.
+        # step.  A step it accepts anyway ends the shot Escaped, unrecorded.
         res = shoot(*point, ShootOptions(rel_tol=rel_tol))
         assert np.all(np.isfinite(res.states))
+        assert np.all(res.states[:, 0] > np.abs(res.states[:, 1]))
         assert res.verdict is not ProfileVerdict.STALLED
 
     @pytest.mark.filterwarnings("error")
