@@ -192,13 +192,14 @@ def classify_row(eps: float, q_tilde: np.ndarray) -> tuple[list[RegionLabel], np
     """Region labels and P(v_plus^2, eps) for a vector of q_tilde at one eps.
 
     Labels place each q_tilde relative to the separatrix curves of one cubic
-    solve; off the bands each is cross-checked against the sign of P and a
+    solve, with q2 only where `separatrix_q2` defines it, eps < eps_hat; off
+    the bands each is cross-checked against the sign of P and a
     disagreement raises InternalInconsistency.  Inputs must lie in the square.
     """
     q = np.asarray(q_tilde, dtype=float)
     roots = cubic_roots(eps)
     q1 = q_of_vplus(roots.w3)
-    q2 = q_of_vplus(roots.w2) if roots.w2 > 0.125 else math.inf
+    q2 = q_of_vplus(roots.w2) if eps < _EPS_HAT else math.inf
     code = np.where(q < q1, 2, np.where(q > q2, 3, 4))
     code[np.abs(q - q2) <= SEPARATRIX_BAND] = 1
     code[np.abs(q - q1) <= SEPARATRIX_BAND] = 0

@@ -8,7 +8,6 @@ failure, 2 usage/domain error, 3 I/O error, 4 internal numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import classification as cls
@@ -27,20 +26,6 @@ def parse_grid(text: str) -> tuple[int, int]:
         return int(a), int(b)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must look like 200x200, got {text!r}") from exc
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
 
 
 def _shoot_options(args) -> ShootOptions:
@@ -132,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shoot_flags = argparse.ArgumentParser(add_help=False)
-    shoot_flags.add_argument("--offset", type=_positive_float, default=ShootOptions.offset)
-    shoot_flags.add_argument("--rtol", type=_positive_float, default=ShootOptions.rel_tol)
-    shoot_flags.add_argument("--atol", type=_positive_float, default=ShootOptions.abs_tol)
+    shoot_flags.add_argument("--offset", type=float, default=ShootOptions.offset)
+    shoot_flags.add_argument("--rtol", type=float, default=ShootOptions.rel_tol)
+    shoot_flags.add_argument("--atol", type=float, default=ShootOptions.abs_tol)
 
     p = sub.add_parser("classify", help="classify one (eps, q_tilde) point")
     p.add_argument("--eps", type=float, required=True)
@@ -161,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("verify", help="run the closed-form identity suite")
-    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("causality", help="classify transport coefficients")

@@ -33,6 +33,13 @@ class DegenerateShock(DomainError):
     """Shock strength too close to the zero-amplitude limit 3/4."""
 
 
+class OptionOutOfRange(DomainError, ValueError):
+    """A setting (shooting offset or tolerance, sample count) outside its range.
+
+    Also a ValueError, so callers that catch that keep working.
+    """
+
+
 class RootFindingFailure(RadshockError):
     """Residual polishing of a polynomial root stalled."""
 

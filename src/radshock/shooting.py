@@ -30,7 +30,7 @@ from scipy.integrate import ode
 from scipy.optimize import brentq
 
 from .equilibria import EquilibriumPair, check_omega, rest_points
-from .errors import NotASaddle, StateOutsideDomain, TooFewSamples
+from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples
 from .model import (
     GodunovState,
     check_off_locus,
@@ -77,16 +77,23 @@ _MAX_STEPS = 10_000
 
 @dataclass(frozen=True)
 class ShootOptions:
-    """Shooting controls; the offset is relative to |psi_minus - psi_plus|."""
+    """Shooting controls; the offset is relative to |psi_minus - psi_plus|.
+
+    `offset` and `abs_tol` must lie in (0, inf) and `rel_tol` in (0, 1): a
+    relative tolerance of 1 or more asks for no accuracy.  Anything else,
+    NaN included, raises OptionOutOfRange.  `shoot` also rejects an offset
+    that the start point cannot resolve at the point shot.
+    """
 
     offset: float = 1e-7
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("offset", "rel_tol", "abs_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        for name, hi in (("offset", math.inf), ("rel_tol", 1.0), ("abs_tol", math.inf)):
+            value = getattr(self, name)
+            if not 0.0 < value < hi:
+                raise OptionOutOfRange(f"{name} must lie in (0, {hi}), got {value}")
 
 
 class ProfileVerdict(str, Enum):
@@ -464,7 +471,9 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     report.  The samples are the integrator's accepted steps; a converged
     shot's last sample lies on the capture sphere around psi_plus.
     Non-convergence is a verdict, not an error; an offset that puts the
-    start point outside the cone raises StateOutsideDomain.
+    start point outside the cone raises StateOutsideDomain, and one that
+    the start point cannot resolve (its rounding is above 1% of the
+    offset) raises OptionOutOfRange.
     """
     if opts is None:
         opts = ShootOptions()
@@ -474,11 +483,19 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     direction = _unstable_direction(pair, field, eps, q_tilde)
     psi_minus = pair.psi_minus.as_array()
     scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
-    start = psi_minus + opts.offset * scale * direction
+    shift = opts.offset * scale * direction
+    start = psi_minus + shift
     if not start[0] > abs(start[1]):
         raise StateOutsideDomain(
             f"offset {opts.offset} puts the start point {start.tolist()} outside the cone "
             f"psi0 > |psi1| at eps={eps}, q_tilde={q_tilde}"
+        )
+    # Below about 1e-14 the rounding of psi_minus + shift swamps the shift,
+    # and the verdict turns on that rounding.
+    if np.linalg.norm(start - psi_minus - shift) > 1e-2 * opts.offset * scale:
+        raise OptionOutOfRange(
+            f"offset {opts.offset} is below what the start point resolves next to "
+            f"psi_minus at eps={eps}, q_tilde={q_tilde}"
         )
     verdict, times, states = _integrate(field, start, eps, pair, scale, opts)
     report = (

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import classification as cls
 from .equilibria import q_of_vplus, state_from_v, v_plus_squared
+from .errors import OptionOutOfRange
 from .model import (
     b_sharp,
     det_b_sharp_closed,
@@ -51,8 +52,12 @@ def _check(name: str, error: float, tolerance: float = TOLERANCE) -> IdentityChe
 def run_identity_suite(
     samples: int = DEFAULT_SAMPLES, seed: int = 20240811
 ) -> list[IdentityCheck]:
+    """Run every check; `samples` random (v, eps) pairs feed the matrix checks.
+
+    A sample count below 1 raises OptionOutOfRange.
+    """
     if samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples}")
+        raise OptionOutOfRange(f"samples must be a positive integer, got {samples}")
     rng = np.random.default_rng(seed)
     v_sq = rng.uniform(1e-6, 2.0, samples)
     v = np.sqrt(v_sq) * rng.choice([-1.0, 1.0], samples)

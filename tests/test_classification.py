@@ -205,6 +205,18 @@ class TestSeparatrices:
             with pytest.raises(EpsilonAboveHat):
                 separatrix_q2(eps)
 
+    @pytest.mark.parametrize("k", range(12))
+    def test_q2_and_the_labels_end_at_the_same_eps(self, k):
+        # On the floats just above eps_hat, w2 rounds above 1/8, yet q2 is
+        # undefined there: no label may place a point above or on it.
+        eps = EPS_HAT
+        for _ in range(k):
+            eps = math.nextafter(eps, 2.0)
+        with pytest.raises(EpsilonAboveHat):
+            separatrix_q2(eps)
+        label = classify(eps, 1.0 - 1e-12)
+        assert label not in (RegionLabel.SEPARATRIX_2, RegionLabel.NODE_ABOVE)
+
     def test_out_of_range(self):
         with pytest.raises(EpsilonOutOfRange):
             separatrix_q1(0.0)

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -79,9 +82,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_nonpositive_samples_is_a_usage_error(self, samples):
-        with pytest.raises(SystemExit) as info:
-            main(["verify", "--samples", samples])
-        assert info.value.code == 2
+        assert main(["verify", "--samples", samples]) == 2
 
 
 class TestProfileCommand:
@@ -147,9 +148,40 @@ class TestProfileCommand:
     @pytest.mark.parametrize("flag", ["--offset", "--rtol", "--atol"])
     def test_nonpositive_tolerance_is_a_usage_error(self, flag):
         for value in ("0", "nan", "inf"):
-            with pytest.raises(SystemExit) as info:
-                main(["profile", "--eps", "1", "--q", "0.8", flag, value])
-            assert info.value.code == 2
+            assert main(["profile", "--eps", "1", "--q", "0.8", flag, value]) == 2
+
+    @pytest.mark.parametrize("rtol", ["1", "1e10"])
+    def test_rel_tol_of_one_or_more_is_a_usage_error(self, tmp_path, capsys, rtol):
+        # Such a tolerance asks for no accuracy; the shot would end in a
+        # verdict that says nothing about the orbit.
+        out_file = tmp_path / "traj.csv"
+        args = ["profile", "--eps", "1", "--q", "0.8", "--rtol", rtol, "--out", str(out_file)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: rel_tol")
+        assert not out_file.exists()
+
+    def test_unresolved_offset_is_a_usage_error(self, tmp_path, capsys):
+        out_file = tmp_path / "traj.csv"
+        args = ["profile", "--eps", "1", "--q", "0.8", "--offset", "1e-15", "--out", str(out_file)]
+        assert main(args) == 2
+        assert "offset 1e-15" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_bad_option_exits_2_from_the_process(self, tmp_path):
+        # The library, not argparse, rejects the value, so the exit code
+        # comes from `main`'s return.
+        env = dict(os.environ)
+        src = str(Path(radshock.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "radshock.cli", "profile",
+             "--eps", "1", "--q", "0.8", "--rtol", "1e10"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestScanCommand:

@@ -2,7 +2,8 @@
 
 Functions of eps alone raise EpsilonOutOfRange outside (0, 1]; functions of
 (eps, q_tilde) raise ParamsOutOfOmega outside the square (0, 1] x (3/4, 1).
-NaN and inf are outside both.
+NaN and inf are outside both.  Settings outside their range (shooting
+options, the identity suite's sample count) raise OptionOutOfRange.
 """
 
 import math
@@ -11,9 +12,16 @@ import pytest
 
 from radshock.classification import classify, cubic_roots, local_spectrum, separatrix_q2
 from radshock.equilibria import rest_points
-from radshock.errors import EpsilonOutOfRange, ParamsOutOfOmega
+from radshock.errors import DomainError, EpsilonOutOfRange, OptionOutOfRange, ParamsOutOfOmega
 from radshock.model import b_sharp, kinematics
-from radshock.shooting import field_jacobian, shoot, unstable_direction, vector_field
+from radshock.shooting import (
+    ShootOptions,
+    field_jacobian,
+    shoot,
+    unstable_direction,
+    vector_field,
+)
+from radshock.verify import run_identity_suite
 
 # Off the singular locus for every eps in (0, 1]: v_plus^2 > 1/8 >= (1-eps)/(8+eps).
 PSI = rest_points(0.8).psi_plus
@@ -50,3 +58,27 @@ CASES = [
 def test_outside_domain_raises_typed_error(func, args, error):
     with pytest.raises(error):
         func(*args)
+
+
+BAD_OPTIONS = [
+    (name, value) for name in ("offset", "rel_tol", "abs_tol")
+    for value in (0.0, -1.0, math.nan, math.inf)
+] + [("rel_tol", 1.0), ("rel_tol", 1e10)]
+
+OPTION_CASES = [
+    pytest.param(ShootOptions, {name: value}, id=f"ShootOptions-{name}={value}")
+    for name, value in BAD_OPTIONS
+] + [
+    pytest.param(run_identity_suite, {"samples": n}, id=f"run_identity_suite-samples={n}")
+    for n in (0, -3)
+]
+
+
+@pytest.mark.parametrize("func, kwargs", OPTION_CASES)
+def test_option_outside_its_range_raises_typed_error(func, kwargs):
+    # A DomainError, so the CLI exits 2; a ValueError, so callers that
+    # catch that keep working.
+    with pytest.raises(OptionOutOfRange) as info:
+        func(**kwargs)
+    assert isinstance(info.value, DomainError)
+    assert isinstance(info.value, ValueError)

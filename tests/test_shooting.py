@@ -13,6 +13,7 @@ from conftest import spiral_samples
 from radshock.equilibria import rest_points, state_from_v
 from radshock.errors import (
     DegenerateShock,
+    OptionOutOfRange,
     ParamsOutOfOmega,
     SingularBsharp,
     TooFewSamples,
@@ -503,7 +504,6 @@ class TestShootGuards:
             # LSODA accepts a NaN state here; the cone test must catch it.
             ((0.6842108421052632, 0.999999), 1e-2),
             ((0.8421054210526315, 0.999999), 1e-2),
-            ((1.0, 0.8), 1e10),  # the first step lands outside the cone
         ],
     )
     def test_loose_tolerance_steps_out_of_the_cone_are_rejected(self, point, rel_tol):
@@ -515,6 +515,32 @@ class TestShootGuards:
         assert np.all(np.isfinite(res.states))
         assert np.all(res.states[:, 0] > np.abs(res.states[:, 1]))
         assert res.verdict is not ProfileVerdict.STALLED
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_first_step_out_of_the_cone_escapes(self):
+        # With no error control, LSODA's first step lands outside the cone
+        # with a finite state.  ShootOptions rejects such a tolerance, so a
+        # stand-in options object hands it to the step loop directly.
+        eps, q = 1.0, 0.8
+        start, pair, scale = shot_start(eps, q, ShootOptions())
+        loose = SimpleNamespace(rel_tol=1e10, abs_tol=1e-12)
+        verdict, times, states = _integrate(_field(eps, q), start, eps, pair, scale, loose)
+        assert verdict is ProfileVerdict.ESCAPED
+        assert times.size == states.shape[0] == 1
+        assert np.all(states[:, 0] > np.abs(states[:, 1]))
+
+    @pytest.mark.parametrize("offset", [1e-16, 1e-15, 3e-15])
+    def test_offset_below_the_start_point_resolution_is_rejected(self, offset):
+        # Rounding of psi_minus + offset * scale * direction swamps such an
+        # offset: at 1e-15 the start is off by 9% here and the shot ended
+        # Escaped, where larger offsets converge.  At 3e-15 it is off by 3%,
+        # above the 1% the check allows.
+        with pytest.raises(OptionOutOfRange, match=f"offset {offset}"):
+            shoot(1.0, 0.8, ShootOptions(offset=offset))
+
+    def test_smallest_resolved_offset_converges(self):
+        res = shoot(1.0, 0.8, ShootOptions(offset=3e-14))
+        assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
 
     @pytest.mark.filterwarnings("error")
     def test_lsoda_failure_ends_in_a_verdict_without_a_warning(self):
@@ -691,6 +717,8 @@ class TestShootOptions:
             ShootOptions(offset=0.0)
         with pytest.raises(ValueError):
             ShootOptions(rel_tol=-1e-10)
+        with pytest.raises(ValueError):
+            ShootOptions(rel_tol=1e10)
         for name in ("offset", "rel_tol", "abs_tol"):
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError):
