@@ -8,10 +8,10 @@ linearization matrix, and the causality classification of a transport
 triple (eta, mu, nu).
 
 Production code reaches B# through the closed forms of its determinant and
-trace and through `shooting._field`, the one body that expands its entries;
-the matrix builders (`b_sharp`, its blocks, `lin_matrix`) and
-`trace_adj_identity` are the reference route that tests and the `verify`
-command check them against, and have no production caller outside `verify`.
+trace and through `shooting._field`, which applies adj(B#) through the
+rank-one split of its blocks; the matrix builders (`b_sharp`, its blocks,
+`lin_matrix`) and `trace_adj_identity` are the reference route that tests
+and the `verify` command check them against, and have no other caller.
 """
 
 from __future__ import annotations
@@ -85,18 +85,14 @@ def b_one(kin: Kinematics) -> np.ndarray:
     """First causality-regulator block."""
     u, v = kin.u, kin.v
     off = -4.0 * u * v * (4.0 * v * v + 1.0)
-    return np.array(
-        [[16.0 * u * u * v * v, off], [off, (4.0 * v * v + 1.0) ** 2]]
-    )
+    return np.array([[16.0 * u * u * v * v, off], [off, (4.0 * v * v + 1.0) ** 2]])
 
 
 def b_two(kin: Kinematics) -> np.ndarray:
     """Second causality-regulator block."""
     u, v = kin.u, kin.v
     s = u * u + v * v
-    return np.array(
-        [[s * s, -2.0 * s * u * v], [-2.0 * s * u * v, 4.0 * u * u * v * v]]
-    )
+    return np.array([[s * s, -2.0 * s * u * v], [-2.0 * s * u * v, 4.0 * u * u * v * v]])
 
 
 def b_sharp(kin: Kinematics, eps: float) -> np.ndarray:
@@ -106,11 +102,7 @@ def b_sharp(kin: Kinematics, eps: float) -> np.ndarray:
     dissipation parameter eps in (0, 1].
     """
     check_eps(eps)
-    return (
-        eps * b_visc(kin)
-        - b_one(kin)
-        - (9.0 * eps / (4.0 - eps)) * b_two(kin)
-    )
+    return eps * b_visc(kin) - b_one(kin) - (9.0 * eps / (4.0 - eps)) * b_two(kin)
 
 
 def det_b_sharp_closed(v_sq: float, eps: float) -> float:

@@ -4,19 +4,17 @@ A shot starts a small offset along the unstable eigenvector of the upstream
 saddle and integrates with LSODA, which switches between Adams and BDF
 formulas as the field turns stiff (eps -> 0), with the field's Jacobian
 taken by a complex step through the field function.  That function is one
-closure per shot, built by `_field`: B#'s entries, the flux residual and
-the adjugate solve in one body for floats and complex numbers alike, and
-the only place the package expands B#.  Its complex step at the saddle
-also gives the start direction, so a shot reaches the field through this
-one closure.  The step loop calls ODEPACK's LSODA runner itself, one step
-per call with the arguments scipy's `LSODA` solver hands it, so no Python
-wrapper runs between steps; scipy's `ode` only sets up the work arrays.
-It checks every accepted step and stops when
-the orbit is captured at the downstream rest point, escapes, hits the
-singular locus of the dissipation matrix, or exhausts the step or
-pseudo-time budget.  The sampled trajectory is then
-scanned for extrema and sign changes in three coordinate systems, which is
-how oscillatory (spiraling) profiles are detected.
+closure per shot, built by `_field`: adj(B#) F from three rank-one
+projections of the flux residual, for floats and complex numbers alike, and
+the only place the package applies B#.  Its complex step at the saddle also
+gives the start direction.  The step loop calls ODEPACK's LSODA runner
+itself, one step per call with the arguments scipy's `LSODA` solver hands
+it; scipy's `ode` only sets up the work arrays.  It checks every accepted
+step and stops when the orbit is captured at the downstream rest point,
+escapes, hits the singular locus of the dissipation matrix, or exhausts the
+step or pseudo-time budget.  The sampled trajectory is then scanned for
+extrema and sign changes in three coordinate systems, which is how
+oscillatory (spiraling) profiles are detected.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import numpy as np
 from scipy.integrate import ode
 from scipy.optimize import brentq
 
-from .equilibria import EquilibriumPair, check_omega, rest_points
+from .equilibria import EquilibriumPair, check_omega, rest_points, v_minus_squared, v_plus_squared
 from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples
 from .model import (
     GodunovState,
@@ -59,19 +57,16 @@ _MIN_REL_TOL = 100 * 2.0**-52
 _CAPTURE_RADIUS = 1e-8
 _ESCAPE_RADIUS = 1e2
 
-# The pseudo-time budget, LSODA's tout and tcrit.  It is not only a budget:
-# tout enters ODEPACK's first-step formula (w0 = max(|t|, |tout|)), so any
-# other value changes every shot's samples ((1e-4, 0.8) takes 393 samples
-# at 1e5 and 378 at 1e7, against 367).  At the default tolerances no shot
-# of the benchmark reaches it (the largest final pseudo-time is 5.1e5), but
-# the time to capture grows like 1/(1 - q_tilde): at the default scan's
-# upper edge q_tilde = 1 - 1e-6, (1, 1 - 1e-6) converges at 9.8e5.
+# The pseudo-time budget, LSODA's tout and tcrit.  tout also enters ODEPACK's
+# first-step formula, so any other value changes every shot's samples
+# ((1e-4, 0.8) takes 371 at 1e5, 382 at 1e6 and 370 at 1e7).  No default-
+# tolerance shot of the benchmark reaches it (at most 5.1e5), but the time to
+# capture grows like 1/(1 - q_tilde): (1, 1 - 1e-6) ends at 9.9e5.
 _MAX_PSEUDO_TIME = 1e6
 
-# A shot ends Stalled after this many accepted steps.  Resolved shots take
-# at most ~850 on the benchmark's points (5,687 at (1e-5, 0.99995)); the
-# unresolved corner (eps <~ 1e-5, q_tilde >~ 0.99999), where psi_plus nears
-# the singular locus, spends it in about 0.21 s.
+# A shot ends Stalled after this many accepted steps, which bounds the work
+# of one that does not resolve.  At the default tolerances the most taken on
+# the 20x20 scan or the benchmark is 1,309, at (0.63, 1 - 1e-6).
 _MAX_STEPS = 10_000
 
 
@@ -154,47 +149,42 @@ def _field(eps: float, q_tilde: float):
     """The profile field B#^-1 F at fixed (eps, q_tilde), as `field(y0, y1)`.
 
     The hot path of every shot, called by the integrator and its complex-step
-    Jacobian with Python floats or complex numbers and no validation.  It
-    expands B#'s entries, F at q1 = 1, q0 = q_tilde^(-1/2) and the adjugate
-    solve in one body, the package's only expansion of B#, with the
-    parameter-only subexpressions computed once; a test holds it to the
-    matrix route to rounding.  On or outside the admissible cone, and where
-    psi0^2 - psi1^2 overflows to NaN, both components are 1e300, so that
-    LSODA's error test rejects such a trial step and shrinks it.  A NaN would pass that test, since every
-    comparison with it is false, and the step would be accepted.
+    Jacobian with Python floats or complex numbers.  B# = eps u^2 a a^T -
+    w w^T - c2 y y^T with a = (v, -u), w = (4uv, -r), y = (g, -2uv),
+    r = 4v^2 + 1 and g = 2v^2 + 1, so adj(B#) F = alpha (u, v) - phi (r, 4uv)
+    - beta (2uv, g), with three projections of F (q1 = 1, q0 = q_tilde^(-1/2))
+    simplified by u^2 - v^2 = 1.  theta cancels from phi, which is O(eps) on
+    the slow manifold, so for v > 0 it is factored through the rest points.
+    Outside the cone, and where psi0^2 - psi1^2 overflows to NaN, the field
+    is (1e300, 1e300): LSODA's error test rejects such a trial step, where a
+    NaN, false in every comparison, would pass it and the step be accepted.
     """
-    q0 = q_tilde**-0.5
-    c2 = 9.0 * eps / (4.0 - eps)
-    two_c2 = 2.0 * c2
-    four_c2 = 4.0 * c2
-    neg_eps = -eps
-    nine_eps = 9.0 * eps
-    eps_plus_8 = 8.0 + eps
-    eps_minus_4 = eps - 4.0
+    q0, c2 = q_tilde**-0.5, 9.0 * eps / (4.0 - eps)
+    k = 16.0 * (1.0 - q_tilde) / q_tilde
+    vp2, vm2 = float(v_plus_squared(q_tilde)), float(v_minus_squared(q_tilde))
+    nine_eps, eps_plus_8, eps_minus_4 = 9.0 * eps, 8.0 + eps, eps - 4.0
 
     def field(y0, y1):
         s = y0 * y0 - y1 * y1
         if not s.real >= 1e-300:
             return 1e300, 1e300
         theta = s ** -0.5
-        u = theta * y0
-        v = theta * y1
-        u2 = u * u
-        v2 = v * v
-        uv = u * v
-        w = u2 + v2
-        r = 4.0 * v2 + 1.0
-        b00 = eps * u2 * v2 - 16.0 * u2 * v2 - c2 * (w * w)
-        b01 = neg_eps * u2 * uv + 4.0 * uv * r + two_c2 * w * uv
-        b11 = eps * u2 * u2 - r * r - four_c2 * u2 * v2
+        u, v = theta * y0, theta * y1
+        v2, uv, t2 = v * v, u * v, theta * theta
+        r, g, t4 = 4.0 * v2 + 1.0, 2.0 * v2 + 1.0, t2 * t2
+        if v.real > 0.0:
+            # phi = 16 ((1 - q_tilde)/q_tilde) (v^2 - v+^2)(v^2 - v-^2) / (r q0 + 4uv).
+            phi = k * (v2 - vp2) * (v2 - vm2) / (r * q0 + 4.0 * uv)
+        else:
+            phi = r * q0 - 4.0 * uv
+        alpha = eps * u * u * (u * q0 - v * (1.0 + t4))
+        beta = c2 * (2.0 * uv * q0 - g + t4 * (1.0 - 2.0 * v2) / 3.0)
         det = nine_eps * (eps_plus_8 * v2 + eps - 1.0) / eps_minus_4
-        t2 = theta * theta
-        t4 = t2 * t2
-        f0 = -(4.0 / 3.0) * t4 * v * u + q0
-        f1 = t4 * ((4.0 / 3.0) * v * v + 1.0 / 3.0) - 1.0
         if det == 0.0:
             det = -1e-300
-        return (b11 * f0 - b01 * f1) / det, (b00 * f1 - b01 * f0) / det
+        return (alpha * u - r * phi - 2.0 * uv * beta) / det, (
+            alpha * v - 4.0 * uv * phi - g * beta
+        ) / det
 
     return field
 
@@ -208,7 +198,7 @@ def _checked_field(psi: GodunovState, eps: float, q_tilde: float):
 
 
 def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
-    """Profile field B#^-1 F at one state, via the closed-form 2x2 inverse."""
+    """Profile field B#^-1 F at one state, via the adjugate and the closed-form det(B#)."""
     return np.array(_checked_field(psi, eps, q_tilde)(psi.psi0, psi.psi1))
 
 

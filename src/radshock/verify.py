@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classification as cls
-from .equilibria import q_of_vplus, state_from_v, v_plus_squared
+from .equilibria import Q_MAX, Q_MIN, q_of_vplus, state_from_v, v_minus_squared, v_plus_squared
 from .errors import OptionOutOfRange
 from .model import (
     b_sharp,
@@ -64,9 +64,9 @@ def run_identity_suite(
     eps = rng.uniform(1e-6, 1.0, samples)
 
     err_det_b = err_det_a = err_trace = 0.0
-    for vi, ei in zip(v, eps):
-        kin = kinematics(state_from_v(float(vi)))
-        b = b_sharp(kin, float(ei))
+    kins = [kinematics(state_from_v(float(vi))) for vi in v]
+    bs = np.array([b_sharp(kin, float(ei)) for kin, ei in zip(kins, eps)])
+    for vi, ei, kin, b in zip(v, eps, kins, bs):
         a = lin_matrix(kin)
         frob_b = float((b * b).sum())
         frob_a = float((a * a).sum())
@@ -78,6 +78,22 @@ def run_identity_suite(
         err_trace = max(
             err_trace, _rel(tr, trace_adj_closed(float(vi), float(ei)), math.sqrt(frob_b * frob_a))
         )
+
+    # B# = eps u^2 a a^T - w w^T - c2 y y^T, a = (v, -u), w = (4uv, -r), y = (1 + 2v^2, -2uv).
+    u, vk = np.array([(kin.u, kin.v) for kin in kins]).T
+    uv, vk_sq = u * vk, vk * vk
+    vecs = np.array([[vk, -u], [4.0 * uv, -4.0 * vk_sq - 1.0], [2.0 * vk_sq + 1.0, -2.0 * uv]])
+    weights = np.array([eps * u * u, np.full_like(u, -1.0), -9.0 * eps / (4.0 - eps)])
+    split = np.einsum("kn,kin,kjn->nij", weights, vecs, vecs)
+    scale = np.sqrt(np.maximum(1.0, (bs * bs).sum(axis=(1, 2))))
+    err_split = float((np.abs(bs - split).max(axis=(1, 2)) / scale).max())
+
+    # phi = r q0 - 4uv = 16 ((1-q)/q) (v^2 - v+^2)(v^2 - v-^2) / (r q0 + 4uv) for v > 0.
+    qs, z = np.linspace(Q_MIN + 1e-6, Q_MAX - 1e-6, 257)[:, None], np.geomspace(1e-3, 1e6, 64)
+    v_minus_sq = np.array([[v_minus_squared(float(q))] for q in qs[:, 0]])
+    rq0, four_uv = (4.0 * z + 1.0) * qs**-0.5, 4.0 * np.sqrt(z * (1.0 + z))
+    factored = 16.0 * (1.0 - qs) / qs * (z - v_plus_squared(qs)) * (z - v_minus_sq)
+    err_phi = float((np.abs(rq0 - four_uv - factored / (rq0 + four_uv)) / rq0).max())
 
     eps_grid = np.linspace(1e-6, 1.0, 257)
     err_half = max(
@@ -108,6 +124,8 @@ def run_identity_suite(
         _check("det(B#) matrix vs closed form", err_det_b),
         _check("det(A) matrix vs 2v^2-1", err_det_a),
         _check("trace(adj(B#)A) matrix vs closed form", err_trace),
+        _check("B# = eps u^2 a a^T - w w^T - c2 y y^T", err_split),
+        _check("r q0 - 4uv factored through v+^2, v-^2", err_phi),
         _check("P(1/2,eps) = (9/8) eps^2 (eps-4)^2", err_half),
         _check("P(1/3,eps) = (16/27)(eps-1)^2(eps^2-4eps+1)", err_third),
         _check("P(1/8, eps_hat) = 0", err_eighth),

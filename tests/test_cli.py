@@ -111,7 +111,7 @@ class TestProfileCommand:
             assert main(args + ["--out", str(out_file)]) == 0
         out = capsys.readouterr().out
         assert "verdict: ConvergedToPlus" in out
-        assert "samples: 560" in out
+        assert "samples: 579" in out
 
     def test_focus_profile(self, tmp_path, capsys):
         out_file = tmp_path / "traj.csv"

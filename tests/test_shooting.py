@@ -37,7 +37,6 @@ from radshock.shooting import (
     _CAPTURE_RADIUS,
     _ESCAPE_RADIUS,
     _MAX_PSEUDO_TIME,
-    _MAX_STEPS,
     ProfileVerdict,
     ShootOptions,
     _capture_point,
@@ -66,19 +65,30 @@ def magnitude(z):
     return np.abs(np.real(z)) + 1j * np.abs(np.imag(z))
 
 
+def product_magnitude(a, b):
+    """The magnitudes of the terms of a * b, for real and imaginary parts apart."""
+    a, b = complex(a), complex(b)
+    re = abs(a.real * b.real) + abs(a.imag * b.imag)
+    return re + 1j * (abs(a.real * b.imag) + abs(a.imag * b.real))
+
+
 def matrix_field_reference(y0, y1, eps, q0):
     """Reference for `_field` inside the cone: adj(B#) F / det(B#) by the matrix route.
 
     Also returns, per component, what its rounding is relative to:
     |adj(B#)| |F| / |det(B#)| with every sum in B# and F taken over the
     magnitudes of its terms, for real and imaginary parts apart, so a
-    complex step's imaginary part gets its own scale.
+    complex step's imaginary part gets its own scale.  That includes the
+    sums in the complex products u = theta y0 and v = theta y1: at v = 0
+    Im u is such a sum that cancels, and its rounding is all it holds.
     """
     kin = Kinematics(*theta_u_v(y0, y1))
     det = det_b_sharp_closed(kin.v * kin.v, eps)
     f = flux_residual(SimpleNamespace(psi0=y0, psi1=y1), q0, 1.0)
     field = adjugate(b_sharp(kin, eps)) @ f / det
-    m = Kinematics(*(magnitude(x) for x in (kin.theta, kin.u, kin.v)))
+    m = Kinematics(
+        magnitude(kin.theta), product_magnitude(kin.theta, y0), product_magnitude(kin.theta, y1)
+    )
     c2 = 9.0 * eps / (4.0 - eps)
     b_mag = eps * magnitude(b_visc(m)) + magnitude(b_one(m)) + c2 * magnitude(b_two(m))
     t4 = m.theta**4
@@ -116,6 +126,42 @@ def rest_jacobian_reference(psi, eps):
     return (4.0 / 3.0) * kin.theta**5 / det * (adjugate(b_sharp(kin, eps)) @ lin_matrix(kin))
 
 
+def mpmath_b_sharp(e, u, v):
+    """B#'s entries (b00, b01, b11) from its blocks, in mpmath's working precision."""
+    u2, v2, uv = u * u, v * v, u * v
+    w, r, c2 = u2 + v2, 4 * v2 + 1, 9 * e / (4 - e)
+    b00 = e * u2 * v2 - 16 * u2 * v2 - c2 * w * w
+    b01 = -e * u2 * uv + 4 * uv * r + 2 * c2 * w * uv
+    b11 = e * u2 * u2 - r * r - 4 * c2 * u2 * v2
+    return b00, b01, b11
+
+
+def mpmath_field(y0, y1, eps, q_tilde, dps=50):
+    """Reference for `_field`: adj(B#) F / det(B#) at a float state in `dps` digits.
+
+    Also returns the field's Jacobian, by a complex step in the same precision.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mpf = mpmath.mpf
+
+    def field(p0, p1, e, q):
+        theta = (p0 * p0 - p1 * p1) ** (-mpf(1) / 2)
+        u, v = theta * p0, theta * p1
+        b00, b01, b11 = mpmath_b_sharp(e, u, v)
+        t4 = theta**4
+        f0 = -(mpf(4) / 3) * t4 * v * u + q ** (-mpf(1) / 2)
+        f1 = t4 * ((mpf(4) / 3) * v * v + mpf(1) / 3) - 1
+        det = b00 * b11 - b01 * b01
+        return (b11 * f0 - b01 * f1) / det, (b00 * f1 - b01 * f0) / det
+
+    with mpmath.workdps(dps):
+        y0, y1, e, q, h = mpf(y0), mpf(y1), mpf(eps), mpf(q_tilde), mpf(10) ** -40
+        value = [float(x) for x in field(y0, y1, e, q)]
+        cols = [field(mpmath.mpc(y0, h), y1, e, q), field(y0, mpmath.mpc(y1, h), e, q)]
+        jac = [[float(col[i].imag / h) for col in cols] for i in range(2)]
+    return np.array(value), np.array(jac)
+
+
 def mpmath_unstable_direction(eps, q_tilde, dps=80):
     """Reference for `unstable_direction`: the exact saddle's unstable eigenvector.
 
@@ -137,11 +183,8 @@ def mpmath_unstable_direction(eps, q_tilde, dps=80):
         plus = state(1 / (4 * (2 * q - 1 + root)))
         theta = (minus[0] ** 2 - minus[1] ** 2) ** (-mpf(1) / 2)
         u, v = theta * minus[0], theta * minus[1]
-        u2, v2, uv = u * u, v * v, u * v
-        w, r, c2 = u2 + v2, 4 * v2 + 1, 9 * e / (4 - e)
-        b00 = e * u2 * v2 - 16 * u2 * v2 - c2 * w * w
-        b01 = -e * u2 * uv + 4 * uv * r + 2 * c2 * w * uv
-        b11 = e * u2 * u2 - r * r - 4 * c2 * u2 * v2
+        b00, b01, b11 = mpmath_b_sharp(e, u, v)
+        v2 = v * v
         off = -u * (6 * v2 + 1)
         lin = mpmath.matrix([[v * (6 * v2 + 5), off], [off, 3 * v * (2 * v2 + 1)]])
         adj = mpmath.matrix([[b11, -b01], [-b01, b00]])
@@ -214,7 +257,7 @@ def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
                 break
         elif gap_old >= 0.0 >= gap:
             verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
-        elif solver.status == "finished" or len(times) == _MAX_STEPS:
+        elif solver.status == "finished" or len(times) == shooting._MAX_STEPS:
             verdict = ProfileVerdict.STALLED
         times.append(t)
         states.append(y)
@@ -252,11 +295,32 @@ class TestVectorField:
         # On the singular locus det(B#) is 0 and the field has no value.
         assume(np.real(det_b_sharp_closed(theta_u_v(*y)[2] ** 2, eps)) != 0.0)
         want, scale = matrix_field_reference(*y, eps, q_tilde**-0.5)
-        # 25 ulp of the scale: about 10x the largest error measured over
-        # 400,000 random states (2.5 ulp), real and complex-step alike.
+        # 25 ulp of the scale: about 3.6x the largest error measured over
+        # 600,000 random states (7.0 ulp), real and complex-step alike.
         for g, w, sc in zip(got, want, scale):
             assert abs(g.real - w.real) <= 25.0 * 2.0**-52 * sc.real
             assert abs(g.imag - w.imag) <= 25.0 * 2.0**-52 * sc.imag
+
+    def test_corner_orbits_match_high_precision(self):
+        # The field on two orbits near the corner (eps, q_tilde) -> (0, 1),
+        # against B#^-1 F in 50 digits, at the first sample within each of ten
+        # distances of psi_plus, from 0.95 to 1e-4 of the shock's size.  The
+        # error is counted in what one rounding of the state and of the result
+        # move the field by, 2^-52 (|f| + |J| |y|).  The largest measured is
+        # 1.2; with phi formed by cancellation it was 950.
+        worst = 0.0
+        for eps, q in ((1e-6, 0.9999), (1e-6, 1.0 - 1e-6)):
+            res = shoot(eps, q)
+            plus = res.psi_plus.as_array()
+            scale = np.linalg.norm(res.psi_minus.as_array() - plus)
+            dist = np.linalg.norm(res.states - plus, axis=1) / scale
+            field = _field(eps, q)
+            for d in np.geomspace(0.95, 1e-4, 10):
+                y0, y1 = res.states[np.argmax(dist <= d)].tolist()
+                want, jac = mpmath_field(y0, y1, eps, q)
+                unit = 2.0**-52 * (np.abs(want) + np.abs(jac) @ np.abs([y0, y1]))
+                worst = max(worst, float(np.max(np.abs(np.array(field(y0, y1)) - want) / unit)))
+        assert worst <= 12.0
 
     @pytest.mark.parametrize("q", [0.76, 0.85, 0.97])
     def test_vanishes_at_rest_points(self, q):
@@ -320,11 +384,12 @@ class TestUnstableDirection:
         [
             (1.0, 0.8, 1e-13),
             (1e-3, 0.8, 1e-13),
-            (1.0, 0.9999, 1e-7),
-            (1.0, 0.99999, 1e-5),
+            (1.0, 0.9999, 2e-8),
+            (1.0, 0.99999, 2e-6),
             (1.0, 1.0 - 1e-6, 1e-3),
             (0.9473684736842105, 1.0 - 1e-6, 2e-9),  # a 20x20 scan column
             (0.5, 1.0 - 1e-6, 2e-9),
+            (1e-6, 1.0 - 1e-6, 1e-13),  # the default scan's corner
         ],
     )
     def test_matches_high_precision_eigenvector(self, eps, q, bound):
@@ -486,11 +551,14 @@ class TestShootGuards:
 
     def test_unresolved_corner_ends_within_budget(self):
         # Both scan edges at once: psi_plus lies 4e-7 in v^2 above the
-        # singular locus, and the orbit creeps past it at 5e-5 of the shock's
-        # size in steps of ~1e-8, so the step budget ends the shot.
+        # singular locus.  With phi formed by cancellation the orbit crept
+        # along the slow manifold until the step budget ended it Stalled
+        # (10,001 samples); factored through the rest points it converges
+        # (887 samples).
         res = shoot(1e-6, 1.0 - 1e-6)
-        assert isinstance(res.verdict, ProfileVerdict)
-        assert res.states.shape[0] <= _MAX_STEPS + 1
+        assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
+        assert res.oscillation.oscillatory is False
+        assert res.states.shape[0] < 1000
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -603,6 +671,16 @@ class TestShootGuards:
         assert n > 0
         assert verdicts[n:] == [ProfileVerdict.HIT_SINGULAR_LOCUS] * (len(qs) - n), verdicts
 
+    @pytest.mark.parametrize("eps", [1e-6, 3e-6, 1e-5, 3e-5, 1e-4])
+    def test_fixed_eps_sweep_to_the_top_edge_never_stalls(self, eps):
+        # 1 - q_tilde from 0.2 down to 1e-6, where psi_plus nears the singular
+        # locus as eps -> 0.  With phi formed by cancellation, 8 of these 50
+        # shots crept along the slow manifold to the step budget.
+        verdicts = [shoot(eps, 1.0 - d).verdict for d in np.geomspace(0.2, 1e-6, 10).tolist()]
+        n = verdicts.count(ProfileVerdict.CONVERGED_TO_PLUS)
+        assert n > 0
+        assert verdicts[n:] == [ProfileVerdict.HIT_SINGULAR_LOCUS] * (len(verdicts) - n), verdicts
+
     @pytest.mark.parametrize("point", [NODE_POINT, FOCUS_POINT, (1e-4, 0.8)])
     def test_converged_shot_ends_on_capture_sphere(self, point):
         # The oscillation counts stop where the orbit meets the capture
@@ -644,15 +722,17 @@ class TestCapturePoint:
         assert (t, y) == (1.0, accepted)
 
 
-# (point, options, verdict, whether LSODA itself gives up) for TestStepLoopParity.
+# (point, options, verdict, whether LSODA itself gives up, step budget or None
+# for the default) for TestStepLoopParity.
 PARITY_CASES = [
-    ((1.0, 0.762), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False),  # node
-    ((1.0, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False),  # focus
-    ((1e-6, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False),  # stiff
-    ((0.5, 0.9999), ShootOptions(), ProfileVerdict.HIT_SINGULAR_LOCUS, False),
-    ((1e-6, 1.0 - 1e-6), ShootOptions(), ProfileVerdict.STALLED, False),  # step budget
+    ((1.0, 0.762), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None),  # node
+    ((1.0, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None),  # focus
+    ((1e-6, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None),  # stiff
+    ((0.5, 0.9999), ShootOptions(), ProfileVerdict.HIT_SINGULAR_LOCUS, False, None),
+    # The corner converges in 887 samples; a budget of 400 steps ends it first.
+    ((1e-6, 1.0 - 1e-6), ShootOptions(), ProfileVerdict.STALLED, False, 400),
     # "Repeated convergence failures" on the first step: istate < 0.
-    ((1e-6, 0.75 + 1e-6), ShootOptions(rel_tol=1e-4), ProfileVerdict.STALLED, True),
+    ((1e-6, 0.75 + 1e-6), ShootOptions(rel_tol=1e-4), ProfileVerdict.STALLED, True, None),
 ]
 
 
@@ -663,10 +743,14 @@ class TestStepLoopParity:
     # guards the runner's call signature and the rwork/iwork layout the
     # capture interpolant reads.
     @pytest.mark.parametrize(
-        "point,opts,expected,lsoda_fails",
+        "point,opts,expected,lsoda_fails,max_steps",
         [pytest.param(*c, id=f"point{i}-{c[2].value}") for i, c in enumerate(PARITY_CASES)],
     )
-    def test_samples_match_scipy_lsoda_solver(self, point, opts, expected, lsoda_fails):
+    def test_samples_match_scipy_lsoda_solver(
+        self, monkeypatch, point, opts, expected, lsoda_fails, max_steps
+    ):
+        if max_steps is not None:
+            monkeypatch.setattr(shooting, "_MAX_STEPS", max_steps)
         eps, q = point
         start, pair, scale = shot_start(eps, q, opts)
         # scipy's solver warns when LSODA gives up; the step loop does not.
@@ -692,18 +776,19 @@ class TestStepLoopParity:
         if lsoda_fails:
             assert times.size == 1
         elif expected is ProfileVerdict.STALLED:
-            assert times.size == _MAX_STEPS + 1
+            assert times.size == shooting._MAX_STEPS + 1
 
 
 @pytest.mark.parametrize(
     "point,digest",
     [
-        ((1.0, 0.762), "db4e91d2484b5d8ba9c142fbf0cb16203996d043a8fa9296db5d38228e7677f5"),
-        ((1.0, 0.8), "3197bf89c83f22b21d1f79b8d5536900745248b01d04fe53c5d53b0a5f387237"),
-        ((1e-6, 0.8), "00218854f4debb67ce0d8d6f0dba485fe28068ac374abdc579f378b8b9cf91a5"),
-        ((0.5, 0.9999), "d4c0144d3543daefafac12c7e1d480ed9700a78f5d3f63117e3f597896cc0cfc"),
-        ((1.0, 1.0 - 1e-6), "2e3f3249ed1491a575392d20819cbabfbd9b5befd46ab31a2ea1d3abac7ec266"),
+        ((1.0, 0.762), "809eb29dd316b0a90f7c06e30870e6db9abfebe91c76814220d7c54a64c760b5"),
+        ((1.0, 0.8), "6c2c104868d7fcdef39d8436179ec4090f964470857510f31e0de64f5fc79723"),
+        ((1e-6, 0.8), "be4faa57cf594549f2fc22b01561cf0f45ef76c4491f1c45037b4759386885c2"),
+        ((0.5, 0.9999), "abc9e2326ed53cf962df9869c7b4b0432bdb1bbc87d04fe50ed577576439d721"),
+        ((1.0, 1.0 - 1e-6), "c120aaa775fa5ee5ac4f61d0e1a8831e5aedb5066b95603f4764e4aac029a63c"),
     ],
+    ids=[f"point{i}" for i in range(5)],
 )
 def test_whole_shot_digest(point, digest):
     # Every sample of these shots, to the last bit: a rounding change

@@ -5,7 +5,7 @@ from radshock.verify import format_report, run_identity_suite
 
 def test_all_identities_pass():
     checks = run_identity_suite(samples=1500)
-    assert len(checks) == 10
+    assert len(checks) == 12
     for c in checks:
         assert c.passed, f"{c.name}: error {c.error} above {c.tolerance}"
 
