@@ -25,6 +25,7 @@ from .errors import (
 )
 from .model import (
     GodunovState,
+    all_true,
     check_eps,
     check_off_locus,
     det_b_sharp_closed,
@@ -62,8 +63,8 @@ class CubicRoots:
 
 
 def p_coefficients(eps: float) -> tuple[float, float, float, float]:
-    """Coefficients (a0, a1, a2, a3) of P(z, eps) = a3 z^3 + ... + a0."""
-    if not 0.0 <= eps <= 1.0:
+    """Coefficients (a0, a1, a2, a3) of P(z, eps) = a3 z^3 + ... + a0; eps may be an ndarray."""
+    if not all_true((0.0 <= eps) & (eps <= 1.0)):
         raise EpsilonOutOfRange(f"eps must lie in [0, 1], got {eps}")
     a0 = eps * ((4.0 * eps - 20.0) * eps + 16.0)
     a1 = (((eps - 16.0) * eps + 84.0) * eps - 112.0) * eps + 16.0
@@ -73,7 +74,7 @@ def p_coefficients(eps: float) -> tuple[float, float, float, float]:
 
 
 def p_eval(z, eps: float):
-    """P(z, eps) by nested multiplication; z may be a float or an ndarray."""
+    """P(z, eps) by nested multiplication; z and eps may be floats or ndarrays."""
     a0, a1, a2, a3 = p_coefficients(eps)
     return ((a3 * z + a2) * z + a1) * z + a0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateShock, ParamsOutOfOmega, QOutOfRange, ZOutOfRange
-from .model import GodunovState
+from .model import GodunovState, all_true
 
 Q_MIN = 0.75
 Q_MAX = 1.0
@@ -45,7 +45,7 @@ class EquilibriumPair:
 
 
 def _check_q(q_tilde) -> None:
-    if not np.all((Q_MIN < q_tilde) & (q_tilde < Q_MAX)):
+    if not all_true((Q_MIN < q_tilde) & (q_tilde < Q_MAX)):
         raise QOutOfRange(f"q_tilde must lie in (3/4, 1), got {q_tilde}")
 
 
@@ -61,22 +61,35 @@ def v_plus_squared(q_tilde):
     return 1.0 / (4.0 * (2.0 * q_tilde - 1.0 + np.sqrt(q_tilde * (4.0 * q_tilde - 3.0))))
 
 
-def v_minus_squared(q_tilde: float) -> float:
-    """Squared velocity of the upstream rest point, > 1/2."""
+def _sqrt(x):
+    """np.sqrt for ndarrays, math.sqrt (and so a Python float) otherwise."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def v_minus_squared(q_tilde):
+    """Squared velocity of the upstream rest point, > 1/2.
+
+    q_tilde may be a float, which gives a Python float, or an ndarray.
+    """
     _check_q(q_tilde)
-    return ((2.0 * q_tilde - 1.0) + math.sqrt(q_tilde * (4.0 * q_tilde - 3.0))) / (
+    return ((2.0 * q_tilde - 1.0) + _sqrt(q_tilde * (4.0 * q_tilde - 3.0))) / (
         4.0 * (1.0 - q_tilde)
     )
 
 
-def state_from_v(v: float) -> GodunovState:
-    """State on the equilibrium family parameterized by velocity v.
+def psi_from_v(v):
+    """(psi0, psi1) on the equilibrium family at velocity v, for floats or ndarrays.
 
     psi = ((4/3) v^2 + 1/3)^(1/4) * (sqrt(1 + v^2), v); its kinematics
     return exactly this v, and theta^4 = ((4/3) v^2 + 1/3)^(-1).
     """
     pref = ((4.0 / 3.0) * v * v + 1.0 / 3.0) ** 0.25
-    return GodunovState(pref * math.sqrt(1.0 + v * v), pref * v)
+    return pref * _sqrt(1.0 + v * v), pref * v
+
+
+def state_from_v(v: float) -> GodunovState:
+    """State on the equilibrium family parameterized by velocity v (see `psi_from_v`)."""
+    return GodunovState(*psi_from_v(v))
 
 
 def rest_points(q_tilde: float) -> EquilibriumPair:
@@ -96,12 +109,13 @@ def rest_points(q_tilde: float) -> EquilibriumPair:
     )
 
 
-def q_of_vplus(z: float) -> float:
+def q_of_vplus(z):
     """Inverse of the downstream-velocity map: q_tilde with v_plus^2 = z.
 
-    q = (4z+1)^2 / (16 z (1+z)), strictly decreasing on (1/8, 1/2).
+    q = (4z+1)^2 / (16 z (1+z)), strictly decreasing on (1/8, 1/2); z may
+    be a float or an ndarray.
     """
-    if not 0.125 < z < 0.5:
+    if not all_true((0.125 < z) & (z < 0.5)):
         raise ZOutOfRange(f"z must lie in (1/8, 1/2), got {z}")
     return (4.0 * z + 1.0) ** 2 / (16.0 * z * (1.0 + z))
 

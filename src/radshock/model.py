@@ -12,6 +12,9 @@ trace and through `shooting._field`, which applies adj(B#) through the
 rank-one split of its blocks; the matrix builders (`b_sharp`, its blocks,
 `lin_matrix`) and `trace_adj_identity` are the reference route that tests
 and the `verify` command check them against, and have no other caller.
+They use arithmetic only, so a `Kinematics` of floats gives 2x2 matrices and
+one of ndarrays of shape (n,) gives stacked (2, 2, n) lanes, one matrix per
+lane along the last axis.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class GodunovState:
 
 @dataclass(frozen=True)
 class Kinematics:
-    """Temperature and 2-velocity (theta, u, v) with u^2 - v^2 = 1."""
+    """Temperature and 2-velocity (theta, u, v) with u^2 - v^2 = 1; floats or lane ndarrays."""
 
     theta: float
     u: float
@@ -69,9 +72,18 @@ def kinematics(psi: GodunovState) -> Kinematics:
     return Kinematics(*theta_u_v(psi.psi0, psi.psi1))
 
 
-def check_eps(eps: float) -> None:
-    """Raise EpsilonOutOfRange unless the dissipation parameter eps lies in (0, 1]."""
-    if not 0.0 < eps <= 1.0:
+def all_true(mask) -> bool:
+    """True if a range test holds for a float, or for every entry of an ndarray.
+
+    A float's test gives a plain bool, which is taken as it is: np.all costs
+    a few microseconds, and the scalar paths test every call.
+    """
+    return mask is True or bool(np.all(mask))
+
+
+def check_eps(eps) -> None:
+    """Raise EpsilonOutOfRange unless eps (a float or every entry of an ndarray) lies in (0, 1]."""
+    if not all_true((0.0 < eps) & (eps <= 1.0)):
         raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
 
 
@@ -95,11 +107,11 @@ def b_two(kin: Kinematics) -> np.ndarray:
     return np.array([[s * s, -2.0 * s * u * v], [-2.0 * s * u * v, 4.0 * u * u * v * v]])
 
 
-def b_sharp(kin: Kinematics, eps: float) -> np.ndarray:
-    """Sharply-causal dissipation matrix.
+def b_sharp(kin: Kinematics, eps) -> np.ndarray:
+    """Sharply-causal dissipation matrix, 2x2 or stacked (2, 2, n) lanes.
 
     B# = eps * b_visc - b_one - (9 eps / (4 - eps)) * b_two for the
-    dissipation parameter eps in (0, 1].
+    dissipation parameter eps in (0, 1], a float or one value per lane.
     """
     check_eps(eps)
     return eps * b_visc(kin) - b_one(kin) - (9.0 * eps / (4.0 - eps)) * b_two(kin)
@@ -143,7 +155,7 @@ def flux_residual(psi: GodunovState, q0: float, q1: float) -> np.ndarray:
 
 
 def lin_matrix(kin: Kinematics) -> np.ndarray:
-    """Scaled linearization matrix A of the profile field.
+    """Scaled linearization matrix A of the profile field, 2x2 or (2, 2, n) lanes.
 
     The exact Jacobian of the flux residual is (4/3) theta^5 * A, so A
     carries the full sign/discriminant information at any state.
@@ -160,8 +172,8 @@ def det_lin_closed(v_sq: float) -> float:
     return 2.0 * v_sq - 1.0
 
 
-def trace_adj_identity(kin: Kinematics, eps: float) -> float:
-    """trace(adj(B#) A) via plain matrix arithmetic.
+def trace_adj_identity(kin: Kinematics, eps):
+    """trace(adj(B#) A) via plain matrix arithmetic, a float or one value per lane.
 
     The reference for `trace_adj_closed`, which production code uses.
     """

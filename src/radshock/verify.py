@@ -5,24 +5,27 @@ corresponding closed form and reports the worst relative error.  Relative
 error is measured against max(1, |lhs|, |rhs|, operand scale) so identities
 whose exact value passes through zero are judged at the precision the
 computation can actually carry.
+
+Every check runs on stacked arrays: the sampled states reach `b_sharp`,
+`lin_matrix` and `trace_adj_identity` once each, as (2, 2, n) lanes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import classification as cls
-from .equilibria import Q_MAX, Q_MIN, q_of_vplus, state_from_v, v_minus_squared, v_plus_squared
+from .equilibria import Q_MAX, Q_MIN, psi_from_v, q_of_vplus, v_minus_squared, v_plus_squared
 from .errors import OptionOutOfRange
 from .model import (
+    Kinematics,
     b_sharp,
     det_b_sharp_closed,
     det_lin_closed,
-    kinematics,
     lin_matrix,
+    theta_u_v,
     trace_adj_closed,
     trace_adj_identity,
 )
@@ -41,8 +44,10 @@ class IdentityCheck:
     passed: bool
 
 
-def _rel(lhs: float, rhs: float, scale: float = 0.0) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs), scale)
+def _rel(lhs, rhs, scale=0.0) -> float:
+    """Worst of |lhs - rhs| / max(1, |lhs|, |rhs|, scale) over floats or ndarrays."""
+    bound = np.maximum(np.maximum(1.0, np.abs(lhs)), np.maximum(np.abs(rhs), scale))
+    return float((np.abs(lhs - rhs) / bound).max())
 
 
 def _check(name: str, error: float, tolerance: float = TOLERANCE) -> IdentityCheck:
@@ -63,51 +68,42 @@ def run_identity_suite(
     v = np.sqrt(v_sq) * rng.choice([-1.0, 1.0], samples)
     eps = rng.uniform(1e-6, 1.0, samples)
 
-    err_det_b = err_det_a = err_trace = 0.0
-    kins = [kinematics(state_from_v(float(vi))) for vi in v]
-    bs = np.array([b_sharp(kin, float(ei)) for kin, ei in zip(kins, eps)])
-    for vi, ei, kin, b in zip(v, eps, kins, bs):
-        a = lin_matrix(kin)
-        frob_b = float((b * b).sum())
-        frob_a = float((a * a).sum())
-        det_b = float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
-        det_a = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-        err_det_b = max(err_det_b, _rel(det_b, det_b_sharp_closed(vi**2, ei), frob_b))
-        err_det_a = max(err_det_a, _rel(det_a, det_lin_closed(vi**2), frob_a))
-        tr = trace_adj_identity(kin, float(ei))
-        err_trace = max(
-            err_trace, _rel(tr, trace_adj_closed(float(vi), float(ei)), math.sqrt(frob_b * frob_a))
-        )
+    # One stacked call per builder: b and a hold one 2x2 matrix per sample, shape (2, 2, n).
+    kin = Kinematics(*theta_u_v(*psi_from_v(v)))
+    b, a = b_sharp(kin, eps), lin_matrix(kin)
+    frob_b, frob_a = (b * b).sum(axis=(0, 1)), (a * a).sum(axis=(0, 1))
+    det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    err_det_b = _rel(det_b, det_b_sharp_closed(v**2, eps), frob_b)
+    err_det_a = _rel(det_a, det_lin_closed(v**2), frob_a)
+    err_trace = _rel(
+        trace_adj_identity(kin, eps), trace_adj_closed(v, eps), np.sqrt(frob_b * frob_a)
+    )
 
     # B# = eps u^2 a a^T - w w^T - c2 y y^T, a = (v, -u), w = (4uv, -r), y = (1 + 2v^2, -2uv).
-    u, vk = np.array([(kin.u, kin.v) for kin in kins]).T
+    u, vk = kin.u, kin.v
     uv, vk_sq = u * vk, vk * vk
     vecs = np.array([[vk, -u], [4.0 * uv, -4.0 * vk_sq - 1.0], [2.0 * vk_sq + 1.0, -2.0 * uv]])
     weights = np.array([eps * u * u, np.full_like(u, -1.0), -9.0 * eps / (4.0 - eps)])
-    split = np.einsum("kn,kin,kjn->nij", weights, vecs, vecs)
-    scale = np.sqrt(np.maximum(1.0, (bs * bs).sum(axis=(1, 2))))
-    err_split = float((np.abs(bs - split).max(axis=(1, 2)) / scale).max())
+    split = np.einsum("kn,kin,kjn->ijn", weights, vecs, vecs)
+    scale = np.sqrt(np.maximum(1.0, frob_b))
+    err_split = float((np.abs(b - split).max(axis=(0, 1)) / scale).max())
 
     # phi = r q0 - 4uv = 16 ((1-q)/q) (v^2 - v+^2)(v^2 - v-^2) / (r q0 + 4uv) for v > 0.
     qs, z = np.linspace(Q_MIN + 1e-6, Q_MAX - 1e-6, 257)[:, None], np.geomspace(1e-3, 1e6, 64)
-    v_minus_sq = np.array([[v_minus_squared(float(q))] for q in qs[:, 0]])
     rq0, four_uv = (4.0 * z + 1.0) * qs**-0.5, 4.0 * np.sqrt(z * (1.0 + z))
-    factored = 16.0 * (1.0 - qs) / qs * (z - v_plus_squared(qs)) * (z - v_minus_sq)
+    factored = 16.0 * (1.0 - qs) / qs * (z - v_plus_squared(qs)) * (z - v_minus_squared(qs))
     err_phi = float((np.abs(rq0 - four_uv - factored / (rq0 + four_uv)) / rq0).max())
 
-    eps_grid = np.linspace(1e-6, 1.0, 257)
-    err_half = max(
-        _rel(cls.p_eval(0.5, float(e)), 9.0 / 8.0 * e * e * (e - 4.0) ** 2)
-        for e in eps_grid
-    )
-    err_third = max(
-        _rel(cls.p_eval(1.0 / 3.0, float(e)), 16.0 / 27.0 * (e - 1.0) ** 2 * (e * e - 4.0 * e + 1.0))
-        for e in eps_grid
+    e = np.linspace(1e-6, 1.0, 257)
+    err_half = _rel(cls.p_eval(0.5, e), 9.0 / 8.0 * e * e * (e - 4.0) ** 2)
+    err_third = _rel(
+        cls.p_eval(1.0 / 3.0, e), 16.0 / 27.0 * (e - 1.0) ** 2 * (e * e - 4.0 * e + 1.0)
     )
     eps_hat = cls.epsilon_hat()
     err_eighth = abs(cls.p_eval(0.125, eps_hat))
 
-    min_tail = min(cls.discriminant_tail(float(e)) for e in eps_grid)
+    min_tail = float(cls.discriminant_tail(e).min())
     tail_err = 0.0 if min_tail > 0.0 else abs(min_tail) + 1.0
 
     roots_one = cls.cubic_roots(1.0)
@@ -118,7 +114,7 @@ def run_identity_suite(
     err_q1 = _rel(cls.separatrix_q1(1.0), 49.0 / 64.0)
 
     zs = np.linspace(0.125 + 1e-6, 0.5 - 1e-6, 1001)
-    err_round = max(abs(v_plus_squared(q_of_vplus(float(z))) - z) for z in zs)
+    err_round = float(np.abs(v_plus_squared(q_of_vplus(zs)) - zs).max())
 
     return [
         _check("det(B#) matrix vs closed form", err_det_b),

@@ -69,6 +69,18 @@ class TestPolynomial:
     def test_zero_at_eighth(self):
         assert abs(p_eval(0.125, EPS_HAT)) < 1e-10
 
+    def test_eps_array_matches_float_calls(self):
+        eps = np.linspace(0.0, 1.0, 257)
+        for z in (0.5, 1.0 / 3.0):
+            assert list(p_eval(z, eps)) == [p_eval(z, float(e)) for e in eps]
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
+    def test_any_bad_eps_entry_raises(self, bad):
+        eps = np.linspace(0.0, 1.0, 9)
+        eps[3] = bad
+        with pytest.raises(EpsilonOutOfRange):
+            p_eval(0.5, eps)
+
 
 class TestEpsilonHat:
     def test_value(self):

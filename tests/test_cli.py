@@ -14,6 +14,17 @@ from radshock.cli import main
 from radshock.shooting import profile_to_csv, shoot
 
 
+def run_cli_process(cwd, *args):
+    """Run `python -W error -m radshock.cli ARGS` in a child, importing this checkout's src."""
+    env = dict(os.environ)
+    src = str(Path(radshock.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "radshock.cli", *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
 class TestClassifyCommand:
     def test_node_below(self, capsys):
         assert main(["classify", "--eps", "1", "--q", "0.76"]) == 0
@@ -83,6 +94,14 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_nonpositive_samples_is_a_usage_error(self, samples):
         assert main(["verify", "--samples", samples]) == 2
+
+    def test_default_run_from_the_process_is_warning_free(self, tmp_path):
+        # Every numpy warning is an error here, so an overflow or invalid
+        # value in the stacked lanes would fail the run.
+        proc = run_cli_process(tmp_path, "verify")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "all identities passed"
+        assert proc.stderr == ""
 
 
 class TestProfileCommand:
@@ -170,14 +189,7 @@ class TestProfileCommand:
     def test_bad_option_exits_2_from_the_process(self, tmp_path):
         # The library, not argparse, rejects the value, so the exit code
         # comes from `main`'s return.
-        env = dict(os.environ)
-        src = str(Path(radshock.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "radshock.cli", "profile",
-             "--eps", "1", "--q", "0.8", "--rtol", "1e10"],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-        )
+        proc = run_cli_process(tmp_path, "profile", "--eps", "1", "--q", "0.8", "--rtol", "1e10")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()

@@ -121,6 +121,32 @@ class TestRestPoints:
             rest_points(q)
 
 
+class TestVMinusSquared:
+    QS = np.linspace(0.75 + 1e-6, 1.0 - 1e-6, 1001)
+
+    def test_float_call_is_unchanged_python_float(self):
+        # The scalar formula with math.sqrt, as rest_points has always stored it.
+        for q in map(float, self.QS):
+            want = ((2.0 * q - 1.0) + math.sqrt(q * (4.0 * q - 3.0))) / (4.0 * (1.0 - q))
+            got = v_minus_squared(q)
+            assert type(got) is float and got == want
+        pair = rest_points(0.8)
+        assert type(pair.v_minus_sq) is float
+        assert type(pair.psi_minus.psi0) is float and type(pair.psi_plus.psi1) is float
+
+    def test_array_matches_float_calls(self):
+        got = v_minus_squared(self.QS)
+        assert got.shape == self.QS.shape
+        assert list(got) == [v_minus_squared(float(q)) for q in self.QS]
+
+    @pytest.mark.parametrize("bad", [0.75, 1.0, math.nan])
+    def test_any_bad_entry_raises(self, bad):
+        qs = self.QS.copy()
+        qs[7] = bad
+        with pytest.raises(QOutOfRange):
+            v_minus_squared(qs)
+
+
 class TestQOfVPlus:
     def test_exact_third(self):
         assert q_of_vplus(1.0 / 3.0) == pytest.approx(49.0 / 64.0, abs=1e-15)
@@ -145,6 +171,17 @@ class TestQOfVPlus:
         zs = np.linspace(0.1251, 0.4999, 400)
         qs = [q_of_vplus(float(z)) for z in zs]
         assert all(b < a for a, b in zip(qs, qs[1:]))
+
+    def test_array_matches_float_calls(self):
+        zs = np.linspace(0.125 + 1e-6, 0.5 - 1e-6, 1001)
+        assert list(q_of_vplus(zs)) == [q_of_vplus(float(z)) for z in zs]
+
+    @pytest.mark.parametrize("bad", [0.125, 0.5, math.nan])
+    def test_any_bad_entry_raises(self, bad):
+        zs = np.linspace(0.2, 0.4, 9)
+        zs[4] = bad
+        with pytest.raises(ZOutOfRange):
+            q_of_vplus(zs)
 
 
 class TestAdmissible:

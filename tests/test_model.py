@@ -14,6 +14,7 @@ from radshock.errors import (
 from radshock.model import (
     CausalityClass,
     GodunovState,
+    Kinematics,
     b_one,
     b_sharp,
     b_two,
@@ -25,6 +26,7 @@ from radshock.model import (
     kinematics,
     lin_matrix,
     singular_locus_v_sq,
+    theta_u_v,
     trace_adj_closed,
     trace_adj_identity,
 )
@@ -172,6 +174,50 @@ class TestTraceAdjIdentity:
         want = trace_adj_closed(k.v, eps)
         scale = math.sqrt(frob_sq(b_sharp(k, eps)) * frob_sq(lin_matrix(k)))
         assert rel_err(got, want, scale) <= 1e-12
+
+
+class TestStackedLanes:
+    """The reference builders on (2, 2, n) lanes against one call per sample."""
+
+    N = 4000
+    # numpy's vectorized `**` may differ from libm's pow by 1-2 ulp per lane.
+    TOL = 8.0 * 2.0**-52
+
+    @pytest.fixture(scope="class")
+    def lanes(self):
+        rng = np.random.default_rng(17)
+        v = rng.uniform(-1.5, 1.5, self.N)
+        scale = rng.uniform(0.2, 3.0, self.N)
+        eps = rng.uniform(1e-6, 1.0, self.N)
+        psi0, psi1 = scale * np.sqrt(1.0 + v * v), scale * v
+        stacked = Kinematics(*theta_u_v(psi0, psi1))
+        single = [kinematics(GodunovState(float(a), float(b))) for a, b in zip(psi0, psi1)]
+        return stacked, single, eps
+
+    def test_matrices_match_per_sample(self, lanes):
+        stacked, single, eps = lanes
+        b, a = b_sharp(stacked, eps), lin_matrix(stacked)
+        assert b.shape == a.shape == (2, 2, self.N)
+        for i, (k, e) in enumerate(zip(single, eps)):
+            for lane, m in ((b[:, :, i], b_sharp(k, float(e))), (a[:, :, i], lin_matrix(k))):
+                assert np.abs(lane - m).max() <= self.TOL * np.linalg.norm(m)
+
+    def test_trace_matches_per_sample(self, lanes):
+        stacked, single, eps = lanes
+        tr = trace_adj_identity(stacked, eps)
+        assert tr.shape == (self.N,)
+        for t, k, e in zip(tr, single, eps):
+            b, a = b_sharp(k, float(e)), lin_matrix(k)
+            scale = np.linalg.norm(b) * np.linalg.norm(a)
+            assert abs(t - trace_adj_identity(k, float(e))) <= self.TOL * scale
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0 + 1e-9, math.nan])
+    def test_any_bad_lane_eps_raises(self, lanes, bad):
+        stacked, _, eps = lanes
+        eps = eps.copy()
+        eps[self.N // 2] = bad
+        with pytest.raises(EpsilonOutOfRange):
+            b_sharp(stacked, eps)
 
 
 class TestCausality:
