@@ -238,13 +238,20 @@ def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
     check_eps(eps)
     _, _, v = theta_u_v(psi.psi0, psi.psi1)
     check_off_locus(v * v, eps)
+    return spectrum_at_v(v, eps)
+
+
+def spectrum_at_v(v: float, eps: float) -> tuple[complex, complex]:
+    """`local_spectrum` at velocity v, from the closed forms, without its domain checks."""
     det_b = det_b_sharp_closed(v * v, eps)
     tr = trace_adj_closed(v, eps) / det_b
     det = det_lin_closed(v * v) / det_b
     disc = tr * tr - 4.0 * det
     if disc >= 0.0:
-        s = math.sqrt(disc)
-        lo, hi = 0.5 * (tr - s), 0.5 * (tr + s)
+        # The root of trace's sign, and the other from their product: 0.5 (tr
+        # -+ sqrt(disc)) cancels to 0 where |det| << tr^2, as at eps = 1e-12.
+        big = 0.5 * (tr + math.copysign(math.sqrt(disc), tr))
+        lo, hi = sorted((big, det / big if big != 0.0 else 0.0))
         return complex(lo, 0.0), complex(hi, 0.0)
     s = math.sqrt(-disc)
     return complex(0.5 * tr, -0.5 * s), complex(0.5 * tr, 0.5 * s)

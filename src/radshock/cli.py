@@ -29,7 +29,7 @@ def parse_grid(text: str) -> tuple[int, int]:
 
 
 def _shoot_options(args) -> ShootOptions:
-    return ShootOptions(offset=args.offset, rel_tol=args.rtol, abs_tol=args.atol)
+    return ShootOptions(rel_tol=args.rtol, abs_tol=args.atol)
 
 
 def cmd_classify(args) -> int:
@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shoot_flags = argparse.ArgumentParser(add_help=False)
-    shoot_flags.add_argument("--offset", type=float, default=ShootOptions.offset)
     shoot_flags.add_argument("--rtol", type=float, default=ShootOptions.rel_tol)
     shoot_flags.add_argument("--atol", type=float, default=ShootOptions.abs_tol)
 

@@ -49,21 +49,21 @@ def _check_q(q_tilde) -> None:
         raise QOutOfRange(f"q_tilde must lie in (3/4, 1), got {q_tilde}")
 
 
-def v_plus_squared(q_tilde):
-    """Squared velocity of the downstream rest point, in (1/8, 1/2).
-
-    q_tilde may be a float or an ndarray.  Evaluated in the rationalized
-    form 1 / (4 (2q-1 + sqrt(q(4q-3)))), which is free of cancellation over
-    the whole interval; the textbook quotient
-    ((2q-1) - sqrt(q(4q-3))) / (4(1-q)) loses ~6 digits as q_tilde -> 1.
-    """
-    _check_q(q_tilde)
-    return 1.0 / (4.0 * (2.0 * q_tilde - 1.0 + np.sqrt(q_tilde * (4.0 * q_tilde - 3.0))))
-
-
 def _sqrt(x):
     """np.sqrt for ndarrays, math.sqrt (and so a Python float) otherwise."""
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def v_plus_squared(q_tilde):
+    """Squared velocity of the downstream rest point, in (1/8, 1/2).
+
+    q_tilde may be a float, which gives a Python float, or an ndarray.
+    Evaluated in the rationalized form 1 / (4 (2q-1 + sqrt(q(4q-3)))), which
+    is free of cancellation over the whole interval; the textbook quotient
+    ((2q-1) - sqrt(q(4q-3))) / (4(1-q)) loses ~6 digits as q_tilde -> 1.
+    """
+    _check_q(q_tilde)
+    return 1.0 / (4.0 * (2.0 * q_tilde - 1.0 + _sqrt(q_tilde * (4.0 * q_tilde - 3.0))))
 
 
 def v_minus_squared(q_tilde):

@@ -1,8 +1,8 @@
 """Heteroclinic shooting for the profile field B#(psi, eps) psi' = F(psi, q).
 
-A shot starts a small offset along the unstable eigenvector of the upstream
-saddle and integrates with LSODA, which switches between Adams and BDF
-formulas as the field turns stiff (eps -> 0), with the field's Jacobian
+A shot starts a fixed small offset along the unstable eigenvector of the
+upstream saddle and integrates with LSODA, which switches between Adams and
+BDF formulas as the field turns stiff (eps -> 0), with the field's Jacobian
 taken by a complex step through the field function.  That function is one
 closure per shot, built by `_field`: adj(B#) F from three rank-one
 projections of the flux residual, for floats and complex numbers alike, and
@@ -27,18 +27,16 @@ import numpy as np
 from scipy.integrate import ode
 from scipy.optimize import brentq
 
+from .classification import spectrum_at_v
 from .equilibria import EquilibriumPair, check_omega, rest_points, v_minus_squared, v_plus_squared
 from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples
-from .model import (
-    GodunovState,
-    check_off_locus,
-    det_b_sharp_closed,
-    det_lin_closed,
-    kinematics,
-    singular_locus_v_sq,
-    theta_u_v,
-    trace_adj_closed,
-)
+from .model import GodunovState, check_off_locus, kinematics, singular_locus_v_sq, theta_u_v
+
+# A shot starts this far from psi_minus along the unstable eigenvector,
+# relative to |psi_minus - psi_plus|.  A numerical choice, not a parameter of
+# the physics.  Added to psi_minus it rounds by at most 1.4e-6 of itself on a
+# sweep of the square from eps = 1e-12 and q_tilde = 3/4 + 1e-8 to 1 - 1e-15.
+_OFFSET = 1e-7
 
 # Imaginary step of the complex-step Jacobian (Squire & Trapp, SIAM Rev. 40,
 # 1998): Im f(y + ih e_k) / h has no subtractive cancellation, so any h far
@@ -72,20 +70,18 @@ _MAX_STEPS = 10_000
 
 @dataclass(frozen=True)
 class ShootOptions:
-    """Shooting controls; the offset is relative to |psi_minus - psi_plus|.
+    """LSODA's tolerances for a shot.
 
-    `offset` and `abs_tol` must lie in (0, inf) and `rel_tol` in (0, 1): a
-    relative tolerance of 1 or more asks for no accuracy.  Anything else,
-    NaN included, raises OptionOutOfRange.  `shoot` also rejects an offset
-    that the start point cannot resolve at the point shot.
+    `rel_tol` must lie in (0, 1), since a relative tolerance of 1 or more
+    asks for no accuracy, and `abs_tol` in (0, inf).  Anything else, NaN
+    included, raises OptionOutOfRange.
     """
 
-    offset: float = 1e-7
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        for name, hi in (("offset", math.inf), ("rel_tol", 1.0), ("abs_tol", math.inf)):
+        for name, hi in (("rel_tol", 1.0), ("abs_tol", math.inf)):
             value = getattr(self, name)
             if not 0.0 < value < hi:
                 raise OptionOutOfRange(f"{name} must lie in (0, {hi}), got {value}")
@@ -161,7 +157,7 @@ def _field(eps: float, q_tilde: float):
     """
     q0, c2 = q_tilde**-0.5, 9.0 * eps / (4.0 - eps)
     k = 16.0 * (1.0 - q_tilde) / q_tilde
-    vp2, vm2 = float(v_plus_squared(q_tilde)), float(v_minus_squared(q_tilde))
+    vp2, vm2 = v_plus_squared(q_tilde), v_minus_squared(q_tilde)
     nine_eps, eps_plus_8, eps_minus_4 = 9.0 * eps, 8.0 + eps, eps - 4.0
 
     def field(y0, y1):
@@ -226,18 +222,15 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
 
 def _unstable_direction(pair: EquilibriumPair, field, eps: float, q_tilde: float) -> np.ndarray:
     (j00, j01), (j10, j11) = _field_jacobian(field, pair.psi_minus.psi0, pair.psi_minus.psi1)
-    # det J and trace J from the closed forms: the entries of adj(B#) A grow
-    # like v^8 and cancel in det and trace as q_tilde -> 1.
+    # J is local_spectrum's matrix times (4/3) theta^5, and its closed forms
+    # do not cancel as q_tilde -> 1, where the entries of adj(B#) A grow like
+    # v^8.  Its singular-locus check is left out: v_minus^2 > 1/2 lies above
+    # the locus, but within 1e-14 of q_tilde = 1 the check's band holds v^2.
     theta, _, v = theta_u_v(pair.psi_minus.psi0, pair.psi_minus.psi1)
-    k = (4.0 / 3.0) * theta**5
-    det_b = det_b_sharp_closed(v * v, eps)
-    det = k * k * det_lin_closed(v * v) / det_b
-    if not det < 0.0:
-        raise NotASaddle(
-            f"eigenvalue product {det} not negative at psi_minus({q_tilde}), eps={eps}"
-        )
-    tr = k * trace_adj_closed(v, eps) / det_b
-    lam_pos = 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
+    lo, hi = spectrum_at_v(v, eps)
+    if not lo.real < 0.0 < hi.real:
+        raise NotASaddle(f"eigenvalues {lo}, {hi} at psi_minus({q_tilde}), eps={eps}")
+    lam_pos = (4.0 / 3.0) * theta**5 * hi.real
     cand_a = np.array([j01, lam_pos - j00])
     cand_b = np.array([lam_pos - j11, j10])
     vec = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
@@ -458,12 +451,12 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     """Shoot the unstable manifold of the saddle toward the attractor.
 
     Returns the sampled trajectory, a convergence verdict and the oscillation
-    report.  The samples are the integrator's accepted steps; a converged
-    shot's last sample lies on the capture sphere around psi_plus.
-    Non-convergence is a verdict, not an error; an offset that puts the
-    start point outside the cone raises StateOutsideDomain, and one that
-    the start point cannot resolve (its rounding is above 1% of the
-    offset) raises OptionOutOfRange.
+    report.  The shot starts a fixed offset of 1e-7 |psi_minus - psi_plus|
+    along the unstable eigenvector.  The samples are the integrator's
+    accepted steps; a converged shot's last sample lies on the capture
+    sphere around psi_plus.  Non-convergence is a verdict, not an error; a
+    start point outside the cone, as at some q_tilde within 3e-8 of 1,
+    raises StateOutsideDomain.
     """
     if opts is None:
         opts = ShootOptions()
@@ -473,19 +466,11 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     direction = _unstable_direction(pair, field, eps, q_tilde)
     psi_minus = pair.psi_minus.as_array()
     scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
-    shift = opts.offset * scale * direction
-    start = psi_minus + shift
+    start = psi_minus + _OFFSET * scale * direction
     if not start[0] > abs(start[1]):
         raise StateOutsideDomain(
-            f"offset {opts.offset} puts the start point {start.tolist()} outside the cone "
+            f"offset {_OFFSET} puts the start point {start.tolist()} outside the cone "
             f"psi0 > |psi1| at eps={eps}, q_tilde={q_tilde}"
-        )
-    # Below about 1e-14 the rounding of psi_minus + shift swamps the shift,
-    # and the verdict turns on that rounding.
-    if np.linalg.norm(start - psi_minus - shift) > 1e-2 * opts.offset * scale:
-        raise OptionOutOfRange(
-            f"offset {opts.offset} is below what the start point resolves next to "
-            f"psi_minus at eps={eps}, q_tilde={q_tilde}"
         )
     verdict, times, states = _integrate(field, start, eps, pair, scale, opts)
     report = (

@@ -26,7 +26,14 @@ from radshock.errors import (
     ParamsOutOfOmega,
     SingularBsharp,
 )
-from radshock.model import b_sharp, kinematics, lin_matrix, trace_adj_identity
+from radshock.model import (
+    b_sharp,
+    det_b_sharp_closed,
+    det_lin_closed,
+    kinematics,
+    lin_matrix,
+    trace_adj_identity,
+)
 
 EPS_HAT = epsilon_hat()
 
@@ -307,6 +314,17 @@ class TestLocalSpectrum:
             lam = local_spectrum(pair.psi_minus, 1.0)
             assert lam[0].imag == 0.0 and lam[1].imag == 0.0
             assert lam[0].real * lam[1].real < 0.0
+
+    def test_small_saddle_root_does_not_cancel(self):
+        # Here 0.5 (tr - sqrt(disc)) rounds the negative root to exactly 0,
+        # as it does at eps = 1e-6 within 2e-11 of q_tilde = 1.
+        eps = 1e-12
+        psi = rest_points(1.0 - 1e-6).psi_minus
+        v_sq = kinematics(psi).v ** 2
+        det = det_lin_closed(v_sq) / det_b_sharp_closed(v_sq, eps)
+        lo, hi = local_spectrum(psi, eps)
+        assert lo.real < 0.0 < hi.real
+        assert lo.real * hi.real == pytest.approx(det, rel=1e-14)
 
     def test_singular_matrix(self):
         eps = 0.5

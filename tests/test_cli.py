@@ -146,10 +146,18 @@ class TestProfileCommand:
         assert main(["profile", "--eps", "1", "--q", "0.750000001"]) == 2
 
     def test_start_outside_the_cone(self, tmp_path, capsys):
+        # Within about 3e-8 of q_tilde = 1 the fixed offset leaves the cone.
         out_file = tmp_path / "traj.csv"
-        args = ["profile", "--eps", "1", "--q", "0.8", "--offset", "10", "--out", str(out_file)]
+        args = ["profile", "--eps", "1", "--q", "0.999999999", "--out", str(out_file)]
         assert main(args) == 2
-        assert "offset 10.0" in capsys.readouterr().err
+        assert "outside the cone" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_upstream_state_not_a_saddle_is_internal(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(radshock.shooting, "spectrum_at_v", lambda v, eps: (1j, 2.0 + 0j))
+        out_file = tmp_path / "traj.csv"
+        assert main(["profile", "--eps", "1", "--q", "0.8", "--out", str(out_file)]) == 4
+        assert "NotASaddle" in capsys.readouterr().err
         assert not out_file.exists()
 
     @pytest.mark.parametrize("exc", [ValueError("f(a) and f(b) must have different signs"),
@@ -164,10 +172,18 @@ class TestProfileCommand:
         assert "Traceback" not in err
         assert err.splitlines() == [f"error: {type(exc).__name__}: {exc}"]
 
-    @pytest.mark.parametrize("flag", ["--offset", "--rtol", "--atol"])
+    @pytest.mark.parametrize("flag", ["--rtol", "--atol"])
     def test_nonpositive_tolerance_is_a_usage_error(self, flag):
         for value in ("0", "nan", "inf"):
             assert main(["profile", "--eps", "1", "--q", "0.8", flag, value]) == 2
+
+    @pytest.mark.parametrize("command", [["profile", "--eps", "1", "--q", "0.8"], ["scan"]])
+    def test_offset_is_not_an_option(self, capsys, command):
+        # The start offset is fixed inside the library.
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--offset", "1e-7"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --offset" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rtol", ["1", "1e10"])
     def test_rel_tol_of_one_or_more_is_a_usage_error(self, tmp_path, capsys, rtol):
@@ -177,13 +193,6 @@ class TestProfileCommand:
         args = ["profile", "--eps", "1", "--q", "0.8", "--rtol", rtol, "--out", str(out_file)]
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: rel_tol")
-        assert not out_file.exists()
-
-    def test_unresolved_offset_is_a_usage_error(self, tmp_path, capsys):
-        out_file = tmp_path / "traj.csv"
-        args = ["profile", "--eps", "1", "--q", "0.8", "--offset", "1e-15", "--out", str(out_file)]
-        assert main(args) == 2
-        assert "offset 1e-15" in capsys.readouterr().err
         assert not out_file.exists()
 
     def test_bad_option_exits_2_from_the_process(self, tmp_path):

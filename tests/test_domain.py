@@ -61,7 +61,7 @@ def test_outside_domain_raises_typed_error(func, args, error):
 
 
 BAD_OPTIONS = [
-    (name, value) for name in ("offset", "rel_tol", "abs_tol")
+    (name, value) for name in ("rel_tol", "abs_tol")
     for value in (0.0, -1.0, math.nan, math.inf)
 ] + [("rel_tol", 1.0), ("rel_tol", 1e10)]
 

@@ -68,6 +68,14 @@ class TestVPlusSquared:
         zs = [v_plus_squared(float(q)) for q in qs]
         assert all(b < a for a, b in zip(zs, zs[1:]))
 
+    def test_float_call_is_a_python_float_equal_to_the_array_call(self):
+        # math.sqrt and np.sqrt are both correctly rounded, so the two agree
+        # to the bit; rest_points stores the float call.
+        qs = np.linspace(0.75, 1.0, 200_003)[1:-1]
+        assert list(v_plus_squared(qs)) == [v_plus_squared(q) for q in qs.tolist()]
+        assert type(v_plus_squared(0.8)) is float
+        assert type(rest_points(0.8).v_plus_sq) is float
+
     @given(q_values)
     def test_radicand_identity(self, q):
         # (2q-1)^2 - q(4q-3) = 1 - q guarantees a positive downstream velocity.

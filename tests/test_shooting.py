@@ -13,7 +13,7 @@ from conftest import spiral_samples
 from radshock.equilibria import rest_points, state_from_v
 from radshock.errors import (
     DegenerateShock,
-    OptionOutOfRange,
+    NotASaddle,
     ParamsOutOfOmega,
     SingularBsharp,
     TooFewSamples,
@@ -198,12 +198,12 @@ def mpmath_unstable_direction(eps, q_tilde, dps=80):
         return np.array([float(x / norm) for x in vec])
 
 
-def shot_start(eps, q_tilde, opts):
+def shot_start(eps, q_tilde):
     """The start state, rest points and length scale `shoot` hands to `_integrate`."""
     pair = rest_points(q_tilde)
     psi_minus = pair.psi_minus.as_array()
     scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
-    return psi_minus + opts.offset * scale * unstable_direction(eps, q_tilde), pair, scale
+    return psi_minus + shooting._OFFSET * scale * unstable_direction(eps, q_tilde), pair, scale
 
 
 def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
@@ -468,10 +468,11 @@ class TestShootFocusRegion:
         assert rep.systems["u_v"][1].sign_changes >= 2
 
     @pytest.mark.parametrize("point", [NODE_POINT, FOCUS_POINT])
-    def test_offset_robustness(self, point):
+    def test_offset_robustness(self, monkeypatch, point):
         eps, q = point
-        base = shoot(eps, q, ShootOptions(offset=1e-7))
-        halved = shoot(eps, q, ShootOptions(offset=5e-8))
+        base = shoot(eps, q)
+        monkeypatch.setattr(shooting, "_OFFSET", 5e-8)
+        halved = shoot(eps, q)
         assert base.verdict is halved.verdict
         for system in ("psi", "theta_v", "u_v"):
             for a, b in zip(base.oscillation.systems[system], halved.oscillation.systems[system]):
@@ -590,25 +591,47 @@ class TestShootGuards:
         # with a finite state.  ShootOptions rejects such a tolerance, so a
         # stand-in options object hands it to the step loop directly.
         eps, q = 1.0, 0.8
-        start, pair, scale = shot_start(eps, q, ShootOptions())
+        start, pair, scale = shot_start(eps, q)
         loose = SimpleNamespace(rel_tol=1e10, abs_tol=1e-12)
         verdict, times, states = _integrate(_field(eps, q), start, eps, pair, scale, loose)
         assert verdict is ProfileVerdict.ESCAPED
         assert times.size == states.shape[0] == 1
         assert np.all(states[:, 0] > np.abs(states[:, 1]))
 
-    @pytest.mark.parametrize("offset", [1e-16, 1e-15, 3e-15])
-    def test_offset_below_the_start_point_resolution_is_rejected(self, offset):
-        # Rounding of psi_minus + offset * scale * direction swamps such an
-        # offset: at 1e-15 the start is off by 9% here and the shot ended
-        # Escaped, where larger offsets converge.  At 3e-15 it is off by 3%,
-        # above the 1% the check allows.
-        with pytest.raises(OptionOutOfRange, match=f"offset {offset}"):
-            shoot(1.0, 0.8, ShootOptions(offset=offset))
+    def test_start_point_resolves_the_offset_across_the_square(self):
+        # Rounding of psi_minus + shift must not swamp the shift, or the
+        # verdict turns on that rounding: it did for offsets below 1e-14.
+        # At the fixed offset it is at most 1.4e-6 of the shift here, with
+        # both edges of q_tilde approached geometrically.  Starts outside
+        # the cone, all within 1.5e-8 of q_tilde = 1, raise in `shoot`.
+        eps_values = [1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+        q_values = np.unique(np.concatenate(
+            (0.75 + np.geomspace(1.00000001e-8, 0.125, 60), 1.0 - np.geomspace(0.125, 1e-15, 60))
+        )).tolist()
+        worst, outside = 0.0, 0
+        for q in q_values:
+            pair = rest_points(q)
+            psi_minus = pair.psi_minus.as_array()
+            scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
+            for eps in eps_values:
+                shift = shooting._OFFSET * scale * unstable_direction(eps, q)
+                start = psi_minus + shift
+                if not start[0] > abs(start[1]):
+                    assert q > 1.0 - 3e-8, (eps, q)
+                    outside += 1
+                    continue
+                error = np.linalg.norm(start - psi_minus - shift) / (shooting._OFFSET * scale)
+                worst = max(worst, error)
+        assert worst <= 1e-5
+        assert 0 < outside < 0.05 * len(q_values) * len(eps_values)
 
-    def test_smallest_resolved_offset_converges(self):
-        res = shoot(1.0, 0.8, ShootOptions(offset=3e-14))
-        assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
+    @pytest.mark.parametrize(
+        "spectrum", [(complex(1.0, -2.0), complex(1.0, 2.0)), (complex(1.0), complex(3.0))]
+    )
+    def test_saddle_test_rejects_a_spectrum_without_opposite_signs(self, monkeypatch, spectrum):
+        monkeypatch.setattr(shooting, "spectrum_at_v", lambda v, eps: spectrum)
+        with pytest.raises(NotASaddle):
+            unstable_direction(1.0, 0.8)
 
     @pytest.mark.filterwarnings("error")
     def test_lsoda_failure_ends_in_a_verdict_without_a_warning(self):
@@ -645,7 +668,7 @@ class TestShootGuards:
         opts = ShootOptions(rel_tol=1e-16, abs_tol=1e-20)
         res = shoot(eps, q, opts)
         assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
-        start, pair, scale = shot_start(eps, q, opts)
+        start, pair, scale = shot_start(eps, q)
         with pytest.warns(UserWarning, match="rtol"):
             _, ref_times, ref_states, _ = lsoda_solver_reference(start, eps, q, pair, scale, opts)
         assert res.times.tobytes() == ref_times.tobytes()
@@ -752,7 +775,7 @@ class TestStepLoopParity:
         if max_steps is not None:
             monkeypatch.setattr(shooting, "_MAX_STEPS", max_steps)
         eps, q = point
-        start, pair, scale = shot_start(eps, q, opts)
+        start, pair, scale = shot_start(eps, q)
         # scipy's solver warns when LSODA gives up; the step loop does not.
         with pytest.warns(UserWarning, match="lsoda") if lsoda_fails else contextlib.nullcontext():
             ref_verdict, ref_times, ref_states, nfev = lsoda_solver_reference(
@@ -799,12 +822,10 @@ def test_whole_shot_digest(point, digest):
 class TestShootOptions:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            ShootOptions(offset=0.0)
-        with pytest.raises(ValueError):
             ShootOptions(rel_tol=-1e-10)
         with pytest.raises(ValueError):
             ShootOptions(rel_tol=1e10)
-        for name in ("offset", "rel_tol", "abs_tol"):
+        for name in ("rel_tol", "abs_tol"):
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError):
                     ShootOptions(**{name: value})
