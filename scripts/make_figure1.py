@@ -9,6 +9,7 @@ Writes a region-colored SVG plus the matching CSV records.  The default
 
 import argparse
 import os
+from collections import Counter
 
 from radshock.cli import parse_grid
 from radshock.equilibria import Q_MAX, Q_MIN
@@ -46,11 +47,8 @@ def main():
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(scan_to_csv(result))
 
-    counts = {}
-    for r in result.records:
-        counts[r.region] = counts.get(r.region, 0) + 1
     print(f"wrote {svg_path} and {csv_path}")
-    print(f"region cell counts: {counts}")
+    print(f"region cell counts: {dict(Counter(result.records.region))}")
 
 
 if __name__ == "__main__":

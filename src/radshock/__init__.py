@@ -44,7 +44,7 @@ from .model import (
     lin_matrix,
     trace_adj_identity,
 )
-from .scan import ScanConfig, ScanRecord, ScanResult, run_scan
+from .scan import ScanConfig, ScanRecord, ScanResult, ScanTable, run_scan
 from .shooting import (
     OscillationReport,
     ProfileResult,
@@ -74,6 +74,7 @@ __all__ = [
     "ScanConfig",
     "ScanRecord",
     "ScanResult",
+    "ScanTable",
     "ShootOptions",
     "admissible",
     "b_one",

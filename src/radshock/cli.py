@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from . import classification as cls
 from .equilibria import rest_points
@@ -66,9 +67,8 @@ def cmd_scan(args) -> int:
     out = args.out or f"scan.{args.format}"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    counts: dict[str, int] = {}
-    for r in result.records:
-        counts[r.region] = counts.get(r.region, 0) + 1
+    # A dict keeps first-seen order; Counter's own repr orders by count.
+    counts = dict(Counter(result.records.region))
     print(f"wrote {out}: {len(result.records)} records, regions {counts}")
     return 0
 

@@ -130,12 +130,15 @@ def singular_locus_v_sq(eps: float) -> float:
 def check_off_locus(v_sq: float, eps: float) -> None:
     """Raise SingularBsharp if v^2 lies on the singular locus to within its rounding.
 
-    det(B#) is proportional to the gap v^2 - (1-eps)/(8+eps), so it carries
-    the rounding of v^2, which psi0^2 - psi1^2 makes about 2^-52 (u^2 + v^2)
-    = 2^-52 (1 + 2 v^2) relative.  States put on the locus by `state_from_v`
-    land within 6.3 such units of it; the check allows 64.
+    det(B#) is proportional to the gap v^2 - s with s = (1-eps)/(8+eps), so it
+    carries the rounding of v^2, which psi0^2 - psi1^2 makes about 2^-52
+    (u^2 + v^2) = 2^-52 (1 + 2 v^2) relative.  States put on the locus by
+    `state_from_v` land within 6.3 such units of it; the check allows 64.
+    The band is sized at s, not at v^2: one sized at v^2 outgrows v^2 itself
+    once v^2 > ~3.5e13, and would take states far above the locus for it.
     """
-    if abs(v_sq - singular_locus_v_sq(eps)) <= 64.0 * 2.0**-52 * (1.0 + 2.0 * v_sq) * v_sq:
+    s = singular_locus_v_sq(eps)
+    if abs(v_sq - s) <= 64.0 * 2.0**-52 * (1.0 + 2.0 * s) * s:
         raise SingularBsharp(f"v^2 = {v_sq} is on the singular locus at eps = {eps}")
 
 

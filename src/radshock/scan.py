@@ -4,11 +4,15 @@ A scan evaluates the region label and the classifying polynomial value on a
 rectangular grid, optionally shoots a profile per cell, and always emits the
 two separatrix polylines.  Output is byte-deterministic: floats are printed
 with 17 significant digits and cells are ordered by (eps index, q index).
+The cells are kept as columns, one per `ScanRecord` field; a record is built
+only when a caller reads one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -115,12 +119,70 @@ class ScanRecord:
     oscillatory: bool | None = None
 
 
+_FIELDS = tuple(f.name for f in fields(ScanRecord))
+_row_of = attrgetter(*_FIELDS)
+
+
+@dataclass(frozen=True)
+class ScanTable(Sequence):
+    """The cells of a scan in cell order, as one tuple per `ScanRecord` field.
+
+    A read-only sequence of `ScanRecord` that builds a record only when one
+    is read: an index gives one record, a slice a list of them, and
+    iteration yields them.  The emitters read the columns and build none.
+    """
+
+    eps: tuple[float, ...]
+    q_tilde: tuple[float, ...]
+    region: tuple[str, ...]
+    v_plus_sq: tuple[float, ...]
+    discriminant: tuple[float, ...]
+    shoot_verdict: tuple[str | None, ...]
+    oscillatory: tuple[bool | None, ...]
+
+    def __post_init__(self):
+        for name in _FIELDS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len({len(col) for col in self._columns()}) != 1:
+            raise ValueError("scan columns differ in length")
+
+    @classmethod
+    def from_records(cls, records) -> ScanTable:
+        columns = list(zip(*map(_row_of, records)))
+        return cls(*columns) if columns else cls(*[()] * len(_FIELDS))
+
+    def _columns(self) -> tuple[tuple, ...]:
+        """The seven columns in `ScanRecord` field order."""
+        return (self.eps, self.q_tilde, self.region, self.v_plus_sq,
+                self.discriminant, self.shoot_verdict, self.oscillatory)
+
+    def rows(self):
+        """Each cell as a plain tuple in field order; builds no record."""
+        return zip(*self._columns())
+
+    def __len__(self) -> int:
+        return len(self.eps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(ScanRecord, *(col[index] for col in self._columns())))
+        return ScanRecord(*(col[index] for col in self._columns()))
+
+    def __iter__(self):
+        return map(ScanRecord, *self._columns())
+
+
 @dataclass(frozen=True)
 class ScanResult:
     config: ScanConfig
-    records: list[ScanRecord]
+    records: ScanTable
     separatrix1: list[tuple[float, float]]
     separatrix2: list[tuple[float, float]]
+
+    def __post_init__(self):
+        # Any other sequence of records becomes a table once.
+        if not isinstance(self.records, ScanTable):
+            object.__setattr__(self, "records", ScanTable.from_records(self.records))
 
 
 def _separatrix_polylines(config: ScanConfig) -> tuple[list, list]:
@@ -145,25 +207,29 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
     eps_grid = np.linspace(config.eps_lo, config.eps_hi, config.eps_count)
     q_grid = np.linspace(config.q_lo, config.q_hi, config.q_count)
     q_list = q_grid.tolist()
-    v_plus_sq = v_plus_squared(q_grid).tolist()
-    records: list[ScanRecord] = []
+    eps_col: list[float] = []
+    region: list[str] = []
+    discriminant: list[float] = []
     for e in eps_grid.tolist():
         labels, pvals = cls.classify_row(e, q_grid)
-        for q, label, z, pval in zip(q_list, labels, v_plus_sq, pvals.tolist()):
-            verdict: str | None = None
-            oscillatory: bool | None = None
-            if config.shoot:
-                try:
-                    res = shoot(e, q, shoot_options)
-                    verdict = res.verdict.value
-                    oscillatory = res.oscillation.oscillatory
-                except RadshockError as exc:
-                    verdict = type(exc).__name__
-            records.append(
-                ScanRecord(e, q, _REGION_TEXT[label], z, pval, verdict, oscillatory)
-            )
+        eps_col += [e] * len(q_list)
+        region += map(_REGION_TEXT.__getitem__, labels)
+        discriminant += pvals.tolist()
+    q_col = q_list * config.eps_count
+    verdicts: list[str | None] = [None] * len(eps_col)
+    oscillatory: list[bool | None] = [None] * len(eps_col)
+    if config.shoot:
+        for i, (e, q) in enumerate(zip(eps_col, q_col)):
+            try:
+                res = shoot(e, q, shoot_options)
+                verdicts[i] = res.verdict.value
+                oscillatory[i] = res.oscillation.oscillatory
+            except RadshockError as exc:
+                verdicts[i] = type(exc).__name__
+    v_plus_sq = v_plus_squared(q_grid).tolist() * config.eps_count
+    table = ScanTable(eps_col, q_col, region, v_plus_sq, discriminant, verdicts, oscillatory)
     sep1, sep2 = _separatrix_polylines(config)
-    return ScanResult(config=config, records=records, separatrix1=sep1, separatrix2=sep2)
+    return ScanResult(config=config, records=table, separatrix1=sep1, separatrix2=sep2)
 
 
 def _g(x: float) -> str:
@@ -191,13 +257,11 @@ class _TextMemo(dict):
 def scan_to_csv(result: ScanResult) -> str:
     g = _TextMemo()
     lines = ["eps,q_tilde,region,v_plus_sq,discriminant,shoot_verdict,oscillatory"]
-    for r in result.records:
-        verdict = r.shoot_verdict or ""
-        osc = "" if r.oscillatory is None else ("true" if r.oscillatory else "false")
-        lines.append(
-            f"{g[r.eps]},{g[r.q_tilde]},{r.region},{g[r.v_plus_sq]},"
-            f"{_g(r.discriminant)},{verdict},{osc}"
-        )
+    # The discriminants are all distinct, so they skip the memo; a ".17g"
+    # spec prints a numpy scalar as `_g` prints its float.
+    for e, q, region, z, d, verdict, osc in result.records.rows():
+        osc = "" if osc is None else ("true" if osc else "false")
+        lines.append(f"{g[e]},{g[q]},{region},{g[z]},{d:.17g},{verdict or ''},{osc}")
     lines.append("# separatrix q1")
     lines.append("eps,q_tilde")
     lines.extend(f"{_g(e)},{_g(q)}" for e, q in result.separatrix1)
@@ -224,13 +288,13 @@ def scan_to_json(result: ScanResult) -> str:
         f'"shoot": {"true" if c.shoot else "false"}}},\n'
     )
     rec_lines = []
-    for r in result.records:
-        verdict = "null" if r.shoot_verdict is None else f'"{r.shoot_verdict}"'
-        osc = "null" if r.oscillatory is None else ("true" if r.oscillatory else "false")
+    for e, q, region, z, d, verdict, osc in result.records.rows():
+        verdict = "null" if verdict is None else f'"{verdict}"'
+        osc = "null" if osc is None else ("true" if osc else "false")
         rec_lines.append(
-            f'    {{"eps": {g[r.eps]}, "q_tilde": {g[r.q_tilde]}, '
-            f'"region": "{r.region}", "v_plus_sq": {g[r.v_plus_sq]}, '
-            f'"discriminant": {_g(r.discriminant)}, '
+            f'    {{"eps": {g[e]}, "q_tilde": {g[q]}, '
+            f'"region": "{region}", "v_plus_sq": {g[z]}, '
+            f'"discriminant": {d:.17g}, '
             f'"shoot_verdict": {verdict}, "oscillatory": {osc}}}'
         )
     parts.append('  "records": [\n' + ",\n".join(rec_lines) + "\n  ],\n")
@@ -268,11 +332,10 @@ def scan_to_svg(result: ScanResult) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for r in result.records:
-        color = _SVG_COLORS.get(r.region, "#999999")
-        out.append(
-            f'<rect x="{cell_x[r.eps]}" y="{cell_y[r.q_tilde]}" {size} fill="{color}"/>'
-        )
+    t = result.records
+    for e, q, region in zip(t.eps, t.q_tilde, t.region):
+        color = _SVG_COLORS.get(region, "#999999")
+        out.append(f'<rect x="{cell_x[e]}" y="{cell_y[q]}" {size} fill="{color}"/>')
     for pts, color in ((result.separatrix1, "#000000"), (result.separatrix2, "#000000")):
         if not pts:
             continue

@@ -225,7 +225,7 @@ def _unstable_direction(pair: EquilibriumPair, field, eps: float, q_tilde: float
     # J is local_spectrum's matrix times (4/3) theta^5, and its closed forms
     # do not cancel as q_tilde -> 1, where the entries of adj(B#) A grow like
     # v^8.  Its singular-locus check is left out: v_minus^2 > 1/2 lies above
-    # the locus, but within 1e-14 of q_tilde = 1 the check's band holds v^2.
+    # the locus, which stays at or below 1/8.
     theta, _, v = theta_u_v(pair.psi_minus.psi0, pair.psi_minus.psi1)
     lo, hi = spectrum_at_v(v, eps)
     if not lo.real < 0.0 < hi.real:

@@ -226,6 +226,24 @@ class TestScanCommand:
         assert main(["scan", "--grid", "4x4", "--format", "svg", "--out", str(out_file)]) == 0
         ET.fromstring(out_file.read_text())
 
+    def test_summary_line(self, tmp_path, capsys):
+        # Regions in the order the scan first meets them, not by count.
+        out_file = tmp_path / "scan.csv"
+        assert main(["scan", "--grid", "20x20", "--out", str(out_file)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out_file}: 400 records, "
+            "regions {'NodeAbove': 215, 'NodeBelow': 28, 'Focus': 157}\n"
+        )
+
+    def test_run_from_the_process_is_warning_free(self, tmp_path):
+        proc = run_cli_process(tmp_path, "scan", "--grid", "20x20")
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "wrote scan.csv: 400 records, "
+            "regions {'NodeAbove': 215, 'NodeBelow': 28, 'Focus': 157}\n"
+        )
+        assert proc.stderr == ""
+
     def test_default_output_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["scan", "--grid", "3x3"]) == 0

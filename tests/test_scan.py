@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import json
@@ -9,23 +10,51 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radshock.classification import RegionLabel
-from radshock.errors import ParamsOutOfOmega
+from radshock import scan
+from radshock.classification import RegionLabel, classify_row
+from radshock.equilibria import v_plus_squared
+from radshock.errors import ParamsOutOfOmega, RadshockError
 from radshock.scan import (
     SCAN_JSON_SCHEMA,
     ScanConfig,
     ScanRecord,
     ScanResult,
+    ScanTable,
     run_scan,
     scan_to_csv,
     scan_to_json,
     scan_to_svg,
 )
+from radshock.shooting import shoot
+
+# The shooting scan of the golden bytes below: node and focus cells
+# converge, the large-amplitude corner hits the locus.
+SHOOT_3X3 = ScanConfig(eps_lo=0.05, eps_hi=1.0, eps_count=3, q_lo=0.76, q_hi=0.99, q_count=3,
+                       shoot=True)
 
 
 @pytest.fixture(scope="module")
 def small_scan():
     return run_scan(ScanConfig(eps_count=12, q_count=12))
+
+
+def per_cell_records(config):
+    """One ScanRecord per cell, built cell by cell from classify_row and shoot."""
+    q_grid = np.linspace(config.q_lo, config.q_hi, config.q_count)
+    v_plus_sq = v_plus_squared(q_grid).tolist()
+    records = []
+    for e in np.linspace(config.eps_lo, config.eps_hi, config.eps_count).tolist():
+        labels, pvals = classify_row(e, q_grid)
+        for q, label, z, pval in zip(q_grid.tolist(), labels, v_plus_sq, pvals.tolist()):
+            verdict = oscillatory = None
+            if config.shoot:
+                try:
+                    res = shoot(e, q)
+                    verdict, oscillatory = res.verdict.value, res.oscillation.oscillatory
+                except RadshockError as exc:
+                    verdict = type(exc).__name__
+            records.append(ScanRecord(e, q, label.value, z, pval, verdict, oscillatory))
+    return records
 
 
 class TestScanConfig:
@@ -78,6 +107,62 @@ class TestRunScan:
         for r in result.records:
             assert r.shoot_verdict == "ConvergedToPlus"
             assert r.oscillatory in (True, False)
+
+
+class TestScanTable:
+    def test_record_fields_are_fixed(self):
+        # The order is the CSV's column order; the benchmark's parse-back
+        # check compares astuple(record) with each CSV row.
+        names = ["eps", "q_tilde", "region", "v_plus_sq", "discriminant",
+                 "shoot_verdict", "oscillatory"]
+        assert [f.name for f in dataclasses.fields(ScanRecord)] == names
+        assert [f.name for f in dataclasses.fields(ScanTable)] == names
+        record = ScanRecord(0.5, 0.8, "Focus", 0.1, -1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.region = "NodeBelow"
+
+    @pytest.mark.parametrize("config", [ScanConfig(eps_count=12, q_count=12), SHOOT_3X3])
+    def test_reads_as_the_per_cell_records(self, config):
+        records = run_scan(config).records
+        expected = per_cell_records(config)
+        assert isinstance(records, ScanTable)
+        assert len(records) == len(expected) == config.eps_count * config.q_count
+        assert list(records) == expected
+        assert records[-1] == expected[-1]
+        assert records[-len(expected)] == expected[0]
+        assert records[2:7] == expected[2:7] and isinstance(records[2:7], list)
+        assert records[::-1] == expected[::-1]
+        for name in ("region", "shoot_verdict", "oscillatory"):
+            assert getattr(records, name) == tuple(getattr(r, name) for r in expected)
+        with pytest.raises(IndexError):
+            records[len(expected)]
+
+    def test_scan_and_emitters_build_no_record(self, monkeypatch):
+        built = []
+
+        def counting_record(*args):
+            built.append(args)
+            return ScanRecord(*args)
+
+        monkeypatch.setattr(scan, "ScanRecord", counting_record)
+        result = run_scan(ScanConfig(eps_count=200, q_count=200))
+        for emit in (scan_to_csv, scan_to_json, scan_to_svg):
+            emit(result)
+        assert built == []
+        # The counter sees a record that is read.
+        assert result.records[40_000 - 1] == ScanRecord(*built[0])
+        assert len(built) == 1
+
+    def test_a_list_of_records_becomes_a_table_once(self, small_scan):
+        records = list(small_scan.records)
+        result = dataclasses.replace(small_scan, records=records)
+        assert isinstance(result.records, ScanTable)
+        assert result.records == small_scan.records
+        assert ScanResult(small_scan.config, result.records, [], []).records is result.records
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        with pytest.raises(ValueError):
+            ScanTable([0.5], [0.8], ["Focus"], [0.1], [-1.0], [None], [])
 
 
 class TestEmitters:
@@ -151,6 +236,40 @@ class TestEmitters:
         assert len(comments) == 2
         regions = {r.region for r in result.records}
         assert {"NodeBelow", "Focus", "NodeAbove"} <= regions
+
+    @pytest.mark.parametrize("cell", [0, 77, 143])
+    def test_a_changed_label_changes_only_its_line(self, small_scan, cell):
+        # The benchmark's own check edits the first cell the same way.
+        records = small_scan.records
+        region = "Focus" if records[cell].region != "Focus" else "NodeBelow"
+        bad = dataclasses.replace(records[cell], region=region)
+        changed = dataclasses.replace(
+            small_scan, records=records[:cell] + [bad] + records[cell + 1:]
+        )
+        # Line of the cell: below the CSV header, or below the JSON meta and
+        # the SVG preamble.
+        for emit, line in ((scan_to_csv, 1 + cell), (scan_to_json, 3 + cell),
+                           (scan_to_svg, 3 + cell)):
+            before = emit(small_scan).splitlines()
+            after = emit(changed).splitlines()
+            assert len(before) == len(after)
+            assert [i for i, (a, b) in enumerate(zip(before, after)) if a != b] == [line]
+
+    def test_empty_scan_bytes(self, small_scan):
+        empty = ScanResult(
+            config=small_scan.config, records=[],
+            separatrix1=small_scan.separatrix1, separatrix2=small_scan.separatrix2,
+        )
+        assert len(empty.records) == 0
+        got = tuple(
+            hashlib.sha256(emit(empty).encode()).hexdigest()
+            for emit in (scan_to_csv, scan_to_json, scan_to_svg)
+        )
+        assert got == (
+            "2b3132ecc5fe70a69f9b3d29031d0009e5e5a309db2f0664b33a53c72324c8f5",
+            "5fa9c17ddc9896d14f44c8f7710a1567b6b80e873308a036c90c33ccd8337379",
+            "0ed0da0886cd4e607d1dc944c17bb210a124ca2f3e78b733241438ca9de1f7f0",
+        )
 
     @pytest.mark.parametrize(
         "config,digests",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import LSODA
 
 from conftest import spiral_samples
+from radshock.classification import local_spectrum
 from radshock.equilibria import rest_points, state_from_v
 from radshock.errors import (
     DegenerateShock,
@@ -338,6 +339,18 @@ class TestVectorField:
         v = math.sqrt((1.0 - eps) / (8.0 + eps))
         with pytest.raises(SingularBsharp):
             vector_field(state_from_v(v), eps, 0.76)
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.5, 1.0])
+    @pytest.mark.parametrize("gap", [1e-13, 1e-14, 1e-15])
+    def test_defined_at_psi_minus_next_to_q_tilde_one(self, eps, gap):
+        # v_minus^2 grows like 1/(1 - q_tilde) and lies far above the locus
+        # (at most 1/8); a rounding band sized at v^2 would hold v^2 itself.
+        q = 1.0 - gap
+        psi = rest_points(q).psi_minus
+        lo, hi = local_spectrum(psi, eps)
+        assert lo.real < 0.0 < hi.real
+        assert np.all(np.isfinite(vector_field(psi, eps, q)))
+        assert np.all(np.isfinite(field_jacobian(psi, eps, q)))
 
 
 class TestUnstableDirection:
