@@ -5,7 +5,9 @@ evaluated at z = v_plus^2: negative means complex eigenvalues (focus),
 positive means real ones (node).  The zero set of that sign, pulled back
 through the downstream-velocity map, consists of two separatrix curves
 q1(eps) and q2(eps) that split the parameter square into a focus band
-between them and node regions below and above.
+between them and node regions below and above.  `classify_grid` labels a
+whole grid of eps against q_tilde in one array pass; `classify` runs the
+same body at one point.
 """
 
 from __future__ import annotations
@@ -179,8 +181,8 @@ def separatrix_q2(eps: float) -> float:
     return q_of_vplus(cubic_roots(eps).w2)
 
 
-# Region label of each code that `classify_row` assigns.
-_ROW_LABELS = (
+# Region label of each code that `classify_grid` assigns.
+CODE_LABELS = (
     RegionLabel.SEPARATRIX_1,
     RegionLabel.SEPARATRIX_2,
     RegionLabel.NODE_BELOW,
@@ -189,32 +191,45 @@ _ROW_LABELS = (
 )
 
 
-def classify_row(eps: float, q_tilde: np.ndarray) -> tuple[list[RegionLabel], np.ndarray]:
-    """Region labels and P(v_plus^2, eps) for a vector of q_tilde at one eps.
+def _separatrices(eps: float) -> tuple[float, float]:
+    """q1 and q2 of one cubic solve, with q2 = inf where it is undefined, eps >= eps_hat."""
+    roots = cubic_roots(eps)
+    return q_of_vplus(roots.w3), q_of_vplus(roots.w2) if eps < _EPS_HAT else math.inf
 
+
+def classify_grid(eps, q_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Region codes (see `CODE_LABELS`), v_plus^2 and P(v_plus^2, eps) for eps against q_tilde.
+
+    An array eps is a column against the q_tilde row, so codes and P values
+    have shape (len(eps), len(q_tilde)); a float eps gives that of q_tilde.
     Labels place each q_tilde relative to the separatrix curves of one cubic
-    solve, with q2 only where `separatrix_q2` defines it, eps < eps_hat; off
-    the bands each is cross-checked against the sign of P and a
+    solve per eps, with q2 only where `separatrix_q2` defines it, eps <
+    eps_hat; off the bands each is cross-checked against the sign of P and a
     disagreement raises InternalInconsistency.  Inputs must lie in the square.
     """
+    # A float eps stays a float: numpy costs more on a 1-element array.
+    if np.ndim(eps):
+        e = np.reshape(eps, (-1, 1))
+        q1, q2 = np.array([_separatrices(x) for x in e[:, 0].tolist()]).T[..., None]
+    else:
+        e = float(eps)
+        q1, q2 = _separatrices(e)
     q = np.asarray(q_tilde, dtype=float)
-    roots = cubic_roots(eps)
-    q1 = q_of_vplus(roots.w3)
-    q2 = q_of_vplus(roots.w2) if eps < _EPS_HAT else math.inf
     code = np.where(q < q1, 2, np.where(q > q2, 3, 4))
     code[np.abs(q - q2) <= SEPARATRIX_BAND] = 1
     code[np.abs(q - q1) <= SEPARATRIX_BAND] = 0
     z = v_plus_squared(q)
-    pval = p_eval(z, eps)
-    decided = np.abs(pval) > 1e-10 * np.maximum(1.0, _p_scale(z, eps))
+    pval = p_eval(z, e)
+    decided = np.abs(pval) > 1e-10 * np.maximum(1.0, _p_scale(z, e))
     wrong = decided & (code >= 2) & ((pval < 0.0) != (code == 4))
     if wrong.any():
-        i = int(np.argmax(wrong))
+        i = np.unravel_index(np.argmax(wrong), wrong.shape)
+        z_i, e_i = np.broadcast_to(z, wrong.shape)[i], np.broadcast_to(e, wrong.shape)[i]
         raise InternalInconsistency(
-            f"separatrix route says {_ROW_LABELS[code[i]].value} "
-            f"but P({z[i]}, {eps}) = {pval[i]}"
+            f"separatrix route says {CODE_LABELS[code[i]].value} "
+            f"but P({z_i}, {e_i}) = {pval[i]}"
         )
-    return [_ROW_LABELS[c] for c in code.tolist()], pval
+    return code, z, pval
 
 
 def classify(eps: float, q_tilde: float) -> RegionLabel:
@@ -225,7 +240,7 @@ def classify(eps: float, q_tilde: float) -> RegionLabel:
     they disagree outside the tie band.
     """
     check_omega(eps, q_tilde)
-    return classify_row(eps, [q_tilde])[0][0]
+    return CODE_LABELS[classify_grid(eps, [q_tilde])[0][0]]
 
 
 def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:

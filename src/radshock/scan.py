@@ -4,20 +4,22 @@ A scan evaluates the region label and the classifying polynomial value on a
 rectangular grid, optionally shoots a profile per cell, and always emits the
 two separatrix polylines.  Output is byte-deterministic: floats are printed
 with 17 significant digits and cells are ordered by (eps index, q index).
-The cells are kept as columns, one per `ScanRecord` field; a record is built
-only when a caller reads one.
+The grid is classified in one call, and the cells are kept as columns, one
+per `ScanRecord` field; a record is built only when a caller reads one.
+Each emitter turns each column into text once and joins the records.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
 
 from . import classification as cls
-from .equilibria import Q_MAX, Q_MIN, v_plus_squared
+from .equilibria import Q_MAX, Q_MIN
 from .errors import ParamsOutOfOmega, RadshockError
 from .shooting import ShootOptions, shoot
 
@@ -34,6 +36,10 @@ _SVG_COLORS = {
     "Separatrix1": "#222222",
     "Separatrix2": "#222222",
 }
+
+# The text of an oscillatory flag in each format.
+_CSV_FLAG = {None: "", True: "true", False: "false"}
+_JSON_FLAG = {None: "null", True: "true", False: "false"}
 
 SCAN_JSON_SCHEMA = {
     "type": "object",
@@ -80,8 +86,8 @@ SCAN_JSON_SCHEMA = {
 }
 
 
-# A dict lookup per scan cell; Enum .value goes through a descriptor.
-_REGION_TEXT = {label: label.value for label in cls.RegionLabel}
+# The region text of each classification code, as an array to index by the codes.
+_CODE_TEXT = np.array([label.value for label in cls.CODE_LABELS], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -156,10 +162,6 @@ class ScanTable(Sequence):
         return (self.eps, self.q_tilde, self.region, self.v_plus_sq,
                 self.discriminant, self.shoot_verdict, self.oscillatory)
 
-    def rows(self):
-        """Each cell as a plain tuple in field order; builds no record."""
-        return zip(*self._columns())
-
     def __len__(self) -> int:
         return len(self.eps)
 
@@ -206,15 +208,9 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
     """
     eps_grid = np.linspace(config.eps_lo, config.eps_hi, config.eps_count)
     q_grid = np.linspace(config.q_lo, config.q_hi, config.q_count)
+    code, z, pval = cls.classify_grid(eps_grid, q_grid)
     q_list = q_grid.tolist()
-    eps_col: list[float] = []
-    region: list[str] = []
-    discriminant: list[float] = []
-    for e in eps_grid.tolist():
-        labels, pvals = cls.classify_row(e, q_grid)
-        eps_col += [e] * len(q_list)
-        region += map(_REGION_TEXT.__getitem__, labels)
-        discriminant += pvals.tolist()
+    eps_col = [e for e in eps_grid.tolist() for _ in q_list]
     q_col = q_list * config.eps_count
     verdicts: list[str | None] = [None] * len(eps_col)
     oscillatory: list[bool | None] = [None] * len(eps_col)
@@ -226,8 +222,8 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
                 oscillatory[i] = res.oscillation.oscillatory
             except RadshockError as exc:
                 verdicts[i] = type(exc).__name__
-    v_plus_sq = v_plus_squared(q_grid).tolist() * config.eps_count
-    table = ScanTable(eps_col, q_col, region, v_plus_sq, discriminant, verdicts, oscillatory)
+    table = ScanTable(eps_col, q_col, _CODE_TEXT[code.ravel()].tolist(),
+                      z.tolist() * config.eps_count, pval.ravel().tolist(), verdicts, oscillatory)
     sep1, sep2 = _separatrix_polylines(config)
     return ScanResult(config=config, records=table, separatrix1=sep1, separatrix2=sep2)
 
@@ -237,7 +233,7 @@ def _g(x: float) -> str:
 
 
 class _TextMemo(dict):
-    """Text of each distinct number, made once; one per emitter call.
+    """Text of each distinct value, made once; one per emitter call.
 
     A grid repeats each eps, q_tilde and v_plus^2 many times.  Zeros are not
     kept: 0.0 == -0.0 as keys, but the two print differently.
@@ -255,13 +251,17 @@ class _TextMemo(dict):
 
 
 def scan_to_csv(result: ScanResult) -> str:
-    g = _TextMemo()
+    t, g = result.records, _TextMemo()
     lines = ["eps,q_tilde,region,v_plus_sq,discriminant,shoot_verdict,oscillatory"]
     # The discriminants are all distinct, so they skip the memo; a ".17g"
     # spec prints a numpy scalar as `_g` prints its float.
-    for e, q, region, z, d, verdict, osc in result.records.rows():
-        osc = "" if osc is None else ("true" if osc else "false")
-        lines.append(f"{g[e]},{g[q]},{region},{g[z]},{d:.17g},{verdict or ''},{osc}")
+    lines += [
+        f"{e},{q},{region},{z},{d:.17g},{verdict or ''},{osc}"
+        for e, q, region, z, d, verdict, osc in zip(
+            map(g.__getitem__, t.eps), map(g.__getitem__, t.q_tilde), t.region,
+            map(g.__getitem__, t.v_plus_sq), t.discriminant, t.shoot_verdict,
+            map(_CSV_FLAG.__getitem__, t.oscillatory))
+    ]
     lines.append("# separatrix q1")
     lines.append("eps,q_tilde")
     lines.extend(f"{_g(e)},{_g(q)}" for e, q in result.separatrix1)
@@ -278,8 +278,7 @@ def _json_pairs(points: list[tuple[float, float]]) -> str:
 def scan_to_json(result: ScanResult) -> str:
     # Hand-assembled so numbers keep the same fixed 17-significant-digit
     # formatting as the CSV emitter.
-    c = result.config
-    g = _TextMemo()
+    c, t, g = result.config, result.records, _TextMemo()
     parts = ["{\n"]
     parts.append(
         '  "meta": {"schema_version": 1, '
@@ -287,17 +286,18 @@ def scan_to_json(result: ScanResult) -> str:
         f'"q_range": [{_g(c.q_lo)}, {_g(c.q_hi)}, {c.q_count}], '
         f'"shoot": {"true" if c.shoot else "false"}}},\n'
     )
-    rec_lines = []
-    for e, q, region, z, d, verdict, osc in result.records.rows():
-        verdict = "null" if verdict is None else f'"{verdict}"'
-        osc = "null" if osc is None else ("true" if osc else "false")
-        rec_lines.append(
-            f'    {{"eps": {g[e]}, "q_tilde": {g[q]}, '
-            f'"region": "{region}", "v_plus_sq": {g[z]}, '
-            f'"discriminant": {d:.17g}, '
-            f'"shoot_verdict": {verdict}, "oscillatory": {osc}}}'
-        )
-    parts.append('  "records": [\n' + ",\n".join(rec_lines) + "\n  ],\n")
+    verdict = _TextMemo(lambda v: f'"{v}"')
+    verdict[None] = "null"
+    rec_lines = [
+        f'    {{"eps": {e}, "q_tilde": {q}, "region": "{region}", "v_plus_sq": {z}, '
+        f'"discriminant": {d:.17g}, "shoot_verdict": {v}, "oscillatory": {osc}}}'
+        for e, q, region, z, d, v, osc in zip(
+            map(g.__getitem__, t.eps), map(g.__getitem__, t.q_tilde), t.region,
+            map(g.__getitem__, t.v_plus_sq), t.discriminant,
+            map(verdict.__getitem__, t.shoot_verdict), map(_JSON_FLAG.__getitem__, t.oscillatory))
+    ]
+    # Separate parts: the final join is the only copy of the record block.
+    parts += ['  "records": [\n', ",\n".join(rec_lines), "\n  ],\n"]
     parts.append(
         '  "separatrices": {"q1": ' + _json_pairs(result.separatrix1)
         + ', "q2": ' + _json_pairs(result.separatrix2) + "}\n"
@@ -333,9 +333,9 @@ def scan_to_svg(result: ScanResult) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     t = result.records
-    for e, q, region in zip(t.eps, t.q_tilde, t.region):
-        color = _SVG_COLORS.get(region, "#999999")
-        out.append(f'<rect x="{cell_x[e]}" y="{cell_y[q]}" {size} fill="{color}"/>')
+    out += [f'<rect x="{x}" y="{y}" {size} fill="{color}"/>' for x, y, color in zip(
+        map(cell_x.__getitem__, t.eps), map(cell_y.__getitem__, t.q_tilde),
+        map(_SVG_COLORS.get, t.region, repeat("#999999")))]
     for pts, color in ((result.separatrix1, "#000000"), (result.separatrix2, "#000000")):
         if not pts:
             continue
@@ -383,8 +383,9 @@ def scan_to_svg(result: ScanResult) -> str:
             f'font-family="sans-serif">{text}</text>'
         )
         ly += 22
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    # The empty last line ends the text with a newline, without another copy of it.
+    out += ["</svg>", ""]
+    return "\n".join(out)
 
 
 # The emitter of each output format, by the name the CLI's --format takes.

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import ode
-from scipy.optimize import brentq
 
 from .classification import spectrum_at_v
 from .equilibria import EquilibriumPair, check_omega, rest_points, v_minus_squared, v_plus_squared
@@ -330,6 +328,8 @@ def _capture_point(dense, t_old: float, t: float, y: list, dist, r_cap: float):
     """
     if not dist(dense(t_old)) - r_cap > 0.0 >= dist(dense(t)) - r_cap:
         return t, y
+    from scipy.optimize import brentq  # here, so that only a shot loads scipy
+
     t = brentq(lambda s: dist(dense(s)) - r_cap, t_old, t)
     return t, dense(t).tolist()
 
@@ -359,6 +359,8 @@ def _integrate(
     scale: float,
     opts: ShootOptions,
 ) -> tuple[ProfileVerdict, np.ndarray, np.ndarray]:
+    from scipy.integrate import ode  # here, so that only a shot loads scipy
+
     p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
     r_cap = _CAPTURE_RADIUS * scale
     r_esc = _ESCAPE_RADIUS * scale

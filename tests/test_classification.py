@@ -6,9 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bracketed_roots, frob_sq
+from radshock import classification
 from radshock.classification import (
+    CODE_LABELS,
+    SEPARATRIX_BAND,
     RegionLabel,
     classify,
+    classify_grid,
     cubic_discriminant,
     cubic_roots,
     discriminant_tail,
@@ -23,6 +27,7 @@ from radshock.equilibria import state_from_v, rest_points, v_plus_squared
 from radshock.errors import (
     EpsilonAboveHat,
     EpsilonOutOfRange,
+    InternalInconsistency,
     ParamsOutOfOmega,
     SingularBsharp,
 )
@@ -293,6 +298,58 @@ class TestClassify:
             assert pval < 1e-8
         elif label in (RegionLabel.NODE_BELOW, RegionLabel.NODE_ABOVE):
             assert pval > -1e-8
+
+
+class TestClassifyGrid:
+    def test_cells_match_the_scalar_routes(self):
+        # eps straddles eps_hat and takes both ends of the square; q_tilde
+        # holds points half a band off q1 and q2 of some rows.
+        eps = [1e-6, 0.05, 0.3, 0.6, math.nextafter(EPS_HAT, 0.0), EPS_HAT,
+               math.nextafter(EPS_HAT, 2.0), 0.9, 1.0]
+        half = SEPARATRIX_BAND / 2
+        q1_rows, q2_rows = (0.05, 0.3, 0.6, 1.0), (0.05, 0.3, 0.6)
+        q = [0.75 + 1e-6, 0.8, 0.95, 1.0 - 1e-6]
+        q += [separatrix_q1(e) + d for e in q1_rows for d in (-half, half)]
+        q += [separatrix_q2(e) + d for e in q2_rows for d in (-half, half)]
+        code, z, pval = classify_grid(np.array(eps), np.array(q))
+        assert code.shape == pval.shape == (len(eps), len(q))
+        for j, qj in enumerate(q):
+            assert z[j].hex() == v_plus_squared(qj).hex()
+        for i, e in enumerate(eps):
+            for j, qj in enumerate(q):
+                assert CODE_LABELS[code[i, j]] is classify(e, qj), (e, qj)
+                assert pval[i, j].hex() == p_eval(v_plus_squared(qj), e).hex(), (e, qj)
+        for k, e in enumerate(q1_rows):
+            assert [CODE_LABELS[c] for c in code[eps.index(e), 4 + 2 * k:6 + 2 * k]] == [
+                RegionLabel.SEPARATRIX_1] * 2
+        for k, e in enumerate(q2_rows):
+            j = 4 + 2 * len(q1_rows) + 2 * k
+            assert [CODE_LABELS[c] for c in code[eps.index(e), j:j + 2]] == [
+                RegionLabel.SEPARATRIX_2] * 2
+
+    def test_float_eps_gives_the_shape_of_q(self):
+        code, z, pval = classify_grid(0.5, [0.76, 0.8])
+        assert code.shape == z.shape == pval.shape == (2,)
+        assert [CODE_LABELS[c] for c in code] == [classify(0.5, 0.76), classify(0.5, 0.8)]
+
+    def test_inconsistency_names_its_cell(self, monkeypatch):
+        # Flip the sign of P at one off-diagonal cell of a 4x3 grid, a Focus
+        # cell well inside the band between the curves.
+        eps = np.array([0.2, 0.4, 0.6, 0.8])
+        q = np.array([0.76, 0.85, 0.95])
+        true_p_eval = classification.p_eval
+
+        def flipped(z, e):
+            p = true_p_eval(z, e)
+            p[2, 1] = -p[2, 1]
+            return p
+
+        monkeypatch.setattr(classification, "p_eval", flipped)
+        with pytest.raises(InternalInconsistency) as info:
+            classify_grid(eps, q)
+        z = float(v_plus_squared(q)[1])
+        p = -float(true_p_eval(z, 0.6))
+        assert str(info.value) == f"separatrix route says Focus but P({z!r}, 0.6) = {p!r}"
 
 
 class TestLocalSpectrum:

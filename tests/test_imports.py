@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and only a shot loads scipy.
 
 A dead import outlives the code that needed it and hides which layer a
 module really depends on.  Names re-exported through `__all__` count as
@@ -6,6 +6,10 @@ used; `from __future__` imports are exempt.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,39 @@ def test_module_uses_every_name_it_imports(path):
 def test_checker_flags_a_dead_import():
     source = "from __future__ import annotations\nimport math\nfrom os import path, sep\nsep\n"
     assert unused_imports(source) == ["math (line 2)", "path (line 3)"]
+
+
+# Each step runs in turn in one fresh interpreter, which then prints which
+# of the lazily imported scipy modules are loaded.
+_LAZY_SCIPY_STEPS = """
+import json, sys
+steps = [
+    ("import radshock", "import radshock"),
+    ("classify", "radshock.classify(0.5, 0.9)"),
+    ("run_scan", "from radshock.scan import ScanConfig, run_scan; "
+                 "run_scan(ScanConfig(eps_count=4, q_count=4))"),
+    ("run_identity_suite", "from radshock.verify import run_identity_suite; "
+                           "run_identity_suite()"),
+    ("shoot", "radshock.shoot(1.0, 0.8)"),
+]
+loaded = {}
+for name, code in steps:
+    exec(code)
+    loaded[name] = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_shot_loads_scipy():
+    env = dict(os.environ)
+    src = str(Path(radshock.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_STEPS], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert json.loads(proc.stdout) == {
+        "import radshock": [],
+        "classify": [],
+        "run_scan": [],
+        "run_identity_suite": [],
+        "shoot": ["scipy.integrate", "scipy.optimize"],
+    }

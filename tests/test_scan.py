@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radshock import scan
-from radshock.classification import RegionLabel, classify_row
+from radshock import classification, scan
+from radshock.classification import RegionLabel, classify, p_eval
 from radshock.equilibria import v_plus_squared
 from radshock.errors import ParamsOutOfOmega, RadshockError
 from radshock.scan import (
@@ -39,13 +39,11 @@ def small_scan():
 
 
 def per_cell_records(config):
-    """One ScanRecord per cell, built cell by cell from classify_row and shoot."""
-    q_grid = np.linspace(config.q_lo, config.q_hi, config.q_count)
-    v_plus_sq = v_plus_squared(q_grid).tolist()
+    """One ScanRecord per cell, built cell by cell from scalar classify, p_eval and shoot."""
     records = []
     for e in np.linspace(config.eps_lo, config.eps_hi, config.eps_count).tolist():
-        labels, pvals = classify_row(e, q_grid)
-        for q, label, z, pval in zip(q_grid.tolist(), labels, v_plus_sq, pvals.tolist()):
+        for q in np.linspace(config.q_lo, config.q_hi, config.q_count).tolist():
+            z = v_plus_squared(q)
             verdict = oscillatory = None
             if config.shoot:
                 try:
@@ -53,7 +51,9 @@ def per_cell_records(config):
                     verdict, oscillatory = res.verdict.value, res.oscillation.oscillatory
                 except RadshockError as exc:
                     verdict = type(exc).__name__
-            records.append(ScanRecord(e, q, label.value, z, pval, verdict, oscillatory))
+            records.append(
+                ScanRecord(e, q, classify(e, q).value, z, p_eval(z, e), verdict, oscillatory)
+            )
     return records
 
 
@@ -98,6 +98,29 @@ class TestRunScan:
         assert len(small_scan.separatrix2) >= 64
         for e, q in small_scan.separatrix1 + small_scan.separatrix2:
             assert 0.75 < q < 1.0
+
+    def test_one_classification_call_per_scan(self, monkeypatch):
+        # The whole grid goes through the classification body at once, and
+        # v_plus^2 of the q_tilde grid is computed once, however many eps rows.
+        bodies, squares = [], []
+        body, square = classification.classify_grid, classification.v_plus_squared
+
+        def counted_body(*args):
+            bodies.append(args)
+            return body(*args)
+
+        def counted_square(q_tilde):
+            squares.append(q_tilde)
+            return square(q_tilde)
+
+        monkeypatch.setattr(classification, "classify_grid", counted_body)
+        monkeypatch.setattr(classification, "v_plus_squared", counted_square)
+        config = ScanConfig(eps_count=50, q_count=40)
+        result = run_scan(config)
+        assert len(result.records) == 2000
+        assert len(bodies) == 1
+        assert len(squares) == 1
+        np.testing.assert_array_equal(squares[0], np.linspace(config.q_lo, config.q_hi, 40))
 
     def test_shoot_columns(self):
         result = run_scan(
