@@ -197,7 +197,16 @@ def _separatrices(eps: float) -> tuple[float, float]:
     return q_of_vplus(roots.w3), q_of_vplus(roots.w2) if eps < _EPS_HAT else math.inf
 
 
-def classify_grid(eps, q_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def separatrix_grid(eps) -> np.ndarray:
+    """q1 and q2 at each eps of a 1-D array, as rows of a (2, len(eps)) array.
+
+    One cubic solve per eps; q2 is inf where `separatrix_q2` does not define
+    it, eps >= eps_hat.
+    """
+    return np.array([_separatrices(x) for x in np.ravel(eps).tolist()]).T
+
+
+def classify_grid(eps, q_tilde, separatrices=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Region codes (see `CODE_LABELS`), v_plus^2 and P(v_plus^2, eps) for eps against q_tilde.
 
     An array eps is a column against the q_tilde row, so codes and P values
@@ -205,12 +214,16 @@ def classify_grid(eps, q_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Labels place each q_tilde relative to the separatrix curves of one cubic
     solve per eps, with q2 only where `separatrix_q2` defines it, eps <
     eps_hat; off the bands each is cross-checked against the sign of P and a
-    disagreement raises InternalInconsistency.  Inputs must lie in the square.
+    disagreement raises InternalInconsistency.  An array eps may come with
+    its `separatrix_grid`, which the caller has already solved for.  Inputs
+    must lie in the square.
     """
     # A float eps stays a float: numpy costs more on a 1-element array.
     if np.ndim(eps):
         e = np.reshape(eps, (-1, 1))
-        q1, q2 = np.array([_separatrices(x) for x in e[:, 0].tolist()]).T[..., None]
+        if separatrices is None:
+            separatrices = separatrix_grid(e)
+        q1, q2 = np.asarray(separatrices)[..., None]
     else:
         e = float(eps)
         q1, q2 = _separatrices(e)

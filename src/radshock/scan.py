@@ -187,11 +187,18 @@ class ScanResult:
             object.__setattr__(self, "records", ScanTable.from_records(self.records))
 
 
-def _separatrix_polylines(config: ScanConfig) -> tuple[list, list]:
+def _separatrix_polylines(config: ScanConfig, eps_grid: np.ndarray, q1: np.ndarray):
+    """The q1 and q2 polylines, each of at least 64 points.
+
+    On a grid of 64 eps or more the q1 polyline's points are the grid's, so
+    it takes `q1` of the grid's own cubic solves instead of solving again.
+    """
     n = max(config.eps_count, 64)
-    sep1 = []
-    for e in np.linspace(config.eps_lo, config.eps_hi, n):
-        sep1.append((float(e), cls.separatrix_q1(float(e))))
+    if n == config.eps_count:
+        sep1 = list(zip(eps_grid.tolist(), q1.tolist()))
+    else:
+        sep1 = [(e, cls.separatrix_q1(e))
+                for e in np.linspace(config.eps_lo, config.eps_hi, n).tolist()]
     sep2 = []
     hi2 = min(config.eps_hi, cls.epsilon_hat() - 1e-9)
     if config.eps_lo < hi2:
@@ -208,7 +215,8 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
     """
     eps_grid = np.linspace(config.eps_lo, config.eps_hi, config.eps_count)
     q_grid = np.linspace(config.q_lo, config.q_hi, config.q_count)
-    code, z, pval = cls.classify_grid(eps_grid, q_grid)
+    separatrices = cls.separatrix_grid(eps_grid)
+    code, z, pval = cls.classify_grid(eps_grid, q_grid, separatrices)
     q_list = q_grid.tolist()
     eps_col = [e for e in eps_grid.tolist() for _ in q_list]
     q_col = q_list * config.eps_count
@@ -224,7 +232,7 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
                 verdicts[i] = type(exc).__name__
     table = ScanTable(eps_col, q_col, _CODE_TEXT[code.ravel()].tolist(),
                       z.tolist() * config.eps_count, pval.ravel().tolist(), verdicts, oscillatory)
-    sep1, sep2 = _separatrix_polylines(config)
+    sep1, sep2 = _separatrix_polylines(config, eps_grid, separatrices[0])
     return ScanResult(config=config, records=table, separatrix1=sep1, separatrix2=sep2)
 
 

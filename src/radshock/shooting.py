@@ -9,19 +9,27 @@ projections of the flux residual, for floats and complex numbers alike, and
 the only place the package applies B#.  Its complex step at the saddle also
 gives the start direction.  The step loop calls ODEPACK's LSODA runner
 itself, one step per call with the arguments scipy's `LSODA` solver hands
-it; scipy's `ode` only sets up the work arrays.  It checks every accepted
-step and stops when the orbit is captured at the downstream rest point,
-escapes, hits the singular locus of the dissipation matrix, or exhausts the
-step or pseudo-time budget.  The sampled trajectory is then scanned for
-extrema and sign changes in three coordinate systems, which is how
-oscillatory (spiraling) profiles are detected.
+it, on the work arrays scipy's `ode` would build.  That runner (`lsoda` of
+scipy's private compiled module `scipy.integrate._odepack`) and Brent's
+root finder for the capture point (`_brentq` of `scipy.optimize._zeros`)
+are all a shot takes from scipy; each is loaded from its file, without
+importing its package.  The step loop checks every accepted step and stops
+when the orbit is captured at the downstream rest point, escapes, hits the
+singular locus of the dissipation matrix, or exhausts the step or
+pseudo-time budget.  The sampled trajectory is then scanned for extrema and
+sign changes in three coordinate systems, which is how oscillatory
+(spiraling) profiles are detected.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +72,66 @@ _MAX_PSEUDO_TIME = 1e6
 # of one that does not resolve.  At the default tolerances the most taken on
 # the 20x20 scan or the benchmark is 1,309, at (0.63, 1 - 1e-6).
 _MAX_STEPS = 10_000
+
+# The compiled scipy functions a shot calls, by (module, name), once loaded.
+_COMPILED: dict[tuple[str, str], object] = {}
+
+# scipy's OpenBLAS, which scipy.integrate._odepack links, starts a worker
+# thread as it loads, and an idle worker spins for 2^28 TSC ticks (about
+# 0.13 s at 2 GHz) before it sleeps.  Loaded by a shot, that spin overlapped
+# the shots that followed and, on 2 cores, made them up to twice as slow.
+# At 2^20 ticks (about 0.5 ms) it ends before the next shot starts.  OpenBLAS
+# reads this only while it loads, and a value already set is kept.
+_OPENBLAS_THREAD_TIMEOUT = "20"
+
+
+def _extension_path(module: str) -> Path | None:
+    """The file of scipy's compiled module `module`, such as "integrate._odepack", or None.
+
+    `find_spec` of a top-level package imports nothing, not even scipy.
+    """
+    spec = importlib.util.find_spec("scipy")
+    *package, leaf = module.split(".")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, *package, leaf + suffix)
+            if path.is_file():
+                return path
+    return None
+
+
+def _compiled(module: str, name: str):
+    """Function `name` of scipy's compiled module `module`, loaded once per process.
+
+    The module is loaded from its file, without running its package's
+    __init__: `scipy.integrate` and `scipy.optimize` would import some 350
+    modules, about 0.5 s, for the two functions a shot calls.
+    """
+    func = _COMPILED.get((module, name))
+    if func is None:
+        full = f"scipy.{module}"
+        path = _extension_path(module)
+        try:
+            if path is None:
+                raise ModuleNotFoundError(f"no compiled module {full}", name=full)
+            loader = importlib.machinery.ExtensionFileLoader(full, str(path))
+            unset = "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+            os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
+            try:
+                ext = importlib.util.module_from_spec(importlib.util.spec_from_loader(full, loader))
+                loader.exec_module(ext)
+            finally:
+                if unset:
+                    del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+            func = getattr(ext, name)
+        except (ImportError, AttributeError) as exc:
+            raise ImportError(
+                f"a shot calls {name} of scipy's compiled module {full} (scipy>=1.17), "
+                f"which could not be loaded: {exc}",
+                name=full,
+            ) from exc
+        _COMPILED[module, name] = func
+    return func
 
 
 @dataclass(frozen=True)
@@ -328,19 +396,26 @@ def _capture_point(dense, t_old: float, t: float, y: list, dist, r_cap: float):
     """
     if not dist(dense(t_old)) - r_cap > 0.0 >= dist(dense(t)) - r_cap:
         return t, y
-    from scipy.optimize import brentq  # here, so that only a shot loads scipy
 
-    t = brentq(lambda s: dist(dense(s)) - r_cap, t_old, t)
+    def gap(s):
+        value = dist(dense(s)) - r_cap
+        if math.isnan(value):
+            raise ValueError(f"The function value at x={s} is NaN; solver cannot continue.")
+        return value
+
+    # brentq's defaults: xtol 2e-12, rtol 4 ulp, at most 100 iterations.
+    t = _compiled("optimize._zeros", "_brentq")(
+        gap, t_old, t, 2e-12, 4 * 2.0**-52, 100, (), False, True
+    )
     return t, dense(t).tolist()
 
 
-def _nordsieck_interpolant(integ, t: float):
+def _nordsieck_interpolant(rwork: np.ndarray, iwork: np.ndarray, t: float):
     """Dense output of LSODA's last step, which ended at t, as scipy's LSODA builds it.
 
     rwork[20:] holds the Nordsieck history array scaled to the next trial
     step rwork[11], with columns up to the order iwork[13] of the step taken.
     """
-    iwork, rwork = integ.iwork, integ.rwork
     order = iwork[13]
     h = rwork[11]
     yh = np.reshape(rwork[20:20 + (order + 1) * 2], (2, order + 1), order="F").copy()
@@ -359,8 +434,6 @@ def _integrate(
     scale: float,
     opts: ShootOptions,
 ) -> tuple[ProfileVerdict, np.ndarray, np.ndarray]:
-    from scipy.integrate import ode  # here, so that only a shot loads scipy
-
     p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
     r_cap = _CAPTURE_RADIUS * scale
     r_esc = _ESCAPE_RADIUS * scale
@@ -389,19 +462,21 @@ def _integrate(
     # One LSODA step per call, as scipy's LSODA solver steps it: itask 5
     # never steps past tcrit = rwork[0].  Like that solver, raise rel_tol to
     # 100 ulp; below it ODEPACK can reject the input before the first step.
-    # scipy's `ode` only builds the work arrays; the loop calls ODEPACK's
-    # runner with them itself.
     rtol = max(opts.rel_tol, _MIN_REL_TOL)
     atol = opts.abs_tol
-    solver = ode(rhs, jac).set_integrator("lsoda", rtol=rtol, atol=atol)
-    integ = solver.set_initial_value(y_start)._integrator
-    step = integ.runner
-    rwork, iwork = integ.rwork, integ.iwork
-    sd, si = integ.state_doubles, integ.state_ints
-    jt = integ.call_args[6]
+    step = _compiled("integrate._odepack", "lsoda")
+    # The work arrays scipy's `lsoda.reset` builds for n = 2 with a full user
+    # Jacobian (jt = 1): rwork of 20 + (12 + 4) n doubles, iwork of 20 + n
+    # ints with nsteps 500 and the Adams and BDF order limits 12 and 5, and
+    # the zeroed 240 doubles and 48 ints the runner keeps between calls.
+    rwork, iwork = np.zeros(52), np.zeros(22, dtype=np.int32)
+    iwork[5], iwork[7], iwork[8] = 500, 12, 5
+    sd, si = np.zeros(240), np.zeros(48, dtype=np.int32)
+    jt = 1
     t_end = _MAX_PSEUDO_TIME
     rwork[0] = t_end
-    arr, t, istate = solver.y, 0.0, 1
+    # The runner overwrites its state argument, so it gets a copy.
+    arr, t, istate = y_start.copy(), 0.0, 1
     # The samples, flat: y0, y1 of each in turn.
     flat = y_start.tolist()
     y0, y1 = flat
@@ -431,7 +506,7 @@ def _integrate(
             # psi_plus is a hyperbolic sink throughout Omega, so an orbit that
             # enters the capture ball has converged.  The last sample is put
             # on the capture sphere, where the oscillation counts stop.
-            dense = _nordsieck_interpolant(integ, t)
+            dense = _nordsieck_interpolant(rwork, iwork, t)
             t, (y0, y1) = _capture_point(dense, t_old, t, [y0, y1], dist, r_cap)
             verdict = ProfileVerdict.CONVERGED_TO_PLUS
         elif r >= r_esc or not y0 - abs(y1) > _BOUNDARY_MARGIN:

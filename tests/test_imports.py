@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in it, and only a shot loads scipy.
+"""Every name a module of the package imports is used in it, and no step loads scipy's packages.
 
 A dead import outlives the code that needed it and hides which layer a
 module really depends on.  Names re-exported through `__all__` count as
@@ -49,7 +49,8 @@ def test_checker_flags_a_dead_import():
 
 
 # Each step runs in turn in one fresh interpreter, which then prints which
-# of the lazily imported scipy modules are loaded.
+# of scipy's heavy subpackages are loaded.  A shot loads only the two
+# compiled modules it calls, not the packages around them.
 _LAZY_SCIPY_STEPS = """
 import json, sys
 steps = [
@@ -64,12 +65,14 @@ steps = [
 loaded = {}
 for name, code in steps:
     exec(code)
-    loaded[name] = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+    loaded[name] = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.special",
+                                "scipy.sparse", "scipy.linalg") if m in sys.modules]
 print(json.dumps(loaded))
 """
 
 
 def test_only_a_shot_loads_scipy():
+    # Only a shot loads anything of scipy, and then none of these packages.
     env = dict(os.environ)
     src = str(Path(radshock.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -80,5 +83,5 @@ def test_only_a_shot_loads_scipy():
         "classify": [],
         "run_scan": [],
         "run_identity_suite": [],
-        "shoot": ["scipy.integrate", "scipy.optimize"],
+        "shoot": [],
     }

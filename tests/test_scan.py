@@ -122,6 +122,26 @@ class TestRunScan:
         assert len(squares) == 1
         np.testing.assert_array_equal(squares[0], np.linspace(config.q_lo, config.q_hi, 40))
 
+    def test_q1_polyline_reuses_the_classification_solves(self, monkeypatch):
+        # On a 200x200 grid the q1 polyline's eps are the grid's, so only the
+        # classification (one solve per eps row) and the q2 polyline, on its
+        # own eps grid below eps_hat, solve the cubic: 400 calls, not 600.
+        calls = []
+        roots = classification.cubic_roots
+
+        def counted_roots(eps):
+            calls.append(eps)
+            return roots(eps)
+
+        monkeypatch.setattr(classification, "cubic_roots", counted_roots)
+        config = ScanConfig(eps_count=200, q_count=200)
+        result = run_scan(config)
+        assert len(calls) == 400
+        # The polyline is bit for bit the one of a solve per point.
+        assert result.separatrix1 == [(e, classification.separatrix_q1(e))
+                                      for e in np.linspace(config.eps_lo, config.eps_hi, 200)
+                                      .tolist()]
+
     def test_shoot_columns(self):
         result = run_scan(
             ScanConfig(eps_lo=0.999, eps_hi=1.0, eps_count=2,

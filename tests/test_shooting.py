@@ -1,6 +1,12 @@
 import contextlib
 import hashlib
+import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -757,6 +763,15 @@ class TestCapturePoint:
         t, y = _capture_point(dense, 0.0, 1.0, accepted, self.dist, 1.0)
         assert (t, y) == (1.0, accepted)
 
+    def test_nan_inside_the_step_raises_value_error(self):
+        # Brent's method cannot go on from a NaN; it says so, as scipy's
+        # brentq does, instead of returning a time.
+        def dense(s):
+            return np.array([2.0 - s if s in (0.0, 1.5) else math.nan, 0.0])
+
+        with pytest.raises(ValueError, match="NaN"):
+            _capture_point(dense, 0.0, 1.5, [0.5, 0.0], self.dist, 1.0)
+
 
 # (point, options, verdict, whether LSODA itself gives up, step budget or None
 # for the default) for TestStepLoopParity.
@@ -815,21 +830,85 @@ class TestStepLoopParity:
             assert times.size == shooting._MAX_STEPS + 1
 
 
+WHOLE_SHOT_DIGESTS = [
+    ((1.0, 0.762), "809eb29dd316b0a90f7c06e30870e6db9abfebe91c76814220d7c54a64c760b5"),
+    ((1.0, 0.8), "6c2c104868d7fcdef39d8436179ec4090f964470857510f31e0de64f5fc79723"),
+    ((1e-6, 0.8), "be4faa57cf594549f2fc22b01561cf0f45ef76c4491f1c45037b4759386885c2"),
+    ((0.5, 0.9999), "abc9e2326ed53cf962df9869c7b4b0432bdb1bbc87d04fe50ed577576439d721"),
+    ((1.0, 1.0 - 1e-6), "c120aaa775fa5ee5ac4f61d0e1a8831e5aedb5066b95603f4764e4aac029a63c"),
+]
+
+
 @pytest.mark.parametrize(
-    "point,digest",
-    [
-        ((1.0, 0.762), "809eb29dd316b0a90f7c06e30870e6db9abfebe91c76814220d7c54a64c760b5"),
-        ((1.0, 0.8), "6c2c104868d7fcdef39d8436179ec4090f964470857510f31e0de64f5fc79723"),
-        ((1e-6, 0.8), "be4faa57cf594549f2fc22b01561cf0f45ef76c4491f1c45037b4759386885c2"),
-        ((0.5, 0.9999), "abc9e2326ed53cf962df9869c7b4b0432bdb1bbc87d04fe50ed577576439d721"),
-        ((1.0, 1.0 - 1e-6), "c120aaa775fa5ee5ac4f61d0e1a8831e5aedb5066b95603f4764e4aac029a63c"),
-    ],
-    ids=[f"point{i}" for i in range(5)],
+    "point,digest", WHOLE_SHOT_DIGESTS, ids=[f"point{i}" for i in range(5)]
 )
 def test_whole_shot_digest(point, digest):
     # Every sample of these shots, to the last bit: a rounding change
     # anywhere in the field, the start direction or the step loop shows here.
     assert hashlib.sha256(profile_to_csv(shoot(*point)).encode()).hexdigest() == digest
+
+
+# Prints the digests of the shots given as JSON in argv[1], then whether
+# scipy.integrate was ever imported.
+_DIGESTS_IN_A_FRESH_PROCESS = """
+import hashlib, json, sys
+from radshock.shooting import profile_to_csv, shoot
+points = json.loads(sys.argv[1])
+print(json.dumps([hashlib.sha256(profile_to_csv(shoot(*p)).encode()).hexdigest()
+                  for p in points] + ["scipy.integrate" in sys.modules]))
+"""
+
+
+def test_whole_shot_digest_without_scipy_integrate():
+    # This test process has imported scipy.integrate (for the parity
+    # reference above), so the digests are recomputed in one that never
+    # does: the shots must not depend on what scipy's packages set up.
+    env = dict(os.environ)
+    src = str(Path(shooting.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    points = [point for point, _ in WHOLE_SHOT_DIGESTS]
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGESTS_IN_A_FRESH_PROCESS, json.dumps(points)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    *digests, loaded = json.loads(proc.stdout)
+    assert digests == [digest for _, digest in WHOLE_SHOT_DIGESTS]
+    assert loaded is False
+
+
+def test_compiled_module_loads_with_a_short_openblas_spin(monkeypatch):
+    # OpenBLAS reads its idle workers' spin from the environment while it
+    # loads; the setting is there for the load alone, and a value the
+    # environment already has is kept.
+    seen = []
+    load = importlib.util.module_from_spec
+
+    def spy(spec):
+        seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return load(spec)
+
+    monkeypatch.setattr(importlib.util, "module_from_spec", spy)
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    monkeypatch.setattr(shooting, "_COMPILED", {})
+    shooting._compiled("integrate._odepack", "lsoda")
+    assert seen == ["20"] and "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+    monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "7")
+    monkeypatch.setattr(shooting, "_COMPILED", {})
+    shooting._compiled("integrate._odepack", "lsoda")
+    assert seen == ["20", "7"] and os.environ["OPENBLAS_THREAD_TIMEOUT"] == "7"
+
+
+@pytest.mark.parametrize("module", ["integrate._odepack", "optimize._zeros"])
+def test_missing_compiled_module_is_a_clear_import_error(monkeypatch, module):
+    # Each compiled module is looked up afresh, and one of them is not found.
+    lookup = shooting._extension_path
+    monkeypatch.setattr(shooting, "_COMPILED", {})
+    monkeypatch.setattr(
+        shooting, "_extension_path", lambda name: None if name == module else lookup(name)
+    )
+    with pytest.raises(ImportError) as raised:
+        shoot(1.0, 0.8)
+    assert f"scipy.{module}" in str(raised.value) and "scipy>=1.17" in str(raised.value)
 
 
 class TestShootOptions:
