@@ -10,8 +10,11 @@ triple (eta, mu, nu).
 Production code reaches B# through the closed forms of its determinant and
 trace and through `shooting._field`, which applies adj(B#) through the
 rank-one split of its blocks; the matrix builders (`b_sharp`, its blocks,
-`lin_matrix`) and `trace_adj_identity` are the reference route that tests
-and the `verify` command check them against, and have no other caller.
+`lin_matrix`) and `trace_adj` are the reference route that tests and the
+`verify` command check them against, and have no other caller.
+`trace_adj(b, a)` is the one body of trace(adj(B#) A): `trace_adj_identity`
+applies it to its own `b_sharp` and `lin_matrix` builds, and `verify`
+applies it to the matrices its determinant checks have already built.
 They use arithmetic only, so a `Kinematics` of floats gives 2x2 matrices and
 one of ndarrays of shape (n,) gives stacked (2, 2, n) lanes, one matrix per
 lane along the last axis.
@@ -90,7 +93,8 @@ def check_eps(eps) -> None:
 def b_visc(kin: Kinematics) -> np.ndarray:
     """Shear-viscosity block of the dissipation matrix."""
     u, v = kin.u, kin.v
-    return np.array([[u * u * v * v, -(u**3) * v], [-(u**3) * v, u**4]])
+    off = -(u**3) * v
+    return np.array([[u * u * v * v, off], [off, u**4]])
 
 
 def b_one(kin: Kinematics) -> np.ndarray:
@@ -104,7 +108,8 @@ def b_two(kin: Kinematics) -> np.ndarray:
     """Second causality-regulator block."""
     u, v = kin.u, kin.v
     s = u * u + v * v
-    return np.array([[s * s, -2.0 * s * u * v], [-2.0 * s * u * v, 4.0 * u * u * v * v]])
+    off = -2.0 * s * u * v
+    return np.array([[s * s, off], [off, 4.0 * u * u * v * v]])
 
 
 def b_sharp(kin: Kinematics, eps) -> np.ndarray:
@@ -175,14 +180,17 @@ def det_lin_closed(v_sq: float) -> float:
     return 2.0 * v_sq - 1.0
 
 
+def trace_adj(b, a):
+    """trace(adj(b) a) of two 2x2 matrices by plain arithmetic, or per lane of (2, 2, n) stacks."""
+    return b[1, 1] * a[0, 0] - b[0, 1] * a[1, 0] - b[1, 0] * a[0, 1] + b[0, 0] * a[1, 1]
+
+
 def trace_adj_identity(kin: Kinematics, eps):
-    """trace(adj(B#) A) via plain matrix arithmetic, a float or one value per lane.
+    """trace(adj(B#) A) of the matrix builders, a float or one value per lane.
 
     The reference for `trace_adj_closed`, which production code uses.
     """
-    b = b_sharp(kin, eps)
-    a = lin_matrix(kin)
-    return b[1, 1] * a[0, 0] - b[0, 1] * a[1, 0] - b[1, 0] * a[0, 1] + b[0, 0] * a[1, 1]
+    return trace_adj(b_sharp(kin, eps), lin_matrix(kin))
 
 
 def trace_adj_closed(v: float, eps: float) -> float:

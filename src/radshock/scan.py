@@ -187,23 +187,27 @@ class ScanResult:
             object.__setattr__(self, "records", ScanTable.from_records(self.records))
 
 
-def _separatrix_polylines(config: ScanConfig, eps_grid: np.ndarray, q1: np.ndarray):
-    """The q1 and q2 polylines, each of at least 64 points.
+def _separatrix_polylines(config: ScanConfig, eps_grid: np.ndarray, separatrices: np.ndarray):
+    """The q1 and q2 polylines, each of at least 64 points, from `separatrix_grid`.
 
-    On a grid of 64 eps or more the q1 polyline's points are the grid's, so
-    it takes `q1` of the grid's own cubic solves instead of solving again.
+    The q2 polyline stops below eps_hat.  Where a polyline's eps grid is the
+    scan's own, it takes the scan's `separatrices` instead of solving again.
     """
     n = max(config.eps_count, 64)
-    if n == config.eps_count:
-        sep1 = list(zip(eps_grid.tolist(), q1.tolist()))
-    else:
-        sep1 = [(e, cls.separatrix_q1(e))
-                for e in np.linspace(config.eps_lo, config.eps_hi, n).tolist()]
+
+    def solved(hi):
+        if n == config.eps_count and hi == config.eps_hi:
+            return eps_grid, separatrices
+        grid = np.linspace(config.eps_lo, hi, n)
+        return grid, cls.separatrix_grid(grid)
+
+    grid, seps = solved(config.eps_hi)
+    sep1 = list(zip(grid.tolist(), seps[0].tolist()))
     sep2 = []
     hi2 = min(config.eps_hi, cls.epsilon_hat() - 1e-9)
     if config.eps_lo < hi2:
-        for e in np.linspace(config.eps_lo, hi2, n):
-            sep2.append((float(e), cls.separatrix_q2(float(e))))
+        grid, seps = solved(hi2)
+        sep2 = list(zip(grid.tolist(), seps[1].tolist()))
     return sep1, sep2
 
 
@@ -232,7 +236,7 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
                 verdicts[i] = type(exc).__name__
     table = ScanTable(eps_col, q_col, _CODE_TEXT[code.ravel()].tolist(),
                       z.tolist() * config.eps_count, pval.ravel().tolist(), verdicts, oscillatory)
-    sep1, sep2 = _separatrix_polylines(config, eps_grid, separatrices[0])
+    sep1, sep2 = _separatrix_polylines(config, eps_grid, separatrices)
     return ScanResult(config=config, records=table, separatrix1=sep1, separatrix2=sep2)
 
 

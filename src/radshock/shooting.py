@@ -242,6 +242,11 @@ def _field(eps: float, q_tilde: float):
         alpha = eps * u * u * (u * q0 - v * (1.0 + t4))
         beta = c2 * (2.0 * uv * q0 - g + t4 * (1.0 - 2.0 * v2) / 3.0)
         det = nine_eps * (eps_plus_8 * v2 + eps - 1.0) / eps_minus_4
+        # `_integrate`'s locus test sees only accepted steps, but LSODA also
+        # evaluates trial states, and one can land with det exactly 0.0 (at
+        # eps = 0.5, (0.8242786886853922, 0.19428435011899867)): a huge
+        # finite field makes the error test reject that step, where a
+        # division by zero would raise out of the callback.
         if det == 0.0:
             det = -1e-300
         return (alpha * u - r * phi - 2.0 * uv * beta) / det, (

@@ -6,12 +6,16 @@ error is measured against max(1, |lhs|, |rhs|, operand scale) so identities
 whose exact value passes through zero are judged at the precision the
 computation can actually carry.
 
-Every check runs on stacked arrays: the sampled states reach `b_sharp`,
-`lin_matrix` and `trace_adj_identity` once each, as (2, 2, n) lanes.
+Every check runs on stacked arrays: the sampled states reach `b_sharp` and
+`lin_matrix` once each, as (2, 2, n) lanes, and the trace check applies
+`model.trace_adj` to the same two stacks the determinant checks use.
+`model.trace_adj_identity` is the other caller of `trace_adj`, on builds of
+its own.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +30,8 @@ from .model import (
     det_lin_closed,
     lin_matrix,
     theta_u_v,
+    trace_adj,
     trace_adj_closed,
-    trace_adj_identity,
 )
 
 TOLERANCE = 1e-10
@@ -59,26 +63,29 @@ def run_identity_suite(
 ) -> list[IdentityCheck]:
     """Run every check; `samples` random (v, eps) pairs feed the matrix checks.
 
-    A sample count below 1 raises OptionOutOfRange.
+    A sample count that is not an integer of at least 1 raises OptionOutOfRange.
     """
-    if samples < 1:
+    try:
+        count = operator.index(samples)
+    except TypeError:
+        count = 0  # 2.5, nan and other non-integers
+    if count < 1:
         raise OptionOutOfRange(f"samples must be a positive integer, got {samples}")
     rng = np.random.default_rng(seed)
-    v_sq = rng.uniform(1e-6, 2.0, samples)
-    v = np.sqrt(v_sq) * rng.choice([-1.0, 1.0], samples)
-    eps = rng.uniform(1e-6, 1.0, samples)
+    v = np.sqrt(rng.uniform(1e-6, 2.0, count)) * rng.choice([-1.0, 1.0], count)
+    eps = rng.uniform(1e-6, 1.0, count)
+    v_sq = v**2
 
-    # One stacked call per builder: b and a hold one 2x2 matrix per sample, shape (2, 2, n).
+    # One stacked call per builder: b and a hold one 2x2 matrix per sample, shape (2, 2, n),
+    # and all three matrix checks read them.
     kin = Kinematics(*theta_u_v(*psi_from_v(v)))
     b, a = b_sharp(kin, eps), lin_matrix(kin)
     frob_b, frob_a = (b * b).sum(axis=(0, 1)), (a * a).sum(axis=(0, 1))
     det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
     det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    err_det_b = _rel(det_b, det_b_sharp_closed(v**2, eps), frob_b)
-    err_det_a = _rel(det_a, det_lin_closed(v**2), frob_a)
-    err_trace = _rel(
-        trace_adj_identity(kin, eps), trace_adj_closed(v, eps), np.sqrt(frob_b * frob_a)
-    )
+    err_det_b = _rel(det_b, det_b_sharp_closed(v_sq, eps), frob_b)
+    err_det_a = _rel(det_a, det_lin_closed(v_sq), frob_a)
+    err_trace = _rel(trace_adj(b, a), trace_adj_closed(v, eps), np.sqrt(frob_b * frob_a))
 
     # B# = eps u^2 a a^T - w w^T - c2 y y^T, a = (v, -u), w = (4uv, -r), y = (1 + 2v^2, -2uv).
     u, vk = kin.u, kin.v

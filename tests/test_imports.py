@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in it, and no step loads scipy's packages.
+"""No dead imports or private definitions in the package, and no step loads scipy's packages.
 
 A dead import outlives the code that needed it and hides which layer a
 module really depends on.  Names re-exported through `__all__` count as
-used; `from __future__` imports are exempt.
+used; `from __future__` imports are exempt.  Likewise every module-level
+private function or class must be referenced somewhere in the package,
+outside its own body.
 """
 
 import ast
@@ -46,6 +48,43 @@ def test_module_uses_every_name_it_imports(path):
 def test_checker_flags_a_dead_import():
     source = "from __future__ import annotations\nimport math\nfrom os import path, sep\nsep\n"
     assert unused_imports(source) == ["math (line 2)", "path (line 3)"]
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no module references outside their body."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and (
+                stmt.name.startswith("_") and not stmt.name.startswith("__")
+            ):
+                defined.append((module, stmt.name, stmt.lineno))
+                names.discard(stmt.name)
+            used |= names
+    return [f"{module}:{name} (line {line})" for module, name, line in defined if name not in used]
+
+
+def test_package_references_every_private_definition():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_checker_flags_a_dead_private_definition():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _dead():\n    return _dead()\n\n"
+                "class _Dead:\n    pass\n\ndef __getattr__(name):\n    pass\n",
+        "b.py": "import a\nfrom a import _Other\na._used()\n",
+        "c.py": "class _Other:\n    pass\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a.py:_dead (line 4)", "a.py:_Dead (line 7)"]
 
 
 # Each step runs in turn in one fresh interpreter, which then prints which

@@ -122,10 +122,9 @@ class TestRunScan:
         assert len(squares) == 1
         np.testing.assert_array_equal(squares[0], np.linspace(config.q_lo, config.q_hi, 40))
 
-    def test_q1_polyline_reuses_the_classification_solves(self, monkeypatch):
-        # On a 200x200 grid the q1 polyline's eps are the grid's, so only the
-        # classification (one solve per eps row) and the q2 polyline, on its
-        # own eps grid below eps_hat, solve the cubic: 400 calls, not 600.
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The eps of every `cubic_roots` call from here on."""
         calls = []
         roots = classification.cubic_roots
 
@@ -134,13 +133,39 @@ class TestRunScan:
             return roots(eps)
 
         monkeypatch.setattr(classification, "cubic_roots", counted_roots)
+        return calls
+
+    def test_q1_polyline_reuses_the_classification_solves(self, solves):
+        # On a 200x200 grid the q1 polyline's eps are the grid's, so only the
+        # classification (one solve per eps row) and the q2 polyline, on its
+        # own eps grid below eps_hat, solve the cubic: 400 calls, not 600.
         config = ScanConfig(eps_count=200, q_count=200)
         result = run_scan(config)
-        assert len(calls) == 400
+        assert len(solves) == 400
         # The polyline is bit for bit the one of a solve per point.
         assert result.separatrix1 == [(e, classification.separatrix_q1(e))
                                       for e in np.linspace(config.eps_lo, config.eps_hi, 200)
                                       .tolist()]
+
+    @pytest.mark.parametrize("config, count", [
+        (ScanConfig(eps_count=20, q_count=20), 20 + 64 + 64),
+        # The 6x6 box of the benchmark's shooting scan.
+        (ScanConfig(eps_lo=0.05, eps_hi=1.0, eps_count=6, q_lo=0.76, q_hi=0.99, q_count=6),
+         6 + 64 + 64),
+        # Below eps_hat both polylines lie on the scan's own grid.
+        (ScanConfig(eps_hi=0.2, eps_count=64, q_count=4), 64),
+    ], ids=["20x20", "6x6", "64-below-eps-hat"])
+    def test_polylines_match_a_solve_per_point(self, solves, config, count):
+        result = run_scan(config)
+        assert len(solves) == count
+        n = max(config.eps_count, 64)
+        hi2 = min(config.eps_hi, classification.epsilon_hat() - 1e-9)
+        assert result.separatrix1 == [
+            (e, classification.separatrix_q1(e))
+            for e in np.linspace(config.eps_lo, config.eps_hi, n).tolist()]
+        assert result.separatrix2 == [
+            (e, classification.separatrix_q2(e))
+            for e in np.linspace(config.eps_lo, hi2, n).tolist()]
 
     def test_shoot_columns(self):
         result = run_scan(

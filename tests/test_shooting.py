@@ -340,6 +340,14 @@ class TestVectorField:
         f = vector_field(state_from_v(0.4), 1.0, 0.76)
         assert np.all(np.isfinite(f))
 
+    def test_finite_at_a_trial_state_with_zero_det(self):
+        # LSODA may try a state with det(B#) exactly 0.0 inside a step; the
+        # field must return a finite (huge) value there, not raise.
+        y = (0.8242786886853922, 0.19428435011899867)
+        assert det_b_sharp_closed(theta_u_v(*y)[2] ** 2, 0.5) == 0.0
+        f = _field(0.5, 0.8)(*y)
+        assert all(math.isfinite(x) and abs(x) > 1e299 for x in f)
+
     def test_singular_locus(self):
         eps = 0.5
         v = math.sqrt((1.0 - eps) / (8.0 + eps))
