@@ -6,15 +6,18 @@ two separatrix polylines.  Output is byte-deterministic: floats are printed
 with 17 significant digits and cells are ordered by (eps index, q index).
 The grid is classified in one call, and the cells are kept as columns, one
 per `ScanRecord` field; a record is built only when a caller reads one.
-Each emitter turns each column into text once and joins the records.
+`ScanRecord`'s fields are the scan's one field list: the table reads its
+columns, the CSV its header and the JSON schema its required record keys
+from them.  Each emitter turns each column into text once and joins the
+records.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -41,6 +44,24 @@ _SVG_COLORS = {
 _CSV_FLAG = {None: "", True: "true", False: "false"}
 _JSON_FLAG = {None: "null", True: "true", False: "false"}
 
+
+@dataclass(frozen=True)
+class ScanRecord:
+    """One scan cell; its fields, in order, are the scan's columns."""
+
+    eps: float
+    q_tilde: float
+    region: str
+    v_plus_sq: float
+    discriminant: float
+    shoot_verdict: str | None = None
+    oscillatory: bool | None = None
+
+
+_FIELDS = tuple(f.name for f in fields(ScanRecord))
+_row_of = operator.attrgetter(*_FIELDS)
+
+
 SCAN_JSON_SCHEMA = {
     "type": "object",
     "required": ["meta", "records", "separatrices"],
@@ -59,10 +80,7 @@ SCAN_JSON_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": [
-                    "eps", "q_tilde", "region", "v_plus_sq",
-                    "discriminant", "shoot_verdict", "oscillatory",
-                ],
+                "required": list(_FIELDS),
                 "properties": {
                     "eps": {"type": "number"},
                     "q_tilde": {"type": "number"},
@@ -101,8 +119,14 @@ class ScanConfig:
     shoot: bool = False
 
     def __post_init__(self):
-        if self.eps_count < 2 or self.q_count < 2:
-            raise ParamsOutOfOmega("grid counts must be >= 2")
+        for name in ("eps_count", "q_count"):
+            count = getattr(self, name)
+            try:
+                ok = operator.index(count) >= 2
+            except TypeError:
+                ok = False  # 2.5, 3.0, nan, "3" and other non-integers
+            if not ok:
+                raise ParamsOutOfOmega(f"grid counts must be integers >= 2, got {name}={count!r}")
         if not (EPS_MARGIN <= self.eps_lo < self.eps_hi <= 1.0):
             raise ParamsOutOfOmega(
                 f"eps range [{self.eps_lo}, {self.eps_hi}] outside [{EPS_MARGIN}, 1]"
@@ -112,21 +136,6 @@ class ScanConfig:
                 f"q range [{self.q_lo}, {self.q_hi}] outside "
                 f"[{Q_MIN + Q_MARGIN}, {Q_MAX - Q_MARGIN}]"
             )
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    eps: float
-    q_tilde: float
-    region: str
-    v_plus_sq: float
-    discriminant: float
-    shoot_verdict: str | None = None
-    oscillatory: bool | None = None
-
-
-_FIELDS = tuple(f.name for f in fields(ScanRecord))
-_row_of = attrgetter(*_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -149,7 +158,7 @@ class ScanTable(Sequence):
     def __post_init__(self):
         for name in _FIELDS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if len({len(col) for col in self._columns()}) != 1:
+        if len({len(col) for col in _row_of(self)}) != 1:
             raise ValueError("scan columns differ in length")
 
     @classmethod
@@ -157,21 +166,16 @@ class ScanTable(Sequence):
         columns = list(zip(*map(_row_of, records)))
         return cls(*columns) if columns else cls(*[()] * len(_FIELDS))
 
-    def _columns(self) -> tuple[tuple, ...]:
-        """The seven columns in `ScanRecord` field order."""
-        return (self.eps, self.q_tilde, self.region, self.v_plus_sq,
-                self.discriminant, self.shoot_verdict, self.oscillatory)
-
     def __len__(self) -> int:
         return len(self.eps)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(map(ScanRecord, *(col[index] for col in self._columns())))
-        return ScanRecord(*(col[index] for col in self._columns()))
+            return list(map(ScanRecord, *(col[index] for col in _row_of(self))))
+        return ScanRecord(*(col[index] for col in _row_of(self)))
 
     def __iter__(self):
-        return map(ScanRecord, *self._columns())
+        return map(ScanRecord, *_row_of(self))
 
 
 @dataclass(frozen=True)
@@ -264,7 +268,7 @@ class _TextMemo(dict):
 
 def scan_to_csv(result: ScanResult) -> str:
     t, g = result.records, _TextMemo()
-    lines = ["eps,q_tilde,region,v_plus_sq,discriminant,shoot_verdict,oscillatory"]
+    lines = [",".join(_FIELDS)]
     # The discriminants are all distinct, so they skip the memo; a ".17g"
     # spec prints a numpy scalar as `_g` prints its float.
     lines += [

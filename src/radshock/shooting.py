@@ -12,24 +12,26 @@ itself, one step per call with the arguments scipy's `LSODA` solver hands
 it, on the work arrays scipy's `ode` would build.  That runner (`lsoda` of
 scipy's private compiled module `scipy.integrate._odepack`) and Brent's
 root finder for the capture point (`_brentq` of `scipy.optimize._zeros`)
-are all a shot takes from scipy; each is loaded from its file, without
-importing its package.  The step loop checks every accepted step and stops
-when the orbit is captured at the downstream rest point, escapes, hits the
-singular locus of the dissipation matrix, or exhausts the step or
+are all a shot takes from scipy; `_compiled` loads each once per process
+from the file that importlib's `PathFinder` finds in its package directory,
+without importing the package.  The step loop checks every accepted step
+and stops when the orbit is captured at the downstream rest point, escapes,
+hits the singular locus of the dissipation matrix, or exhausts the step or
 pseudo-time budget.  The sampled trajectory is then scanned for extrema and
 sign changes in three coordinate systems, which is how oscillatory
-(spiraling) profiles are detected.
+(spiraling) profiles are detected; an `OscillationReport` keeps the counts,
+and its flags are read off them.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -73,9 +75,6 @@ _MAX_PSEUDO_TIME = 1e6
 # the 20x20 scan or the benchmark is 1,309, at (0.63, 1 - 1e-6).
 _MAX_STEPS = 10_000
 
-# The compiled scipy functions a shot calls, by (module, name), once loaded.
-_COMPILED: dict[tuple[str, str], object] = {}
-
 # scipy's OpenBLAS, which scipy.integrate._odepack links, starts a worker
 # thread as it loads, and an idle worker spins for 2^28 TSC ticks (about
 # 0.13 s at 2 GHz) before it sleeps.  Loaded by a shot, that spin overlapped
@@ -85,53 +84,41 @@ _COMPILED: dict[tuple[str, str], object] = {}
 _OPENBLAS_THREAD_TIMEOUT = "20"
 
 
-def _extension_path(module: str) -> Path | None:
-    """The file of scipy's compiled module `module`, such as "integrate._odepack", or None.
-
-    `find_spec` of a top-level package imports nothing, not even scipy.
-    """
-    spec = importlib.util.find_spec("scipy")
-    *package, leaf = module.split(".")
-    for root in (spec and spec.submodule_search_locations) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = Path(root, *package, leaf + suffix)
-            if path.is_file():
-                return path
-    return None
-
-
+@functools.cache
 def _compiled(module: str, name: str):
-    """Function `name` of scipy's compiled module `module`, loaded once per process.
+    """Function `name` of scipy's compiled module `module`, such as "integrate._odepack".
 
-    The module is loaded from its file, without running its package's
-    __init__: `scipy.integrate` and `scipy.optimize` would import some 350
-    modules, about 0.5 s, for the two functions a shot calls.
+    Loaded once per process from the file that `PathFinder` finds in the
+    module's package directory, without running that package's __init__:
+    `scipy.integrate` and `scipy.optimize` would import some 350 modules,
+    about 0.5 s, for the two functions a shot calls.  `find_spec` of the
+    top-level package imports nothing, not even scipy.
     """
-    func = _COMPILED.get((module, name))
-    if func is None:
-        full = f"scipy.{module}"
-        path = _extension_path(module)
+    full = f"scipy.{module}"
+    *package, _ = module.split(".")
+    scipy = importlib.util.find_spec("scipy")
+    roots = (scipy and scipy.submodule_search_locations) or ()
+    try:
+        spec = importlib.machinery.PathFinder.find_spec(
+            full, [os.path.join(root, *package) for root in roots]
+        )
+        if spec is None:
+            raise ModuleNotFoundError(f"no compiled module {full}", name=full)
+        unset = "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
         try:
-            if path is None:
-                raise ModuleNotFoundError(f"no compiled module {full}", name=full)
-            loader = importlib.machinery.ExtensionFileLoader(full, str(path))
-            unset = "OPENBLAS_THREAD_TIMEOUT" not in os.environ
-            os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
-            try:
-                ext = importlib.util.module_from_spec(importlib.util.spec_from_loader(full, loader))
-                loader.exec_module(ext)
-            finally:
-                if unset:
-                    del os.environ["OPENBLAS_THREAD_TIMEOUT"]
-            func = getattr(ext, name)
-        except (ImportError, AttributeError) as exc:
-            raise ImportError(
-                f"a shot calls {name} of scipy's compiled module {full} (scipy>=1.17), "
-                f"which could not be loaded: {exc}",
-                name=full,
-            ) from exc
-        _COMPILED[module, name] = func
-    return func
+            ext = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(ext)
+        finally:
+            if unset:
+                del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+        return getattr(ext, name)
+    except (ImportError, AttributeError) as exc:
+        raise ImportError(
+            f"a shot calls {name} of scipy's compiled module {full} (scipy>=1.17), "
+            f"which could not be loaded: {exc}",
+            name=full,
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -173,14 +160,22 @@ class OscillationReport:
     """Per-coordinate-system oscillation counts along a trajectory.
 
     `systems` maps each coordinate system name to a tuple of per-component
-    counts, ordered (psi0, psi1) / (theta, v) / (u, v).  A system is flagged
-    oscillatory when any of its components changes sign at least twice
-    around its limit value.
+    counts, ordered (psi0, psi1) / (theta, v) / (u, v); it is empty for a
+    shot of fewer than 3 samples.  The flags are read off the counts.
     """
 
     systems: dict[str, tuple[ComponentCounts, ComponentCounts]]
-    oscillatory_by_system: dict[str, bool]
-    oscillatory: bool
+
+    @property
+    def oscillatory_by_system(self) -> dict[str, bool]:
+        """Per system: does any component change sign at least twice around its limit?"""
+        return {
+            name: any(c.sign_changes >= 2 for c in counts) for name, counts in self.systems.items()
+        }
+
+    @property
+    def oscillatory(self) -> bool:
+        return any(self.oscillatory_by_system.values())
 
 
 @dataclass
@@ -373,22 +368,14 @@ def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> Oscillatio
     lim = kinematics(psi_plus)
     # (theta, v) and (u, v) share v's counts.
     v_counts = _component_counts(v, lim.v)
-    systems = {
+    return OscillationReport({
         "psi": (
             _component_counts(arr[:, 0], psi_plus.psi0),
             _component_counts(arr[:, 1], psi_plus.psi1),
         ),
         "theta_v": (_component_counts(theta, lim.theta), v_counts),
         "u_v": (_component_counts(u, lim.u), v_counts),
-    }
-    flags = {
-        name: any(c.sign_changes >= 2 for c in counts) for name, counts in systems.items()
-    }
-    return OscillationReport(
-        systems=systems,
-        oscillatory_by_system=flags,
-        oscillatory=any(flags.values()),
-    )
+    })
 
 
 def _capture_point(dense, t_old: float, t: float, y: list, dist, r_cap: float):
@@ -501,7 +488,7 @@ def _integrate(
             # Step underflow.  The field's only blow-up set is the singular
             # locus, which can be approached asymptotically without a
             # crossing; diagnose by the last accepted state's velocity.
-            near = abs(gap_sq(y0, y1)) <= 1e-5 * (1.0 + sing_level)
+            near = abs(gap) <= 1e-5 * (1.0 + sing_level)
             verdict = ProfileVerdict.HIT_SINGULAR_LOCUS if near else ProfileVerdict.STALLED
             break
         y0, y1 = arr.tolist()
@@ -558,7 +545,7 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     report = (
         oscillation_report(states, pair.psi_plus)
         if states.shape[0] >= 3
-        else OscillationReport(systems={}, oscillatory_by_system={}, oscillatory=False)
+        else OscillationReport({})
     )
     return ProfileResult(
         times=times,

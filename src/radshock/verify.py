@@ -4,7 +4,9 @@ Each check compares a matrix-arithmetic (or solver) route against the
 corresponding closed form and reports the worst relative error.  Relative
 error is measured against max(1, |lhs|, |rhs|, operand scale) so identities
 whose exact value passes through zero are judged at the precision the
-computation can actually carry.
+computation can actually carry.  A check passes when its error is at most
+its tolerance, `TOLERANCE` unless the check names its own; `passed` is read
+off the two, not stored beside them.
 
 Every check runs on stacked arrays: the sampled states reach `b_sharp` and
 `lin_matrix` once each, as (2, 2, n) lanes, and the trace check applies
@@ -44,18 +46,17 @@ DEFAULT_SAMPLES = 4000
 class IdentityCheck:
     name: str
     error: float
-    tolerance: float
-    passed: bool
+    tolerance: float = TOLERANCE
+
+    @property
+    def passed(self) -> bool:
+        return self.error <= self.tolerance
 
 
 def _rel(lhs, rhs, scale=0.0) -> float:
     """Worst of |lhs - rhs| / max(1, |lhs|, |rhs|, scale) over floats or ndarrays."""
     bound = np.maximum(np.maximum(1.0, np.abs(lhs)), np.maximum(np.abs(rhs), scale))
     return float((np.abs(lhs - rhs) / bound).max())
-
-
-def _check(name: str, error: float, tolerance: float = TOLERANCE) -> IdentityCheck:
-    return IdentityCheck(name=name, error=error, tolerance=tolerance, passed=error <= tolerance)
 
 
 def run_identity_suite(
@@ -124,18 +125,18 @@ def run_identity_suite(
     err_round = float(np.abs(v_plus_squared(q_of_vplus(zs)) - zs).max())
 
     return [
-        _check("det(B#) matrix vs closed form", err_det_b),
-        _check("det(A) matrix vs 2v^2-1", err_det_a),
-        _check("trace(adj(B#)A) matrix vs closed form", err_trace),
-        _check("B# = eps u^2 a a^T - w w^T - c2 y y^T", err_split),
-        _check("r q0 - 4uv factored through v+^2, v-^2", err_phi),
-        _check("P(1/2,eps) = (9/8) eps^2 (eps-4)^2", err_half),
-        _check("P(1/3,eps) = (16/27)(eps-1)^2(eps^2-4eps+1)", err_third),
-        _check("P(1/8, eps_hat) = 0", err_eighth),
-        _check("discriminant tail positive on (0,1)", tail_err),
-        _check("roots at eps=1 are (-1, 0, 1/3)", err_roots, 1e-12),
-        _check("separatrix q1(1) = 49/64", err_q1, 1e-12),
-        _check("v_plus_squared o q_of_vplus = id", err_round),
+        IdentityCheck("det(B#) matrix vs closed form", err_det_b),
+        IdentityCheck("det(A) matrix vs 2v^2-1", err_det_a),
+        IdentityCheck("trace(adj(B#)A) matrix vs closed form", err_trace),
+        IdentityCheck("B# = eps u^2 a a^T - w w^T - c2 y y^T", err_split),
+        IdentityCheck("r q0 - 4uv factored through v+^2, v-^2", err_phi),
+        IdentityCheck("P(1/2,eps) = (9/8) eps^2 (eps-4)^2", err_half),
+        IdentityCheck("P(1/3,eps) = (16/27)(eps-1)^2(eps^2-4eps+1)", err_third),
+        IdentityCheck("P(1/8, eps_hat) = 0", err_eighth),
+        IdentityCheck("discriminant tail positive on (0,1)", tail_err),
+        IdentityCheck("roots at eps=1 are (-1, 0, 1/3)", err_roots, 1e-12),
+        IdentityCheck("separatrix q1(1) = 49/64", err_q1, 1e-12),
+        IdentityCheck("v_plus_squared o q_of_vplus = id", err_round),
     ]
 
 

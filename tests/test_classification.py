@@ -29,6 +29,7 @@ from radshock.errors import (
     EpsilonOutOfRange,
     InternalInconsistency,
     ParamsOutOfOmega,
+    RootFindingFailure,
     SingularBsharp,
 )
 from radshock.model import (
@@ -264,6 +265,15 @@ class TestClassify:
     def test_out_of_omega(self, point):
         with pytest.raises(ParamsOutOfOmega):
             classify(*point)
+
+    @pytest.mark.xfail(
+        raises=RootFindingFailure, strict=True,
+        reason="ROADMAP item 9: below eps ~ 2.2e-7 the upper roots of P collide in float64",
+    )
+    def test_region_below_the_root_collision(self):
+        # A point of the advertised square.  Once item 9 is done this passes,
+        # which a strict xfail reports as a failure, so the mark must go.
+        assert isinstance(classify(1e-8, 0.8), RegionLabel)
 
     def test_separatrix_labels(self):
         assert classify(1.0, separatrix_q1(1.0)) is RegionLabel.SEPARATRIX_1

@@ -42,6 +42,15 @@ class TestClassifyCommand:
         assert main(["classify", "--eps", "1e-6", "--q", "0.999999"]) == 0
         assert "region: NodeAbove" in capsys.readouterr().out
 
+    def test_root_collision_is_an_internal_failure(self, capsys):
+        # Below eps ~ 2.2e-7 the upper roots of P collide in float64 (ROADMAP
+        # item 9): a typed error, exit 4 and one line, no traceback.
+        assert main(["classify", "--eps", "1e-8", "--q", "0.8"]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: RootFindingFailure: ")
+
     def test_q2_printed_below_hat(self, capsys):
         assert main(["classify", "--eps", "0.3", "--q", "0.8"]) == 0
         assert "separatrix q2" in capsys.readouterr().out

@@ -3,8 +3,8 @@
 A dead import outlives the code that needed it and hides which layer a
 module really depends on.  Names re-exported through `__all__` count as
 used; `from __future__` imports are exempt.  Likewise every module-level
-private function or class must be referenced somewhere in the package,
-outside its own body.
+private function, class or assigned name must be referenced somewhere in the
+package, outside its own definition.
 """
 
 import ast
@@ -51,7 +51,7 @@ def test_checker_flags_a_dead_import():
 
 
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes that no module references outside their body."""
+    """Module-level private functions, classes and assigned names that nothing else references."""
     defined, used = [], set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
@@ -63,11 +63,20 @@ def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
                     names.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     names.update(alias.name for alias in node.names)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and (
-                stmt.name.startswith("_") and not stmt.name.startswith("__")
-            ):
-                defined.append((module, stmt.name, stmt.lineno))
-                names.discard(stmt.name)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                stores = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                targets = {
+                    node.id for target in stores
+                    for node in ast.walk(target) if isinstance(node, ast.Name)
+                }
+            else:
+                targets = set()
+            for name in sorted(targets):
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, name, stmt.lineno))
+                    names.discard(name)
             used |= names
     return [f"{module}:{name} (line {line})" for module, name, line in defined if name not in used]
 
@@ -80,11 +89,15 @@ def test_package_references_every_private_definition():
 def test_checker_flags_a_dead_private_definition():
     sources = {
         "a.py": "def _used():\n    pass\n\ndef _dead():\n    return _dead()\n\n"
-                "class _Dead:\n    pass\n\ndef __getattr__(name):\n    pass\n",
+                "class _Dead:\n    pass\n\ndef __getattr__(name):\n    pass\n\n"
+                "_LIMIT = 3\n_CACHE: dict = {}\n_SELF = [_SELF]\n_pair, __all__ = _LIMIT, []\n",
         "b.py": "import a\nfrom a import _Other\na._used()\n",
         "c.py": "class _Other:\n    pass\n",
     }
-    assert unreferenced_private_defs(sources) == ["a.py:_dead (line 4)", "a.py:_Dead (line 7)"]
+    assert unreferenced_private_defs(sources) == [
+        "a.py:_dead (line 4)", "a.py:_Dead (line 7)", "a.py:_CACHE (line 14)",
+        "a.py:_SELF (line 15)", "a.py:_pair (line 16)",
+    ]
 
 
 # Each step runs in turn in one fresh interpreter, which then prints which

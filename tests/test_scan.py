@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from radshock import classification, scan
 from radshock.classification import RegionLabel, classify, p_eval
 from radshock.equilibria import v_plus_squared
-from radshock.errors import ParamsOutOfOmega, RadshockError
+from radshock.errors import NotASaddle, ParamsOutOfOmega, RadshockError
 from radshock.scan import (
     SCAN_JSON_SCHEMA,
     ScanConfig,
@@ -25,7 +25,7 @@ from radshock.scan import (
     scan_to_json,
     scan_to_svg,
 )
-from radshock.shooting import shoot
+from radshock.shooting import ProfileVerdict, shoot
 
 # The shooting scan of the golden bytes below: node and focus cells
 # converge, the large-amplitude corner hits the locus.
@@ -61,6 +61,13 @@ class TestScanConfig:
     def test_rejects_small_counts(self):
         with pytest.raises(ParamsOutOfOmega):
             ScanConfig(eps_count=1)
+        # Counts must be integers: a float, NaN or string is a typed error
+        # here, not numpy's TypeError from np.linspace in run_scan.
+        for value in (2.5, 3.0, math.nan, "3"):
+            with pytest.raises(ParamsOutOfOmega):
+                ScanConfig(eps_count=value)
+            with pytest.raises(ParamsOutOfOmega):
+                ScanConfig(q_count=value)
 
     def test_rejects_margin_violations(self):
         with pytest.raises(ParamsOutOfOmega):
@@ -175,6 +182,26 @@ class TestRunScan:
         for r in result.records:
             assert r.shoot_verdict == "ConvergedToPlus"
             assert r.oscillatory in (True, False)
+
+    def test_failing_cell_does_not_stop_the_sweep(self, monkeypatch):
+        # One cell's typed error is recorded by name, and the others are shot.
+        failing = (0.525, 0.875)
+
+        def shoot_or_fail(eps, q_tilde, opts=None):
+            if (eps, q_tilde) == failing:
+                raise NotASaddle("injected")
+            return shoot(eps, q_tilde, opts)
+
+        monkeypatch.setattr(scan, "shoot", shoot_or_fail)
+        result = run_scan(SHOOT_3X3)
+        assert len(result.records) == 9
+        cell = result.records[4]
+        assert (cell.eps, cell.q_tilde) == failing
+        assert cell.shoot_verdict == "NotASaddle" and cell.oscillatory is None
+        others = result.records[:4] + result.records[5:]
+        assert all(r.shoot_verdict in {v.value for v in ProfileVerdict} for r in others)
+        # The CSV's header line, then one line per cell.
+        assert scan_to_csv(result).splitlines()[1 + 4].endswith(",NotASaddle,")
 
 
 class TestScanTable:

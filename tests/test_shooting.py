@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.machinery
 import importlib.util
 import json
 import math
@@ -897,11 +898,11 @@ def test_compiled_module_loads_with_a_short_openblas_spin(monkeypatch):
 
     monkeypatch.setattr(importlib.util, "module_from_spec", spy)
     monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
-    monkeypatch.setattr(shooting, "_COMPILED", {})
+    shooting._compiled.cache_clear()
     shooting._compiled("integrate._odepack", "lsoda")
     assert seen == ["20"] and "OPENBLAS_THREAD_TIMEOUT" not in os.environ
     monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "7")
-    monkeypatch.setattr(shooting, "_COMPILED", {})
+    shooting._compiled.cache_clear()
     shooting._compiled("integrate._odepack", "lsoda")
     assert seen == ["20", "7"] and os.environ["OPENBLAS_THREAD_TIMEOUT"] == "7"
 
@@ -909,10 +910,15 @@ def test_compiled_module_loads_with_a_short_openblas_spin(monkeypatch):
 @pytest.mark.parametrize("module", ["integrate._odepack", "optimize._zeros"])
 def test_missing_compiled_module_is_a_clear_import_error(monkeypatch, module):
     # Each compiled module is looked up afresh, and one of them is not found.
-    lookup = shooting._extension_path
-    monkeypatch.setattr(shooting, "_COMPILED", {})
+    finder = importlib.machinery.PathFinder
+    lookup = finder.find_spec
+    shooting._compiled.cache_clear()
     monkeypatch.setattr(
-        shooting, "_extension_path", lambda name: None if name == module else lookup(name)
+        finder,
+        "find_spec",
+        lambda name, path=None, target=None: (
+            None if name == f"scipy.{module}" else lookup(name, path, target)
+        ),
     )
     with pytest.raises(ImportError) as raised:
         shoot(1.0, 0.8)
