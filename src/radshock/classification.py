@@ -27,7 +27,6 @@ from .errors import (
 )
 from .model import (
     GodunovState,
-    all_true,
     check_eps,
     check_off_locus,
     det_b_sharp_closed,
@@ -66,8 +65,12 @@ class CubicRoots:
 
 def p_coefficients(eps: float) -> tuple[float, float, float, float]:
     """Coefficients (a0, a1, a2, a3) of P(z, eps) = a3 z^3 + ... + a0; eps may be an ndarray."""
-    if not all_true((0.0 <= eps) & (eps <= 1.0)):
-        raise EpsilonOutOfRange(f"eps must lie in [0, 1], got {eps}")
+    try:
+        ok = (0.0 <= eps) & (eps <= 1.0)
+    except TypeError:  # a string, None or another non-number
+        ok = False
+    if not (ok is True or np.all(ok)):
+        raise EpsilonOutOfRange(f"eps must lie in [0, 1], got {eps!r}")
     a0 = eps * ((4.0 * eps - 20.0) * eps + 16.0)
     a1 = (((eps - 16.0) * eps + 84.0) * eps - 112.0) * eps + 16.0
     a2 = (((2.0 * eps - 20.0) * eps - 24.0) * eps + 160.0) * eps - 64.0

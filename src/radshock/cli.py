@@ -16,7 +16,7 @@ from .equilibria import rest_points
 from .errors import DomainError, RadshockError
 from .model import causality_check
 from .scan import EMITTERS, ScanConfig, run_scan
-from .shooting import ShootOptions, profile_to_csv, shoot
+from .shooting import SYSTEMS, ShootOptions, profile_to_csv, shoot
 from .verify import DEFAULT_SAMPLES, format_report, run_identity_suite
 
 
@@ -81,11 +81,10 @@ def cmd_profile(args) -> int:
     rep = result.oscillation
     print(f"verdict: {result.verdict.value}")
     print(f"oscillatory: {'true' if rep.oscillatory else 'false'}")
-    names = {"psi": ("psi0", "psi1"), "theta_v": ("theta", "v"), "u_v": ("u", "v")}
     for system, comps in rep.systems.items():
         parts = [
             f"{name}: extrema={c.extrema} sign_changes={c.sign_changes}"
-            for name, c in zip(names[system], comps)
+            for name, c in zip(SYSTEMS[system], comps)
         ]
         flag = "true" if rep.oscillatory_by_system[system] else "false"
         print(f"system {system}: {'; '.join(parts)}; oscillatory={flag}")

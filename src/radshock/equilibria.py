@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateShock, ParamsOutOfOmega, QOutOfRange, ZOutOfRange
-from .model import GodunovState, all_true
+from .model import GodunovState
 
 Q_MIN = 0.75
 Q_MAX = 1.0
@@ -26,8 +26,12 @@ DEGENERATE_BAND = 1e-8
 
 def check_omega(eps: float, q_tilde: float) -> None:
     """Raise ParamsOutOfOmega unless (eps, q_tilde) lies in the square (0, 1] x (3/4, 1)."""
-    if not (0.0 < eps <= 1.0 and Q_MIN < q_tilde < Q_MAX):
-        raise ParamsOutOfOmega(f"({eps}, {q_tilde}) outside (0,1] x (3/4,1)")
+    try:  # a branch: the test stored as a value first costs a third more
+        if 0.0 < eps <= 1.0 and Q_MIN < q_tilde < Q_MAX:
+            return
+    except TypeError:  # a string, None or another non-number
+        pass
+    raise ParamsOutOfOmega(f"({eps!r}, {q_tilde!r}) outside (0,1] x (3/4,1)")
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,12 @@ class EquilibriumPair:
 
 
 def _check_q(q_tilde) -> None:
-    if not all_true((Q_MIN < q_tilde) & (q_tilde < Q_MAX)):
-        raise QOutOfRange(f"q_tilde must lie in (3/4, 1), got {q_tilde}")
+    try:
+        ok = (Q_MIN < q_tilde) & (q_tilde < Q_MAX)
+    except TypeError:  # a string, None or another non-number
+        ok = False
+    if not (ok is True or np.all(ok)):
+        raise QOutOfRange(f"q_tilde must lie in (3/4, 1), got {q_tilde!r}")
 
 
 def _sqrt(x):
@@ -115,8 +123,12 @@ def q_of_vplus(z):
     q = (4z+1)^2 / (16 z (1+z)), strictly decreasing on (1/8, 1/2); z may
     be a float or an ndarray.
     """
-    if not all_true((0.125 < z) & (z < 0.5)):
-        raise ZOutOfRange(f"z must lie in (1/8, 1/2), got {z}")
+    try:
+        ok = (0.125 < z) & (z < 0.5)
+    except TypeError:  # a string, None or another non-number
+        ok = False
+    if not (ok is True or np.all(ok)):
+        raise ZOutOfRange(f"z must lie in (1/8, 1/2), got {z!r}")
     return (4.0 * z + 1.0) ** 2 / (16.0 * z * (1.0 + z))
 
 

@@ -75,19 +75,15 @@ def kinematics(psi: GodunovState) -> Kinematics:
     return Kinematics(*theta_u_v(psi.psi0, psi.psi1))
 
 
-def all_true(mask) -> bool:
-    """True if a range test holds for a float, or for every entry of an ndarray.
-
-    A float's test gives a plain bool, which is taken as it is: np.all costs
-    a few microseconds, and the scalar paths test every call.
-    """
-    return mask is True or bool(np.all(mask))
-
-
 def check_eps(eps) -> None:
     """Raise EpsilonOutOfRange unless eps (a float or every entry of an ndarray) lies in (0, 1]."""
-    if not all_true((0.0 < eps) & (eps <= 1.0)):
-        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    try:
+        ok = (0.0 < eps) & (eps <= 1.0)
+    except TypeError:  # a string, None or another non-number
+        ok = False
+    # A float's test is a plain bool, taken as it is: np.all costs microseconds.
+    if not (ok is True or np.all(ok)):
+        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps!r}")
 
 
 def b_visc(kin: Kinematics) -> np.ndarray:
@@ -220,10 +216,12 @@ def causality_check(eta: float, mu: float, nu: float) -> CausalityVerdict:
     1e-10 relative band so that float-rounded equality inputs land on the
     boundary rather than just outside it.
     """
-    if not all(0.0 < x < math.inf for x in (eta, mu, nu)):
-        raise NonPositiveParameter(
-            f"eta, mu, nu must be positive and finite, got ({eta}, {mu}, {nu})"
-        )
+    try:
+        ok = all(0.0 < x < math.inf for x in (eta, mu, nu))
+    except TypeError:  # a string, None or another non-number
+        ok = False
+    if not ok:
+        raise NonPositiveParameter(f"eta, mu, nu must be positive and finite, got {eta, mu, nu}")
     eps = 4.0 * eta / (3.0 * mu)
     if eps > 1.0 + CAUSALITY_RTOL:
         return CausalityVerdict(CausalityClass.ACAUSAL)

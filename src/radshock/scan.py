@@ -119,23 +119,17 @@ class ScanConfig:
     shoot: bool = False
 
     def __post_init__(self):
-        for name in ("eps_count", "q_count"):
-            count = getattr(self, name)
+        for axis, count, lo, hi, floor, ceiling in (
+            ("eps", self.eps_count, self.eps_lo, self.eps_hi, EPS_MARGIN, 1),
+            ("q", self.q_count, self.q_lo, self.q_hi, Q_MIN + Q_MARGIN, Q_MAX - Q_MARGIN),
+        ):
             try:
-                ok = operator.index(count) >= 2
-            except TypeError:
-                ok = False  # 2.5, 3.0, nan, "3" and other non-integers
+                ok = operator.index(count) >= 2 and floor <= lo < hi <= ceiling
+            except TypeError:  # 2.5, nan or "3" as a count, a string or None as a bound
+                ok = False
             if not ok:
-                raise ParamsOutOfOmega(f"grid counts must be integers >= 2, got {name}={count!r}")
-        if not (EPS_MARGIN <= self.eps_lo < self.eps_hi <= 1.0):
-            raise ParamsOutOfOmega(
-                f"eps range [{self.eps_lo}, {self.eps_hi}] outside [{EPS_MARGIN}, 1]"
-            )
-        if not (Q_MIN + Q_MARGIN <= self.q_lo < self.q_hi <= Q_MAX - Q_MARGIN):
-            raise ParamsOutOfOmega(
-                f"q range [{self.q_lo}, {self.q_hi}] outside "
-                f"[{Q_MIN + Q_MARGIN}, {Q_MAX - Q_MARGIN}]"
-            )
+                raise ParamsOutOfOmega(f"{axis} grid: {count!r} points over [{lo!r}, {hi!r}]; need "
+                                       f"an integer count >= 2 and lo < hi in [{floor}, {ceiling}]")
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ from the file that importlib's `PathFinder` finds in its package directory,
 without importing the package.  The step loop checks every accepted step
 and stops when the orbit is captured at the downstream rest point, escapes,
 hits the singular locus of the dissipation matrix, or exhausts the step or
-pseudo-time budget.  The sampled trajectory is then scanned for extrema and
-sign changes in three coordinate systems, which is how oscillatory
-(spiraling) profiles are detected; an `OscillationReport` keeps the counts,
-and its flags are read off them.
+pseudo-time budget.  Oscillatory (spiraling) profiles are detected by
+`oscillation_report`, which counts the extrema and sign changes of the
+samples' five coordinate series in one pass over them as rows of one array;
+an `OscillationReport` keeps the counts by the coordinate systems of
+`SYSTEMS`, and its flags are read off them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .classification import spectrum_at_v
 from .equilibria import EquilibriumPair, check_omega, rest_points, v_minus_squared, v_plus_squared
 from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples
-from .model import GodunovState, check_off_locus, kinematics, singular_locus_v_sq, theta_u_v
+from .model import GodunovState, check_off_locus, singular_locus_v_sq, theta_u_v
 
 # A shot starts this far from psi_minus along the unstable eigenvector,
 # relative to |psi_minus - psi_plus|.  A numerical choice, not a parameter of
@@ -134,10 +135,13 @@ class ShootOptions:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        for name, hi in (("rel_tol", 1.0), ("abs_tol", math.inf)):
-            value = getattr(self, name)
-            if not 0.0 < value < hi:
-                raise OptionOutOfRange(f"{name} must lie in (0, {hi}), got {value}")
+        for name, val, hi in (("rel_tol", self.rel_tol, 1.0), ("abs_tol", self.abs_tol, math.inf)):
+            try:
+                ok = 0.0 < val < hi
+            except TypeError:  # a string, None or another non-number
+                ok = False
+            if not ok:
+                raise OptionOutOfRange(f"{name} must lie in (0, {hi}), got {val!r}")
 
 
 class ProfileVerdict(str, Enum):
@@ -145,6 +149,12 @@ class ProfileVerdict(str, Enum):
     ESCAPED = "Escaped"
     STALLED = "Stalled"
     HIT_SINGULAR_LOCUS = "HitSingularLocus"
+
+
+# The series an oscillation report counts, in the order it stacks them, and
+# each coordinate system's two components among them, in its counts' order.
+SERIES = ("psi0", "psi1", "theta", "u", "v")
+SYSTEMS = {"psi": SERIES[:2], "theta_v": SERIES[2::2], "u_v": SERIES[3:]}
 
 
 @dataclass(frozen=True)
@@ -159,9 +169,9 @@ class ComponentCounts:
 class OscillationReport:
     """Per-coordinate-system oscillation counts along a trajectory.
 
-    `systems` maps each coordinate system name to a tuple of per-component
-    counts, ordered (psi0, psi1) / (theta, v) / (u, v); it is empty for a
-    shot of fewer than 3 samples.  The flags are read off the counts.
+    `systems` maps each coordinate system of `SYSTEMS` to the counts of its
+    two components, in that order; it is empty for a shot of fewer than 3
+    samples.  The flags are read off the counts.
     """
 
     systems: dict[str, tuple[ComponentCounts, ComponentCounts]]
@@ -310,72 +320,53 @@ def _unstable_direction(pair: EquilibriumPair, field, eps: float, q_tilde: float
 def _count_extrema(x: list[float], floor: float) -> int:
     # Turning points with hysteresis: a direction reversal only counts once
     # the excursion beats the noise floor.
-    count = 0
-    direction = 0
-    ref = x[0]
+    count, direction, ref = 0, 0, x[0]
     for val in x[1:]:
-        if direction == 0:
-            if val > ref + floor:
-                direction, ref = 1, val
-            elif val < ref - floor:
-                direction, ref = -1, val
-        elif direction > 0:
-            if val > ref:
-                ref = val
-            elif val < ref - floor:
-                count += 1
-                direction, ref = -1, val
-        else:
-            if val < ref:
-                ref = val
-            elif val > ref + floor:
-                count += 1
-                direction, ref = 1, val
+        if direction * (val - ref) > 0.0:
+            ref = val
+        elif val > ref + floor:
+            count, direction, ref = count + (direction < 0), 1, val
+        elif val < ref - floor:
+            count, direction, ref = count + (direction > 0), -1, val
     return count
-
-
-def _count_sign_changes(dev: np.ndarray, floor: float) -> int:
-    kept = dev[np.abs(dev) > floor]
-    if kept.size < 2:
-        return 0
-    signs = np.sign(kept)
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
-
-def _component_counts(series: np.ndarray, limit: float) -> ComponentCounts:
-    # The integrator's error is relative to the state's size, so a weak
-    # shock's small range alone would let that noise count.
-    floor = 1e-10 * max(float(series.max() - series.min()), abs(limit))
-    # A list of Python floats: the extrema loop runs about twice as fast on
-    # it as on numpy scalars.
-    return ComponentCounts(
-        extrema=_count_extrema(series.tolist(), floor),
-        sign_changes=_count_sign_changes(series - limit, floor),
-    )
 
 
 def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> OscillationReport:
     """Extrema and sign-change counts of a trajectory in three coordinate systems.
 
-    `states` is an (n, 2) array of psi samples, n >= 3.  Limits are taken at
-    psi_plus.  The noise floor per component is 1e-10 times the larger of its
-    range and its limit's magnitude.
+    `states` is an (n, 2) array of psi samples, n >= 3, each finite and inside
+    the cone psi0 > |psi1| (else StateOutsideDomain).  Each series of `SERIES`
+    is a row of one array, with its limit at psi_plus and a noise floor of
+    1e-10 times the larger of its range and its limit's magnitude.
+    `_count_extrema` walks each row's ends and turning points only: the inside
+    of a strictly monotone run cannot change its count.
     """
     arr = np.asarray(states, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise TooFewSamples(f"need an (n >= 3, 2) sample array, got shape {arr.shape}")
-    theta, u, v = theta_u_v(arr[:, 0], arr[:, 1])
-    lim = kinematics(psi_plus)
-    # (theta, v) and (u, v) share v's counts.
-    v_counts = _component_counts(v, lim.v)
-    return OscillationReport({
-        "psi": (
-            _component_counts(arr[:, 0], psi_plus.psi0),
-            _component_counts(arr[:, 1], psi_plus.psi1),
-        ),
-        "theta_v": (_component_counts(theta, lim.theta), v_counts),
-        "u_v": (_component_counts(u, lim.u), v_counts),
-    })
+    psi0, psi1 = arr.T
+    if not ((np.abs(psi1) < psi0).all() and psi0.max() < math.inf):  # NaN fails too
+        raise StateOutsideDomain("every sample must be finite with psi0 > |psi1|")
+    series = np.vstack((psi0, psi1, *theta_u_v(psi0, psi1)))
+    limits = np.array([psi_plus.psi0, psi_plus.psi1, *theta_u_v(psi_plus.psi0, psi_plus.psi1)])
+    # The integrator's error is relative to the state's size, so a weak
+    # shock's small range alone would let that noise count.
+    floors = 1e-10 * np.maximum(series.max(axis=1) - series.min(axis=1), np.abs(limits))
+    dev = series - limits[:, None]
+    # Each row's deviations beyond its floor, in order, and the row of each.
+    rows = np.nonzero(beyond := np.abs(dev) > floors[:, None])[0]
+    above = dev[beyond] > 0.0
+    flips = rows[1:][(above[1:] != above[:-1]) & (rows[1:] == rows[:-1])]
+    # Each row's ends and turning points: the samples not strictly between their neighbours.
+    slope = np.sign(np.diff(series, axis=1))
+    turning = np.ones(series.shape, dtype=bool)
+    turning[:, 1:-1] = slope[:, :-1] * slope[:, 1:] <= 0.0
+    changes = np.bincount(flips, minlength=len(SERIES)).tolist()
+    counts = {
+        name: ComponentCounts(_count_extrema(row[keep].tolist(), floor), n)
+        for name, row, keep, floor, n in zip(SERIES, series, turning, floors.tolist(), changes)
+    }
+    return OscillationReport({s: tuple(map(counts.get, names)) for s, names in SYSTEMS.items()})
 
 
 def _capture_point(dense, t_old: float, t: float, y: list, dist, r_cap: float):
@@ -542,11 +533,9 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
             f"psi0 > |psi1| at eps={eps}, q_tilde={q_tilde}"
         )
     verdict, times, states = _integrate(field, start, eps, pair, scale, opts)
-    report = (
-        oscillation_report(states, pair.psi_plus)
-        if states.shape[0] >= 3
-        else OscillationReport({})
-    )
+    report = OscillationReport({})
+    if len(states) >= 3:
+        report = oscillation_report(states, pair.psi_plus)
     return ProfileResult(
         times=times,
         states=states,

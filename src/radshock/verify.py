@@ -64,7 +64,8 @@ def run_identity_suite(
 ) -> list[IdentityCheck]:
     """Run every check; `samples` random (v, eps) pairs feed the matrix checks.
 
-    A sample count that is not an integer of at least 1 raises OptionOutOfRange.
+    A sample count not an integer of at least 1, or a seed that numpy's
+    `default_rng` cannot use, raises OptionOutOfRange.
     """
     try:
         count = operator.index(samples)
@@ -72,7 +73,10 @@ def run_identity_suite(
         count = 0  # 2.5, nan and other non-integers
     if count < 1:
         raise OptionOutOfRange(f"samples must be a positive integer, got {samples}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise OptionOutOfRange(f"unusable seed {seed!r}: {exc}") from exc
     v = np.sqrt(rng.uniform(1e-6, 2.0, count)) * rng.choice([-1.0, 1.0], count)
     eps = rng.uniform(1e-6, 1.0, count)
     v_sq = v**2

@@ -113,7 +113,41 @@ class TestVerifyCommand:
         assert proc.stderr == ""
 
 
+PROFILE_STDOUT = {
+    # A focus: two sign changes in every component.
+    (1.0, 0.8): """verdict: ConvergedToPlus
+oscillatory: true
+system psi: psi0: extrema=2 sign_changes=2; psi1: extrema=2 sign_changes=2; oscillatory=true
+system theta_v: theta: extrema=2 sign_changes=2; v: extrema=2 sign_changes=2; oscillatory=true
+system u_v: u: extrema=2 sign_changes=2; v: extrema=2 sign_changes=2; oscillatory=true
+samples: 249  trajectory: {out}
+""",
+    (1.0, 0.76): """verdict: ConvergedToPlus
+oscillatory: false
+system psi: psi0: extrema=0 sign_changes=0; psi1: extrema=0 sign_changes=0; oscillatory=false
+system theta_v: theta: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
+system u_v: u: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
+samples: 225  trajectory: {out}
+""",
+    # A focus by its spectrum whose spiral stays below the noise floor.
+    (0.526, 0.763): """verdict: ConvergedToPlus
+oscillatory: false
+system psi: psi0: extrema=0 sign_changes=0; psi1: extrema=0 sign_changes=0; oscillatory=false
+system theta_v: theta: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
+system u_v: u: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
+samples: 234  trajectory: {out}
+""",
+}
+
+
 class TestProfileCommand:
+    @pytest.mark.parametrize("point", PROFILE_STDOUT, ids=lambda p: f"eps={p[0]}-q={p[1]}")
+    def test_stdout_is_pinned(self, tmp_path, capsys, point):
+        out_file = tmp_path / "traj.csv"
+        args = ["profile", "--eps", repr(point[0]), "--q", repr(point[1]), "--out", str(out_file)]
+        assert main(args) == 0
+        assert capsys.readouterr().out == PROFILE_STDOUT[point].format(out=out_file)
+
     def test_node_profile(self, tmp_path, capsys):
         out_file = tmp_path / "traj.csv"
         assert main(["profile", "--eps", "1", "--q", "0.76", "--out", str(out_file)]) == 0

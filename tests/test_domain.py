@@ -3,17 +3,35 @@
 Functions of eps alone raise EpsilonOutOfRange outside (0, 1]; functions of
 (eps, q_tilde) raise ParamsOutOfOmega outside the square (0, 1] x (3/4, 1).
 NaN and inf are outside both.  Settings outside their range (shooting
-options, the identity suite's sample count) raise OptionOutOfRange.
+options, the identity suite's sample count and seed) raise OptionOutOfRange.
+A non-number, such as a string or None, is outside every range and raises
+the same typed error as a number outside it.
 """
 
 import math
 
 import pytest
 
-from radshock.classification import classify, cubic_roots, local_spectrum, separatrix_q2
-from radshock.equilibria import rest_points
-from radshock.errors import DomainError, EpsilonOutOfRange, OptionOutOfRange, ParamsOutOfOmega
-from radshock.model import b_sharp, kinematics
+from radshock.classification import (
+    classify,
+    cubic_roots,
+    local_spectrum,
+    p_coefficients,
+    p_eval,
+    separatrix_q2,
+)
+from radshock.equilibria import q_of_vplus, rest_points, v_minus_squared, v_plus_squared
+from radshock.errors import (
+    DomainError,
+    EpsilonOutOfRange,
+    NonPositiveParameter,
+    OptionOutOfRange,
+    ParamsOutOfOmega,
+    QOutOfRange,
+    ZOutOfRange,
+)
+from radshock.model import b_sharp, causality_check, kinematics
+from radshock.scan import ScanConfig
 from radshock.shooting import (
     ShootOptions,
     field_jacobian,
@@ -82,3 +100,45 @@ def test_option_outside_its_range_raises_typed_error(func, kwargs):
         func(**kwargs)
     assert isinstance(info.value, DomainError)
     assert isinstance(info.value, ValueError)
+
+
+# Each entry point, called with one argument replaced by a non-number, and
+# the typed error its range check raises for it.
+NON_NUMBER_CALLS = {
+    "classify-eps": (lambda x: classify(x, 0.8), ParamsOutOfOmega),
+    "classify-q": (lambda x: classify(0.5, x), ParamsOutOfOmega),
+    "shoot-eps": (lambda x: shoot(x, 0.8), ParamsOutOfOmega),
+    "shoot-q": (lambda x: shoot(0.5, x), ParamsOutOfOmega),
+    "unstable_direction-q": (lambda x: unstable_direction(0.5, x), ParamsOutOfOmega),
+    "rest_points": (rest_points, QOutOfRange),
+    "v_plus_squared": (v_plus_squared, QOutOfRange),
+    "v_minus_squared": (v_minus_squared, QOutOfRange),
+    "q_of_vplus": (q_of_vplus, ZOutOfRange),
+    "cubic_roots": (cubic_roots, EpsilonOutOfRange),
+    "b_sharp": (lambda x: b_sharp(kinematics(PSI), x), EpsilonOutOfRange),
+    "p_coefficients": (p_coefficients, EpsilonOutOfRange),
+    "p_eval-eps": (lambda x: p_eval(0.3, x), EpsilonOutOfRange),
+    "ShootOptions-rel_tol": (lambda x: ShootOptions(rel_tol=x), OptionOutOfRange),
+    "ShootOptions-abs_tol": (lambda x: ShootOptions(abs_tol=x), OptionOutOfRange),
+    "ScanConfig-eps_lo": (lambda x: ScanConfig(eps_lo=x), ParamsOutOfOmega),
+    "ScanConfig-eps_hi": (lambda x: ScanConfig(eps_hi=x), ParamsOutOfOmega),
+    "ScanConfig-q_lo": (lambda x: ScanConfig(q_lo=x), ParamsOutOfOmega),
+    "ScanConfig-q_hi": (lambda x: ScanConfig(q_hi=x), ParamsOutOfOmega),
+    "causality_check-eta": (lambda x: causality_check(x, 1.0, 1.0), NonPositiveParameter),
+    "causality_check-nu": (lambda x: causality_check(1.0, 1.0, x), NonPositiveParameter),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", None, 0.5j], ids=repr)
+@pytest.mark.parametrize("name", NON_NUMBER_CALLS)
+def test_non_number_raises_typed_error(name, value):
+    call, error = NON_NUMBER_CALLS[name]
+    with pytest.raises(error):
+        call(value)
+
+
+@pytest.mark.parametrize("seed", ["0.5", 0.5j, -1, 2.5, math.nan], ids=repr)
+def test_unusable_seed_raises_option_out_of_range(seed):
+    # None is usable: numpy seeds from fresh entropy.
+    with pytest.raises(OptionOutOfRange):
+        run_identity_suite(10, seed=seed)

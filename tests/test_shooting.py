@@ -24,6 +24,7 @@ from radshock.errors import (
     NotASaddle,
     ParamsOutOfOmega,
     SingularBsharp,
+    StateOutsideDomain,
     TooFewSamples,
 )
 from radshock.model import (
@@ -45,6 +46,8 @@ from radshock.shooting import (
     _CAPTURE_RADIUS,
     _ESCAPE_RADIUS,
     _MAX_PSEUDO_TIME,
+    ComponentCounts,
+    OscillationReport,
     ProfileVerdict,
     ShootOptions,
     _capture_point,
@@ -985,3 +988,138 @@ class TestOscillationReport:
         psi = state_from_v(0.5)
         with pytest.raises(TooFewSamples):
             oscillation_report(np.tile(psi.as_array(), (2, 1)), psi)
+
+
+def reference_count_extrema(x, floor):
+    """Turning points with hysteresis, walked over every sample of one series."""
+    count = 0
+    direction = 0
+    ref = x[0]
+    for val in x[1:]:
+        if direction == 0:
+            if val > ref + floor:
+                direction, ref = 1, val
+            elif val < ref - floor:
+                direction, ref = -1, val
+        elif direction > 0:
+            if val > ref:
+                ref = val
+            elif val < ref - floor:
+                count += 1
+                direction, ref = -1, val
+        else:
+            if val < ref:
+                ref = val
+            elif val > ref + floor:
+                count += 1
+                direction, ref = 1, val
+    return count
+
+
+def reference_count_sign_changes(dev, floor):
+    kept = dev[np.abs(dev) > floor]
+    if kept.size < 2:
+        return 0
+    signs = np.sign(kept)
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def reference_component_counts(series, limit):
+    floor = 1e-10 * max(float(series.max() - series.min()), abs(limit))
+    return ComponentCounts(
+        extrema=reference_count_extrema(series.tolist(), floor),
+        sign_changes=reference_count_sign_changes(series - limit, floor),
+    )
+
+
+def reference_oscillation_report(states, psi_plus):
+    """The report series by series: one numpy pass and one walk over every sample of each."""
+    arr = np.asarray(states, dtype=float)
+    theta, u, v = theta_u_v(arr[:, 0], arr[:, 1])
+    lim = kinematics(psi_plus)
+    v_counts = reference_component_counts(v, lim.v)
+    return OscillationReport({
+        "psi": (
+            reference_component_counts(arr[:, 0], psi_plus.psi0),
+            reference_component_counts(arr[:, 1], psi_plus.psi1),
+        ),
+        "theta_v": (reference_component_counts(theta, lim.theta), v_counts),
+        "u_v": (reference_component_counts(u, lim.u), v_counts),
+    })
+
+
+@st.composite
+def cone_trajectories(draw):
+    """(states, psi_plus): samples around a limit point, all inside the cone.
+
+    One of three kinds:
+    - a damped spiral around a rest point (`spiral_samples`);
+    - a walk in whole multiples of one step per coordinate around a rest
+      point, each sample held for 1-3 samples (plateaus).  With steps of
+      1e-10 of the coordinate's own size the range stays below the limit, so
+      the noise floor is about the step;
+    - a walk whose psi1 has the limit 0 and a dyadic range R, so its floor
+      is exactly f = 1e-10 R, and samples of psi1 at 0, +-f and +-2f sit
+      exactly on the floor, away from the limit and from each other.
+    An optional ramp in front gives the series a range of their own, as a
+    shot's approach does.
+    """
+    kind = draw(st.sampled_from(["spiral", "walk", "on_floor"]))
+    if kind == "on_floor":
+        psi_plus = GodunovState(1.0, 0.0)
+        half = draw(st.sampled_from([2.0**-4, 2.0**-20]))
+        f = 1e-10 * (2.0 * half)
+        levels = [-half, half, half, -2.0 * f, -f, 0.0, f, 2.0 * f]
+        walk = [(1.0, half), (1.0, -half)] + [
+            (1.0 + draw(st.sampled_from([0.0, 2.0**-30])), level)
+            for level in draw(st.lists(st.sampled_from(levels), min_size=1, max_size=40))
+        ]
+        center = psi_plus.as_array()
+    else:
+        psi_plus = state_from_v(draw(st.floats(0.36, 0.7)))
+        center = psi_plus.as_array()
+        if kind == "spiral":
+            amplitude = draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-3]))
+            t_max = draw(st.floats(0.5, 30.0))
+            walk = spiral_samples(center, amplitude, t_max, draw(st.integers(3, 120)))
+        else:
+            step = draw(st.sampled_from([1e-11, 1e-10, 2e-10, 1e-6])) * np.abs(center)
+            moves = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3))
+            walk = [
+                center + step * (a, b)
+                for a, b, held in draw(st.lists(moves, min_size=3, max_size=40))
+                for _ in range(held)
+            ]
+    ramp = []
+    if draw(st.booleans()):
+        start = center * (1.0 + draw(st.sampled_from([1e-9, 1e-6, 1e-2])))
+        ramp = list(np.linspace(start, center, draw(st.integers(1, 10)), endpoint=False))
+    return np.array(ramp + list(walk)), psi_plus
+
+
+class TestOscillationReportReference:
+    """`oscillation_report` against the per-series reference, count for count."""
+
+    @given(cone_trajectories())
+    def test_matches_reference(self, trajectory):
+        states, psi_plus = trajectory
+        assert oscillation_report(states, psi_plus) == reference_oscillation_report(
+            states, psi_plus
+        )
+
+    @pytest.mark.parametrize("point", [NODE_POINT, FOCUS_POINT, (0.526, 0.763), (1e-3, 0.8)])
+    def test_shot_matches_reference(self, point):
+        res = shoot(*point)
+        assert res.oscillation == reference_oscillation_report(res.states, res.psi_plus)
+
+    @pytest.mark.parametrize(
+        "sample", [(math.nan, 0.0), (0.5, math.nan), (0.4, 0.5), (0.5, -0.5), (math.inf, 0.0)]
+    )
+    def test_sample_outside_the_cone(self, sample):
+        # A NaN sample has no kinematics, and psi0 < |psi1| would give it a
+        # NaN theta with a RuntimeWarning.
+        psi_plus = state_from_v(0.6)
+        states = np.array(spiral_samples(psi_plus.as_array(), n=11))
+        states[5] = sample
+        with pytest.raises(StateOutsideDomain):
+            oscillation_report(states, psi_plus)
