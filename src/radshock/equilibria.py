@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateShock, ParamsOutOfOmega, QOutOfRange, ZOutOfRange
+from .errors import DegenerateShock, ParamsOutOfOmega, QOutOfRange, StateOutsideDomain, ZOutOfRange
 from .model import GodunovState
 
 Q_MIN = 0.75
@@ -29,7 +29,7 @@ def check_omega(eps: float, q_tilde: float) -> None:
     try:  # a branch: the test stored as a value first costs a third more
         if 0.0 < eps <= 1.0 and Q_MIN < q_tilde < Q_MAX:
             return
-    except TypeError:  # a string, None or another non-number
+    except (TypeError, ValueError):  # a non-number, or an array of several
         pass
     raise ParamsOutOfOmega(f"({eps!r}, {q_tilde!r}) outside (0,1] x (3/4,1)")
 
@@ -97,17 +97,22 @@ def psi_from_v(v):
 
 def state_from_v(v: float) -> GodunovState:
     """State on the equilibrium family parameterized by velocity v (see `psi_from_v`)."""
-    return GodunovState(*psi_from_v(v))
+    try:
+        return GodunovState(*psi_from_v(v))
+    except TypeError:  # a string, None or another non-number
+        raise StateOutsideDomain(f"v must be a real number, got {v!r}") from None
 
 
 def rest_points(q_tilde: float) -> EquilibriumPair:
     """Both rest points for flux constants (q_tilde^(-1/2), 1), v > 0 branch."""
-    _check_q(q_tilde)
-    if q_tilde - Q_MIN <= DEGENERATE_BAND:
-        raise DegenerateShock(
-            f"q_tilde = {q_tilde} within {DEGENERATE_BAND} of the zero-amplitude limit 3/4"
-        )
-    v_m_sq = v_minus_squared(q_tilde)
+    v_m_sq = v_minus_squared(q_tilde)  # QOutOfRange outside (3/4, 1)
+    try:
+        if q_tilde - Q_MIN <= DEGENERATE_BAND:
+            raise DegenerateShock(
+                f"q_tilde = {q_tilde} within {DEGENERATE_BAND} of the zero-amplitude limit 3/4"
+            )
+    except ValueError:  # an array of several q_tilde, which the range check lets through
+        raise QOutOfRange(f"q_tilde must be one number, got {q_tilde!r}") from None
     v_p_sq = v_plus_squared(q_tilde)
     return EquilibriumPair(
         psi_minus=state_from_v(math.sqrt(v_m_sq)),

@@ -42,10 +42,12 @@ class GodunovState:
     psi1: float
 
     def __post_init__(self):
-        if not self.psi0 > abs(self.psi1):
-            raise StateOutsideDomain(
-                f"need psi0 > |psi1|, got ({self.psi0}, {self.psi1})"
-            )
+        try:  # chained, not psi0 > abs(psi1), so that a complex psi1 fails too
+            if -self.psi0 < self.psi1 < self.psi0:
+                return
+        except (TypeError, ValueError):  # a non-number, or an array of several
+            pass
+        raise StateOutsideDomain(f"need psi0 > |psi1|, got ({self.psi0!r}, {self.psi1!r})")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.psi0, self.psi1], dtype=float)

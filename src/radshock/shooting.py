@@ -422,19 +422,17 @@ def _integrate(
     r_esc = _ESCAPE_RADIUS * scale
     sing_level = singular_locus_v_sq(eps)
 
-    # The field's pair goes back through one buffer per shot: handed a tuple,
+    # The field's pair goes back through one buffer per shot, stored through
+    # a memoryview (cheaper than the array's item stores): handed a tuple,
     # the integrator's callback would build an array from it on every call.
     out = np.empty(2)
+    buf = memoryview(out)
 
     # Python floats: their arithmetic is about twice as fast as numpy scalars'.
     def rhs(_t, y):
-        out[0], out[1] = field(*y.tolist())
+        y0, y1 = y.tolist()
+        buf[0], buf[1] = field(y0, y1)
         return out
-
-    def gap_sq(y0, y1):
-        # v^2 minus its value on the singular locus.
-        s = y0 * y0 - y1 * y1
-        return (y1 * y1 / s if s > 0.0 else math.inf) - sing_level
 
     def dist(y):
         return math.hypot(y[0] - p0, y[1] - p1)
@@ -445,8 +443,10 @@ def _integrate(
     # One LSODA step per call, as scipy's LSODA solver steps it: itask 5
     # never steps past tcrit = rwork[0].  Like that solver, raise rel_tol to
     # 100 ulp; below it ODEPACK can reject the input before the first step.
-    rtol = max(opts.rel_tol, _MIN_REL_TOL)
-    atol = opts.abs_tol
+    # The runner would build these 1-element arrays from floats on every
+    # call; a 2-element atol would make LSODA's tolerance per component.
+    rtol = np.array([max(opts.rel_tol, _MIN_REL_TOL)])
+    atol = np.array([opts.abs_tol])
     step = _compiled("integrate._odepack", "lsoda")
     # The work arrays scipy's `lsoda.reset` builds for n = 2 with a full user
     # Jacobian (jt = 1): rwork of 20 + (12 + 4) n doubles, iwork of 20 + n
@@ -462,12 +462,12 @@ def _integrate(
     arr, t, istate = y_start.copy(), 0.0, 1
     # The samples, flat: y0, y1 of each in turn.
     flat = y_start.tolist()
-    y0, y1 = flat
     times = [0.0]
-    gap = gap_sq(y0, y1)
-    verdict = None
+    # v^2 minus its value on the singular locus at the last accepted state,
+    # positive at the start next to psi_minus (v^2 > 1/2, the locus <= 1/8).
+    gap, steps, verdict = math.inf, 0, None
     while verdict is None:
-        t_old = t
+        t_old, steps = t, steps + 1
         # The 17-argument call of scipy 1.17's `lsoda.run`: (fun, y, t, tout,
         # rtol, atol, itask, istate, rwork, iwork, jac, jt, f_params, tfirst,
         # jac_params, state_doubles, state_ints).  TestStepLoopParity fails on
@@ -483,7 +483,6 @@ def _integrate(
             verdict = ProfileVerdict.HIT_SINGULAR_LOCUS if near else ProfileVerdict.STALLED
             break
         y0, y1 = arr.tolist()
-        gap_old, gap = gap, gap_sq(y0, y1)
         r = math.hypot(y0 - p0, y1 - p1)
         if r <= r_cap:
             # psi_plus is a hyperbolic sink throughout Omega, so an orbit that
@@ -498,10 +497,13 @@ def _integrate(
             verdict = ProfileVerdict.ESCAPED
             if not y0 > abs(y1):
                 break
-        elif gap_old >= 0.0 >= gap:
-            verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
-        elif t >= t_end or len(times) == _MAX_STEPS:
-            verdict = ProfileVerdict.STALLED
+        else:
+            s = y0 * y0 - y1 * y1
+            gap_old, gap = gap, (y1 * y1 / s if s > 0.0 else math.inf) - sing_level
+            if gap_old >= 0.0 >= gap:
+                verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
+            elif t >= t_end or steps == _MAX_STEPS:
+                verdict = ProfileVerdict.STALLED
         times.append(t)
         flat += (y0, y1)
     return verdict, np.array(times), np.array(flat).reshape(-1, 2)

@@ -5,11 +5,14 @@ Functions of eps alone raise EpsilonOutOfRange outside (0, 1]; functions of
 NaN and inf are outside both.  Settings outside their range (shooting
 options, the identity suite's sample count and seed) raise OptionOutOfRange.
 A non-number, such as a string or None, is outside every range and raises
-the same typed error as a number outside it.
+the same typed error as a number outside it; so is an array of several
+numbers handed to an entry point that takes one.  A state or velocity that
+is not a real number raises StateOutsideDomain.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from radshock.classification import (
@@ -20,7 +23,13 @@ from radshock.classification import (
     p_eval,
     separatrix_q2,
 )
-from radshock.equilibria import q_of_vplus, rest_points, v_minus_squared, v_plus_squared
+from radshock.equilibria import (
+    q_of_vplus,
+    rest_points,
+    state_from_v,
+    v_minus_squared,
+    v_plus_squared,
+)
 from radshock.errors import (
     DomainError,
     EpsilonOutOfRange,
@@ -28,9 +37,10 @@ from radshock.errors import (
     OptionOutOfRange,
     ParamsOutOfOmega,
     QOutOfRange,
+    StateOutsideDomain,
     ZOutOfRange,
 )
-from radshock.model import b_sharp, causality_check, kinematics
+from radshock.model import GodunovState, b_sharp, causality_check, kinematics
 from radshock.scan import ScanConfig
 from radshock.shooting import (
     ShootOptions,
@@ -126,6 +136,9 @@ NON_NUMBER_CALLS = {
     "ScanConfig-q_hi": (lambda x: ScanConfig(q_hi=x), ParamsOutOfOmega),
     "causality_check-eta": (lambda x: causality_check(x, 1.0, 1.0), NonPositiveParameter),
     "causality_check-nu": (lambda x: causality_check(1.0, 1.0, x), NonPositiveParameter),
+    "GodunovState-psi0": (lambda x: GodunovState(x, 0.5), StateOutsideDomain),
+    "GodunovState-psi1": (lambda x: GodunovState(2.0, x), StateOutsideDomain),
+    "state_from_v": (state_from_v, StateOutsideDomain),
 }
 
 
@@ -135,6 +148,25 @@ def test_non_number_raises_typed_error(name, value):
     call, error = NON_NUMBER_CALLS[name]
     with pytest.raises(error):
         call(value)
+
+
+# Entry points that take one number, each handed an array of several
+# numbers that would each be in range, and the typed error it raises.
+ARRAY_CALLS = {
+    "classify-eps": (lambda x: classify(x, 0.8), [0.5, 0.6], ParamsOutOfOmega),
+    "classify-q": (lambda x: classify(0.5, x), [0.8, 0.9], ParamsOutOfOmega),
+    "shoot-eps": (lambda x: shoot(x, 0.8), [0.5, 0.6], ParamsOutOfOmega),
+    "shoot-q": (lambda x: shoot(0.5, x), [0.8, 0.9], ParamsOutOfOmega),
+    "rest_points": (rest_points, [0.8, 0.9], QOutOfRange),
+    "GodunovState": (lambda x: GodunovState(x, 0.5), [2.0, 3.0], StateOutsideDomain),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_CALLS)
+def test_array_of_several_raises_typed_error(name):
+    call, values, error = ARRAY_CALLS[name]
+    with pytest.raises(error):
+        call(np.array(values))
 
 
 @pytest.mark.parametrize("seed", ["0.5", 0.5j, -1, 2.5, math.nan], ids=repr)

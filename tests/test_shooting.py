@@ -796,6 +796,14 @@ PARITY_CASES = [
     ((1e-6, 1.0 - 1e-6), ShootOptions(), ProfileVerdict.STALLED, False, 400),
     # "Repeated convergence failures" on the first step: istate < 0.
     ((1e-6, 0.75 + 1e-6), ShootOptions(rel_tol=1e-4), ProfileVerdict.STALLED, True, None),
+    # Both tolerances off their defaults (103 samples), and abs_tol alone
+    # (229 samples, against 402 at the default): an abs_tol handed to the
+    # runner per component, or not handed on, changes these samples.
+    (
+        (1.0, 0.8), ShootOptions(rel_tol=1e-6, abs_tol=1e-9),
+        ProfileVerdict.CONVERGED_TO_PLUS, False, None,
+    ),
+    ((1e-3, 0.8), ShootOptions(abs_tol=1e-8), ProfileVerdict.CONVERGED_TO_PLUS, False, None),
 ]
 
 
@@ -840,6 +848,37 @@ class TestStepLoopParity:
             assert times.size == 1
         elif expected is ProfileVerdict.STALLED:
             assert times.size == shooting._MAX_STEPS + 1
+
+
+# The centres of an 8x8 split of eps in [0.05, 1], q_tilde in [0.76, 0.99],
+# then a node, a focus and a slow spiral.
+WORK_POINTS = [
+    (0.05 + (i + 0.5) * 0.95 / 8, 0.76 + (j + 0.5) * 0.23 / 8) for i in range(8) for j in range(8)
+] + [(1.0, 0.762), (1.0, 0.8), (0.3, 0.95)]
+
+
+def test_shot_work_is_pinned(monkeypatch):
+    # The work of whole shots, counted on every field closure they build:
+    # real evaluations (the integrator's right-hand side), complex ones (the
+    # complex-step Jacobians of the start direction and of LSODA) and
+    # samples.  Any change to the steps taken moves these totals, so a
+    # faster shot with the same totals has cheaper steps, not fewer.
+    calls = {"real": 0, "complex": 0}
+    make_field = shooting._field
+
+    def counting_factory(eps, q_tilde):
+        field = make_field(eps, q_tilde)
+
+        def counting_field(y0, y1):
+            kind = "complex" if isinstance(y0, complex) or isinstance(y1, complex) else "real"
+            calls[kind] += 1
+            return field(y0, y1)
+
+        return counting_field
+
+    monkeypatch.setattr(shooting, "_field", counting_factory)
+    samples = sum(len(shoot(eps, q).times) for eps, q in WORK_POINTS)
+    assert (calls["real"], calls["complex"], samples) == (44_943, 268, 20_891)
 
 
 WHOLE_SHOT_DIGESTS = [
