@@ -5,19 +5,21 @@ upstream saddle and integrates with LSODA, which switches between Adams and
 BDF formulas as the field turns stiff (eps -> 0), with the field's Jacobian
 taken by a complex step through the field function.  That function is one
 closure per shot, built by `_field`: adj(B#) F from three rank-one
-projections of the flux residual, for floats and complex numbers alike, and
-the only place the package applies B#.  Its complex step at the saddle also
-gives the start direction.  The step loop calls ODEPACK's LSODA runner
-itself, one step per call with the arguments scipy's `LSODA` solver hands
-it, on the work arrays scipy's `ode` would build.  That runner (`lsoda` of
-scipy's private compiled module `scipy.integrate._odepack`) and Brent's
-root finder for the capture point (`_brentq` of `scipy.optimize._zeros`)
-are all a shot takes from scipy; `_compiled` loads each once per process
-from the file that importlib's `PathFinder` finds in its package directory,
-without importing the package.  The step loop checks every accepted step
-and stops when the orbit is captured at the downstream rest point, escapes,
-hits the singular locus of the dissipation matrix, or exhausts the step or
-pseudo-time budget.  Oscillatory (spiraling) profiles are detected by
+projections of the flux residual over det B# at psi_plus (B#^-1 F in a
+desingularized time, regular across the singular locus), for floats and
+complex numbers alike, and the only place the package applies B#.  Its
+complex step at the saddle also gives the start direction.  The step loop
+calls ODEPACK's LSODA runner itself, one step per call with the arguments
+scipy's `LSODA` solver hands it, on the work arrays scipy's `ode` would
+build.  That runner (`lsoda` of scipy's private compiled module
+`scipy.integrate._odepack`) and Brent's root finder for the capture point
+(`_brentq` of `scipy.optimize._zeros`) are all a shot takes from scipy;
+`_compiled` loads each once per process from the file that importlib's
+`PathFinder` finds in its package directory, without importing the
+package.  The step loop checks every accepted step and stops when the orbit
+is captured at the downstream rest point, escapes, crosses the singular
+locus of the dissipation matrix, or exhausts the step or pseudo-time
+budget.  Oscillatory (spiraling) profiles are detected by
 `oscillation_report`, which counts the extrema and sign changes of the
 samples' five coordinate series in one pass over them as rows of one array;
 an `OscillationReport` keeps the counts by the coordinate systems of
@@ -39,7 +41,9 @@ import numpy as np
 from .classification import spectrum_at_v
 from .equilibria import EquilibriumPair, check_omega, rest_points, v_minus_squared, v_plus_squared
 from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples
-from .model import GodunovState, check_off_locus, singular_locus_v_sq, theta_u_v
+from .model import (
+    GodunovState, check_off_locus, det_b_sharp_closed, singular_locus_v_sq, theta_u_v
+)
 
 # A shot starts this far from psi_minus along the unstable eigenvector,
 # relative to |psi_minus - psi_plus|.  A numerical choice, not a parameter of
@@ -64,16 +68,17 @@ _MIN_REL_TOL = 100 * 2.0**-52
 _CAPTURE_RADIUS = 1e-8
 _ESCAPE_RADIUS = 1e2
 
-# The pseudo-time budget, LSODA's tout and tcrit.  tout also enters ODEPACK's
-# first-step formula, so any other value changes every shot's samples
-# ((1e-4, 0.8) takes 371 at 1e5, 382 at 1e6 and 370 at 1e7).  No default-
-# tolerance shot of the benchmark reaches it (at most 5.1e5), but the time to
-# capture grows like 1/(1 - q_tilde): (1, 1 - 1e-6) ends at 9.9e5.
+# The pseudo-time budget, LSODA's tout and tcrit; a unit is one of B#^-1 F's
+# at psi_plus, m(v+)/m(v) of one elsewhere (see `_field`).  tout also enters
+# ODEPACK's first-step formula, so any other value changes every shot's
+# samples ((1e-4, 0.8) takes 378 at 1e5, 390 at 1e6 and 382 at 1e7).  No
+# default-tolerance shot of the benchmark or 20x20 scan nears it: the longest,
+# (1, 3/4 + 1e-6), ends at 2.4e4; (1, 1 - 1e-6), at 9.9e5 in B#^-1 F's, at 7.5.
 _MAX_PSEUDO_TIME = 1e6
 
 # A shot ends Stalled after this many accepted steps, which bounds the work
 # of one that does not resolve.  At the default tolerances the most taken on
-# the 20x20 scan or the benchmark is 1,309, at (0.63, 1 - 1e-6).
+# the 20x20 scan or the benchmark is 1,567, at the corner (1e-6, 1 - 1e-6).
 _MAX_STEPS = 10_000
 
 # scipy's OpenBLAS, which scipy.integrate._odepack links, starts a worker
@@ -213,23 +218,27 @@ def profile_to_csv(result: ProfileResult) -> str:
 
 
 def _field(eps: float, q_tilde: float):
-    """The profile field B#^-1 F at fixed (eps, q_tilde), as `field(y0, y1)`.
+    """The profile field adj(B#) F / det B#(psi_plus) at fixed (eps, q_tilde), as `field(y0, y1)`.
 
-    The hot path of every shot, called by the integrator and its complex-step
-    Jacobian with Python floats or complex numbers.  B# = eps u^2 a a^T -
-    w w^T - c2 y y^T with a = (v, -u), w = (4uv, -r), y = (g, -2uv),
-    r = 4v^2 + 1 and g = 2v^2 + 1, so adj(B#) F = alpha (u, v) - phi (r, 4uv)
-    - beta (2uv, g), with three projections of F (q1 = 1, q0 = q_tilde^(-1/2))
-    simplified by u^2 - v^2 = 1.  theta cancels from phi, which is O(eps) on
-    the slow manifold, so for v > 0 it is factored through the rest points.
-    Outside the cone, and where psi0^2 - psi1^2 overflows to NaN, the field
-    is (1e300, 1e300): LSODA's error test rejects such a trial step, where a
-    NaN, false in every comparison, would pass it and the step be accepted.
+    det B# = 9 eps m(v) / (eps - 4), m(v) = (8 + eps) v^2 + eps - 1, so this is
+    B#^-1 F in a time rescaled by m(v) / m(v+), 1 at psi_plus: the same orbits,
+    oriented alike above the singular locus m = 0, and regular across it
+    (Szmolyan & Wechselberger, JDE 177, 2001).  The hot path of every shot,
+    called by the integrator and its complex-step Jacobian with Python floats
+    or complex numbers.  B# = eps u^2 a a^T - w w^T - c2 y y^T with a = (v, -u),
+    w = (4uv, -r), y = (g, -2uv), r = 4v^2 + 1 and g = 2v^2 + 1, so adj(B#) F =
+    alpha (u, v) - phi (r, 4uv) - beta (2uv, g), with three projections of F
+    (q1 = 1, q0 = q_tilde^(-1/2)) simplified by u^2 - v^2 = 1.  theta cancels
+    from phi, which is O(eps) on the slow manifold, so for v > 0 it is factored
+    through the rest points.  Outside the cone, and where psi0^2 - psi1^2
+    overflows to NaN, the field is (1e300, 1e300): LSODA's error test rejects
+    such a trial step, where a NaN, false in every comparison, would pass it
+    and the step be accepted.
     """
     q0, c2 = q_tilde**-0.5, 9.0 * eps / (4.0 - eps)
     k = 16.0 * (1.0 - q_tilde) / q_tilde
     vp2, vm2 = v_plus_squared(q_tilde), v_minus_squared(q_tilde)
-    nine_eps, eps_plus_8, eps_minus_4 = 9.0 * eps, 8.0 + eps, eps - 4.0
+    inv = 1.0 / det_b_sharp_closed(vp2, eps)
 
     def field(y0, y1):
         s = y0 * y0 - y1 * y1
@@ -246,17 +255,9 @@ def _field(eps: float, q_tilde: float):
             phi = r * q0 - 4.0 * uv
         alpha = eps * u * u * (u * q0 - v * (1.0 + t4))
         beta = c2 * (2.0 * uv * q0 - g + t4 * (1.0 - 2.0 * v2) / 3.0)
-        det = nine_eps * (eps_plus_8 * v2 + eps - 1.0) / eps_minus_4
-        # `_integrate`'s locus test sees only accepted steps, but LSODA also
-        # evaluates trial states, and one can land with det exactly 0.0 (at
-        # eps = 0.5, (0.8242786886853922, 0.19428435011899867)): a huge
-        # finite field makes the error test reject that step, where a
-        # division by zero would raise out of the callback.
-        if det == 0.0:
-            det = -1e-300
-        return (alpha * u - r * phi - 2.0 * uv * beta) / det, (
+        return (alpha * u - r * phi - 2.0 * uv * beta) * inv, (
             alpha * v - 4.0 * uv * phi - g * beta
-        ) / det
+        ) * inv
 
     return field
 
@@ -270,7 +271,7 @@ def _checked_field(psi: GodunovState, eps: float, q_tilde: float):
 
 
 def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
-    """Profile field B#^-1 F at one state, via the adjugate and the closed-form det(B#)."""
+    """The field `shoot` integrates, adj(B#) F / det B#(psi_plus), at a state off the locus."""
     return np.array(_checked_field(psi, eps, q_tilde)(psi.psi0, psi.psi1))
 
 
@@ -282,7 +283,7 @@ def _field_jacobian(field, y0: float, y1: float) -> list[list[float]]:
 
 
 def field_jacobian(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
-    """Jacobian of the profile field at any state in the cone, by complex step."""
+    """Jacobian of `vector_field`'s field at a state in the cone off the locus, by complex step."""
     return np.array(_field_jacobian(_checked_field(psi, eps, q_tilde), psi.psi0, psi.psi1))
 
 
@@ -298,15 +299,16 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
 
 def _unstable_direction(pair: EquilibriumPair, field, eps: float, q_tilde: float) -> np.ndarray:
     (j00, j01), (j10, j11) = _field_jacobian(field, pair.psi_minus.psi0, pair.psi_minus.psi1)
-    # J is local_spectrum's matrix times (4/3) theta^5, and its closed forms
-    # do not cancel as q_tilde -> 1, where the entries of adj(B#) A grow like
-    # v^8.  Its singular-locus check is left out: v_minus^2 > 1/2 lies above
-    # the locus, which stays at or below 1/8.
+    # J is local_spectrum's matrix times (4/3) theta^5 m(v-)/m(v+), as F = 0
+    # here; its closed forms do not cancel as q_tilde -> 1, where adj(B#) A's
+    # entries grow like v^8.  Its singular-locus check is left out: v_minus^2
+    # > 1/2 lies above the locus, which stays at or below 1/8.
     theta, _, v = theta_u_v(pair.psi_minus.psi0, pair.psi_minus.psi1)
     lo, hi = spectrum_at_v(v, eps)
     if not lo.real < 0.0 < hi.real:
         raise NotASaddle(f"eigenvalues {lo}, {hi} at psi_minus({q_tilde}), eps={eps}")
-    lam_pos = (4.0 / 3.0) * theta**5 * hi.real
+    lam_pos = (4.0 / 3.0) * theta**5 * hi.real * det_b_sharp_closed(v * v, eps)
+    lam_pos /= det_b_sharp_closed(v_plus_squared(q_tilde), eps)
     cand_a = np.array([j01, lam_pos - j00])
     cand_b = np.array([lam_pos - j11, j10])
     vec = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
@@ -476,11 +478,8 @@ def _integrate(
             rhs, arr, t, t_end, rtol, atol, 5, istate, rwork, iwork, jac, jt, (), 1, (), sd, si
         )
         if istate < 0:
-            # Step underflow.  The field's only blow-up set is the singular
-            # locus, which can be approached asymptotically without a
-            # crossing; diagnose by the last accepted state's velocity.
-            near = abs(gap) <= 1e-5 * (1.0 + sing_level)
-            verdict = ProfileVerdict.HIT_SINGULAR_LOCUS if near else ProfileVerdict.STALLED
+            # LSODA gave up; the field has no blow-up to blame it on.
+            verdict = ProfileVerdict.STALLED
             break
         y0, y1 = arr.tolist()
         r = math.hypot(y0 - p0, y1 - p1)
@@ -498,8 +497,8 @@ def _integrate(
             if not y0 > abs(y1):
                 break
         else:
-            s = y0 * y0 - y1 * y1
-            gap_old, gap = gap, (y1 * y1 / s if s > 0.0 else math.inf) - sing_level
+            # psi0 > |psi1| here; the field is regular, so a sign change is a crossing.
+            gap_old, gap = gap, y1 * y1 / (y0 * y0 - y1 * y1) - sing_level
             if gap_old >= 0.0 >= gap:
                 verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
             elif t >= t_end or steps == _MAX_STEPS:

@@ -120,14 +120,14 @@ oscillatory: true
 system psi: psi0: extrema=2 sign_changes=2; psi1: extrema=2 sign_changes=2; oscillatory=true
 system theta_v: theta: extrema=2 sign_changes=2; v: extrema=2 sign_changes=2; oscillatory=true
 system u_v: u: extrema=2 sign_changes=2; v: extrema=2 sign_changes=2; oscillatory=true
-samples: 249  trajectory: {out}
+samples: 240  trajectory: {out}
 """,
     (1.0, 0.76): """verdict: ConvergedToPlus
 oscillatory: false
 system psi: psi0: extrema=0 sign_changes=0; psi1: extrema=0 sign_changes=0; oscillatory=false
 system theta_v: theta: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
 system u_v: u: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
-samples: 225  trajectory: {out}
+samples: 239  trajectory: {out}
 """,
     # A focus by its spectrum whose spiral stays below the noise floor.
     (0.526, 0.763): """verdict: ConvergedToPlus
@@ -135,7 +135,7 @@ oscillatory: false
 system psi: psi0: extrema=0 sign_changes=0; psi1: extrema=0 sign_changes=0; oscillatory=false
 system theta_v: theta: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
 system u_v: u: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
-samples: 234  trajectory: {out}
+samples: 212  trajectory: {out}
 """,
 }
 
@@ -173,7 +173,7 @@ class TestProfileCommand:
             assert main(args + ["--out", str(out_file)]) == 0
         out = capsys.readouterr().out
         assert "verdict: ConvergedToPlus" in out
-        assert "samples: 579" in out
+        assert "samples: 528" in out
 
     def test_focus_profile(self, tmp_path, capsys):
         out_file = tmp_path / "traj.csv"

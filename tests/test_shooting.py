@@ -12,13 +12,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import LSODA
 
 from conftest import spiral_samples
 from radshock.classification import local_spectrum
-from radshock.equilibria import rest_points, state_from_v
+from radshock.equilibria import rest_points, state_from_v, v_plus_squared
 from radshock.errors import (
     DegenerateShock,
     NotASaddle,
@@ -38,6 +38,7 @@ from radshock.model import (
     flux_residual,
     kinematics,
     lin_matrix,
+    singular_locus_v_sq,
     theta_u_v,
 )
 from radshock import shooting
@@ -83,18 +84,23 @@ def product_magnitude(a, b):
     return re + 1j * (abs(a.real * b.imag) + abs(a.imag * b.real))
 
 
-def matrix_field_reference(y0, y1, eps, q0):
-    """Reference for `_field` inside the cone: adj(B#) F / det(B#) by the matrix route.
+def det_plus(eps, q_tilde):
+    """det B# at psi_plus, the constant `_field` divides adj(B#) F by."""
+    return det_b_sharp_closed(v_plus_squared(q_tilde), eps)
+
+
+def matrix_field_reference(y0, y1, eps, q_tilde):
+    """Reference for `_field` inside the cone: adj(B#) F / det B#(psi_plus) by the matrix route.
 
     Also returns, per component, what its rounding is relative to:
-    |adj(B#)| |F| / |det(B#)| with every sum in B# and F taken over the
+    |adj(B#)| |F| / |det B#(psi_plus)| with every sum in B# and F taken over the
     magnitudes of its terms, for real and imaginary parts apart, so a
     complex step's imaginary part gets its own scale.  That includes the
     sums in the complex products u = theta y0 and v = theta y1: at v = 0
     Im u is such a sum that cancels, and its rounding is all it holds.
     """
     kin = Kinematics(*theta_u_v(y0, y1))
-    det = det_b_sharp_closed(kin.v * kin.v, eps)
+    det, q0 = det_plus(eps, q_tilde), q_tilde**-0.5
     f = flux_residual(SimpleNamespace(psi0=y0, psi1=y1), q0, 1.0)
     field = adjugate(b_sharp(kin, eps)) @ f / det
     m = Kinematics(
@@ -107,9 +113,7 @@ def matrix_field_reference(y0, y1, eps, q0):
         [(4.0 / 3.0) * t4 * m.v * m.u + q0, t4 * ((4.0 / 3.0) * m.v * m.v + 1.0 / 3.0) + 1.0]
     )
     num = magnitude(adjugate(b_mag)) @ f_mag
-    d = abs(np.real(det))
-    scale = num.real / d + 1j * (num.imag / d + num.real / d * (abs(np.imag(det)) / d))
-    return field, scale
+    return field, num / abs(det)
 
 
 def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
@@ -127,14 +131,14 @@ def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
     return jac
 
 
-def rest_jacobian_reference(psi, eps):
-    """Reference for `field_jacobian` at a rest point: (4/3) theta^5 adj(B#) A / det(B#).
+def rest_jacobian_reference(psi, eps, q_tilde):
+    """Reference for `field_jacobian` at a rest point: (4/3) theta^5 adj(B#) A / det B#(psi_plus).
 
-    Exact only where F vanishes, since the derivative of B#^-1 then drops out.
+    Exact only where F vanishes, since the derivative of adj(B#) then drops out.
     """
     kin = kinematics(psi)
-    det = det_b_sharp_closed(kin.v * kin.v, eps)
-    return (4.0 / 3.0) * kin.theta**5 / det * (adjugate(b_sharp(kin, eps)) @ lin_matrix(kin))
+    adj_a = adjugate(b_sharp(kin, eps)) @ lin_matrix(kin)
+    return (4.0 / 3.0) * kin.theta**5 / det_plus(eps, q_tilde) * adj_a
 
 
 def mpmath_b_sharp(e, u, v):
@@ -148,8 +152,10 @@ def mpmath_b_sharp(e, u, v):
 
 
 def mpmath_field(y0, y1, eps, q_tilde, dps=50):
-    """Reference for `_field`: adj(B#) F / det(B#) at a float state in `dps` digits.
+    """Reference for `_field`: adj(B#) F / det B#(psi_plus) at a float state in `dps` digits.
 
+    The divisor is the float `det_plus` that `_field` takes: its rounding is
+    a constant factor, which rescales the field's time but moves no orbit.
     Also returns the field's Jacobian, by a complex step in the same precision.
     """
     mpmath = pytest.importorskip("mpmath")
@@ -162,9 +168,9 @@ def mpmath_field(y0, y1, eps, q_tilde, dps=50):
         t4 = theta**4
         f0 = -(mpf(4) / 3) * t4 * v * u + q ** (-mpf(1) / 2)
         f1 = t4 * ((mpf(4) / 3) * v * v + mpf(1) / 3) - 1
-        det = b00 * b11 - b01 * b01
         return (b11 * f0 - b01 * f1) / det, (b00 * f1 - b01 * f0) / det
 
+    det = mpf(det_plus(eps, q_tilde))
     with mpmath.workdps(dps):
         y0, y1, e, q, h = mpf(y0), mpf(y1), mpf(eps), mpf(q_tilde), mpf(10) ** -40
         value = [float(x) for x in field(y0, y1, e, q)]
@@ -253,8 +259,7 @@ def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
     while verdict is None:
         solver.step()
         if solver.status == "failed":
-            near = abs(gap_sq(*states[-1])) <= 1e-5 * (1.0 + sing_level)
-            verdict = ProfileVerdict.HIT_SINGULAR_LOCUS if near else ProfileVerdict.STALLED
+            verdict = ProfileVerdict.STALLED
             break
         t, y = solver.t, solver.y.tolist()
         gap_old, gap = gap, gap_sq(*y)
@@ -303,11 +308,9 @@ class TestVectorField:
         if abs(ratio) >= 1.0:
             assert got == (1e300, 1e300)
             return
-        # On the singular locus det(B#) is 0 and the field has no value.
-        assume(np.real(det_b_sharp_closed(theta_u_v(*y)[2] ** 2, eps)) != 0.0)
-        want, scale = matrix_field_reference(*y, eps, q_tilde**-0.5)
-        # 25 ulp of the scale: about 3.6x the largest error measured over
-        # 600,000 random states (7.0 ulp), real and complex-step alike.
+        want, scale = matrix_field_reference(*y, eps, q_tilde)
+        # 25 ulp of the scale: about 3.5x the largest error measured over
+        # 200,000 random states (7.1 ulp), real and complex-step alike.
         for g, w, sc in zip(got, want, scale):
             assert abs(g.real - w.real) <= 25.0 * 2.0**-52 * sc.real
             assert abs(g.imag - w.imag) <= 25.0 * 2.0**-52 * sc.imag
@@ -345,12 +348,33 @@ class TestVectorField:
         assert np.all(np.isfinite(f))
 
     def test_finite_at_a_trial_state_with_zero_det(self):
-        # LSODA may try a state with det(B#) exactly 0.0 inside a step; the
-        # field must return a finite (huge) value there, not raise.
+        # LSODA may try a state with det(B#) exactly 0.0 inside a step.  The
+        # field divides by det B#(psi_plus) only, so it has its ordinary
+        # value there: the matrix route's, to the hypothesis test's 25 ulp.
         y = (0.8242786886853922, 0.19428435011899867)
         assert det_b_sharp_closed(theta_u_v(*y)[2] ** 2, 0.5) == 0.0
-        f = _field(0.5, 0.8)(*y)
-        assert all(math.isfinite(x) and abs(x) > 1e299 for x in f)
+        got = _field(0.5, 0.8)(*y)
+        want, scale = matrix_field_reference(*y, 0.5, 0.8)
+        assert all(math.isfinite(g) for g in got)
+        for g, w, sc in zip(got, want, scale):
+            assert abs(g - w) <= 25.0 * 2.0**-52 * sc.real
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.5, 0.9])
+    def test_regular_across_the_singular_locus(self, eps):
+        # A short walk along the equilibrium family whose v^2 crosses the
+        # locus (1 - eps)/(8 + eps): every value is finite, and consecutive
+        # values differ by O(step), within twice the larger Jacobian of the
+        # walk's ends times the step.  B#^-1 F would blow up like 1/det B#.
+        v_lo = math.sqrt(singular_locus_v_sq(eps))
+        states = [state_from_v(v) for v in np.linspace(v_lo - 1e-3, v_lo + 1e-3, 201).tolist()]
+        field = _field(eps, 0.8)
+        values = np.array([field(psi.psi0, psi.psi1) for psi in states])
+        assert np.all(np.isfinite(values))
+        psi = np.array([(psi.psi0, psi.psi1) for psi in states])
+        lipschitz = max(np.abs(_field_jacobian(field, *psi[i].tolist())).sum(axis=1).max()
+                        for i in (0, -1))
+        steps = np.abs(np.diff(psi, axis=0)).max(axis=1)
+        assert np.all(np.abs(np.diff(values, axis=0)).max(axis=1) <= 2.0 * lipschitz * steps)
 
     def test_singular_locus(self):
         eps = 0.5
@@ -393,7 +417,7 @@ class TestUnstableDirection:
         # linearization at both rest points.
         for psi in (pair.psi_minus, pair.psi_plus):
             jac = field_jacobian(psi, eps, q)
-            ref = rest_jacobian_reference(psi, eps)
+            ref = rest_jacobian_reference(psi, eps, q)
             assert np.max(np.abs(jac - ref)) <= 1e-7 * np.max(np.abs(jac))
 
     @pytest.mark.parametrize("eps", [1e-3, 0.1, 0.5, 0.8, 1.0])
@@ -542,6 +566,15 @@ class TestShootGuards:
         assert verdict is ProfileVerdict.ESCAPED
         assert states.shape[0] == times.size
 
+    def test_locus_crossing_is_frozen(self):
+        # The field is regular across the locus, so the step loop sees the
+        # orbit cross it: the last two samples lie on either side.
+        res = shoot(0.5, 0.9999)
+        assert res.verdict is ProfileVerdict.HIT_SINGULAR_LOCUS
+        assert res.states.shape[0] == 288
+        _, _, v = theta_u_v(res.states[-2:, 0], res.states[-2:, 1])
+        assert v[0] ** 2 > singular_locus_v_sq(0.5) >= v[1] ** 2
+
     def test_singular_locus_verdict(self):
         # Near the upper separatrix at small eps the attractor sits close to
         # the singular locus and this orbit runs into it: no profile exists.
@@ -585,12 +618,19 @@ class TestShootGuards:
         # Both scan edges at once: psi_plus lies 4e-7 in v^2 above the
         # singular locus.  With phi formed by cancellation the orbit crept
         # along the slow manifold until the step budget ended it Stalled
-        # (10,001 samples); factored through the rest points it converges
-        # (887 samples).
+        # (10,001 samples); factored through the rest points it converges,
+        # in 887 samples in B#^-1 F's time and 1,568 in the field's.  Start
+        # offsets within 5e-4 of `_OFFSET` give two modes: 985-1,102 samples
+        # when LSODA takes the fast jump from psi_minus with Adams formulas,
+        # 1,524-1,573 when it switches to BDF there, though h |lambda| is
+        # about 0.01 (the Jacobian's norm exceeds its spectral radius about
+        # 1e5-fold).  Either way the drift along the locus, where the time
+        # factor m(v)/m(v+) falls to 0.02, costs more than before.  The bound
+        # keeps the work a fifth of the step budget.
         res = shoot(1e-6, 1.0 - 1e-6)
         assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
         assert res.oscillation.oscillatory is False
-        assert res.states.shape[0] < 1000
+        assert res.states.shape[0] < shooting._MAX_STEPS // 5
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -792,7 +832,7 @@ PARITY_CASES = [
     ((1.0, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None),  # focus
     ((1e-6, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None),  # stiff
     ((0.5, 0.9999), ShootOptions(), ProfileVerdict.HIT_SINGULAR_LOCUS, False, None),
-    # The corner converges in 887 samples; a budget of 400 steps ends it first.
+    # The corner converges in 1,568 samples; a budget of 400 steps ends it first.
     ((1e-6, 1.0 - 1e-6), ShootOptions(), ProfileVerdict.STALLED, False, 400),
     # "Repeated convergence failures" on the first step: istate < 0.
     ((1e-6, 0.75 + 1e-6), ShootOptions(rel_tol=1e-4), ProfileVerdict.STALLED, True, None),
@@ -878,15 +918,15 @@ def test_shot_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(shooting, "_field", counting_factory)
     samples = sum(len(shoot(eps, q).times) for eps, q in WORK_POINTS)
-    assert (calls["real"], calls["complex"], samples) == (44_943, 268, 20_891)
+    assert (calls["real"], calls["complex"], samples) == (41_833, 278, 19_860)
 
 
 WHOLE_SHOT_DIGESTS = [
-    ((1.0, 0.762), "809eb29dd316b0a90f7c06e30870e6db9abfebe91c76814220d7c54a64c760b5"),
-    ((1.0, 0.8), "6c2c104868d7fcdef39d8436179ec4090f964470857510f31e0de64f5fc79723"),
-    ((1e-6, 0.8), "be4faa57cf594549f2fc22b01561cf0f45ef76c4491f1c45037b4759386885c2"),
-    ((0.5, 0.9999), "abc9e2326ed53cf962df9869c7b4b0432bdb1bbc87d04fe50ed577576439d721"),
-    ((1.0, 1.0 - 1e-6), "c120aaa775fa5ee5ac4f61d0e1a8831e5aedb5066b95603f4764e4aac029a63c"),
+    ((1.0, 0.762), "70f8f574e31360ca6deae534b56c00756d623aff0b9176b089cae95ab9fe11b6"),
+    ((1.0, 0.8), "be193c6a605dacb7f4a9719f06cbe4320697a1be431dc4c97da56d9b31d4df51"),
+    ((1e-6, 0.8), "a21b5fd3a68a4bfb32c7fd734a5abfc826299c329c77c40e3a3611b218bd79ee"),
+    ((0.5, 0.9999), "8d072ee3c3732a888fb08c458dae50982ce850ef4e5608b2ce6d6767e09ce055"),
+    ((1.0, 1.0 - 1e-6), "9179c7bd75dce9ca9c86ca333336d07aec0cfab4c4537ffcb3310c61d7a7ae44"),
 ]
 
 
