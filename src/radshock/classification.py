@@ -20,10 +20,8 @@ import numpy as np
 
 from .equilibria import check_omega, q_of_vplus, v_plus_squared
 from .errors import (
-    EpsilonAboveHat,
-    EpsilonOutOfRange,
-    InternalInconsistency,
-    RootFindingFailure,
+    EpsilonAboveHat, EpsilonOutOfRange, InternalInconsistency, RootFindingFailure, ZOutOfRange,
+    _real, _reals,
 )
 from .model import (
     GodunovState,
@@ -63,14 +61,16 @@ class CubicRoots:
     eps: float
 
 
-def p_coefficients(eps: float) -> tuple[float, float, float, float]:
-    """Coefficients (a0, a1, a2, a3) of P(z, eps) = a3 z^3 + ... + a0; eps may be an ndarray."""
-    try:
-        ok = (0.0 <= eps) & (eps <= 1.0)
-    except TypeError:  # a string, None or another non-number
-        ok = False
-    if not (ok is True or np.all(ok)):
+def _closed_eps(eps):
+    x, lo, hi = _reals(eps)
+    if not 0.0 <= lo <= hi <= 1.0:
         raise EpsilonOutOfRange(f"eps must lie in [0, 1], got {eps!r}")
+    return x
+
+
+def p_coefficients(eps: float) -> tuple[float, float, float, float]:
+    """Coefficients (a0, a1, a2, a3) of P(z, eps) = a3 z^3 + ... + a0; eps may be an array."""
+    eps = _closed_eps(eps)
     a0 = eps * ((4.0 * eps - 20.0) * eps + 16.0)
     a1 = (((eps - 16.0) * eps + 84.0) * eps - 112.0) * eps + 16.0
     a2 = (((2.0 * eps - 20.0) * eps - 24.0) * eps + 160.0) * eps - 64.0
@@ -79,9 +79,12 @@ def p_coefficients(eps: float) -> tuple[float, float, float, float]:
 
 
 def p_eval(z, eps: float):
-    """P(z, eps) by nested multiplication; z and eps may be floats or ndarrays."""
+    """P(z, eps) by nested multiplication; z and eps may be numbers or arrays."""
+    x, lo, hi = _reals(z)
+    if not -math.inf <= lo <= hi <= math.inf:  # NaN fails too
+        raise ZOutOfRange(f"z must be a real number, got {z!r}")
     a0, a1, a2, a3 = p_coefficients(eps)
-    return ((a3 * z + a2) * z + a1) * z + a0
+    return ((a3 * x + a2) * x + a1) * x + a0
 
 
 def _p_scale(z, eps: float):
@@ -102,7 +105,8 @@ def discriminant_tail(eps: float) -> float:
 
 
 def cubic_discriminant(eps: float) -> float:
-    """Discriminant of P(., eps) in factored form, 1296 eps^5 (4-eps)^3 * tail."""
+    """Discriminant of P(., eps) in factored form, 1296 eps^5 (4-eps)^3 * tail; eps in [0, 1]."""
+    eps = _closed_eps(eps)
     return 1296.0 * eps**5 * (4.0 - eps) ** 3 * discriminant_tail(eps)
 
 
@@ -151,7 +155,7 @@ def cubic_roots(eps: float) -> CubicRoots:
     a3 (w3-w1)(w2-w1) = P'(w1).  Neither involves a cancellation, so both
     roots keep full precision at every eps in (0, 1].
     """
-    check_eps(eps)
+    eps = check_eps(_real(eps))
     coeffs = p_coefficients(eps)
     a0, a1, a2, a3 = coeffs
     w1 = _lowest_root(coeffs)
@@ -176,7 +180,7 @@ def separatrix_q1(eps: float) -> float:
 
 def separatrix_q2(eps: float) -> float:
     """Upper separatrix q2(eps) = q_of_vplus(w2(eps)), defined on (0, eps_hat)."""
-    check_eps(eps)
+    eps = check_eps(_real(eps))
     if eps >= _EPS_HAT:
         raise EpsilonAboveHat(
             f"upper separatrix undefined for eps = {eps} >= {_EPS_HAT}"
@@ -255,7 +259,7 @@ def classify(eps: float, q_tilde: float) -> RegionLabel:
     relative to the separatrix curves) and raises InternalInconsistency if
     they disagree outside the tie band.
     """
-    check_omega(eps, q_tilde)
+    eps, q_tilde = check_omega(eps, q_tilde)
     return CODE_LABELS[classify_grid(eps, [q_tilde])[0][0]]
 
 
@@ -266,7 +270,7 @@ def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
     match the true profile linearization at rest points, which differs from
     this matrix only by the positive factor (4/3) theta^5.
     """
-    check_eps(eps)
+    eps = check_eps(_real(eps))
     _, _, v = theta_u_v(psi.psi0, psi.psi1)
     check_off_locus(v * v, eps)
     return spectrum_at_v(v, eps)

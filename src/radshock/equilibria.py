@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateShock, ParamsOutOfOmega, QOutOfRange, StateOutsideDomain, ZOutOfRange
+from .errors import DegenerateShock, ParamsOutOfOmega, QOutOfRange, ZOutOfRange, _real, _reals
 from .model import GodunovState
 
 Q_MIN = 0.75
@@ -24,14 +24,12 @@ Q_MAX = 1.0
 DEGENERATE_BAND = 1e-8
 
 
-def check_omega(eps: float, q_tilde: float) -> None:
-    """Raise ParamsOutOfOmega unless (eps, q_tilde) lies in the square (0, 1] x (3/4, 1)."""
-    try:  # a branch: the test stored as a value first costs a third more
-        if 0.0 < eps <= 1.0 and Q_MIN < q_tilde < Q_MAX:
-            return
-    except (TypeError, ValueError):  # a non-number, or an array of several
-        pass
-    raise ParamsOutOfOmega(f"({eps!r}, {q_tilde!r}) outside (0,1] x (3/4,1)")
+def check_omega(eps: float, q_tilde: float) -> tuple[float, float]:
+    """(eps, q_tilde) as floats; ParamsOutOfOmega outside the square (0, 1] x (3/4, 1)."""
+    e, q = _real(eps), _real(q_tilde)
+    if not (0.0 < e <= 1.0 and Q_MIN < q < Q_MAX):
+        raise ParamsOutOfOmega(f"({eps!r}, {q_tilde!r}) outside (0,1] x (3/4,1)")
+    return e, q
 
 
 @dataclass(frozen=True)
@@ -44,17 +42,15 @@ class EquilibriumPair:
     v_plus_sq: float
 
     def __post_init__(self):
-        if not self.v_plus_sq < self.v_minus_sq:
+        if not _real(self.v_plus_sq) < _real(self.v_minus_sq):
             raise QOutOfRange("downstream state must have the smaller velocity")
 
 
-def _check_q(q_tilde) -> None:
-    try:
-        ok = (Q_MIN < q_tilde) & (q_tilde < Q_MAX)
-    except TypeError:  # a string, None or another non-number
-        ok = False
-    if not (ok is True or np.all(ok)):
+def _check_q(q_tilde):
+    q, lo, hi = _reals(q_tilde)
+    if not Q_MIN < lo <= hi < Q_MAX:
         raise QOutOfRange(f"q_tilde must lie in (3/4, 1), got {q_tilde!r}")
+    return q
 
 
 def _sqrt(x):
@@ -65,21 +61,21 @@ def _sqrt(x):
 def v_plus_squared(q_tilde):
     """Squared velocity of the downstream rest point, in (1/8, 1/2).
 
-    q_tilde may be a float, which gives a Python float, or an ndarray.
+    q_tilde may be a number, which gives a Python float, or an array.
     Evaluated in the rationalized form 1 / (4 (2q-1 + sqrt(q(4q-3)))), which
     is free of cancellation over the whole interval; the textbook quotient
     ((2q-1) - sqrt(q(4q-3))) / (4(1-q)) loses ~6 digits as q_tilde -> 1.
     """
-    _check_q(q_tilde)
+    q_tilde = _check_q(q_tilde)
     return 1.0 / (4.0 * (2.0 * q_tilde - 1.0 + _sqrt(q_tilde * (4.0 * q_tilde - 3.0))))
 
 
 def v_minus_squared(q_tilde):
     """Squared velocity of the upstream rest point, > 1/2.
 
-    q_tilde may be a float, which gives a Python float, or an ndarray.
+    q_tilde may be a number, which gives a Python float, or an array.
     """
-    _check_q(q_tilde)
+    q_tilde = _check_q(q_tilde)
     return ((2.0 * q_tilde - 1.0) + _sqrt(q_tilde * (4.0 * q_tilde - 3.0))) / (
         4.0 * (1.0 - q_tilde)
     )
@@ -97,22 +93,17 @@ def psi_from_v(v):
 
 def state_from_v(v: float) -> GodunovState:
     """State on the equilibrium family parameterized by velocity v (see `psi_from_v`)."""
-    try:
-        return GodunovState(*psi_from_v(v))
-    except TypeError:  # a string, None or another non-number
-        raise StateOutsideDomain(f"v must be a real number, got {v!r}") from None
+    return GodunovState(*psi_from_v(_real(v)))
 
 
 def rest_points(q_tilde: float) -> EquilibriumPair:
     """Both rest points for flux constants (q_tilde^(-1/2), 1), v > 0 branch."""
+    q_tilde = _real(q_tilde)
     v_m_sq = v_minus_squared(q_tilde)  # QOutOfRange outside (3/4, 1)
-    try:
-        if q_tilde - Q_MIN <= DEGENERATE_BAND:
-            raise DegenerateShock(
-                f"q_tilde = {q_tilde} within {DEGENERATE_BAND} of the zero-amplitude limit 3/4"
-            )
-    except ValueError:  # an array of several q_tilde, which the range check lets through
-        raise QOutOfRange(f"q_tilde must be one number, got {q_tilde!r}") from None
+    if q_tilde - Q_MIN <= DEGENERATE_BAND:
+        raise DegenerateShock(
+            f"q_tilde = {q_tilde} within {DEGENERATE_BAND} of the zero-amplitude limit 3/4"
+        )
     v_p_sq = v_plus_squared(q_tilde)
     return EquilibriumPair(
         psi_minus=state_from_v(math.sqrt(v_m_sq)),
@@ -126,17 +117,15 @@ def q_of_vplus(z):
     """Inverse of the downstream-velocity map: q_tilde with v_plus^2 = z.
 
     q = (4z+1)^2 / (16 z (1+z)), strictly decreasing on (1/8, 1/2); z may
-    be a float or an ndarray.
+    be a number or an array.
     """
-    try:
-        ok = (0.125 < z) & (z < 0.5)
-    except TypeError:  # a string, None or another non-number
-        ok = False
-    if not (ok is True or np.all(ok)):
+    x, lo, hi = _reals(z)
+    if not 0.125 < lo <= hi < 0.5:
         raise ZOutOfRange(f"z must lie in (1/8, 1/2), got {z!r}")
-    return (4.0 * z + 1.0) ** 2 / (16.0 * z * (1.0 + z))
+    return (4.0 * x + 1.0) ** 2 / (16.0 * x * (1.0 + x))
 
 
 def admissible(q0: float, q1: float) -> bool:
     """True iff the flux constants admit two distinct rest points."""
+    q0, q1 = _real(q0), _real(q1)
     return q1 > 0.0 and q1 * q1 < q0 * q0 < (4.0 / 3.0) * q1 * q1

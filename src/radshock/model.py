@@ -10,12 +10,9 @@ triple (eta, mu, nu).
 Production code reaches B# through the closed forms of its determinant and
 trace and through `shooting._field`, which applies adj(B#) through the
 rank-one split of its blocks; the matrix builders (`b_sharp`, its blocks,
-`lin_matrix`) and `trace_adj` are the reference route that tests and the
-`verify` command check them against, and have no other caller.
-`trace_adj(b, a)` is the one body of trace(adj(B#) A): `trace_adj_identity`
-applies it to its own `b_sharp` and `lin_matrix` builds, and `verify`
-applies it to the matrices its determinant checks have already built.
-They use arithmetic only, so a `Kinematics` of floats gives 2x2 matrices and
+`lin_matrix`) and `trace_adj`, the one body of trace(adj(B#) A), are the
+reference route that tests and the `verify` command check them against, and
+have no other caller.  They use arithmetic only, so a `Kinematics` of floats gives 2x2 matrices and
 one of ndarrays of shape (n,) gives stacked (2, 2, n) lanes, one matrix per
 lane along the last axis.
 """
@@ -28,7 +25,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EpsilonOutOfRange, NonPositiveParameter, SingularBsharp, StateOutsideDomain
+from .errors import (
+    EpsilonOutOfRange, NonPositiveParameter, SingularBsharp, StateOutsideDomain, _real, _reals
+)
 
 # Relative tolerance for the equality cases of the causality bounds.
 CAUSALITY_RTOL = 1e-10
@@ -36,18 +35,16 @@ CAUSALITY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class GodunovState:
-    """Planar state psi = (psi0, psi1), restricted to psi0 > |psi1|."""
+    """Planar state psi = (psi0, psi1) of real numbers, kept as floats, with psi0 > |psi1|."""
 
     psi0: float
     psi1: float
 
     def __post_init__(self):
-        try:  # chained, not psi0 > abs(psi1), so that a complex psi1 fails too
-            if -self.psi0 < self.psi1 < self.psi0:
-                return
-        except (TypeError, ValueError):  # a non-number, or an array of several
-            pass
-        raise StateOutsideDomain(f"need psi0 > |psi1|, got ({self.psi0!r}, {self.psi1!r})")
+        psi0, psi1 = _real(self.psi0), _real(self.psi1)
+        if not -psi0 < psi1 < psi0:
+            raise StateOutsideDomain(f"need psi0 > |psi1|, got ({self.psi0!r}, {self.psi1!r})")
+        vars(self).update(psi0=psi0, psi1=psi1)  # frozen: past the dataclass's __setattr__
 
     def as_array(self) -> np.ndarray:
         return np.array([self.psi0, self.psi1], dtype=float)
@@ -77,15 +74,12 @@ def kinematics(psi: GodunovState) -> Kinematics:
     return Kinematics(*theta_u_v(psi.psi0, psi.psi1))
 
 
-def check_eps(eps) -> None:
-    """Raise EpsilonOutOfRange unless eps (a float or every entry of an ndarray) lies in (0, 1]."""
-    try:
-        ok = (0.0 < eps) & (eps <= 1.0)
-    except TypeError:  # a string, None or another non-number
-        ok = False
-    # A float's test is a plain bool, taken as it is: np.all costs microseconds.
-    if not (ok is True or np.all(ok)):
+def check_eps(eps):
+    """eps through the array gate; EpsilonOutOfRange unless it (or every entry) lies in (0, 1]."""
+    x, lo, hi = _reals(eps)
+    if not 0.0 < lo <= hi <= 1.0:
         raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps!r}")
+    return x
 
 
 def b_visc(kin: Kinematics) -> np.ndarray:
@@ -116,7 +110,7 @@ def b_sharp(kin: Kinematics, eps) -> np.ndarray:
     B# = eps * b_visc - b_one - (9 eps / (4 - eps)) * b_two for the
     dissipation parameter eps in (0, 1], a float or one value per lane.
     """
-    check_eps(eps)
+    eps = check_eps(eps)
     return eps * b_visc(kin) - b_one(kin) - (9.0 * eps / (4.0 - eps)) * b_two(kin)
 
 
@@ -150,6 +144,7 @@ def flux_residual(psi: GodunovState, q0: float, q1: float) -> np.ndarray:
 
     F = (-(4/3) theta^4 v u + q0,  theta^4 ((4/3) v^2 + 1/3) - q1)
     """
+    q0, q1 = _real(q0), _real(q1)
     theta, u, v = theta_u_v(psi.psi0, psi.psi1)
     t4 = theta**4
     return np.array(
@@ -218,12 +213,10 @@ def causality_check(eta: float, mu: float, nu: float) -> CausalityVerdict:
     1e-10 relative band so that float-rounded equality inputs land on the
     boundary rather than just outside it.
     """
-    try:
-        ok = all(0.0 < x < math.inf for x in (eta, mu, nu))
-    except TypeError:  # a string, None or another non-number
-        ok = False
-    if not ok:
-        raise NonPositiveParameter(f"eta, mu, nu must be positive and finite, got {eta, mu, nu}")
+    given = eta, mu, nu
+    eta, mu, nu = map(_real, given)
+    if not all(0.0 < x < math.inf for x in (eta, mu, nu)):
+        raise NonPositiveParameter(f"eta, mu, nu must be positive and finite, got {given}")
     eps = 4.0 * eta / (3.0 * mu)
     if eps > 1.0 + CAUSALITY_RTOL:
         return CausalityVerdict(CausalityClass.ACAUSAL)

@@ -5,11 +5,8 @@ rectangular grid, optionally shoots a profile per cell, and always emits the
 two separatrix polylines.  Output is byte-deterministic: floats are printed
 with 17 significant digits and cells are ordered by (eps index, q index).
 The grid is classified in one call, and the cells are kept as columns, one
-per `ScanRecord` field; a record is built only when a caller reads one.
-`ScanRecord`'s fields are the scan's one field list: the table reads its
-columns, the CSV its header and the JSON schema its required record keys
-from them.  Each emitter turns each column into text once and joins the
-records.
+per `ScanRecord` field, the scan's one field list; a record is built only
+when a caller reads one.  Each emitter turns each column into text once.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ import numpy as np
 
 from . import classification as cls
 from .equilibria import Q_MAX, Q_MIN
-from .errors import ParamsOutOfOmega, RadshockError
+from .errors import ParamsOutOfOmega, RadshockError, _count, _real
 from .shooting import ShootOptions, shoot
 
 EPS_MARGIN = 1e-6
@@ -119,17 +116,13 @@ class ScanConfig:
     shoot: bool = False
 
     def __post_init__(self):
-        for axis, count, lo, hi, floor, ceiling in (
-            ("eps", self.eps_count, self.eps_lo, self.eps_hi, EPS_MARGIN, 1),
-            ("q", self.q_count, self.q_lo, self.q_hi, Q_MIN + Q_MARGIN, Q_MAX - Q_MARGIN),
-        ):
-            try:
-                ok = operator.index(count) >= 2 and floor <= lo < hi <= ceiling
-            except TypeError:  # 2.5, nan or "3" as a count, a string or None as a bound
-                ok = False
-            if not ok:
+        for axis, floor, top in ("eps", EPS_MARGIN, 1), ("q", Q_MIN + Q_MARGIN, Q_MAX - Q_MARGIN):
+            count, lo, hi = (getattr(self, f"{axis}_{end}") for end in ("count", "lo", "hi"))
+            if not (_count(count) >= 2 and floor <= _real(lo) < _real(hi) <= top):
                 raise ParamsOutOfOmega(f"{axis} grid: {count!r} points over [{lo!r}, {hi!r}]; need "
-                                       f"an integer count >= 2 and lo < hi in [{floor}, {ceiling}]")
+                                       f"an integer count >= 2 and lo < hi in [{floor}, {top}]")
+            for end, value in (("count", _count(count)), ("lo", _real(lo)), ("hi", _real(hi))):
+                object.__setattr__(self, f"{axis}_{end}", value)
 
 
 @dataclass(frozen=True)

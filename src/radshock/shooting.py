@@ -2,28 +2,15 @@
 
 A shot starts a fixed small offset along the unstable eigenvector of the
 upstream saddle and integrates with LSODA, which switches between Adams and
-BDF formulas as the field turns stiff (eps -> 0), with the field's Jacobian
-taken by a complex step through the field function.  That function is one
-closure per shot, built by `_field`: adj(B#) F from three rank-one
-projections of the flux residual over det B# at psi_plus (B#^-1 F in a
-desingularized time, regular across the singular locus), for floats and
-complex numbers alike, and the only place the package applies B#.  Its
-complex step at the saddle also gives the start direction.  The step loop
-calls ODEPACK's LSODA runner itself, one step per call with the arguments
-scipy's `LSODA` solver hands it, on the work arrays scipy's `ode` would
-build.  That runner (`lsoda` of scipy's private compiled module
-`scipy.integrate._odepack`) and Brent's root finder for the capture point
-(`_brentq` of `scipy.optimize._zeros`) are all a shot takes from scipy;
-`_compiled` loads each once per process from the file that importlib's
-`PathFinder` finds in its package directory, without importing the
-package.  The step loop checks every accepted step and stops when the orbit
-is captured at the downstream rest point, escapes, crosses the singular
-locus of the dissipation matrix, or exhausts the step or pseudo-time
-budget.  Oscillatory (spiraling) profiles are detected by
-`oscillation_report`, which counts the extrema and sign changes of the
-samples' five coordinate series in one pass over them as rows of one array;
-an `OscillationReport` keeps the counts by the coordinate systems of
-`SYSTEMS`, and its flags are read off them.
+BDF formulas as the field turns stiff (eps -> 0).  The field is one closure
+per shot, built by `_field`, the only place the package applies B#; its
+Jacobian, and the start direction, come from a complex step through it.  The
+step loop calls ODEPACK's LSODA runner one step at a time, and Brent's root
+finder places the capture point; `_compiled` loads both from scipy's compiled
+modules.  The loop stops when the orbit is captured at the downstream rest
+point, escapes, crosses the singular locus of the dissipation matrix, or
+exhausts the step or pseudo-time budget.  `oscillation_report` counts the
+extrema and sign changes of the samples' coordinate series around their limits.
 """
 
 from __future__ import annotations
@@ -40,7 +27,7 @@ import numpy as np
 
 from .classification import spectrum_at_v
 from .equilibria import EquilibriumPair, check_omega, rest_points, v_minus_squared, v_plus_squared
-from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples
+from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples, _real, _reals
 from .model import (
     GodunovState, check_off_locus, det_b_sharp_closed, singular_locus_v_sq, theta_u_v
 )
@@ -132,21 +119,18 @@ class ShootOptions:
     """LSODA's tolerances for a shot.
 
     `rel_tol` must lie in (0, 1), since a relative tolerance of 1 or more
-    asks for no accuracy, and `abs_tol` in (0, inf).  Anything else, NaN
-    included, raises OptionOutOfRange.
+    asks for no accuracy, and `abs_tol` in (0, inf); both are kept as
+    floats.  Anything else, NaN included, raises OptionOutOfRange.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        for name, val, hi in (("rel_tol", self.rel_tol, 1.0), ("abs_tol", self.abs_tol, math.inf)):
-            try:
-                ok = 0.0 < val < hi
-            except TypeError:  # a string, None or another non-number
-                ok = False
-            if not ok:
-                raise OptionOutOfRange(f"{name} must lie in (0, {hi}), got {val!r}")
+        for name, hi in (("rel_tol", 1.0), ("abs_tol", math.inf)):
+            if not 0.0 < (val := _real(getattr(self, name))) < hi:
+                raise OptionOutOfRange(f"{name} must lie in (0, {hi}), got {getattr(self, name)!r}")
+            object.__setattr__(self, name, val)
 
 
 class ProfileVerdict(str, Enum):
@@ -264,7 +248,7 @@ def _field(eps: float, q_tilde: float):
 
 def _checked_field(psi: GodunovState, eps: float, q_tilde: float):
     # Outside the square the normalised flux has no rest points.
-    check_omega(eps, q_tilde)
+    eps, q_tilde = check_omega(eps, q_tilde)
     _, _, v = theta_u_v(psi.psi0, psi.psi1)
     check_off_locus(v * v, eps)
     return _field(eps, q_tilde)
@@ -293,7 +277,7 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
     The sign is fixed so the vector points toward the attractor side, which
     makes the kinematic velocity decrease along it.
     """
-    check_omega(eps, q_tilde)
+    eps, q_tilde = check_omega(eps, q_tilde)
     return _unstable_direction(rest_points(q_tilde), _field(eps, q_tilde), eps, q_tilde)
 
 
@@ -336,18 +320,18 @@ def _count_extrema(x: list[float], floor: float) -> int:
 def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> OscillationReport:
     """Extrema and sign-change counts of a trajectory in three coordinate systems.
 
-    `states` is an (n, 2) array of psi samples, n >= 3, each finite and inside
-    the cone psi0 > |psi1| (else StateOutsideDomain).  Each series of `SERIES`
-    is a row of one array, with its limit at psi_plus and a noise floor of
-    1e-10 times the larger of its range and its limit's magnitude.
-    `_count_extrema` walks each row's ends and turning points only: the inside
-    of a strictly monotone run cannot change its count.
+    `states` is an (n, 2) array of real psi samples, n >= 3 (else TooFewSamples),
+    each finite and inside the cone psi0 > |psi1| (else StateOutsideDomain).
+    Each series of `SERIES` is a row of one array, with its limit at psi_plus
+    and a noise floor of 1e-10 times the larger of its range and its limit's
+    magnitude.  `_count_extrema` walks each row's ends and turning points
+    only: the inside of a strictly monotone run cannot change its count.
     """
-    arr = np.asarray(states, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
-        raise TooFewSamples(f"need an (n >= 3, 2) sample array, got shape {arr.shape}")
+    arr, _, top = _reals(states)
+    if np.ndim(arr) != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
+        raise TooFewSamples(f"need an (n >= 3, 2) real sample array, got shape {np.shape(arr)}")
     psi0, psi1 = arr.T
-    if not ((np.abs(psi1) < psi0).all() and psi0.max() < math.inf):  # NaN fails too
+    if not (top < math.inf and (np.abs(psi1) < psi0).all()):  # NaN fails too
         raise StateOutsideDomain("every sample must be finite with psi0 > |psi1|")
     series = np.vstack((psi0, psi1, *theta_u_v(psi0, psi1)))
     limits = np.array([psi_plus.psi0, psi_plus.psi1, *theta_u_v(psi_plus.psi0, psi_plus.psi1)])
@@ -521,7 +505,7 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     """
     if opts is None:
         opts = ShootOptions()
-    check_omega(eps, q_tilde)
+    eps, q_tilde = check_omega(eps, q_tilde)
     pair = rest_points(q_tilde)
     field = _field(eps, q_tilde)
     direction = _unstable_direction(pair, field, eps, q_tilde)

@@ -11,20 +11,17 @@ off the two, not stored beside them.
 Every check runs on stacked arrays: the sampled states reach `b_sharp` and
 `lin_matrix` once each, as (2, 2, n) lanes, and the trace check applies
 `model.trace_adj` to the same two stacks the determinant checks use.
-`model.trace_adj_identity` is the other caller of `trace_adj`, on builds of
-its own.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import classification as cls
 from .equilibria import Q_MAX, Q_MIN, psi_from_v, q_of_vplus, v_minus_squared, v_plus_squared
-from .errors import OptionOutOfRange
+from .errors import OptionOutOfRange, _count
 from .model import (
     Kinematics,
     b_sharp,
@@ -67,11 +64,7 @@ def run_identity_suite(
     A sample count not an integer of at least 1, or a seed that numpy's
     `default_rng` cannot use, raises OptionOutOfRange.
     """
-    try:
-        count = operator.index(samples)
-    except TypeError:
-        count = 0  # 2.5, nan and other non-integers
-    if count < 1:
+    if (count := _count(samples)) < 1:
         raise OptionOutOfRange(f"samples must be a positive integer, got {samples}")
     try:
         rng = np.random.default_rng(seed)

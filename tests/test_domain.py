@@ -4,25 +4,40 @@ Functions of eps alone raise EpsilonOutOfRange outside (0, 1]; functions of
 (eps, q_tilde) raise ParamsOutOfOmega outside the square (0, 1] x (3/4, 1).
 NaN and inf are outside both.  Settings outside their range (shooting
 options, the identity suite's sample count and seed) raise OptionOutOfRange.
-A non-number, such as a string or None, is outside every range and raises
-the same typed error as a number outside it; so is an array of several
-numbers handed to an entry point that takes one.  A state or velocity that
-is not a real number raises StateOutsideDomain.
+
+Each entry point passes its numbers through one input gate: a real number
+or a 0-d real array comes out a Python float, and anything else, such as a
+string, None, a complex value, a `Decimal`, an int beyond the float range
+or an array (empty, of one number or of several) where one number is due,
+comes out NaN.  So it is outside every range and raises the same typed
+error as a number outside it; a state or velocity that is not a real
+number raises StateOutsideDomain.  A fuzz test calls every public callable,
+and the CLI, with such values and allows only a result or a RadshockError.
 """
 
+import inspect
 import math
+from decimal import Decimal
+from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import radshock
 from radshock.classification import (
     classify,
+    cubic_discriminant,
     cubic_roots,
     local_spectrum,
     p_coefficients,
     p_eval,
+    separatrix_q1,
     separatrix_q2,
 )
+from radshock.cli import main
 from radshock.equilibria import (
     q_of_vplus,
     rest_points,
@@ -37,12 +52,15 @@ from radshock.errors import (
     OptionOutOfRange,
     ParamsOutOfOmega,
     QOutOfRange,
+    RadshockError,
     StateOutsideDomain,
     ZOutOfRange,
 )
 from radshock.model import GodunovState, b_sharp, causality_check, kinematics
 from radshock.scan import ScanConfig
 from radshock.shooting import (
+    OscillationReport,
+    ProfileVerdict,
     ShootOptions,
     field_jacobian,
     shoot,
@@ -128,6 +146,8 @@ NON_NUMBER_CALLS = {
     "b_sharp": (lambda x: b_sharp(kinematics(PSI), x), EpsilonOutOfRange),
     "p_coefficients": (p_coefficients, EpsilonOutOfRange),
     "p_eval-eps": (lambda x: p_eval(0.3, x), EpsilonOutOfRange),
+    "p_eval-z": (lambda x: p_eval(x, 0.5), ZOutOfRange),
+    "cubic_discriminant": (cubic_discriminant, EpsilonOutOfRange),
     "ShootOptions-rel_tol": (lambda x: ShootOptions(rel_tol=x), OptionOutOfRange),
     "ShootOptions-abs_tol": (lambda x: ShootOptions(abs_tol=x), OptionOutOfRange),
     "ScanConfig-eps_lo": (lambda x: ScanConfig(eps_lo=x), ParamsOutOfOmega),
@@ -142,7 +162,17 @@ NON_NUMBER_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", ["0.5", None, 0.5j], ids=repr)
+NON_NUMBERS = {
+    "'0.5'": "0.5",
+    "None": None,
+    "0.5j": 0.5j,
+    "Decimal('0.5')": Decimal("0.5"),
+    "10**400": 10**400,
+    "empty-array": np.array([]),
+}
+
+
+@pytest.mark.parametrize("value", NON_NUMBERS.values(), ids=NON_NUMBERS.keys())
 @pytest.mark.parametrize("name", NON_NUMBER_CALLS)
 def test_non_number_raises_typed_error(name, value):
     call, error = NON_NUMBER_CALLS[name]
@@ -150,8 +180,9 @@ def test_non_number_raises_typed_error(name, value):
         call(value)
 
 
-# Entry points that take one number, each handed an array of several
-# numbers that would each be in range, and the typed error it raises.
+# Entry points that take one number, each handed an array of two numbers
+# that would each be in range, or of the first alone, and the typed error
+# it raises.
 ARRAY_CALLS = {
     "classify-eps": (lambda x: classify(x, 0.8), [0.5, 0.6], ParamsOutOfOmega),
     "classify-q": (lambda x: classify(0.5, x), [0.8, 0.9], ParamsOutOfOmega),
@@ -159,14 +190,25 @@ ARRAY_CALLS = {
     "shoot-q": (lambda x: shoot(0.5, x), [0.8, 0.9], ParamsOutOfOmega),
     "rest_points": (rest_points, [0.8, 0.9], QOutOfRange),
     "GodunovState": (lambda x: GodunovState(x, 0.5), [2.0, 3.0], StateOutsideDomain),
+    "cubic_roots": (cubic_roots, [0.5, 0.6], EpsilonOutOfRange),
+    "separatrix_q1": (separatrix_q1, [0.5, 0.6], EpsilonOutOfRange),
+    "separatrix_q2": (separatrix_q2, [0.05, 0.06], EpsilonOutOfRange),
+    "local_spectrum": (lambda x: local_spectrum(PSI, x), [0.5, 0.6], EpsilonOutOfRange),
+    "ShootOptions": (lambda x: ShootOptions(rel_tol=x), [1e-10, 1e-9], OptionOutOfRange),
+    "ScanConfig-eps_lo": (lambda x: ScanConfig(eps_lo=x), [0.1, 0.2], ParamsOutOfOmega),
+    "causality_check": (lambda x: causality_check(x, 1.0, 1.0), [0.5, 0.6], NonPositiveParameter),
 }
 
 
-@pytest.mark.parametrize("name", ARRAY_CALLS)
-def test_array_of_several_raises_typed_error(name):
+@pytest.mark.parametrize(
+    "name, size",
+    [(name, 2) for name in ARRAY_CALLS] + [(name, 1) for name in ARRAY_CALLS],
+    ids=[*ARRAY_CALLS, *(f"{name}-one" for name in ARRAY_CALLS)],
+)
+def test_array_of_several_raises_typed_error(name, size):
     call, values, error = ARRAY_CALLS[name]
     with pytest.raises(error):
-        call(np.array(values))
+        call(np.array(values[:size]))
 
 
 @pytest.mark.parametrize("seed", ["0.5", 0.5j, -1, 2.5, math.nan], ids=repr)
@@ -174,3 +216,86 @@ def test_unusable_seed_raises_option_out_of_range(seed):
     # None is usable: numpy seeds from fresh entropy.
     with pytest.raises(OptionOutOfRange):
         run_identity_suite(10, seed=seed)
+
+
+# Values that no entry point can take as a number in its range, and some
+# that are valid numbers in another type: NaN, infinities, subnormals, an
+# int beyond the float range, bools, a Fraction, a Decimal, complex, a
+# string, None, a numpy scalar of each real dtype and arrays of each shape.
+AWKWARD = [
+    math.nan, math.inf, -math.inf, 5e-324, -1e-310, 10**400, True, False,
+    Fraction(1, 2), Decimal("0.5"), 0.5j, "0.5", None, np.bool_(True),
+    *(kind(1) for kind in sorted({np.dtype(c).type for c in np.typecodes["AllInteger"]}, key=str)),
+    *(np.dtype(c).type(0.5) for c in np.typecodes["Float"]),
+    *(np.full(shape, 0.5) for shape in [(), (0,), (1,), (2,), (2, 2)]),
+]
+
+# The numeric parameters' annotations; an unannotated parameter takes a
+# number or an array.
+NUMERIC = {"float", "float | None", "int", "np.ndarray", inspect.Parameter.empty}
+
+# A valid value for each parameter of a public callable that takes a number.
+STATES = np.array([PSI.as_array() * (1.0 + 1e-3 * k) for k in range(4)])
+VALID = {
+    "eps": 0.5, "q_tilde": 0.8, "z": 0.3, "v": 0.5, "q0": 0.8**-0.5, "q1": 1.0,
+    "eta": 1.0, "mu": 4.0 / 3.0, "nu": 1.0, "psi0": 2.0, "psi1": 0.5, "theta": 1.0, "u": 1.0,
+    "w1": -1.0, "w2": 0.0, "w3": 1.0 / 3.0, "epsilon": 0.5, "discriminant": 1.0,
+    "v_minus_sq": 0.7, "v_plus_sq": 0.2, "rel_tol": 1e-10, "abs_tol": 1e-12,
+    "eps_lo": 0.1, "eps_hi": 0.9, "eps_count": 2, "q_lo": 0.8, "q_hi": 0.9, "q_count": 2,
+    "times": np.arange(4.0), "states": STATES,
+    # The structured parameters beside them.
+    "psi": PSI, "psi_minus": PSI, "psi_plus": PSI, "kin": kinematics(PSI),
+    "config": ScanConfig(eps_count=2, q_count=2), "opts": None, "shoot_options": None,
+    "klass": radshock.CausalityClass.STRICTLY_CAUSAL, "verdict": ProfileVerdict.ESCAPED,
+    "oscillation": OscillationReport({}), "region": "Focus", "shoot": False,
+    "shoot_verdict": None, "oscillatory": None,
+}
+
+# Each numeric parameter of each public callable, as (callable, its valid
+# arguments, the parameter).  Enums, exceptions and callables of no number
+# have no such parameter.
+SLOTS = [
+    (func, {name: VALID[name] for name in params}, name)
+    for func in map(radshock.__dict__.get, radshock.__all__)
+    if not (isinstance(func, type) and issubclass(func, (Enum, Exception)))
+    for params in [inspect.signature(func).parameters]
+    if NUMERIC & {p.annotation for p in params.values()}
+    for name, p in params.items() if p.annotation in NUMERIC
+]
+
+
+def _cli_calls(out):
+    """Each numeric flag of each command, with "{}" where its text goes."""
+    profile = ["profile", f"--out={out / 'profile.csv'}"]
+    shot = [*profile, "--eps=0.5", "--q=0.8"]
+    scan = ["scan", f"--out={out / 'scan.csv'}"]
+    return [
+        ["classify", "--eps={}", "--q=0.8"], ["classify", "--eps=0.5", "--q={}"],
+        [*profile, "--eps={}", "--q=0.8"], [*profile, "--eps=0.5", "--q={}"],
+        [*shot, "--rtol={}"], [*shot, "--atol={}"],
+        *([*scan, "--grid=2x2", f"--{b}={{}}"] for b in ("eps-min", "eps-max", "q-min", "q-max")),
+        [*scan, "--grid={}x2"], ["verify", "--samples={}"],
+        ["causality", "--eta={}", "--mu=1", "--nu=1"],
+        ["causality", "--eta=1", "--mu={}", "--nu=1"],
+        ["causality", "--eta=1", "--mu=1", "--nu={}"],
+    ]
+
+
+@settings(derandomize=True, max_examples=4 * len(AWKWARD), deadline=None)
+@given(value=st.sampled_from(AWKWARD))
+def test_awkward_values_give_a_result_or_a_typed_error(tmp_path_factory, value):
+    # Every public callable with the value in each numeric parameter in turn,
+    # and the CLI with its text as each numeric flag: a result, a
+    # RadshockError, or one of the CLI's exit codes other than 1.
+    for func, args, name in SLOTS:
+        try:
+            func(**{**args, name: value})
+        except RadshockError:
+            pass
+    out = tmp_path_factory.getbasetemp()
+    for argv in _cli_calls(out):
+        try:
+            code = main([arg.format(value) for arg in argv])
+        except SystemExit as exc:  # argparse's exit on flag text it cannot parse
+            code = exc.code
+        assert code in (0, 2, 3, 4), argv

@@ -1,4 +1,5 @@
-"""No dead imports or private definitions in the package, and no step loads scipy's packages.
+"""No dead imports or private definitions in the package, no step loads scipy's packages,
+and no except clause catches a bad argument's raw error outside the input gate.
 
 A dead import outlives the code that needed it and hides which layer a
 module really depends on.  Names re-exported through `__all__` count as
@@ -97,6 +98,55 @@ def test_checker_flags_a_dead_private_definition():
     assert unreferenced_private_defs(sources) == [
         "a.py:_dead (line 4)", "a.py:_Dead (line 7)", "a.py:_CACHE (line 14)",
         "a.py:_SELF (line 15)", "a.py:_pair (line 16)",
+    ]
+
+
+# Exceptions a bad argument raises inside the library.  Only the input gate
+# and the places that handle outside input catch them: the gate in errors.py,
+# run_identity_suite's default_rng call and the CLI's grid parser and main.
+_RAW_ERRORS = {"TypeError", "ValueError", "OverflowError", "ArithmeticError", "Exception"}
+RAW_ERROR_HANDLERS = [
+    "cli.py:main", "cli.py:parse_grid", "errors.py:_reals", "verify.py:run_identity_suite"
+]
+
+
+def raw_error_handlers(sources: dict[str, str]) -> list[str]:
+    """`module:scope` of each except clause that is bare or names one of `_RAW_ERRORS`."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.ExceptHandler) and (
+                child.type is None
+                or _RAW_ERRORS & {n.id for n in ast.walk(child.type) if isinstance(n, ast.Name)}
+            ):
+                found.append(f"{module}:{scope}")
+            visit(child, module, inner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "")
+    return sorted(found)
+
+
+def test_only_the_input_gate_catches_raw_errors():
+    # A per-site try block around a range check would bring back what the
+    # gate states once.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert raw_error_handlers(sources) == RAW_ERROR_HANDLERS
+
+
+def test_checker_flags_a_caught_type_error():
+    source = (
+        "def check(x):\n    try:\n        return 0.0 < x\n    except TypeError:\n        pass\n\n"
+        "class Options:\n    def check(self):\n        try:\n            pass\n"
+        "        except (KeyError, ValueError):\n            pass\n"
+        "        except KeyError:\n            pass\n        except:\n            pass\n"
+    )
+    assert raw_error_handlers({"m.py": source}) == [
+        "m.py:Options.check", "m.py:Options.check", "m.py:check"
     ]
 
 

@@ -547,7 +547,9 @@ class TestShootGuards:
 
     def test_tolerance_invariance(self):
         eps, q = NODE_POINT
-        a = shoot(eps, q, ShootOptions(rel_tol=1e-10, abs_tol=1e-12))
+        # A 0-d array and a numpy scalar go in; the input gate's floats come back.
+        a = shoot(np.array(eps), np.float64(q), ShootOptions(rel_tol=1e-10, abs_tol=1e-12))
+        assert type(a.eps) is float and type(a.q_tilde) is float
         b = shoot(eps, q, ShootOptions(rel_tol=5e-11, abs_tol=5e-13))
         scale = np.linalg.norm(a.psi_minus.as_array() - a.psi_plus.as_array())
         drift = np.linalg.norm(a.states[-1] - b.states[-1])
