@@ -39,7 +39,7 @@ class DegenerateShock(DomainError):
 
 
 class OptionOutOfRange(DomainError, ValueError):
-    """A setting (shooting offset or tolerance, sample count) outside its range.
+    """A setting (a shooting tolerance or a sample count) outside its range.
 
     Also a ValueError, so callers that catch that keep working.
     """
@@ -106,6 +106,12 @@ def _real(x) -> float:
 
 
 def _count(n) -> int:
-    """An int, a numpy integer or a 0-d integer array as an int; anything else as 0."""
+    """An int, a numpy integer or a 0-d integer array as an int; anything else as 0.
+
+    So is a count beyond the longest float64 array numpy can size,
+    np.iinfo(np.intp).max // 8 elements: no array of that many samples or
+    grid points can exist.
+    """
     integral = isinstance(n, np.ndarray) and n.shape == () and n.dtype.kind in "iu"
-    return int(n) if integral or isinstance(n, numbers.Integral) else 0
+    n = int(n) if integral or isinstance(n, numbers.Integral) else 0
+    return n if n <= np.iinfo(np.intp).max // 8 else 0

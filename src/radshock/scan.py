@@ -20,7 +20,7 @@ import numpy as np
 
 from . import classification as cls
 from .equilibria import Q_MAX, Q_MIN
-from .errors import ParamsOutOfOmega, RadshockError, _count, _real
+from .errors import DomainError, ParamsOutOfOmega, RadshockError, _count, _real
 from .shooting import ShootOptions, shoot
 
 EPS_MARGIN = 1e-6
@@ -146,7 +146,7 @@ class ScanTable(Sequence):
         for name in _FIELDS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if len({len(col) for col in _row_of(self)}) != 1:
-            raise ValueError("scan columns differ in length")
+            raise DomainError("scan columns differ in length")
 
     @classmethod
     def from_records(cls, records) -> ScanTable:

@@ -5,12 +5,13 @@ upstream saddle and integrates with LSODA, which switches between Adams and
 BDF formulas as the field turns stiff (eps -> 0).  The field is one closure
 per shot, built by `_field`, the only place the package applies B#; its
 Jacobian, and the start direction, come from a complex step through it.  The
-step loop calls ODEPACK's LSODA runner one step at a time, and Brent's root
-finder places the capture point; `_compiled` loads both from scipy's compiled
-modules.  The loop stops when the orbit is captured at the downstream rest
-point, escapes, crosses the singular locus of the dissipation matrix, or
-exhausts the step or pseudo-time budget.  `oscillation_report` counts the
-extrema and sign changes of the samples' coordinate series around their limits.
+step loop calls ODEPACK's LSODA runner, which `_compiled` loads from scipy's
+compiled module, one step at a time.  The loop stops when the orbit is
+captured at the downstream rest point (its last sample put where the step's
+chord meets the capture sphere), escapes, crosses the singular locus of the
+dissipation matrix, or exhausts the step or pseudo-time budget.
+`oscillation_report` counts the extrema and sign changes of the samples'
+coordinate series around their limits.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .classification import spectrum_at_v
 from .equilibria import EquilibriumPair, check_omega, rest_points, v_minus_squared, v_plus_squared
 from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples, _real, _reals
 from .model import (
-    GodunovState, check_off_locus, det_b_sharp_closed, singular_locus_v_sq, theta_u_v
+    GodunovState, det_b_sharp_closed, singular_locus_v_sq, theta_u_v
 )
 
 # A shot starts this far from psi_minus along the unstable eigenvector,
@@ -83,8 +84,8 @@ def _compiled(module: str, name: str):
 
     Loaded once per process from the file that `PathFinder` finds in the
     module's package directory, without running that package's __init__:
-    `scipy.integrate` and `scipy.optimize` would import some 350 modules,
-    about 0.5 s, for the two functions a shot calls.  `find_spec` of the
+    `scipy.integrate` would import some 600 modules, `scipy.optimize` among
+    them, in about 0.5 s, for the one function a shot calls.  `find_spec` of the
     top-level package imports nothing, not even scipy.
     """
     full = f"scipy.{module}"
@@ -246,17 +247,9 @@ def _field(eps: float, q_tilde: float):
     return field
 
 
-def _checked_field(psi: GodunovState, eps: float, q_tilde: float):
-    # Outside the square the normalised flux has no rest points.
-    eps, q_tilde = check_omega(eps, q_tilde)
-    _, _, v = theta_u_v(psi.psi0, psi.psi1)
-    check_off_locus(v * v, eps)
-    return _field(eps, q_tilde)
-
-
 def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
-    """The field `shoot` integrates, adj(B#) F / det B#(psi_plus), at a state off the locus."""
-    return np.array(_checked_field(psi, eps, q_tilde)(psi.psi0, psi.psi1))
+    """The field `shoot` integrates, adj(B#) F / det B#(psi_plus), at a state in the cone."""
+    return np.array(_field(*check_omega(eps, q_tilde))(psi.psi0, psi.psi1))
 
 
 def _field_jacobian(field, y0: float, y1: float) -> list[list[float]]:
@@ -267,8 +260,8 @@ def _field_jacobian(field, y0: float, y1: float) -> list[list[float]]:
 
 
 def field_jacobian(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
-    """Jacobian of `vector_field`'s field at a state in the cone off the locus, by complex step."""
-    return np.array(_field_jacobian(_checked_field(psi, eps, q_tilde), psi.psi0, psi.psi1))
+    """Jacobian of `vector_field`'s field at a state in the cone, by complex step."""
+    return np.array(_field_jacobian(_field(*check_omega(eps, q_tilde)), psi.psi0, psi.psi1))
 
 
 def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
@@ -292,7 +285,7 @@ def _unstable_direction(pair: EquilibriumPair, field, eps: float, q_tilde: float
     if not lo.real < 0.0 < hi.real:
         raise NotASaddle(f"eigenvalues {lo}, {hi} at psi_minus({q_tilde}), eps={eps}")
     lam_pos = (4.0 / 3.0) * theta**5 * hi.real * det_b_sharp_closed(v * v, eps)
-    lam_pos /= det_b_sharp_closed(v_plus_squared(q_tilde), eps)
+    lam_pos /= det_b_sharp_closed(pair.v_plus_sq, eps)
     cand_a = np.array([j01, lam_pos - j00])
     cand_b = np.array([lam_pos - j11, j10])
     vec = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
@@ -355,44 +348,25 @@ def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> Oscillatio
     return OscillationReport({s: tuple(map(counts.get, names)) for s, names in SYSTEMS.items()})
 
 
-def _capture_point(dense, t_old: float, t: float, y: list, dist, r_cap: float):
-    """Where the step from t_old to t meets the capture sphere: (time, state).
+def _capture_point(t_old: float, y_old: list, t: float, y: list, centre: tuple, r_cap: float):
+    """Where the step's chord from (t_old, y_old) to (t, y) meets the capture sphere: (time, state).
 
-    `y` is the accepted state at t, inside the sphere.  A dense output need
-    not reproduce it bit for bit (an interpolant may differ by rounding), so
-    when the interpolant does not cross the sphere on the step the accepted
-    state is kept.
+    `y_old` lies outside the sphere of radius `r_cap` about `centre`, `y`
+    inside.  The chord's parameter is the smaller root s of |a + s d| = r_cap,
+    a = y_old - centre and d = y - y_old, taken as c / (sqrt((a.d)^2 - |d|^2 c)
+    - a.d) with c = |a|^2 - r_cap^2: entering the ball makes a.d < 0, so the
+    denominator does not cancel.  When rounding leaves no root in (0, 1) the
+    accepted state is kept.
     """
-    if not dist(dense(t_old)) - r_cap > 0.0 >= dist(dense(t)) - r_cap:
+    a0, a1 = y_old[0] - centre[0], y_old[1] - centre[1]
+    d0, d1 = y[0] - y_old[0], y[1] - y_old[1]
+    ad = a0 * d0 + a1 * d1
+    norm_a = math.hypot(a0, a1)
+    c = (norm_a - r_cap) * (norm_a + r_cap)
+    disc = ad * ad - (d0 * d0 + d1 * d1) * c
+    if not (disc >= 0.0 and 0.0 < (s := c / (math.sqrt(disc) - ad)) < 1.0):
         return t, y
-
-    def gap(s):
-        value = dist(dense(s)) - r_cap
-        if math.isnan(value):
-            raise ValueError(f"The function value at x={s} is NaN; solver cannot continue.")
-        return value
-
-    # brentq's defaults: xtol 2e-12, rtol 4 ulp, at most 100 iterations.
-    t = _compiled("optimize._zeros", "_brentq")(
-        gap, t_old, t, 2e-12, 4 * 2.0**-52, 100, (), False, True
-    )
-    return t, dense(t).tolist()
-
-
-def _nordsieck_interpolant(rwork: np.ndarray, iwork: np.ndarray, t: float):
-    """Dense output of LSODA's last step, which ended at t, as scipy's LSODA builds it.
-
-    rwork[20:] holds the Nordsieck history array scaled to the next trial
-    step rwork[11], with columns up to the order iwork[13] of the step taken.
-    """
-    order = iwork[13]
-    h = rwork[11]
-    yh = np.reshape(rwork[20:20 + (order + 1) * 2], (2, order + 1), order="F").copy()
-    if iwork[14] < order:
-        # An order decrease leaves the last column scaled to the step taken.
-        yh[:, -1] *= (h / rwork[10]) ** order
-    p = np.arange(order + 1)
-    return lambda s: np.dot(yh, ((s - t) / h) ** p)
+    return t_old + s * (t - t_old), [y_old[0] + s * d0, y_old[1] + s * d1]
 
 
 def _integrate(
@@ -419,9 +393,6 @@ def _integrate(
         y0, y1 = y.tolist()
         buf[0], buf[1] = field(y0, y1)
         return out
-
-    def dist(y):
-        return math.hypot(y[0] - p0, y[1] - p1)
 
     def jac(_t, y):
         return _field_jacobian(field, *y.tolist())
@@ -451,9 +422,8 @@ def _integrate(
     times = [0.0]
     # v^2 minus its value on the singular locus at the last accepted state,
     # positive at the start next to psi_minus (v^2 > 1/2, the locus <= 1/8).
-    gap, steps, verdict = math.inf, 0, None
+    gap, verdict = math.inf, None
     while verdict is None:
-        t_old, steps = t, steps + 1
         # The 17-argument call of scipy 1.17's `lsoda.run`: (fun, y, t, tout,
         # rtol, atol, itask, istate, rwork, iwork, jac, jt, f_params, tfirst,
         # jac_params, state_doubles, state_ints).  TestStepLoopParity fails on
@@ -470,9 +440,9 @@ def _integrate(
         if r <= r_cap:
             # psi_plus is a hyperbolic sink throughout Omega, so an orbit that
             # enters the capture ball has converged.  The last sample is put
-            # on the capture sphere, where the oscillation counts stop.
-            dense = _nordsieck_interpolant(rwork, iwork, t)
-            t, (y0, y1) = _capture_point(dense, t_old, t, [y0, y1], dist, r_cap)
+            # where the step's chord meets the capture sphere, where the
+            # oscillation counts stop.
+            t, (y0, y1) = _capture_point(times[-1], flat[-2:], t, [y0, y1], (p0, p1), r_cap)
             verdict = ProfileVerdict.CONVERGED_TO_PLUS
         elif r >= r_esc or not y0 - abs(y1) > _BOUNDARY_MARGIN:
             # Written so that a NaN state escapes too.  A state not strictly
@@ -485,7 +455,7 @@ def _integrate(
             gap_old, gap = gap, y1 * y1 / (y0 * y0 - y1 * y1) - sing_level
             if gap_old >= 0.0 >= gap:
                 verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
-            elif t >= t_end or steps == _MAX_STEPS:
+            elif t >= t_end or len(times) == _MAX_STEPS:
                 verdict = ProfileVerdict.STALLED
         times.append(t)
         flat += (y0, y1)

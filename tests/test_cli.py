@@ -100,7 +100,7 @@ class TestVerifyCommand:
         assert "all identities passed" in out
         assert out.count("PASS") >= 10
 
-    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("samples", ["0", "-3", str(10**30)])
     def test_nonpositive_samples_is_a_usage_error(self, samples):
         assert main(["verify", "--samples", samples]) == 2
 

@@ -116,7 +116,7 @@ OPTION_CASES = [
     for name, value in BAD_OPTIONS
 ] + [
     pytest.param(run_identity_suite, {"samples": n}, id=f"run_identity_suite-samples={n}")
-    for n in (0, -3)
+    for n in (0, -3, 10**30)
 ]
 
 

@@ -151,8 +151,9 @@ def test_checker_flags_a_caught_type_error():
 
 
 # Each step runs in turn in one fresh interpreter, which then prints which
-# of scipy's heavy subpackages are loaded.  A shot loads only the two
-# compiled modules it calls, not the packages around them.
+# of scipy's heavy subpackages are loaded, and how many compiled modules
+# the shot loaded.  A shot loads only the one compiled module it calls,
+# not the packages around it.
 _LAZY_SCIPY_STEPS = """
 import json, sys
 steps = [
@@ -169,21 +170,23 @@ for name, code in steps:
     exec(code)
     loaded[name] = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.special",
                                 "scipy.sparse", "scipy.linalg") if m in sys.modules]
-print(json.dumps(loaded))
+print(json.dumps([loaded, radshock.shooting._compiled.cache_info().currsize]))
 """
 
 
 def test_only_a_shot_loads_scipy():
-    # Only a shot loads anything of scipy, and then none of these packages.
+    # Only a shot loads anything of scipy: one compiled module, and none of these packages.
     env = dict(os.environ)
     src = str(Path(radshock.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_STEPS], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
-    assert json.loads(proc.stdout) == {
+    loaded, compiled = json.loads(proc.stdout)
+    assert loaded == {
         "import radshock": [],
         "classify": [],
         "run_scan": [],
         "run_identity_suite": [],
         "shoot": [],
     }
+    assert compiled == 1

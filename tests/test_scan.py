@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from radshock import classification, scan
 from radshock.classification import RegionLabel, classify, p_eval
 from radshock.equilibria import v_plus_squared
-from radshock.errors import NotASaddle, ParamsOutOfOmega, RadshockError
+from radshock.errors import DomainError, NotASaddle, ParamsOutOfOmega, RadshockError
 from radshock.scan import (
     SCAN_JSON_SCHEMA,
     ScanConfig,
@@ -61,9 +61,10 @@ class TestScanConfig:
     def test_rejects_small_counts(self):
         with pytest.raises(ParamsOutOfOmega):
             ScanConfig(eps_count=1)
-        # Counts must be integers: a float, NaN or string is a typed error
-        # here, not numpy's TypeError from np.linspace in run_scan.
-        for value in (2.5, 3.0, math.nan, "3"):
+        # Counts must be integers that numpy can size an array of: a float,
+        # NaN, string or huge int is a typed error here, not numpy's error
+        # from np.linspace in run_scan.
+        for value in (2.5, 3.0, math.nan, "3", 10**30):
             with pytest.raises(ParamsOutOfOmega):
                 ScanConfig(eps_count=value)
             with pytest.raises(ParamsOutOfOmega):
@@ -256,7 +257,7 @@ class TestScanTable:
         assert ScanResult(small_scan.config, result.records, [], []).records is result.records
 
     def test_columns_of_unequal_length_are_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             ScanTable([0.5], [0.8], ["Focus"], [0.1], [-1.0], [None], [])
 
 
