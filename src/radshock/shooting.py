@@ -2,9 +2,12 @@
 
 A shot starts a fixed small offset along the unstable eigenvector of the
 upstream saddle and integrates with LSODA, which switches between Adams and
-BDF formulas as the field turns stiff (eps -> 0).  The field is one closure
-per shot, built by `_field`, the only place the package applies B#; its
-Jacobian, and the start direction, come from a complex step through it.  The
+BDF formulas as the field turns stiff (eps -> 0).  LSODA steps the null
+coordinates a = psi0 + psi1, b = psi0 - psi1, in which ab = theta^-2 does not
+cancel at the strong-shock edge; each accepted step is read back in psi.  The
+field is one closure per shot, built by `_field`, the only place the package
+applies B#; its Jacobian, and the start direction, come from a complex step
+through it.  The
 step loop calls ODEPACK's LSODA runner, which `_compiled` loads from scipy's
 compiled module, one step at a time.  The loop stops when the orbit is
 captured at the downstream rest point (its last sample put where the step's
@@ -59,14 +62,14 @@ _ESCAPE_RADIUS = 1e2
 # The pseudo-time budget, LSODA's tout and tcrit; a unit is one of B#^-1 F's
 # at psi_plus, m(v+)/m(v) of one elsewhere (see `_field`).  tout also enters
 # ODEPACK's first-step formula, so any other value changes every shot's
-# samples ((1e-4, 0.8) takes 378 at 1e5, 390 at 1e6 and 382 at 1e7).  No
+# samples ((1e-4, 0.8) takes 362 at 1e5, 367 at 1e6 and 377 at 1e7).  No
 # default-tolerance shot of the benchmark or 20x20 scan nears it: the longest,
 # (1, 3/4 + 1e-6), ends at 2.4e4; (1, 1 - 1e-6), at 9.9e5 in B#^-1 F's, at 7.5.
 _MAX_PSEUDO_TIME = 1e6
 
 # A shot ends Stalled after this many accepted steps, which bounds the work
 # of one that does not resolve.  At the default tolerances the most taken on
-# the 20x20 scan or the benchmark is 1,567, at the corner (1e-6, 1 - 1e-6).
+# the 20x20 scan or the benchmark is 976, at the corner (1e-6, 1 - 1e-6).
 _MAX_STEPS = 10_000
 
 # scipy's OpenBLAS, which scipy.integrate._odepack links, starts a worker
@@ -119,9 +122,12 @@ def _compiled(module: str, name: str):
 class ShootOptions:
     """LSODA's tolerances for a shot.
 
-    `rel_tol` must lie in (0, 1), since a relative tolerance of 1 or more
-    asks for no accuracy, and `abs_tol` in (0, inf); both are kept as
-    floats.  Anything else, NaN included, raises OptionOutOfRange.
+    They bound the local error of each null component a = psi0 + psi1 and
+    b = psi0 - psi1 that LSODA steps, each weighted by rel_tol |a| + abs_tol
+    and rel_tol |b| + abs_tol.  `rel_tol` must lie in (0, 1), since a
+    relative tolerance of 1 or more asks for no accuracy, and `abs_tol` in
+    (0, inf); both are kept as floats.  Anything else, NaN included, raises
+    OptionOutOfRange.
     """
 
     rel_tol: float = 1e-10
@@ -203,34 +209,45 @@ def profile_to_csv(result: ProfileResult) -> str:
 
 
 def _field(eps: float, q_tilde: float):
-    """The profile field adj(B#) F / det B#(psi_plus) at fixed (eps, q_tilde), as `field(y0, y1)`.
+    """The profile field adj(B#) F / det B#(psi_plus) at fixed (eps, q_tilde) in null coordinates.
 
-    det B# = 9 eps m(v) / (eps - 4), m(v) = (8 + eps) v^2 + eps - 1, so this is
-    B#^-1 F in a time rescaled by m(v) / m(v+), 1 at psi_plus: the same orbits,
+    Returns `field(a, b) -> (a', b')` with a = psi0 + psi1 and b = psi0 - psi1,
+    the coordinates a shot steps: ab = theta^-2 without the cancellation of
+    psi0^2 - psi1^2, and the cone psi0 > |psi1| is a > 0 < b.  det B# =
+    9 eps m(v) / (eps - 4), m(v) = (8 + eps) v^2 + eps - 1, so this is B#^-1 F
+    in a time rescaled by m(v) / m(v+), 1 at psi_plus: the same orbits,
     oriented alike above the singular locus m = 0, and regular across it
     (Szmolyan & Wechselberger, JDE 177, 2001).  The hot path of every shot,
     called by the integrator and its complex-step Jacobian with Python floats
-    or complex numbers.  B# = eps u^2 a a^T - w w^T - c2 y y^T with a = (v, -u),
+    or complex numbers.  B# = eps u^2 x x^T - w w^T - c2 y y^T with x = (v, -u),
     w = (4uv, -r), y = (g, -2uv), r = 4v^2 + 1 and g = 2v^2 + 1, so adj(B#) F =
     alpha (u, v) - phi (r, 4uv) - beta (2uv, g), with three projections of F
-    (q1 = 1, q0 = q_tilde^(-1/2)) simplified by u^2 - v^2 = 1.  theta cancels
+    (q1 = 1, q0 = q_tilde^(-1/2)) simplified by u^2 - v^2 = 1.  Its psi
+    components f0, f1 give (a', b') = (f0 + f1, f0 - f1), formed with p = u + v
+    and m = u - v as alpha p - (2p^2 - 1) phi - p^2 beta and alpha m -
+    (2m^2 - 1) phi + m^2 beta, again by u^2 - v^2 = 1: f0 - f1 itself cancels
+    like u^2 at the strong-shock edge, where b is small.  theta cancels
     from phi, which is O(eps) on the slow manifold, so for v > 0 it is factored
-    through the rest points.  Outside the cone, and where psi0^2 - psi1^2
-    overflows to NaN, the field is (1e300, 1e300): LSODA's error test rejects
-    such a trial step, where a NaN, false in every comparison, would pass it
-    and the step be accepted.
+    through the rest points.  Where ab is not a finite number above 1e-300
+    (outside the cone, or overflowed to inf or NaN), or the field itself is
+    not finite (its terms overflow), the field is (1e300, 1e300): LSODA's
+    error test rejects such a trial step, where a NaN, false in every
+    comparison, would pass it and the step be accepted.
     """
     q0, c2 = q_tilde**-0.5, 9.0 * eps / (4.0 - eps)
     k = 16.0 * (1.0 - q_tilde) / q_tilde
     vp2, vm2 = v_plus_squared(q_tilde), v_minus_squared(q_tilde)
     inv = 1.0 / det_b_sharp_closed(vp2, eps)
+    inf = math.inf
 
-    def field(y0, y1):
-        s = y0 * y0 - y1 * y1
-        if not s.real >= 1e-300:
+    def field(a, b):
+        s = a * b
+        if not 1e-300 <= s.real < inf:
             return 1e300, 1e300
         theta = s ** -0.5
-        u, v = theta * y0, theta * y1
+        # u + v = theta a and u - v = theta b.
+        p, m = theta * a, theta * b
+        u, v = 0.5 * (p + m), 0.5 * (p - m)
         v2, uv, t2 = v * v, u * v, theta * theta
         r, g, t4 = 4.0 * v2 + 1.0, 2.0 * v2 + 1.0, t2 * t2
         if v.real > 0.0:
@@ -240,16 +257,34 @@ def _field(eps: float, q_tilde: float):
             phi = r * q0 - 4.0 * uv
         alpha = eps * u * u * (u * q0 - v * (1.0 + t4))
         beta = c2 * (2.0 * uv * q0 - g + t4 * (1.0 - 2.0 * v2) / 3.0)
-        return (alpha * u - r * phi - 2.0 * uv * beta) * inv, (
-            alpha * v - 4.0 * uv * phi - g * beta
-        ) * inv
+        p2, m2 = p * p, m * m
+        da = (alpha * p - (2.0 * p2 - 1.0) * phi - p2 * beta) * inv
+        db = (alpha * m - (2.0 * m2 - 1.0) * phi + m2 * beta) * inv
+        # False for an inf or a NaN in either part: the terms overflow where
+        # one of a, b is far below the other at a small ab.
+        if (da + db) * 0.0 == 0.0:
+            return da, db
+        return 1e300, 1e300
 
     return field
 
 
+def _psi_field(field):
+    """`field` in psi coordinates: psi' = T^-1 field(T psi) with T = [[1, 1], [1, -1]]."""
+
+    def psi_field(y0, y1):
+        da, db = field(y0 + y1, y0 - y1)
+        return 0.5 * (da + db), 0.5 * (da - db)
+
+    return psi_field
+
+
 def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
-    """The field `shoot` integrates, adj(B#) F / det B#(psi_plus), at a state in the cone."""
-    return np.array(_field(*check_omega(eps, q_tilde))(psi.psi0, psi.psi1))
+    """The field `shoot` integrates, adj(B#) F / det B#(psi_plus), in psi at a state in the cone.
+
+    Where `_field` gives (1e300, 1e300), which LSODA rejects, this is its image (1e300, 0).
+    """
+    return np.array(_psi_field(_field(*check_omega(eps, q_tilde)))(psi.psi0, psi.psi1))
 
 
 def _field_jacobian(field, y0: float, y1: float) -> list[list[float]]:
@@ -260,12 +295,13 @@ def _field_jacobian(field, y0: float, y1: float) -> list[list[float]]:
 
 
 def field_jacobian(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
-    """Jacobian of `vector_field`'s field at a state in the cone, by complex step."""
-    return np.array(_field_jacobian(_field(*check_omega(eps, q_tilde)), psi.psi0, psi.psi1))
+    """Jacobian of `vector_field`'s field in psi at a state in the cone, by complex step."""
+    field = _psi_field(_field(*check_omega(eps, q_tilde)))
+    return np.array(_field_jacobian(field, psi.psi0, psi.psi1))
 
 
 def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
-    """Unit eigenvector of the saddle's positive eigenvalue, aimed downstream.
+    """Unit eigenvector in psi of the saddle's positive eigenvalue, aimed downstream.
 
     The sign is fixed so the vector points toward the attractor side, which
     makes the kinematic velocity decrease along it.
@@ -275,12 +311,13 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
 
 
 def _unstable_direction(pair: EquilibriumPair, field, eps: float, q_tilde: float) -> np.ndarray:
-    (j00, j01), (j10, j11) = _field_jacobian(field, pair.psi_minus.psi0, pair.psi_minus.psi1)
+    psi_minus = pair.psi_minus
+    (j00, j01), (j10, j11) = _field_jacobian(_psi_field(field), psi_minus.psi0, psi_minus.psi1)
     # J is local_spectrum's matrix times (4/3) theta^5 m(v-)/m(v+), as F = 0
     # here; its closed forms do not cancel as q_tilde -> 1, where adj(B#) A's
     # entries grow like v^8.  Its singular-locus check is left out: v_minus^2
     # > 1/2 lies above the locus, which stays at or below 1/8.
-    theta, _, v = theta_u_v(pair.psi_minus.psi0, pair.psi_minus.psi1)
+    theta, _, v = theta_u_v(psi_minus.psi0, psi_minus.psi1)
     lo, hi = spectrum_at_v(v, eps)
     if not lo.real < 0.0 < hi.real:
         raise NotASaddle(f"eigenvalues {lo}, {hi} at psi_minus({q_tilde}), eps={eps}")
@@ -290,7 +327,7 @@ def _unstable_direction(pair: EquilibriumPair, field, eps: float, q_tilde: float
     cand_b = np.array([lam_pos - j11, j10])
     vec = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
     vec = vec / np.linalg.norm(vec)
-    toward_plus = pair.psi_plus.as_array() - pair.psi_minus.as_array()
+    toward_plus = pair.psi_plus.as_array() - psi_minus.as_array()
     if float(vec @ toward_plus) < 0.0:
         vec = -vec
     return vec
@@ -390,8 +427,8 @@ def _integrate(
 
     # Python floats: their arithmetic is about twice as fast as numpy scalars'.
     def rhs(_t, y):
-        y0, y1 = y.tolist()
-        buf[0], buf[1] = field(y0, y1)
+        a, b = y.tolist()
+        buf[0], buf[1] = field(a, b)
         return out
 
     def jac(_t, y):
@@ -415,10 +452,11 @@ def _integrate(
     jt = 1
     t_end = _MAX_PSEUDO_TIME
     rwork[0] = t_end
-    # The runner overwrites its state argument, so it gets a copy.
-    arr, t, istate = y_start.copy(), 0.0, 1
-    # The samples, flat: y0, y1 of each in turn.
-    flat = y_start.tolist()
+    # LSODA steps the null components; the runner overwrites its state argument.
+    y0, y1 = y_start.tolist()
+    arr, t, istate = np.array([y0 + y1, y0 - y1]), 0.0, 1
+    # The samples in psi, flat: y0, y1 of each in turn.
+    flat = [y0, y1]
     times = [0.0]
     # v^2 minus its value on the singular locus at the last accepted state,
     # positive at the start next to psi_minus (v^2 > 1/2, the locus <= 1/8).
@@ -435,7 +473,8 @@ def _integrate(
             # LSODA gave up; the field has no blow-up to blame it on.
             verdict = ProfileVerdict.STALLED
             break
-        y0, y1 = arr.tolist()
+        a, b = arr.tolist()
+        y0, y1 = 0.5 * (a + b), 0.5 * (a - b)
         r = math.hypot(y0 - p0, y1 - p1)
         if r <= r_cap:
             # psi_plus is a hyperbolic sink throughout Omega, so an orbit that
@@ -444,15 +483,17 @@ def _integrate(
             # oscillation counts stop.
             t, (y0, y1) = _capture_point(times[-1], flat[-2:], t, [y0, y1], (p0, p1), r_cap)
             verdict = ProfileVerdict.CONVERGED_TO_PLUS
-        elif r >= r_esc or not y0 - abs(y1) > _BOUNDARY_MARGIN:
-            # Written so that a NaN state escapes too.  A state not strictly
-            # inside the cone has no kinematics and is not recorded.
+        elif r >= r_esc or not a > _BOUNDARY_MARGIN < b:
+            # min(a, b) = psi0 - |psi1|, written so that a NaN state escapes
+            # too.  A state not strictly inside the cone has no kinematics
+            # and is not recorded.
             verdict = ProfileVerdict.ESCAPED
             if not y0 > abs(y1):
                 break
         else:
-            # psi0 > |psi1| here; the field is regular, so a sign change is a crossing.
-            gap_old, gap = gap, y1 * y1 / (y0 * y0 - y1 * y1) - sing_level
+            # a, b > 0 here, and v^2 = psi1^2 / (ab); the field is regular, so
+            # a sign change is a crossing.
+            gap_old, gap = gap, y1 * y1 / (a * b) - sing_level
             if gap_old >= 0.0 >= gap:
                 verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
             elif t >= t_end or len(times) == _MAX_STEPS:

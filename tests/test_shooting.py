@@ -35,7 +35,6 @@ from radshock.model import (
     b_two,
     b_visc,
     det_b_sharp_closed,
-    flux_residual,
     kinematics,
     lin_matrix,
     singular_locus_v_sq,
@@ -53,6 +52,7 @@ from radshock.shooting import (
     ShootOptions,
     _capture_point,
     _field,
+    _psi_field,
     _field_jacobian,
     _integrate,
     field_jacobian,
@@ -89,22 +89,27 @@ def det_plus(eps, q_tilde):
     return det_b_sharp_closed(v_plus_squared(q_tilde), eps)
 
 
-def matrix_field_reference(y0, y1, eps, q_tilde):
-    """Reference for `_field` inside the cone: adj(B#) F / det B#(psi_plus) by the matrix route.
+def psi_field_reference(a, b, eps, q_tilde):
+    """Reference for `vector_field`: adj(B#) F / det B#(psi_plus) in psi by the matrix route.
 
-    Also returns, per component, what its rounding is relative to:
-    |adj(B#)| |F| / |det B#(psi_plus)| with every sum in B# and F taken over the
-    magnitudes of its terms, for real and imaginary parts apart, so a
-    complex step's imaginary part gets its own scale.  That includes the
-    sums in the complex products u = theta y0 and v = theta y1: at v = 0
-    Im u is such a sum that cancels, and its rounding is all it holds.
+    The state is given in null coordinates (a, b) = (psi0 + psi1, psi0 - psi1):
+    theta is (ab)^(-1/2) and (u, v) = theta ((a + b)/2, (a - b)/2), so neither
+    cancels near the cone's edge.  Also returns, per component, what its
+    rounding is relative to: |adj(B#)| |F| / |det B#(psi_plus)| with every sum
+    in B# and F taken over the magnitudes of its terms, for real and
+    imaginary parts apart, so a complex step's imaginary part gets its own
+    scale.  That includes the sums in the complex products u = theta psi0 and
+    v = theta psi1: at v = 0 Im u is such a sum that cancels, and its
+    rounding is all it holds.
     """
-    kin = Kinematics(*theta_u_v(y0, y1))
+    theta, y0, y1 = (a * b) ** -0.5, 0.5 * (a + b), 0.5 * (a - b)
+    kin = Kinematics(theta, theta * y0, theta * y1)
     det, q0 = det_plus(eps, q_tilde), q_tilde**-0.5
-    f = flux_residual(SimpleNamespace(psi0=y0, psi1=y1), q0, 1.0)
+    t4, u, v = theta**4, kin.u, kin.v
+    f = np.array([-(4.0 / 3.0) * t4 * v * u + q0, t4 * ((4.0 / 3.0) * v * v + 1.0 / 3.0) - 1.0])
     field = adjugate(b_sharp(kin, eps)) @ f / det
     m = Kinematics(
-        magnitude(kin.theta), product_magnitude(kin.theta, y0), product_magnitude(kin.theta, y1)
+        magnitude(theta), product_magnitude(theta, y0), product_magnitude(theta, y1)
     )
     c2 = 9.0 * eps / (4.0 - eps)
     b_mag = eps * magnitude(b_visc(m)) + magnitude(b_one(m)) + c2 * magnitude(b_two(m))
@@ -112,14 +117,23 @@ def matrix_field_reference(y0, y1, eps, q_tilde):
     f_mag = np.array(
         [(4.0 / 3.0) * t4 * m.v * m.u + q0, t4 * ((4.0 / 3.0) * m.v * m.v + 1.0 / 3.0) + 1.0]
     )
-    num = magnitude(adjugate(b_mag)) @ f_mag
-    return field, num / abs(det)
+    return field, magnitude(adjugate(b_mag)) @ f_mag / abs(det)
+
+
+def matrix_field_reference(a, b, eps, q_tilde):
+    """Reference for `_field` inside the cone: `psi_field_reference` taken to null coordinates.
+
+    T = [[1, 1], [1, -1]] takes the psi components f0, f1 to (f0 + f1,
+    f0 - f1), and the rounding scale of either is the sum of theirs.
+    """
+    (f0, f1), (sc0, sc1) = psi_field_reference(a, b, eps, q_tilde)
+    return (f0 + f1, f0 - f1), (sc0 + sc1, sc0 + sc1)
 
 
 def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
-    """Reference for `field_jacobian`: central differences of the field."""
+    """Reference for `field_jacobian`: central differences of the field in psi."""
     y = (psi.psi0, psi.psi1)
-    field = _field(eps, q_tilde)
+    field = _psi_field(_field(eps, q_tilde))
     jac = np.empty((2, 2))
     for i in range(2):
         dp = [0.0, 0.0]
@@ -151,30 +165,34 @@ def mpmath_b_sharp(e, u, v):
     return b00, b01, b11
 
 
-def mpmath_field(y0, y1, eps, q_tilde, dps=50):
-    """Reference for `_field`: adj(B#) F / det B#(psi_plus) at a float state in `dps` digits.
+def mpmath_field(a, b, eps, q_tilde, dps=50):
+    """Reference for `_field`: T adj(B#) F / det B#(psi_plus) at a float state in `dps` digits.
 
-    The divisor is the float `det_plus` that `_field` takes: its rounding is
-    a constant factor, which rescales the field's time but moves no orbit.
-    Also returns the field's Jacobian, by a complex step in the same precision.
+    The state is in null coordinates (a, b) = (psi0 + psi1, psi0 - psi1), and
+    T = [[1, 1], [1, -1]] takes the psi components to them.  The divisor is
+    the float `det_plus` that `_field` takes: its rounding is a constant
+    factor, which rescales the field's time but moves no orbit.  Also returns
+    the field's Jacobian in (a, b), by a complex step in the same precision.
     """
     mpmath = pytest.importorskip("mpmath")
     mpf = mpmath.mpf
 
-    def field(p0, p1, e, q):
+    def field(a, b, e, q):
+        p0, p1 = (a + b) / 2, (a - b) / 2
         theta = (p0 * p0 - p1 * p1) ** (-mpf(1) / 2)
         u, v = theta * p0, theta * p1
         b00, b01, b11 = mpmath_b_sharp(e, u, v)
         t4 = theta**4
         f0 = -(mpf(4) / 3) * t4 * v * u + q ** (-mpf(1) / 2)
         f1 = t4 * ((mpf(4) / 3) * v * v + mpf(1) / 3) - 1
-        return (b11 * f0 - b01 * f1) / det, (b00 * f1 - b01 * f0) / det
+        g0, g1 = (b11 * f0 - b01 * f1) / det, (b00 * f1 - b01 * f0) / det
+        return g0 + g1, g0 - g1
 
     det = mpf(det_plus(eps, q_tilde))
     with mpmath.workdps(dps):
-        y0, y1, e, q, h = mpf(y0), mpf(y1), mpf(eps), mpf(q_tilde), mpf(10) ** -40
-        value = [float(x) for x in field(y0, y1, e, q)]
-        cols = [field(mpmath.mpc(y0, h), y1, e, q), field(y0, mpmath.mpc(y1, h), e, q)]
+        a, b, e, q, h = mpf(a), mpf(b), mpf(eps), mpf(q_tilde), mpf(10) ** -40
+        value = [float(x) for x in field(a, b, e, q)]
+        cols = [field(mpmath.mpc(a, h), b, e, q), field(a, mpmath.mpc(b, h), e, q)]
         jac = [[float(col[i].imag / h) for col in cols] for i in range(2)]
     return np.array(value), np.array(jac)
 
@@ -226,7 +244,10 @@ def shot_start(eps, q_tilde):
 def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
     """Reference for `_integrate`: the same shot stepped by scipy's public LSODA solver.
 
-    Returns the verdict, times, states and the solver's field-evaluation count.
+    The solver steps the null components (a, b) = (psi0 + psi1, psi0 - psi1)
+    from the psi start; each accepted step is read back as psi = ((a + b)/2,
+    (a - b)/2) for the samples, capture and escape.  Returns the verdict,
+    times, states and the solver's field-evaluation count.
     """
     p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
     r_cap = _CAPTURE_RADIUS * scale
@@ -241,33 +262,36 @@ def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
     def jac(_t, y):
         return _field_jacobian(field, *y.tolist())
 
-    def gap_sq(y0, y1):
-        s = y0 * y0 - y1 * y1
-        return (y1 * y1 / s if s > 0.0 else math.inf) - sing_level
+    def gap_sq(a, b):
+        # v^2 = psi1^2 / (psi0^2 - psi1^2) = (a - b)^2 / (4ab).
+        s = a * b
+        return (0.25 * (a - b) ** 2 / s if s > 0.0 else math.inf) - sing_level
 
     def dist(y):
         return math.hypot(y[0] - p0, y[1] - p1)
 
+    y0, y1 = y_start.tolist()
     solver = LSODA(
-        rhs, 0.0, y_start, _MAX_PSEUDO_TIME,
+        rhs, 0.0, [y0 + y1, y0 - y1], _MAX_PSEUDO_TIME,
         rtol=opts.rel_tol, atol=opts.abs_tol, jac=jac,
     )
     times = [0.0]
-    states = [tuple(y_start)]
-    gap = gap_sq(*states[0])
+    states = [(y0, y1)]
+    gap = gap_sq(y0 + y1, y0 - y1)
     verdict = None
     while verdict is None:
         solver.step()
         if solver.status == "failed":
             verdict = ProfileVerdict.STALLED
             break
-        t, y = solver.t, solver.y.tolist()
-        gap_old, gap = gap, gap_sq(*y)
+        t, (a, b) = solver.t, solver.y.tolist()
+        y = [0.5 * (a + b), 0.5 * (a - b)]
+        gap_old, gap = gap, gap_sq(a, b)
         r = dist(y)
         if r <= r_cap:
             t, y = _capture_point(times[-1], states[-1], t, y, (p0, p1), r_cap)
             verdict = ProfileVerdict.CONVERGED_TO_PLUS
-        elif r >= r_esc or not y[0] - abs(y[1]) > _BOUNDARY_MARGIN:
+        elif r >= r_esc or not min(a, b) > _BOUNDARY_MARGIN:
             verdict = ProfileVerdict.ESCAPED
             if not y[0] > abs(y[1]):
                 break
@@ -295,13 +319,13 @@ class TestVectorField:
         eps=st.floats(1e-6, 1.0),
         q_tilde=st.floats(0.75 + 1e-6, 1.0 - 1e-6),
         y0=st.floats(1e-3, 1e3),
-        # |ratio| >= 1 puts the state on or outside the cone.
+        # psi1 / psi0; |ratio| >= 1 puts the state on or outside the cone.
         ratio=st.sampled_from([-1.0, 1.0]) | st.floats(-2.0, 2.0),
-        # None: a float state; 0 or 1: the complex step on that component.
+        # None: a float state; 0 or 1: the complex step on that null component.
         stepped=st.sampled_from([None, 0, 1]),
     )
     def test_field_matches_matrix_route(self, eps, q_tilde, y0, ratio, stepped):
-        y = [y0, ratio * y0]
+        y = [y0 * (1.0 + ratio), y0 * (1.0 - ratio)]
         if stepped is not None:
             y[stepped] = complex(y[stepped], 1e-30)
         got = _field(eps, q_tilde)(*y)
@@ -309,19 +333,26 @@ class TestVectorField:
             assert got == (1e300, 1e300)
             return
         want, scale = matrix_field_reference(*y, eps, q_tilde)
-        # 25 ulp of the scale: about 3.5x the largest error measured over
-        # 200,000 random states (7.1 ulp), real and complex-step alike.
+        # 25 ulp of the scale: about 4x the largest error measured over
+        # 200,000 random states (6.0 ulp), real and complex-step alike.  Both
+        # null components share the scale of f0 - f1 as a sum of magnitudes,
+        # so this check cannot see b' cancel like u^2 at the strong-shock
+        # edge when formed as that difference; only
+        # `test_corner_orbits_match_high_precision` guards that.
         for g, w, sc in zip(got, want, scale):
             assert abs(g.real - w.real) <= 25.0 * 2.0**-52 * sc.real
             assert abs(g.imag - w.imag) <= 25.0 * 2.0**-52 * sc.imag
 
     def test_corner_orbits_match_high_precision(self):
         # The field on two orbits near the corner (eps, q_tilde) -> (0, 1),
-        # against B#^-1 F in 50 digits, at the first sample within each of ten
-        # distances of psi_plus, from 0.95 to 1e-4 of the shock's size.  The
-        # error is counted in what one rounding of the state and of the result
-        # move the field by, 2^-52 (|f| + |J| |y|).  The largest measured is
-        # 1.2; with phi formed by cancellation it was 950.
+        # against the field in 50 digits, at the first sample within each of
+        # ten distances of psi_plus, from 0.95 to 1e-4 of the shock's size,
+        # taken to null coordinates.  The error is counted in what one
+        # rounding of the state and of the result move the field by, 2^-52
+        # (|f| + |J| |y|) with y = (a, b).  The largest measured is 1.6
+        # (1.2 for the field in psi); with phi formed by cancellation it was
+        # 950, and with b' formed as the difference of the psi components,
+        # which cancel like u^2 at the top edge, 2.4e5.
         worst = 0.0
         for eps, q in ((1e-6, 0.9999), (1e-6, 1.0 - 1e-6)):
             res = shoot(eps, q)
@@ -331,9 +362,10 @@ class TestVectorField:
             field = _field(eps, q)
             for d in np.geomspace(0.95, 1e-4, 10):
                 y0, y1 = res.states[np.argmax(dist <= d)].tolist()
-                want, jac = mpmath_field(y0, y1, eps, q)
-                unit = 2.0**-52 * (np.abs(want) + np.abs(jac) @ np.abs([y0, y1]))
-                worst = max(worst, float(np.max(np.abs(np.array(field(y0, y1)) - want) / unit)))
+                a, b = y0 + y1, y0 - y1
+                want, jac = mpmath_field(a, b, eps, q)
+                unit = 2.0**-52 * (np.abs(want) + np.abs(jac) @ np.abs([a, b]))
+                worst = max(worst, float(np.max(np.abs(np.array(field(a, b)) - want) / unit)))
         assert worst <= 12.0
 
     @pytest.mark.parametrize("q", [0.76, 0.85, 0.97])
@@ -351,15 +383,41 @@ class TestVectorField:
         # LSODA may try a state with det(B#) exactly 0.0 inside a step.  The
         # field divides by det B#(psi_plus) only, so it has its ordinary
         # value there: the matrix route's, to the hypothesis test's 25 ulp.
-        # The public field and its Jacobian take the state as well.
-        y = (0.8242786886853922, 0.19428435011899867)
-        assert det_b_sharp_closed(theta_u_v(*y)[2] ** 2, 0.5) == 0.0
-        want, scale = matrix_field_reference(*y, 0.5, 0.8)
-        for got in (_field(0.5, 0.8)(*y), vector_field(GodunovState(*y), 0.5, 0.8)):
+        # The public field and its Jacobian take the state as well, in psi,
+        # where vector_field maps it to the same (a, b) the field computes
+        # v from.
+        y = (0.8242786886853923, 0.19428435011899867)
+        a, b = y[0] + y[1], y[0] - y[1]
+        theta = (a * b) ** -0.5
+        v = 0.5 * (theta * a - theta * b)
+        assert det_b_sharp_closed(v * v, 0.5) == 0.0
+        for got, (want, scale) in (
+            (_field(0.5, 0.8)(a, b), matrix_field_reference(a, b, 0.5, 0.8)),
+            (vector_field(GodunovState(*y), 0.5, 0.8), psi_field_reference(a, b, 0.5, 0.8)),
+        ):
             assert all(math.isfinite(g) for g in got)
             for g, w, sc in zip(got, want, scale):
                 assert abs(g - w) <= 25.0 * 2.0**-52 * sc.real
         assert np.all(np.isfinite(field_jacobian(GodunovState(*y), 0.5, 0.8)))
+
+    @pytest.mark.parametrize("psi", [(1e200, 0.0), (1e160, 1e159)])
+    def test_overflowing_state_gives_the_rejected_value(self, psi):
+        # psi0^2 - psi1^2, and ab in null coordinates, overflow to inf at
+        # the first state and to inf - inf = NaN (in psi) at the second.  An
+        # inf let through made theta 0 and the field finite but wrong; both
+        # give the value LSODA's error test rejects.
+        y0, y1 = psi
+        assert _field(1e-6, 1.0 - 1e-6)(y0 + y1, y0 - y1) == (1e300, 1e300)
+        assert vector_field(GodunovState(*psi), 1e-6, 1.0 - 1e-6).tolist() == [1e300, 0.0]
+
+    @pytest.mark.parametrize("ab", [(1e4, 1e-200), (1e4, 1e-150), (1e4, 1e-100), (1e-200, 1e4)])
+    def test_overflowing_terms_give_the_rejected_value(self, ab):
+        # ab lies far above 1e-300, but with one null component so far below
+        # the other theta^4 and u^3 v overflow, and the field's terms came
+        # out inf or NaN: (1e4, 1e-200) gave (nan, nan).  Stepped in psi no
+        # such state is representable; in null coordinates a trial step can
+        # reach one.
+        assert _field(0.5, 0.9)(*ab) == (1e300, 1e300)
 
     @pytest.mark.parametrize("eps", [1e-3, 0.5, 0.9])
     def test_regular_across_the_singular_locus(self, eps):
@@ -369,7 +427,7 @@ class TestVectorField:
         # walk's ends times the step.  B#^-1 F would blow up like 1/det B#.
         v_lo = math.sqrt(singular_locus_v_sq(eps))
         states = [state_from_v(v) for v in np.linspace(v_lo - 1e-3, v_lo + 1e-3, 201).tolist()]
-        field = _field(eps, 0.8)
+        field = _psi_field(_field(eps, 0.8))
         values = np.array([field(psi.psi0, psi.psi1) for psi in states])
         assert np.all(np.isfinite(values))
         psi = np.array([(psi.psi0, psi.psi1) for psi in states])
@@ -569,7 +627,7 @@ class TestShootGuards:
         # orbit cross it: the last two samples lie on either side.
         res = shoot(0.5, 0.9999)
         assert res.verdict is ProfileVerdict.HIT_SINGULAR_LOCUS
-        assert res.states.shape[0] == 288
+        assert res.states.shape[0] == 286
         _, _, v = theta_u_v(res.states[-2:, 0], res.states[-2:, 1])
         assert v[0] ** 2 > singular_locus_v_sq(0.5) >= v[1] ** 2
 
@@ -617,18 +675,47 @@ class TestShootGuards:
         # singular locus.  With phi formed by cancellation the orbit crept
         # along the slow manifold until the step budget ended it Stalled
         # (10,001 samples); factored through the rest points it converges,
-        # in 887 samples in B#^-1 F's time and 1,568 in the field's.  Start
-        # offsets within 5e-4 of `_OFFSET` give two modes: 985-1,102 samples
-        # when LSODA takes the fast jump from psi_minus with Adams formulas,
-        # 1,524-1,573 when it switches to BDF there, though h |lambda| is
-        # about 0.01 (the Jacobian's norm exceeds its spectral radius about
-        # 1e5-fold).  Either way the drift along the locus, where the time
-        # factor m(v)/m(v+) falls to 0.02, costs more than before.  The bound
-        # keeps the work a fifth of the step budget.
+        # in 887 samples in B#^-1 F's time and 977 in the field's, stepped
+        # in null coordinates.  The drift along the locus, where the time
+        # factor m(v)/m(v+) falls to 0.02, costs more than in B#^-1 F's
+        # time.  The bound keeps the work a fifth of the step budget.
         res = shoot(1e-6, 1.0 - 1e-6)
         assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
         assert res.oscillation.oscillatory is False
         assert res.states.shape[0] < shooting._MAX_STEPS // 5
+
+    def test_corner_work_has_one_mode(self, monkeypatch):
+        # Stepped in psi, start offsets within 5e-4 of `_OFFSET` gave the
+        # corner 1,045-1,634 samples in two modes: in the second LSODA
+        # switched to BDF in the fast jump from psi_minus, though h |lambda|
+        # was about 0.01, because its stiffness test read a Jacobian whose
+        # norm exceeded its spectral radius about 1e5-fold.  In null
+        # coordinates the same offsets give 972-1,081.
+        counts, offset = [], shooting._OFFSET
+        for k in np.linspace(-5e-4, 5e-4, 11).tolist():
+            monkeypatch.setattr(shooting, "_OFFSET", offset * (1.0 + k))
+            res = shoot(1e-6, 1.0 - 1e-6)
+            assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
+            counts.append(res.states.shape[0])
+        assert max(counts) <= 1.15 * min(counts), counts
+
+    def test_stiff_and_cancelling_points_work_is_pinned(self):
+        # Six stiff or cancelling points near the square's edges, with their
+        # verdicts and samples: 2,001 in all.  Stepped in psi they took 386,
+        # 390, 392, 288, 917 and 256 (2,629): at (0.5, 1 - 1e-6) LSODA's
+        # stiffness test misread the top edge.
+        points = [
+            ((1e-3, 0.8), ProfileVerdict.CONVERGED_TO_PLUS, 368),
+            ((1e-4, 0.8), ProfileVerdict.CONVERGED_TO_PLUS, 367),
+            ((1e-6, 0.8), ProfileVerdict.CONVERGED_TO_PLUS, 387),
+            ((0.5, 0.9999), ProfileVerdict.HIT_SINGULAR_LOCUS, 286),
+            ((0.5, 1.0 - 1e-6), ProfileVerdict.HIT_SINGULAR_LOCUS, 365),
+            ((1.0, 0.75 + 1e-6), ProfileVerdict.CONVERGED_TO_PLUS, 228),
+        ]
+        results = [shoot(*point) for point, _, _ in points]
+        assert [(res.verdict, res.states.shape[0]) for res in results] == [
+            (verdict, n) for _, verdict, n in points
+        ]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -639,7 +726,7 @@ class TestShootGuards:
             ((0.5, 0.9), 1e-3),
             ((1.0, 0.8), 1e-3),
             ((1e-6, 1.0 - 1e-6), 1e-4),  # a trial state where psi0^2 - psi1^2 is inf - inf
-            # LSODA accepts a NaN state here; the cone test must catch it.
+            # LSODA once accepted a NaN state here; the cone test must catch it.
             ((0.6842108421052632, 0.999999), 1e-2),
             ((0.8421054210526315, 0.999999), 1e-2),
         ],
@@ -813,12 +900,12 @@ PARITY_CASES = [
     ((1.0, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None),  # focus
     ((1e-6, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None),  # stiff
     ((0.5, 0.9999), ShootOptions(), ProfileVerdict.HIT_SINGULAR_LOCUS, False, None),
-    # The corner converges in 1,568 samples; a budget of 400 steps ends it first.
+    # The corner converges in 977 samples; a budget of 400 steps ends it first.
     ((1e-6, 1.0 - 1e-6), ShootOptions(), ProfileVerdict.STALLED, False, 400),
     # "Repeated convergence failures" on the first step: istate < 0.
     ((1e-6, 0.75 + 1e-6), ShootOptions(rel_tol=1e-4), ProfileVerdict.STALLED, True, None),
-    # Both tolerances off their defaults (103 samples), and abs_tol alone
-    # (229 samples, against 402 at the default): an abs_tol handed to the
+    # Both tolerances off their defaults (107 samples), and abs_tol alone
+    # (244 samples, against 368 at the default): an abs_tol handed to the
     # runner per component, or not handed on, changes these samples.
     (
         (1.0, 0.8), ShootOptions(rel_tol=1e-6, abs_tol=1e-9),
@@ -830,8 +917,9 @@ PARITY_CASES = [
 
 class TestStepLoopParity:
     # `_integrate` steps ODEPACK's LSODA itself; scipy's LSODA solver makes
-    # the same calls, so every sample, the capture on the last step's chord
-    # and the number of field evaluations must agree bit for bit.  This also
+    # the same calls in the same null coordinates, so every sample, the
+    # capture on the last step's chord and the number of field evaluations
+    # must agree bit for bit.  This also
     # guards the runner's call signature and the rwork/iwork layout it is
     # handed.
     @pytest.mark.parametrize(
@@ -899,15 +987,15 @@ def test_shot_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(shooting, "_field", counting_factory)
     samples = sum(len(shoot(eps, q).times) for eps, q in WORK_POINTS)
-    assert (calls["real"], calls["complex"], samples) == (41_833, 278, 19_860)
+    assert (calls["real"], calls["complex"], samples) == (39_246, 196, 18_597)
 
 
 WHOLE_SHOT_DIGESTS = [
-    ((1.0, 0.762), "b02855722b9e99871b4caecb47796528a39d23625d7fffb3c2ead1b37a556a37"),
-    ((1.0, 0.8), "d6a332433d3f27ae092702143090cbc4cf2de34dbc8bb73496182ba5df48fc8a"),
-    ((1e-6, 0.8), "b5eec6b264066ab29fef811a0629ea724ad61f6a73797b741ffc7383819aa925"),
-    ((0.5, 0.9999), "8d072ee3c3732a888fb08c458dae50982ce850ef4e5608b2ce6d6767e09ce055"),
-    ((1.0, 1.0 - 1e-6), "22dd1b4a6a3569d68182ecda37cecbb486d2cb9de70ae8f59817a291dddfff30"),
+    ((1.0, 0.762), "48eab68a079ec5a3bef416c54af916bc07b8d599d1715260e79cf144386c74ea"),
+    ((1.0, 0.8), "3a3995adb13d9d288bf698771bf63694644f1c9fde8d0d55398e8cd7635b27de"),
+    ((1e-6, 0.8), "0693b8932ed4bb09773e49e36cf33b632fcc1c758cf74b94b807abab5c758d8e"),
+    ((0.5, 0.9999), "b065b4c5c171fa99f478649886b89ee806be7a27baf66c954edf16feffd4d874"),
+    ((1.0, 1.0 - 1e-6), "6feb55430a64e30563991a0d5b73813b3cb4a1b052628de1242848fc8228868c"),
 ]
 
 
