@@ -12,6 +12,7 @@ import pytest
 import radshock.cli
 from radshock.cli import main
 from radshock.shooting import profile_to_csv, shoot
+from shot_pins import PINS
 
 
 def run_cli_process(cwd, *args):
@@ -120,14 +121,14 @@ oscillatory: true
 system psi: psi0: extrema=2 sign_changes=2; psi1: extrema=2 sign_changes=2; oscillatory=true
 system theta_v: theta: extrema=2 sign_changes=2; v: extrema=2 sign_changes=2; oscillatory=true
 system u_v: u: extrema=2 sign_changes=2; v: extrema=2 sign_changes=2; oscillatory=true
-samples: 213  trajectory: {out}
+samples: {samples}  trajectory: {out}
 """,
     (1.0, 0.76): """verdict: ConvergedToPlus
 oscillatory: false
 system psi: psi0: extrema=0 sign_changes=0; psi1: extrema=0 sign_changes=0; oscillatory=false
 system theta_v: theta: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
 system u_v: u: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
-samples: 215  trajectory: {out}
+samples: {samples}  trajectory: {out}
 """,
     # A focus by its spectrum whose spiral stays below the noise floor.
     (0.526, 0.763): """verdict: ConvergedToPlus
@@ -135,7 +136,7 @@ oscillatory: false
 system psi: psi0: extrema=0 sign_changes=0; psi1: extrema=0 sign_changes=0; oscillatory=false
 system theta_v: theta: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
 system u_v: u: extrema=0 sign_changes=0; v: extrema=0 sign_changes=0; oscillatory=false
-samples: 218  trajectory: {out}
+samples: {samples}  trajectory: {out}
 """,
 }
 
@@ -146,7 +147,8 @@ class TestProfileCommand:
         out_file = tmp_path / "traj.csv"
         args = ["profile", "--eps", repr(point[0]), "--q", repr(point[1]), "--out", str(out_file)]
         assert main(args) == 0
-        assert capsys.readouterr().out == PROFILE_STDOUT[point].format(out=out_file)
+        want = PROFILE_STDOUT[point].format(samples=PINS[point].samples, out=out_file)
+        assert capsys.readouterr().out == want
 
     def test_node_profile(self, tmp_path, capsys):
         out_file = tmp_path / "traj.csv"
@@ -173,7 +175,7 @@ class TestProfileCommand:
             assert main(args + ["--out", str(out_file)]) == 0
         out = capsys.readouterr().out
         assert "verdict: ConvergedToPlus" in out
-        assert "samples: 488" in out
+        assert f"samples: {PINS[(0.5, 0.9)].samples}" in out
 
     def test_focus_profile(self, tmp_path, capsys):
         out_file = tmp_path / "traj.csv"

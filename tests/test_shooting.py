@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 from scipy.integrate import LSODA
 
 from conftest import spiral_samples
+from shot_pins import (
+    DIGEST_POINTS, EDGE_POINTS, PINS, WORK, measure, measure_work
+)
 from radshock.classification import local_spectrum
 from radshock.equilibria import rest_points, state_from_v, v_plus_squared
 from radshock.errors import (
@@ -627,7 +630,7 @@ class TestShootGuards:
         # orbit cross it: the last two samples lie on either side.
         res = shoot(0.5, 0.9999)
         assert res.verdict is ProfileVerdict.HIT_SINGULAR_LOCUS
-        assert res.states.shape[0] == 286
+        assert res.states.shape[0] == PINS[(0.5, 0.9999)].samples
         _, _, v = theta_u_v(res.states[-2:, 0], res.states[-2:, 1])
         assert v[0] ** 2 > singular_locus_v_sq(0.5) >= v[1] ** 2
 
@@ -704,17 +707,9 @@ class TestShootGuards:
         # verdicts and samples: 2,001 in all.  Stepped in psi they took 386,
         # 390, 392, 288, 917 and 256 (2,629): at (0.5, 1 - 1e-6) LSODA's
         # stiffness test misread the top edge.
-        points = [
-            ((1e-3, 0.8), ProfileVerdict.CONVERGED_TO_PLUS, 368),
-            ((1e-4, 0.8), ProfileVerdict.CONVERGED_TO_PLUS, 367),
-            ((1e-6, 0.8), ProfileVerdict.CONVERGED_TO_PLUS, 387),
-            ((0.5, 0.9999), ProfileVerdict.HIT_SINGULAR_LOCUS, 286),
-            ((0.5, 1.0 - 1e-6), ProfileVerdict.HIT_SINGULAR_LOCUS, 365),
-            ((1.0, 0.75 + 1e-6), ProfileVerdict.CONVERGED_TO_PLUS, 228),
-        ]
-        results = [shoot(*point) for point, _, _ in points]
-        assert [(res.verdict, res.states.shape[0]) for res in results] == [
-            (verdict, n) for _, verdict, n in points
+        results = [shoot(*point) for point in EDGE_POINTS]
+        assert [(res.verdict.value, res.states.shape[0]) for res in results] == [
+            (PINS[point].verdict, PINS[point].samples) for point in EDGE_POINTS
         ]
 
     @pytest.mark.filterwarnings("error")
@@ -821,9 +816,9 @@ class TestShootGuards:
         # LSODA solver raises it to 100 ulp with a warning, and so does the
         # step loop, without one.
         eps, q = 0.5, 0.9
-        opts = ShootOptions(rel_tol=1e-16, abs_tol=1e-20)
+        opts = ShootOptions(*PINS[(eps, q)].tolerances)
         res = shoot(eps, q, opts)
-        assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
+        assert res.verdict.value == PINS[(eps, q)].verdict
         start, pair, scale = shot_start(eps, q)
         with pytest.warns(UserWarning, match="rtol"):
             _, ref_times, ref_states, _ = lsoda_solver_reference(start, eps, q, pair, scale, opts)
@@ -959,52 +954,27 @@ class TestStepLoopParity:
             assert times.size == shooting._MAX_STEPS + 1
 
 
-# The centres of an 8x8 split of eps in [0.05, 1], q_tilde in [0.76, 0.99],
-# then a node, a focus and a slow spiral.
-WORK_POINTS = [
-    (0.05 + (i + 0.5) * 0.95 / 8, 0.76 + (j + 0.5) * 0.23 / 8) for i in range(8) for j in range(8)
-] + [(1.0, 0.762), (1.0, 0.8), (0.3, 0.95)]
-
-
-def test_shot_work_is_pinned(monkeypatch):
+def test_shot_work_is_pinned():
     # The work of whole shots, counted on every field closure they build:
     # real evaluations (the integrator's right-hand side), complex ones (the
     # complex-step Jacobians of the start direction and of LSODA) and
     # samples.  Any change to the steps taken moves these totals, so a
     # faster shot with the same totals has cheaper steps, not fewer.
-    calls = {"real": 0, "complex": 0}
-    make_field = shooting._field
-
-    def counting_factory(eps, q_tilde):
-        field = make_field(eps, q_tilde)
-
-        def counting_field(y0, y1):
-            kind = "complex" if isinstance(y0, complex) or isinstance(y1, complex) else "real"
-            calls[kind] += 1
-            return field(y0, y1)
-
-        return counting_field
-
-    monkeypatch.setattr(shooting, "_field", counting_factory)
-    samples = sum(len(shoot(eps, q).times) for eps, q in WORK_POINTS)
-    assert (calls["real"], calls["complex"], samples) == (39_246, 196, 18_597)
+    assert measure_work() == WORK
 
 
-WHOLE_SHOT_DIGESTS = [
-    ((1.0, 0.762), "48eab68a079ec5a3bef416c54af916bc07b8d599d1715260e79cf144386c74ea"),
-    ((1.0, 0.8), "3a3995adb13d9d288bf698771bf63694644f1c9fde8d0d55398e8cd7635b27de"),
-    ((1e-6, 0.8), "0693b8932ed4bb09773e49e36cf33b632fcc1c758cf74b94b807abab5c758d8e"),
-    ((0.5, 0.9999), "b065b4c5c171fa99f478649886b89ee806be7a27baf66c954edf16feffd4d874"),
-    ((1.0, 1.0 - 1e-6), "6feb55430a64e30563991a0d5b73813b3cb4a1b052628de1242848fc8228868c"),
-]
+@pytest.mark.parametrize("point", list(PINS), ids=[str(point) for point in PINS])
+def test_pinned_shot(point):
+    # Each row of the pin table: verdict, flag, samples, field evaluations
+    # and, where the row has one, the digest of every sample.
+    assert measure(point) == PINS[point]
 
 
-@pytest.mark.parametrize(
-    "point,digest", WHOLE_SHOT_DIGESTS, ids=[f"point{i}" for i in range(5)]
-)
-def test_whole_shot_digest(point, digest):
+@pytest.mark.parametrize("point", DIGEST_POINTS, ids=[f"point{i}" for i in range(5)])
+def test_whole_shot_digest(point):
     # Every sample of these shots, to the last bit: a rounding change
     # anywhere in the field, the start direction or the step loop shows here.
+    digest = PINS[point].digest
     assert hashlib.sha256(profile_to_csv(shoot(*point)).encode()).hexdigest() == digest
 
 
@@ -1026,13 +996,12 @@ def test_whole_shot_digest_without_scipy_integrate():
     env = dict(os.environ)
     src = str(Path(shooting.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    points = [point for point, _ in WHOLE_SHOT_DIGESTS]
     proc = subprocess.run(
-        [sys.executable, "-c", _DIGESTS_IN_A_FRESH_PROCESS, json.dumps(points)],
+        [sys.executable, "-c", _DIGESTS_IN_A_FRESH_PROCESS, json.dumps(DIGEST_POINTS)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     *digests, loaded = json.loads(proc.stdout)
-    assert digests == [digest for _, digest in WHOLE_SHOT_DIGESTS]
+    assert digests == [PINS[point].digest for point in DIGEST_POINTS]
     assert loaded is False
 
 
