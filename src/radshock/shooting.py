@@ -1,18 +1,18 @@
 """Heteroclinic shooting for the profile field B#(psi, eps) psi' = F(psi, q).
 
-A shot starts a fixed small offset along the unstable eigenvector of the
-upstream saddle and integrates with LSODA, which switches between Adams and
-BDF formulas as the field turns stiff (eps -> 0).  LSODA steps the null
-coordinates a = psi0 + psi1, b = psi0 - psi1, in which ab = theta^-2 does not
-cancel at the strong-shock edge; each accepted step is read back in psi.  The
-field is one closure per shot, built by `_field`, the only place the package
-applies B#; its Jacobian, and the start direction, come from a complex step
-through it.  The
-step loop calls ODEPACK's LSODA runner, which `_compiled` loads from scipy's
-compiled module, one step at a time.  The loop stops when the orbit is
-captured at the downstream rest point (its last sample put where the step's
-chord meets the capture sphere), escapes, crosses the singular locus of the
-dissipation matrix, or exhausts the step or pseudo-time budget.
+A shot starts on the unstable manifold of the upstream saddle, from its
+second-order parameterization, and integrates with LSODA, which switches
+between Adams and BDF formulas as the field turns stiff (eps -> 0).  LSODA
+steps the null coordinates a = psi0 + psi1, b = psi0 - psi1, in which ab =
+theta^-2 does not cancel at the strong-shock edge; each accepted step is read
+back in psi.  The field is one closure per shot, built by `_field`, the only
+place the package applies B#; its Jacobian, and the start's tangent and
+curvature, come from complex steps through it.  The step loop calls
+ODEPACK's LSODA runner, which `_compiled` loads from scipy's compiled module,
+one step at a time.  The loop stops when the orbit is captured at the
+downstream rest point (its last sample put where the step's chord meets the
+capture sphere), escapes, crosses the singular locus of the dissipation
+matrix, or exhausts the step or pseudo-time budget.
 `oscillation_report` counts the extrema and sign changes of the samples'
 coordinate series around their limits.
 """
@@ -36,11 +36,16 @@ from .model import (
     GodunovState, det_b_sharp_closed, singular_locus_v_sq, theta_u_v
 )
 
-# A shot starts this far from psi_minus along the unstable eigenvector,
+# A shot starts this far out on the saddle's unstable manifold, in the
+# parameter sigma of its second-order parameterization (see `_start`),
 # relative to |psi_minus - psi_plus|.  A numerical choice, not a parameter of
-# the physics.  Added to psi_minus it rounds by at most 1.4e-6 of itself on a
-# sweep of the square from eps = 1e-12 and q_tilde = 3/4 + 1e-8 to 1 - 1e-15.
-_OFFSET = 1e-7
+# the physics.  At interior points the start lies 1e-12 to 1e-9 of that size
+# off the manifold, where a linear start this far out would lie 1e-10 to
+# 1.4e-7 off, and its departure from psi_minus is far above what LSODA's
+# error test, relative to |y|, can miss at loose tolerances.  Added to
+# psi_minus it rounds by at most 8.4e-11 of itself on a sweep of the square
+# from eps = 1e-12 and q_tilde = 3/4 + 1e-8 to 1 - 1e-8.
+_OFFSET = 3e-3
 
 # Imaginary step of the complex-step Jacobian (Squire & Trapp, SIAM Rev. 40,
 # 1998): Im f(y + ih e_k) / h has no subtractive cancellation, so any h far
@@ -307,12 +312,19 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
     makes the kinematic velocity decrease along it.
     """
     eps, q_tilde = check_omega(eps, q_tilde)
-    return _unstable_direction(rest_points(q_tilde), _field(eps, q_tilde), eps, q_tilde)
+    _, _, vec = _saddle(rest_points(q_tilde), _psi_field(_field(eps, q_tilde)), eps, q_tilde)
+    return np.array(vec)
 
 
-def _unstable_direction(pair: EquilibriumPair, field, eps: float, q_tilde: float) -> np.ndarray:
-    psi_minus = pair.psi_minus
-    (j00, j01), (j10, j11) = _field_jacobian(_psi_field(field), psi_minus.psi0, psi_minus.psi1)
+def _saddle(pair: EquilibriumPair, psi_field, eps: float, q_tilde: float):
+    """(J, lambda, v) at psi_minus, in Python floats, for the field `psi_field` in psi.
+
+    J is its Jacobian by complex step, lambda J's positive eigenvalue in
+    closed form, and v the unit eigenvector of lambda aimed at psi_plus.
+    """
+    psi_minus, psi_plus = pair.psi_minus, pair.psi_plus
+    jac = _field_jacobian(psi_field, psi_minus.psi0, psi_minus.psi1)
+    (j00, j01), (j10, j11) = jac
     # J is local_spectrum's matrix times (4/3) theta^5 m(v-)/m(v+), as F = 0
     # here; its closed forms do not cancel as q_tilde -> 1, where adj(B#) A's
     # entries grow like v^8.  Its singular-locus check is left out: v_minus^2
@@ -323,14 +335,58 @@ def _unstable_direction(pair: EquilibriumPair, field, eps: float, q_tilde: float
         raise NotASaddle(f"eigenvalues {lo}, {hi} at psi_minus({q_tilde}), eps={eps}")
     lam_pos = (4.0 / 3.0) * theta**5 * hi.real * det_b_sharp_closed(v * v, eps)
     lam_pos /= det_b_sharp_closed(pair.v_plus_sq, eps)
-    cand_a = np.array([j01, lam_pos - j00])
-    cand_b = np.array([lam_pos - j11, j10])
-    vec = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
-    vec = vec / np.linalg.norm(vec)
-    toward_plus = pair.psi_plus.as_array() - psi_minus.as_array()
-    if float(vec @ toward_plus) < 0.0:
-        vec = -vec
-    return vec
+    # Either row of J - lambda I gives the eigenvector; the longer one rounds less.
+    cand_a, cand_b = (j01, lam_pos - j00), (lam_pos - j11, j10)
+    norm_a, norm_b = math.hypot(*cand_a), math.hypot(*cand_b)
+    (v0, v1), norm = (cand_a, norm_a) if norm_a >= norm_b else (cand_b, norm_b)
+    if v0 * (psi_plus.psi0 - psi_minus.psi0) + v1 * (psi_plus.psi1 - psi_minus.psi1) < 0.0:
+        norm = -norm
+    return jac, lam_pos, (v0 / norm, v1 / norm)
+
+
+def _start(pair: EquilibriumPair, field, eps: float, q_tilde: float):
+    """(start, shift, scale): a shot's start in psi, start - psi_minus, |psi_minus - psi_plus|.
+
+    The start is the saddle's unstable manifold to second order,
+    P(sigma) = psi_minus + sigma v + sigma^2 w, at sigma = _OFFSET scale
+    (Cabre, Fontich & de la Llave, Indiana Univ. Math. J. 52, 2003).  With
+    G the field in psi, J its Jacobian and lambda, v its unstable eigenpair
+    at psi_minus, invariance of the manifold under the flow, G(P(sigma)) =
+    lambda sigma P'(sigma), holds at order sigma^2 for (2 lambda I - J) w =
+    D^2G[v, v] / 2, which has a unique solution: 2 lambda is not an eigenvalue
+    of J.  D^2G[v, v] is a central difference, at psi_minus +- sigma v / 30,
+    of two complex-step derivatives of G along v.  sigma is capped so that
+    the shift moves neither null component of psi_minus by more than a tenth
+    of itself, and a w that is not finite, as where the field's terms cancel
+    within 5e-9 of q_tilde = 1, is dropped.
+    """
+    psi_field = _psi_field(field)
+    ((j00, j01), (j10, j11)), lam, (v0, v1) = _saddle(pair, psi_field, eps, q_tilde)
+    m0, m1 = pair.psi_minus.psi0, pair.psi_minus.psi1
+    scale = math.hypot(m0 - pair.psi_plus.psi0, m1 - pair.psi_plus.psi1)
+    # The null components (c, l) of psi_minus and of v.  This first cap, sigma
+    # |l| <= c / 10, keeps the difference points well inside the cone.
+    null = ((m0 + m1, v0 + v1), (m0 - m1, v0 - v1))
+    sigma = min([_OFFSET * scale] + [0.1 * c / abs(l) for c, l in null if l])
+    h, ih = sigma / 30.0, _COMPLEX_STEP
+    fp = psi_field(complex(m0 + h * v0, ih * v0), complex(m1 + h * v1, ih * v1))
+    fm = psi_field(complex(m0 - h * v0, ih * v0), complex(m1 - h * v1, ih * v1))
+    # r = D^2G[v, v] / 2, then w by Cramer's rule.
+    r0, r1 = ((f.imag - g.imag) / (4.0 * h * ih) for f, g in zip(fp, fm))
+    d00, d11 = 2.0 * lam - j00, 2.0 * lam - j11
+    det = d00 * d11 - j01 * j10
+    w0 = w1 = 0.0
+    if det != 0.0:
+        w0, w1 = (d11 * r0 + j01 * r1) / det, (j10 * r0 + d00 * r1) / det
+    if not abs(w0) + abs(w1) < math.inf:
+        w0 = w1 = 0.0
+    # The cap itself: the shift of each null component, sigma l + sigma^2 k,
+    # keeps sigma |l| + sigma^2 |k| <= c / 10.
+    for (c, l), k in zip(null, (w0 + w1, w0 - w1)):
+        if l or k:
+            sigma = min(sigma, 0.2 * c / (abs(l) + math.sqrt(l * l + 0.4 * c * abs(k))))
+    shift = (sigma * (v0 + sigma * w0), sigma * (v1 + sigma * w1))
+    return np.array([m0 + shift[0], m1 + shift[1]]), shift, scale
 
 
 def _count_extrema(x: list[float], floor: float) -> int:
@@ -507,25 +563,24 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     """Shoot the unstable manifold of the saddle toward the attractor.
 
     Returns the sampled trajectory, a convergence verdict and the oscillation
-    report.  The shot starts a fixed offset of 1e-7 |psi_minus - psi_plus|
-    along the unstable eigenvector.  The samples are the integrator's
-    accepted steps; a converged shot's last sample lies on the capture
-    sphere around psi_plus.  Non-convergence is a verdict, not an error; a
-    start point outside the cone, as at some q_tilde within 3e-8 of 1,
-    raises StateOutsideDomain.
+    report.  The shot starts on the saddle's unstable manifold, to second
+    order, 3e-3 |psi_minus - psi_plus| out (see `_start`).  The samples are
+    the integrator's accepted steps; a converged shot's last sample lies on
+    the capture sphere around psi_plus.  Non-convergence is a verdict, not an
+    error.  A start or a sample outside the cone psi0 > |psi1| raises
+    StateOutsideDomain: the start moves neither null component of psi_minus
+    by more than a tenth of itself, but within about 1e-12 of q_tilde = 1 a
+    sample read back in psi can round out of the cone.
     """
     if opts is None:
         opts = ShootOptions()
     eps, q_tilde = check_omega(eps, q_tilde)
     pair = rest_points(q_tilde)
     field = _field(eps, q_tilde)
-    direction = _unstable_direction(pair, field, eps, q_tilde)
-    psi_minus = pair.psi_minus.as_array()
-    scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
-    start = psi_minus + _OFFSET * scale * direction
+    start, _, scale = _start(pair, field, eps, q_tilde)
     if not start[0] > abs(start[1]):
         raise StateOutsideDomain(
-            f"offset {_OFFSET} puts the start point {start.tolist()} outside the cone "
+            f"the start point {start.tolist()} lies outside the cone "
             f"psi0 > |psi1| at eps={eps}, q_tilde={q_tilde}"
         )
     verdict, times, states = _integrate(field, start, eps, pair, scale, opts)

@@ -39,47 +39,47 @@ class ShotPin:
 
 PINS = {
     (1.0, 0.762): ShotPin(
-        "ConvergedToPlus", False, 211, (452, 2),
+        "ConvergedToPlus", False, 174, (358, 4),
         "a node shot, to the last bit",
-        digest="48eab68a079ec5a3bef416c54af916bc07b8d599d1715260e79cf144386c74ea",
+        digest="eaf62fdc8bb99ee81eb4b6de24b406fa1de0df5ff93c7e09791a73a55ab378c4",
     ),
     (1.0, 0.8): ShotPin(
-        "ConvergedToPlus", True, 213, (451, 2),
+        "ConvergedToPlus", True, 192, (394, 4),
         "a focus shot, to the last bit; the profile command's stdout",
-        digest="3a3995adb13d9d288bf698771bf63694644f1c9fde8d0d55398e8cd7635b27de",
+        digest="cb33ed9a03697c3d55907387e7b8545516ca8349e94098e7b2b81e88e7596fb0",
     ),
     (1e-6, 0.8): ShotPin(
-        "ConvergedToPlus", False, 387, (722, 42),
+        "ConvergedToPlus", False, 339, (602, 38),
         "the default scan's lower eps edge, singularly perturbed, to the last bit",
-        digest="0693b8932ed4bb09773e49e36cf33b632fcc1c758cf74b94b807abab5c758d8e",
+        digest="3045312e128f41e660c86e88d0d2f7bcf7264b992e1ad1481b4af331ab705b22",
     ),
     (0.5, 0.9999): ShotPin(
-        "HitSingularLocus", False, 286, (603, 2),
+        "HitSingularLocus", False, 241, (491, 4),
         "det(B#) cancels at psi_minus; the orbit crosses the locus, to the last bit",
-        digest="b065b4c5c171fa99f478649886b89ee806be7a27baf66c954edf16feffd4d874",
+        digest="40619c90fa4b38ce3a517fd5d4005608a43f437aa2a5e4df5ac141686814b65e",
     ),
     (1.0, 1.0 - 1e-6): ShotPin(
-        "ConvergedToPlus", False, 417, (873, 2),
+        "ConvergedToPlus", False, 375, (761, 4),
         "the default scan's upper q edge at eps = 1, to the last bit",
-        digest="6feb55430a64e30563991a0d5b73813b3cb4a1b052628de1242848fc8228868c",
+        digest="70818300f8c5018431bb84d329ece34fc1f19101490a7e0adaad4b96d113a3d6",
     ),
-    (1e-3, 0.8): ShotPin("ConvergedToPlus", False, 368, (713, 28), "a stiff edge point"),
-    (1e-4, 0.8): ShotPin("ConvergedToPlus", False, 367, (700, 32), "a stiffer edge point"),
+    (1e-3, 0.8): ShotPin("ConvergedToPlus", False, 355, (661, 42), "a stiff edge point"),
+    (1e-4, 0.8): ShotPin("ConvergedToPlus", False, 325, (588, 32), "a stiffer edge point"),
     (0.5, 1.0 - 1e-6): ShotPin(
-        "HitSingularLocus", False, 365, (763, 2),
+        "HitSingularLocus", False, 350, (715, 4),
         "the upper q edge, where LSODA stepping psi misread the field as stiff",
     ),
     (1.0, 0.75 + 1e-6): ShotPin(
-        "ConvergedToPlus", False, 228, (321, 44),
+        "ConvergedToPlus", False, 204, (303, 38),
         "the lower q edge, where the decay rate at psi_plus vanishes",
     ),
-    (1.0, 0.76): ShotPin("ConvergedToPlus", False, 215, (458, 2), "the profile command's stdout"),
+    (1.0, 0.76): ShotPin("ConvergedToPlus", False, 173, (358, 10), "the profile command's stdout"),
     (0.526, 0.763): ShotPin(
-        "ConvergedToPlus", False, 218, (473, 2),
+        "ConvergedToPlus", False, 164, (336, 4),
         "the profile command's stdout: a focus whose spiral stays below the noise floor",
     ),
     (0.5, 0.9): ShotPin(
-        "ConvergedToPlus", False, 488, (977, 2),
+        "ConvergedToPlus", False, 502, (948, 14),
         "rel_tol below 100 ulp, raised to it for LSODA",
         tolerances=(1e-16, 1e-20),
     ),
@@ -100,7 +100,7 @@ WORK_POINTS = [
 ] + [(1.0, 0.762), (1.0, 0.8), (0.3, 0.95)]
 
 # Summed over the shots at WORK_POINTS: (real evaluations, complex ones, samples).
-WORK = (39_246, 196, 18_597)
+WORK = (33_232, 310, 16_305)
 
 
 @contextlib.contextmanager

@@ -7,6 +7,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radshock.cli
@@ -190,8 +191,13 @@ class TestProfileCommand:
     def test_degenerate(self):
         assert main(["profile", "--eps", "1", "--q", "0.750000001"]) == 2
 
-    def test_start_outside_the_cone(self, tmp_path, capsys):
-        # Within about 3e-8 of q_tilde = 1 the fixed offset leaves the cone.
+    def test_start_outside_the_cone(self, monkeypatch, tmp_path, capsys):
+        # The start moves neither null component of psi_minus by more than a
+        # tenth of itself, so none found on a sweep of the square leaves the
+        # cone (the linear start 1e-7 out did at q_tilde = 0.999999999); a
+        # stand-in start outside it takes `shoot`'s raise to the exit code.
+        outside = (np.array([1.0, 2.0]), (0.0, 1.0), 1.0)
+        monkeypatch.setattr(radshock.shooting, "_start", lambda *_: outside)
         out_file = tmp_path / "traj.csv"
         args = ["profile", "--eps", "1", "--q", "0.999999999", "--out", str(out_file)]
         assert main(args) == 2

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import LSODA
+from scipy.integrate import LSODA, solve_ivp
 
 from conftest import spiral_samples
 from shot_pins import (
@@ -30,6 +30,7 @@ from radshock.errors import (
     StateOutsideDomain,
     TooFewSamples,
 )
+from radshock.scan import ScanConfig
 from radshock.model import (
     GodunovState,
     Kinematics,
@@ -236,12 +237,20 @@ def mpmath_unstable_direction(eps, q_tilde, dps=80):
         return np.array([float(x / norm) for x in vec])
 
 
-def shot_start(eps, q_tilde):
-    """The start state, rest points and length scale `shoot` hands to `_integrate`."""
+def shot_start(eps, q_tilde, linear_offset=None):
+    """The start state, rest points and length scale `shoot` hands to `_integrate`.
+
+    Given `linear_offset`, the start lies that far from psi_minus along the
+    unstable eigenvector instead, relative to the length scale: the linear
+    start that shots took before they started on the manifold to second
+    order, kept as test data where a case needs its first step.
+    """
     pair = rest_points(q_tilde)
-    psi_minus = pair.psi_minus.as_array()
-    scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
-    return psi_minus + shooting._OFFSET * scale * unstable_direction(eps, q_tilde), pair, scale
+    start, _, scale = shooting._start(pair, _field(eps, q_tilde), eps, q_tilde)
+    if linear_offset is not None:
+        direction = unstable_direction(eps, q_tilde)
+        start = pair.psi_minus.as_array() + linear_offset * scale * direction
+    return start, pair, scale
 
 
 def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
@@ -530,6 +539,70 @@ class TestUnstableDirection:
         assert float(f @ vec) > 0.0
 
 
+class TestManifoldStart:
+    @pytest.mark.parametrize(
+        "eps,q",
+        [(1.0, 0.762), (1.0, 0.8), (0.3, 0.95), (1e-3, 0.8), (1e-6, 0.8), (0.5, 0.9),
+         (0.05, 0.99), (0.5, 0.9999)],
+    )
+    def test_start_lies_on_the_unstable_manifold(self, eps, q):
+        # The reference is the orbit from a linear start 1e-10 of the
+        # shock's size out, whose distance from the manifold is of order
+        # (1e-10)^2 and shrinks as it leaves, stepped by scipy's LSODA at
+        # rel_tol 1e-13 and abs_tol 1e-16 to the sphere about psi_minus
+        # through the start.  The start's distance to where it crosses that
+        # sphere is its distance from the manifold: measured 1e-12 to 9.6e-10
+        # of the shock's size here, against 1.3e-10 to 1.4e-7 for the linear
+        # start at the same distance.  The bound sits about 10x above.
+        pair = rest_points(q)
+        field = _field(eps, q)
+        start, shift, scale = shooting._start(pair, field, eps, q)
+        psi_minus = pair.psi_minus.as_array()
+        radius = math.hypot(*shift)
+        direction = unstable_direction(eps, q)
+        y0, y1 = psi_minus + 1e-10 * scale * direction
+
+        def to_sphere(_t, y):
+            a, b = map(float, y)
+            return math.hypot(0.5 * (a + b) - psi_minus[0], 0.5 * (a - b) - psi_minus[1]) - radius
+
+        to_sphere.terminal = True
+        ref = solve_ivp(
+            lambda _t, y: field(*y.tolist()), (0.0, _MAX_PSEUDO_TIME), [y0 + y1, y0 - y1],
+            method="LSODA", rtol=1e-13, atol=1e-16, events=to_sphere,
+            jac=lambda _t, y: _field_jacobian(field, *y.tolist()),
+        )
+        a, b = ref.y_events[0][0]
+        crossing = np.array([0.5 * (a + b), 0.5 * (a - b)])
+        error = np.linalg.norm(start - crossing)
+        assert error <= 1e-8 * scale
+        assert error <= 0.05 * np.linalg.norm(psi_minus + radius * direction - crossing)
+
+
+class TestToleranceIndependence:
+    # The default 20x20 grid's bottom and top rows.  From the linear start
+    # 1e-7 out, whose departure from psi_minus lies below rel_tol |y| once
+    # rel_tol is loose, the bottom row converged in 3, 4 and 8 of 20 cells
+    # at rel_tol 1e-4, 1e-6 and 1e-8, most of the rest ending at the saddle,
+    # and the top row gave 1 converged, 9 HitSingularLocus and 10 Stalled
+    # at 1e-13.
+    GRID = ScanConfig(eps_count=20, q_count=20)
+    EPS_ROW = np.linspace(GRID.eps_lo, GRID.eps_hi, GRID.eps_count).tolist()
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-6, 1e-8])
+    def test_bottom_row_converges_at_loose_tolerances(self, rel_tol):
+        opts = ShootOptions(rel_tol=rel_tol)
+        verdicts = [shoot(eps, self.GRID.q_lo, opts).verdict for eps in self.EPS_ROW]
+        assert verdicts == [ProfileVerdict.CONVERGED_TO_PLUS] * len(self.EPS_ROW)
+
+    def test_top_row_keeps_its_verdicts_at_tight_tolerance(self):
+        # 7 ConvergedToPlus and 13 HitSingularLocus, within the step budget.
+        q, opts = self.GRID.q_hi, ShootOptions(rel_tol=1e-13)
+        tight = [shoot(eps, q, opts) for eps in self.EPS_ROW]
+        assert [res.verdict for res in tight] == [shoot(eps, q).verdict for eps in self.EPS_ROW]
+        assert max(res.times.size for res in tight) <= shooting._MAX_STEPS
+
+
 class TestShootNodeRegion:
     def test_converges(self, node_shot):
         assert node_shot.verdict is ProfileVerdict.CONVERGED_TO_PLUS
@@ -558,9 +631,13 @@ class TestShootNodeRegion:
         assert np.max(np.abs(u * u - v * v - 1.0)) < 1e-12
 
     def test_velocity_endpoints(self, node_shot):
+        # The first sample lies _OFFSET of the shock's size out on the
+        # unstable manifold, which puts its v 0.93 _OFFSET (v_minus - v_plus)
+        # below v_minus here; the last lies on the capture sphere.
         kin = node_shot.kinematics_array()
-        assert kin[0, 2] == pytest.approx(math.sqrt(0.7232874559808615), abs=1e-5)
-        assert kin[-1, 2] == pytest.approx(math.sqrt(0.3600458773524719), abs=1e-6)
+        v_minus, v_plus = math.sqrt(0.7232874559808615), math.sqrt(0.3600458773524719)
+        assert 0.0 < v_minus - kin[0, 2] <= shooting._OFFSET * (v_minus - v_plus)
+        assert kin[-1, 2] == pytest.approx(v_plus, abs=1e-6)
 
 
 class TestShootFocusRegion:
@@ -583,7 +660,7 @@ class TestShootFocusRegion:
     def test_offset_robustness(self, monkeypatch, point):
         eps, q = point
         base = shoot(eps, q)
-        monkeypatch.setattr(shooting, "_OFFSET", 5e-8)
+        monkeypatch.setattr(shooting, "_OFFSET", shooting._OFFSET / 2.0)
         halved = shoot(eps, q)
         assert base.verdict is halved.verdict
         for system in ("psi", "theta_v", "u_v"):
@@ -679,9 +756,10 @@ class TestShootGuards:
         # along the slow manifold until the step budget ended it Stalled
         # (10,001 samples); factored through the rest points it converges,
         # in 887 samples in B#^-1 F's time and 977 in the field's, stepped
-        # in null coordinates.  The drift along the locus, where the time
-        # factor m(v)/m(v+) falls to 0.02, costs more than in B#^-1 F's
-        # time.  The bound keeps the work a fifth of the step budget.
+        # in null coordinates, and 939 from the manifold start.  The drift
+        # along the locus, where the time factor m(v)/m(v+) falls to 0.02,
+        # costs more than in B#^-1 F's time.  The bound keeps the work a
+        # fifth of the step budget.
         res = shoot(1e-6, 1.0 - 1e-6)
         assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
         assert res.oscillation.oscillatory is False
@@ -693,7 +771,8 @@ class TestShootGuards:
         # switched to BDF in the fast jump from psi_minus, though h |lambda|
         # was about 0.01, because its stiffness test read a Jacobian whose
         # norm exceeded its spectral radius about 1e5-fold.  In null
-        # coordinates the same offsets give 972-1,081.
+        # coordinates the same offsets gave 972-1,081, and from the manifold
+        # start at 3e-3 they give 927-982.
         counts, offset = [], shooting._OFFSET
         for k in np.linspace(-5e-4, 5e-4, 11).tolist():
             monkeypatch.setattr(shooting, "_OFFSET", offset * (1.0 + k))
@@ -704,9 +783,10 @@ class TestShootGuards:
 
     def test_stiff_and_cancelling_points_work_is_pinned(self):
         # Six stiff or cancelling points near the square's edges, with their
-        # verdicts and samples: 2,001 in all.  Stepped in psi they took 386,
-        # 390, 392, 288, 917 and 256 (2,629): at (0.5, 1 - 1e-6) LSODA's
-        # stiffness test misread the top edge.
+        # verdicts and samples: 1,814 in all, 2,001 from the linear start
+        # 1e-7 out.  Stepped in psi they took 386, 390, 392, 288, 917 and 256
+        # (2,629): at (0.5, 1 - 1e-6) LSODA's stiffness test misread the top
+        # edge.
         results = [shoot(*point) for point in EDGE_POINTS]
         assert [(res.verdict.value, res.states.shape[0]) for res in results] == [
             (PINS[point].verdict, PINS[point].samples) for point in EDGE_POINTS
@@ -738,11 +818,12 @@ class TestShootGuards:
 
     @pytest.mark.filterwarnings("error")
     def test_finite_first_step_out_of_the_cone_escapes(self):
-        # With no error control, LSODA's first step lands outside the cone
-        # with a finite state.  ShootOptions rejects such a tolerance, so a
-        # stand-in options object hands it to the step loop directly.
+        # With no error control, LSODA's first step from the linear start
+        # 1e-7 out lands outside the cone with a finite state.  ShootOptions
+        # rejects such a tolerance, so a stand-in options object hands it to
+        # the step loop directly.
         eps, q = 1.0, 0.8
-        start, pair, scale = shot_start(eps, q)
+        start, pair, scale = shot_start(eps, q, linear_offset=1e-7)
         loose = SimpleNamespace(rel_tol=1e10, abs_tol=1e-12)
         verdict, times, states = _integrate(_field(eps, q), start, eps, pair, scale, loose)
         assert verdict is ProfileVerdict.ESCAPED
@@ -752,29 +833,31 @@ class TestShootGuards:
     def test_start_point_resolves_the_offset_across_the_square(self):
         # Rounding of psi_minus + shift must not swamp the shift, or the
         # verdict turns on that rounding: it did for offsets below 1e-14.
-        # At the fixed offset it is at most 1.4e-6 of the shift here, with
-        # both edges of q_tilde approached geometrically.  Starts outside
-        # the cone, all within 1.5e-8 of q_tilde = 1, raise in `shoot`.
+        # Both edges of q_tilde are approached geometrically.  Up to 1e-8
+        # from q_tilde = 1 the shift is the full _OFFSET scale along the
+        # unstable eigenvector, the cap never binding, and rounds by at most
+        # 8.4e-11 of itself (the linear start 1e-7 out rounded by 1.4e-6).
+        # Nearer, the cap shrinks it, and every start still lies in the
+        # cone, where 35 of these linear starts lay outside.
         eps_values = [1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
         q_values = np.unique(np.concatenate(
             (0.75 + np.geomspace(1.00000001e-8, 0.125, 60), 1.0 - np.geomspace(0.125, 1e-15, 60))
         )).tolist()
-        worst, outside = 0.0, 0
+        worst = 0.0
         for q in q_values:
             pair = rest_points(q)
             psi_minus = pair.psi_minus.as_array()
-            scale = float(np.linalg.norm(psi_minus - pair.psi_plus.as_array()))
             for eps in eps_values:
-                shift = shooting._OFFSET * scale * unstable_direction(eps, q)
-                start = psi_minus + shift
-                if not start[0] > abs(start[1]):
-                    assert q > 1.0 - 3e-8, (eps, q)
-                    outside += 1
+                start, shift, scale = shooting._start(pair, _field(eps, q), eps, q)
+                assert start[0] > abs(start[1]), (eps, q)
+                if q > 1.0 - 1e-8:
                     continue
-                error = np.linalg.norm(start - psi_minus - shift) / (shooting._OFFSET * scale)
+                shift = np.array(shift)
+                along = float(shift @ unstable_direction(eps, q))
+                assert along >= 0.9 * shooting._OFFSET * scale, (eps, q)
+                error = np.linalg.norm(start - psi_minus - shift) / np.linalg.norm(shift)
                 worst = max(worst, error)
         assert worst <= 1e-5
-        assert 0 < outside < 0.05 * len(q_values) * len(eps_values)
 
     @pytest.mark.parametrize(
         "spectrum", [(complex(1.0, -2.0), complex(1.0, 2.0)), (complex(1.0), complex(3.0))]
@@ -786,12 +869,17 @@ class TestShootGuards:
 
     @pytest.mark.filterwarnings("error")
     def test_lsoda_failure_ends_in_a_verdict_without_a_warning(self):
-        # LSODA gives up on the first step ("Repeated convergence failures");
-        # the shot ends on that failure path, and ODEPACK's runner, called
-        # directly, raises no warning for it.
-        res = shoot(1e-6, 0.75 + 1e-6, ShootOptions(rel_tol=1e-4))
-        assert isinstance(res.verdict, ProfileVerdict)
-        assert np.all(np.isfinite(res.states))
+        # From the linear start 1e-7 out, LSODA gives up on the first step
+        # ("Repeated convergence failures"); the step loop ends on that
+        # failure path, and ODEPACK's runner, called directly, raises no
+        # warning for it.  The shot's own start converges.
+        eps, q = 1e-6, 0.75 + 1e-6
+        opts = ShootOptions(rel_tol=1e-4)
+        start, pair, scale = shot_start(eps, q, linear_offset=1e-7)
+        verdict, times, states = _integrate(_field(eps, q), start, eps, pair, scale, opts)
+        assert verdict is ProfileVerdict.STALLED and times.size == 1
+        assert np.all(np.isfinite(states))
+        assert shoot(eps, q, opts).verdict is ProfileVerdict.CONVERGED_TO_PLUS
 
     def test_rest_points_solved_once_per_shot(self, monkeypatch):
         calls = []
@@ -889,24 +977,27 @@ class TestCapturePoint:
 
 
 # (point, options, verdict, whether LSODA itself gives up, step budget or None
-# for the default) for TestStepLoopParity.
+# for the default, linear start offset or None for the shot's own start) for
+# TestStepLoopParity.
 PARITY_CASES = [
-    ((1.0, 0.762), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None),  # node
-    ((1.0, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None),  # focus
-    ((1e-6, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None),  # stiff
-    ((0.5, 0.9999), ShootOptions(), ProfileVerdict.HIT_SINGULAR_LOCUS, False, None),
-    # The corner converges in 977 samples; a budget of 400 steps ends it first.
-    ((1e-6, 1.0 - 1e-6), ShootOptions(), ProfileVerdict.STALLED, False, 400),
-    # "Repeated convergence failures" on the first step: istate < 0.
-    ((1e-6, 0.75 + 1e-6), ShootOptions(rel_tol=1e-4), ProfileVerdict.STALLED, True, None),
-    # Both tolerances off their defaults (107 samples), and abs_tol alone
-    # (244 samples, against 368 at the default): an abs_tol handed to the
+    ((1.0, 0.762), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None, None),  # node
+    ((1.0, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None, None),  # focus
+    ((1e-6, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None, None),  # stiff
+    ((0.5, 0.9999), ShootOptions(), ProfileVerdict.HIT_SINGULAR_LOCUS, False, None, None),
+    # The corner converges in 939 samples; a budget of 400 steps ends it first.
+    ((1e-6, 1.0 - 1e-6), ShootOptions(), ProfileVerdict.STALLED, False, 400, None),
+    # "Repeated convergence failures" on the first step: istate < 0.  The
+    # shot's own start converges here (32 samples); from the linear start
+    # 1e-7 out, below what rel_tol 1e-4 resolves, LSODA gives up.
+    ((1e-6, 0.75 + 1e-6), ShootOptions(rel_tol=1e-4), ProfileVerdict.STALLED, True, None, 1e-7),
+    # Both tolerances off their defaults (85 samples), and abs_tol alone
+    # (226 samples, against 355 at the default): an abs_tol handed to the
     # runner per component, or not handed on, changes these samples.
     (
         (1.0, 0.8), ShootOptions(rel_tol=1e-6, abs_tol=1e-9),
-        ProfileVerdict.CONVERGED_TO_PLUS, False, None,
+        ProfileVerdict.CONVERGED_TO_PLUS, False, None, None,
     ),
-    ((1e-3, 0.8), ShootOptions(abs_tol=1e-8), ProfileVerdict.CONVERGED_TO_PLUS, False, None),
+    ((1e-3, 0.8), ShootOptions(abs_tol=1e-8), ProfileVerdict.CONVERGED_TO_PLUS, False, None, None),
 ]
 
 
@@ -918,16 +1009,16 @@ class TestStepLoopParity:
     # guards the runner's call signature and the rwork/iwork layout it is
     # handed.
     @pytest.mark.parametrize(
-        "point,opts,expected,lsoda_fails,max_steps",
+        "point,opts,expected,lsoda_fails,max_steps,linear_offset",
         [pytest.param(*c, id=f"point{i}-{c[2].value}") for i, c in enumerate(PARITY_CASES)],
     )
     def test_samples_match_scipy_lsoda_solver(
-        self, monkeypatch, point, opts, expected, lsoda_fails, max_steps
+        self, monkeypatch, point, opts, expected, lsoda_fails, max_steps, linear_offset
     ):
         if max_steps is not None:
             monkeypatch.setattr(shooting, "_MAX_STEPS", max_steps)
         eps, q = point
-        start, pair, scale = shot_start(eps, q)
+        start, pair, scale = shot_start(eps, q, linear_offset)
         # scipy's solver warns when LSODA gives up; the step loop does not.
         with pytest.warns(UserWarning, match="lsoda") if lsoda_fails else contextlib.nullcontext():
             ref_verdict, ref_times, ref_states, nfev = lsoda_solver_reference(
