@@ -67,14 +67,14 @@ _ESCAPE_RADIUS = 1e2
 # The pseudo-time budget, LSODA's tout and tcrit; a unit is one of B#^-1 F's
 # at psi_plus, m(v+)/m(v) of one elsewhere (see `_field`).  tout also enters
 # ODEPACK's first-step formula, so any other value changes every shot's
-# samples ((1e-4, 0.8) takes 362 at 1e5, 367 at 1e6 and 377 at 1e7).  No
+# samples ((1e-4, 0.8) takes 330 at 1e5, 325 at 1e6 and 337 at 1e7).  No
 # default-tolerance shot of the benchmark or 20x20 scan nears it: the longest,
-# (1, 3/4 + 1e-6), ends at 2.4e4; (1, 1 - 1e-6), at 9.9e5 in B#^-1 F's, at 7.5.
+# (1, 3/4 + 1e-6), ends at 1.7e4; (1, 1 - 1e-6), at 9.9e5 in B#^-1 F's, at 7.6.
 _MAX_PSEUDO_TIME = 1e6
 
 # A shot ends Stalled after this many accepted steps, which bounds the work
 # of one that does not resolve.  At the default tolerances the most taken on
-# the 20x20 scan or the benchmark is 976, at the corner (1e-6, 1 - 1e-6).
+# the 20x20 scan or the benchmark is 938, at the corner (1e-6, 1 - 1e-6).
 _MAX_STEPS = 10_000
 
 # scipy's OpenBLAS, which scipy.integrate._odepack links, starts a worker
