@@ -4,8 +4,9 @@ A row pins what `shoot` gives at its point: the verdict, the oscillatory
 flag, the number of samples, the field evaluations (real ones, the
 integrator's right-hand side, and complex ones, the complex-step Jacobians
 of the start and of LSODA), and for five rows the sha256 of the shot's
-`profile_to_csv`.  `guards` says what the row is there for.  `WORK` pins the
-summed work of the shots at `WORK_POINTS`.
+`profile_to_csv`.  `guards` says what the row is there for.  `WORK` and
+`INTERIOR_WORK` pin the summed work of the shots at `WORK_POINTS` and at
+`INTERIOR_POINTS`.
 
 The tests read these rows, so a change that moves samples edits this file
 alone.  Bounds and tolerances stay in their own tests.  Run as
@@ -21,6 +22,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from radshock import shooting
 from radshock.shooting import ShootOptions, profile_to_csv, shoot
@@ -102,6 +105,16 @@ WORK_POINTS = [
 # Summed over the shots at WORK_POINTS: (real evaluations, complex ones, samples).
 WORK = (33_232, 310, 16_305)
 
+# The benchmark's 147 seed-1 interior points (perfbench/run.py, `interior_points(12, 1)`):
+# one uniform point in each cell of a 12x12 split of eps in [0.05, 1],
+# q_tilde in [0.76, 0.99], then the node, the focus and the slow spiral.
+_U_EPS, _U_Q = np.random.default_rng(1).random((2, 12, 12)).tolist()
+INTERIOR_POINTS = [
+    (0.05 + (i + _U_EPS[i][j]) * (1.0 - 0.05) / 12, 0.76 + (j + _U_Q[i][j]) * (0.99 - 0.76) / 12)
+    for i in range(12) for j in range(12)
+] + [(1.0, 0.762), (1.0, 0.8), (0.3, 0.95)]
+INTERIOR_WORK = (72_265, 782, 35_619)
+
 
 @contextlib.contextmanager
 def counted_evaluations():
@@ -139,9 +152,10 @@ def measure(point) -> ShotPin:
     )
 
 
-def measure_work() -> tuple[int, int, int]:
+def measure_work(points) -> tuple[int, int, int]:
+    """(real evaluations, complex ones, samples) summed over shots at `points`."""
     with counted_evaluations() as calls:
-        samples = sum(len(shoot(*point).times) for point in WORK_POINTS)
+        samples = sum(len(shoot(*point).times) for point in points)
     return calls["real"], calls["complex"], samples
 
 
@@ -152,9 +166,10 @@ def main() -> None:
             old, new = getattr(pin, name), getattr(now, name)
             if old != new:
                 print(f"{point} {name}: {old} -> {new}")
-    work = measure_work()
-    if work != WORK:
-        print(f"work (real, complex, samples): {WORK} -> {work}")
+    for name, points, pinned in (("work", WORK_POINTS, WORK),
+                                 ("interior work", INTERIOR_POINTS, INTERIOR_WORK)):
+        if (work := measure_work(points)) != pinned:
+            print(f"{name} (real, complex, samples): {pinned} -> {work}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from scipy.integrate import LSODA, solve_ivp
 
 from conftest import spiral_samples
 from shot_pins import (
-    DIGEST_POINTS, EDGE_POINTS, PINS, WORK, measure, measure_work
+    DIGEST_POINTS, EDGE_POINTS, INTERIOR_POINTS, INTERIOR_WORK, PINS, WORK, WORK_POINTS, measure,
+    measure_work,
 )
 from radshock.classification import local_spectrum
 from radshock.equilibria import rest_points, state_from_v, v_plus_squared
@@ -1051,7 +1052,13 @@ def test_shot_work_is_pinned():
     # complex-step Jacobians of the start direction and of LSODA) and
     # samples.  Any change to the steps taken moves these totals, so a
     # faster shot with the same totals has cheaper steps, not fewer.
-    assert measure_work() == WORK
+    assert measure_work(WORK_POINTS) == WORK
+
+
+def test_interior_work_is_pinned():
+    # The same totals over the benchmark's 147 seed-1 interior points:
+    # 40,844 samples from the linear start 1e-7 out.
+    assert measure_work(INTERIOR_POINTS) == INTERIOR_WORK
 
 
 @pytest.mark.parametrize("point", list(PINS), ids=[str(point) for point in PINS])
