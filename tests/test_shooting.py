@@ -1049,7 +1049,7 @@ class TestStepLoopParity:
 def test_shot_work_is_pinned():
     # The work of whole shots, counted on every field closure they build:
     # real evaluations (the integrator's right-hand side), complex ones (the
-    # complex-step Jacobians of the start direction and of LSODA) and
+    # complex steps of the start and LSODA's complex-step Jacobians) and
     # samples.  Any change to the steps taken moves these totals, so a
     # faster shot with the same totals has cheaper steps, not fewer.
     assert measure_work(WORK_POINTS) == WORK
