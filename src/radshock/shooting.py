@@ -44,7 +44,10 @@ from .model import (
 # 1.4e-7 off, and its departure from psi_minus is far above what LSODA's
 # error test, relative to |y|, can miss at loose tolerances.  Added to
 # psi_minus it rounds by at most 8.4e-11 of itself on a sweep of the square
-# from eps = 1e-12 and q_tilde = 3/4 + 1e-8 to 1 - 1e-8.
+# from eps = 1e-12 and q_tilde = 3/4 + 1e-8 to 1 - 1e-8, and 1.4e-7 to
+# 1 - 1e-12.  Nearer q_tilde = 1 the cap in `_start` shrinks it, and from
+# 1 - 2.5e-13 on it can round by up to a fifth of itself, where the float
+# field at psi_minus is far from zero and the saddle itself is not resolved.
 _OFFSET = 3e-3
 
 # Imaginary step of the complex-step Jacobian (Squire & Trapp, SIAM Rev. 40,
@@ -345,7 +348,10 @@ def _saddle(pair: EquilibriumPair, psi_field, eps: float, q_tilde: float):
 
 
 def _start(pair: EquilibriumPair, field, eps: float, q_tilde: float):
-    """(start, shift, scale): a shot's start in psi, start - psi_minus, |psi_minus - psi_plus|.
+    """(start, shift, scale): a start in psi, its shift from psi_minus, |psi_minus - psi_plus|.
+
+    `shoot` reads start and scale; shift, unrounded, is there so the tests
+    can measure how psi_minus + shift rounds.
 
     The start is the saddle's unstable manifold to second order,
     P(sigma) = psi_minus + sigma v + sigma^2 w, at sigma = _OFFSET scale

@@ -634,10 +634,12 @@ class TestShootNodeRegion:
     def test_velocity_endpoints(self, node_shot):
         # The first sample lies _OFFSET of the shock's size out on the
         # unstable manifold, which puts its v 0.93 _OFFSET (v_minus - v_plus)
-        # below v_minus here; the last lies on the capture sphere.
+        # below v_minus here, so a start that falls back toward psi_minus
+        # fails; the last lies on the capture sphere.
         kin = node_shot.kinematics_array()
         v_minus, v_plus = math.sqrt(0.7232874559808615), math.sqrt(0.3600458773524719)
-        assert 0.0 < v_minus - kin[0, 2] <= shooting._OFFSET * (v_minus - v_plus)
+        drop = shooting._OFFSET * (v_minus - v_plus)
+        assert 0.9 * drop <= v_minus - kin[0, 2] <= drop
         assert kin[-1, 2] == pytest.approx(v_plus, abs=1e-6)
 
 
@@ -834,31 +836,43 @@ class TestShootGuards:
     def test_start_point_resolves_the_offset_across_the_square(self):
         # Rounding of psi_minus + shift must not swamp the shift, or the
         # verdict turns on that rounding: it did for offsets below 1e-14.
-        # Both edges of q_tilde are approached geometrically.  Up to 1e-8
-        # from q_tilde = 1 the shift is the full _OFFSET scale along the
-        # unstable eigenvector, the cap never binding, and rounds by at most
-        # 8.4e-11 of itself (the linear start 1e-7 out rounded by 1.4e-6).
-        # Nearer, the cap shrinks it, and every start still lies in the
-        # cone, where 35 of these linear starts lay outside.
+        # Both edges of q_tilde are approached geometrically, and every start
+        # lies in the cone, where 35 of the linear starts 1e-7 out lay
+        # outside.  Up to 1e-8 from q_tilde = 1 the shift is the full
+        # _OFFSET scale along the unstable eigenvector, the cap never
+        # binding; nearer, the cap shrinks it.  It rounds by at most 8.4e-11
+        # of itself up to q_tilde = 1 - 1e-8 (the linear start rounded by
+        # 1.4e-6) and 1.4e-7 up to 1 - 1e-12.  At 28 points from 1 - 2.5e-13
+        # on it rounds by up to 0.19 of itself: there the float field at
+        # psi_minus, over lambda, is 1.6e6 to 1.5e14 times the shift, so the
+        # saddle itself is not resolved, and the rounding, at most 7e-12 of
+        # that distance, is held to the same 1e-5 of it instead.  Adding the
+        # shift in null coordinates does not help: a's share of it lies near
+        # a's ulp, and 27 points would still miss 1e-5.
         eps_values = [1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
         q_values = np.unique(np.concatenate(
             (0.75 + np.geomspace(1.00000001e-8, 0.125, 60), 1.0 - np.geomspace(0.125, 1e-15, 60))
         )).tolist()
-        worst = 0.0
+        unresolved = 0
         for q in q_values:
             pair = rest_points(q)
             psi_minus = pair.psi_minus.as_array()
             for eps in eps_values:
-                start, shift, scale = shooting._start(pair, _field(eps, q), eps, q)
+                field = _field(eps, q)
+                start, shift, scale = shooting._start(pair, field, eps, q)
                 assert start[0] > abs(start[1]), (eps, q)
-                if q > 1.0 - 1e-8:
-                    continue
                 shift = np.array(shift)
-                along = float(shift @ unstable_direction(eps, q))
-                assert along >= 0.9 * shooting._OFFSET * scale, (eps, q)
-                error = np.linalg.norm(start - psi_minus - shift) / np.linalg.norm(shift)
-                worst = max(worst, error)
-        assert worst <= 1e-5
+                if q <= 1.0 - 1e-8:
+                    along = float(shift @ unstable_direction(eps, q))
+                    assert along >= 0.9 * shooting._OFFSET * scale, (eps, q)
+                error = np.linalg.norm(start - psi_minus - shift)
+                if error > 1e-5 * np.linalg.norm(shift):
+                    psi_field = _psi_field(field)
+                    _, lam, _ = shooting._saddle(pair, psi_field, eps, q)
+                    residual = math.hypot(*psi_field(*psi_minus.tolist())) / lam
+                    assert q > 1.0 - 5e-13 and error <= 1e-5 * residual, (eps, q)
+                    unresolved += 1
+        assert unresolved <= 28
 
     @pytest.mark.parametrize(
         "spectrum", [(complex(1.0, -2.0), complex(1.0, 2.0)), (complex(1.0), complex(3.0))]
