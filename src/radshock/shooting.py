@@ -2,12 +2,13 @@
 
 A shot starts on the unstable manifold of the upstream saddle, from its
 second-order parameterization, and integrates with LSODA, which switches
-between Adams and BDF formulas as the field turns stiff (eps -> 0).  LSODA
-steps the null coordinates a = psi0 + psi1, b = psi0 - psi1, in which ab =
-theta^-2 does not cancel at the strong-shock edge; each accepted step is read
-back in psi.  The field is one closure per shot, built by `_field`, the only
-place the package applies B#; its Jacobian, and the start's tangent and
-curvature, come from complex steps through it.  The step loop calls
+between Adams and BDF formulas as the field turns stiff (eps -> 0).  A shot
+is taken in the null coordinates a = psi0 + psi1, b = psi0 - psi1, in which
+ab = theta^-2 does not cancel at the strong-shock edge: the rest points
+(`_null`), the saddle, the start and the steps; the samples are read back in
+psi once, at the end.  The field is one closure per shot, built by `_field`,
+the only place the package applies B#; its Jacobian, and the start's tangent
+and curvature, come from complex steps through it.  The step loop calls
 ODEPACK's LSODA runner, which `_compiled` loads from scipy's compiled module,
 one step at a time.  The loop stops when the orbit is captured at the
 downstream rest point (its last sample put where the step's chord meets the
@@ -32,9 +33,7 @@ import numpy as np
 from .classification import spectrum_at_v
 from .equilibria import EquilibriumPair, check_omega, rest_points, v_minus_squared, v_plus_squared
 from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples, _real, _reals
-from .model import (
-    GodunovState, det_b_sharp_closed, singular_locus_v_sq, theta_u_v
-)
+from .model import GodunovState, det_b_sharp_closed, singular_locus_v_sq, theta_u_v
 
 # A shot starts this far out on the saddle's unstable manifold, in the
 # parameter sigma of its second-order parameterization (see `_start`),
@@ -43,11 +42,8 @@ from .model import (
 # off the manifold, where a linear start this far out would lie 1e-10 to
 # 1.4e-7 off, and its departure from psi_minus is far above what LSODA's
 # error test, relative to |y|, can miss at loose tolerances.  Added to
-# psi_minus it rounds by at most 8.4e-11 of itself on a sweep of the square
-# from eps = 1e-12 and q_tilde = 3/4 + 1e-8 to 1 - 1e-8, and 1.4e-7 to
-# 1 - 1e-12.  Nearer q_tilde = 1 the cap in `_start` shrinks it, and from
-# 1 - 2.5e-13 on it can round by up to a fifth of itself, where the float
-# field at psi_minus is far from zero and the saddle itself is not resolved.
+# psi_minus in null coordinates it rounds by at most 6e-11 of itself on a
+# sweep of the square from eps = 1e-12 and q_tilde = 3/4 + 1e-8 to 1 - 1e-15.
 _OFFSET = 3e-3
 
 # Imaginary step of the complex-step Jacobian (Squire & Trapp, SIAM Rev. 40,
@@ -70,14 +66,14 @@ _ESCAPE_RADIUS = 1e2
 # The pseudo-time budget, LSODA's tout and tcrit; a unit is one of B#^-1 F's
 # at psi_plus, m(v+)/m(v) of one elsewhere (see `_field`).  tout also enters
 # ODEPACK's first-step formula, so any other value changes every shot's
-# samples ((1e-4, 0.8) takes 330 at 1e5, 325 at 1e6 and 337 at 1e7).  No
+# samples ((1e-4, 0.8) takes 341 at 1e5, 344 at 1e6 and 337 at 1e7).  No
 # default-tolerance shot of the benchmark or 20x20 scan nears it: the longest,
-# (1, 3/4 + 1e-6), ends at 1.7e4; (1, 1 - 1e-6), at 9.9e5 in B#^-1 F's, at 7.6.
+# (1, 3/4 + 1e-6), ends at 1.7e4; (1, 1 - 1e-6), at 9.9e5 in B#^-1 F's, at 7.4.
 _MAX_PSEUDO_TIME = 1e6
 
 # A shot ends Stalled after this many accepted steps, which bounds the work
 # of one that does not resolve.  At the default tolerances the most taken on
-# the 20x20 scan or the benchmark is 938, at the corner (1e-6, 1 - 1e-6).
+# the 20x20 scan or the benchmark is 983, at the corner (1e-6, 1 - 1e-6).
 _MAX_STEPS = 10_000
 
 # scipy's OpenBLAS, which scipy.integrate._odepack links, starts a worker
@@ -315,69 +311,84 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
     makes the kinematic velocity decrease along it.
     """
     eps, q_tilde = check_omega(eps, q_tilde)
-    _, _, vec = _saddle(rest_points(q_tilde), _psi_field(_field(eps, q_tilde)), eps, q_tilde)
-    return np.array(vec)
+    pair = rest_points(q_tilde)
+    nulls = _null(pair.v_minus_sq), _null(pair.v_plus_sq)
+    _, _, (e0, e1) = _saddle(_field(eps, q_tilde), eps, pair, *nulls)
+    # T^-1 e with T = [[1, 1], [1, -1]], but for the factor 1/2 the unit vector drops.
+    vec = np.array([e0 + e1, e0 - e1])
+    return vec / math.hypot(*vec)
 
 
-def _saddle(pair: EquilibriumPair, psi_field, eps: float, q_tilde: float):
-    """(J, lambda, v) at psi_minus, in Python floats, for the field `psi_field` in psi.
+def _null(v_sq: float) -> tuple[float, float]:
+    """`psi_from_v`'s state at v^2 = `v_sq` in null coordinates (a, b) = (psi0 + psi1, psi0 - psi1).
 
-    J is its Jacobian by complex step, lambda J's positive eigenvalue in
-    closed form, and v the unit eigenvector of lambda aimed at psi_plus.
+    ((4v^2 + 1)/3)^(1/4) (p, 1/p) with p = sqrt(1 + v^2) + v: b = psi0 - psi1
+    without the cancellation of the difference as v grows.
     """
-    psi_minus, psi_plus = pair.psi_minus, pair.psi_plus
-    jac = _field_jacobian(psi_field, psi_minus.psi0, psi_minus.psi1)
+    p = math.sqrt(1.0 + v_sq) + math.sqrt(v_sq)
+    pref = ((4.0 * v_sq + 1.0) / 3.0) ** 0.25
+    return pref * p, pref / p
+
+
+def _saddle(field, eps: float, pair: EquilibriumPair, minus, plus):
+    """(J, lambda, e) at the saddle, in Python floats, for `field` in null coordinates.
+
+    `minus` and `plus` are `pair`'s rest points in them (see `_null`).  J is
+    the Jacobian at `minus` by complex step, lambda J's positive eigenvalue in
+    closed form, and e its unit eigenvector in (a, b), aimed at `plus`.
+    """
+    jac = _field_jacobian(field, *minus)
     (j00, j01), (j10, j11) = jac
-    # J is local_spectrum's matrix times (4/3) theta^5 m(v-)/m(v+), as F = 0
-    # here; its closed forms do not cancel as q_tilde -> 1, where adj(B#) A's
+    # J is local_spectrum's matrix, taken to null coordinates, times (4/3)
+    # theta^5 m(v-)/m(v+), as F = 0 here, with theta^4 = 3 / (4 v-^2 + 1);
+    # its closed forms do not cancel as q_tilde -> 1, where adj(B#) A's
     # entries grow like v^8.  Its singular-locus check is left out: v_minus^2
     # > 1/2 lies above the locus, which stays at or below 1/8.
-    theta, _, v = theta_u_v(psi_minus.psi0, psi_minus.psi1)
-    lo, hi = spectrum_at_v(v, eps)
+    v_sq = pair.v_minus_sq
+    lo, hi = spectrum_at_v(math.sqrt(v_sq), eps)
     if not lo.real < 0.0 < hi.real:
-        raise NotASaddle(f"eigenvalues {lo}, {hi} at psi_minus({q_tilde}), eps={eps}")
-    lam_pos = (4.0 / 3.0) * theta**5 * hi.real * det_b_sharp_closed(v * v, eps)
+        raise NotASaddle(f"eigenvalues {lo}, {hi} at the saddle v^2 = {v_sq}, eps={eps}")
+    theta = (3.0 / (4.0 * v_sq + 1.0)) ** 0.25
+    lam_pos = (4.0 / 3.0) * theta**5 * hi.real * det_b_sharp_closed(v_sq, eps)
     lam_pos /= det_b_sharp_closed(pair.v_plus_sq, eps)
     # Either row of J - lambda I gives the eigenvector; the longer one rounds less.
     cand_a, cand_b = (j01, lam_pos - j00), (lam_pos - j11, j10)
     norm_a, norm_b = math.hypot(*cand_a), math.hypot(*cand_b)
-    (v0, v1), norm = (cand_a, norm_a) if norm_a >= norm_b else (cand_b, norm_b)
-    if v0 * (psi_plus.psi0 - psi_minus.psi0) + v1 * (psi_plus.psi1 - psi_minus.psi1) < 0.0:
+    (e0, e1), norm = (cand_a, norm_a) if norm_a >= norm_b else (cand_b, norm_b)
+    if e0 * (plus[0] - minus[0]) + e1 * (plus[1] - minus[1]) < 0.0:
         norm = -norm
-    return jac, lam_pos, (v0 / norm, v1 / norm)
+    return jac, lam_pos, (e0 / norm, e1 / norm)
 
 
-def _start(pair: EquilibriumPair, field, eps: float, q_tilde: float):
-    """(start, shift, scale): a start in psi, its shift from psi_minus, |psi_minus - psi_plus|.
+def _start(field, eps: float, pair: EquilibriumPair, minus, plus):
+    """(start, shift, scale) in null coordinates: a start, its shift from `minus`, |minus - plus|.
 
-    `shoot` reads start and scale; shift, unrounded, is there so the tests
-    can measure how psi_minus + shift rounds.
+    `minus` and `plus` are as in `_saddle`.  `shoot` reads start and scale;
+    shift, unrounded, is there so the tests can measure how minus + shift rounds.
 
     The start is the saddle's unstable manifold to second order,
-    P(sigma) = psi_minus + sigma v + sigma^2 w, at sigma = _OFFSET scale
+    P(sigma) = minus + sigma e + sigma^2 w, at sigma = _OFFSET scale
     (Cabre, Fontich & de la Llave, Indiana Univ. Math. J. 52, 2003).  With
-    G the field in psi, J its Jacobian and lambda, v its unstable eigenpair
-    at psi_minus, invariance of the manifold under the flow, G(P(sigma)) =
+    G the field, J its Jacobian and lambda, e its unstable eigenpair at
+    `minus`, invariance of the manifold under the flow, G(P(sigma)) =
     lambda sigma P'(sigma), holds at order sigma^2 for (2 lambda I - J) w =
-    D^2G[v, v] / 2, which has a unique solution: 2 lambda is not an eigenvalue
-    of J.  D^2G[v, v] is a central difference, at psi_minus +- sigma v / 30,
-    of two complex-step derivatives of G along v.  sigma is capped so that
-    the shift moves neither null component of psi_minus by more than a tenth
-    of itself, and a w that is not finite, as where the field's terms cancel
-    within 5e-9 of q_tilde = 1, is dropped.
+    D^2G[e, e] / 2, which has a unique solution: 2 lambda is not an eigenvalue
+    of J.  D^2G[e, e] is a central difference, at minus +- sigma e / 30, of
+    two complex-step derivatives of G along e.  sigma is capped so that the
+    shift moves neither component of `minus` by more than a tenth of itself,
+    which keeps the start in the cone a, b > 0, and a w that is not finite,
+    as where the field's terms cancel next to q_tilde = 1, is dropped.
     """
-    psi_field = _psi_field(field)
-    ((j00, j01), (j10, j11)), lam, (v0, v1) = _saddle(pair, psi_field, eps, q_tilde)
-    m0, m1 = pair.psi_minus.psi0, pair.psi_minus.psi1
-    scale = math.hypot(m0 - pair.psi_plus.psi0, m1 - pair.psi_plus.psi1)
-    # The null components (c, l) of psi_minus and of v.  This first cap, sigma
-    # |l| <= c / 10, keeps the difference points well inside the cone.
-    null = ((m0 + m1, v0 + v1), (m0 - m1, v0 - v1))
-    sigma = min([_OFFSET * scale] + [0.1 * c / abs(l) for c, l in null if l])
+    ((j00, j01), (j10, j11)), lam, (e0, e1) = _saddle(field, eps, pair, minus, plus)
+    c0, c1 = minus
+    scale = math.hypot(c0 - plus[0], c1 - plus[1])
+    # This first cap, sigma |e_i| <= c_i / 10, keeps the difference points
+    # well inside the cone.
+    sigma = min([_OFFSET * scale] + [0.1 * c / abs(l) for c, l in zip(minus, (e0, e1)) if l])
     h, ih = sigma / 30.0, _COMPLEX_STEP
-    fp = psi_field(complex(m0 + h * v0, ih * v0), complex(m1 + h * v1, ih * v1))
-    fm = psi_field(complex(m0 - h * v0, ih * v0), complex(m1 - h * v1, ih * v1))
-    # r = D^2G[v, v] / 2, then w by Cramer's rule.
+    fp = field(complex(c0 + h * e0, ih * e0), complex(c1 + h * e1, ih * e1))
+    fm = field(complex(c0 - h * e0, ih * e0), complex(c1 - h * e1, ih * e1))
+    # r = D^2G[e, e] / 2, then w by Cramer's rule.
     r0, r1 = ((f.imag - g.imag) / (4.0 * h * ih) for f, g in zip(fp, fm))
     d00, d11 = 2.0 * lam - j00, 2.0 * lam - j11
     det = d00 * d11 - j01 * j10
@@ -386,13 +397,13 @@ def _start(pair: EquilibriumPair, field, eps: float, q_tilde: float):
         w0, w1 = (d11 * r0 + j01 * r1) / det, (j10 * r0 + d00 * r1) / det
     if not abs(w0) + abs(w1) < math.inf:
         w0 = w1 = 0.0
-    # The cap itself: the shift of each null component, sigma l + sigma^2 k,
+    # The cap itself: the shift of each component, sigma l + sigma^2 k,
     # keeps sigma |l| + sigma^2 |k| <= c / 10.
-    for (c, l), k in zip(null, (w0 + w1, w0 - w1)):
+    for c, l, k in zip(minus, (e0, e1), (w0, w1)):
         if l or k:
             sigma = min(sigma, 0.2 * c / (abs(l) + math.sqrt(l * l + 0.4 * c * abs(k))))
-    shift = (sigma * (v0 + sigma * w0), sigma * (v1 + sigma * w1))
-    return np.array([m0 + shift[0], m1 + shift[1]]), shift, scale
+    shift = (sigma * (e0 + sigma * w0), sigma * (e1 + sigma * w1))
+    return (c0 + shift[0], c1 + shift[1]), shift, scale
 
 
 def _count_extrema(x: list[float], floor: float) -> int:
@@ -468,15 +479,14 @@ def _capture_point(t_old: float, y_old: list, t: float, y: list, centre: tuple, 
     return t_old + s * (t - t_old), [y_old[0] + s * d0, y_old[1] + s * d1]
 
 
-def _integrate(
-    field,
-    y_start: np.ndarray,
-    eps: float,
-    pair: EquilibriumPair,
-    scale: float,
-    opts: ShootOptions,
-) -> tuple[ProfileVerdict, np.ndarray, np.ndarray]:
-    p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
+def _integrate(field, y_start: tuple, eps: float, plus: tuple, scale: float, opts: ShootOptions):
+    """(verdict, times, samples in psi) of the orbit from `y_start`, in null coordinates.
+
+    `plus` is psi_plus in them and `scale` |minus - plus|.  T = [[1, 1],
+    [1, -1]] is sqrt(2) times an orthogonal map, so the capture and escape
+    spheres in (a, b) are those of psi, relative to its own scale.
+    """
+    p0, p1 = plus
     r_cap = _CAPTURE_RADIUS * scale
     r_esc = _ESCAPE_RADIUS * scale
     sing_level = singular_locus_v_sq(eps)
@@ -514,11 +524,10 @@ def _integrate(
     jt = 1
     t_end = _MAX_PSEUDO_TIME
     rwork[0] = t_end
-    # LSODA steps the null components; the runner overwrites its state argument.
-    y0, y1 = y_start.tolist()
-    arr, t, istate = np.array([y0 + y1, y0 - y1]), 0.0, 1
-    # The samples in psi, flat: y0, y1 of each in turn.
-    flat = [y0, y1]
+    # The runner overwrites its state argument.
+    arr, t, istate = np.array(y_start), 0.0, 1
+    # The samples in null coordinates, flat: a, b of each in turn.
+    flat = list(y_start)
     times = [0.0]
     # v^2 minus its value on the singular locus at the last accepted state,
     # positive at the start next to psi_minus (v^2 > 1/2, the locus <= 1/8).
@@ -536,33 +545,34 @@ def _integrate(
             verdict = ProfileVerdict.STALLED
             break
         a, b = arr.tolist()
-        y0, y1 = 0.5 * (a + b), 0.5 * (a - b)
-        r = math.hypot(y0 - p0, y1 - p1)
+        r = math.hypot(a - p0, b - p1)
         if r <= r_cap:
             # psi_plus is a hyperbolic sink throughout Omega, so an orbit that
             # enters the capture ball has converged.  The last sample is put
             # where the step's chord meets the capture sphere, where the
             # oscillation counts stop.
-            t, (y0, y1) = _capture_point(times[-1], flat[-2:], t, [y0, y1], (p0, p1), r_cap)
+            t, (a, b) = _capture_point(times[-1], flat[-2:], t, [a, b], plus, r_cap)
             verdict = ProfileVerdict.CONVERGED_TO_PLUS
         elif r >= r_esc or not a > _BOUNDARY_MARGIN < b:
             # min(a, b) = psi0 - |psi1|, written so that a NaN state escapes
-            # too.  A state not strictly inside the cone has no kinematics
-            # and is not recorded.
+            # too.  A state whose psi, read back, is not strictly inside the
+            # cone has no kinematics and is not recorded.
             verdict = ProfileVerdict.ESCAPED
-            if not y0 > abs(y1):
+            if not a + b > abs(a - b):
                 break
         else:
-            # a, b > 0 here, and v^2 = psi1^2 / (ab); the field is regular, so
-            # a sign change is a crossing.
-            gap_old, gap = gap, y1 * y1 / (a * b) - sing_level
+            # a, b > 0 here, and v^2 = (a - b)^2 / (4ab); the field is
+            # regular, so a sign change is a crossing.
+            d = a - b
+            gap_old, gap = gap, d * d / (4.0 * a * b) - sing_level
             if gap_old >= 0.0 >= gap:
                 verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
             elif t >= t_end or len(times) == _MAX_STEPS:
                 verdict = ProfileVerdict.STALLED
         times.append(t)
-        flat += (y0, y1)
-    return verdict, np.array(times), np.array(flat).reshape(-1, 2)
+        flat += (a, b)
+    a, b = np.array(flat).reshape(-1, 2).T
+    return verdict, np.array(times), 0.5 * np.column_stack((a + b, a - b))
 
 
 def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> ProfileResult:
@@ -570,36 +580,25 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
 
     Returns the sampled trajectory, a convergence verdict and the oscillation
     report.  The shot starts on the saddle's unstable manifold, to second
-    order, 3e-3 |psi_minus - psi_plus| out (see `_start`).  The samples are
-    the integrator's accepted steps; a converged shot's last sample lies on
-    the capture sphere around psi_plus.  Non-convergence is a verdict, not an
-    error.  A start or a sample outside the cone psi0 > |psi1| raises
-    StateOutsideDomain: the start moves neither null component of psi_minus
-    by more than a tenth of itself, but within about 1e-12 of q_tilde = 1 a
-    sample read back in psi can round out of the cone.
+    order, 3e-3 |psi_minus - psi_plus| out (see `_start`), where it moves
+    neither null component of psi_minus by more than a tenth of itself.  The
+    samples are the integrator's accepted steps; a converged shot's last
+    sample lies on the capture sphere around psi_plus.  Non-convergence is a
+    verdict, not an error.  A sample that rounds out of the cone psi0 > |psi1|
+    when read back in psi raises StateOutsideDomain.
     """
     if opts is None:
         opts = ShootOptions()
     eps, q_tilde = check_omega(eps, q_tilde)
     pair = rest_points(q_tilde)
+    minus, plus = _null(pair.v_minus_sq), _null(pair.v_plus_sq)
     field = _field(eps, q_tilde)
-    start, _, scale = _start(pair, field, eps, q_tilde)
-    if not start[0] > abs(start[1]):
-        raise StateOutsideDomain(
-            f"the start point {start.tolist()} lies outside the cone "
-            f"psi0 > |psi1| at eps={eps}, q_tilde={q_tilde}"
-        )
-    verdict, times, states = _integrate(field, start, eps, pair, scale, opts)
+    start, _, scale = _start(field, eps, pair, minus, plus)
+    verdict, times, states = _integrate(field, start, eps, plus, scale, opts)
     report = OscillationReport({})
     if len(states) >= 3:
         report = oscillation_report(states, pair.psi_plus)
     return ProfileResult(
-        times=times,
-        states=states,
-        verdict=verdict,
-        oscillation=report,
-        psi_minus=pair.psi_minus,
-        psi_plus=pair.psi_plus,
-        eps=eps,
-        q_tilde=q_tilde,
+        times=times, states=states, verdict=verdict, oscillation=report,
+        psi_minus=pair.psi_minus, psi_plus=pair.psi_plus, eps=eps, q_tilde=q_tilde,
     )

@@ -44,36 +44,36 @@ PINS = {
     (1.0, 0.762): ShotPin(
         "ConvergedToPlus", False, 174, (358, 4),
         "a node shot, to the last bit",
-        digest="eaf62fdc8bb99ee81eb4b6de24b406fa1de0df5ff93c7e09791a73a55ab378c4",
+        digest="8a58b9064c6c782b30260a46361ff5e96e105dd75ba9f44101383e463b107397",
     ),
     (1.0, 0.8): ShotPin(
         "ConvergedToPlus", True, 192, (394, 4),
         "a focus shot, to the last bit; the profile command's stdout",
-        digest="cb33ed9a03697c3d55907387e7b8545516ca8349e94098e7b2b81e88e7596fb0",
+        digest="6693be1a8137baedd3ffbc94fba12aa245e4f43dbb8af6dc8a43f7f66f723008",
     ),
     (1e-6, 0.8): ShotPin(
-        "ConvergedToPlus", False, 339, (602, 38),
+        "ConvergedToPlus", False, 360, (640, 54),
         "the default scan's lower eps edge, singularly perturbed, to the last bit",
-        digest="3045312e128f41e660c86e88d0d2f7bcf7264b992e1ad1481b4af331ab705b22",
+        digest="557a9cc4db9c48ca763bcb2bace46bfd535ae16d88a69ca3fc4996de73e0ea3f",
     ),
     (0.5, 0.9999): ShotPin(
-        "HitSingularLocus", False, 241, (491, 4),
+        "HitSingularLocus", False, 256, (519, 4),
         "det(B#) cancels at psi_minus; the orbit crosses the locus, to the last bit",
-        digest="40619c90fa4b38ce3a517fd5d4005608a43f437aa2a5e4df5ac141686814b65e",
+        digest="f4b1a49be4f4e75dd8466406dcc65c615de271d7a4c923aa5df4c6d902694edb",
     ),
     (1.0, 1.0 - 1e-6): ShotPin(
-        "ConvergedToPlus", False, 375, (761, 4),
+        "ConvergedToPlus", False, 373, (763, 4),
         "the default scan's upper q edge at eps = 1, to the last bit",
-        digest="70818300f8c5018431bb84d329ece34fc1f19101490a7e0adaad4b96d113a3d6",
+        digest="d69273e4dec38e6e7317c0d0d39e37862227229008e795f23dda4529c86e5bd6",
     ),
     (1e-3, 0.8): ShotPin("ConvergedToPlus", False, 355, (661, 42), "a stiff edge point"),
-    (1e-4, 0.8): ShotPin("ConvergedToPlus", False, 325, (588, 32), "a stiffer edge point"),
+    (1e-4, 0.8): ShotPin("ConvergedToPlus", False, 344, (624, 40), "a stiffer edge point"),
     (0.5, 1.0 - 1e-6): ShotPin(
-        "HitSingularLocus", False, 350, (715, 4),
+        "HitSingularLocus", False, 332, (681, 4),
         "the upper q edge, where LSODA stepping psi misread the field as stiff",
     ),
     (1.0, 0.75 + 1e-6): ShotPin(
-        "ConvergedToPlus", False, 204, (303, 38),
+        "ConvergedToPlus", False, 186, (261, 38),
         "the lower q edge, where the decay rate at psi_plus vanishes",
     ),
     (1.0, 0.76): ShotPin("ConvergedToPlus", False, 173, (358, 10), "the profile command's stdout"),
@@ -82,7 +82,7 @@ PINS = {
         "the profile command's stdout: a focus whose spiral stays below the noise floor",
     ),
     (0.5, 0.9): ShotPin(
-        "ConvergedToPlus", False, 502, (948, 14),
+        "ConvergedToPlus", False, 490, (935, 14),
         "rel_tol below 100 ulp, raised to it for LSODA",
         tolerances=(1e-16, 1e-20),
     ),
@@ -103,7 +103,7 @@ WORK_POINTS = [
 ] + [(1.0, 0.762), (1.0, 0.8), (0.3, 0.95)]
 
 # Summed over the shots at WORK_POINTS: (real evaluations, complex ones, samples).
-WORK = (33_232, 310, 16_305)
+WORK = (33_270, 310, 16_321)
 
 # The benchmark's 147 seed-1 interior points (perfbench/run.py, `interior_points(12, 1)`):
 # one uniform point in each cell of a 12x12 split of eps in [0.05, 1],
@@ -113,7 +113,7 @@ INTERIOR_POINTS = [
     (0.05 + (i + _U_EPS[i][j]) * (1.0 - 0.05) / 12, 0.76 + (j + _U_Q[i][j]) * (0.99 - 0.76) / 12)
     for i in range(12) for j in range(12)
 ] + [(1.0, 0.762), (1.0, 0.8), (0.3, 0.95)]
-INTERIOR_WORK = (72_265, 782, 35_619)
+INTERIOR_WORK = (72_331, 768, 35_634)
 
 
 @contextlib.contextmanager

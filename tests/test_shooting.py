@@ -60,6 +60,7 @@ from radshock.shooting import (
     _psi_field,
     _field_jacobian,
     _integrate,
+    _null,
     field_jacobian,
     oscillation_report,
     profile_to_csv,
@@ -239,7 +240,7 @@ def mpmath_unstable_direction(eps, q_tilde, dps=80):
 
 
 def shot_start(eps, q_tilde, linear_offset=None):
-    """The start state, rest points and length scale `shoot` hands to `_integrate`.
+    """The null start, psi_plus in null coordinates and the length scale `shoot` hands `_integrate`.
 
     Given `linear_offset`, the start lies that far from psi_minus along the
     unstable eigenvector instead, relative to the length scale: the linear
@@ -247,22 +248,24 @@ def shot_start(eps, q_tilde, linear_offset=None):
     order, kept as test data where a case needs its first step.
     """
     pair = rest_points(q_tilde)
-    start, _, scale = shooting._start(pair, _field(eps, q_tilde), eps, q_tilde)
+    minus, plus = _null(pair.v_minus_sq), _null(pair.v_plus_sq)
+    field = _field(eps, q_tilde)
+    start, _, scale = shooting._start(field, eps, pair, minus, plus)
     if linear_offset is not None:
-        direction = unstable_direction(eps, q_tilde)
-        start = pair.psi_minus.as_array() + linear_offset * scale * direction
-    return start, pair, scale
+        _, _, direction = shooting._saddle(field, eps, pair, minus, plus)
+        start = tuple(c + linear_offset * scale * e for c, e in zip(minus, direction))
+    return start, plus, scale
 
 
-def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
+def lsoda_solver_reference(y_start, eps, q_tilde, plus, scale, opts):
     """Reference for `_integrate`: the same shot stepped by scipy's public LSODA solver.
 
     The solver steps the null components (a, b) = (psi0 + psi1, psi0 - psi1)
-    from the psi start; each accepted step is read back as psi = ((a + b)/2,
-    (a - b)/2) for the samples, capture and escape.  Returns the verdict,
-    times, states and the solver's field-evaluation count.
+    from the null start; capture and escape are spheres about `plus` in
+    (a, b), and the samples are read back as psi = ((a + b)/2, (a - b)/2) at
+    the end.  Returns the verdict, times, states and the solver's
+    field-evaluation count.
     """
-    p0, p1 = pair.psi_plus.psi0, pair.psi_plus.psi1
     r_cap = _CAPTURE_RADIUS * scale
     r_esc = _ESCAPE_RADIUS * scale
     sing_level = (1.0 - eps) / (8.0 + eps)
@@ -275,46 +278,40 @@ def lsoda_solver_reference(y_start, eps, q_tilde, pair, scale, opts):
     def jac(_t, y):
         return _field_jacobian(field, *y.tolist())
 
-    def gap_sq(a, b):
-        # v^2 = psi1^2 / (psi0^2 - psi1^2) = (a - b)^2 / (4ab).
-        s = a * b
-        return (0.25 * (a - b) ** 2 / s if s > 0.0 else math.inf) - sing_level
-
-    def dist(y):
-        return math.hypot(y[0] - p0, y[1] - p1)
-
-    y0, y1 = y_start.tolist()
     solver = LSODA(
-        rhs, 0.0, [y0 + y1, y0 - y1], _MAX_PSEUDO_TIME,
-        rtol=opts.rel_tol, atol=opts.abs_tol, jac=jac,
+        rhs, 0.0, list(y_start), _MAX_PSEUDO_TIME, rtol=opts.rel_tol, atol=opts.abs_tol, jac=jac
     )
     times = [0.0]
-    states = [(y0, y1)]
-    gap = gap_sq(y0 + y1, y0 - y1)
+    states = [list(y_start)]
+    gap = math.inf
     verdict = None
     while verdict is None:
         solver.step()
         if solver.status == "failed":
             verdict = ProfileVerdict.STALLED
             break
-        t, (a, b) = solver.t, solver.y.tolist()
-        y = [0.5 * (a + b), 0.5 * (a - b)]
-        gap_old, gap = gap, gap_sq(a, b)
-        r = dist(y)
+        t, y = solver.t, solver.y.tolist()
+        a, b = y
+        r = math.dist(y, plus)
         if r <= r_cap:
-            t, y = _capture_point(times[-1], states[-1], t, y, (p0, p1), r_cap)
+            t, y = _capture_point(times[-1], states[-1], t, y, plus, r_cap)
             verdict = ProfileVerdict.CONVERGED_TO_PLUS
         elif r >= r_esc or not min(a, b) > _BOUNDARY_MARGIN:
             verdict = ProfileVerdict.ESCAPED
-            if not y[0] > abs(y[1]):
+            # psi0 > |psi1| of the read-back.
+            if not a + b > abs(a - b):
                 break
-        elif gap_old >= 0.0 >= gap:
-            verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
-        elif solver.status == "finished" or len(times) == shooting._MAX_STEPS:
-            verdict = ProfileVerdict.STALLED
+        else:
+            # v^2 = psi1^2 / (psi0^2 - psi1^2) = (a - b)^2 / (4ab).
+            gap_old, gap = gap, (a - b) * (a - b) / (4.0 * a * b) - sing_level
+            if gap_old >= 0.0 >= gap:
+                verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
+            elif solver.status == "finished" or len(times) == shooting._MAX_STEPS:
+                verdict = ProfileVerdict.STALLED
         times.append(t)
         states.append(y)
-    return verdict, np.array(times), np.array(states), solver.nfev
+    a, b = np.array(states).T
+    return verdict, np.array(times), np.column_stack((a + b, a - b)) / 2.0, solver.nfev
 
 
 @pytest.fixture(scope="module")
@@ -515,9 +512,36 @@ class TestUnstableDirection:
         ],
     )
     def test_matches_high_precision_eigenvector(self, eps, q, bound):
-        # The start direction from the complex step at the rounded saddle,
-        # against the exact saddle's eigenvector.  The bounds sit about 10x
-        # above the measured errors, which grow with v_minus^2 as q -> 1.
+        # The start direction from the complex step at the saddle, against
+        # the exact saddle's eigenvector, to the bounds that the direction
+        # taken in psi met.  The next test holds the same rows, and two nearer
+        # q_tilde = 1, to about 10x their measured errors.
+        got = unstable_direction(eps, q)
+        assert np.max(np.abs(got - mpmath_unstable_direction(eps, q))) <= bound
+
+    @pytest.mark.parametrize(
+        "eps,q,bound",
+        [
+            (1.0, 0.8, 4e-15),
+            (1e-3, 0.8, 2e-15),
+            (1.0, 0.9999, 4e-11),
+            (1.0, 0.99999, 2e-11),
+            (1.0, 1.0 - 1e-6, 3e-9),
+            (0.9473684736842105, 1.0 - 1e-6, 4e-14),
+            (0.5, 1.0 - 1e-6, 3e-15),
+            (1e-6, 1.0 - 1e-6, 2e-15),
+            (1.0, 1.0 - 1e-7, 4e-8),
+            (1.0, 1.0 - 1e-8, 4e-8),
+        ],
+    )
+    def test_eigenvector_error_is_resolved_in_null_coordinates(self, eps, q, bound):
+        # The saddle in closed form (`_null`) and its Jacobian in null
+        # coordinates keep the eigenvector's b part.  The bounds sit about 10x
+        # above the measured errors (3.3e-16, 1.1e-16, 3.4e-12, 1.6e-12,
+        # 2.2e-10, 3.0e-15, 2.2e-16, 1.1e-16, 0 and 3.2e-9 in row order).
+        # Taken in psi, from psi_minus formed as a difference, that part was
+        # lost: 1.8e-9 at (1, 0.9999), 8.2e-6 at (1, 1 - 1e-6), 2.0e-3 at
+        # (1, 1 - 1e-7) and 0.76 at (1, 1 - 1e-8).
         got = unstable_direction(eps, q)
         assert np.max(np.abs(got - mpmath_unstable_direction(eps, q))) <= bound
 
@@ -552,32 +576,32 @@ class TestManifoldStart:
         # (1e-10)^2 and shrinks as it leaves, stepped by scipy's LSODA at
         # rel_tol 1e-13 and abs_tol 1e-16 to the sphere about psi_minus
         # through the start.  The start's distance to where it crosses that
-        # sphere is its distance from the manifold: measured 1e-12 to 9.6e-10
+        # sphere is its distance from the manifold: measured 9.7e-13 to 9.6e-10
         # of the shock's size here, against 1.3e-10 to 1.4e-7 for the linear
-        # start at the same distance.  The bound sits about 10x above.
+        # start at the same distance.  The bound sits about 10x above.  Start,
+        # orbit and sphere are in null coordinates, whose distances are sqrt(2)
+        # times those in psi, as is the scale.
         pair = rest_points(q)
+        minus, plus = np.array(_null(pair.v_minus_sq)), _null(pair.v_plus_sq)
         field = _field(eps, q)
-        start, shift, scale = shooting._start(pair, field, eps, q)
-        psi_minus = pair.psi_minus.as_array()
+        start, shift, scale = shooting._start(field, eps, pair, tuple(minus), plus)
         radius = math.hypot(*shift)
-        direction = unstable_direction(eps, q)
-        y0, y1 = psi_minus + 1e-10 * scale * direction
+        _, _, direction = shooting._saddle(field, eps, pair, tuple(minus), plus)
+        direction = np.array(direction)
 
         def to_sphere(_t, y):
-            a, b = map(float, y)
-            return math.hypot(0.5 * (a + b) - psi_minus[0], 0.5 * (a - b) - psi_minus[1]) - radius
+            return math.dist(y.tolist(), minus.tolist()) - radius
 
         to_sphere.terminal = True
         ref = solve_ivp(
-            lambda _t, y: field(*y.tolist()), (0.0, _MAX_PSEUDO_TIME), [y0 + y1, y0 - y1],
-            method="LSODA", rtol=1e-13, atol=1e-16, events=to_sphere,
-            jac=lambda _t, y: _field_jacobian(field, *y.tolist()),
+            lambda _t, y: field(*y.tolist()), (0.0, _MAX_PSEUDO_TIME),
+            minus + 1e-10 * scale * direction, method="LSODA", rtol=1e-13, atol=1e-16,
+            events=to_sphere, jac=lambda _t, y: _field_jacobian(field, *y.tolist()),
         )
-        a, b = ref.y_events[0][0]
-        crossing = np.array([0.5 * (a + b), 0.5 * (a - b)])
-        error = np.linalg.norm(start - crossing)
+        crossing = ref.y_events[0][0]
+        error = np.linalg.norm(np.array(start) - crossing)
         assert error <= 1e-8 * scale
-        assert error <= 0.05 * np.linalg.norm(psi_minus + radius * direction - crossing)
+        assert error <= 0.05 * np.linalg.norm(minus + radius * direction - crossing)
 
 
 class TestToleranceIndependence:
@@ -696,12 +720,8 @@ class TestShootGuards:
         # The branch of the unstable manifold facing away from the attractor
         # must leave through the escape radius or the admissible cone.
         eps, q = NODE_POINT
-        pair = rest_points(q)
-        vec = unstable_direction(eps, q)
-        scale = float(np.linalg.norm(pair.psi_minus.as_array() - pair.psi_plus.as_array()))
-        start = pair.psi_minus.as_array() - 1e-7 * scale * vec
-        field = _field(eps, q)
-        verdict, times, states = _integrate(field, start, eps, pair, scale, ShootOptions())
+        start, plus, scale = shot_start(eps, q, linear_offset=-1e-7)
+        verdict, times, states = _integrate(_field(eps, q), start, eps, plus, scale, ShootOptions())
         assert verdict is ProfileVerdict.ESCAPED
         assert states.shape[0] == times.size
 
@@ -759,7 +779,8 @@ class TestShootGuards:
         # along the slow manifold until the step budget ended it Stalled
         # (10,001 samples); factored through the rest points it converges,
         # in 887 samples in B#^-1 F's time and 977 in the field's, stepped
-        # in null coordinates, and 939 from the manifold start.  The drift
+        # in null coordinates, 939 from the manifold start formed in psi,
+        # and 984 from the one formed in null coordinates.  The drift
         # along the locus, where the time factor m(v)/m(v+) falls to 0.02,
         # costs more than in B#^-1 F's time.  The bound keeps the work a
         # fifth of the step budget.
@@ -775,7 +796,7 @@ class TestShootGuards:
         # was about 0.01, because its stiffness test read a Jacobian whose
         # norm exceeded its spectral radius about 1e5-fold.  In null
         # coordinates the same offsets gave 972-1,081, and from the manifold
-        # start at 3e-3 they give 927-982.
+        # start at 3e-3 they give 915-999.
         counts, offset = [], shooting._OFFSET
         for k in np.linspace(-5e-4, 5e-4, 11).tolist():
             monkeypatch.setattr(shooting, "_OFFSET", offset * (1.0 + k))
@@ -786,10 +807,10 @@ class TestShootGuards:
 
     def test_stiff_and_cancelling_points_work_is_pinned(self):
         # Six stiff or cancelling points near the square's edges, with their
-        # verdicts and samples: 1,814 in all, 2,001 from the linear start
-        # 1e-7 out.  Stepped in psi they took 386, 390, 392, 288, 917 and 256
-        # (2,629): at (0.5, 1 - 1e-6) LSODA's stiffness test misread the top
-        # edge.
+        # verdicts and samples: 1,833 in all, 1,814 from the manifold start
+        # formed in psi and 2,001 from the linear start 1e-7 out.  Stepped in
+        # psi they took 386, 390, 392, 288, 917 and 256 (2,629): at
+        # (0.5, 1 - 1e-6) LSODA's stiffness test misread the top edge.
         results = [shoot(*point) for point in EDGE_POINTS]
         assert [(res.verdict.value, res.states.shape[0]) for res in results] == [
             (PINS[point].verdict, PINS[point].samples) for point in EDGE_POINTS
@@ -826,9 +847,9 @@ class TestShootGuards:
         # rejects such a tolerance, so a stand-in options object hands it to
         # the step loop directly.
         eps, q = 1.0, 0.8
-        start, pair, scale = shot_start(eps, q, linear_offset=1e-7)
+        start, plus, scale = shot_start(eps, q, linear_offset=1e-7)
         loose = SimpleNamespace(rel_tol=1e10, abs_tol=1e-12)
-        verdict, times, states = _integrate(_field(eps, q), start, eps, pair, scale, loose)
+        verdict, times, states = _integrate(_field(eps, q), start, eps, plus, scale, loose)
         assert verdict is ProfileVerdict.ESCAPED
         assert times.size == states.shape[0] == 1
         assert np.all(states[:, 0] > np.abs(states[:, 1]))
@@ -836,43 +857,35 @@ class TestShootGuards:
     def test_start_point_resolves_the_offset_across_the_square(self):
         # Rounding of psi_minus + shift must not swamp the shift, or the
         # verdict turns on that rounding: it did for offsets below 1e-14.
-        # Both edges of q_tilde are approached geometrically, and every start
-        # lies in the cone, where 35 of the linear starts 1e-7 out lay
-        # outside.  Up to 1e-8 from q_tilde = 1 the shift is the full
-        # _OFFSET scale along the unstable eigenvector, the cap never
-        # binding; nearer, the cap shrinks it.  It rounds by at most 8.4e-11
-        # of itself up to q_tilde = 1 - 1e-8 (the linear start rounded by
-        # 1.4e-6) and 1.4e-7 up to 1 - 1e-12.  At 28 points from 1 - 2.5e-13
-        # on it rounds by up to 0.19 of itself: there the float field at
-        # psi_minus, over lambda, is 1.6e6 to 1.5e14 times the shift, so the
-        # saddle itself is not resolved, and the rounding, at most 7e-12 of
-        # that distance, is held to the same 1e-5 of it instead.  Adding the
-        # shift in null coordinates does not help: a's share of it lies near
-        # a's ulp, and 27 points would still miss 1e-5.
+        # Both edges of q_tilde are approached geometrically.  The shift is
+        # added in null coordinates, to the rest point in closed form (`_null`),
+        # and rounds by at most 6e-11 of itself; added in psi, to psi_minus
+        # formed as a difference, 28 starts from 1 - 2.5e-13 on rounded by up
+        # to 0.19 of it.  The cap holds each component of the start at 0.9 of
+        # psi_minus's or above (measured 0.977), so every start lies in the
+        # cone.  The cap binds nowhere on the sweep, and the shift is the full
+        # _OFFSET scale along the unstable eigenvector up to 1 - 1e-14 (at
+        # least 0.974 of it).  Nearer, at 5 points, the order-2 term turns it
+        # (to -0.25 at (1, 1 - 3e-15)): there sigma |w| exceeds 1.
         eps_values = [1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
         q_values = np.unique(np.concatenate(
             (0.75 + np.geomspace(1.00000001e-8, 0.125, 60), 1.0 - np.geomspace(0.125, 1e-15, 60))
         )).tolist()
-        unresolved = 0
+        turned = 0
         for q in q_values:
             pair = rest_points(q)
-            psi_minus = pair.psi_minus.as_array()
+            minus, plus = _null(pair.v_minus_sq), _null(pair.v_plus_sq)
             for eps in eps_values:
                 field = _field(eps, q)
-                start, shift, scale = shooting._start(pair, field, eps, q)
-                assert start[0] > abs(start[1]), (eps, q)
-                shift = np.array(shift)
-                if q <= 1.0 - 1e-8:
-                    along = float(shift @ unstable_direction(eps, q))
-                    assert along >= 0.9 * shooting._OFFSET * scale, (eps, q)
-                error = np.linalg.norm(start - psi_minus - shift)
-                if error > 1e-5 * np.linalg.norm(shift):
-                    psi_field = _psi_field(field)
-                    _, lam, _ = shooting._saddle(pair, psi_field, eps, q)
-                    residual = math.hypot(*psi_field(*psi_minus.tolist())) / lam
-                    assert q > 1.0 - 5e-13 and error <= 1e-5 * residual, (eps, q)
-                    unresolved += 1
-        assert unresolved <= 28
+                start, shift, scale = shooting._start(field, eps, pair, minus, plus)
+                assert all(x >= 0.9 * c for x, c in zip(start, minus)), (eps, q)
+                error = math.hypot(*(x - c - d for x, c, d in zip(start, minus, shift)))
+                assert error <= 1e-5 * math.hypot(*shift), (eps, q)
+                _, _, direction = shooting._saddle(field, eps, pair, minus, plus)
+                if np.dot(shift, direction) < 0.9 * shooting._OFFSET * scale:
+                    assert q > 1.0 - 1e-14, (eps, q)
+                    turned += 1
+        assert turned <= 5
 
     @pytest.mark.parametrize(
         "spectrum", [(complex(1.0, -2.0), complex(1.0, 2.0)), (complex(1.0), complex(3.0))]
@@ -890,8 +903,8 @@ class TestShootGuards:
         # warning for it.  The shot's own start converges.
         eps, q = 1e-6, 0.75 + 1e-6
         opts = ShootOptions(rel_tol=1e-4)
-        start, pair, scale = shot_start(eps, q, linear_offset=1e-7)
-        verdict, times, states = _integrate(_field(eps, q), start, eps, pair, scale, opts)
+        start, plus, scale = shot_start(eps, q, linear_offset=1e-7)
+        verdict, times, states = _integrate(_field(eps, q), start, eps, plus, scale, opts)
         assert verdict is ProfileVerdict.STALLED and times.size == 1
         assert np.all(np.isfinite(states))
         assert shoot(eps, q, opts).verdict is ProfileVerdict.CONVERGED_TO_PLUS
@@ -922,9 +935,9 @@ class TestShootGuards:
         opts = ShootOptions(*PINS[(eps, q)].tolerances)
         res = shoot(eps, q, opts)
         assert res.verdict.value == PINS[(eps, q)].verdict
-        start, pair, scale = shot_start(eps, q)
+        start, plus, scale = shot_start(eps, q)
         with pytest.warns(UserWarning, match="rtol"):
-            _, ref_times, ref_states, _ = lsoda_solver_reference(start, eps, q, pair, scale, opts)
+            _, ref_times, ref_states, _ = lsoda_solver_reference(start, eps, q, plus, scale, opts)
         assert res.times.tobytes() == ref_times.tobytes()
         assert res.states.tobytes() == ref_states.tobytes()
 
@@ -999,7 +1012,7 @@ PARITY_CASES = [
     ((1.0, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None, None),  # focus
     ((1e-6, 0.8), ShootOptions(), ProfileVerdict.CONVERGED_TO_PLUS, False, None, None),  # stiff
     ((0.5, 0.9999), ShootOptions(), ProfileVerdict.HIT_SINGULAR_LOCUS, False, None, None),
-    # The corner converges in 939 samples; a budget of 400 steps ends it first.
+    # The corner converges in 984 samples; a budget of 400 steps ends it first.
     ((1e-6, 1.0 - 1e-6), ShootOptions(), ProfileVerdict.STALLED, False, 400, None),
     # "Repeated convergence failures" on the first step: istate < 0.  The
     # shot's own start converges here (32 samples); from the linear start
@@ -1033,11 +1046,11 @@ class TestStepLoopParity:
         if max_steps is not None:
             monkeypatch.setattr(shooting, "_MAX_STEPS", max_steps)
         eps, q = point
-        start, pair, scale = shot_start(eps, q, linear_offset)
+        start, plus, scale = shot_start(eps, q, linear_offset)
         # scipy's solver warns when LSODA gives up; the step loop does not.
         with pytest.warns(UserWarning, match="lsoda") if lsoda_fails else contextlib.nullcontext():
             ref_verdict, ref_times, ref_states, nfev = lsoda_solver_reference(
-                start, eps, q, pair, scale, opts
+                start, eps, q, plus, scale, opts
             )
 
         field = _field(eps, q)
@@ -1049,7 +1062,7 @@ class TestStepLoopParity:
                 real_calls += 1
             return field(y0, y1)
 
-        verdict, times, states = _integrate(counting_field, start, eps, pair, scale, opts)
+        verdict, times, states = _integrate(counting_field, start, eps, plus, scale, opts)
         assert verdict is ref_verdict is expected
         assert times.shape == ref_times.shape and times.tobytes() == ref_times.tobytes()
         assert states.shape == ref_states.shape and states.tobytes() == ref_states.tobytes()
