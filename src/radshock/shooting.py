@@ -33,7 +33,9 @@ import numpy as np
 from .classification import spectrum_at_v
 from .equilibria import EquilibriumPair, check_omega, rest_points, v_minus_squared, v_plus_squared
 from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples, _real, _reals
-from .model import GodunovState, det_b_sharp_closed, singular_locus_v_sq, theta_u_v
+from .model import (
+    GodunovState, det_b_sharp_closed, singular_locus_v_sq, theta_u_v
+)
 
 # A shot starts this far out on the saddle's unstable manifold, in the
 # parameter sigma of its second-order parameterization (see `_start`),
@@ -376,8 +378,8 @@ def _start(field, eps: float, pair: EquilibriumPair, minus, plus):
     of J.  D^2G[e, e] is a central difference, at minus +- sigma e / 30, of
     two complex-step derivatives of G along e.  sigma is capped so that the
     shift moves neither component of `minus` by more than a tenth of itself,
-    which keeps the start in the cone a, b > 0, and a w that is not finite,
-    as where the field's terms cancel next to q_tilde = 1, is dropped.
+    which keeps the start in the cone a, b > 0, and a w that is not finite
+    is dropped.
     """
     ((j00, j01), (j10, j11)), lam, (e0, e1) = _saddle(field, eps, pair, minus, plus)
     c0, c1 = minus
@@ -480,11 +482,10 @@ def _capture_point(t_old: float, y_old: list, t: float, y: list, centre: tuple, 
 
 
 def _integrate(field, y_start: tuple, eps: float, plus: tuple, scale: float, opts: ShootOptions):
-    """(verdict, times, samples in psi) of the orbit from `y_start`, in null coordinates.
+    """(verdict, times, samples in psi) of the orbit from `y_start`; it, `plus` and `scale` in (a, b).
 
-    `plus` is psi_plus in them and `scale` |minus - plus|.  T = [[1, 1],
-    [1, -1]] is sqrt(2) times an orthogonal map, so the capture and escape
-    spheres in (a, b) are those of psi, relative to its own scale.
+    T = [[1, 1], [1, -1]] is sqrt(2) times an orthogonal map, so the capture
+    and escape spheres in (a, b) are those of psi, relative to its scale.
     """
     p0, p1 = plus
     r_cap = _CAPTURE_RADIUS * scale
@@ -599,6 +600,12 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     if len(states) >= 3:
         report = oscillation_report(states, pair.psi_plus)
     return ProfileResult(
-        times=times, states=states, verdict=verdict, oscillation=report,
-        psi_minus=pair.psi_minus, psi_plus=pair.psi_plus, eps=eps, q_tilde=q_tilde,
+        times=times,
+        states=states,
+        verdict=verdict,
+        oscillation=report,
+        psi_minus=pair.psi_minus,
+        psi_plus=pair.psi_plus,
+        eps=eps,
+        q_tilde=q_tilde,
     )

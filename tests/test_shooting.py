@@ -582,12 +582,12 @@ class TestManifoldStart:
         # orbit and sphere are in null coordinates, whose distances are sqrt(2)
         # times those in psi, as is the scale.
         pair = rest_points(q)
-        minus, plus = np.array(_null(pair.v_minus_sq)), _null(pair.v_plus_sq)
+        minus, plus = _null(pair.v_minus_sq), _null(pair.v_plus_sq)
         field = _field(eps, q)
-        start, shift, scale = shooting._start(field, eps, pair, tuple(minus), plus)
+        start, shift, scale = shooting._start(field, eps, pair, minus, plus)
         radius = math.hypot(*shift)
-        _, _, direction = shooting._saddle(field, eps, pair, tuple(minus), plus)
-        direction = np.array(direction)
+        _, _, direction = shooting._saddle(field, eps, pair, minus, plus)
+        minus, direction = np.array(minus), np.array(direction)
 
         def to_sphere(_t, y):
             return math.dist(y.tolist(), minus.tolist()) - radius
