@@ -6,7 +6,9 @@ two separatrix polylines.  Output is byte-deterministic: floats are printed
 with 17 significant digits and cells are ordered by (eps index, q index).
 The grid is classified in one call, and the cells are kept as columns, one
 per `ScanRecord` field, the scan's one field list; a record is built only
-when a caller reads one.  Each emitter turns each column into text once.
+when a caller reads one.  The numeric columns are turned into text once per
+table, by the first emitter call, and the CSV and JSON emitters share that
+text.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -132,6 +135,11 @@ class ScanTable(Sequence):
     A read-only sequence of `ScanRecord` that builds a record only when one
     is read: an index gives one record, a slice a list of them, and
     iteration yields them.  The emitters read the columns and build none.
+
+    The first CSV or JSON emitter call makes the `.17g` text of the four
+    numeric columns, and the table keeps it for the next: about 3 MB at
+    200x200.  It is not a field, so it takes no part in `==`, `hash` or
+    `dataclasses.replace`.
     """
 
     eps: tuple[float, ...]
@@ -163,6 +171,16 @@ class ScanTable(Sequence):
 
     def __iter__(self):
         return map(ScanRecord, *_row_of(self))
+
+    @cached_property
+    def _texts(self) -> tuple[tuple[str, ...], ...]:
+        """The text of eps, q_tilde, v_plus_sq and discriminant, in that order."""
+        g = _TextMemo()
+        # The discriminants are all distinct, so they skip the memo; a ".17g"
+        # spec prints a numpy scalar as `_g` prints its float.
+        return (tuple(map(g.__getitem__, self.eps)), tuple(map(g.__getitem__, self.q_tilde)),
+                tuple(map(g.__getitem__, self.v_plus_sq)),
+                tuple([f"{d:.17g}" for d in self.discriminant]))
 
 
 @dataclass(frozen=True)
@@ -236,10 +254,11 @@ def _g(x: float) -> str:
 
 
 class _TextMemo(dict):
-    """Text of each distinct value, made once; one per emitter call.
+    """Text of each distinct value, made once per memo.
 
-    A grid repeats each eps, q_tilde and v_plus^2 many times.  Zeros are not
-    kept: 0.0 == -0.0 as keys, but the two print differently.
+    A grid repeats each eps, q_tilde and v_plus^2 many times, and a string
+    column holds a few labels.  Zeros are not kept: 0.0 == -0.0 as keys, but
+    the two print differently.
     """
 
     def __init__(self, text=_g):
@@ -253,17 +272,28 @@ class _TextMemo(dict):
         return s
 
 
+def _csv_cell(s: str) -> str:
+    """A string cell, quoted if it holds a comma, quote, CR or LF (RFC 4180).
+
+    A str subclass such as `RegionLabel` is written by its characters, as
+    `json.dumps` writes it, since a memo keyed by value cannot tell the two.
+    """
+    s = str.__str__(s)
+    if any(c in s for c in ',"\r\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def scan_to_csv(result: ScanResult) -> str:
-    t, g = result.records, _TextMemo()
+    t, cell = result.records, _TextMemo(_csv_cell)
+    cell[None] = ""
+    eps, q_tilde, v_plus_sq, discriminant = t._texts
     lines = [",".join(_FIELDS)]
-    # The discriminants are all distinct, so they skip the memo; a ".17g"
-    # spec prints a numpy scalar as `_g` prints its float.
     lines += [
-        f"{e},{q},{region},{z},{d:.17g},{verdict or ''},{osc}"
+        f"{e},{q},{region},{z},{d},{verdict},{osc}"
         for e, q, region, z, d, verdict, osc in zip(
-            map(g.__getitem__, t.eps), map(g.__getitem__, t.q_tilde), t.region,
-            map(g.__getitem__, t.v_plus_sq), t.discriminant, t.shoot_verdict,
-            map(_CSV_FLAG.__getitem__, t.oscillatory))
+            eps, q_tilde, map(cell.__getitem__, t.region), v_plus_sq, discriminant,
+            map(cell.__getitem__, t.shoot_verdict), map(_CSV_FLAG.__getitem__, t.oscillatory))
     ]
     lines.append("# separatrix q1")
     lines.append("eps,q_tilde")
@@ -280,8 +310,13 @@ def _json_pairs(points: list[tuple[float, float]]) -> str:
 
 def scan_to_json(result: ScanResult) -> str:
     # Hand-assembled so numbers keep the same fixed 17-significant-digit
-    # formatting as the CSV emitter.
-    c, t, g = result.config, result.records, _TextMemo()
+    # formatting as the CSV emitter.  json is imported here, not at module
+    # level, so that `import radshock` does not load it.
+    import json
+
+    c, t, string = result.config, result.records, _TextMemo(json.dumps)
+    string[None] = "null"
+    eps, q_tilde, v_plus_sq, discriminant = t._texts
     parts = ["{\n"]
     parts.append(
         '  "meta": {"schema_version": 1, '
@@ -289,15 +324,12 @@ def scan_to_json(result: ScanResult) -> str:
         f'"q_range": [{_g(c.q_lo)}, {_g(c.q_hi)}, {c.q_count}], '
         f'"shoot": {"true" if c.shoot else "false"}}},\n'
     )
-    verdict = _TextMemo(lambda v: f'"{v}"')
-    verdict[None] = "null"
     rec_lines = [
-        f'    {{"eps": {e}, "q_tilde": {q}, "region": "{region}", "v_plus_sq": {z}, '
-        f'"discriminant": {d:.17g}, "shoot_verdict": {v}, "oscillatory": {osc}}}'
+        f'    {{"eps": {e}, "q_tilde": {q}, "region": {region}, "v_plus_sq": {z}, '
+        f'"discriminant": {d}, "shoot_verdict": {v}, "oscillatory": {osc}}}'
         for e, q, region, z, d, v, osc in zip(
-            map(g.__getitem__, t.eps), map(g.__getitem__, t.q_tilde), t.region,
-            map(g.__getitem__, t.v_plus_sq), t.discriminant,
-            map(verdict.__getitem__, t.shoot_verdict), map(_JSON_FLAG.__getitem__, t.oscillatory))
+            eps, q_tilde, map(string.__getitem__, t.region), v_plus_sq, discriminant,
+            map(string.__getitem__, t.shoot_verdict), map(_JSON_FLAG.__getitem__, t.oscillatory))
     ]
     # Separate parts: the final join is the only copy of the record block.
     parts += ['  "records": [\n', ",\n".join(rec_lines), "\n  ],\n"]

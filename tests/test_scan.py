@@ -1,5 +1,8 @@
+import csv
 import dataclasses
+import functools
 import hashlib
+import io
 import math
 import json
 import xml.etree.ElementTree as ET
@@ -249,6 +252,57 @@ class TestScanTable:
         assert result.records[40_000 - 1] == ScanRecord(*built[0])
         assert len(built) == 1
 
+    def test_json_after_csv_makes_no_column_text(self, monkeypatch):
+        # The benchmark's map, whose bytes test_golden_bytes pins.
+        config = ScanConfig(eps_count=200, q_count=200)
+        expected = scan_to_json(run_scan(config))
+        result = run_scan(config)
+        scan_to_csv(result)
+
+        def no_text(table):
+            raise AssertionError("column texts made twice")
+
+        rebuild = functools.cached_property(no_text)
+        rebuild.__set_name__(ScanTable, "_texts")
+        monkeypatch.setattr(ScanTable, "_texts", rebuild)
+        memo_keys, g_calls = [], []
+
+        def missing(memo, x):
+            memo_keys.append(x)
+            return memo._text(x)
+
+        def g(x):
+            g_calls.append(x)
+            return format(float(x), ".17g")
+
+        monkeypatch.setattr(scan._TextMemo, "__missing__", missing)
+        monkeypatch.setattr(scan, "_g", g)
+        assert scan_to_json(result) == expected
+        # Only the string columns go through a memo, and `_g` prints only the
+        # meta ranges and the separatrix points.
+        assert all(isinstance(x, str) for x in memo_keys)
+        assert len(g_calls) == 4 + 2 * (len(result.separatrix1) + len(result.separatrix2))
+
+    def test_cached_texts_leave_eq_and_hash(self):
+        config = ScanConfig(eps_count=12, q_count=12)
+        emitted, fresh = run_scan(config), run_scan(config)
+        scan_to_csv(emitted)
+        assert "_texts" in vars(emitted.records) and "_texts" not in vars(fresh.records)
+        assert emitted.records == fresh.records
+        assert hash(emitted.records) == hash(fresh.records)
+        assert emitted == fresh
+
+    def test_replaced_table_makes_its_own_texts(self, small_scan):
+        scan_to_csv(small_scan)
+        table = dataclasses.replace(
+            small_scan.records, eps=[-e for e in small_scan.records.eps],
+            discriminant=[2.0 * d for d in small_scan.records.discriminant])
+        changed = dataclasses.replace(small_scan, records=table)
+        assert "_texts" not in vars(table)
+        assert scan_to_json(changed) == _ref_json(changed)
+        assert scan_to_csv(changed) == _ref_csv(changed)
+        assert scan_to_csv(changed) != scan_to_csv(small_scan)
+
     def test_a_list_of_records_becomes_a_table_once(self, small_scan):
         records = list(small_scan.records)
         result = dataclasses.replace(small_scan, records=records)
@@ -423,10 +477,16 @@ class TestEmitters:
         assert got == digests
 
 
-# Per-value reference emitters: the record formatting of the emitters before
-# they formatted each distinct value once per call.
+# Per-value reference emitters: each value formatted where it is written, and
+# each string quoted by the csv module (minimal quoting) or `json.dumps`.
 def _ref_g(x):
     return format(float(x), ".17g")
+
+
+def _ref_csv_line(cells):
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    return out.getvalue().removesuffix("\r\n")
 
 
 def _ref_csv(result):
@@ -434,10 +494,10 @@ def _ref_csv(result):
     for r in result.records:
         verdict = r.shoot_verdict or ""
         osc = "" if r.oscillatory is None else ("true" if r.oscillatory else "false")
-        lines.append(
-            f"{_ref_g(r.eps)},{_ref_g(r.q_tilde)},{r.region},{_ref_g(r.v_plus_sq)},"
-            f"{_ref_g(r.discriminant)},{verdict},{osc}"
-        )
+        lines.append(_ref_csv_line([
+            _ref_g(r.eps), _ref_g(r.q_tilde), r.region, _ref_g(r.v_plus_sq),
+            _ref_g(r.discriminant), verdict, osc,
+        ]))
     lines.append("# separatrix q1")
     lines.append("eps,q_tilde")
     lines.extend(f"{_ref_g(e)},{_ref_g(q)}" for e, q in result.separatrix1)
@@ -461,13 +521,12 @@ def _ref_json(result):
     )
     rec_lines = []
     for r in result.records:
-        verdict = "null" if r.shoot_verdict is None else f'"{r.shoot_verdict}"'
         osc = "null" if r.oscillatory is None else ("true" if r.oscillatory else "false")
         rec_lines.append(
             f'    {{"eps": {_ref_g(r.eps)}, "q_tilde": {_ref_g(r.q_tilde)}, '
-            f'"region": "{r.region}", "v_plus_sq": {_ref_g(r.v_plus_sq)}, '
+            f'"region": {json.dumps(r.region)}, "v_plus_sq": {_ref_g(r.v_plus_sq)}, '
             f'"discriminant": {_ref_g(r.discriminant)}, '
-            f'"shoot_verdict": {verdict}, "oscillatory": {osc}}}'
+            f'"shoot_verdict": {json.dumps(r.shoot_verdict)}, "oscillatory": {osc}}}'
         )
     parts.append('  "records": [\n' + ",\n".join(rec_lines) + "\n  ],\n")
     parts.append(
@@ -509,24 +568,44 @@ _number = st.one_of(
     st.sampled_from(_TRAPS),
     st.floats(allow_nan=True, allow_infinity=True),
 ).flatmap(lambda x: st.sampled_from([x, np.float64(x)]))
-_record = st.builds(
-    ScanRecord,
-    eps=_number,
-    q_tilde=_number,
-    region=st.sampled_from([label.value for label in RegionLabel] + ["Unknown"]),
-    v_plus_sq=_number,
-    discriminant=_number,
-    shoot_verdict=st.sampled_from([None, "ConvergedToPlus", "NotASaddle"]),
-    oscillatory=st.sampled_from([None, True, False]),
+# Strings a caller may put in a record: the library's labels, a label member
+# (a str subclass, written by its characters), and text that needs quoting
+# in CSV (comma, quote, CR, LF) or escaping in JSON.
+_AWKWARD = ['Fo"cus', "Bad\\Name", "a,b", "two\nlines", "cr\r", '"', "", " x ", "\x00\t", "é"]
+_region = st.one_of(
+    st.sampled_from([label.value for label in RegionLabel] + [RegionLabel.FOCUS, "Unknown"]
+                    + _AWKWARD),
+    st.text(max_size=6),
 )
+_verdict = st.one_of(
+    st.sampled_from([None, "ConvergedToPlus", "NotASaddle"] + _AWKWARD),
+    st.text(max_size=6),
+)
+
+
+def _records(number):
+    return st.builds(
+        ScanRecord,
+        eps=number,
+        q_tilde=number,
+        region=_region,
+        v_plus_sq=number,
+        discriminant=number,
+        shoot_verdict=_verdict,
+        oscillatory=st.sampled_from([None, True, False]),
+    )
+
+
+_record = _records(_number)
 
 
 @given(
     pool=st.lists(_record, min_size=1, max_size=6),
     picks=st.lists(st.integers(0, 5), min_size=1, max_size=30),
     curve=st.lists(st.tuples(_number, _number), max_size=4),
+    json_first=st.booleans(),
 )
-def test_emitters_match_per_value_formatting(pool, picks, curve):
+def test_emitters_match_per_value_formatting(pool, picks, curve, json_first):
     # Records drawn from a small pool, so equal values repeat across cells.
     records = [pool[i % len(pool)] for i in picks]
     result = ScanResult(
@@ -535,7 +614,23 @@ def test_emitters_match_per_value_formatting(pool, picks, curve):
         separatrix1=curve,
         separatrix2=curve[::-1],
     )
+    # The first emitter call makes the table's texts; the second reads them.
+    emitters = [(scan_to_csv, _ref_csv), (scan_to_json, _ref_json)]
     with np.errstate(all="ignore"):
-        assert scan_to_csv(result) == _ref_csv(result)
-        assert scan_to_json(result) == _ref_json(result)
+        for emit, ref in emitters[::-1] if json_first else emitters:
+            assert emit(result) == ref(result)
         assert scan_to_svg(result).splitlines()[3:3 + len(records)] == _ref_svg_cells(result)
+
+
+@given(records=st.lists(_records(st.floats(allow_nan=False, allow_infinity=False)), max_size=8))
+def test_any_string_keeps_both_formats_parseable(records):
+    # Finite numbers only: JSON has no text for NaN or the infinities.
+    result = ScanResult(config=ScanConfig(eps_count=7, q_count=5), records=records,
+                        separatrix1=[], separatrix2=[])
+    doc = json.loads(scan_to_json(result))
+    assert [(r["region"], r["shoot_verdict"]) for r in doc["records"]] == [
+        (r.region, r.shoot_verdict) for r in records]
+    rows = list(csv.reader(io.StringIO(scan_to_csv(result), newline="")))[1:1 + len(records)]
+    assert all(len(row) == 7 for row in rows)
+    assert [(row[2], row[5]) for row in rows] == [
+        (r.region, r.shoot_verdict or "") for r in records]
