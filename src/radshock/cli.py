@@ -62,14 +62,20 @@ def cmd_scan(args) -> int:
         q_count=q_count,
         shoot=args.shoot,
     )
+    # Each format once, in the order given; all are written from one scan.
+    formats = list(dict.fromkeys(args.format))
+    if args.out is not None and len(formats) > 1:
+        raise DomainError(f"--out names one file, but {len(formats)} formats were asked "
+                          "for; drop --out to write scan.<format> for each")
     result = run_scan(config, _shoot_options(args))
-    text = EMITTERS[args.format](result)
-    out = args.out or f"scan.{args.format}"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    outs = [args.out or f"scan.{fmt}" for fmt in formats]
+    for fmt, out in zip(formats, outs):
+        text = EMITTERS[fmt](result)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     # A dict keeps first-seen order; Counter's own repr orders by count.
     counts = dict(Counter(result.records.region))
-    print(f"wrote {out}: {len(result.records)} records, regions {counts}")
+    print(f"wrote {', '.join(outs)}: {len(result.records)} records, regions {counts}")
     return 0
 
 
@@ -128,8 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     grid = (ScanConfig.eps_count, ScanConfig.q_count)
     p.add_argument("--grid", type=parse_grid, default=grid, metavar="NxM",
                    help=f"eps count x q count (default {grid[0]}x{grid[1]})")
-    p.add_argument("--format", choices=EMITTERS, default="csv")
-    p.add_argument("--out", default=None, help="output path (default scan.<format>)")
+    p.add_argument("--format", nargs="+", choices=EMITTERS, default=["csv"],
+                   help="one or more formats, all written from one scan (default csv)")
+    p.add_argument("--out", default=None,
+                   help="output path of a single format (default scan.<format>)")
     p.add_argument("--shoot", action="store_true", help="also shoot a profile per cell")
     p.add_argument("--eps-min", type=float, default=ScanConfig.eps_lo)
     p.add_argument("--eps-max", type=float, default=ScanConfig.eps_hi)

@@ -11,6 +11,7 @@ import pytest
 
 import radshock.cli
 from radshock.cli import main
+from radshock.scan import run_scan
 from radshock.shooting import profile_to_csv, shoot
 from shot_pins import PINS
 
@@ -262,6 +263,33 @@ class TestScanCommand:
         out_file = tmp_path / "scan.svg"
         assert main(["scan", "--grid", "4x4", "--format", "svg", "--out", str(out_file)]) == 0
         ET.fromstring(out_file.read_text())
+
+    def test_several_formats_come_from_one_scan(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        scans = []
+
+        def counted(*args):
+            scans.append(args)
+            return run_scan(*args)
+
+        monkeypatch.setattr(radshock.cli, "run_scan", counted)
+        assert main(["scan", "--grid", "6x6", "--format", "csv", "json", "svg", "csv"]) == 0
+        assert len(scans) == 1
+        assert capsys.readouterr().out.startswith("wrote scan.csv, scan.json, scan.svg: 36 records")
+        # Each file holds the bytes that a scan of its format alone writes.
+        for fmt in ("csv", "json", "svg"):
+            alone = tmp_path / f"alone.{fmt}"
+            assert main(["scan", "--grid", "6x6", "--format", fmt, "--out", str(alone)]) == 0
+            assert (tmp_path / f"scan.{fmt}").read_text() == alone.read_text()
+
+    def test_out_with_several_formats_exits_2_before_scanning(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(radshock.cli, "run_scan", None)
+        out_file = tmp_path / "scan.out"
+        code = main(["scan", "--grid", "4x4", "--format", "csv", "json", "--out", str(out_file)])
+        assert code == 2
+        assert not out_file.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --out names one file")
 
     def test_summary_line(self, tmp_path, capsys):
         # Regions in the order the scan first meets them, not by count.
