@@ -8,7 +8,10 @@ The grid is classified in one call, and the cells are kept as columns, one
 per `ScanRecord` field, the scan's one field list; a record is built only
 when a caller reads one.  The numeric columns are turned into text once per
 table, by the first emitter call, and the CSV and JSON emitters share that
-text.
+text.  Each emitter writes its document in one join over the column texts
+and the literals between them (`_woven`), building no line; the string
+columns and the SVG's cell coordinates go through memos whose text comes
+with the literal around it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -39,10 +42,15 @@ _SVG_COLORS = {
     "Separatrix1": "#222222",
     "Separatrix2": "#222222",
 }
+# The end of a cell's rect after its fill attribute, by region, and for any
+# other region.
+_SVG_FILL = {region: f'{color}"/>\n' for region, color in _SVG_COLORS.items()}
+_SVG_FILL_OTHER = '#999999"/>\n'
 
-# The text of an oscillatory flag in each format.
-_CSV_FLAG = {None: "", True: "true", False: "false"}
-_JSON_FLAG = {None: "null", True: "true", False: "false"}
+# The text of an oscillatory flag in each format, with what follows it at
+# the end of its row.
+_CSV_FLAG = {None: "\n", True: "true\n", False: "false\n"}
+_JSON_FLAG = {None: "null}", True: "true}", False: "false}"}
 
 
 @dataclass(frozen=True)
@@ -223,31 +231,35 @@ def _separatrix_polylines(config: ScanConfig, eps_grid: np.ndarray, separatrices
     return sep1, sep2
 
 
+def _shot_cell(eps: float, q_tilde: float,
+               options: ShootOptions | None) -> tuple[str, bool | None]:
+    """One cell's verdict text and oscillatory flag; a typed error gives its name."""
+    try:
+        res = shoot(eps, q_tilde, options)
+    except RadshockError as exc:
+        return type(exc).__name__, None
+    return res.verdict.value, res.oscillation.oscillatory
+
+
 def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> ScanResult:
     """Classify every grid cell; optionally shoot a profile per cell.
 
     Shooting failures of individual cells are recorded by error name in the
-    shoot_verdict column so a sweep never dies half way.
+    shoot_verdict column so a sweep never dies half way.  The columns are
+    built as tuples, which the table keeps without a copy.
     """
     eps_grid = np.linspace(config.eps_lo, config.eps_hi, config.eps_count)
     q_grid = np.linspace(config.q_lo, config.q_hi, config.q_count)
     separatrices = cls.separatrix_grid(eps_grid)
     code, z, pval = cls.classify_grid(eps_grid, q_grid, separatrices)
-    q_list = q_grid.tolist()
-    eps_col = [e for e in eps_grid.tolist() for _ in q_list]
-    q_col = q_list * config.eps_count
-    verdicts: list[str | None] = [None] * len(eps_col)
-    oscillatory: list[bool | None] = [None] * len(eps_col)
+    eps_col = tuple(chain.from_iterable(map(repeat, eps_grid.tolist(), repeat(config.q_count))))
+    q_col = tuple(q_grid.tolist()) * config.eps_count
+    verdicts = oscillatory = (None,) * len(eps_col)
     if config.shoot:
-        for i, (e, q) in enumerate(zip(eps_col, q_col)):
-            try:
-                res = shoot(e, q, shoot_options)
-                verdicts[i] = res.verdict.value
-                oscillatory[i] = res.oscillation.oscillatory
-            except RadshockError as exc:
-                verdicts[i] = type(exc).__name__
-    table = ScanTable(eps_col, q_col, _CODE_TEXT[code.ravel()].tolist(),
-                      z.tolist() * config.eps_count, pval.ravel().tolist(), verdicts, oscillatory)
+        verdicts, oscillatory = zip(*map(_shot_cell, eps_col, q_col, repeat(shoot_options)))
+    table = ScanTable(eps_col, q_col, tuple(_CODE_TEXT[code.ravel()]),
+                      tuple(z.tolist()) * config.eps_count, tuple(pval.ravel().tolist()),
+                      verdicts, oscillatory)
     sep1, sep2 = _separatrix_polylines(config, eps_grid, separatrices)
     return ScanResult(config=config, records=table, separatrix1=sep1, separatrix2=sep2)
 
@@ -260,8 +272,11 @@ class _TextMemo(dict):
     """Text of each distinct value, made once per memo.
 
     A grid repeats each eps, q_tilde and v_plus^2 many times, and a string
-    column holds a few labels.  Zeros are not kept: 0.0 == -0.0 as keys, but
-    the two print differently.
+    column holds a few labels.  A memo's text may carry the literal around
+    the value: the CSV's string cells come with their commas, the JSON's
+    with the field names on either side, and the SVG's x and y with the rest
+    of the cell's rect up to its fill.  Zeros are not kept: 0.0 == -0.0 as
+    keys, but the two print differently.
     """
 
     def __init__(self, text=_g):
@@ -287,24 +302,39 @@ def _csv_cell(s: str) -> str:
     return s
 
 
+def _woven(head: str, n: int, pieces, sep: str, tail: str) -> str:
+    """`head + sep.join(rows) + tail` in one join, making no row.
+
+    Row i is the i-th text of each piece in turn; a piece is a sequence of n
+    texts or one text for every row.  Each piece fills its stride of one
+    list of pointers, so the document's bytes are copied once.  With `sep`
+    empty the rows run end to end, and a line's newline is its last piece.
+    """
+    pieces = (*pieces, sep) if sep else pieces
+    k = len(pieces)
+    parts = [None] * (n * k + 2)
+    parts[0], parts[-1] = head, tail
+    for i, piece in enumerate(pieces, 1):
+        parts[i:-1:k] = [piece] * n if isinstance(piece, str) else piece
+    if sep and n:
+        del parts[-2]  # the separator after the last row
+    return "".join(parts)
+
+
 def scan_to_csv(result: ScanResult) -> str:
-    t, cell = result.records, _TextMemo(_csv_cell)
-    cell[None] = ""
+    # A string cell's text comes with the commas on either side of it.
+    t, cell = result.records, _TextMemo(lambda s: f",{_csv_cell(s)},")
+    cell[None] = ",,"
     eps, q_tilde, v_plus_sq, discriminant = t._texts
-    lines = [",".join(_FIELDS)]
-    lines += [
-        f"{e},{q},{region},{z},{d},{verdict},{osc}"
-        for e, q, region, z, d, verdict, osc in zip(
-            eps, q_tilde, map(cell.__getitem__, t.region), v_plus_sq, discriminant,
-            map(cell.__getitem__, t.shoot_verdict), map(_CSV_FLAG.__getitem__, t.oscillatory))
-    ]
-    lines.append("# separatrix q1")
-    lines.append("eps,q_tilde")
-    lines.extend(f"{_g(e)},{_g(q)}" for e, q in result.separatrix1)
-    lines.append("# separatrix q2")
-    lines.append("eps,q_tilde")
-    lines.extend(f"{_g(e)},{_g(q)}" for e, q in result.separatrix2)
-    return "\n".join(lines) + "\n"
+    tail = ["# separatrix q1", "eps,q_tilde"]
+    tail += [f"{_g(e)},{_g(q)}" for e, q in result.separatrix1]
+    tail += ["# separatrix q2", "eps,q_tilde"]
+    tail += [f"{_g(e)},{_g(q)}" for e, q in result.separatrix2]
+    return _woven(
+        ",".join(_FIELDS) + "\n", len(t),
+        (eps, ",", q_tilde, map(cell.__getitem__, t.region), v_plus_sq, ",", discriminant,
+         map(cell.__getitem__, t.shoot_verdict), map(_CSV_FLAG.__getitem__, t.oscillatory)),
+        "", "\n".join(tail) + "\n")
 
 
 def _json_pairs(points: list[tuple[float, float]]) -> str:
@@ -317,31 +347,33 @@ def scan_to_json(result: ScanResult) -> str:
     # level, so that `import radshock` does not load it.
     import json
 
-    c, t, string = result.config, result.records, _TextMemo(json.dumps)
-    string[None] = "null"
+    def string_field(name: str, next_name: str) -> _TextMemo:
+        """A string field's text, from its name up to the next field's value."""
+        memo = _TextMemo(lambda s: f', "{name}": {json.dumps(s)}, "{next_name}": ')
+        memo[None] = memo._text(None)
+        return memo
+
+    c, t = result.config, result.records
+    region = string_field("region", "v_plus_sq")
+    verdict = string_field("shoot_verdict", "oscillatory")
     eps, q_tilde, v_plus_sq, discriminant = t._texts
-    parts = ["{\n"]
-    parts.append(
-        '  "meta": {"schema_version": 1, '
+    head = (
+        '{\n  "meta": {"schema_version": 1, '
         f'"eps_range": [{_g(c.eps_lo)}, {_g(c.eps_hi)}, {c.eps_count}], '
         f'"q_range": [{_g(c.q_lo)}, {_g(c.q_hi)}, {c.q_count}], '
         f'"shoot": {"true" if c.shoot else "false"}}},\n'
+        '  "records": [\n'
     )
-    rec_lines = [
-        f'    {{"eps": {e}, "q_tilde": {q}, "region": {region}, "v_plus_sq": {z}, '
-        f'"discriminant": {d}, "shoot_verdict": {v}, "oscillatory": {osc}}}'
-        for e, q, region, z, d, v, osc in zip(
-            eps, q_tilde, map(string.__getitem__, t.region), v_plus_sq, discriminant,
-            map(string.__getitem__, t.shoot_verdict), map(_JSON_FLAG.__getitem__, t.oscillatory))
-    ]
-    # Separate parts: the final join is the only copy of the record block.
-    parts += ['  "records": [\n', ",\n".join(rec_lines), "\n  ],\n"]
-    parts.append(
-        '  "separatrices": {"q1": ' + _json_pairs(result.separatrix1)
-        + ', "q2": ' + _json_pairs(result.separatrix2) + "}\n"
+    tail = (
+        '\n  ],\n  "separatrices": {"q1": ' + _json_pairs(result.separatrix1)
+        + ', "q2": ' + _json_pairs(result.separatrix2) + "}\n}\n"
     )
-    parts.append("}\n")
-    return "".join(parts)
+    return _woven(
+        head, len(t),
+        ('    {"eps": ', eps, ', "q_tilde": ', q_tilde, map(region.__getitem__, t.region),
+         v_plus_sq, ', "discriminant": ', discriminant, map(verdict.__getitem__, t.shoot_verdict),
+         map(_JSON_FLAG.__getitem__, t.oscillatory)),
+        ",\n", tail)
 
 
 def scan_to_svg(result: ScanResult) -> str:
@@ -359,48 +391,46 @@ def scan_to_svg(result: ScanResult) -> str:
 
     cw = pw / c.eps_count
     ch = ph / c.q_count
-    # A cell's x depends on eps alone and its y on q_tilde alone.  The memo
-    # is keyed by value, so float() keeps the arithmetic off the key's type.
-    cell_x = _TextMemo(lambda e: f"{x_of(float(e)) - cw / 2.0:.2f}")
-    cell_y = _TextMemo(lambda q: f"{y_of(float(q)) - ch / 2.0:.2f}")
-    size = f'width="{cw:.2f}" height="{ch:.2f}"'
-    out = [
+    # A cell's x depends on eps alone and its y on q_tilde alone, so each
+    # memo holds the rect's text up to and after its y.  The memo is keyed
+    # by value, so float() keeps the arithmetic off the key's type.
+    cell_x = _TextMemo(lambda e: f'<rect x="{x_of(float(e)) - cw / 2.0:.2f}" y="')
+    cell_y = _TextMemo(
+        lambda q: f'{y_of(float(q)) - ch / 2.0:.2f}" width="{cw:.2f}" height="{ch:.2f}" fill="')
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    t = result.records
-    out += [f'<rect x="{x}" y="{y}" {size} fill="{color}"/>' for x, y, color in zip(
-        map(cell_x.__getitem__, t.eps), map(cell_y.__getitem__, t.q_tilde),
-        map(_SVG_COLORS.get, t.region, repeat("#999999")))]
+    tail = []
     for pts, color in ((result.separatrix1, "#000000"), (result.separatrix2, "#000000")):
         if not pts:
             continue
         path = " ".join(f"{x_of(e):.2f},{y_of(q):.2f}" for e, q in pts)
-        out.append(
+        tail.append(
             f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-    out.append(
+    tail.append(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#000000" stroke-width="1"/>'
     )
-    out.append(
+    tail.append(
         f'<text x="{ml + pw / 2:.0f}" y="{height - 14}" text-anchor="middle" '
         f'font-size="15" font-family="sans-serif">dissipation eps</text>'
     )
-    out.append(
+    tail.append(
         f'<text x="18" y="{mt + ph / 2:.0f}" text-anchor="middle" font-size="15" '
         f'font-family="sans-serif" transform="rotate(-90 18 {mt + ph / 2:.0f})">'
         "shock strength q~</text>"
     )
     for e in (c.eps_lo, c.eps_hi):
-        out.append(
+        tail.append(
             f'<text x="{x_of(e):.0f}" y="{mt + ph + 18}" text-anchor="middle" '
             f'font-size="12" font-family="sans-serif">{e:.4g}</text>'
         )
     for q in (c.q_lo, c.q_hi):
-        out.append(
+        tail.append(
             f'<text x="{ml - 8}" y="{y_of(q) + 4:.0f}" text-anchor="end" '
             f'font-size="12" font-family="sans-serif">{q:.6g}</text>'
         )
@@ -412,18 +442,21 @@ def scan_to_svg(result: ScanResult) -> str:
     ]
     ly = mt + 8
     for key, text in legend:
-        out.append(
+        tail.append(
             f'<rect x="{ml + pw + 14}" y="{ly}" width="14" height="14" '
             f'fill="{_SVG_COLORS[key]}"/>'
         )
-        out.append(
+        tail.append(
             f'<text x="{ml + pw + 34}" y="{ly + 12}" font-size="13" '
             f'font-family="sans-serif">{text}</text>'
         )
         ly += 22
-    # The empty last line ends the text with a newline, without another copy of it.
-    out += ["</svg>", ""]
-    return "\n".join(out)
+    t = result.records
+    return _woven(
+        "\n".join(head) + "\n", len(t),
+        (map(cell_x.__getitem__, t.eps), map(cell_y.__getitem__, t.q_tilde),
+         map(_SVG_FILL.get, t.region, repeat(_SVG_FILL_OTHER))),
+        "", "\n".join(tail) + "\n</svg>\n")
 
 
 # The emitter of each output format, by the name the CLI's --format takes.

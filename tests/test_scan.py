@@ -421,6 +421,15 @@ class TestEmitters:
             "0ed0da0886cd4e607d1dc944c17bb210a124ca2f3e78b733241438ca9de1f7f0",
         )
 
+    @pytest.mark.xfail(raises=json.JSONDecodeError, strict=True,
+                       reason="a non-finite number is written bare, which JSON has no text for; "
+                              "its text is for schema_version 2 to fix (ROADMAP item 10)")
+    def test_json_with_a_nan_parses(self):
+        record = ScanRecord(0.5, 0.8, "Focus", 0.1, math.nan)
+        result = ScanResult(ScanConfig(eps_count=7, q_count=5), [record], [], [])
+        assert '"discriminant": nan,' in scan_to_json(result)
+        assert math.isnan(json.loads(scan_to_json(result))["records"][0]["discriminant"])
+
     @pytest.mark.parametrize(
         "config,digests",
         [
@@ -541,22 +550,62 @@ _SVG_FILL = {"NodeBelow": "#5b8dd9", "Focus": "#d96a6a", "NodeAbove": "#67b36b",
              "Separatrix1": "#222222", "Separatrix2": "#222222"}
 
 
-def _ref_svg_cells(result, width=880, height=640):
-    # The cell rects, the only part of the SVG that depends on the records.
+def _ref_svg(result, width=880, height=640):
+    # The whole document, one line per element, each value formatted where
+    # it is written.
     c = result.config
     ml, mr, mt, mb = 70, 170, 30, 55
     pw, ph = width - ml - mr, height - mt - mb
+
+    def x_of(e):
+        return ml + (e - c.eps_lo) / (c.eps_hi - c.eps_lo) * pw
+
+    def y_of(q):
+        return mt + (c.q_hi - q) / (c.q_hi - c.q_lo) * ph
+
     cw = pw / c.eps_count
     ch = ph / c.q_count
-    lines = []
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
     for r in result.records:
-        x = ml + (r.eps - c.eps_lo) / (c.eps_hi - c.eps_lo) * pw - cw / 2.0
-        y = mt + (c.q_hi - r.q_tilde) / (c.q_hi - c.q_lo) * ph - ch / 2.0
+        x = x_of(float(r.eps)) - cw / 2.0
+        y = y_of(float(r.q_tilde)) - ch / 2.0
         lines.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" height="{ch:.2f}" '
             f'fill="{_SVG_FILL.get(r.region, "#999999")}"/>'
         )
-    return lines
+    for pts in (result.separatrix1, result.separatrix2):
+        if pts:
+            path = " ".join(f"{x_of(e):.2f},{y_of(q):.2f}" for e, q in pts)
+            lines.append(f'<polyline points="{path}" fill="none" stroke="#000000" '
+                         'stroke-width="1.5"/>')
+    lines.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
+                 'stroke="#000000" stroke-width="1"/>')
+    lines.append(f'<text x="{ml + pw / 2:.0f}" y="{height - 14}" text-anchor="middle" '
+                 'font-size="15" font-family="sans-serif">dissipation eps</text>')
+    lines.append(f'<text x="18" y="{mt + ph / 2:.0f}" text-anchor="middle" font-size="15" '
+                 f'font-family="sans-serif" transform="rotate(-90 18 {mt + ph / 2:.0f})">'
+                 "shock strength q~</text>")
+    for e in (c.eps_lo, c.eps_hi):
+        lines.append(f'<text x="{x_of(e):.0f}" y="{mt + ph + 18}" text-anchor="middle" '
+                     f'font-size="12" font-family="sans-serif">{e:.4g}</text>')
+    for q in (c.q_lo, c.q_hi):
+        lines.append(f'<text x="{ml - 8}" y="{y_of(q) + 4:.0f}" text-anchor="end" '
+                     f'font-size="12" font-family="sans-serif">{q:.6g}</text>')
+    ly = mt + 8
+    for key, text in [("NodeBelow", "node (below Q1)"), ("Focus", "focus"),
+                      ("NodeAbove", "node (above Q2)"), ("Separatrix1", "separatrices")]:
+        lines.append(f'<rect x="{ml + pw + 14}" y="{ly}" width="14" height="14" '
+                     f'fill="{_SVG_FILL[key]}"/>')
+        lines.append(f'<text x="{ml + pw + 34}" y="{ly + 12}" font-size="13" '
+                     f'font-family="sans-serif">{text}</text>')
+        ly += 22
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 # Values a per-call memo keyed by the float could get wrong: signed zeros
@@ -601,12 +650,13 @@ _record = _records(_number)
 
 @given(
     pool=st.lists(_record, min_size=1, max_size=6),
-    picks=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+    picks=st.lists(st.integers(0, 5), max_size=30),
     curve=st.lists(st.tuples(_number, _number), max_size=4),
     json_first=st.booleans(),
 )
 def test_emitters_match_per_value_formatting(pool, picks, curve, json_first):
-    # Records drawn from a small pool, so equal values repeat across cells.
+    # Records drawn from a small pool, so equal values repeat across cells;
+    # no picks give the empty table, where the head meets the tail.
     records = [pool[i % len(pool)] for i in picks]
     result = ScanResult(
         config=ScanConfig(eps_count=7, q_count=5),
@@ -619,7 +669,7 @@ def test_emitters_match_per_value_formatting(pool, picks, curve, json_first):
     with np.errstate(all="ignore"):
         for emit, ref in emitters[::-1] if json_first else emitters:
             assert emit(result) == ref(result)
-        assert scan_to_svg(result).splitlines()[3:3 + len(records)] == _ref_svg_cells(result)
+        assert scan_to_svg(result) == _ref_svg(result)
 
 
 @given(records=st.lists(_records(st.floats(allow_nan=False, allow_infinity=False)), max_size=8))
