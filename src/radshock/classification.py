@@ -7,7 +7,8 @@ through the downstream-velocity map, consists of two separatrix curves
 q1(eps) and q2(eps) that split the parameter square into a focus band
 between them and node regions below and above.  `classify_grid` labels a
 whole grid of eps against q_tilde in one array pass; `classify` runs the
-same body at one point.
+same body at one point.  `local_spectrum` gates its state and eps, then reads
+the eigenvalues off `model.spectrum_at_v`.
 """
 
 from __future__ import annotations
@@ -23,15 +24,7 @@ from .errors import (
     EpsilonAboveHat, EpsilonOutOfRange, InternalInconsistency, RootFindingFailure, ZOutOfRange,
     _real, _reals,
 )
-from .model import (
-    GodunovState,
-    check_eps,
-    check_off_locus,
-    det_b_sharp_closed,
-    det_lin_closed,
-    theta_u_v,
-    trace_adj_closed,
-)
+from .model import GodunovState, check_eps, check_off_locus, spectrum_at_v, theta_u_v
 
 # Points closer than this (in q_tilde) to a separatrix get the curve label;
 # strict sign classification inside the band is floating-point noise.
@@ -180,12 +173,10 @@ def separatrix_q1(eps: float) -> float:
 
 def separatrix_q2(eps: float) -> float:
     """Upper separatrix q2(eps) = q_of_vplus(w2(eps)), defined on (0, eps_hat)."""
-    eps = check_eps(_real(eps))
-    if eps >= _EPS_HAT:
-        raise EpsilonAboveHat(
-            f"upper separatrix undefined for eps = {eps} >= {_EPS_HAT}"
-        )
-    return q_of_vplus(cubic_roots(eps).w2)
+    q2 = _separatrices(eps)[1]
+    if q2 == math.inf:
+        raise EpsilonAboveHat(f"upper separatrix undefined for eps = {eps} >= {_EPS_HAT}")
+    return q2
 
 
 # Region label of each code that `classify_grid` assigns.
@@ -201,7 +192,7 @@ CODE_LABELS = (
 def _separatrices(eps: float) -> tuple[float, float]:
     """q1 and q2 of one cubic solve, with q2 = inf where it is undefined, eps >= eps_hat."""
     roots = cubic_roots(eps)
-    return q_of_vplus(roots.w3), q_of_vplus(roots.w2) if eps < _EPS_HAT else math.inf
+    return q_of_vplus(roots.w3), q_of_vplus(roots.w2) if roots.eps < _EPS_HAT else math.inf
 
 
 def separatrix_grid(eps) -> np.ndarray:
@@ -275,18 +266,3 @@ def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
     check_off_locus(v * v, eps)
     return spectrum_at_v(v, eps)
 
-
-def spectrum_at_v(v: float, eps: float) -> tuple[complex, complex]:
-    """`local_spectrum` at velocity v, from the closed forms, without its domain checks."""
-    det_b = det_b_sharp_closed(v * v, eps)
-    tr = trace_adj_closed(v, eps) / det_b
-    det = det_lin_closed(v * v) / det_b
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        # The root of trace's sign, and the other from their product: 0.5 (tr
-        # -+ sqrt(disc)) cancels to 0 where |det| << tr^2, as at eps = 1e-12.
-        big = 0.5 * (tr + math.copysign(math.sqrt(disc), tr))
-        lo, hi = sorted((big, det / big if big != 0.0 else 0.0))
-        return complex(lo, 0.0), complex(hi, 0.0)
-    s = math.sqrt(-disc)
-    return complex(0.5 * tr, -0.5 * s), complex(0.5 * tr, 0.5 * s)

@@ -8,6 +8,7 @@ failure, 2 usage/domain error, 3 I/O error, 4 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 
@@ -45,9 +46,10 @@ def cmd_classify(args) -> int:
     print(f"psi_minus: ({pair.psi_minus.psi0:.12g}, {pair.psi_minus.psi1:.12g})")
     print(f"psi_plus:  ({pair.psi_plus.psi0:.12g}, {pair.psi_plus.psi1:.12g})")
     print(f"eigenvalues at psi_plus: {lam[0]:.12g} {lam[1]:.12g}")
-    print(f"separatrix q1(eps): {cls.separatrix_q1(args.eps):.12g}")
-    if args.eps < cls.epsilon_hat():
-        print(f"separatrix q2(eps): {cls.separatrix_q2(args.eps):.12g}")
+    q1, q2 = cls.separatrix_grid([args.eps]).ravel().tolist()
+    print(f"separatrix q1(eps): {q1:.12g}")
+    if q2 < math.inf:
+        print(f"separatrix q2(eps): {q2:.12g}")
     return 0
 
 

@@ -8,8 +8,10 @@ linearization matrix, and the causality classification of a transport
 triple (eta, mu, nu).
 
 Production code reaches B# through the closed forms of its determinant and
-trace and through `shooting._field`, which applies adj(B#) through the
-rank-one split of its blocks; the matrix builders (`b_sharp`, its blocks,
+trace, which `spectrum_at_v` combines into the eigenvalues of B#^-1 A (the
+node/focus spectrum at the downstream rest point and the saddle's at the
+upstream one), and through `shooting._field`, which applies adj(B#) through
+the rank-one split of its blocks; the matrix builders (`b_sharp`, its blocks,
 `lin_matrix`) and `trace_adj`, the one body of trace(adj(B#) A), are the
 reference route that tests and the `verify` command check them against, and
 have no other caller.  They use arithmetic only, so a `Kinematics` of floats gives 2x2 matrices and
@@ -189,6 +191,22 @@ def trace_adj_identity(kin: Kinematics, eps):
 def trace_adj_closed(v: float, eps: float) -> float:
     """Closed form: (3v/(eps-4)) ((8+eps^2) v^2 + eps^2 - 6 eps - 4)."""
     return (3.0 * v / (eps - 4.0)) * ((8.0 + eps * eps) * v * v + eps * eps - 6.0 * eps - 4.0)
+
+
+def spectrum_at_v(v: float, eps: float) -> tuple[complex, complex]:
+    """`local_spectrum` at velocity v, from the closed forms, without its domain checks."""
+    det_b = det_b_sharp_closed(v * v, eps)
+    tr = trace_adj_closed(v, eps) / det_b
+    det = det_lin_closed(v * v) / det_b
+    disc = tr * tr - 4.0 * det
+    if disc >= 0.0:
+        # The root of trace's sign, and the other from their product: 0.5 (tr
+        # -+ sqrt(disc)) cancels to 0 where |det| << tr^2, as at eps = 1e-12.
+        big = 0.5 * (tr + math.copysign(math.sqrt(disc), tr))
+        lo, hi = sorted((big, det / big if big != 0.0 else 0.0))
+        return complex(lo, 0.0), complex(hi, 0.0)
+    s = math.sqrt(-disc)
+    return complex(0.5 * tr, -0.5 * s), complex(0.5 * tr, 0.5 * s)
 
 
 class CausalityClass(str, Enum):

@@ -8,12 +8,14 @@ ab = theta^-2 does not cancel at the strong-shock edge: the rest points
 (`_null`), the saddle, the start and the steps; the samples are read back in
 psi once, at the end.  The field is one closure per shot, built by `_field`,
 the only place the package applies B#; its Jacobian, and the start's tangent
-and curvature, come from complex steps through it.  The step loop calls
-ODEPACK's LSODA runner, which `_compiled` loads from scipy's compiled module,
-one step at a time.  The loop stops when the orbit is captured at the
-downstream rest point (its last sample put where the step's chord meets the
-capture sphere), escapes, crosses the singular locus of the dissipation
-matrix, or exhausts the step or pseudo-time budget.
+and curvature, come from complex steps through it.  The saddle's unstable
+eigenvalue is `model.spectrum_at_v`'s, the closed form that classification
+reads at the downstream rest point.  The step loop calls ODEPACK's LSODA
+runner, which `_lsoda` loads from scipy's compiled module, one step at a
+time.  The loop stops when the orbit is captured at the downstream rest point
+(its last sample put where the step's chord meets the capture sphere),
+escapes, crosses the singular locus of the dissipation matrix, or exhausts
+the step or pseudo-time budget.
 `oscillation_report` counts the extrema and sign changes of the samples'
 coordinate series around their limits.
 """
@@ -30,11 +32,10 @@ from enum import Enum
 
 import numpy as np
 
-from .classification import spectrum_at_v
 from .equilibria import EquilibriumPair, check_omega, rest_points, v_minus_squared, v_plus_squared
 from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples, _real, _reals
 from .model import (
-    GodunovState, det_b_sharp_closed, singular_locus_v_sq, theta_u_v
+    GodunovState, det_b_sharp_closed, singular_locus_v_sq, spectrum_at_v, theta_u_v
 )
 
 # A shot starts this far out on the saddle's unstable manifold, in the
@@ -88,22 +89,21 @@ _OPENBLAS_THREAD_TIMEOUT = "20"
 
 
 @functools.cache
-def _compiled(module: str, name: str):
-    """Function `name` of scipy's compiled module `module`, such as "integrate._odepack".
+def _lsoda():
+    """ODEPACK's LSODA runner, `lsoda` of scipy's compiled module scipy.integrate._odepack.
 
-    Loaded once per process from the file that `PathFinder` finds in the
-    module's package directory, without running that package's __init__:
+    Loaded once per process from the file that `PathFinder` finds in
+    scipy's integrate directory, without running that package's __init__:
     `scipy.integrate` would import some 600 modules, `scipy.optimize` among
     them, in about 0.5 s, for the one function a shot calls.  `find_spec` of the
     top-level package imports nothing, not even scipy.
     """
-    full = f"scipy.{module}"
-    *package, _ = module.split(".")
+    full = "scipy.integrate._odepack"
     scipy = importlib.util.find_spec("scipy")
     roots = (scipy and scipy.submodule_search_locations) or ()
     try:
         spec = importlib.machinery.PathFinder.find_spec(
-            full, [os.path.join(root, *package) for root in roots]
+            full, [os.path.join(root, "integrate") for root in roots]
         )
         if spec is None:
             raise ModuleNotFoundError(f"no compiled module {full}", name=full)
@@ -115,10 +115,10 @@ def _compiled(module: str, name: str):
         finally:
             if unset:
                 del os.environ["OPENBLAS_THREAD_TIMEOUT"]
-        return getattr(ext, name)
+        return ext.lsoda
     except (ImportError, AttributeError) as exc:
         raise ImportError(
-            f"a shot calls {name} of scipy's compiled module {full} (scipy>=1.17), "
+            f"a shot calls lsoda of scipy's compiled module {full} (scipy>=1.17), "
             f"which could not be loaded: {exc}",
             name=full,
         ) from exc
@@ -514,7 +514,7 @@ def _integrate(field, y_start: tuple, eps: float, plus: tuple, scale: float, opt
     # call; a 2-element atol would make LSODA's tolerance per component.
     rtol = np.array([max(opts.rel_tol, _MIN_REL_TOL)])
     atol = np.array([opts.abs_tol])
-    step = _compiled("integrate._odepack", "lsoda")
+    step = _lsoda()
     # The work arrays scipy's `lsoda.reset` builds for n = 2 with a full user
     # Jacobian (jt = 1): rwork of 20 + (12 + 4) n doubles, iwork of 20 + n
     # ints with nsteps 500 and the Adams and BDF order limits 12 and 5, and

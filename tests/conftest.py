@@ -1,9 +1,29 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import settings
 
+import radshock
+
 settings.register_profile("ci", derandomize=True, max_examples=150)
 settings.load_profile("ci")
+
+
+def run_python(*args, **kwargs):
+    """Run `python ARGS` in a fresh interpreter that imports this checkout's src.
+
+    The output is captured as text; other keyword arguments (cwd, timeout,
+    check) go to `subprocess.run`.  Returns its CompletedProcess.
+    """
+    env = dict(os.environ)
+    src = str(Path(radshock.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
+    )
 
 
 def bisect_root(f, lo, hi, tol=1e-14, max_iter=200):

@@ -91,11 +91,6 @@ PINS = {
 # The five points whose every sample is pinned, in the digest tests' order.
 DIGEST_POINTS = [point for point, pin in PINS.items() if pin.digest is not None]
 
-# The six stiff or cancelling points of the benchmark's edge workload.
-EDGE_POINTS = [
-    (1e-3, 0.8), (1e-4, 0.8), (1e-6, 0.8), (0.5, 0.9999), (0.5, 1.0 - 1e-6), (1.0, 0.75 + 1e-6)
-]
-
 # The centres of an 8x8 split of eps in [0.05, 1], q_tilde in [0.76, 0.99],
 # then a node, a focus and a slow spiral.
 WORK_POINTS = [

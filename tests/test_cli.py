@@ -1,15 +1,13 @@
 import hashlib
 import json
 import os
-import subprocess
-import sys
 import warnings
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 
 import radshock.cli
+from conftest import run_python
 from radshock.cli import main
 from radshock.scan import run_scan
 from radshock.shooting import profile_to_csv, shoot
@@ -18,13 +16,7 @@ from shot_pins import PINS
 
 def run_cli_process(cwd, *args):
     """Run `python -W error -m radshock.cli ARGS` in a child, importing this checkout's src."""
-    env = dict(os.environ)
-    src = str(Path(radshock.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "radshock.cli", *args],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
-    )
+    return run_python("-W", "error", "-m", "radshock.cli", *args, cwd=cwd, timeout=120)
 
 
 class TestClassifyCommand:
@@ -177,13 +169,6 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "verdict: ConvergedToPlus" in out
         assert f"samples: {PINS[(0.5, 0.9)].samples}" in out
-
-    def test_focus_profile(self, tmp_path, capsys):
-        out_file = tmp_path / "traj.csv"
-        assert main(["profile", "--eps", "1", "--q", "0.8", "--out", str(out_file)]) == 0
-        out = capsys.readouterr().out
-        assert "verdict: ConvergedToPlus" in out
-        assert "oscillatory: true" in out
 
     def test_out_of_omega(self):
         assert main(["profile", "--eps", "1", "--q", "0.74"]) == 2

@@ -1,5 +1,6 @@
-"""No dead imports or private definitions in the package, no step loads scipy's packages,
-and no except clause catches a bad argument's raw error outside the input gate.
+"""No dead imports or private definitions in the package, no import against its layers,
+no step loads scipy's packages, and no except clause catches a bad argument's raw
+error outside the input gate.
 
 A dead import outlives the code that needed it and hides which layer a
 module really depends on.  Names re-exported through `__all__` count as
@@ -10,14 +11,12 @@ package, outside its own definition.
 
 import ast
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import radshock
+from conftest import run_python
 
 MODULES = sorted(Path(radshock.__file__).resolve().parent.glob("*.py"))
 
@@ -49,6 +48,45 @@ def test_module_uses_every_name_it_imports(path):
 def test_checker_flags_a_dead_import():
     source = "from __future__ import annotations\nimport math\nfrom os import path, sep\nsep\n"
     assert unused_imports(source) == ["math (line 2)", "path (line 3)"]
+
+
+# The package's layers, lowest first: errors <- model <- equilibria <-
+# {classification, shooting} <- {scan, verify} <- {cli, the package}.  A
+# module imports only from layers below its own, so the two modules of one
+# layer never import each other.
+LAYERS = [
+    {"errors"}, {"model"}, {"equilibria"}, {"classification", "shooting"},
+    {"scan", "verify"}, {"cli", "__init__"},
+]
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules `source` imports, by `from .x import ...` or `from . import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.partition(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_each_module_imports_only_from_lower_layers():
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    assert sorted(rank) == sorted(path.stem for path in MODULES)
+    against = [
+        f"{path.stem} imports {dep}"
+        for path in MODULES
+        for dep in sorted(package_imports(path.read_text(encoding="utf-8")))
+        if rank[dep] >= rank[path.stem]
+    ]
+    assert against == []
+
+
+def test_checker_reads_both_relative_import_forms():
+    source = "from . import a as b\nfrom .c.d import e\nfrom .. import f\nimport g\nfrom h import i\n"
+    assert package_imports(source) == {"a", "c"}
 
 
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
@@ -170,17 +208,13 @@ for name, code in steps:
     exec(code)
     loaded[name] = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.special",
                                 "scipy.sparse", "scipy.linalg") if m in sys.modules]
-print(json.dumps([loaded, radshock.shooting._compiled.cache_info().currsize]))
+print(json.dumps([loaded, radshock.shooting._lsoda.cache_info().currsize]))
 """
 
 
 def test_only_a_shot_loads_scipy():
     # Only a shot loads anything of scipy: one compiled module, and none of these packages.
-    env = dict(os.environ)
-    src = str(Path(radshock.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_STEPS], capture_output=True,
-                          text=True, env=env, timeout=120, check=True)
+    proc = run_python("-c", _LAZY_SCIPY_STEPS, timeout=120, check=True)
     loaded, compiled = json.loads(proc.stdout)
     assert loaded == {
         "import radshock": [],

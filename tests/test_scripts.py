@@ -1,22 +1,13 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-import radshock
+from conftest import run_python
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_script(name, *args):
     """Run a script under `python -W error` with the package importable; return stdout."""
-    env = dict(os.environ)
-    src = str(Path(radshock.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", str(SCRIPTS / name), *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python("-W", "error", str(SCRIPTS / name), *args, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
