@@ -179,10 +179,11 @@ def main(argv: list[str] | None = None) -> int:
     except RadshockError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, ImportError) as exc:
         # A stray numpy/scipy failure (LinAlgError is a ValueError) from the
-        # numerical layers is an internal failure too; a traceback's exit 1
-        # would read as a failed verification.
+        # numerical layers, or a shot's missing compiled scipy module, is an
+        # internal failure too; a traceback's exit 1 would read as a failed
+        # verification.
         detail = str(exc).partition("\n")[0]
         print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 4

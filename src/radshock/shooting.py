@@ -10,12 +10,14 @@ psi once, at the end.  The field is one closure per shot, built by `_field`,
 the only place the package applies B#; its Jacobian, and the start's tangent
 and curvature, come from complex steps through it.  The saddle's unstable
 eigenvalue is `model.spectrum_at_v`'s, the closed form that classification
-reads at the downstream rest point.  The step loop calls ODEPACK's LSODA
-runner, which `_lsoda` loads from scipy's compiled module, one step at a
-time.  The loop stops when the orbit is captured at the downstream rest point
-(its last sample put where the step's chord meets the capture sphere),
-escapes, crosses the singular locus of the dissipation matrix, or exhausts
-the step or pseudo-time budget.
+reads at the downstream rest point.  A shot is stepped in two parts.  The
+stepper, `_lsoda_steps`, calls ODEPACK's LSODA runner, which `_lsoda` loads
+from scipy's compiled module, one step at a time and yields each accepted
+step.  The verdict loop, `_integrate`, reads any such steps, LSODA's or
+another integrator's, and stops when the orbit is captured at the downstream
+rest point (its last sample put where the step's chord meets the capture
+sphere), escapes, crosses the singular locus of the dissipation matrix, or
+exhausts the step or pseudo-time budget, or when the steps run out.
 `oscillation_report` counts the extrema and sign changes of the samples'
 coordinate series around their limits.
 """
@@ -481,17 +483,13 @@ def _capture_point(t_old: float, y_old: list, t: float, y: list, centre: tuple, 
     return t_old + s * (t - t_old), [y_old[0] + s * d0, y_old[1] + s * d1]
 
 
-def _integrate(field, y_start: tuple, eps: float, plus: tuple, scale: float, opts: ShootOptions):
-    """(verdict, times, samples in psi) of the orbit from `y_start`; it, `plus` and `scale` in (a, b).
+def _lsoda_steps(field, y_start: tuple, opts: ShootOptions):
+    """LSODA's accepted steps of `field` from `y_start`, each as (t, a, b) in Python floats.
 
-    T = [[1, 1], [1, -1]] is sqrt(2) times an orthogonal map, so the capture
-    and escape spheres in (a, b) are those of psi, relative to its scale.
+    One step per call of ODEPACK's runner, as scipy's LSODA solver steps it:
+    itask 5 never steps past tcrit = `_MAX_PSEUDO_TIME`, so the last step
+    lands on it.  The steps end when LSODA gives up (a negative istate).
     """
-    p0, p1 = plus
-    r_cap = _CAPTURE_RADIUS * scale
-    r_esc = _ESCAPE_RADIUS * scale
-    sing_level = singular_locus_v_sq(eps)
-
     # The field's pair goes back through one buffer per shot, stored through
     # a memoryview (cheaper than the array's item stores): handed a tuple,
     # the integrator's callback would build an array from it on every call.
@@ -507,11 +505,10 @@ def _integrate(field, y_start: tuple, eps: float, plus: tuple, scale: float, opt
     def jac(_t, y):
         return _field_jacobian(field, *y.tolist())
 
-    # One LSODA step per call, as scipy's LSODA solver steps it: itask 5
-    # never steps past tcrit = rwork[0].  Like that solver, raise rel_tol to
-    # 100 ulp; below it ODEPACK can reject the input before the first step.
-    # The runner would build these 1-element arrays from floats on every
-    # call; a 2-element atol would make LSODA's tolerance per component.
+    # Like scipy's LSODA solver, raise rel_tol to 100 ulp; below it ODEPACK
+    # can reject the input before the first step.  The runner would build
+    # these 1-element arrays from floats on every call; a 2-element atol
+    # would make LSODA's tolerance per component.
     rtol = np.array([max(opts.rel_tol, _MIN_REL_TOL)])
     atol = np.array([opts.abs_tol])
     step = _lsoda()
@@ -522,30 +519,41 @@ def _integrate(field, y_start: tuple, eps: float, plus: tuple, scale: float, opt
     rwork, iwork = np.zeros(52), np.zeros(22, dtype=np.int32)
     iwork[5], iwork[7], iwork[8] = 500, 12, 5
     sd, si = np.zeros(240), np.zeros(48, dtype=np.int32)
-    jt = 1
-    t_end = _MAX_PSEUDO_TIME
-    rwork[0] = t_end
+    t_end = rwork[0] = _MAX_PSEUDO_TIME
     # The runner overwrites its state argument.
     arr, t, istate = np.array(y_start), 0.0, 1
+    while True:
+        # The 17-argument call of scipy 1.17's `lsoda.run`: (fun, y, t, tout,
+        # rtol, atol, itask, istate, rwork, iwork, jac, jt, f_params, tfirst,
+        # jac_params, state_doubles, state_ints).  TestStepLoopParity fails on
+        # any other layout.  A negative istate is LSODA's failure return.
+        arr, t, istate = step(
+            rhs, arr, t, t_end, rtol, atol, 5, istate, rwork, iwork, jac, 1, (), 1, (), sd, si
+        )
+        if istate < 0:
+            return
+        a, b = arr.tolist()
+        yield t, a, b
+
+
+def _integrate(steps, y_start: tuple, eps: float, plus: tuple, scale: float):
+    """(verdict, times, samples in psi) of the orbit from `y_start`; it, `plus` and `scale` in (a, b).
+
+    `steps` yields accepted steps from `y_start` as (t, a, b), as `_lsoda_steps`
+    does.  T = [[1, 1], [1, -1]] is sqrt(2) times an orthogonal map, so the
+    capture and escape spheres in (a, b) are those of psi, relative to its scale.
+    """
+    p0, p1 = plus
+    r_cap = _CAPTURE_RADIUS * scale
+    r_esc = _ESCAPE_RADIUS * scale
+    sing_level = singular_locus_v_sq(eps)
     # The samples in null coordinates, flat: a, b of each in turn.
     flat = list(y_start)
     times = [0.0]
     # v^2 minus its value on the singular locus at the last accepted state,
     # positive at the start next to psi_minus (v^2 > 1/2, the locus <= 1/8).
     gap, verdict = math.inf, None
-    while verdict is None:
-        # The 17-argument call of scipy 1.17's `lsoda.run`: (fun, y, t, tout,
-        # rtol, atol, itask, istate, rwork, iwork, jac, jt, f_params, tfirst,
-        # jac_params, state_doubles, state_ints).  TestStepLoopParity fails on
-        # any other layout.  A negative istate is LSODA's failure return.
-        arr, t, istate = step(
-            rhs, arr, t, t_end, rtol, atol, 5, istate, rwork, iwork, jac, jt, (), 1, (), sd, si
-        )
-        if istate < 0:
-            # LSODA gave up; the field has no blow-up to blame it on.
-            verdict = ProfileVerdict.STALLED
-            break
-        a, b = arr.tolist()
+    for t, a, b in steps:
         r = math.hypot(a - p0, b - p1)
         if r <= r_cap:
             # psi_plus is a hyperbolic sink throughout Omega, so an orbit that
@@ -568,10 +576,15 @@ def _integrate(field, y_start: tuple, eps: float, plus: tuple, scale: float, opt
             gap_old, gap = gap, d * d / (4.0 * a * b) - sing_level
             if gap_old >= 0.0 >= gap:
                 verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
-            elif t >= t_end or len(times) == _MAX_STEPS:
+            elif t >= _MAX_PSEUDO_TIME or len(times) == _MAX_STEPS:
                 verdict = ProfileVerdict.STALLED
         times.append(t)
         flat += (a, b)
+        if verdict is not None:
+            break
+    else:
+        # The steps ran out: the integrator gave up, with no blow-up to blame.
+        verdict = ProfileVerdict.STALLED
     a, b = np.array(flat).reshape(-1, 2).T
     return verdict, np.array(times), 0.5 * np.column_stack((a + b, a - b))
 
@@ -595,7 +608,8 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     minus, plus = _null(pair.v_minus_sq), _null(pair.v_plus_sq)
     field = _field(eps, q_tilde)
     start, _, scale = _start(field, eps, pair, minus, plus)
-    verdict, times, states = _integrate(field, start, eps, plus, scale, opts)
+    steps = _lsoda_steps(field, start, opts)
+    verdict, times, states = _integrate(steps, start, eps, plus, scale)
     report = OscillationReport({})
     if len(states) >= 3:
         report = oscillation_report(states, pair.psi_plus)

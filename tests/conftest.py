@@ -1,3 +1,4 @@
+import importlib.machinery
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 from hypothesis import settings
 
 import radshock
+from radshock import shooting
 
 settings.register_profile("ci", derandomize=True, max_examples=150)
 settings.load_profile("ci")
@@ -23,6 +25,22 @@ def run_python(*args, **kwargs):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
+    )
+
+
+def hide_module(monkeypatch, name):
+    """Make `importlib.machinery.PathFinder` find no module `name` while `monkeypatch` holds.
+
+    The loaded LSODA runner is dropped first, so the next shot looks its
+    compiled module up afresh.
+    """
+    finder = importlib.machinery.PathFinder
+    lookup = finder.find_spec
+    shooting._lsoda.cache_clear()
+    monkeypatch.setattr(
+        finder,
+        "find_spec",
+        lambda full, path=None, target=None: None if full == name else lookup(full, path, target),
     )
 
 

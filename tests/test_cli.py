@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import radshock.cli
-from conftest import run_python
+from conftest import hide_module, run_python
 from radshock.cli import main
 from radshock.scan import run_scan
 from radshock.shooting import profile_to_csv, shoot
@@ -226,6 +226,21 @@ class TestProfileCommand:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command", [["profile", "--eps", "1", "--q", "0.8"], ["scan", "--shoot", "--grid", "2x2"]],
+    ids=["profile", "scan-shoot"],
+)
+def test_missing_compiled_module_is_an_internal_failure(monkeypatch, tmp_path, capsys, command):
+    # Without the compiled module a shot raises an ImportError, which exits
+    # 4 on one line: a traceback's exit 1 would read as a failed verification.
+    hide_module(monkeypatch, "scipy.integrate._odepack")
+    out_file = tmp_path / "out"
+    assert main(command + ["--out", str(out_file)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ImportError: a shot calls lsoda")
+    assert not out_file.exists()
 
 
 class TestScanCommand:

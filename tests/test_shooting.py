@@ -1,5 +1,4 @@
 import contextlib
-import importlib.machinery
 import importlib.util
 import json
 import math
@@ -11,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import LSODA, solve_ivp
+from scipy.integrate import BDF, LSODA, Radau, solve_ivp
 
-from conftest import run_python, spiral_samples
+from conftest import hide_module, run_python, spiral_samples
 from shot_pins import (
     DIGEST_POINTS, INTERIOR_POINTS, INTERIOR_WORK, PINS, WORK, WORK_POINTS, measure, measure_work,
 )
@@ -42,9 +41,7 @@ from radshock.model import (
 )
 from radshock import shooting
 from radshock.shooting import (
-    _BOUNDARY_MARGIN,
     _CAPTURE_RADIUS,
-    _ESCAPE_RADIUS,
     _MAX_PSEUDO_TIME,
     ComponentCounts,
     OscillationReport,
@@ -55,6 +52,7 @@ from radshock.shooting import (
     _psi_field,
     _field_jacobian,
     _integrate,
+    _lsoda_steps,
     _null,
     field_jacobian,
     oscillation_report,
@@ -251,61 +249,27 @@ def shot_start(eps, q_tilde, linear_offset=None):
     return start, plus, scale
 
 
-def lsoda_solver_reference(y_start, eps, q_tilde, plus, scale, opts):
-    """Reference for `_integrate`: the same shot stepped by scipy's public LSODA solver.
+def solver_steps(method, field, y_start, opts):
+    """A stepper for `_integrate` over scipy's public solver `method`, and the solver.
 
-    The solver steps the null components (a, b) = (psi0 + psi1, psi0 - psi1)
-    from the null start; capture and escape are spheres about `plus` in
-    (a, b), and the samples are read back as psi = ((a + b)/2, (a - b)/2) at
-    the end.  Returns the verdict, times, states and the solver's
-    field-evaluation count.
+    The solver steps `field` from the null start `y_start` toward the
+    pseudo-time budget at `opts`' tolerances, with Python floats and the
+    complex-step Jacobian, as `_lsoda_steps` does.  The stepper yields each
+    accepted step as (t, a, b) and ends when the solver fails.
     """
-    r_cap = _CAPTURE_RADIUS * scale
-    r_esc = _ESCAPE_RADIUS * scale
-    sing_level = (1.0 - eps) / (8.0 + eps)
-
-    field = _field(eps, q_tilde)
-
-    def rhs(_t, y):
-        return field(*y.tolist())
-
-    def jac(_t, y):
-        return _field_jacobian(field, *y.tolist())
-
-    solver = LSODA(
-        rhs, 0.0, list(y_start), _MAX_PSEUDO_TIME, rtol=opts.rel_tol, atol=opts.abs_tol, jac=jac
+    solver = method(
+        lambda _t, y: field(*y.tolist()), 0.0, list(y_start), _MAX_PSEUDO_TIME,
+        rtol=opts.rel_tol, atol=opts.abs_tol, jac=lambda _t, y: _field_jacobian(field, *y.tolist()),
     )
-    times = [0.0]
-    states = [list(y_start)]
-    gap = math.inf
-    verdict = None
-    while verdict is None:
-        solver.step()
-        if solver.status == "failed":
-            verdict = ProfileVerdict.STALLED
-            break
-        t, y = solver.t, solver.y.tolist()
-        a, b = y
-        r = math.dist(y, plus)
-        if r <= r_cap:
-            t, y = _capture_point(times[-1], states[-1], t, y, plus, r_cap)
-            verdict = ProfileVerdict.CONVERGED_TO_PLUS
-        elif r >= r_esc or not min(a, b) > _BOUNDARY_MARGIN:
-            verdict = ProfileVerdict.ESCAPED
-            # psi0 > |psi1| of the read-back.
-            if not a + b > abs(a - b):
-                break
-        else:
-            # v^2 = psi1^2 / (psi0^2 - psi1^2) = (a - b)^2 / (4ab).
-            gap_old, gap = gap, (a - b) * (a - b) / (4.0 * a * b) - sing_level
-            if gap_old >= 0.0 >= gap:
-                verdict = ProfileVerdict.HIT_SINGULAR_LOCUS
-            elif solver.status == "finished" or len(times) == shooting._MAX_STEPS:
-                verdict = ProfileVerdict.STALLED
-        times.append(t)
-        states.append(y)
-    a, b = np.array(states).T
-    return verdict, np.array(times), np.column_stack((a + b, a - b)) / 2.0, solver.nfev
+
+    def steps():
+        while solver.status == "running":
+            solver.step()
+            if solver.status == "failed":
+                return
+            yield solver.t, *solver.y.tolist()
+
+    return solver, steps()
 
 
 @pytest.fixture(scope="module")
@@ -715,12 +679,13 @@ class TestShootGuards:
         # must leave through the escape radius or the admissible cone.
         eps, q = NODE_POINT
         start, plus, scale = shot_start(eps, q, linear_offset=-1e-7)
-        verdict, times, states = _integrate(_field(eps, q), start, eps, plus, scale, ShootOptions())
+        steps = _lsoda_steps(_field(eps, q), start, ShootOptions())
+        verdict, times, states = _integrate(steps, start, eps, plus, scale)
         assert verdict is ProfileVerdict.ESCAPED
         assert states.shape[0] == times.size
 
     def test_locus_crossing_is_frozen(self):
-        # The field is regular across the locus, so the step loop sees the
+        # The field is regular across the locus, so the verdict loop sees the
         # orbit cross it: the last two samples lie on either side.
         res = shoot(0.5, 0.9999)
         assert res.verdict is ProfileVerdict.HIT_SINGULAR_LOCUS
@@ -828,11 +793,12 @@ class TestShootGuards:
         # With no error control, LSODA's first step from the linear start
         # 1e-7 out lands outside the cone with a finite state.  ShootOptions
         # rejects such a tolerance, so a stand-in options object hands it to
-        # the step loop directly.
+        # the stepper directly.
         eps, q = 1.0, 0.8
         start, plus, scale = shot_start(eps, q, linear_offset=1e-7)
         loose = SimpleNamespace(rel_tol=1e10, abs_tol=1e-12)
-        verdict, times, states = _integrate(_field(eps, q), start, eps, plus, scale, loose)
+        steps = _lsoda_steps(_field(eps, q), start, loose)
+        verdict, times, states = _integrate(steps, start, eps, plus, scale)
         assert verdict is ProfileVerdict.ESCAPED
         assert times.size == states.shape[0] == 1
         assert np.all(states[:, 0] > np.abs(states[:, 1]))
@@ -881,13 +847,14 @@ class TestShootGuards:
     @pytest.mark.filterwarnings("error")
     def test_lsoda_failure_ends_in_a_verdict_without_a_warning(self):
         # From the linear start 1e-7 out, LSODA gives up on the first step
-        # ("Repeated convergence failures"); the step loop ends on that
-        # failure path, and ODEPACK's runner, called directly, raises no
+        # ("Repeated convergence failures"); the stepper returns, the verdict
+        # loop ends Stalled, and ODEPACK's runner, called directly, raises no
         # warning for it.  The shot's own start converges.
         eps, q = 1e-6, 0.75 + 1e-6
         opts = ShootOptions(rel_tol=1e-4)
         start, plus, scale = shot_start(eps, q, linear_offset=1e-7)
-        verdict, times, states = _integrate(_field(eps, q), start, eps, plus, scale, opts)
+        steps = _lsoda_steps(_field(eps, q), start, opts)
+        verdict, times, states = _integrate(steps, start, eps, plus, scale)
         assert verdict is ProfileVerdict.STALLED and times.size == 1
         assert np.all(np.isfinite(states))
         assert shoot(eps, q, opts).verdict is ProfileVerdict.CONVERGED_TO_PLUS
@@ -913,14 +880,15 @@ class TestShootGuards:
     def test_rel_tol_below_100_ulp_is_raised_to_it(self):
         # ODEPACK rejects such a tolerance before the first step; scipy's
         # LSODA solver raises it to 100 ulp with a warning, and so does the
-        # step loop, without one.
+        # stepper, without one.
         eps, q = 0.5, 0.9
         opts = ShootOptions(*PINS[(eps, q)].tolerances)
         res = shoot(eps, q, opts)
         assert res.verdict.value == PINS[(eps, q)].verdict
         start, plus, scale = shot_start(eps, q)
         with pytest.warns(UserWarning, match="rtol"):
-            _, ref_times, ref_states, _ = lsoda_solver_reference(start, eps, q, plus, scale, opts)
+            _, steps = solver_steps(LSODA, _field(eps, q), start, opts)
+        _, ref_times, ref_states = _integrate(steps, start, eps, plus, scale)
         assert res.times.tobytes() == ref_times.tobytes()
         assert res.states.tobytes() == ref_states.tobytes()
 
@@ -1013,12 +981,12 @@ PARITY_CASES = [
 
 
 class TestStepLoopParity:
-    # `_integrate` steps ODEPACK's LSODA itself; scipy's LSODA solver makes
-    # the same calls in the same null coordinates, so every sample, the
-    # capture on the last step's chord and the number of field evaluations
-    # must agree bit for bit.  This also
-    # guards the runner's call signature and the rwork/iwork layout it is
-    # handed.
+    # `_lsoda_steps` calls ODEPACK's LSODA runner itself; scipy's LSODA
+    # solver makes the same calls in the same null coordinates, so through
+    # the one verdict loop every sample, the capture on the last step's
+    # chord and the number of field evaluations must agree bit for bit.
+    # This also guards the runner's call signature and the rwork/iwork
+    # layout it is handed.
     @pytest.mark.parametrize(
         "point,opts,expected,lsoda_fails,max_steps,linear_offset",
         [pytest.param(*c, id=f"point{i}-{c[2].value}") for i, c in enumerate(PARITY_CASES)],
@@ -1030,13 +998,12 @@ class TestStepLoopParity:
             monkeypatch.setattr(shooting, "_MAX_STEPS", max_steps)
         eps, q = point
         start, plus, scale = shot_start(eps, q, linear_offset)
-        # scipy's solver warns when LSODA gives up; the step loop does not.
-        with pytest.warns(UserWarning, match="lsoda") if lsoda_fails else contextlib.nullcontext():
-            ref_verdict, ref_times, ref_states, nfev = lsoda_solver_reference(
-                start, eps, q, plus, scale, opts
-            )
-
         field = _field(eps, q)
+        solver, steps = solver_steps(LSODA, field, start, opts)
+        # scipy's solver warns when LSODA gives up; the runner does not.
+        with pytest.warns(UserWarning, match="lsoda") if lsoda_fails else contextlib.nullcontext():
+            ref_verdict, ref_times, ref_states = _integrate(steps, start, eps, plus, scale)
+
         real_calls = 0
 
         def counting_field(y0, y1):
@@ -1045,15 +1012,69 @@ class TestStepLoopParity:
                 real_calls += 1
             return field(y0, y1)
 
-        verdict, times, states = _integrate(counting_field, start, eps, plus, scale, opts)
+        steps = _lsoda_steps(counting_field, start, opts)
+        verdict, times, states = _integrate(steps, start, eps, plus, scale)
         assert verdict is ref_verdict is expected
         assert times.shape == ref_times.shape and times.tobytes() == ref_times.tobytes()
         assert states.shape == ref_states.shape and states.tobytes() == ref_states.tobytes()
-        assert real_calls == nfev
+        assert real_calls == solver.nfev
         if lsoda_fails:
             assert times.size == 1
         elif expected is ProfileVerdict.STALLED:
             assert times.size == shooting._MAX_STEPS + 1
+
+
+# Points where a shot's verdict and sign-change counts must not depend on the
+# integrator: the default grid's bottom and top rows, interior and stiff
+# points, and a pair about q*(0.1) = 0.985805, the minimum over eps of the
+# existence boundary q*(eps) (ROADMAP item 3).  Both now converge:
+# the boundary at eps = 0.1 lies at 0.9858050027 (bisected to 4e-12).
+INTEGRATOR_PARITY_POINTS = [
+    *((eps, 0.75 + 1e-6) for eps in (1e-6, 0.3, 0.5, 1.0)),
+    (1.0, 1.0 - 1e-6), (0.5, 1.0 - 1e-6), (0.5, 0.9999),
+    (1e-6, 0.9), (1e-3, 0.8), (1.0, 0.9), (1.0, 0.8), (1.0, 0.762),
+    (0.3, 0.95), (0.5, 0.9), (0.2, 0.96),
+    (0.526, 0.763), (0.5, 0.95), (0.1, 0.985804999), (0.1, 0.985805001),
+]
+
+
+def sign_changes(report):
+    """The six sign-change counts of an oscillation report, system by system."""
+    return [c.sign_changes for counts in report.systems.values() for c in counts]
+
+
+def stepped_by(method, eps, q_tilde):
+    """(verdict, sign-change counts) of the shot at (eps, q_tilde) stepped by scipy's `method`.
+
+    From the shot's own start, at the default tolerances, through `_integrate`.
+    """
+    start, plus, scale = shot_start(eps, q_tilde)
+    _, steps = solver_steps(method, _field(eps, q_tilde), start, ShootOptions())
+    verdict, _, states = _integrate(steps, start, eps, plus, scale)
+    return verdict, sign_changes(oscillation_report(states, rest_points(q_tilde).psi_plus))
+
+
+class TestIntegratorParity:
+    # A second stiffly stable method, Radau IIA (Hairer & Wanner, Solving
+    # ODEs II, IV.8), shares nothing with LSODA's Adams/BDF switching but
+    # the verdict loop, so a verdict or count that turns on LSODA's steps
+    # shows.  Radau takes 133-1,943 samples here, about 4 s in all on a
+    # 2-core Xeon.
+    @pytest.mark.parametrize("point", INTEGRATOR_PARITY_POINTS, ids=str)
+    def test_radau_gives_the_shot_verdict_and_sign_changes(self, point):
+        res = shoot(*point)
+        assert stepped_by(Radau, *point) == (res.verdict, sign_changes(res.oscillation))
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="at the corner (1e-6, 1 - 1e-6) LSODA converges in 984 samples, while BDF "
+        "and Radau at the same tolerances end Stalled at the 10,000-step budget, with the "
+        "same sign-change counts (ROADMAP items 3 and 25)",
+    )
+    def test_corner_verdict_does_not_depend_on_the_integrator(self):
+        res = shoot(1e-6, 1.0 - 1e-6)
+        assert stepped_by(BDF, 1e-6, 1.0 - 1e-6) == (res.verdict, sign_changes(res.oscillation))
 
 
 def test_shot_work_is_pinned():
@@ -1075,7 +1096,7 @@ def test_interior_work_is_pinned():
 def test_pinned_shot(point):
     # Each row of the pin table: verdict, flag, samples, field evaluations
     # and, where the row has one, the digest of every sample, to the last
-    # bit: a rounding change in the field, the start or the step loop shows.
+    # bit: a rounding change in the field, the start or either loop shows.
     assert measure(point) == PINS[point]
 
 
@@ -1127,16 +1148,7 @@ def test_compiled_module_loads_with_a_short_openblas_spin(monkeypatch):
 @pytest.mark.parametrize("module", ["integrate._odepack"])
 def test_missing_compiled_module_is_a_clear_import_error(monkeypatch, module):
     # The compiled module is looked up afresh, and it is not found.
-    finder = importlib.machinery.PathFinder
-    lookup = finder.find_spec
-    shooting._lsoda.cache_clear()
-    monkeypatch.setattr(
-        finder,
-        "find_spec",
-        lambda name, path=None, target=None: (
-            None if name == f"scipy.{module}" else lookup(name, path, target)
-        ),
-    )
+    hide_module(monkeypatch, f"scipy.{module}")
     with pytest.raises(ImportError) as raised:
         shoot(1.0, 0.8)
     assert f"scipy.{module}" in str(raised.value) and "scipy>=1.17" in str(raised.value)
