@@ -6,18 +6,18 @@ between Adams and BDF formulas as the field turns stiff (eps -> 0).  A shot
 is taken in the null coordinates a = psi0 + psi1, b = psi0 - psi1, in which
 ab = theta^-2 does not cancel at the strong-shock edge: the rest points
 (`_null`), the saddle, the start and the steps; the samples are read back in
-psi once, at the end.  The field is one closure per shot, built by `_field`,
-the only place the package applies B#; its Jacobian, and the start's tangent
-and curvature, come from complex steps through it.  The saddle's unstable
-eigenvalue is `model.spectrum_at_v`'s, the closed form that classification
-reads at the downstream rest point.  A shot is stepped in two parts.  The
-stepper, `_lsoda_steps`, calls ODEPACK's LSODA runner, which `_lsoda` loads
-from scipy's compiled module, one step at a time and yields each accepted
-step.  The verdict loop, `_integrate`, reads any such steps, LSODA's or
-another integrator's, and stops when the orbit is captured at the downstream
-rest point (its last sample put where the step's chord meets the capture
-sphere), escapes, crosses the singular locus of the dissipation matrix, or
-exhausts the step or pseudo-time budget, or when the steps run out.
+psi once, at the end.  `_setup` solves the rest points once per shot and
+builds the field on their v^2, one closure made by `_field`, the only place
+the package applies B#, whose body tests/test_exact_algebra.py proves exact on
+rational functions; its Jacobian and the start's tangent and curvature come
+from complex steps through it.  A shot is stepped in two parts.  The stepper,
+`_lsoda_steps`, calls ODEPACK's LSODA runner, which `_lsoda` loads from
+scipy's compiled module, one step at a time and yields each accepted step.
+The verdict loop, `_integrate`, reads any such steps, LSODA's or another
+integrator's, and stops when the orbit is captured at the downstream rest
+point (its last sample put where the step's chord meets the capture sphere),
+escapes, crosses the singular locus of the dissipation matrix, or exhausts
+the step or pseudo-time budget, or when the steps run out.
 `oscillation_report` counts the extrema and sign changes of the samples'
 coordinate series around their limits.
 """
@@ -216,7 +216,7 @@ def profile_to_csv(result: ProfileResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _field(eps: float, q_tilde: float):
+def _field(eps: float, q_tilde: float, vp2: float, vm2: float):
     """The profile field adj(B#) F / det B#(psi_plus) at fixed (eps, q_tilde) in null coordinates.
 
     Returns `field(a, b) -> (a', b')` with a = psi0 + psi1 and b = psi0 - psi1,
@@ -226,25 +226,23 @@ def _field(eps: float, q_tilde: float):
     in a time rescaled by m(v) / m(v+), 1 at psi_plus: the same orbits,
     oriented alike above the singular locus m = 0, and regular across it
     (Szmolyan & Wechselberger, JDE 177, 2001).  The hot path of every shot,
-    called by the integrator and its complex-step Jacobian with Python floats
-    or complex numbers.  B# = eps u^2 x x^T - w w^T - c2 y y^T with x = (v, -u),
-    w = (4uv, -r), y = (g, -2uv), r = 4v^2 + 1 and g = 2v^2 + 1, so adj(B#) F =
-    alpha (u, v) - phi (r, 4uv) - beta (2uv, g), with three projections of F
-    (q1 = 1, q0 = q_tilde^(-1/2)) simplified by u^2 - v^2 = 1.  Its psi
-    components f0, f1 give (a', b') = (f0 + f1, f0 - f1), formed with p = u + v
-    and m = u - v as alpha p - (2p^2 - 1) phi - p^2 beta and alpha m -
-    (2m^2 - 1) phi + m^2 beta, again by u^2 - v^2 = 1: f0 - f1 itself cancels
-    like u^2 at the strong-shock edge, where b is small.  theta cancels
-    from phi, which is O(eps) on the slow manifold, so for v > 0 it is factored
-    through the rest points.  Where ab is not a finite number above 1e-300
-    (outside the cone, or overflowed to inf or NaN), or the field itself is
-    not finite (its terms overflow), the field is (1e300, 1e300): LSODA's
-    error test rejects such a trial step, where a NaN, false in every
-    comparison, would pass it and the step be accepted.
+    called with Python floats or complex numbers.  B# = eps u^2 x x^T - w w^T
+    - c2 y y^T with x = (v, -u), w = (4uv, -r), y = (g, -2uv), r = 4v^2 + 1 and
+    g = 2v^2 + 1, so adj(B#) F = alpha (u, v) - phi (r, 4uv) - beta (2uv, g),
+    with three projections of F (q1 = 1, q0 = q_tilde^(-1/2)) simplified by
+    u^2 - v^2 = 1.  Its psi components f0, f1 give (a', b') = (f0 + f1,
+    f0 - f1), formed with p = u + v and m = u - v as alpha p - (2p^2 - 1) phi
+    - p^2 beta and alpha m - (2m^2 - 1) phi + m^2 beta, again by u^2 - v^2 = 1:
+    f0 - f1 itself cancels like u^2 at the strong-shock edge, where b is small.
+    theta cancels from phi, which is O(eps) on the slow manifold, so for v > 0
+    it is factored through the rest points' v^2, `vp2` and `vm2`, as solved by
+    the caller.  Where ab is not a finite number above 1e-300 (outside the
+    cone, or overflowed to inf or NaN), or the field itself is not finite (its
+    terms overflow), the field is (1e300, 1e300): LSODA's error test rejects
+    such a trial step, where a NaN, false in every comparison, would pass it.
     """
     q0, c2 = q_tilde**-0.5, 9.0 * eps / (4.0 - eps)
     k = 16.0 * (1.0 - q_tilde) / q_tilde
-    vp2, vm2 = v_plus_squared(q_tilde), v_minus_squared(q_tilde)
     inv = 1.0 / det_b_sharp_closed(vp2, eps)
     inf = math.inf
 
@@ -277,8 +275,11 @@ def _field(eps: float, q_tilde: float):
     return field
 
 
-def _psi_field(field):
-    """`field` in psi coordinates: psi' = T^-1 field(T psi) with T = [[1, 1], [1, -1]]."""
+def _psi_field(eps: float, q_tilde: float):
+    """`_field` at gated (eps, q_tilde) in psi: psi' = T^-1 field(T psi), T = [[1, 1], [1, -1]]."""
+    eps, q_tilde = check_omega(eps, q_tilde)
+    # Not `rest_points`, which raises DegenerateShock within 1e-8 of q_tilde = 3/4.
+    field = _field(eps, q_tilde, v_plus_squared(q_tilde), v_minus_squared(q_tilde))
 
     def psi_field(y0, y1):
         da, db = field(y0 + y1, y0 - y1)
@@ -292,7 +293,7 @@ def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
 
     Where `_field` gives (1e300, 1e300), which LSODA rejects, this is its image (1e300, 0).
     """
-    return np.array(_psi_field(_field(*check_omega(eps, q_tilde)))(psi.psi0, psi.psi1))
+    return np.array(_psi_field(eps, q_tilde)(psi.psi0, psi.psi1))
 
 
 def _field_jacobian(field, y0: float, y1: float) -> list[list[float]]:
@@ -304,8 +305,7 @@ def _field_jacobian(field, y0: float, y1: float) -> list[list[float]]:
 
 def field_jacobian(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
     """Jacobian of `vector_field`'s field in psi at a state in the cone, by complex step."""
-    field = _psi_field(_field(*check_omega(eps, q_tilde)))
-    return np.array(_field_jacobian(field, psi.psi0, psi.psi1))
+    return np.array(_field_jacobian(_psi_field(eps, q_tilde), psi.psi0, psi.psi1))
 
 
 def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
@@ -314,13 +314,19 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
     The sign is fixed so the vector points toward the attractor side, which
     makes the kinematic velocity decrease along it.
     """
-    eps, q_tilde = check_omega(eps, q_tilde)
-    pair = rest_points(q_tilde)
-    nulls = _null(pair.v_minus_sq), _null(pair.v_plus_sq)
-    _, _, (e0, e1) = _saddle(_field(eps, q_tilde), eps, pair, *nulls)
+    eps, _, pair, field, minus, plus = _setup(eps, q_tilde)
+    _, _, (e0, e1) = _saddle(field, eps, pair, minus, plus)
     # T^-1 e with T = [[1, 1], [1, -1]], but for the factor 1/2 the unit vector drops.
     vec = np.array([e0 + e1, e0 - e1])
     return vec / math.hypot(*vec)
+
+
+def _setup(eps: float, q_tilde: float):
+    """A shot's gated inputs, rest points (solved once), field, and rest points in (a, b)."""
+    eps, q_tilde = check_omega(eps, q_tilde)
+    pair = rest_points(q_tilde)
+    field = _field(eps, q_tilde, pair.v_plus_sq, pair.v_minus_sq)
+    return eps, q_tilde, pair, field, _null(pair.v_minus_sq), _null(pair.v_plus_sq)
 
 
 def _null(v_sq: float) -> tuple[float, float]:
@@ -603,10 +609,7 @@ def shoot(eps: float, q_tilde: float, opts: ShootOptions | None = None) -> Profi
     """
     if opts is None:
         opts = ShootOptions()
-    eps, q_tilde = check_omega(eps, q_tilde)
-    pair = rest_points(q_tilde)
-    minus, plus = _null(pair.v_minus_sq), _null(pair.v_plus_sq)
-    field = _field(eps, q_tilde)
+    eps, q_tilde, pair, field, minus, plus = _setup(eps, q_tilde)
     start, _, scale = _start(field, eps, pair, minus, plus)
     steps = _lsoda_steps(field, start, opts)
     verdict, times, states = _integrate(steps, start, eps, plus, scale)

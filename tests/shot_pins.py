@@ -117,8 +117,8 @@ def counted_evaluations():
     calls = {"real": 0, "complex": 0}
     make_field = shooting._field
 
-    def counting_factory(eps, q_tilde):
-        field = make_field(eps, q_tilde)
+    def counting_factory(eps, q_tilde, vp2, vm2):
+        field = make_field(eps, q_tilde, vp2, vm2)
 
         def counting_field(y0, y1):
             kind = "complex" if isinstance(y0, complex) or isinstance(y1, complex) else "real"

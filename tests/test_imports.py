@@ -207,13 +207,15 @@ loaded = {}
 for name, code in steps:
     exec(code)
     loaded[name] = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.special",
-                                "scipy.sparse", "scipy.linalg") if m in sys.modules]
+                                "scipy.sparse", "scipy.linalg", "sympy", "mpmath")
+                    if m in sys.modules]
 print(json.dumps([loaded, radshock.shooting._lsoda.cache_info().currsize]))
 """
 
 
 def test_only_a_shot_loads_scipy():
-    # Only a shot loads anything of scipy: one compiled module, and none of these packages.
+    # Only a shot loads anything of scipy: one compiled module, and none of these packages;
+    # no step loads sympy or mpmath, which only the tests' references use.
     proc = run_python("-c", _LAZY_SCIPY_STEPS, timeout=120, check=True)
     loaded, compiled = json.loads(proc.stdout)
     assert loaded == {

@@ -12,12 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import BDF, LSODA, Radau, solve_ivp
 
-from conftest import hide_module, run_python, spiral_samples
+from conftest import blocks_b_sharp, hide_module, run_python, spiral_samples
 from shot_pins import (
     DIGEST_POINTS, INTERIOR_POINTS, INTERIOR_WORK, PINS, WORK, WORK_POINTS, measure, measure_work,
 )
 from radshock.classification import local_spectrum
-from radshock.equilibria import rest_points, state_from_v, v_plus_squared
+from radshock.equilibria import rest_points, state_from_v, v_minus_squared, v_plus_squared
 from radshock.errors import (
     DegenerateShock,
     NotASaddle,
@@ -39,7 +39,7 @@ from radshock.model import (
     singular_locus_v_sq,
     theta_u_v,
 )
-from radshock import shooting
+from radshock import equilibria, shooting
 from radshock.shooting import (
     _CAPTURE_RADIUS,
     _MAX_PSEUDO_TIME,
@@ -48,12 +48,10 @@ from radshock.shooting import (
     ProfileVerdict,
     ShootOptions,
     _capture_point,
-    _field,
     _psi_field,
     _field_jacobian,
     _integrate,
     _lsoda_steps,
-    _null,
     field_jacobian,
     oscillation_report,
     shoot,
@@ -131,7 +129,7 @@ def matrix_field_reference(a, b, eps, q_tilde):
 def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
     """Reference for `field_jacobian`: central differences of the field in psi."""
     y = (psi.psi0, psi.psi1)
-    field = _psi_field(_field(eps, q_tilde))
+    field = _psi_field(eps, q_tilde)
     jac = np.empty((2, 2))
     for i in range(2):
         dp = [0.0, 0.0]
@@ -153,16 +151,6 @@ def rest_jacobian_reference(psi, eps, q_tilde):
     return (4.0 / 3.0) * kin.theta**5 / det_plus(eps, q_tilde) * adj_a
 
 
-def mpmath_b_sharp(e, u, v):
-    """B#'s entries (b00, b01, b11) from its blocks, in mpmath's working precision."""
-    u2, v2, uv = u * u, v * v, u * v
-    w, r, c2 = u2 + v2, 4 * v2 + 1, 9 * e / (4 - e)
-    b00 = e * u2 * v2 - 16 * u2 * v2 - c2 * w * w
-    b01 = -e * u2 * uv + 4 * uv * r + 2 * c2 * w * uv
-    b11 = e * u2 * u2 - r * r - 4 * c2 * u2 * v2
-    return b00, b01, b11
-
-
 def mpmath_field(a, b, eps, q_tilde, dps=50):
     """Reference for `_field`: T adj(B#) F / det B#(psi_plus) at a float state in `dps` digits.
 
@@ -179,11 +167,10 @@ def mpmath_field(a, b, eps, q_tilde, dps=50):
         p0, p1 = (a + b) / 2, (a - b) / 2
         theta = (p0 * p0 - p1 * p1) ** (-mpf(1) / 2)
         u, v = theta * p0, theta * p1
-        b00, b01, b11 = mpmath_b_sharp(e, u, v)
         t4 = theta**4
         f0 = -(mpf(4) / 3) * t4 * v * u + q ** (-mpf(1) / 2)
         f1 = t4 * ((mpf(4) / 3) * v * v + mpf(1) / 3) - 1
-        g0, g1 = (b11 * f0 - b01 * f1) / det, (b00 * f1 - b01 * f0) / det
+        g0, g1 = adjugate(blocks_b_sharp(Kinematics(theta, u, v), e)) @ [f0, f1] / det
         return g0 + g1, g0 - g1
 
     det = mpf(det_plus(eps, q_tilde))
@@ -215,14 +202,11 @@ def mpmath_unstable_direction(eps, q_tilde, dps=80):
         minus = state(v_sq)
         plus = state(1 / (4 * (2 * q - 1 + root)))
         theta = (minus[0] ** 2 - minus[1] ** 2) ** (-mpf(1) / 2)
-        u, v = theta * minus[0], theta * minus[1]
-        b00, b01, b11 = mpmath_b_sharp(e, u, v)
-        v2 = v * v
-        off = -u * (6 * v2 + 1)
-        lin = mpmath.matrix([[v * (6 * v2 + 5), off], [off, 3 * v * (2 * v2 + 1)]])
-        adj = mpmath.matrix([[b11, -b01], [-b01, b00]])
-        jac = (mpf(4) / 3) * theta**5 / (b00 * b11 - b01 * b01) * (adj * lin)
-        values, vectors = mpmath.eig(jac)
+        kin = Kinematics(theta, theta * minus[0], theta * minus[1])
+        bs = blocks_b_sharp(kin, e)
+        det = bs[0, 0] * bs[1, 1] - bs[0, 1] * bs[1, 0]
+        jac = (mpf(4) / 3) * theta**5 / det * (adjugate(bs) @ lin_matrix(kin))
+        values, vectors = mpmath.eig(mpmath.matrix(jac.tolist()))
         k = max(range(2), key=lambda i: mpmath.re(values[i]))
         vec = [mpmath.re(vectors[i, k]) for i in range(2)]
         norm = mpmath.sqrt(vec[0] ** 2 + vec[1] ** 2)
@@ -231,22 +215,25 @@ def mpmath_unstable_direction(eps, q_tilde, dps=80):
         return np.array([float(x / norm) for x in vec])
 
 
+def shot_field(eps, q_tilde):
+    """The field closure, in null coordinates, that a shot at (eps, q_tilde) steps."""
+    return shooting._setup(eps, q_tilde)[3]
+
+
 def shot_start(eps, q_tilde, linear_offset=None):
-    """The null start, psi_plus in null coordinates and the length scale `shoot` hands `_integrate`.
+    """The field, null start, psi_plus in null coordinates and length scale `shoot` steps from.
 
     Given `linear_offset`, the start lies that far from psi_minus along the
     unstable eigenvector instead, relative to the length scale: the linear
     start that shots took before they started on the manifold to second
     order, kept as test data where a case needs its first step.
     """
-    pair = rest_points(q_tilde)
-    minus, plus = _null(pair.v_minus_sq), _null(pair.v_plus_sq)
-    field = _field(eps, q_tilde)
+    eps, _, pair, field, minus, plus = shooting._setup(eps, q_tilde)
     start, _, scale = shooting._start(field, eps, pair, minus, plus)
     if linear_offset is not None:
         _, _, direction = shooting._saddle(field, eps, pair, minus, plus)
         start = tuple(c + linear_offset * scale * e for c, e in zip(minus, direction))
-    return start, plus, scale
+    return field, start, plus, scale
 
 
 def solver_steps(method, field, y_start, opts):
@@ -296,7 +283,7 @@ class TestVectorField:
         y = [y0 * (1.0 + ratio), y0 * (1.0 - ratio)]
         if stepped is not None:
             y[stepped] = complex(y[stepped], 1e-30)
-        got = _field(eps, q_tilde)(*y)
+        got = shot_field(eps, q_tilde)(*y)
         if abs(ratio) >= 1.0:
             assert got == (1e300, 1e300)
             return
@@ -327,7 +314,7 @@ class TestVectorField:
             plus = res.psi_plus.as_array()
             scale = np.linalg.norm(res.psi_minus.as_array() - plus)
             dist = np.linalg.norm(res.states - plus, axis=1) / scale
-            field = _field(eps, q)
+            field = shot_field(eps, q)
             for d in np.geomspace(0.95, 1e-4, 10):
                 y0, y1 = res.states[np.argmax(dist <= d)].tolist()
                 a, b = y0 + y1, y0 - y1
@@ -360,7 +347,7 @@ class TestVectorField:
         v = 0.5 * (theta * a - theta * b)
         assert det_b_sharp_closed(v * v, 0.5) == 0.0
         for got, (want, scale) in (
-            (_field(0.5, 0.8)(a, b), matrix_field_reference(a, b, 0.5, 0.8)),
+            (shot_field(0.5, 0.8)(a, b), matrix_field_reference(a, b, 0.5, 0.8)),
             (vector_field(GodunovState(*y), 0.5, 0.8), psi_field_reference(a, b, 0.5, 0.8)),
         ):
             assert all(math.isfinite(g) for g in got)
@@ -375,7 +362,7 @@ class TestVectorField:
         # inf let through made theta 0 and the field finite but wrong; both
         # give the value LSODA's error test rejects.
         y0, y1 = psi
-        assert _field(1e-6, 1.0 - 1e-6)(y0 + y1, y0 - y1) == (1e300, 1e300)
+        assert shot_field(1e-6, 1.0 - 1e-6)(y0 + y1, y0 - y1) == (1e300, 1e300)
         assert vector_field(GodunovState(*psi), 1e-6, 1.0 - 1e-6).tolist() == [1e300, 0.0]
 
     @pytest.mark.parametrize("ab", [(1e4, 1e-200), (1e4, 1e-150), (1e4, 1e-100), (1e-200, 1e4)])
@@ -385,7 +372,7 @@ class TestVectorField:
         # out inf or NaN: (1e4, 1e-200) gave (nan, nan).  Stepped in psi no
         # such state is representable; in null coordinates a trial step can
         # reach one.
-        assert _field(0.5, 0.9)(*ab) == (1e300, 1e300)
+        assert shot_field(0.5, 0.9)(*ab) == (1e300, 1e300)
 
     @pytest.mark.parametrize("eps", [1e-3, 0.5, 0.9])
     def test_regular_across_the_singular_locus(self, eps):
@@ -395,7 +382,7 @@ class TestVectorField:
         # walk's ends times the step.  B#^-1 F would blow up like 1/det B#.
         v_lo = math.sqrt(singular_locus_v_sq(eps))
         states = [state_from_v(v) for v in np.linspace(v_lo - 1e-3, v_lo + 1e-3, 201).tolist()]
-        field = _psi_field(_field(eps, 0.8))
+        field = _psi_field(eps, 0.8)
         values = np.array([field(psi.psi0, psi.psi1) for psi in states])
         assert np.all(np.isfinite(values))
         psi = np.array([(psi.psi0, psi.psi1) for psi in states])
@@ -539,9 +526,7 @@ class TestManifoldStart:
         # start at the same distance.  The bound sits about 10x above.  Start,
         # orbit and sphere are in null coordinates, whose distances are sqrt(2)
         # times those in psi, as is the scale.
-        pair = rest_points(q)
-        minus, plus = _null(pair.v_minus_sq), _null(pair.v_plus_sq)
-        field = _field(eps, q)
+        _, _, pair, field, minus, plus = shooting._setup(eps, q)
         start, shift, scale = shooting._start(field, eps, pair, minus, plus)
         radius = math.hypot(*shift)
         _, _, direction = shooting._saddle(field, eps, pair, minus, plus)
@@ -661,8 +646,11 @@ class TestShootGuards:
             shoot(1.5, 0.8)
 
     def test_degenerate_band(self):
+        # A shot refuses the band; the public field and its Jacobian need no saddle, and do not.
         with pytest.raises(DegenerateShock):
             shoot(1.0, 0.75 + 1e-9)
+        for func in (vector_field, field_jacobian):
+            assert np.isfinite(func(state_from_v(0.7), 1.0, 0.75 + 1e-9)).all()
 
     def test_tolerance_invariance(self):
         eps, q = NODE_POINT
@@ -678,8 +666,8 @@ class TestShootGuards:
         # The branch of the unstable manifold facing away from the attractor
         # must leave through the escape radius or the admissible cone.
         eps, q = NODE_POINT
-        start, plus, scale = shot_start(eps, q, linear_offset=-1e-7)
-        steps = _lsoda_steps(_field(eps, q), start, ShootOptions())
+        field, start, plus, scale = shot_start(eps, q, linear_offset=-1e-7)
+        steps = _lsoda_steps(field, start, ShootOptions())
         verdict, times, states = _integrate(steps, start, eps, plus, scale)
         assert verdict is ProfileVerdict.ESCAPED
         assert states.shape[0] == times.size
@@ -795,9 +783,9 @@ class TestShootGuards:
         # rejects such a tolerance, so a stand-in options object hands it to
         # the stepper directly.
         eps, q = 1.0, 0.8
-        start, plus, scale = shot_start(eps, q, linear_offset=1e-7)
+        field, start, plus, scale = shot_start(eps, q, linear_offset=1e-7)
         loose = SimpleNamespace(rel_tol=1e10, abs_tol=1e-12)
-        steps = _lsoda_steps(_field(eps, q), start, loose)
+        steps = _lsoda_steps(field, start, loose)
         verdict, times, states = _integrate(steps, start, eps, plus, scale)
         assert verdict is ProfileVerdict.ESCAPED
         assert times.size == states.shape[0] == 1
@@ -822,10 +810,8 @@ class TestShootGuards:
         )).tolist()
         turned = 0
         for q in q_values:
-            pair = rest_points(q)
-            minus, plus = _null(pair.v_minus_sq), _null(pair.v_plus_sq)
             for eps in eps_values:
-                field = _field(eps, q)
+                _, _, pair, field, minus, plus = shooting._setup(eps, q)
                 start, shift, scale = shooting._start(field, eps, pair, minus, plus)
                 assert all(x >= 0.9 * c for x, c in zip(start, minus)), (eps, q)
                 error = math.hypot(*(x - c - d for x, c, d in zip(start, minus, shift)))
@@ -852,23 +838,30 @@ class TestShootGuards:
         # warning for it.  The shot's own start converges.
         eps, q = 1e-6, 0.75 + 1e-6
         opts = ShootOptions(rel_tol=1e-4)
-        start, plus, scale = shot_start(eps, q, linear_offset=1e-7)
-        steps = _lsoda_steps(_field(eps, q), start, opts)
+        field, start, plus, scale = shot_start(eps, q, linear_offset=1e-7)
+        steps = _lsoda_steps(field, start, opts)
         verdict, times, states = _integrate(steps, start, eps, plus, scale)
         assert verdict is ProfileVerdict.STALLED and times.size == 1
         assert np.all(np.isfinite(states))
         assert shoot(eps, q, opts).verdict is ProfileVerdict.CONVERGED_TO_PLUS
 
     def test_rest_points_solved_once_per_shot(self, monkeypatch):
+        # The field takes the v^2 that `rest_points` solved, in either module's namespace.
         calls = []
 
-        def counting_rest_points(q_tilde):
-            calls.append(q_tilde)
-            return rest_points(q_tilde)
+        def counted(func):
+            def counting(q_tilde):
+                calls.append((func.__name__, q_tilde))
+                return func(q_tilde)
+            return counting
 
-        monkeypatch.setattr(shooting, "rest_points", counting_rest_points)
+        monkeypatch.setattr(shooting, "rest_points", counted(rest_points))
+        for module in (equilibria, shooting):
+            for func in (v_plus_squared, v_minus_squared):
+                monkeypatch.setattr(module, func.__name__, counted(func))
         shoot(*NODE_POINT)
-        assert calls == [NODE_POINT[1]]
+        names = ("rest_points", "v_minus_squared", "v_plus_squared")
+        assert sorted(calls) == [(name, NODE_POINT[1]) for name in names]
 
     def test_pseudo_time_budget_ends_stalled_at_its_end(self, monkeypatch):
         # itask 5 stops LSODA at tcrit, so the last step lands on the budget.
@@ -885,9 +878,9 @@ class TestShootGuards:
         opts = ShootOptions(*PINS[(eps, q)].tolerances)
         res = shoot(eps, q, opts)
         assert res.verdict.value == PINS[(eps, q)].verdict
-        start, plus, scale = shot_start(eps, q)
+        field, start, plus, scale = shot_start(eps, q)
         with pytest.warns(UserWarning, match="rtol"):
-            _, steps = solver_steps(LSODA, _field(eps, q), start, opts)
+            _, steps = solver_steps(LSODA, field, start, opts)
         _, ref_times, ref_states = _integrate(steps, start, eps, plus, scale)
         assert res.times.tobytes() == ref_times.tobytes()
         assert res.states.tobytes() == ref_states.tobytes()
@@ -997,8 +990,7 @@ class TestStepLoopParity:
         if max_steps is not None:
             monkeypatch.setattr(shooting, "_MAX_STEPS", max_steps)
         eps, q = point
-        start, plus, scale = shot_start(eps, q, linear_offset)
-        field = _field(eps, q)
+        field, start, plus, scale = shot_start(eps, q, linear_offset)
         solver, steps = solver_steps(LSODA, field, start, opts)
         # scipy's solver warns when LSODA gives up; the runner does not.
         with pytest.warns(UserWarning, match="lsoda") if lsoda_fails else contextlib.nullcontext():
@@ -1048,8 +1040,8 @@ def stepped_by(method, eps, q_tilde):
 
     From the shot's own start, at the default tolerances, through `_integrate`.
     """
-    start, plus, scale = shot_start(eps, q_tilde)
-    _, steps = solver_steps(method, _field(eps, q_tilde), start, ShootOptions())
+    field, start, plus, scale = shot_start(eps, q_tilde)
+    _, steps = solver_steps(method, field, start, ShootOptions())
     verdict, _, states = _integrate(steps, start, eps, plus, scale)
     return verdict, sign_changes(oscillation_report(states, rest_points(q_tilde).psi_plus))
 
