@@ -8,7 +8,9 @@ q1(eps) and q2(eps) that split the parameter square into a focus band
 between them and node regions below and above.  `classify_grid` labels a
 whole grid of eps against q_tilde in one array pass; `classify` runs the
 same body at one point.  `local_spectrum` gates its state and eps, then reads
-the eigenvalues off `model.spectrum_at_v`.
+the eigenvalues off `model.spectrum_at_v`.  Polynomial entry points gate once,
+then run bodies that take any number type (`_coefficients`, `_discriminant`,
+`_horner`), so the exact proofs of P run the shipped arithmetic.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ def _closed_eps(eps):
     return x
 
 
-def p_coefficients(eps: float) -> tuple[float, float, float, float]:
-    """Coefficients (a0, a1, a2, a3) of P(z, eps) = a3 z^3 + ... + a0; eps may be an array."""
-    eps = _closed_eps(eps)
+def _coefficients(eps):
+    """(a0, a1, a2, a3) of P(., eps) by arithmetic alone, for any number type or array."""
     a0 = eps * ((4.0 * eps - 20.0) * eps + 16.0)
     a1 = (((eps - 16.0) * eps + 84.0) * eps - 112.0) * eps + 16.0
     a2 = (((2.0 * eps - 20.0) * eps - 24.0) * eps + 160.0) * eps - 64.0
@@ -71,20 +72,23 @@ def p_coefficients(eps: float) -> tuple[float, float, float, float]:
     return a0, a1, a2, a3
 
 
+def _horner(coeffs, z):
+    """((a3 z + a2) z + a1) z + a0, the one nested form of P; on |coeffs| and |z|, its term scale."""
+    a0, a1, a2, a3 = coeffs
+    return ((a3 * z + a2) * z + a1) * z + a0
+
+
+def p_coefficients(eps: float) -> tuple[float, float, float, float]:
+    """Coefficients (a0, a1, a2, a3) of P(z, eps) = a3 z^3 + ... + a0; eps may be an array."""
+    return _coefficients(_closed_eps(eps))
+
+
 def p_eval(z, eps: float):
     """P(z, eps) by nested multiplication; z and eps may be numbers or arrays."""
     x, lo, hi = _reals(z)
     if not -math.inf <= lo <= hi <= math.inf:  # NaN fails too
         raise ZOutOfRange(f"z must be a real number, got {z!r}")
-    a0, a1, a2, a3 = p_coefficients(eps)
-    return ((a3 * x + a2) * x + a1) * x + a0
-
-
-def _p_scale(z, eps: float):
-    """Magnitude of the terms entering P(z, eps); conditioning reference."""
-    a0, a1, a2, a3 = p_coefficients(eps)
-    az = abs(z)
-    return ((abs(a3) * az + abs(a2)) * az + abs(a1)) * az + abs(a0)
+    return _horner(p_coefficients(eps), x)
 
 
 def epsilon_hat() -> float:
@@ -97,44 +101,38 @@ def discriminant_tail(eps: float) -> float:
     return ((((-4.0 * eps + 179.0) * eps - 844.0) * eps + 880.0) * eps - 32.0) * eps + 64.0
 
 
-def cubic_discriminant(eps: float) -> float:
-    """Discriminant of P(., eps) in factored form, 1296 eps^5 (4-eps)^3 * tail; eps in [0, 1]."""
-    eps = _closed_eps(eps)
+def _discriminant(eps):
+    """Discriminant of P(., eps) by arithmetic alone, for any number type or array."""
     return 1296.0 * eps**5 * (4.0 - eps) ** 3 * discriminant_tail(eps)
 
 
-def _newton_polish(w: float, coeffs: tuple[float, float, float, float]) -> float:
-    a0, a1, a2, a3 = coeffs
-    for _ in range(8):
-        pw = ((a3 * w + a2) * w + a1) * w + a0
-        dpw = (3.0 * a3 * w + 2.0 * a2) * w + a1
-        if dpw == 0.0:
-            break
-        step = pw / dpw
-        w_next = w - step
-        if w_next == w:
-            break
-        w = w_next
-    return w
+def cubic_discriminant(eps: float) -> float:
+    """Discriminant of P(., eps) in factored form, 1296 eps^5 (4-eps)^3 * tail; eps in [0, 1]."""
+    return _discriminant(_closed_eps(eps))
 
 
 def _lowest_root(coeffs: tuple[float, float, float, float]) -> float:
     """The isolated lowest root w1 of P(., eps): trigonometric form, then Newton."""
     a0, a1, a2, a3 = coeffs
     # Monic reduction z^3 + b z^2 + c z + d, depressed with z = t - b/3.
-    b = a2 / a3
-    c = a1 / a3
-    d = a0 / a3
+    b, c, d = a2 / a3, a1 / a3, a0 / a3
     p = c - b * b / 3.0
     q = d - b * c / 3.0 + 2.0 * b**3 / 27.0
     # p < 0 throughout (0, 1]: it rises to -1/12 only in the limit eps -> 0,
     # so the trigonometric form always applies.
     m = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * m)
-    arg = min(1.0, max(-1.0, arg))
+    arg = min(1.0, max(-1.0, 3.0 * q / (p * m)))
     # Of the angles (acos(arg) - 2 pi k) / 3, k = 2 gives the smallest root.
-    t = m * math.cos((math.acos(arg) - 4.0 * math.pi) / 3.0)
-    return _newton_polish(t - b / 3.0, coeffs)
+    w = m * math.cos((math.acos(arg) - 4.0 * math.pi) / 3.0) - b / 3.0
+    for _ in range(8):
+        dpw = (3.0 * a3 * w + 2.0 * a2) * w + a1
+        if dpw == 0.0:
+            break
+        w_next = w - _horner(coeffs, w) / dpw
+        if w_next == w:
+            break
+        w = w_next
+    return w
 
 
 def cubic_roots(eps: float) -> CubicRoots:
@@ -149,18 +147,18 @@ def cubic_roots(eps: float) -> CubicRoots:
     roots keep full precision at every eps in (0, 1].
     """
     eps = check_eps(_real(eps))
-    coeffs = p_coefficients(eps)
-    a0, a1, a2, a3 = coeffs
+    coeffs = _coefficients(eps)
+    _, a1, a2, a3 = coeffs
     w1 = _lowest_root(coeffs)
     mid = 0.5 * (-a2 / a3 - w1)
     dp1 = (3.0 * a3 * w1 + 2.0 * a2) * w1 + a1
-    half = math.sqrt(max(cubic_discriminant(eps), 0.0)) / (2.0 * a3 * abs(dp1))
+    half = math.sqrt(max(_discriminant(eps), 0.0)) / (2.0 * a3 * abs(dp1))
     w2, w3 = mid - half, mid + half
     if not w1 < w2 < w3:
         raise RootFindingFailure(f"root ordering lost at eps={eps}: {w1}, {w2}, {w3}")
     tol = 1e-10 * max(1.0, abs(a3))
     for w in (w1, w2, w3):
-        res = ((a3 * w + a2) * w + a1) * w + a0
+        res = _horner(coeffs, w)
         if abs(res) > tol:
             raise RootFindingFailure(f"|P({w}, {eps})| = {abs(res)} above {tol}")
     return CubicRoots(w1=w1, w2=w2, w3=w3, eps=eps)
@@ -230,8 +228,9 @@ def classify_grid(eps, q_tilde, separatrices=None) -> tuple[np.ndarray, np.ndarr
     code[np.abs(q - q2) <= SEPARATRIX_BAND] = 1
     code[np.abs(q - q1) <= SEPARATRIX_BAND] = 0
     z = v_plus_squared(q)
-    pval = p_eval(z, e)
-    decided = np.abs(pval) > 1e-10 * np.maximum(1.0, _p_scale(z, e))
+    coeffs = p_coefficients(e)
+    pval = _horner(coeffs, z)
+    decided = np.abs(pval) > 1e-10 * np.maximum(1.0, _horner([abs(a) for a in coeffs], abs(z)))
     wrong = decided & (code >= 2) & ((pval < 0.0) != (code == 4))
     if wrong.any():
         i = np.unravel_index(np.argmax(wrong), wrong.shape)

@@ -111,6 +111,7 @@ def b_sharp(kin: Kinematics, eps) -> np.ndarray:
 
     B# = eps * b_visc - b_one - (9 eps / (4 - eps)) * b_two for the
     dissipation parameter eps in (0, 1], a float or one value per lane.
+    The gate reads an `mpmath.mpf` eps as a float: sum the blocks for B# in more digits.
     """
     eps = check_eps(eps)
     return eps * b_visc(kin) - b_one(kin) - (9.0 * eps / (4.0 - eps)) * b_two(kin)

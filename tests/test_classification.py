@@ -20,6 +20,7 @@ from radshock.classification import (
     local_spectrum,
     p_coefficients,
     p_eval,
+    separatrix_grid,
     separatrix_q1,
     separatrix_q2,
 )
@@ -344,22 +345,43 @@ class TestClassifyGrid:
 
     def test_inconsistency_names_its_cell(self, monkeypatch):
         # Flip the sign of P at one off-diagonal cell of a 4x3 grid, a Focus
-        # cell well inside the band between the curves.
+        # cell well inside the band between the curves.  The separatrices are
+        # solved first, so the patched nested form sees only the grid's P and
+        # term scale; a negative scale leaves the cell decided.
         eps = np.array([0.2, 0.4, 0.6, 0.8])
         q = np.array([0.76, 0.85, 0.95])
-        true_p_eval = classification.p_eval
+        separatrices = separatrix_grid(eps)
+        z = float(v_plus_squared(q)[1])
+        p = -float(p_eval(z, 0.6))
+        true_horner = classification._horner
 
-        def flipped(z, e):
-            p = true_p_eval(z, e)
+        def flipped(coeffs, z):
+            p = true_horner(coeffs, z)
             p[2, 1] = -p[2, 1]
             return p
 
-        monkeypatch.setattr(classification, "p_eval", flipped)
+        monkeypatch.setattr(classification, "_horner", flipped)
         with pytest.raises(InternalInconsistency) as info:
-            classify_grid(eps, q)
-        z = float(v_plus_squared(q)[1])
-        p = -float(true_p_eval(z, 0.6))
+            classify_grid(eps, q, separatrices)
         assert str(info.value) == f"separatrix route says Focus but P({z!r}, 0.6) = {p!r}"
+
+    @pytest.mark.parametrize("eps", [[1.5, 0.6], [math.nan, 0.6], ["a", "b"]])
+    def test_eps_is_gated_with_given_separatrices(self, eps):
+        separatrices = separatrix_grid(np.array([0.5, 0.6]))
+        with pytest.raises(EpsilonOutOfRange):
+            classify_grid(np.array(eps), [0.8, 0.9], separatrices)
+
+    def test_coefficients_formed_once_per_call(self, monkeypatch):
+        # The grid's P and its term scale share one set of coefficients, and
+        # a cubic solve forms them once.
+        eps = np.array([0.2, 0.6])
+        separatrices = separatrix_grid(eps)
+        calls, body = [], classification._coefficients
+        monkeypatch.setattr(classification, "_coefficients", lambda e: calls.append(e) or body(e))
+        classify_grid(eps, [0.76, 0.9], separatrices)
+        assert len(calls) == 1
+        cubic_roots(0.5)
+        assert len(calls) == 2
 
 
 class TestLocalSpectrum:

@@ -1,14 +1,19 @@
-"""Exact proofs of the B# algebra in `src/`, on rational functions.
+"""Exact proofs of the B# algebra and of P in `src/`, on rational functions.
 
 The field that `shooting._field` builds runs here on elements of the rational
 function field QQ(eps, t, p, theta), unchanged, and is compared with
 T adj(B#) F / det B#(psi_plus), B# taken from the model's blocks.  The
 closed forms of det B#, det A and trace adj(B#) A are compared with the
-matrix builders over QQ(eps, p).  Equality in these fields is equality of
-rational functions, so each check is a proof for every parameter and state at
-which the denominators do not vanish.  The float tests still guard what
-exact values cannot see: rounding (`test_corner_orbits_match_high_precision`)
-and the guards that pick a rounding route (`test_overflowing_*`).
+matrix builders over QQ(eps, p).  `classification`'s coefficient body, its
+nested form of P and its discriminant body run on the same elements: P is
+derived from the closed forms, its discriminant from P, and the exact values
+that `verify` checks in floats are proven, with Sturm counts (Basu, Pollack
+& Roy, Algorithms in Real Algebraic Geometry, 2006) for the tail's sign and
+eps_hat.  Equality in these fields is equality of rational functions, so
+each check is a proof for every parameter and state at which the
+denominators do not vanish.  The float tests still guard what exact values
+cannot see: rounding (`test_corner_orbits_match_high_precision`) and the
+guards that pick a rounding route (`test_overflowing_*`).
 """
 
 from fractions import Fraction
@@ -17,10 +22,13 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from sympy import QQ  # noqa: E402
+from sympy import QQ, Poly, Rational, Symbol, discriminant, minimal_polynomial, sqrt  # noqa: E402
 from sympy.polys.fields import field as rational_field  # noqa: E402
 
 from conftest import blocks_b_sharp  # noqa: E402
+from radshock.classification import (  # noqa: E402
+    _EPS_HAT, _coefficients, _discriminant, _horner, discriminant_tail,
+)
 from radshock.model import (  # noqa: E402
     Kinematics, det_b_sharp_closed, det_lin_closed, lin_matrix, trace_adj, trace_adj_closed,
 )
@@ -149,3 +157,56 @@ def test_closed_forms_equal_the_matrix_builders():
     assert b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0] == det_b_sharp_closed(v * v, e)
     assert a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] == det_lin_closed(v * v)
     assert trace_adj(b, a) == trace_adj_closed(v, e)
+
+
+def body_p(z, eps):
+    """P(z, eps) as `classification` forms it: the coefficient body in the nested form."""
+    return _horner(_coefficients(eps), z)
+
+
+def test_p_is_the_discriminant_of_the_spectrum():
+    # B#^-1 A has trace tr/det B# and determinant det A/det B#, so its
+    # eigenvalues are complex exactly where tr^2 - 4 det A det B# < 0.
+    ring, eps, p = rational_field("eps,p", QQ)
+    e, v = Exact(ring, eps), Exact(ring, (p - 1 / p) / 2)
+    z = v * v
+    disc = trace_adj_closed(v, e) ** 2 - 4 * det_lin_closed(z) * det_b_sharp_closed(z, e)
+    assert disc == 9 * body_p(z, e) / (e - 4) ** 2
+
+
+def test_discriminant_body_is_the_discriminant_of_p():
+    ring, eps, z = rational_field("eps,z", QQ)
+    e = Exact(ring, eps)
+    p = body_p(Exact(ring, z), e).x.as_expr()
+    assert _discriminant(e).x == ring.from_expr(discriminant(p, Symbol("z")))
+
+
+def quartic(e):
+    """9 e^4 + 96 e^3 - 560 e^2 + 256 e + 64, whose one root in (0, 1) is eps_hat."""
+    return 9 * e**4 + 96 * e**3 - 560 * e**2 + 256 * e + 64
+
+
+def test_verify_values_are_exact():
+    ring, eps = rational_field("eps", QQ)
+    e, one = Exact(ring, eps), Exact(ring, 1)
+    third = one / 3
+    assert body_p(0.5, e) == 9 * e**2 * (e - 4) ** 2 / 8
+    assert body_p(third, e) == 16 * (e - 1) ** 2 * (e * e - 4 * e + 1) / 27
+    assert body_p(0.125, e) == 9 * quartic(e) / 512
+    for w in (-1, 0, third):
+        assert body_p(w, one) == 0
+
+
+def test_sturm_counts_and_eps_hat():
+    # count_roots counts by Sturm sequences on the closed interval; the
+    # quartic is 64 at 0 and -135 at 1, so its count is that of (0, 1).
+    ring, eps = rational_field("eps", QQ)
+    e, x = Exact(ring, eps), Symbol("eps")
+    tail = Poly(discriminant_tail(e).x.as_expr(), x)
+    assert tail.count_roots(0, 1) == 0 and tail.eval(0) > 0
+    quartic_x = Poly(quartic(x), x)
+    assert quartic_x.count_roots(0, 1) == 1
+    s6 = sqrt(6)
+    closed = Rational(2, 3) * (3 * s6 - 2 * sqrt(16 - 6 * s6) - 4)
+    assert Poly(minimal_polynomial(closed, x), x) == quartic_x
+    assert 0 < closed < 1 and float(closed) == pytest.approx(_EPS_HAT, rel=1e-15)
