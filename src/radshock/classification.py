@@ -7,10 +7,11 @@ through the downstream-velocity map, consists of two separatrix curves
 q1(eps) and q2(eps) that split the parameter square into a focus band
 between them and node regions below and above.  `classify_grid` labels a
 whole grid of eps against q_tilde in one array pass; `classify` runs the
-same body at one point.  `local_spectrum` gates its state and eps, then reads
-the eigenvalues off `model.spectrum_at_v`.  Polynomial entry points gate once,
-then run bodies that take any number type (`_coefficients`, `_discriminant`,
-`_horner`), so the exact proofs of P run the shipped arithmetic.
+same body, `_labels`, at one point.  `local_spectrum` gates its state and eps,
+then reads the eigenvalues off `model.spectrum_at_v`.  Entry points gate once,
+then run bodies (`_roots`, `_separatrices`, `_labels`, and P's, which take any
+number type: `_coefficients`, `_discriminant`, `_horner`), so the exact
+proofs of P run the shipped arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import check_omega, q_of_vplus, v_plus_squared
+from .equilibria import _check_q, _rest_v_sq, check_omega, q_of_vplus
 from .errors import (
     EpsilonAboveHat, EpsilonOutOfRange, InternalInconsistency, RootFindingFailure, ZOutOfRange,
     _real, _reals,
@@ -54,6 +55,14 @@ class CubicRoots:
     w2: float
     w3: float
     eps: float
+
+
+def _scalar_eps(eps) -> float:
+    """One eps as a float; EpsilonOutOfRange outside (0, 1], an array included."""
+    e = _real(eps)
+    if not 0.0 < e <= 1.0:
+        raise EpsilonOutOfRange(f"eps must lie in (0, 1], got {eps!r}")
+    return e
 
 
 def _closed_eps(eps):
@@ -136,7 +145,12 @@ def _lowest_root(coeffs: tuple[float, float, float, float]) -> float:
 
 
 def cubic_roots(eps: float) -> CubicRoots:
-    """Three real roots of P(., eps), sorted ascending.
+    """Three real roots of P(., eps), sorted ascending (see `_roots`)."""
+    return _roots(_scalar_eps(eps))
+
+
+def _roots(eps: float) -> CubicRoots:
+    """`cubic_roots` at a gated eps.
 
     w1, well apart from the other two, comes from the trigonometric form and
     Newton polishing.  The upper pair, which collides like eps^(5/2) as
@@ -146,7 +160,6 @@ def cubic_roots(eps: float) -> CubicRoots:
     a3 (w3-w1)(w2-w1) = P'(w1).  Neither involves a cancellation, so both
     roots keep full precision at every eps in (0, 1].
     """
-    eps = check_eps(_real(eps))
     coeffs = _coefficients(eps)
     _, a1, a2, a3 = coeffs
     w1 = _lowest_root(coeffs)
@@ -166,12 +179,12 @@ def cubic_roots(eps: float) -> CubicRoots:
 
 def separatrix_q1(eps: float) -> float:
     """Lower separatrix q1(eps) = q_of_vplus(w3(eps)), defined on (0, 1]."""
-    return q_of_vplus(cubic_roots(eps).w3)
+    return q_of_vplus(_roots(_scalar_eps(eps)).w3)
 
 
 def separatrix_q2(eps: float) -> float:
     """Upper separatrix q2(eps) = q_of_vplus(w2(eps)), defined on (0, eps_hat)."""
-    q2 = _separatrices(eps)[1]
+    q2 = _separatrices(_scalar_eps(eps))[1]
     if q2 == math.inf:
         raise EpsilonAboveHat(f"upper separatrix undefined for eps = {eps} >= {_EPS_HAT}")
     return q2
@@ -188,18 +201,26 @@ CODE_LABELS = (
 
 
 def _separatrices(eps: float) -> tuple[float, float]:
-    """q1 and q2 of one cubic solve, with q2 = inf where it is undefined, eps >= eps_hat."""
-    roots = cubic_roots(eps)
-    return q_of_vplus(roots.w3), q_of_vplus(roots.w2) if roots.eps < _EPS_HAT else math.inf
+    """q1 and q2 at a gated eps from one cubic solve, with q2 = inf where it is undefined.
+
+    `q_of_vplus`'s range check on the roots is the solver's post-condition.
+    """
+    roots = _roots(eps)
+    return q_of_vplus(roots.w3), q_of_vplus(roots.w2) if eps < _EPS_HAT else math.inf
+
+
+def _separatrix_rows(e) -> np.ndarray:
+    """`separatrix_grid` at a gated eps."""
+    return np.array([_separatrices(x) for x in np.ravel(e).tolist()]).T
 
 
 def separatrix_grid(eps) -> np.ndarray:
     """q1 and q2 at each eps of a 1-D array, as rows of a (2, len(eps)) array.
 
     One cubic solve per eps; q2 is inf where `separatrix_q2` does not define
-    it, eps >= eps_hat.
+    it, eps >= eps_hat.  Every eps must lie in (0, 1].
     """
-    return np.array([_separatrices(x) for x in np.ravel(eps).tolist()]).T
+    return _separatrix_rows(check_eps(eps))
 
 
 def classify_grid(eps, q_tilde, separatrices=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,24 +232,29 @@ def classify_grid(eps, q_tilde, separatrices=None) -> tuple[np.ndarray, np.ndarr
     solve per eps, with q2 only where `separatrix_q2` defines it, eps <
     eps_hat; off the bands each is cross-checked against the sign of P and a
     disagreement raises InternalInconsistency.  An array eps may come with
-    its `separatrix_grid`, which the caller has already solved for.  Inputs
-    must lie in the square.
+    its `separatrix_grid`, which the caller has already solved for.  Every
+    eps must lie in (0, 1] (EpsilonOutOfRange) and every q_tilde in (3/4, 1)
+    (QOutOfRange).
     """
+    e, q = check_eps(eps), _check_q(q_tilde)
     # A float eps stays a float: numpy costs more on a 1-element array.
-    if np.ndim(eps):
-        e = np.reshape(eps, (-1, 1))
-        if separatrices is None:
-            separatrices = separatrix_grid(e)
-        q1, q2 = np.asarray(separatrices)[..., None]
-    else:
-        e = float(eps)
+    if type(e) is float:
         q1, q2 = _separatrices(e)
-    q = np.asarray(q_tilde, dtype=float)
+    else:
+        e = e.reshape(-1, 1)
+        if separatrices is None:
+            separatrices = _separatrix_rows(e)
+        q1, q2 = np.asarray(separatrices)[..., None]
+    return _labels(e, q, q1, q2)
+
+
+def _labels(e, q, q1, q2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`classify_grid` at a gated eps `e` and q_tilde `q`, with the separatrices q1, q2 at e."""
     code = np.where(q < q1, 2, np.where(q > q2, 3, 4))
     code[np.abs(q - q2) <= SEPARATRIX_BAND] = 1
     code[np.abs(q - q1) <= SEPARATRIX_BAND] = 0
-    z = v_plus_squared(q)
-    coeffs = p_coefficients(e)
+    z = _rest_v_sq(q)[1]
+    coeffs = _coefficients(e)
     pval = _horner(coeffs, z)
     decided = np.abs(pval) > 1e-10 * np.maximum(1.0, _horner([abs(a) for a in coeffs], abs(z)))
     wrong = decided & (code >= 2) & ((pval < 0.0) != (code == 4))
@@ -250,7 +276,7 @@ def classify(eps: float, q_tilde: float) -> RegionLabel:
     they disagree outside the tie band.
     """
     eps, q_tilde = check_omega(eps, q_tilde)
-    return CODE_LABELS[classify_grid(eps, [q_tilde])[0][0]]
+    return CODE_LABELS[_labels(eps, np.array([q_tilde]), *_separatrices(eps))[0][0]]
 
 
 def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
@@ -260,7 +286,7 @@ def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
     match the true profile linearization at rest points, which differs from
     this matrix only by the positive factor (4/3) theta^5.
     """
-    eps = check_eps(_real(eps))
+    eps = _scalar_eps(eps)
     _, _, v = theta_u_v(psi.psi0, psi.psi1)
     check_off_locus(v * v, eps)
     return spectrum_at_v(v, eps)

@@ -3,7 +3,8 @@
 With the normalization q1 = 1, q0 = q_tilde^(-1/2) > 0 the system has two
 rest points exactly for q_tilde in (3/4, 1).  Both are taken on the
 right-moving branch v > 0; the reflected family follows from the stated
-flux symmetry and is not materialized separately.
+flux symmetry and is not materialized separately.  Their algebra has one
+body, `_rest_v_sq`, which every entry point calls once it has gated q_tilde.
 """
 
 from __future__ import annotations
@@ -58,16 +59,24 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
+def _rest_v_sq(q):
+    """(v_minus^2, v_plus^2) at a gated q_tilde, a float or an array: the rest points' one body.
+
+    Both come from s = 2q-1 + sqrt(q(4q-3)), formed once: v_minus^2 =
+    s / (4(1-q)) and v_plus^2 = 1 / (4s), the rationalized form, which is
+    free of cancellation over the whole interval; the textbook quotient
+    ((2q-1) - sqrt(q(4q-3))) / (4(1-q)) loses ~6 digits as q_tilde -> 1.
+    """
+    s = 2.0 * q - 1.0 + _sqrt(q * (4.0 * q - 3.0))
+    return s / (4.0 * (1.0 - q)), 1.0 / (4.0 * s)
+
+
 def v_plus_squared(q_tilde):
     """Squared velocity of the downstream rest point, in (1/8, 1/2).
 
     q_tilde may be a number, which gives a Python float, or an array.
-    Evaluated in the rationalized form 1 / (4 (2q-1 + sqrt(q(4q-3)))), which
-    is free of cancellation over the whole interval; the textbook quotient
-    ((2q-1) - sqrt(q(4q-3))) / (4(1-q)) loses ~6 digits as q_tilde -> 1.
     """
-    q_tilde = _check_q(q_tilde)
-    return 1.0 / (4.0 * (2.0 * q_tilde - 1.0 + _sqrt(q_tilde * (4.0 * q_tilde - 3.0))))
+    return _rest_v_sq(_check_q(q_tilde))[1]
 
 
 def v_minus_squared(q_tilde):
@@ -75,10 +84,7 @@ def v_minus_squared(q_tilde):
 
     q_tilde may be a number, which gives a Python float, or an array.
     """
-    q_tilde = _check_q(q_tilde)
-    return ((2.0 * q_tilde - 1.0) + _sqrt(q_tilde * (4.0 * q_tilde - 3.0))) / (
-        4.0 * (1.0 - q_tilde)
-    )
+    return _rest_v_sq(_check_q(q_tilde))[0]
 
 
 def psi_from_v(v):
@@ -98,16 +104,22 @@ def state_from_v(v: float) -> GodunovState:
 
 def rest_points(q_tilde: float) -> EquilibriumPair:
     """Both rest points for flux constants (q_tilde^(-1/2), 1), v > 0 branch."""
-    q_tilde = _real(q_tilde)
-    v_m_sq = v_minus_squared(q_tilde)  # QOutOfRange outside (3/4, 1)
-    if q_tilde - Q_MIN <= DEGENERATE_BAND:
+    q = _real(q_tilde)
+    if not Q_MIN < q < Q_MAX:
+        raise QOutOfRange(f"q_tilde must lie in (3/4, 1), got {q_tilde!r}")
+    return _pair(q)
+
+
+def _pair(q: float) -> EquilibriumPair:
+    """Both rest points at a gated q_tilde; DegenerateShock within `DEGENERATE_BAND` of 3/4."""
+    if q - Q_MIN <= DEGENERATE_BAND:
         raise DegenerateShock(
-            f"q_tilde = {q_tilde} within {DEGENERATE_BAND} of the zero-amplitude limit 3/4"
+            f"q_tilde = {q} within {DEGENERATE_BAND} of the zero-amplitude limit 3/4"
         )
-    v_p_sq = v_plus_squared(q_tilde)
+    v_m_sq, v_p_sq = _rest_v_sq(q)
     return EquilibriumPair(
-        psi_minus=state_from_v(math.sqrt(v_m_sq)),
-        psi_plus=state_from_v(math.sqrt(v_p_sq)),
+        psi_minus=GodunovState(*psi_from_v(math.sqrt(v_m_sq))),
+        psi_plus=GodunovState(*psi_from_v(math.sqrt(v_p_sq))),
         v_minus_sq=v_m_sq,
         v_plus_sq=v_p_sq,
     )

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import EquilibriumPair, check_omega, rest_points, v_minus_squared, v_plus_squared
+from .equilibria import EquilibriumPair, _pair, _rest_v_sq, check_omega
 from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples, _real, _reals
 from .model import (
     GodunovState, det_b_sharp_closed, singular_locus_v_sq, spectrum_at_v, theta_u_v
@@ -278,8 +278,9 @@ def _field(eps: float, q_tilde: float, vp2: float, vm2: float):
 def _psi_field(eps: float, q_tilde: float):
     """`_field` at gated (eps, q_tilde) in psi: psi' = T^-1 field(T psi), T = [[1, 1], [1, -1]]."""
     eps, q_tilde = check_omega(eps, q_tilde)
-    # Not `rest_points`, which raises DegenerateShock within 1e-8 of q_tilde = 3/4.
-    field = _field(eps, q_tilde, v_plus_squared(q_tilde), v_minus_squared(q_tilde))
+    # Not `_pair`, which raises DegenerateShock within 1e-8 of q_tilde = 3/4.
+    vm2, vp2 = _rest_v_sq(q_tilde)
+    field = _field(eps, q_tilde, vp2, vm2)
 
     def psi_field(y0, y1):
         da, db = field(y0 + y1, y0 - y1)
@@ -324,7 +325,7 @@ def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:
 def _setup(eps: float, q_tilde: float):
     """A shot's gated inputs, rest points (solved once), field, and rest points in (a, b)."""
     eps, q_tilde = check_omega(eps, q_tilde)
-    pair = rest_points(q_tilde)
+    pair = _pair(q_tilde)
     field = _field(eps, q_tilde, pair.v_plus_sq, pair.v_minus_sq)
     return eps, q_tilde, pair, field, _null(pair.v_minus_sq), _null(pair.v_plus_sq)
 

@@ -267,6 +267,17 @@ class TestClassify:
         with pytest.raises(ParamsOutOfOmega):
             classify(*point)
 
+    def test_solves_once(self, monkeypatch):
+        # One cubic solve at eps and one rest-point solve at q_tilde.
+        calls = []
+        for name in ("_roots", "_rest_v_sq"):
+            body = getattr(classification, name)
+            monkeypatch.setattr(classification, name,
+                                lambda x, name=name, body=body: calls.append((name, x)) or body(x))
+        classify(0.5, 0.9)
+        assert [(name, np.ravel(x).tolist()) for name, x in calls] == [
+            ("_roots", [0.5]), ("_rest_v_sq", [0.9])]
+
     @pytest.mark.xfail(
         raises=RootFindingFailure, strict=True,
         reason="ROADMAP item 9: below eps ~ 2.2e-7 the upper roots of P collide in float64",

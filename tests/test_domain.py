@@ -2,21 +2,29 @@
 
 Functions of eps alone raise EpsilonOutOfRange outside (0, 1]; functions of
 (eps, q_tilde) raise ParamsOutOfOmega outside the square (0, 1] x (3/4, 1).
-NaN and inf are outside both.  Settings outside their range (shooting
-options, the identity suite's sample count and seed) raise OptionOutOfRange.
+The grid functions `classify_grid` and `separatrix_grid`, which the README
+documents but `radshock.__all__` does not export, take eps in (0, 1], a
+number or an array, and `classify_grid` q_tilde in (3/4, 1) likewise; they
+raise EpsilonOutOfRange and QOutOfRange.  NaN and inf are outside every
+range.  Settings outside their range (shooting options, the identity
+suite's sample count and seed) raise OptionOutOfRange.
 
 Each entry point passes its numbers through one input gate: a real number
 or a 0-d real array comes out a Python float, and anything else, such as a
 string, None, a complex value, a `Decimal`, an int beyond the float range
 or an array (empty, of one number or of several) where one number is due,
-comes out NaN.  So it is outside every range and raises the same typed
-error as a number outside it; a state or velocity that is not a real
-number raises StateOutsideDomain.  A fuzz test calls every public callable,
-and the CLI, with such values and allows only a result or a RadshockError.
+or an empty array where an array may be, comes out NaN.  So it is outside
+every range and raises the same typed error as a number outside it; a
+state or velocity that is not a real number raises StateOutsideDomain.  A
+fuzz test calls every public callable, the grid functions and the CLI with
+such values and allows only a result or a RadshockError.  And each entry
+point hands each argument to the gate once.
 """
 
+import importlib
 import inspect
 import math
+import pkgutil
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -29,11 +37,13 @@ from hypothesis import strategies as st
 import radshock
 from radshock.classification import (
     classify,
+    classify_grid,
     cubic_discriminant,
     cubic_roots,
     local_spectrum,
     p_coefficients,
     p_eval,
+    separatrix_grid,
     separatrix_q1,
     separatrix_q2,
 )
@@ -80,6 +90,13 @@ OF_EPS = {
     "separatrix_q2": separatrix_q2,
     "b_sharp": lambda eps: b_sharp(kinematics(PSI), eps),
     "local_spectrum": lambda eps: local_spectrum(PSI, eps),
+    "separatrix_grid": separatrix_grid,
+    "separatrix_grid-array": lambda eps: separatrix_grid(np.array([0.5, eps])),
+    "classify_grid": lambda eps: classify_grid(eps, [0.8]),
+    "classify_grid-array": lambda eps: classify_grid(np.array([eps, 0.5]), [0.8]),
+    # Separatrices solved at an eps in range leave the given eps to the gate.
+    "classify_grid-given-separatrices":
+        lambda eps: classify_grid(np.array([eps]), [0.8], separatrix_grid([0.5])),
 }
 OF_EPS_AND_Q = {
     "classify": classify,
@@ -97,6 +114,13 @@ CASES = [
     pytest.param(func, args, ParamsOutOfOmega, id=f"{name}-eps={args[0]}-q={args[1]}")
     for name, func in OF_EPS_AND_Q.items()
     for args in [(eps, 0.8) for eps in BAD_EPS] + [(0.5, q) for q in BAD_Q]
+] + [
+    pytest.param(func, (q,), QOutOfRange, id=f"{name}-q={q}")
+    for name, func in {
+        "classify_grid": lambda q: classify_grid(0.5, q),
+        "classify_grid-array": lambda q: classify_grid(np.array([0.5, 0.6]), [0.8, q]),
+    }.items()
+    for q in BAD_Q
 ]
 
 
@@ -148,6 +172,11 @@ NON_NUMBER_CALLS = {
     "p_eval-eps": (lambda x: p_eval(0.3, x), EpsilonOutOfRange),
     "p_eval-z": (lambda x: p_eval(x, 0.5), ZOutOfRange),
     "cubic_discriminant": (cubic_discriminant, EpsilonOutOfRange),
+    "classify_grid-eps": (lambda x: classify_grid(x, [0.8]), EpsilonOutOfRange),
+    "classify_grid-q": (lambda x: classify_grid(0.5, x), QOutOfRange),
+    "classify_grid-eps-given-separatrices": (
+        lambda x: classify_grid(x, [0.8], separatrix_grid([0.5])), EpsilonOutOfRange),
+    "separatrix_grid": (separatrix_grid, EpsilonOutOfRange),
     "ShootOptions-rel_tol": (lambda x: ShootOptions(rel_tol=x), OptionOutOfRange),
     "ShootOptions-abs_tol": (lambda x: ShootOptions(abs_tol=x), OptionOutOfRange),
     "ScanConfig-eps_lo": (lambda x: ScanConfig(eps_lo=x), ParamsOutOfOmega),
@@ -169,6 +198,8 @@ NON_NUMBERS = {
     "Decimal('0.5')": Decimal("0.5"),
     "10**400": 10**400,
     "empty-array": np.array([]),
+    "[]": [],
+    "['a']": ["a"],
 }
 
 
@@ -242,7 +273,7 @@ VALID = {
     "w1": -1.0, "w2": 0.0, "w3": 1.0 / 3.0, "epsilon": 0.5, "discriminant": 1.0,
     "v_minus_sq": 0.7, "v_plus_sq": 0.2, "rel_tol": 1e-10, "abs_tol": 1e-12,
     "eps_lo": 0.1, "eps_hi": 0.9, "eps_count": 2, "q_lo": 0.8, "q_hi": 0.9, "q_count": 2,
-    "times": np.arange(4.0), "states": STATES,
+    "times": np.arange(4.0), "states": STATES, "separatrices": None,
     # The structured parameters beside them.
     "psi": PSI, "psi_minus": PSI, "psi_plus": PSI, "kin": kinematics(PSI),
     "config": ScanConfig(eps_count=2, q_count=2), "opts": None, "shoot_options": None,
@@ -251,12 +282,12 @@ VALID = {
     "shoot_verdict": None, "oscillatory": None,
 }
 
-# Each numeric parameter of each public callable, as (callable, its valid
-# arguments, the parameter).  Enums, exceptions and callables of no number
-# have no such parameter.
+# Each numeric parameter of each public callable and grid function, as
+# (callable, its valid arguments, the parameter).  Enums, exceptions and
+# callables of no number have no such parameter.
 SLOTS = [
     (func, {name: VALID[name] for name in params}, name)
-    for func in map(radshock.__dict__.get, radshock.__all__)
+    for func in [*map(radshock.__dict__.get, radshock.__all__), classify_grid, separatrix_grid]
     if not (isinstance(func, type) and issubclass(func, (Enum, Exception)))
     for params in [inspect.signature(func).parameters]
     if NUMERIC & {p.annotation for p in params.values()}
@@ -299,3 +330,47 @@ def test_awkward_values_give_a_result_or_a_typed_error(tmp_path_factory, value):
         except SystemExit as exc:  # argparse's exit on flag text it cannot parse
             code = exc.code
         assert code in (0, 2, 3, 4), argv
+
+
+# Entry points and their arguments: eps = EPS and q_tilde = Q, values that no
+# shot or solve computes on its way, or rows of them.
+EPS, Q = 0.3, 0.85
+EPS_ROW, Q_ROW = np.array([0.3, 0.6]), np.array([0.8, 0.85])
+GATED_CALLS = {
+    "shoot": (shoot, EPS, Q),
+    "unstable_direction": (unstable_direction, EPS, Q),
+    "vector_field": (lambda eps, q: vector_field(PSI, eps, q), EPS, Q),
+    "field_jacobian": (lambda eps, q: field_jacobian(PSI, eps, q), EPS, Q),
+    "rest_points": (rest_points, Q),
+    "v_plus_squared": (v_plus_squared, Q),
+    "v_minus_squared": (v_minus_squared, Q),
+    "classify": (classify, EPS, Q),
+    "cubic_roots": (cubic_roots, EPS),
+    "separatrix_q1": (separatrix_q1, EPS),
+    "separatrix_q2": (separatrix_q2, EPS),
+    "local_spectrum": (lambda eps: local_spectrum(PSI, eps), EPS),
+    "classify_grid": (classify_grid, EPS, Q_ROW),
+    "classify_grid-rows": (classify_grid, EPS_ROW, Q_ROW),
+    "separatrix_grid": (separatrix_grid, EPS_ROW),
+}
+
+
+def _carries(x, arg) -> bool:
+    """Whether a gate's argument x is `arg`: the same object, or a real scalar equal to it."""
+    return x is arg or (np.ndim(arg) == 0 and isinstance(x, (float, np.floating)) and x == arg)
+
+
+@pytest.mark.parametrize("name", GATED_CALLS)
+def test_each_argument_reaches_the_gate_once(monkeypatch, name):
+    # Every module's `_real` and `_reals`, through which all range checks
+    # pass, record their argument; each argument of the entry point must be
+    # among them once.
+    seen = []
+    for info in pkgutil.iter_modules(radshock.__path__):
+        module = importlib.import_module(f"radshock.{info.name}")
+        for gate in ("_real", "_reals"):
+            if func := vars(module).get(gate):
+                monkeypatch.setattr(module, gate, lambda x, func=func: seen.append(x) or func(x))
+    call, *args = GATED_CALLS[name]
+    call(*args)
+    assert [sum(_carries(x, arg) for x in seen) for arg in args] == [1] * len(args)

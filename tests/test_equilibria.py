@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bisect_root
+from radshock import equilibria
 from radshock.equilibria import (
     admissible,
     q_of_vplus,
@@ -127,6 +128,13 @@ class TestRestPoints:
     def test_out_of_range(self, q):
         with pytest.raises(QOutOfRange):
             rest_points(q)
+
+    def test_solved_once(self, monkeypatch):
+        # Both squared velocities come from one call of the body.
+        calls, body = [], equilibria._rest_v_sq
+        monkeypatch.setattr(equilibria, "_rest_v_sq", lambda q: calls.append(q) or body(q))
+        rest_points(0.8)
+        assert calls == [0.8]
 
 
 class TestVMinusSquared:

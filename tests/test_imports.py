@@ -226,3 +226,96 @@ def test_only_a_shot_loads_scipy():
         "shoot": [],
     }
     assert compiled == 1
+
+
+# The input gate's functions: `errors`'s and the range checks built on them.
+GATES = {"_real", "_reals", "_count", "check_eps", "_closed_eps", "_scalar_eps", "check_omega",
+         "_check_q"}
+# Each use of a gate function, as `module:scope -> gate`.  An entry point
+# gates each argument once and hands the gated values to bodies that gate
+# nothing (`_rest_v_sq`, `_pair`, `_roots`, `_separatrices`, `_labels`); a
+# shot's `_setup` and `_psi_field` gate for the entry points that call them,
+# the public types validate their own fields, and `q_of_vplus`, an entry
+# point, is also the cubic solver's post-condition on the roots it is handed.
+GATE_CALLERS = [
+    "classification.py:_closed_eps -> _reals",
+    "classification.py:_scalar_eps -> _real",
+    "classification.py:classify -> check_omega",
+    "classification.py:classify_grid -> _check_q",
+    "classification.py:classify_grid -> check_eps",
+    "classification.py:cubic_discriminant -> _closed_eps",
+    "classification.py:cubic_roots -> _scalar_eps",
+    "classification.py:local_spectrum -> _scalar_eps",
+    "classification.py:p_coefficients -> _closed_eps",
+    "classification.py:p_eval -> _reals",
+    "classification.py:separatrix_grid -> check_eps",
+    "classification.py:separatrix_q1 -> _scalar_eps",
+    "classification.py:separatrix_q2 -> _scalar_eps",
+    "equilibria.py:EquilibriumPair.__post_init__ -> _real",
+    "equilibria.py:EquilibriumPair.__post_init__ -> _real",
+    "equilibria.py:_check_q -> _reals",
+    "equilibria.py:admissible -> _real",
+    "equilibria.py:admissible -> _real",
+    "equilibria.py:check_omega -> _real",
+    "equilibria.py:check_omega -> _real",
+    "equilibria.py:q_of_vplus -> _reals",
+    "equilibria.py:rest_points -> _real",
+    "equilibria.py:state_from_v -> _real",
+    "equilibria.py:v_minus_squared -> _check_q",
+    "equilibria.py:v_plus_squared -> _check_q",
+    "errors.py:_real -> _reals",
+    "model.py:GodunovState.__post_init__ -> _real",
+    "model.py:GodunovState.__post_init__ -> _real",
+    "model.py:b_sharp -> check_eps",
+    "model.py:causality_check -> _real",
+    "model.py:check_eps -> _reals",
+    "model.py:flux_residual -> _real",
+    "model.py:flux_residual -> _real",
+    "scan.py:ScanConfig.__post_init__ -> _count",
+    "scan.py:ScanConfig.__post_init__ -> _count",
+    "scan.py:ScanConfig.__post_init__ -> _real",
+    "scan.py:ScanConfig.__post_init__ -> _real",
+    "scan.py:ScanConfig.__post_init__ -> _real",
+    "scan.py:ScanConfig.__post_init__ -> _real",
+    "shooting.py:ShootOptions.__post_init__ -> _real",
+    "shooting.py:_psi_field -> check_omega",
+    "shooting.py:_setup -> check_omega",
+    "shooting.py:oscillation_report -> _reals",
+    "verify.py:run_identity_suite -> _count",
+]
+
+
+def gate_uses(sources: dict[str, str]) -> list[str]:
+    """`module:scope -> gate` of each reference to one of `GATES` inside a function or class."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Name) and child.id in GATES and scope:
+                found.append(f"{module}:{scope} -> {child.id}")
+            visit(child, module, inner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "")
+    return sorted(found)
+
+
+def test_each_gate_use_is_pinned():
+    # A body that starts to gate a value its entry point has gated shows up
+    # as a new entry here.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert gate_uses(sources) == GATE_CALLERS
+
+
+def test_checker_finds_each_gate_use():
+    source = (
+        "from errors import _real\n\ndef gate(x):\n    return _real(x), _real(x)\n\n"
+        "class Options:\n    def check(self):\n        return list(map(_reals, self))\n\n"
+        "def body(x):\n    _unrelated(x)\n"
+    )
+    assert gate_uses({"m.py": source}) == [
+        "m.py:Options.check -> _reals", "m.py:gate -> _real", "m.py:gate -> _real"
+    ]

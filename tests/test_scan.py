@@ -111,10 +111,10 @@ class TestRunScan:
             assert 0.75 < q < 1.0
 
     def test_one_classification_call_per_scan(self, monkeypatch):
-        # The whole grid goes through the classification body at once, and
-        # v_plus^2 of the q_tilde grid is computed once, however many eps rows.
+        # The whole grid goes through the labelling body at once, and v_plus^2
+        # of the q_tilde grid is solved once, however many eps rows.
         bodies, squares = [], []
-        body, square = classification.classify_grid, classification.v_plus_squared
+        body, square = classification._labels, classification._rest_v_sq
 
         def counted_body(*args):
             bodies.append(args)
@@ -124,8 +124,8 @@ class TestRunScan:
             squares.append(q_tilde)
             return square(q_tilde)
 
-        monkeypatch.setattr(classification, "classify_grid", counted_body)
-        monkeypatch.setattr(classification, "v_plus_squared", counted_square)
+        monkeypatch.setattr(classification, "_labels", counted_body)
+        monkeypatch.setattr(classification, "_rest_v_sq", counted_square)
         config = ScanConfig(eps_count=50, q_count=40)
         result = run_scan(config)
         assert len(result.records) == 2000
@@ -135,15 +135,15 @@ class TestRunScan:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """The eps of every `cubic_roots` call from here on."""
+        """The eps of every cubic solve (a call of the body `_roots`) from here on."""
         calls = []
-        roots = classification.cubic_roots
+        roots = classification._roots
 
         def counted_roots(eps):
             calls.append(eps)
             return roots(eps)
 
-        monkeypatch.setattr(classification, "cubic_roots", counted_roots)
+        monkeypatch.setattr(classification, "_roots", counted_roots)
         return calls
 
     def test_q1_polyline_reuses_the_classification_solves(self, solves):

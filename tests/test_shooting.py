@@ -17,7 +17,7 @@ from shot_pins import (
     DIGEST_POINTS, INTERIOR_POINTS, INTERIOR_WORK, PINS, WORK, WORK_POINTS, measure, measure_work,
 )
 from radshock.classification import local_spectrum
-from radshock.equilibria import rest_points, state_from_v, v_minus_squared, v_plus_squared
+from radshock.equilibria import rest_points, state_from_v, v_plus_squared
 from radshock.errors import (
     DegenerateShock,
     NotASaddle,
@@ -846,22 +846,18 @@ class TestShootGuards:
         assert shoot(eps, q, opts).verdict is ProfileVerdict.CONVERGED_TO_PLUS
 
     def test_rest_points_solved_once_per_shot(self, monkeypatch):
-        # The field takes the v^2 that `rest_points` solved, in either module's namespace.
-        calls = []
+        # The field takes the v^2 of the shot's one rest-point solve, a call of
+        # the body `_rest_v_sq`, in either module's namespace.
+        calls, body = [], equilibria._rest_v_sq
 
-        def counted(func):
-            def counting(q_tilde):
-                calls.append((func.__name__, q_tilde))
-                return func(q_tilde)
-            return counting
+        def counted(q_tilde):
+            calls.append(q_tilde)
+            return body(q_tilde)
 
-        monkeypatch.setattr(shooting, "rest_points", counted(rest_points))
         for module in (equilibria, shooting):
-            for func in (v_plus_squared, v_minus_squared):
-                monkeypatch.setattr(module, func.__name__, counted(func))
+            monkeypatch.setattr(module, "_rest_v_sq", counted)
         shoot(*NODE_POINT)
-        names = ("rest_points", "v_minus_squared", "v_plus_squared")
-        assert sorted(calls) == [(name, NODE_POINT[1]) for name in names]
+        assert calls == [NODE_POINT[1]]
 
     def test_pseudo_time_budget_ends_stalled_at_its_end(self, monkeypatch):
         # itask 5 stops LSODA at tcrit, so the last step lands on the budget.
