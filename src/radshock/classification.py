@@ -223,7 +223,7 @@ def separatrix_grid(eps) -> np.ndarray:
     return _separatrix_rows(check_eps(eps))
 
 
-def classify_grid(eps, q_tilde, separatrices=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def classify_grid(eps, q_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Region codes (see `CODE_LABELS`), v_plus^2 and P(v_plus^2, eps) for eps against q_tilde.
 
     An array eps is a column against the q_tilde row, so codes and P values
@@ -231,25 +231,19 @@ def classify_grid(eps, q_tilde, separatrices=None) -> tuple[np.ndarray, np.ndarr
     Labels place each q_tilde relative to the separatrix curves of one cubic
     solve per eps, with q2 only where `separatrix_q2` defines it, eps <
     eps_hat; off the bands each is cross-checked against the sign of P and a
-    disagreement raises InternalInconsistency.  An array eps may come with
-    its `separatrix_grid`, which the caller has already solved for.  Every
-    eps must lie in (0, 1] (EpsilonOutOfRange) and every q_tilde in (3/4, 1)
-    (QOutOfRange).
+    disagreement raises InternalInconsistency.  Every eps must lie in (0, 1]
+    (EpsilonOutOfRange) and every q_tilde in (3/4, 1) (QOutOfRange).
     """
     e, q = check_eps(eps), _check_q(q_tilde)
     # A float eps stays a float: numpy costs more on a 1-element array.
     if type(e) is float:
-        q1, q2 = _separatrices(e)
-    else:
-        e = e.reshape(-1, 1)
-        if separatrices is None:
-            separatrices = _separatrix_rows(e)
-        q1, q2 = np.asarray(separatrices)[..., None]
-    return _labels(e, q, q1, q2)
+        return _labels(e, q, *_separatrices(e))
+    e = e.reshape(-1, 1)
+    return _labels(e, q, *_separatrix_rows(e)[..., None])
 
 
-def _labels(e, q, q1, q2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`classify_grid` at a gated eps `e` and q_tilde `q`, with the separatrices q1, q2 at e."""
+def _labels(e, q, q1, q2):
+    """`classify_grid` at a gated eps `e` and q_tilde `q`, a float or array, with q1, q2 at e."""
     code = np.where(q < q1, 2, np.where(q > q2, 3, 4))
     code[np.abs(q - q2) <= SEPARATRIX_BAND] = 1
     code[np.abs(q - q1) <= SEPARATRIX_BAND] = 0
@@ -260,10 +254,9 @@ def _labels(e, q, q1, q2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     wrong = decided & (code >= 2) & ((pval < 0.0) != (code == 4))
     if wrong.any():
         i = np.unravel_index(np.argmax(wrong), wrong.shape)
-        z_i, e_i = np.broadcast_to(z, wrong.shape)[i], np.broadcast_to(e, wrong.shape)[i]
+        z_i, e_i, p_i = (np.broadcast_to(x, wrong.shape)[i] for x in (z, e, pval))
         raise InternalInconsistency(
-            f"separatrix route says {CODE_LABELS[code[i]].value} "
-            f"but P({z_i}, {e_i}) = {pval[i]}"
+            f"separatrix route says {CODE_LABELS[code[i]].value} but P({z_i}, {e_i}) = {p_i}"
         )
     return code, z, pval
 
@@ -276,7 +269,7 @@ def classify(eps: float, q_tilde: float) -> RegionLabel:
     they disagree outside the tie band.
     """
     eps, q_tilde = check_omega(eps, q_tilde)
-    return CODE_LABELS[_labels(eps, np.array([q_tilde]), *_separatrices(eps))[0][0]]
+    return CODE_LABELS[_labels(eps, q_tilde, *_separatrices(eps))[0]]
 
 
 def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:

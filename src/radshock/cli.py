@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 
 from . import classification as cls
-from .equilibria import rest_points
+from .equilibria import _pair, check_omega
 from .errors import DomainError, RadshockError
 from .model import causality_check
 from .scan import EMITTERS, ScanConfig, run_scan
@@ -36,17 +36,19 @@ def _shoot_options(args) -> ShootOptions:
 
 def cmd_classify(args) -> int:
     # Human-facing report: 12 significant digits.  The 17-digit contract
-    # applies to the CSV/JSON data emitters.
-    label = cls.classify(args.eps, args.q)
-    pair = rest_points(args.q)
-    lam = cls.local_spectrum(pair.psi_plus, args.eps)
+    # applies to the CSV/JSON data emitters.  One gate, then the bodies: the
+    # separatrices printed are the ones that labelled the point.
+    eps, q = check_omega(args.eps, args.q)
+    q1, q2 = cls._separatrices(eps)
+    label = cls.CODE_LABELS[cls._labels(eps, q, q1, q2)[0]]
+    pair = _pair(q)
+    lam = cls.local_spectrum(pair.psi_plus, eps)
     print(f"region: {label.value}")
     print(f"eps: {args.eps:.12g}  q_tilde: {args.q:.12g}")
     print(f"v_minus_sq: {pair.v_minus_sq:.12g}  v_plus_sq: {pair.v_plus_sq:.12g}")
     print(f"psi_minus: ({pair.psi_minus.psi0:.12g}, {pair.psi_minus.psi1:.12g})")
     print(f"psi_plus:  ({pair.psi_plus.psi0:.12g}, {pair.psi_plus.psi1:.12g})")
     print(f"eigenvalues at psi_plus: {lam[0]:.12g} {lam[1]:.12g}")
-    q1, q2 = cls.separatrix_grid([args.eps]).ravel().tolist()
     print(f"separatrix q1(eps): {q1:.12g}")
     if q2 < math.inf:
         print(f"separatrix q2(eps): {q2:.12g}")
@@ -179,11 +181,11 @@ def main(argv: list[str] | None = None) -> int:
     except RadshockError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ArithmeticError, ImportError) as exc:
+    except (ValueError, ArithmeticError, ImportError, MemoryError) as exc:
         # A stray numpy/scipy failure (LinAlgError is a ValueError) from the
-        # numerical layers, or a shot's missing compiled scipy module, is an
-        # internal failure too; a traceback's exit 1 would read as a failed
-        # verification.
+        # numerical layers, a shot's missing compiled scipy module, or a grid
+        # or sample count too large to allocate is an internal failure too; a
+        # traceback's exit 1 would read as a failed verification.
         detail = str(exc).partition("\n")[0]
         print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 4

@@ -39,7 +39,7 @@ class DegenerateShock(DomainError):
 
 
 class OptionOutOfRange(DomainError, ValueError):
-    """A setting (a shooting tolerance or a sample count) outside its range.
+    """A setting (a shooting tolerance, a sample count, a scan's non-bool shoot) outside its range.
 
     Also a ValueError, so callers that catch that keep working.
     """

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import classification as cls
 from .equilibria import Q_MAX, Q_MIN
-from .errors import DomainError, ParamsOutOfOmega, RadshockError, _count, _real
+from .errors import DomainError, OptionOutOfRange, ParamsOutOfOmega, RadshockError, _count, _real
 from .shooting import ShootOptions, shoot
 
 EPS_MARGIN = 1e-6
@@ -134,6 +134,9 @@ class ScanConfig:
                                        f"an integer count >= 2 and lo < hi in [{floor}, {top}]")
             for end, value in (("count", _count(count)), ("lo", _real(lo)), ("hi", _real(hi))):
                 object.__setattr__(self, f"{axis}_{end}", value)
+        if not isinstance(self.shoot, (bool, np.bool_)):
+            raise OptionOutOfRange(f"shoot must be a bool, got {self.shoot!r}")
+        object.__setattr__(self, "shoot", bool(self.shoot))
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,7 @@ class ScanResult:
 
 
 def _separatrix_polylines(config: ScanConfig, eps_grid: np.ndarray, separatrices: np.ndarray):
-    """The q1 and q2 polylines, each of at least 64 points, from `separatrix_grid`.
+    """The q1 and q2 polylines, each of at least 64 points, from `_separatrix_rows`.
 
     The q2 polyline stops below eps_hat.  Where a polyline's eps grid is the
     scan's own, it takes the scan's `separatrices` instead of solving again.
@@ -219,7 +222,7 @@ def _separatrix_polylines(config: ScanConfig, eps_grid: np.ndarray, separatrices
         if n == config.eps_count and hi == config.eps_hi:
             return eps_grid, separatrices
         grid = np.linspace(config.eps_lo, hi, n)
-        return grid, cls.separatrix_grid(grid)
+        return grid, cls._separatrix_rows(grid)
 
     grid, seps = solved(config.eps_hi)
     sep1 = list(zip(grid.tolist(), seps[0].tolist()))
@@ -250,8 +253,9 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
     """
     eps_grid = np.linspace(config.eps_lo, config.eps_hi, config.eps_count)
     q_grid = np.linspace(config.q_lo, config.q_hi, config.q_count)
-    separatrices = cls.separatrix_grid(eps_grid)
-    code, z, pval = cls.classify_grid(eps_grid, q_grid, separatrices)
+    # The config has gated both grids, so the scan calls the bodies behind the gates.
+    separatrices = cls._separatrix_rows(eps_grid)
+    code, z, pval = cls._labels(eps_grid[:, None], q_grid, *separatrices[..., None])
     eps_col = tuple(chain.from_iterable(map(repeat, eps_grid.tolist(), repeat(config.q_count))))
     q_col = tuple(q_grid.tolist()) * config.eps_count
     verdicts = oscillatory = (None,) * len(eps_col)

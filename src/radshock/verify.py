@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classification as cls
-from .equilibria import Q_MAX, Q_MIN, psi_from_v, q_of_vplus, v_minus_squared, v_plus_squared
+from .equilibria import Q_MAX, Q_MIN, _rest_v_sq, psi_from_v, q_of_vplus, v_plus_squared
 from .errors import OptionOutOfRange, _count
 from .model import (
     Kinematics,
@@ -97,7 +97,8 @@ def run_identity_suite(
     # phi = r q0 - 4uv = 16 ((1-q)/q) (v^2 - v+^2)(v^2 - v-^2) / (r q0 + 4uv) for v > 0.
     qs, z = np.linspace(Q_MIN + 1e-6, Q_MAX - 1e-6, 257)[:, None], np.geomspace(1e-3, 1e6, 64)
     rq0, four_uv = (4.0 * z + 1.0) * qs**-0.5, 4.0 * np.sqrt(z * (1.0 + z))
-    factored = 16.0 * (1.0 - qs) / qs * (z - v_plus_squared(qs)) * (z - v_minus_squared(qs))
+    v_minus_sq, v_plus_sq = _rest_v_sq(qs)  # qs lies inside (3/4, 1)
+    factored = 16.0 * (1.0 - qs) / qs * (z - v_plus_sq) * (z - v_minus_sq)
     err_phi = float((np.abs(rq0 - four_uv - factored / (rq0 + four_uv)) / rq0).max())
 
     e = np.linspace(1e-6, 1.0, 257)

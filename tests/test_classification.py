@@ -357,11 +357,12 @@ class TestClassifyGrid:
     def test_inconsistency_names_its_cell(self, monkeypatch):
         # Flip the sign of P at one off-diagonal cell of a 4x3 grid, a Focus
         # cell well inside the band between the curves.  The separatrices are
-        # solved first, so the patched nested form sees only the grid's P and
-        # term scale; a negative scale leaves the cell decided.
+        # solved first and the labelling body is called on them, so the
+        # patched nested form sees only the grid's P and term scale; a
+        # negative scale leaves the cell decided.
         eps = np.array([0.2, 0.4, 0.6, 0.8])
         q = np.array([0.76, 0.85, 0.95])
-        separatrices = separatrix_grid(eps)
+        separatrices = separatrix_grid(eps)[..., None]
         z = float(v_plus_squared(q)[1])
         p = -float(p_eval(z, 0.6))
         true_horner = classification._horner
@@ -373,23 +374,30 @@ class TestClassifyGrid:
 
         monkeypatch.setattr(classification, "_horner", flipped)
         with pytest.raises(InternalInconsistency) as info:
-            classify_grid(eps, q, separatrices)
+            classification._labels(eps[:, None], q, *separatrices)
         assert str(info.value) == f"separatrix route says Focus but P({z!r}, 0.6) = {p!r}"
 
-    @pytest.mark.parametrize("eps", [[1.5, 0.6], [math.nan, 0.6], ["a", "b"]])
-    def test_eps_is_gated_with_given_separatrices(self, eps):
-        separatrices = separatrix_grid(np.array([0.5, 0.6]))
-        with pytest.raises(EpsilonOutOfRange):
-            classify_grid(np.array(eps), [0.8, 0.9], separatrices)
+    def test_inconsistency_at_a_point_names_it(self, monkeypatch):
+        # `classify` runs the same body on a float q_tilde.  Flip the sign of
+        # P at the point's v_plus^2 alone, so the cubic solve is untouched; a
+        # negative term scale leaves the point decided.
+        z = v_plus_squared(0.85)
+        p = -p_eval(z, 0.6)
+        true_horner = classification._horner
+        monkeypatch.setattr(classification, "_horner", lambda coeffs, x: (
+            -true_horner(coeffs, x) if x == z else true_horner(coeffs, x)))
+        with pytest.raises(InternalInconsistency) as info:
+            classify(0.6, 0.85)
+        assert str(info.value) == f"separatrix route says Focus but P({z!r}, 0.6) = {p!r}"
 
     def test_coefficients_formed_once_per_call(self, monkeypatch):
         # The grid's P and its term scale share one set of coefficients, and
         # a cubic solve forms them once.
         eps = np.array([0.2, 0.6])
-        separatrices = separatrix_grid(eps)
+        separatrices = separatrix_grid(eps)[..., None]
         calls, body = [], classification._coefficients
         monkeypatch.setattr(classification, "_coefficients", lambda e: calls.append(e) or body(e))
-        classify_grid(eps, [0.76, 0.9], separatrices)
+        classification._labels(eps[:, None], np.array([0.76, 0.9]), *separatrices)
         assert len(calls) == 1
         cubic_roots(0.5)
         assert len(calls) == 2

@@ -243,6 +243,24 @@ def test_missing_compiled_module_is_an_internal_failure(monkeypatch, tmp_path, c
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["scan", "--grid", "2x100000000000000000"],
+                ["verify", "--samples", "100000000000000000"]],
+    ids=["scan", "verify"],
+)
+def test_count_too_large_to_allocate_is_an_internal_failure(monkeypatch, tmp_path, capsys,
+                                                            command):
+    # 10**17 float64 values pass the count gate, but their 711 PiB lie beyond
+    # any address space, so numpy's allocation fails at once, touching no
+    # memory.  Exit 4 on one line: a traceback's exit 1 would read as a
+    # failed verification.
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: MemoryError: Unable to allocate")
+    assert not any(tmp_path.iterdir())
+
+
 class TestScanCommand:
     def test_csv(self, tmp_path, capsys):
         out_file = tmp_path / "scan.csv"

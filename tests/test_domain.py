@@ -35,6 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radshock
+from radshock import classification
 from radshock.classification import (
     classify,
     classify_grid,
@@ -94,9 +95,6 @@ OF_EPS = {
     "separatrix_grid-array": lambda eps: separatrix_grid(np.array([0.5, eps])),
     "classify_grid": lambda eps: classify_grid(eps, [0.8]),
     "classify_grid-array": lambda eps: classify_grid(np.array([eps, 0.5]), [0.8]),
-    # Separatrices solved at an eps in range leave the given eps to the gate.
-    "classify_grid-given-separatrices":
-        lambda eps: classify_grid(np.array([eps]), [0.8], separatrix_grid([0.5])),
 }
 OF_EPS_AND_Q = {
     "classify": classify,
@@ -141,6 +139,9 @@ OPTION_CASES = [
 ] + [
     pytest.param(run_identity_suite, {"samples": n}, id=f"run_identity_suite-samples={n}")
     for n in (0, -3, 10**30)
+] + [
+    pytest.param(ScanConfig, {"shoot": value}, id=f"ScanConfig-shoot={value!r}")
+    for value in ("no", 1, None)
 ]
 
 
@@ -174,8 +175,6 @@ NON_NUMBER_CALLS = {
     "cubic_discriminant": (cubic_discriminant, EpsilonOutOfRange),
     "classify_grid-eps": (lambda x: classify_grid(x, [0.8]), EpsilonOutOfRange),
     "classify_grid-q": (lambda x: classify_grid(0.5, x), QOutOfRange),
-    "classify_grid-eps-given-separatrices": (
-        lambda x: classify_grid(x, [0.8], separatrix_grid([0.5])), EpsilonOutOfRange),
     "separatrix_grid": (separatrix_grid, EpsilonOutOfRange),
     "ShootOptions-rel_tol": (lambda x: ShootOptions(rel_tol=x), OptionOutOfRange),
     "ShootOptions-abs_tol": (lambda x: ShootOptions(abs_tol=x), OptionOutOfRange),
@@ -273,7 +272,7 @@ VALID = {
     "w1": -1.0, "w2": 0.0, "w3": 1.0 / 3.0, "epsilon": 0.5, "discriminant": 1.0,
     "v_minus_sq": 0.7, "v_plus_sq": 0.2, "rel_tol": 1e-10, "abs_tol": 1e-12,
     "eps_lo": 0.1, "eps_hi": 0.9, "eps_count": 2, "q_lo": 0.8, "q_hi": 0.9, "q_count": 2,
-    "times": np.arange(4.0), "states": STATES, "separatrices": None,
+    "times": np.arange(4.0), "states": STATES,
     # The structured parameters beside them.
     "psi": PSI, "psi_minus": PSI, "psi_plus": PSI, "kin": kinematics(PSI),
     "config": ScanConfig(eps_count=2, q_count=2), "opts": None, "shoot_options": None,
@@ -360,17 +359,37 @@ def _carries(x, arg) -> bool:
     return x is arg or (np.ndim(arg) == 0 and isinstance(x, (float, np.floating)) and x == arg)
 
 
-@pytest.mark.parametrize("name", GATED_CALLS)
-def test_each_argument_reaches_the_gate_once(monkeypatch, name):
-    # Every module's `_real` and `_reals`, through which all range checks
-    # pass, record their argument; each argument of the entry point must be
-    # among them once.
+def gate_arguments(monkeypatch) -> list:
+    """The argument of every call of any module's `_real` and `_reals` from here on.
+
+    All range checks pass through these two.
+    """
     seen = []
     for info in pkgutil.iter_modules(radshock.__path__):
         module = importlib.import_module(f"radshock.{info.name}")
         for gate in ("_real", "_reals"):
             if func := vars(module).get(gate):
                 monkeypatch.setattr(module, gate, lambda x, func=func: seen.append(x) or func(x))
+    return seen
+
+
+@pytest.mark.parametrize("name", GATED_CALLS)
+def test_each_argument_reaches_the_gate_once(monkeypatch, name):
+    # Each argument of the entry point must be among the gates' arguments once.
+    seen = gate_arguments(monkeypatch)
     call, *args = GATED_CALLS[name]
     call(*args)
     assert [sum(_carries(x, arg) for x in seen) for arg in args] == [1] * len(args)
+
+
+def test_classify_command_gates_q_once_and_solves_once(monkeypatch, capsys):
+    # The command labels the point and prints its separatrices from one
+    # cubic solve, and q_tilde passes the gate once for the label and the
+    # rest points both.
+    seen, solves = gate_arguments(monkeypatch), []
+    roots = classification._roots
+    monkeypatch.setattr(classification, "_roots", lambda eps: solves.append(eps) or roots(eps))
+    assert main(["classify", "--eps=0.5", "--q=0.9"]) == 0
+    assert "region: NodeAbove" in capsys.readouterr().out
+    assert solves == [0.5]
+    assert sum(_carries(x, 0.9) for x in seen) == 1

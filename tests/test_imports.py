@@ -237,6 +237,7 @@ GATES = {"_real", "_reals", "_count", "check_eps", "_closed_eps", "_scalar_eps",
 # shot's `_setup` and `_psi_field` gate for the entry points that call them,
 # the public types validate their own fields, and `q_of_vplus`, an entry
 # point, is also the cubic solver's post-condition on the roots it is handed.
+# The CLI's classify command gates its point once and calls the bodies.
 GATE_CALLERS = [
     "classification.py:_closed_eps -> _reals",
     "classification.py:_scalar_eps -> _real",
@@ -251,6 +252,7 @@ GATE_CALLERS = [
     "classification.py:separatrix_grid -> check_eps",
     "classification.py:separatrix_q1 -> _scalar_eps",
     "classification.py:separatrix_q2 -> _scalar_eps",
+    "cli.py:cmd_classify -> check_omega",
     "equilibria.py:EquilibriumPair.__post_init__ -> _real",
     "equilibria.py:EquilibriumPair.__post_init__ -> _real",
     "equilibria.py:_check_q -> _reals",
@@ -308,6 +310,40 @@ def test_each_gate_use_is_pinned():
     # as a new entry here.
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
     assert gate_uses(sources) == GATE_CALLERS
+
+
+def module_level_imports(source: str) -> set[str]:
+    """The top-level package of each import that runs when the module is imported."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.update(alias.name.partition(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                found.add(child.module.partition(".")[0])
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_cli_module_imports_no_numpy_or_scipy():
+    # The CLI module itself stays free of numpy and scipy, so that a
+    # one-point command can be made to run without them (ROADMAP item 24).
+    source = (Path(radshock.__file__).resolve().parent / "cli.py").read_text(encoding="utf-8")
+    assert not module_level_imports(source) & {"numpy", "scipy"}
+
+
+def test_checker_reads_module_level_imports():
+    source = (
+        "import numpy.linalg as la\nfrom . import model\nfrom .x import y\n"
+        "class A:\n    from scipy import integrate\n"
+        "def f():\n    import sympy\n"
+        "if True:\n    import math\n"
+    )
+    assert module_level_imports(source) == {"numpy", "scipy", "math"}
 
 
 def test_checker_finds_each_gate_use():

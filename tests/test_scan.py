@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radshock import classification, scan
+from radshock import classification, equilibria, model, scan
 from radshock.classification import RegionLabel, classify, p_eval
 from radshock.equilibria import v_plus_squared
 from radshock.errors import DomainError, NotASaddle, ParamsOutOfOmega, RadshockError
@@ -72,6 +72,11 @@ class TestScanConfig:
                 ScanConfig(eps_count=value)
             with pytest.raises(ParamsOutOfOmega):
                 ScanConfig(q_count=value)
+
+    def test_numpy_bool_shoot_is_kept_as_a_bool(self):
+        # Anything else raises OptionOutOfRange (see test_domain.py).
+        assert ScanConfig(shoot=np.True_).shoot is True
+        assert ScanConfig(shoot=np.False_).shoot is False
 
     def test_rejects_margin_violations(self):
         with pytest.raises(ParamsOutOfOmega):
@@ -146,13 +151,22 @@ class TestRunScan:
         monkeypatch.setattr(classification, "_roots", counted_roots)
         return calls
 
-    def test_q1_polyline_reuses_the_classification_solves(self, solves):
+    def test_q1_polyline_reuses_the_classification_solves(self, solves, monkeypatch):
         # On a 200x200 grid the q1 polyline's eps are the grid's, so only the
         # classification (one solve per eps row) and the q2 polyline, on its
-        # own eps grid below eps_hat, solve the cubic: 400 calls, not 600.
+        # own eps grid below eps_hat, solve the cubic: 400 calls, not 600, in
+        # two calls of the separatrix body.  The config has gated both grids,
+        # so no array gate sees them again.
+        calls = []
+        for module in (classification, equilibria, model):
+            for name in ("check_eps", "_check_q", "_separatrix_rows"):
+                if func := vars(module).get(name):
+                    monkeypatch.setattr(module, name, lambda x, name=name, func=func:
+                                        calls.append(name) or func(x))
         config = ScanConfig(eps_count=200, q_count=200)
         result = run_scan(config)
         assert len(solves) == 400
+        assert calls == ["_separatrix_rows"] * 2
         # The polyline is bit for bit the one of a solve per point.
         assert result.separatrix1 == [(e, classification.separatrix_q1(e))
                                       for e in np.linspace(config.eps_lo, config.eps_hi, 200)
