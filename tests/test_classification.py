@@ -377,6 +377,17 @@ class TestClassifyGrid:
             classification._labels(eps[:, None], q, *separatrices)
         assert str(info.value) == f"separatrix route says Focus but P({z!r}, 0.6) = {p!r}"
 
+    @pytest.mark.parametrize("eps", [[1.5, 0.6], [math.nan, 0.6], ["a", "b"]])
+    def test_bad_eps_column_is_refused_before_any_solve(self, monkeypatch, eps):
+        # The gate runs first, so an eps column with an entry out of range
+        # reaches neither the cubic solve nor the labelling body.
+        calls = []
+        for body in ("_roots", "_labels"):
+            monkeypatch.setattr(classification, body, lambda *a, body=body: calls.append(body))
+        with pytest.raises(EpsilonOutOfRange):
+            classify_grid(np.array(eps), [0.8, 0.9])
+        assert calls == []
+
     def test_inconsistency_at_a_point_names_it(self, monkeypatch):
         # `classify` runs the same body on a float q_tilde.  Flip the sign of
         # P at the point's v_plus^2 alone, so the cubic solve is untouched; a

@@ -95,6 +95,8 @@ OF_EPS = {
     "separatrix_grid-array": lambda eps: separatrix_grid(np.array([0.5, eps])),
     "classify_grid": lambda eps: classify_grid(eps, [0.8]),
     "classify_grid-array": lambda eps: classify_grid(np.array([eps, 0.5]), [0.8]),
+    # A 1-element array is a column of one, not a float.
+    "classify_grid-one": lambda eps: classify_grid(np.array([eps]), [0.8]),
 }
 OF_EPS_AND_Q = {
     "classify": classify,
@@ -175,6 +177,7 @@ NON_NUMBER_CALLS = {
     "cubic_discriminant": (cubic_discriminant, EpsilonOutOfRange),
     "classify_grid-eps": (lambda x: classify_grid(x, [0.8]), EpsilonOutOfRange),
     "classify_grid-q": (lambda x: classify_grid(0.5, x), QOutOfRange),
+    "classify_grid-eps-list": (lambda x: classify_grid([x, 0.5], [0.8]), EpsilonOutOfRange),
     "separatrix_grid": (separatrix_grid, EpsilonOutOfRange),
     "ShootOptions-rel_tol": (lambda x: ShootOptions(rel_tol=x), OptionOutOfRange),
     "ShootOptions-abs_tol": (lambda x: ShootOptions(abs_tol=x), OptionOutOfRange),
