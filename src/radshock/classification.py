@@ -7,10 +7,11 @@ through the downstream-velocity map, consists of two separatrix curves
 q1(eps) and q2(eps) that split the parameter square into a focus band
 between them and node regions below and above.  `classify_grid` labels a
 whole grid of eps against q_tilde in one array pass; `classify` runs the
-same body, `_labels`, at one point.  `local_spectrum` gates its state and eps,
-then reads the eigenvalues off `model.spectrum_at_v`.  Entry points gate once,
-then run bodies (`_roots`, `_separatrices`, `_labels`, and P's, which take any
-number type: `_coefficients`, `_discriminant`, `_horner`), so the exact
+same body, `_labels`, at one point.  `local_spectrum` gates eps, then its body
+`_spectrum` checks that the state is off the singular locus and reads the
+eigenvalues off `model.spectrum_at_v`.  Entry points gate once, then run
+bodies (`_roots`, `_separatrices`, `_labels`, `_spectrum`, and P's, which take
+any number type: `_coefficients`, `_discriminant`, `_horner`), so the exact
 proofs of P run the shipped arithmetic.
 """
 
@@ -279,7 +280,11 @@ def local_spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
     match the true profile linearization at rest points, which differs from
     this matrix only by the positive factor (4/3) theta^5.
     """
-    eps = _scalar_eps(eps)
+    return _spectrum(psi, _scalar_eps(eps))
+
+
+def _spectrum(psi: GodunovState, eps: float) -> tuple[complex, complex]:
+    """`local_spectrum` at a gated eps."""
     _, _, v = theta_u_v(psi.psi0, psi.psi1)
     check_off_locus(v * v, eps)
     return spectrum_at_v(v, eps)

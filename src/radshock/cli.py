@@ -42,7 +42,7 @@ def cmd_classify(args) -> int:
     q1, q2 = cls._separatrices(eps)
     label = cls.CODE_LABELS[cls._labels(eps, q, q1, q2)[0]]
     pair = _pair(q)
-    lam = cls.local_spectrum(pair.psi_plus, eps)
+    lam = cls._spectrum(pair.psi_plus, eps)
     print(f"region: {label.value}")
     print(f"eps: {args.eps:.12g}  q_tilde: {args.q:.12g}")
     print(f"v_minus_sq: {pair.v_minus_sq:.12g}  v_plus_sq: {pair.v_plus_sq:.12g}")
@@ -178,13 +178,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RadshockError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, ArithmeticError, ImportError, MemoryError) as exc:
-        # A stray numpy/scipy failure (LinAlgError is a ValueError) from the
-        # numerical layers, a shot's missing compiled scipy module, or a grid
-        # or sample count too large to allocate is an internal failure too; a
+    except (RadshockError, ValueError, ArithmeticError, ImportError, MemoryError) as exc:
+        # A typed numerical failure, a stray numpy/scipy failure (LinAlgError
+        # is a ValueError) from the numerical layers, a shot's missing compiled
+        # scipy module or an allocation that fails is an internal failure; a
         # traceback's exit 1 would read as a failed verification.
         detail = str(exc).partition("\n")[0]
         print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)

@@ -17,7 +17,6 @@ with the literal around it.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, repeat
@@ -68,6 +67,9 @@ class ScanRecord:
 
 _FIELDS = tuple(f.name for f in fields(ScanRecord))
 _row_of = operator.attrgetter(*_FIELDS)
+# The JSON type of each annotation of a `ScanRecord` field.
+_JSON_TYPES = {"float": "number", "str": "string", "str | None": ["string", "null"],
+               "bool | None": ["boolean", "null"]}
 
 
 SCAN_JSON_SCHEMA = {
@@ -89,15 +91,7 @@ SCAN_JSON_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": list(_FIELDS),
-                "properties": {
-                    "eps": {"type": "number"},
-                    "q_tilde": {"type": "number"},
-                    "region": {"type": "string"},
-                    "v_plus_sq": {"type": "number"},
-                    "discriminant": {"type": "number"},
-                    "shoot_verdict": {"type": ["string", "null"]},
-                    "oscillatory": {"type": ["boolean", "null"]},
-                },
+                "properties": {f.name: {"type": _JSON_TYPES[f.type]} for f in fields(ScanRecord)},
             },
         },
         "separatrices": {
@@ -140,12 +134,16 @@ class ScanConfig:
 
 
 @dataclass(frozen=True)
-class ScanTable(Sequence):
+class ScanTable:
     """The cells of a scan in cell order, as one tuple per `ScanRecord` field.
 
-    A read-only sequence of `ScanRecord` that builds a record only when one
-    is read: an index gives one record, a slice a list of them, and
-    iteration yields them.  The emitters read the columns and build none.
+    The emitters read the columns and build no record.  The record view
+    builds a `ScanRecord` only when one is read: an index gives one record,
+    a slice a list of them, and iteration yields them, so `len`, `in` and
+    `reversed` work too.  It is kept for its readers outside the emitters:
+    `perfbench/run.py` (`check_map`, `interior_pass`, `shoot_cells`), the
+    harness's smoke test `test_map_check_catches_a_changed_label`, and the
+    tests that build a `ScanResult` from a list of records.
 
     The first CSV or JSON emitter call makes the `.17g` text of the four
     numeric columns, and the table keeps it for as long as it lives.  This
@@ -169,11 +167,6 @@ class ScanTable(Sequence):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if len({len(col) for col in _row_of(self)}) != 1:
             raise DomainError("scan columns differ in length")
-
-    @classmethod
-    def from_records(cls, records) -> ScanTable:
-        columns = list(zip(*map(_row_of, records)))
-        return cls(*columns) if columns else cls(*[()] * len(_FIELDS))
 
     def __len__(self) -> int:
         return len(self.eps)
@@ -207,31 +200,28 @@ class ScanResult:
     def __post_init__(self):
         # Any other sequence of records becomes a table once.
         if not isinstance(self.records, ScanTable):
-            object.__setattr__(self, "records", ScanTable.from_records(self.records))
+            columns = list(zip(*map(_row_of, self.records))) or [()] * len(_FIELDS)
+            object.__setattr__(self, "records", ScanTable(*columns))
 
 
 def _separatrix_polylines(config: ScanConfig, eps_grid: np.ndarray, separatrices: np.ndarray):
     """The q1 and q2 polylines, each of at least 64 points, from `_separatrix_rows`.
 
-    The q2 polyline stops below eps_hat.  Where a polyline's eps grid is the
-    scan's own, it takes the scan's `separatrices` instead of solving again.
+    The q2 polyline stops below eps_hat.  Each polyline takes the rows of the
+    eps grid before it where its own grid is the same: q1 the scan's, q2 q1's.
     """
     n = max(config.eps_count, 64)
-
-    def solved(hi):
-        if n == config.eps_count and hi == config.eps_hi:
-            return eps_grid, separatrices
-        grid = np.linspace(config.eps_lo, hi, n)
-        return grid, cls._separatrix_rows(grid)
-
-    grid, seps = solved(config.eps_hi)
-    sep1 = list(zip(grid.tolist(), seps[0].tolist()))
-    sep2 = []
+    if n != config.eps_count:
+        eps_grid = np.linspace(config.eps_lo, config.eps_hi, n)
+        separatrices = cls._separatrix_rows(eps_grid)
+    sep1 = list(zip(eps_grid.tolist(), separatrices[0].tolist()))
     hi2 = min(config.eps_hi, cls.epsilon_hat() - 1e-9)
-    if config.eps_lo < hi2:
-        grid, seps = solved(hi2)
-        sep2 = list(zip(grid.tolist(), seps[1].tolist()))
-    return sep1, sep2
+    if config.eps_lo >= hi2:
+        return sep1, []
+    if hi2 != config.eps_hi:
+        eps_grid = np.linspace(config.eps_lo, hi2, n)
+        separatrices = cls._separatrix_rows(eps_grid)
+    return sep1, list(zip(eps_grid.tolist(), separatrices[1].tolist()))
 
 
 def _shot_cell(eps: float, q_tilde: float,
@@ -249,13 +239,17 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
 
     Shooting failures of individual cells are recorded by error name in the
     shoot_verdict column so a sweep never dies half way.  The columns are
-    built as tuples, which the table keeps without a copy.
+    built as tuples, which the table keeps without a copy.  A grid too large
+    to allocate raises ParamsOutOfOmega, as a count the config rejects does.
     """
-    eps_grid = np.linspace(config.eps_lo, config.eps_hi, config.eps_count)
-    q_grid = np.linspace(config.q_lo, config.q_hi, config.q_count)
-    # The config has gated both grids, so the scan calls the bodies behind the gates.
-    separatrices = cls._separatrix_rows(eps_grid)
-    code, z, pval = cls._labels(eps_grid[:, None], q_grid, *separatrices[..., None])
+    try:
+        eps_grid = np.linspace(config.eps_lo, config.eps_hi, config.eps_count)
+        q_grid = np.linspace(config.q_lo, config.q_hi, config.q_count)
+        # The config has gated both grids, so the scan calls the bodies behind the gates.
+        separatrices = cls._separatrix_rows(eps_grid)
+        code, z, pval = cls._labels(eps_grid[:, None], q_grid, *separatrices[..., None])
+    except MemoryError as exc:
+        raise ParamsOutOfOmega(f"{config.eps_count}x{config.q_count} scan grid: {exc}") from exc
     eps_col = tuple(chain.from_iterable(map(repeat, eps_grid.tolist(), repeat(config.q_count))))
     q_col = tuple(q_grid.tolist()) * config.eps_count
     verdicts = oscillatory = (None,) * len(eps_col)

@@ -61,8 +61,8 @@ def run_identity_suite(
 ) -> list[IdentityCheck]:
     """Run every check; `samples` random (v, eps) pairs feed the matrix checks.
 
-    A sample count not an integer of at least 1, or a seed that numpy's
-    `default_rng` cannot use, raises OptionOutOfRange.
+    A sample count not an integer of at least 1 or too large to allocate, or
+    a seed that numpy's `default_rng` cannot use, raises OptionOutOfRange.
     """
     if (count := _count(samples)) < 1:
         raise OptionOutOfRange(f"samples must be a positive integer, got {samples}")
@@ -70,8 +70,11 @@ def run_identity_suite(
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise OptionOutOfRange(f"unusable seed {seed!r}: {exc}") from exc
-    v = np.sqrt(rng.uniform(1e-6, 2.0, count)) * rng.choice([-1.0, 1.0], count)
-    eps = rng.uniform(1e-6, 1.0, count)
+    try:
+        v = np.sqrt(rng.uniform(1e-6, 2.0, count)) * rng.choice([-1.0, 1.0], count)
+        eps = rng.uniform(1e-6, 1.0, count)
+    except MemoryError as exc:
+        raise OptionOutOfRange(f"{count} samples: {exc}") from exc
     v_sq = v**2
 
     # One stacked call per builder: b and a hold one 2x2 matrix per sample, shape (2, 2, n),

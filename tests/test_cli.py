@@ -248,16 +248,15 @@ def test_missing_compiled_module_is_an_internal_failure(monkeypatch, tmp_path, c
                 ["verify", "--samples", "100000000000000000"]],
     ids=["scan", "verify"],
 )
-def test_count_too_large_to_allocate_is_an_internal_failure(monkeypatch, tmp_path, capsys,
-                                                            command):
+def test_count_too_large_to_allocate_is_a_domain_error(monkeypatch, tmp_path, capsys, command):
     # 10**17 float64 values pass the count gate, but their 711 PiB lie beyond
     # any address space, so numpy's allocation fails at once, touching no
-    # memory.  Exit 4 on one line: a traceback's exit 1 would read as a
-    # failed verification.
+    # memory.  The library raises its typed error, which exits 2 on one
+    # line, as any count out of range does.
     monkeypatch.chdir(tmp_path)
-    assert main(command) == 4
+    assert main(command) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: MemoryError: Unable to allocate")
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Unable to allocate" in lines[0]
     assert not any(tmp_path.iterdir())
 
 

@@ -385,14 +385,14 @@ def test_each_argument_reaches_the_gate_once(monkeypatch, name):
     assert [sum(_carries(x, arg) for x in seen) for arg in args] == [1] * len(args)
 
 
-def test_classify_command_gates_q_once_and_solves_once(monkeypatch, capsys):
+def test_classify_command_gates_its_point_once_and_solves_once(monkeypatch, capsys):
     # The command labels the point and prints its separatrices from one
-    # cubic solve, and q_tilde passes the gate once for the label and the
-    # rest points both.
+    # cubic solve; q_tilde passes the gate once for the label and the rest
+    # points both, and eps once for the label and the spectrum both.
     seen, solves = gate_arguments(monkeypatch), []
     roots = classification._roots
     monkeypatch.setattr(classification, "_roots", lambda eps: solves.append(eps) or roots(eps))
     assert main(["classify", "--eps=0.5", "--q=0.9"]) == 0
     assert "region: NodeAbove" in capsys.readouterr().out
     assert solves == [0.5]
-    assert sum(_carries(x, 0.9) for x in seen) == 1
+    assert [sum(_carries(x, arg) for x in seen) for arg in (0.5, 0.9)] == [1, 1]

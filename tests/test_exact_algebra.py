@@ -8,10 +8,10 @@ matrix builders over QQ(eps, p).  `classification`'s coefficient body, its
 nested form of P and its discriminant body run on the same elements: P is
 derived from the closed forms, its discriminant from P, and the exact values
 that `verify` checks in floats are proven, with Sturm counts (Basu, Pollack
-& Roy, Algorithms in Real Algebraic Geometry, 2006) for the tail's sign and
-eps_hat.  Equality in these fields is equality of rational functions, so
-each check is a proof for every parameter and state at which the
-denominators do not vanish.  The float tests still guard what exact values
+& Roy, Algorithms in Real Algebraic Geometry, 2006) for the tail's sign,
+eps_hat and where P's roots lie against 1/8 and 1/2.  Equality in these
+fields is equality of rational functions, so each check is a proof for every
+parameter and state at which the denominators do not vanish.  The float tests still guard what exact values
 cannot see: rounding (`test_corner_orbits_match_high_precision`) and the
 guards that pick a rounding route (`test_overflowing_*`).
 """
@@ -210,3 +210,35 @@ def test_sturm_counts_and_eps_hat():
     closed = Rational(2, 3) * (3 * s6 - 2 * sqrt(16 - 6 * s6) - 4)
     assert Poly(minimal_polynomial(closed, x), x) == quartic_x
     assert 0 < closed < 1 and float(closed) == pytest.approx(_EPS_HAT, rel=1e-15)
+
+
+def test_sturm_counts_place_the_roots():
+    # For every eps in (0, 1]: w1 < 1/8 < w3 < 1/2, and w2 > 1/8 below
+    # eps_hat, w2 < 1/8 above it.  Continuity step: on (0, 1] the leading
+    # coefficient a3 is at least 64, so P(., eps) keeps degree 3, and its
+    # discriminant is positive, so its three real roots stay simple and move
+    # continuously with eps.  No root crosses 1/2, where P(1/2, eps) > 0, and
+    # one crosses 1/8 only at eps_hat, the one zero of P(1/8, eps), which lies
+    # between 1/2 and 1.  So the roots' counts below 1/8, between 1/8 and 1/2,
+    # and above 1/2 are those at eps = 1/2 on (0, eps_hat) and those at
+    # eps = 1 on (eps_hat, 1]; at eps_hat, w2 = 1/8 from both sides.
+    ring, eps = rational_field("eps", QQ)
+    e, x = Exact(ring, eps), Symbol("eps")
+
+    def in_eps(value):
+        return Poly(value.x.as_expr(), x)
+
+    assert _coefficients(e)[3] - 64 == e**2 * (e**2 + 16)
+    disc = in_eps(_discriminant(e))
+    assert disc.count_roots(0, 1) == 1 and disc.eval(0) == 0 and disc.eval(1) > 0
+    at_eighth = in_eps(body_p(0.125, e))
+    assert at_eighth.count_roots(0, 1) == 1
+    assert at_eighth.eval(Rational(1, 2)) > 0 > at_eighth.eval(1)
+    assert body_p(0.5, e) == 9 * e**2 * (e - 4) ** 2 / 8
+
+    ring_z, z = rational_field("z", QQ)
+    one, eighth, half = Exact(ring_z, 1), Rational(1, 8), Rational(1, 2)
+    for at, counts in ((one / 2, [1, 2, 0]), (one, [2, 1, 0])):
+        p = Poly(body_p(Exact(ring_z, z), at).x.as_expr(), Symbol("z"))
+        assert [p.count_roots(None, eighth), p.count_roots(eighth, half),
+                p.count_roots(half, None)] == counts

@@ -88,6 +88,14 @@ class TestScanConfig:
 
 
 class TestRunScan:
+    @pytest.mark.parametrize("counts", [(2, 10**17), (10**17, 2)], ids=["q", "eps"])
+    def test_grid_too_large_to_allocate_is_a_typed_error(self, counts):
+        # 10**17 points pass the count gate, but their 711 PiB lie beyond any
+        # address space, so numpy's allocation fails at once, touching no memory.
+        eps_count, q_count = counts
+        with pytest.raises(ParamsOutOfOmega, match="Unable to allocate"):
+            run_scan(ScanConfig(eps_count=eps_count, q_count=q_count))
+
     def test_grid_size_and_order(self, small_scan):
         assert len(small_scan.records) == 144
         eps_seq = [r.eps for r in small_scan.records]
@@ -174,12 +182,14 @@ class TestRunScan:
 
     @pytest.mark.parametrize("config, count", [
         (ScanConfig(eps_count=20, q_count=20), 20 + 64 + 64),
+        # Below eps_hat the q2 polyline takes the q1 polyline's 64-point grid.
+        (ScanConfig(eps_hi=0.6, eps_count=20, q_count=20), 20 + 64),
         # The 6x6 box of the benchmark's shooting scan.
         (ScanConfig(eps_lo=0.05, eps_hi=1.0, eps_count=6, q_lo=0.76, q_hi=0.99, q_count=6),
          6 + 64 + 64),
         # Below eps_hat both polylines lie on the scan's own grid.
         (ScanConfig(eps_hi=0.2, eps_count=64, q_count=4), 64),
-    ], ids=["20x20", "6x6", "64-below-eps-hat"])
+    ], ids=["20x20", "20x20-below-eps-hat", "6x6", "64-below-eps-hat"])
     def test_polylines_match_a_solve_per_point(self, solves, config, count):
         result = run_scan(config)
         assert len(solves) == count

@@ -75,3 +75,10 @@ def test_deterministic():
 def test_rejects_nonpositive_samples(samples):
     with pytest.raises(OptionOutOfRange):
         run_identity_suite(samples=samples)
+
+
+def test_samples_too_many_to_allocate_are_a_typed_error():
+    # 10**17 samples pass the count gate, but numpy's allocation of their
+    # 711 PiB fails at once, touching no memory.
+    with pytest.raises(OptionOutOfRange, match="Unable to allocate"):
+        run_identity_suite(samples=10**17)
