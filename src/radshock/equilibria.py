@@ -4,7 +4,8 @@ With the normalization q1 = 1, q0 = q_tilde^(-1/2) > 0 the system has two
 rest points exactly for q_tilde in (3/4, 1).  Both are taken on the
 right-moving branch v > 0; the reflected family follows from the stated
 flux symmetry and is not materialized separately.  Their algebra has one
-body, `_rest_v_sq`, which every entry point calls once it has gated q_tilde.
+body, `_rest_v_sq`, which every entry point calls once it has gated q_tilde,
+and the inverse map one, `_q_of_vplus`, behind `q_of_vplus`'s gate.
 """
 
 from __future__ import annotations
@@ -134,7 +135,12 @@ def q_of_vplus(z):
     x, lo, hi = _reals(z)
     if not 0.125 < lo <= hi < 0.5:
         raise ZOutOfRange(f"z must lie in (1/8, 1/2), got {z!r}")
-    return (4.0 * x + 1.0) ** 2 / (16.0 * x * (1.0 + x))
+    return _q_of_vplus(x)
+
+
+def _q_of_vplus(z):
+    """`q_of_vplus` at a gated z, in arithmetic that takes any number type."""
+    return (4.0 * z + 1.0) ** 2 / (16.0 * z * (1.0 + z))
 
 
 def admissible(q0: float, q1: float) -> bool:

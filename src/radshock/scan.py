@@ -324,10 +324,10 @@ def scan_to_csv(result: ScanResult) -> str:
     t, cell = result.records, _TextMemo(lambda s: f",{_csv_cell(s)},")
     cell[None] = ",,"
     eps, q_tilde, v_plus_sq, discriminant = t._texts
-    tail = ["# separatrix q1", "eps,q_tilde"]
-    tail += [f"{_g(e)},{_g(q)}" for e, q in result.separatrix1]
-    tail += ["# separatrix q2", "eps,q_tilde"]
-    tail += [f"{_g(e)},{_g(q)}" for e, q in result.separatrix2]
+    tail = []
+    for name, points in (("q1", result.separatrix1), ("q2", result.separatrix2)):
+        tail += [f"# separatrix {name}", "eps,q_tilde"]
+        tail += [f"{_g(e)},{_g(q)}" for e, q in points]
     return _woven(
         ",".join(_FIELDS) + "\n", len(t),
         (eps, ",", q_tilde, map(cell.__getitem__, t.region), v_plus_sq, ",", discriminant,
@@ -402,12 +402,12 @@ def scan_to_svg(result: ScanResult) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     tail = []
-    for pts, color in ((result.separatrix1, "#000000"), (result.separatrix2, "#000000")):
+    for pts in (result.separatrix1, result.separatrix2):
         if not pts:
             continue
         path = " ".join(f"{x_of(e):.2f},{y_of(q):.2f}" for e, q in pts)
         tail.append(
-            f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{path}" fill="none" stroke="#000000" stroke-width="1.5"/>'
         )
     tail.append(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '

@@ -417,18 +417,29 @@ def _start(field, eps: float, pair: EquilibriumPair, minus, plus):
     return (c0 + shift[0], c1 + shift[1]), shift, scale
 
 
-def _count_extrema(x: list[float], floor: float) -> int:
-    # Turning points with hysteresis: a direction reversal only counts once
-    # the excursion beats the noise floor.
-    count, direction, ref = 0, 0, x[0]
+def _counts(x: list[float], limit: float) -> ComponentCounts:
+    """Extrema and sign changes of one series about `limit`, from its ends and turning points `x`.
+
+    `x` holds the series' first and last values and every value not strictly
+    between its neighbours, in order, so its max and min are the series'.
+    The noise floor is 1e-10 times the larger of the range and |limit|: the
+    integrator's error is relative to the state's size, so a weak shock's
+    small range alone would let that noise count.  An extremum counts once a
+    reversal's excursion beats the floor (hysteresis), a sign change between
+    values of x - limit beyond the floor.  Between two turning points the
+    series is strictly monotone, so the inside of a run changes neither count.
+    """
+    floor = 1e-10 * max(max(x) - min(x), abs(limit))
+    extrema, direction, ref = 0, 0, x[0]
     for val in x[1:]:
         if direction * (val - ref) > 0.0:
             ref = val
         elif val > ref + floor:
-            count, direction, ref = count + (direction < 0), 1, val
+            extrema, direction, ref = extrema + (direction < 0), 1, val
         elif val < ref - floor:
-            count, direction, ref = count + (direction > 0), -1, val
-    return count
+            extrema, direction, ref = extrema + (direction > 0), -1, val
+    above = [val > limit for val in x if abs(val - limit) > floor]
+    return ComponentCounts(extrema, sum(a != b for a, b in zip(above, above[1:])))
 
 
 def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> OscillationReport:
@@ -436,10 +447,8 @@ def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> Oscillatio
 
     `states` is an (n, 2) array of real psi samples, n >= 3 (else TooFewSamples),
     each finite and inside the cone psi0 > |psi1| (else StateOutsideDomain).
-    Each series of `SERIES` is a row of one array, with its limit at psi_plus
-    and a noise floor of 1e-10 times the larger of its range and its limit's
-    magnitude.  `_count_extrema` walks each row's ends and turning points
-    only: the inside of a strictly monotone run cannot change its count.
+    Each series of `SERIES` is a row of one array, with its limit at psi_plus;
+    `_counts` reads each row's counts off its ends and turning points alone.
     """
     arr, _, top = _reals(states)
     if np.ndim(arr) != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
@@ -448,23 +457,14 @@ def oscillation_report(states: np.ndarray, psi_plus: GodunovState) -> Oscillatio
     if not (top < math.inf and (np.abs(psi1) < psi0).all()):  # NaN fails too
         raise StateOutsideDomain("every sample must be finite with psi0 > |psi1|")
     series = np.vstack((psi0, psi1, *theta_u_v(psi0, psi1)))
-    limits = np.array([psi_plus.psi0, psi_plus.psi1, *theta_u_v(psi_plus.psi0, psi_plus.psi1)])
-    # The integrator's error is relative to the state's size, so a weak
-    # shock's small range alone would let that noise count.
-    floors = 1e-10 * np.maximum(series.max(axis=1) - series.min(axis=1), np.abs(limits))
-    dev = series - limits[:, None]
-    # Each row's deviations beyond its floor, in order, and the row of each.
-    rows = np.nonzero(beyond := np.abs(dev) > floors[:, None])[0]
-    above = dev[beyond] > 0.0
-    flips = rows[1:][(above[1:] != above[:-1]) & (rows[1:] == rows[:-1])]
+    limits = (psi_plus.psi0, psi_plus.psi1, *theta_u_v(psi_plus.psi0, psi_plus.psi1))
     # Each row's ends and turning points: the samples not strictly between their neighbours.
     slope = np.sign(np.diff(series, axis=1))
     turning = np.ones(series.shape, dtype=bool)
     turning[:, 1:-1] = slope[:, :-1] * slope[:, 1:] <= 0.0
-    changes = np.bincount(flips, minlength=len(SERIES)).tolist()
     counts = {
-        name: ComponentCounts(_count_extrema(row[keep].tolist(), floor), n)
-        for name, row, keep, floor, n in zip(SERIES, series, turning, floors.tolist(), changes)
+        name: _counts(row[keep].tolist(), limit)
+        for name, row, keep, limit in zip(SERIES, series, turning, limits)
     }
     return OscillationReport({s: tuple(map(counts.get, names)) for s, names in SYSTEMS.items()})
 

@@ -9,7 +9,8 @@ nested form of P and its discriminant body run on the same elements: P is
 derived from the closed forms, its discriminant from P, and the exact values
 that `verify` checks in floats are proven, with Sturm counts (Basu, Pollack
 & Roy, Algorithms in Real Algebraic Geometry, 2006) for the tail's sign,
-eps_hat and where P's roots lie against 1/8 and 1/2.  Equality in these
+eps_hat and where P's roots lie against 1/8 and 1/2.  With the rest points'
+body on q_of_vplus's, they give the label rule for every eps in (0, 1].  Equality in these
 fields is equality of rational functions, so each check is a proof for every
 parameter and state at which the denominators do not vanish.  The float tests still guard what exact values
 cannot see: rounding (`test_corner_orbits_match_high_precision`) and the
@@ -29,6 +30,8 @@ from conftest import blocks_b_sharp  # noqa: E402
 from radshock.classification import (  # noqa: E402
     _EPS_HAT, _coefficients, _discriminant, _horner, discriminant_tail,
 )
+from radshock import equilibria  # noqa: E402
+from radshock.equilibria import _q_of_vplus  # noqa: E402
 from radshock.model import (  # noqa: E402
     Kinematics, det_b_sharp_closed, det_lin_closed, lin_matrix, trace_adj, trace_adj_closed,
 )
@@ -242,3 +245,46 @@ def test_sturm_counts_place_the_roots():
         p = Poly(body_p(Exact(ring_z, z), at).x.as_expr(), Symbol("z"))
         assert [p.count_roots(None, eighth), p.count_roots(eighth, half),
                 p.count_roots(half, None)] == counts
+
+
+def test_label_rule_holds_for_every_eps(monkeypatch):
+    # The paper's claim that the local scenario extends globally, as the
+    # library's label rule.  For every eps in (0, 1]:
+    # - q_of_vplus maps (1/8, 1/2) onto (3/4, 1), strictly decreasing:
+    #   q(1/8) = 1, q(1/2) = 3/4 and dq/dz < 0 between (checked here);
+    # - v+^2 of `_rest_v_sq` is its inverse, v+^2(q(z)) = z (checked here);
+    # - w1 < 1/8 < w3 < 1/2, and w2 > 1/8 below eps_hat, w2 <= 1/8 from it
+    #   on (`test_sturm_counts_place_the_roots`); P's leading coefficient is
+    #   positive, so on (1/8, 1/2) P(z, eps) < 0 exactly for
+    #   max(w2, 1/8) < z < w3;
+    # - so, through the decreasing map, {q : P(v+^2(q), eps) < 0} is exactly
+    #   (q1, q2) with q1 = q(w3), and q2 = q(w2) below eps_hat, q2 = q(1/8) = 1
+    #   from it on.
+    # That is the rule `classification._labels` applies: Focus strictly
+    # between q1 and q2 (q2 = inf from eps_hat on), NodeBelow below q1 and
+    # NodeAbove above q2.
+    ring, z = rational_field("z", QQ)
+    x, one = Exact(ring, z), Exact(ring, 1)
+    q = _q_of_vplus(x)
+    assert _q_of_vplus(one / 8) == 1 and _q_of_vplus(one / 2) == one * 3 / 4
+    slope = (2 * z - 1) * (4 * z + 1) / (16 * z**2 * (z + 1) ** 2)
+    assert q.x.diff(z) == slope
+    numer = Poly(slope.numer.as_expr(), Symbol("z"))
+    eighth, half = Rational(1, 8), Rational(1, 2)
+    # Its one root on [1/8, 1/2] is 1/2, and it is negative inside.
+    assert numer.count_roots(eighth, half) == 1 and numer.eval(half) == 0
+    assert numer.eval(Rational(1, 4)) < 0
+
+    # sqrt(q(4q - 3)) = (1 - 2z)(4z + 1) / (8z(1 + z)), a product of positive
+    # factors for z in (1/8, 1/2).
+    root = (1 - 2 * z) * (4 * z + 1) / (8 * z * (1 + z))
+    roots = {(q * (4 * q - 3)).x: root}
+
+    def table_sqrt(y):
+        r = roots[y.x]
+        assert r * r == y.x
+        return y._new(r)
+
+    monkeypatch.setattr(equilibria, "_sqrt", table_sqrt)
+    v_minus_sq, v_plus_sq = equilibria._rest_v_sq(q)
+    assert v_plus_sq == x and v_minus_sq == (1 + x) / (8 * x - 1)

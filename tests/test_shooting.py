@@ -16,7 +16,7 @@ from conftest import blocks_b_sharp, hide_module, run_python, spiral_samples
 from shot_pins import (
     DIGEST_POINTS, INTERIOR_POINTS, INTERIOR_WORK, PINS, WORK, WORK_POINTS, measure, measure_work,
 )
-from radshock.classification import local_spectrum
+from radshock.classification import RegionLabel, local_spectrum
 from radshock.equilibria import rest_points, state_from_v, v_plus_squared
 from radshock.errors import (
     DegenerateShock,
@@ -25,7 +25,7 @@ from radshock.errors import (
     StateOutsideDomain,
     TooFewSamples,
 )
-from radshock.scan import ScanConfig
+from radshock.scan import ScanConfig, run_scan
 from radshock.model import (
     GodunovState,
     Kinematics,
@@ -48,6 +48,7 @@ from radshock.shooting import (
     ProfileVerdict,
     ShootOptions,
     _capture_point,
+    _counts,
     _psi_field,
     _field_jacobian,
     _integrate,
@@ -597,6 +598,20 @@ class TestShootNodeRegion:
         assert np.all(p0 > np.abs(p1))
         _, u, v = node_shot.kinematics_array().T
         assert np.max(np.abs(u * u - v * v - 1.0)) < 1e-12
+
+    def test_default_grid_cells_are_monotone_in_every_series(self):
+        # The classical side of the paper's contrast: like a classical
+        # profile (Gilbarg, Amer. J. Math. 73, 1951), every NodeBelow cell of
+        # the 20x20 grid converges with no extremum and no sign change in any
+        # of the five series.
+        records = run_scan(ScanConfig(eps_count=20, q_count=20)).records
+        cells = [(r.eps, r.q_tilde) for r in records if r.region == RegionLabel.NODE_BELOW]
+        assert len(cells) == 28
+        for cell in cells:
+            res = shoot(*cell)
+            assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS, cell
+            counts = [c for pair in res.oscillation.systems.values() for c in pair]
+            assert counts == [ComponentCounts(0, 0)] * 6, cell
 
     def test_velocity_endpoints(self, node_shot):
         # The first sample lies _OFFSET of the shock's size out on the
@@ -1337,3 +1352,50 @@ class TestOscillationReportReference:
         states[5] = sample
         with pytest.raises(StateOutsideDomain):
             oscillation_report(states, psi_plus)
+
+
+def turning_values(x):
+    """The ends of `x` and every value not strictly between its neighbours, in order."""
+    inner = [b for a, b, c in zip(x, x[1:], x[2:]) if not (a < b < c or a > b > c)]
+    return [x[0], *inner, x[-1]]
+
+
+@st.composite
+def component_series(draw):
+    """(series, limit): a series of 2 or more samples, each value held for 1-3 of them (plateaus).
+
+    One of three kinds:
+    - a walk in whole multiples of one step around a limit, 0 among them;
+    - a constant series, its limit equal to it, 0 or apart from it;
+    - a series with the limit 0 and a dyadic range R, so its floor is
+      exactly f = 1e-10 R and values at +-f sit exactly on it.
+    """
+    kind = draw(st.sampled_from(["walk", "constant", "on_floor"]))
+    held = st.integers(1, 3)
+    if kind == "on_floor":
+        limit, half = 0.0, draw(st.sampled_from([2.0**-4, 2.0**-20, 1.0]))
+        f = 1e-10 * (2.0 * half)
+        levels = st.sampled_from([0.0, f, -f, 2.0 * f, -2.0 * f, half, -half])
+        values = [half, -half] + draw(st.lists(levels, min_size=1, max_size=40))
+    elif kind == "constant":
+        value = draw(st.sampled_from([0.0, 0.8, -3.5]))
+        limit = draw(st.sampled_from([0.0, value, value + 1e-3]))
+        values = [value] * draw(st.integers(1, 3))
+    else:
+        limit = draw(st.sampled_from([0.0, 1.0, -0.37]))
+        step = draw(st.sampled_from([1e-11, 1e-10, 2e-10, 1e-6])) * max(abs(limit), 1.0)
+        values = [limit + step * k for k in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=40))]
+    series = [val for val in values for _ in range(draw(held))]
+    if len(series) < 2:
+        series *= 2
+    return np.array(series), limit
+
+
+@given(component_series())
+def test_counts_match_reference_on_every_sample_and_on_turning_points(drawn):
+    # `_counts` takes a row's ends and turning points; on those alone and on
+    # every sample it gives the all-sample reference's counts.
+    series, limit = drawn
+    want = reference_component_counts(series, limit)
+    assert _counts(series.tolist(), limit) == want
+    assert _counts(turning_values(series.tolist()), limit) == want
