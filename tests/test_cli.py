@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import shlex
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,8 @@ from radshock.cli import main
 from radshock.scan import run_scan
 from radshock.shooting import profile_to_csv, shoot
 from shot_pins import PINS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli_process(cwd, *args):
@@ -317,6 +321,23 @@ class TestScanCommand:
             "regions {'NodeAbove': 215, 'NodeBelow': 28, 'Focus': 157}\n"
         )
 
+    def test_region_figure_writes_svg_and_csv(self, tmp_path, monkeypatch, capsys):
+        # The README's figure command, on a 20x20 grid.
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "scan", "--grid", "20x20", "--eps-min", "1e-4", "--q-min", "0.7501",
+            "--q-max", "0.9999", "--format", "svg", "csv",
+        ]) == 0
+        svg = (tmp_path / "scan.svg").read_text()
+        rows = (tmp_path / "scan.csv").read_text().splitlines()
+        assert svg.rstrip().endswith("</svg>")
+        # The cells, then the separatrix polylines under their own headers.
+        assert rows.index("# separatrix q1") == 1 + 20 * 20
+        assert capsys.readouterr().out == (
+            "wrote scan.svg, scan.csv: 400 records, "
+            "regions {'NodeAbove': 215, 'NodeBelow': 28, 'Focus': 157}\n"
+        )
+
     def test_run_from_the_process_is_warning_free(self, tmp_path):
         proc = run_cli_process(tmp_path, "scan", "--grid", "20x20")
         assert proc.returncode == 0
@@ -357,3 +378,20 @@ class TestScanCommand:
         assert code == 0
         body = out_file.read_text()
         assert "ConvergedToPlus" in body
+
+
+def test_readme_commands_parse():
+    # Every `radshock ...` line in the README's sh blocks is a command the parser takes.
+    lines, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("radshock "):
+            lines.append(line)
+    assert lines
+    parser = radshock.cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -3,11 +3,12 @@
 The field that `shooting._field` builds runs here on elements of the rational
 function field QQ(eps, t, p, theta), unchanged, and is compared with
 T adj(B#) F / det B#(psi_plus), B# taken from the model's blocks.  The
-closed forms of det B#, det A and trace adj(B#) A are compared with the
-matrix builders over QQ(eps, p).  `classification`'s coefficient body, its
-nested form of P and its discriminant body run on the same elements: P is
-derived from the closed forms, its discriminant from P, and the exact values
-that `verify` checks in floats are proven, with Sturm counts (Basu, Pollack
+closed forms of det B#, det A and trace adj(B#) A, and the rank-one split of
+B#, are compared with the matrix builders over QQ(eps, p).
+`classification`'s coefficient body, its nested form of P and its
+discriminant body run on the same elements: P is derived from the closed
+forms, its discriminant from P, and the exact values that `verify` checks in
+floats, q1(1) = 49/64 among them, are proven, with Sturm counts (Basu, Pollack
 & Roy, Algorithms in Real Algebraic Geometry, 2006) for the tail's sign,
 eps_hat and where P's roots lie against 1/8 and 1/2.  With the rest points'
 body on q_of_vplus's, they give the label rule for every eps in (0, 1].  Equality in these
@@ -41,12 +42,13 @@ from radshock.shooting import _field  # noqa: E402
 class Exact:
     """An element `x` of a rational function field `ring`, for code written on floats.
 
-    Float and int operands become the rationals they denote.  `y ** -0.5` is
-    read from `roots`, a table of pairs y: r, each checked, r^2 y = 1, as it
-    is read; any other root raises.  Of the comparisons, `v > c` answers
-    `positive`, the branch under test, and the cone guard `lo <= ab < hi`
-    passes: an exact value neither leaves the cone nor overflows.  `==` is
-    exact, so the finiteness guard `f * 0.0 == 0.0` holds.
+    Float, int and sympy `Rational` operands become the rationals they
+    denote.  `y ** -0.5` is read from `roots`, a table of pairs y: r, each
+    checked, r^2 y = 1, as it is read; any other root raises.  Of the
+    comparisons, `v > c` answers `positive`, the branch under test, and the
+    cone guard `lo <= ab < hi` passes: an exact value neither leaves the cone
+    nor overflows.  `==` is exact, so the finiteness guard `f * 0.0 == 0.0`
+    holds; on an operand it cannot lift it raises TypeError, not False.
     """
 
     def __init__(self, ring, x, roots=None, positive=True):
@@ -58,7 +60,7 @@ class Exact:
     def _lift(self, y):
         if isinstance(y, Exact):
             return y.x
-        if isinstance(y, (int, float)):
+        if isinstance(y, (int, float, Rational)):
             return self.ring(QQ(*Fraction(y).as_integer_ratio()))
         return None
 
@@ -104,7 +106,10 @@ class Exact:
     __lt__ = __ge__
 
     def __eq__(self, other):
-        return self.x == self._lift(other)
+        y = self._lift(other)
+        if y is None:
+            raise TypeError(f"cannot compare an exact value with {type(other).__name__}")
+        return self.x == y
 
     __hash__ = None
 
@@ -162,6 +167,27 @@ def test_closed_forms_equal_the_matrix_builders():
     assert trace_adj(b, a) == trace_adj_closed(v, e)
 
 
+def test_b_sharp_is_the_rank_one_split():
+    # The split that `_field` forms adj(B#) F from and `verify` checks in
+    # floats: each block of B# is one outer product where u^2 - v^2 = 1.
+    ring, eps, p = rational_field("eps,p", QQ)
+    e, u, v = Exact(ring, eps), Exact(ring, (p + 1 / p) / 2), Exact(ring, (p - 1 / p) / 2)
+    x, w, y = (v, -u), (4 * u * v, -(4 * v * v + 1)), (2 * v * v + 1, -2 * u * v)
+    c2 = 9 * e / (4 - e)
+    b = blocks_b_sharp(Kinematics(None, u, v), e)
+    for i in range(2):
+        for j in range(2):
+            assert b[i, j] == e * u * u * x[i] * x[j] - w[i] * w[j] - c2 * y[i] * y[j], (i, j)
+
+
+def test_exact_equality_lifts_a_rational_and_refuses_the_rest():
+    ring, _ = rational_field("eps", QQ)
+    one = Exact(ring, 1)
+    assert one * 3 / 4 == Rational(3, 4)
+    with pytest.raises(TypeError):
+        _ = one == "3/4"
+
+
 def body_p(z, eps):
     """P(z, eps) as `classification` forms it: the coefficient body in the nested form."""
     return _horner(_coefficients(eps), z)
@@ -198,6 +224,8 @@ def test_verify_values_are_exact():
     assert body_p(0.125, e) == 9 * quartic(e) / 512
     for w in (-1, 0, third):
         assert body_p(w, one) == 0
+    # So 1/3 is w3 at eps = 1, and q1(1) = q(w3).
+    assert _q_of_vplus(third) == Rational(49, 64)
 
 
 def test_sturm_counts_and_eps_hat():

@@ -12,18 +12,6 @@ def run_script(name, *args):
     return proc.stdout
 
 
-def test_make_figure1_writes_svg_and_csv(tmp_path):
-    out = run_script("make_figure1.py", "--grid", "20x20", "--out-dir", str(tmp_path))
-    svg = (tmp_path / "parameter_square.svg").read_text()
-    rows = (tmp_path / "parameter_square.csv").read_text().splitlines()
-    assert svg.rstrip().endswith("</svg>")
-    # The cells, then the separatrix polylines under their own headers.
-    assert rows.index("# separatrix q1") == 1 + 20 * 20
-    assert out.splitlines()[-1] == (
-        "region cell counts: {'NodeAbove': 215, 'NodeBelow': 28, 'Focus': 157}"
-    )
-
-
 def test_profile_gallery_writes_every_trajectory(tmp_path):
     out = run_script("profile_gallery.py", "--out-dir", str(tmp_path))
     files = sorted(tmp_path.glob("profile_eps*_q*.csv"))

@@ -16,7 +16,7 @@ from conftest import blocks_b_sharp, hide_module, run_python, spiral_samples
 from shot_pins import (
     DIGEST_POINTS, INTERIOR_POINTS, INTERIOR_WORK, PINS, WORK, WORK_POINTS, measure, measure_work,
 )
-from radshock.classification import RegionLabel, local_spectrum
+from radshock.classification import RegionLabel, classify, local_spectrum
 from radshock.equilibria import rest_points, state_from_v, v_plus_squared
 from radshock.errors import (
     DegenerateShock,
@@ -612,6 +612,23 @@ class TestShootNodeRegion:
             assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS, cell
             counts = [c for pair in res.oscillation.systems.values() for c in pair]
             assert counts == [ComponentCounts(0, 0)] * 6, cell
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-13])
+    def test_node_above_cell_overshoots_once_in_all_but_theta(self, rel_tol):
+        # The other side: (0.5, 0.95) is NodeAbove, with real eigenvalues,
+        # yet v undershoots v_plus once, by the same 6.33e-3 of the jump at
+        # both tolerances, so the excursion is not integration error.  theta
+        # stays monotone; psi0, psi1, u and v each turn once past their limit.
+        assert classify(0.5, 0.95) is RegionLabel.NODE_ABOVE
+        res = shoot(0.5, 0.95, ShootOptions(rel_tol=rel_tol))
+        assert res.verdict is ProfileVerdict.CONVERGED_TO_PLUS
+        once = ComponentCounts(1, 1)
+        assert res.oscillation.systems == {
+            "psi": (once, once), "theta_v": (ComponentCounts(0, 0), once), "u_v": (once, once),
+        }
+        v_minus, v_plus = kinematics(res.psi_minus).v, kinematics(res.psi_plus).v
+        v = res.kinematics_array()[:, 2]
+        assert (v_plus - v.min()) / (v_minus - v_plus) == pytest.approx(6.33e-3, abs=5e-6)
 
     def test_velocity_endpoints(self, node_shot):
         # The first sample lies _OFFSET of the shock's size out on the
