@@ -3,14 +3,14 @@
 The package analyzes the planar profile ODE of the model: closed-form rest
 points, node/focus classification of the downstream attractor over the
 (eps, q_tilde) parameter square including the two separatrix curves, and
-numerical heteroclinic shooting with oscillation detection.
+numerical heteroclinic shooting with oscillation detection.  The README's
+*Library* section holds the purpose of each name of `__all__` in one table.
 """
 
 from .classification import (
     CubicRoots,
     RegionLabel,
     classify,
-    cubic_discriminant,
     cubic_roots,
     epsilon_hat,
     local_spectrum,
@@ -42,7 +42,6 @@ from .model import (
     flux_residual,
     kinematics,
     lin_matrix,
-    trace_adj_identity,
 )
 from .scan import ScanConfig, ScanRecord, ScanResult, ScanTable, run_scan
 from .shooting import (
@@ -50,11 +49,9 @@ from .shooting import (
     ProfileResult,
     ProfileVerdict,
     ShootOptions,
-    field_jacobian,
     oscillation_report,
     shoot,
     unstable_direction,
-    vector_field,
 )
 
 __version__ = "0.1.0"
@@ -83,10 +80,8 @@ __all__ = [
     "b_visc",
     "causality_check",
     "classify",
-    "cubic_discriminant",
     "cubic_roots",
     "epsilon_hat",
-    "field_jacobian",
     "flux_residual",
     "kinematics",
     "lin_matrix",
@@ -101,9 +96,7 @@ __all__ = [
     "separatrix_q2",
     "shoot",
     "state_from_v",
-    "trace_adj_identity",
     "unstable_direction",
     "v_minus_squared",
     "v_plus_squared",
-    "vector_field",
 ]

@@ -116,11 +116,6 @@ def _discriminant(eps):
     return 1296.0 * eps**5 * (4.0 - eps) ** 3 * discriminant_tail(eps)
 
 
-def cubic_discriminant(eps: float) -> float:
-    """Discriminant of P(., eps) in factored form, 1296 eps^5 (4-eps)^3 * tail; eps in [0, 1]."""
-    return _discriminant(_closed_eps(eps))
-
-
 def _lowest_root(coeffs: tuple[float, float, float, float]) -> float:
     """The isolated lowest root w1 of P(., eps): trigonometric form, then Newton."""
     a0, a1, a2, a3 = coeffs

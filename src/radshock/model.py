@@ -181,14 +181,6 @@ def trace_adj(b, a):
     return b[1, 1] * a[0, 0] - b[0, 1] * a[1, 0] - b[1, 0] * a[0, 1] + b[0, 0] * a[1, 1]
 
 
-def trace_adj_identity(kin: Kinematics, eps):
-    """trace(adj(B#) A) of the matrix builders, a float or one value per lane.
-
-    The reference for `trace_adj_closed`, which production code uses.
-    """
-    return trace_adj(b_sharp(kin, eps), lin_matrix(kin))
-
-
 def trace_adj_closed(v: float, eps: float) -> float:
     """Closed form: (3v/(eps-4)) ((8+eps^2) v^2 + eps^2 - 6 eps - 4)."""
     return (3.0 * v / (eps - 4.0)) * ((8.0 + eps * eps) * v * v + eps * eps - 6.0 * eps - 4.0)

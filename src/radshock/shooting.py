@@ -10,9 +10,12 @@ psi once, at the end.  `_setup` solves the rest points once per shot and
 builds the field on their v^2, one closure made by `_field`, the only place
 the package applies B#, whose body tests/test_exact_algebra.py proves exact on
 rational functions; its Jacobian and the start's tangent and curvature come
-from complex steps through it.  A shot is stepped in two parts.  The stepper,
-`_lsoda_steps`, calls ODEPACK's LSODA runner, which `_lsoda` loads from
-scipy's compiled module, one step at a time and yields each accepted step.
+from complex steps through it.  The field has no route in psi:
+`unstable_direction` takes the saddle's eigenvector back to psi through
+T^-1, T = [[1, 1], [1, -1]], as a shot does its samples.  A shot is
+stepped in two parts.  The stepper, `_lsoda_steps`, calls ODEPACK's LSODA
+runner, which `_lsoda` loads from scipy's compiled module, one step at a
+time and yields each accepted step.
 The verdict loop, `_integrate`, reads any such steps, LSODA's or another
 integrator's, and stops when the orbit is captured at the downstream rest
 point (its last sample put where the step's chord meets the capture sphere),
@@ -34,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import EquilibriumPair, _pair, _rest_v_sq, check_omega
+from .equilibria import EquilibriumPair, _pair, check_omega
 from .errors import NotASaddle, OptionOutOfRange, StateOutsideDomain, TooFewSamples, _real, _reals
 from .model import (
     GodunovState, det_b_sharp_closed, singular_locus_v_sq, spectrum_at_v, theta_u_v
@@ -275,38 +278,11 @@ def _field(eps: float, q_tilde: float, vp2: float, vm2: float):
     return field
 
 
-def _psi_field(eps: float, q_tilde: float):
-    """`_field` at gated (eps, q_tilde) in psi: psi' = T^-1 field(T psi), T = [[1, 1], [1, -1]]."""
-    eps, q_tilde = check_omega(eps, q_tilde)
-    # Not `_pair`, which raises DegenerateShock within 1e-8 of q_tilde = 3/4.
-    vm2, vp2 = _rest_v_sq(q_tilde)
-    field = _field(eps, q_tilde, vp2, vm2)
-
-    def psi_field(y0, y1):
-        da, db = field(y0 + y1, y0 - y1)
-        return 0.5 * (da + db), 0.5 * (da - db)
-
-    return psi_field
-
-
-def vector_field(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
-    """The field `shoot` integrates, adj(B#) F / det B#(psi_plus), in psi at a state in the cone.
-
-    Where `_field` gives (1e300, 1e300), which LSODA rejects, this is its image (1e300, 0).
-    """
-    return np.array(_psi_field(eps, q_tilde)(psi.psi0, psi.psi1))
-
-
 def _field_jacobian(field, y0: float, y1: float) -> list[list[float]]:
     h = _COMPLEX_STEP
     a0, a1 = field(complex(y0, h), y1)
     b0, b1 = field(y0, complex(y1, h))
     return [[a0.imag / h, b0.imag / h], [a1.imag / h, b1.imag / h]]
-
-
-def field_jacobian(psi: GodunovState, eps: float, q_tilde: float) -> np.ndarray:
-    """Jacobian of `vector_field`'s field in psi at a state in the cone, by complex step."""
-    return np.array(_field_jacobian(_psi_field(eps, q_tilde), psi.psi0, psi.psi1))
 
 
 def unstable_direction(eps: float, q_tilde: float) -> np.ndarray:

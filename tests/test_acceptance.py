@@ -33,11 +33,11 @@ from radshock.model import (
     flux_residual,
     kinematics,
     lin_matrix,
+    trace_adj,
     trace_adj_closed,
-    trace_adj_identity,
 )
 from radshock.scan import ScanConfig, run_scan
-from radshock.shooting import ProfileVerdict, ShootOptions, field_jacobian, shoot
+from radshock.shooting import ProfileVerdict, ShootOptions, _field_jacobian, _setup, shoot
 
 EPS_HAT = epsilon_hat()
 
@@ -90,7 +90,7 @@ def test_criterion_2_identity_suite():
             fb, fa = frob_sq(b), frob_sq(a)
             det_b = float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
             det_a = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-            tr_adj = trace_adj_identity(kin, float(e))
+            tr_adj = trace_adj(b, a)
             worst_det_b = max(worst_det_b, rel_err(det_b, det_b_sharp_closed(z, e), fb))
             worst_det_a = max(worst_det_a, rel_err(det_a, det_lin_closed(z), fa))
             worst_trace = max(
@@ -151,9 +151,12 @@ def test_criterion_4_figure_reproduction():
                 if abs(q - q1) <= 1e-8 or (q2 is not None and abs(q - q2) <= 1e-8):
                     continue
                 p_sign = p_eval(v_plus_squared(q), e) < 0.0
-                jac = field_jacobian(rest_points(q).psi_plus, e, q)
-                tr = jac[0, 0] + jac[1, 1]
-                det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+                # The Jacobian in null coordinates at psi_plus: T J T^-1 of
+                # the one in psi, T = [[1, 1], [1, -1]], with its trace and det.
+                _, _, _, field, _, plus = _setup(e, q)
+                jac = _field_jacobian(field, *plus)
+                tr = jac[0][0] + jac[1][1]
+                det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
                 jac_sign = tr * tr - 4.0 * det < 0.0
                 if p_sign != jac_sign:
                     disagreements += 1

@@ -13,7 +13,6 @@ from radshock.classification import (
     RegionLabel,
     classify,
     classify_grid,
-    cubic_discriminant,
     cubic_roots,
     discriminant_tail,
     epsilon_hat,
@@ -39,7 +38,7 @@ from radshock.model import (
     det_lin_closed,
     kinematics,
     lin_matrix,
-    trace_adj_identity,
+    trace_adj,
 )
 
 EPS_HAT = epsilon_hat()
@@ -202,7 +201,7 @@ class TestCubicRoots:
 class TestDiscriminant:
     def test_factored_value_at_one(self):
         # 1296 * 27 * 243, the exact discriminant of 27 z (3z^2 + 2z - 1).
-        assert cubic_discriminant(1.0) == 8503056.0
+        assert classification._discriminant(1.0) == 8503056.0
 
     @given(eps_open)
     def test_tail_positive(self, eps):
@@ -459,7 +458,7 @@ class TestLocalSpectrum:
         a = lin_matrix(kin)
         det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
         det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        disc = trace_adj_identity(kin, eps) ** 2 - 4.0 * det_b * det_a
+        disc = trace_adj(b, a) ** 2 - 4.0 * det_b * det_a
         pval = p_eval(v * v, eps)
         scale = frob_sq(b) * frob_sq(a)
         if abs(pval) > 1e-10 * max(1.0, scale):

@@ -39,7 +39,6 @@ from radshock import classification
 from radshock.classification import (
     classify,
     classify_grid,
-    cubic_discriminant,
     cubic_roots,
     local_spectrum,
     p_coefficients,
@@ -73,10 +72,8 @@ from radshock.shooting import (
     OscillationReport,
     ProfileVerdict,
     ShootOptions,
-    field_jacobian,
     shoot,
     unstable_direction,
-    vector_field,
 )
 from radshock.verify import run_identity_suite
 
@@ -102,8 +99,6 @@ OF_EPS_AND_Q = {
     "classify": classify,
     "shoot": shoot,
     "unstable_direction": unstable_direction,
-    "vector_field": lambda eps, q: vector_field(PSI, eps, q),
-    "field_jacobian": lambda eps, q: field_jacobian(PSI, eps, q),
 }
 
 CASES = [
@@ -174,7 +169,6 @@ NON_NUMBER_CALLS = {
     "p_coefficients": (p_coefficients, EpsilonOutOfRange),
     "p_eval-eps": (lambda x: p_eval(0.3, x), EpsilonOutOfRange),
     "p_eval-z": (lambda x: p_eval(x, 0.5), ZOutOfRange),
-    "cubic_discriminant": (cubic_discriminant, EpsilonOutOfRange),
     "classify_grid-eps": (lambda x: classify_grid(x, [0.8]), EpsilonOutOfRange),
     "classify_grid-q": (lambda x: classify_grid(0.5, x), QOutOfRange),
     "classify_grid-eps-list": (lambda x: classify_grid([x, 0.5], [0.8]), EpsilonOutOfRange),
@@ -341,8 +335,6 @@ EPS_ROW, Q_ROW = np.array([0.3, 0.6]), np.array([0.8, 0.85])
 GATED_CALLS = {
     "shoot": (shoot, EPS, Q),
     "unstable_direction": (unstable_direction, EPS, Q),
-    "vector_field": (lambda eps, q: vector_field(PSI, eps, q), EPS, Q),
-    "field_jacobian": (lambda eps, q: field_jacobian(PSI, eps, q), EPS, Q),
     "rest_points": (rest_points, Q),
     "v_plus_squared": (v_plus_squared, Q),
     "v_minus_squared": (v_minus_squared, Q),

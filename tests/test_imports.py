@@ -1,6 +1,6 @@
 """No dead imports or private definitions in the package, no import against its layers,
-no step loads scipy's packages, and no except clause catches a bad argument's raw
-error outside the input gate.
+no step loads scipy's packages, no except clause catches a bad argument's raw
+error outside the input gate, and no public name without a written purpose.
 
 A dead import outlives the code that needed it and hides which layer a
 module really depends on.  Names re-exported through `__all__` count as
@@ -19,6 +19,8 @@ import radshock
 from conftest import run_python
 
 MODULES = sorted(Path(radshock.__file__).resolve().parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
+PURPOSES = {"paper object", "CLI path", "verify's reference route", "benchmark"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -234,9 +236,9 @@ GATES = {"_real", "_reals", "_count", "check_eps", "_closed_eps", "_scalar_eps",
 # Each use of a gate function, as `module:scope -> gate`.  An entry point
 # gates each argument once and hands the gated values to bodies that gate
 # nothing (`_rest_v_sq`, `_pair`, `_roots`, `_separatrices`, `_labels`); a
-# shot's `_setup` and `_psi_field` gate for the entry points that call them,
-# the public types validate their own fields, and `q_of_vplus`, an entry
-# point, is also the cubic solver's post-condition on the roots it is handed.
+# shot's `_setup` gates for the entry points that call it, the public types
+# validate their own fields, and `q_of_vplus`, an entry point, is also the
+# cubic solver's post-condition on the roots it is handed.
 # The CLI's classify command gates its point once and calls the bodies.
 GATE_CALLERS = [
     "classification.py:_closed_eps -> _reals",
@@ -244,7 +246,6 @@ GATE_CALLERS = [
     "classification.py:classify -> check_omega",
     "classification.py:classify_grid -> _check_q",
     "classification.py:classify_grid -> check_eps",
-    "classification.py:cubic_discriminant -> _closed_eps",
     "classification.py:cubic_roots -> _scalar_eps",
     "classification.py:local_spectrum -> _scalar_eps",
     "classification.py:p_coefficients -> _closed_eps",
@@ -280,7 +281,6 @@ GATE_CALLERS = [
     "scan.py:ScanConfig.__post_init__ -> _real",
     "scan.py:ScanConfig.__post_init__ -> _real",
     "shooting.py:ShootOptions.__post_init__ -> _real",
-    "shooting.py:_psi_field -> check_omega",
     "shooting.py:_setup -> check_omega",
     "shooting.py:oscillation_report -> _reals",
     "verify.py:run_identity_suite -> _count",
@@ -355,3 +355,12 @@ def test_checker_finds_each_gate_use():
     assert gate_uses({"m.py": source}) == [
         "m.py:Options.check -> _reals", "m.py:gate -> _real", "m.py:gate -> _real"
     ]
+
+
+def test_readme_gives_each_public_name_one_purpose():
+    # The README's Library table has one row per name of `radshock.__all__`,
+    # and no other, each with one of the four purposes.
+    library = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in library.splitlines() if line.startswith("| `")]
+    assert sorted(name.strip().strip("`") for name, _ in rows) == sorted(radshock.__all__)
+    assert {purpose.strip() for _, purpose in rows} <= PURPOSES

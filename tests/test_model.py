@@ -27,8 +27,8 @@ from radshock.model import (
     lin_matrix,
     singular_locus_v_sq,
     theta_u_v,
+    trace_adj,
     trace_adj_closed,
-    trace_adj_identity,
 )
 
 
@@ -160,19 +160,22 @@ class TestLinMatrix:
 
 class TestTraceAdjIdentity:
     def test_odd_in_v(self):
-        assert trace_adj_identity(kin_of_v(0.0), 0.7) == pytest.approx(0.0, abs=1e-14)
+        k = kin_of_v(0.0)
+        assert trace_adj(b_sharp(k, 0.7), lin_matrix(k)) == pytest.approx(0.0, abs=1e-14)
 
     def test_half_velocity(self):
         v = math.sqrt(0.5)
         # (3v / (1-4)) * (9*0.5 + 1 - 6 - 4) = 4.5 v
-        assert trace_adj_identity(kin_of_v(v), 1.0) == pytest.approx(4.5 * v, rel=1e-13)
+        k = kin_of_v(v)
+        assert trace_adj(b_sharp(k, 1.0), lin_matrix(k)) == pytest.approx(4.5 * v, rel=1e-13)
 
     @given(states(), eps_values)
     def test_matches_closed_form(self, psi, eps):
         k = kinematics(psi)
-        got = trace_adj_identity(k, eps)
+        b, a = b_sharp(k, eps), lin_matrix(k)
+        got = trace_adj(b, a)
         want = trace_adj_closed(k.v, eps)
-        scale = math.sqrt(frob_sq(b_sharp(k, eps)) * frob_sq(lin_matrix(k)))
+        scale = math.sqrt(frob_sq(b) * frob_sq(a))
         assert rel_err(got, want, scale) <= 1e-12
 
 
@@ -204,12 +207,12 @@ class TestStackedLanes:
 
     def test_trace_matches_per_sample(self, lanes):
         stacked, single, eps = lanes
-        tr = trace_adj_identity(stacked, eps)
+        tr = trace_adj(b_sharp(stacked, eps), lin_matrix(stacked))
         assert tr.shape == (self.N,)
         for t, k, e in zip(tr, single, eps):
             b, a = b_sharp(k, float(e)), lin_matrix(k)
             scale = np.linalg.norm(b) * np.linalg.norm(a)
-            assert abs(t - trace_adj_identity(k, float(e))) <= self.TOL * scale
+            assert abs(t - trace_adj(b, a)) <= self.TOL * scale
 
     @pytest.mark.parametrize("bad", [0.0, 1.0 + 1e-9, math.nan])
     def test_any_bad_lane_eps_raises(self, lanes, bad):

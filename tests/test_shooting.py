@@ -49,19 +49,20 @@ from radshock.shooting import (
     ShootOptions,
     _capture_point,
     _counts,
-    _psi_field,
     _field_jacobian,
     _integrate,
     _lsoda_steps,
-    field_jacobian,
     oscillation_report,
     shoot,
     unstable_direction,
-    vector_field,
 )
 
 NODE_POINT = (1.0, 0.76)
 FOCUS_POINT = (1.0, 0.80)
+
+
+# Takes psi to the null coordinates (a, b) = (psi0 + psi1, psi0 - psi1) that a shot steps.
+T = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def adjugate(m):
@@ -86,25 +87,26 @@ def det_plus(eps, q_tilde):
     return det_b_sharp_closed(v_plus_squared(q_tilde), eps)
 
 
-def psi_field_reference(a, b, eps, q_tilde):
-    """Reference for `vector_field`: adj(B#) F / det B#(psi_plus) in psi by the matrix route.
+def matrix_field_reference(a, b, eps, q_tilde):
+    """Reference for `_field` inside the cone: T adj(B#) F / det B#(psi_plus) by the matrix route.
 
     The state is given in null coordinates (a, b) = (psi0 + psi1, psi0 - psi1):
     theta is (ab)^(-1/2) and (u, v) = theta ((a + b)/2, (a - b)/2), so neither
-    cancels near the cone's edge.  Also returns, per component, what its
-    rounding is relative to: |adj(B#)| |F| / |det B#(psi_plus)| with every sum
-    in B# and F taken over the magnitudes of its terms, for real and
-    imaginary parts apart, so a complex step's imaginary part gets its own
-    scale.  That includes the sums in the complex products u = theta psi0 and
-    v = theta psi1: at v = 0 Im u is such a sum that cancels, and its
-    rounding is all it holds.
+    cancels near the cone's edge.  T = [[1, 1], [1, -1]] takes the psi
+    components f0, f1 to (f0 + f1, f0 - f1).  Also returns, per component,
+    what its rounding is relative to: the sum of |adj(B#)| |F| / |det
+    B#(psi_plus)| over both psi components, with every sum in B# and F taken
+    over the magnitudes of its terms, for real and imaginary parts apart, so
+    a complex step's imaginary part gets its own scale.  That includes the
+    sums in the complex products u = theta psi0 and v = theta psi1: at v = 0
+    Im u is such a sum that cancels, and its rounding is all it holds.
     """
     theta, y0, y1 = (a * b) ** -0.5, 0.5 * (a + b), 0.5 * (a - b)
     kin = Kinematics(theta, theta * y0, theta * y1)
     det, q0 = det_plus(eps, q_tilde), q_tilde**-0.5
     t4, u, v = theta**4, kin.u, kin.v
     f = np.array([-(4.0 / 3.0) * t4 * v * u + q0, t4 * ((4.0 / 3.0) * v * v + 1.0 / 3.0) - 1.0])
-    field = adjugate(b_sharp(kin, eps)) @ f / det
+    f0, f1 = adjugate(b_sharp(kin, eps)) @ f / det
     m = Kinematics(
         magnitude(theta), product_magnitude(theta, y0), product_magnitude(theta, y1)
     )
@@ -114,23 +116,12 @@ def psi_field_reference(a, b, eps, q_tilde):
     f_mag = np.array(
         [(4.0 / 3.0) * t4 * m.v * m.u + q0, t4 * ((4.0 / 3.0) * m.v * m.v + 1.0 / 3.0) + 1.0]
     )
-    return field, magnitude(adjugate(b_mag)) @ f_mag / abs(det)
-
-
-def matrix_field_reference(a, b, eps, q_tilde):
-    """Reference for `_field` inside the cone: `psi_field_reference` taken to null coordinates.
-
-    T = [[1, 1], [1, -1]] takes the psi components f0, f1 to (f0 + f1,
-    f0 - f1), and the rounding scale of either is the sum of theirs.
-    """
-    (f0, f1), (sc0, sc1) = psi_field_reference(a, b, eps, q_tilde)
+    sc0, sc1 = magnitude(adjugate(b_mag)) @ f_mag / abs(det)
     return (f0 + f1, f0 - f1), (sc0 + sc1, sc0 + sc1)
 
 
-def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
-    """Reference for `field_jacobian`: central differences of the field in psi."""
-    y = (psi.psi0, psi.psi1)
-    field = _psi_field(eps, q_tilde)
+def central_difference_jacobian(field, y, step=1e-6):
+    """Reference for `_field_jacobian`: central differences of `field` at y = (a, b)."""
     jac = np.empty((2, 2))
     for i in range(2):
         dp = [0.0, 0.0]
@@ -143,13 +134,15 @@ def central_difference_jacobian(psi, eps, q_tilde, step=1e-6):
 
 
 def rest_jacobian_reference(psi, eps, q_tilde):
-    """Reference for `field_jacobian` at a rest point: (4/3) theta^5 adj(B#) A / det B#(psi_plus).
+    """Reference for `_field_jacobian` at a rest point: T J T^-1, with J the Jacobian in psi.
 
-    Exact only where F vanishes, since the derivative of adj(B#) then drops out.
+    J = (4/3) theta^5 adj(B#) A / det B#(psi_plus) is exact only where F
+    vanishes, since the derivative of adj(B#) then drops out; T takes it to
+    null coordinates.
     """
     kin = kinematics(psi)
     adj_a = adjugate(b_sharp(kin, eps)) @ lin_matrix(kin)
-    return (4.0 / 3.0) * kin.theta**5 / det_plus(eps, q_tilde) * adj_a
+    return T @ ((4.0 / 3.0) * kin.theta**5 / det_plus(eps, q_tilde) * adj_a) @ np.linalg.inv(T)
 
 
 def mpmath_field(a, b, eps, q_tilde, dps=50):
@@ -326,35 +319,32 @@ class TestVectorField:
 
     @pytest.mark.parametrize("q", [0.76, 0.85, 0.97])
     def test_vanishes_at_rest_points(self, q):
-        pair = rest_points(q)
-        for psi in (pair.psi_minus, pair.psi_plus):
-            assert np.max(np.abs(vector_field(psi, 0.8, q))) < 1e-10
+        _, _, _, field, minus, plus = shooting._setup(0.8, q)
+        for y in (minus, plus):
+            assert np.max(np.abs(field(*y))) < 1e-10
 
     def test_regular_away_from_locus_at_eps_one(self):
         # At eps = 1 the singular locus sits at v = 0, so any moving state works.
-        f = vector_field(state_from_v(0.4), 1.0, 0.76)
+        psi = state_from_v(0.4)
+        f = shot_field(1.0, 0.76)(psi.psi0 + psi.psi1, psi.psi0 - psi.psi1)
         assert np.all(np.isfinite(f))
 
     def test_finite_at_a_trial_state_with_zero_det(self):
         # LSODA may try a state with det(B#) exactly 0.0 inside a step.  The
         # field divides by det B#(psi_plus) only, so it has its ordinary
-        # value there: the matrix route's, to the hypothesis test's 25 ulp.
-        # The public field and its Jacobian take the state as well, in psi,
-        # where vector_field maps it to the same (a, b) the field computes
-        # v from.
+        # value there, the matrix route's to the hypothesis test's 25 ulp,
+        # and a finite Jacobian.
         y = (0.8242786886853923, 0.19428435011899867)
         a, b = y[0] + y[1], y[0] - y[1]
         theta = (a * b) ** -0.5
         v = 0.5 * (theta * a - theta * b)
         assert det_b_sharp_closed(v * v, 0.5) == 0.0
-        for got, (want, scale) in (
-            (shot_field(0.5, 0.8)(a, b), matrix_field_reference(a, b, 0.5, 0.8)),
-            (vector_field(GodunovState(*y), 0.5, 0.8), psi_field_reference(a, b, 0.5, 0.8)),
-        ):
-            assert all(math.isfinite(g) for g in got)
-            for g, w, sc in zip(got, want, scale):
-                assert abs(g - w) <= 25.0 * 2.0**-52 * sc.real
-        assert np.all(np.isfinite(field_jacobian(GodunovState(*y), 0.5, 0.8)))
+        field = shot_field(0.5, 0.8)
+        got, (want, scale) = field(a, b), matrix_field_reference(a, b, 0.5, 0.8)
+        assert all(math.isfinite(g) for g in got)
+        for g, w, sc in zip(got, want, scale):
+            assert abs(g - w) <= 25.0 * 2.0**-52 * sc.real
+        assert np.all(np.isfinite(_field_jacobian(field, a, b)))
 
     @pytest.mark.parametrize("psi", [(1e200, 0.0), (1e160, 1e159)])
     def test_overflowing_state_gives_the_rejected_value(self, psi):
@@ -364,7 +354,6 @@ class TestVectorField:
         # give the value LSODA's error test rejects.
         y0, y1 = psi
         assert shot_field(1e-6, 1.0 - 1e-6)(y0 + y1, y0 - y1) == (1e300, 1e300)
-        assert vector_field(GodunovState(*psi), 1e-6, 1.0 - 1e-6).tolist() == [1e300, 0.0]
 
     @pytest.mark.parametrize("ab", [(1e4, 1e-200), (1e4, 1e-150), (1e4, 1e-100), (1e-200, 1e4)])
     def test_overflowing_terms_give_the_rejected_value(self, ab):
@@ -383,13 +372,13 @@ class TestVectorField:
         # walk's ends times the step.  B#^-1 F would blow up like 1/det B#.
         v_lo = math.sqrt(singular_locus_v_sq(eps))
         states = [state_from_v(v) for v in np.linspace(v_lo - 1e-3, v_lo + 1e-3, 201).tolist()]
-        field = _psi_field(eps, 0.8)
-        values = np.array([field(psi.psi0, psi.psi1) for psi in states])
+        field = shot_field(eps, 0.8)
+        ab = np.array([(psi.psi0 + psi.psi1, psi.psi0 - psi.psi1) for psi in states])
+        values = np.array([field(*y) for y in ab.tolist()])
         assert np.all(np.isfinite(values))
-        psi = np.array([(psi.psi0, psi.psi1) for psi in states])
-        lipschitz = max(np.abs(_field_jacobian(field, *psi[i].tolist())).sum(axis=1).max()
+        lipschitz = max(np.abs(_field_jacobian(field, *ab[i].tolist())).sum(axis=1).max()
                         for i in (0, -1))
-        steps = np.abs(np.diff(psi, axis=0)).max(axis=1)
+        steps = np.abs(np.diff(ab, axis=0)).max(axis=1)
         assert np.all(np.abs(np.diff(values, axis=0)).max(axis=1) <= 2.0 * lipschitz * steps)
 
     @pytest.mark.parametrize("eps", [1e-6, 0.5, 1.0])
@@ -398,35 +387,38 @@ class TestVectorField:
         # v_minus^2 grows like 1/(1 - q_tilde) and lies far above the locus
         # (at most 1/8); a rounding band sized at v^2 would hold v^2 itself.
         q = 1.0 - gap
-        psi = rest_points(q).psi_minus
-        lo, hi = local_spectrum(psi, eps)
+        lo, hi = local_spectrum(rest_points(q).psi_minus, eps)
         assert lo.real < 0.0 < hi.real
-        assert np.all(np.isfinite(vector_field(psi, eps, q)))
-        assert np.all(np.isfinite(field_jacobian(psi, eps, q)))
+        _, _, _, field, minus, _ = shooting._setup(eps, q)
+        assert np.all(np.isfinite(field(*minus)))
+        assert np.all(np.isfinite(_field_jacobian(field, *minus)))
 
 
 class TestUnstableDirection:
     def test_unit_and_eigen(self):
+        # The direction in psi, taken by T to null coordinates, is an
+        # eigenvector there of the field's Jacobian at the saddle.
         eps, q = NODE_POINT
         vec = unstable_direction(eps, q)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        pair = rest_points(q)
-        jac = field_jacobian(pair.psi_minus, eps, q)
-        jv = jac @ vec
-        lam = float(vec @ jv)
+        _, _, _, field, minus, _ = shooting._setup(eps, q)
+        jac = np.array(_field_jacobian(field, *minus))
+        e = T @ vec / np.linalg.norm(T @ vec)
+        je = jac @ e
+        lam = float(e @ je)
         assert lam > 0.0
-        assert np.linalg.norm(jv - lam * vec) < 1e-6 * max(1.0, lam)
+        assert np.linalg.norm(je - lam * e) < 1e-6 * max(1.0, lam)
 
     @pytest.mark.parametrize("eps,q", [(1.0, 0.76), (0.5, 0.8), (0.2, 0.9), (0.9, 0.97)])
     def test_saddle_eigenvalue_product(self, eps, q):
-        pair = rest_points(q)
-        jac = field_jacobian(pair.psi_minus, eps, q)
+        _, _, pair, field, minus, plus = shooting._setup(eps, q)
+        jac = np.array(_field_jacobian(field, *minus))
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         assert det < 0.0
         # The complex-step Jacobian matches the analytic rest-point
         # linearization at both rest points.
-        for psi in (pair.psi_minus, pair.psi_plus):
-            jac = field_jacobian(psi, eps, q)
+        for psi, y in ((pair.psi_minus, minus), (pair.psi_plus, plus)):
+            jac = np.array(_field_jacobian(field, *y))
             ref = rest_jacobian_reference(psi, eps, q)
             assert np.max(np.abs(jac - ref)) <= 1e-7 * np.max(np.abs(jac))
 
@@ -434,14 +426,15 @@ class TestUnstableDirection:
     @pytest.mark.parametrize("q", [0.76, 0.85, 0.95, 0.99])
     def test_field_jacobian_off_rest_points(self, eps, q):
         # Between the rest points F does not vanish, so the derivative of
-        # B#^-1 counts too; central differences of the field are the
-        # reference, good to ~1e-7 of max |J| (largest measured 1.03e-7).
-        pair = rest_points(q)
-        a, b = pair.psi_minus.as_array(), pair.psi_plus.as_array()
+        # B#^-1 counts too; central differences of the field in null
+        # coordinates, on the segment between the rest points there, are the
+        # reference, good to ~1e-7 of max |J| (largest measured 1.14e-7).
+        _, _, _, field, minus, plus = shooting._setup(eps, q)
+        a, b = np.array(minus), np.array(plus)
         for s in (0.05, 0.35, 0.65, 0.95):
-            psi = GodunovState(*(a + s * (b - a)))
-            jac = field_jacobian(psi, eps, q)
-            ref = central_difference_jacobian(psi, eps, q)
+            y = (a + s * (b - a)).tolist()
+            jac = np.array(_field_jacobian(field, *y))
+            ref = central_difference_jacobian(field, y)
             assert np.max(np.abs(jac - ref)) <= 5e-7 * np.max(np.abs(jac)), s
 
     @pytest.mark.parametrize(
@@ -502,12 +495,14 @@ class TestUnstableDirection:
         assert v1 < v0
 
     def test_field_points_away_along_unstable(self):
+        # T is sqrt(2) times an orthogonal map, so the field in null
+        # coordinates and the direction taken there by T have the sign of
+        # their product in psi.
         eps, q = NODE_POINT
-        pair = rest_points(q)
-        vec = unstable_direction(eps, q)
-        probe = GodunovState(*(pair.psi_minus.as_array() + 1e-6 * vec))
-        f = vector_field(probe, eps, q)
-        assert float(f @ vec) > 0.0
+        _, _, _, field, minus, _ = shooting._setup(eps, q)
+        e = T @ unstable_direction(eps, q)
+        f = np.array(field(*(np.array(minus) + 1e-6 * e)))
+        assert float(f @ e) > 0.0
 
 
 class TestManifoldStart:
@@ -678,11 +673,8 @@ class TestShootGuards:
             shoot(1.5, 0.8)
 
     def test_degenerate_band(self):
-        # A shot refuses the band; the public field and its Jacobian need no saddle, and do not.
         with pytest.raises(DegenerateShock):
             shoot(1.0, 0.75 + 1e-9)
-        for func in (vector_field, field_jacobian):
-            assert np.isfinite(func(state_from_v(0.7), 1.0, 0.75 + 1e-9)).all()
 
     def test_tolerance_invariance(self):
         eps, q = NODE_POINT
@@ -879,15 +871,14 @@ class TestShootGuards:
 
     def test_rest_points_solved_once_per_shot(self, monkeypatch):
         # The field takes the v^2 of the shot's one rest-point solve, a call of
-        # the body `_rest_v_sq`, in either module's namespace.
+        # the body `_rest_v_sq`, which shooting reaches through equilibria alone.
         calls, body = [], equilibria._rest_v_sq
 
         def counted(q_tilde):
             calls.append(q_tilde)
             return body(q_tilde)
 
-        for module in (equilibria, shooting):
-            monkeypatch.setattr(module, "_rest_v_sq", counted)
+        monkeypatch.setattr(equilibria, "_rest_v_sq", counted)
         shoot(*NODE_POINT)
         assert calls == [NODE_POINT[1]]
 

@@ -40,8 +40,8 @@ def test_builder_calls_do_not_grow_with_samples(monkeypatch):
             calls.append(_name)
             return _builder(*args)
 
-        # verify imports the builders by name; a build through model's own
-        # functions, such as trace_adj_identity, finds them in model.
+        # verify imports the builders by name; a build through a function of
+        # model's own would find them in model.
         monkeypatch.setattr(radshock.model, name, counted)
         monkeypatch.setattr(radshock.verify, name, counted)
 
