@@ -72,6 +72,8 @@ from radshock.shooting import (
     OscillationReport,
     ProfileVerdict,
     ShootOptions,
+    _field_jacobian,
+    _setup,
     shoot,
     unstable_direction,
 )
@@ -79,6 +81,18 @@ from radshock.verify import run_identity_suite
 
 # Off the singular locus for every eps in (0, 1]: v_plus^2 > 1/8 >= (1-eps)/(8+eps).
 PSI = rest_points(0.8).psi_plus
+PSI_NULL = (PSI.psi0 + PSI.psi1, PSI.psi0 - PSI.psi1)
+
+
+def vector_field(eps, q_tilde):
+    """The field a shot steps, built by `_setup` from (eps, q_tilde), at PSI in null coordinates."""
+    return _setup(eps, q_tilde)[3](*PSI_NULL)
+
+
+def field_jacobian(eps, q_tilde):
+    """`_field_jacobian` of the field `_setup` builds from (eps, q_tilde), at PSI in null coordinates."""
+    return _field_jacobian(_setup(eps, q_tilde)[3], *PSI_NULL)
+
 
 BAD_EPS = [0.0, -1.0, 1.5, 2.0, math.nan, math.inf]
 BAD_Q = [0.75, 1.0, 2.0, -1.0, math.nan]
@@ -99,6 +113,8 @@ OF_EPS_AND_Q = {
     "classify": classify,
     "shoot": shoot,
     "unstable_direction": unstable_direction,
+    "vector_field": vector_field,
+    "field_jacobian": field_jacobian,
 }
 
 CASES = [
@@ -159,6 +175,7 @@ NON_NUMBER_CALLS = {
     "classify-q": (lambda x: classify(0.5, x), ParamsOutOfOmega),
     "shoot-eps": (lambda x: shoot(x, 0.8), ParamsOutOfOmega),
     "shoot-q": (lambda x: shoot(0.5, x), ParamsOutOfOmega),
+    "unstable_direction-eps": (lambda x: unstable_direction(x, 0.8), ParamsOutOfOmega),
     "unstable_direction-q": (lambda x: unstable_direction(0.5, x), ParamsOutOfOmega),
     "rest_points": (rest_points, QOutOfRange),
     "v_plus_squared": (v_plus_squared, QOutOfRange),
@@ -335,6 +352,8 @@ EPS_ROW, Q_ROW = np.array([0.3, 0.6]), np.array([0.8, 0.85])
 GATED_CALLS = {
     "shoot": (shoot, EPS, Q),
     "unstable_direction": (unstable_direction, EPS, Q),
+    "vector_field": (vector_field, EPS, Q),
+    "field_jacobian": (field_jacobian, EPS, Q),
     "rest_points": (rest_points, Q),
     "v_plus_squared": (v_plus_squared, Q),
     "v_minus_squared": (v_minus_squared, Q),
