@@ -6,12 +6,14 @@ two separatrix polylines.  Output is byte-deterministic: floats are printed
 with 17 significant digits and cells are ordered by (eps index, q index).
 The grid is classified in one call, and the cells are kept as columns, one
 per `ScanRecord` field, the scan's one field list; a record is built only
-when a caller reads one.  The numeric columns are turned into text once per
-table, by the first emitter call, and the CSV and JSON emitters share that
-text.  Each emitter writes its document in one join over the column texts
-and the literals between them (`_woven`), building no line; the string
-columns and the SVG's cell coordinates go through memos whose text comes
-with the literal around it.
+when a caller reads one.  Each column but the discriminant is also seen as
+its distinct values and one index per cell (`ScanTable._view`), which
+`run_scan` supplies from the grid and any other table derives once.  An
+emitter formats each distinct value once, with the literal around it, and
+gathers the texts per cell by index; the discriminants, one per cell, are
+formatted once per table and shared by the CSV and JSON emitters.  Each
+emitter writes its document in one join over the column texts (`_woven`),
+building no line.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ class ScanRecord:
 
 _FIELDS = tuple(f.name for f in fields(ScanRecord))
 _row_of = operator.attrgetter(*_FIELDS)
+# The columns whose values are numbers, and so are printed by their float.
+_NUMBERS = frozenset(f.name for f in fields(ScanRecord) if f.type == "float")
 # The JSON type of each annotation of a `ScanRecord` field.
 _JSON_TYPES = {"float": "number", "str": "string", "str | None": ["string", "null"],
                "bool | None": ["boolean", "null"]}
@@ -145,13 +149,18 @@ class ScanTable:
     harness's smoke test `test_map_check_catches_a_changed_label`, and the
     tests that build a `ScanResult` from a list of records.
 
-    The first CSV or JSON emitter call makes the `.17g` text of the four
-    numeric columns, and the table keeps it for as long as it lives.  This
-    pays only where one table is written as both CSV and JSON (the CLI's
-    `scan --format csv json`): the second emitter makes no text.  The
-    text more than doubles what the table holds once written: about 4.0 MB
-    next to its own 3.3 MB at 200x200.  It is not a field, so it takes no
-    part in `==`, `hash` or `dataclasses.replace`.
+    Each column but the discriminant has one view: its distinct values and,
+    per cell, the index of the cell's value among them (`_view`).
+    `run_scan` supplies the views from its grid; any other table, built
+    from records, by `ScanTable(...)` or by `dataclasses.replace`, derives
+    a view once, when an emitter first asks for it (`_distinct`).  The
+    first CSV or JSON emitter call makes the `.17g` text of each
+    discriminant, and the table keeps it, so the second emitter makes none
+    (the CLI's `scan --format csv json`).  At 200x200 the views and texts
+    hold about 4.4 MB next to the table's own 2.9 MB (by `sys.getsizeof`,
+    each object counted once; 0.3 MB of it is the zero index of an unshot
+    table's two one-value columns, which no emitter reads).  They are not
+    fields, so they take no part in `==`, `hash` or `dataclasses.replace`.
     """
 
     eps: tuple[float, ...]
@@ -180,14 +189,42 @@ class ScanTable:
         return map(ScanRecord, *_row_of(self))
 
     @cached_property
-    def _texts(self) -> tuple[tuple[str, ...], ...]:
-        """The text of eps, q_tilde, v_plus_sq and discriminant, in that order."""
-        g = _TextMemo()
-        # The discriminants are all distinct, so they skip the memo; a ".17g"
-        # spec prints a numpy scalar as `_g` prints its float.
-        return (tuple(map(g.__getitem__, self.eps)), tuple(map(g.__getitem__, self.q_tilde)),
-                tuple(map(g.__getitem__, self.v_plus_sq)),
-                tuple([f"{d:.17g}" for d in self.discriminant]))
+    def _views(self) -> dict[str, tuple[list, np.ndarray]]:
+        """The views made so far, by column name."""
+        return {}
+
+    def _view(self, name: str) -> tuple[list, np.ndarray]:
+        """The distinct values of column `name` and the index of each cell's value."""
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = _distinct(getattr(self, name), name in _NUMBERS)
+        return view
+
+    @cached_property
+    def _discriminant_texts(self) -> list[str]:
+        # The discriminants are all distinct, so each cell is formatted; a
+        # ".17g" spec prints a numpy scalar as `_g` prints its float.
+        return [f"{d:.17g}" for d in self.discriminant]
+
+
+def _distinct(column, numeric: bool) -> tuple[list, np.ndarray]:
+    """The distinct values of a column and, per cell, the index of its value among them.
+
+    A number is keyed by the bits of its float, which are all its text
+    depends on: 0.0 and -0.0 stay two values (printed "0" and "-0"), a NaN
+    is kept, and a numpy scalar is its float.  Any other value is keyed by
+    itself: a `RegionLabel` meets its string, and both are written by their
+    characters.
+    """
+    if numeric:
+        floats = np.fromiter(map(float, column), dtype=float, count=len(column))
+        bits, index = np.unique(floats.view(np.int64), return_inverse=True)
+        return bits.view(float).tolist(), index
+    values = list(dict.fromkeys(column))
+    if len(values) == 1:  # as an unshot table's verdicts: no cell needs looking up
+        return values, np.zeros(len(column), np.intp)
+    position = {x: i for i, x in enumerate(values)}
+    return values, np.array([position[x] for x in column], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -239,8 +276,11 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
 
     Shooting failures of individual cells are recorded by error name in the
     shoot_verdict column so a sweep never dies half way.  The columns are
-    built as tuples, which the table keeps without a copy.  A grid too large
-    to allocate raises ParamsOutOfOmega, as a count the config rejects does.
+    built as tuples, which the table keeps without a copy, and the grid
+    gives the table its views: eps repeats its axis, q_tilde and v_plus^2
+    tile theirs, the region codes index the labels, and an unshot table's
+    verdict and flag columns hold one value.  A grid too large to allocate
+    raises ParamsOutOfOmega, as a count the config rejects does.
     """
     try:
         eps_grid = np.linspace(config.eps_lo, config.eps_hi, config.eps_count)
@@ -252,12 +292,19 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
         raise ParamsOutOfOmega(f"{config.eps_count}x{config.q_count} scan grid: {exc}") from exc
     eps_col = tuple(chain.from_iterable(map(repeat, eps_grid.tolist(), repeat(config.q_count))))
     q_col = tuple(q_grid.tolist()) * config.eps_count
+    q_at = np.tile(np.arange(config.q_count), config.eps_count)
+    views = {"eps": (eps_grid.tolist(), np.repeat(np.arange(config.eps_count), config.q_count)),
+             "q_tilde": (q_grid.tolist(), q_at), "region": (_CODE_TEXT.tolist(), code.ravel()),
+             "v_plus_sq": (z.tolist(), q_at)}
     verdicts = oscillatory = (None,) * len(eps_col)
     if config.shoot:
         verdicts, oscillatory = zip(*map(_shot_cell, eps_col, q_col, repeat(shoot_options)))
+    else:
+        views["shoot_verdict"] = views["oscillatory"] = ([None], np.zeros(len(eps_col), np.intp))
     table = ScanTable(eps_col, q_col, tuple(_CODE_TEXT[code.ravel()]),
                       tuple(z.tolist()) * config.eps_count, tuple(pval.ravel().tolist()),
                       verdicts, oscillatory)
+    table._views.update(views)
     sep1, sep2 = _separatrix_polylines(config, eps_grid, separatrices)
     return ScanResult(config=config, records=table, separatrix1=sep1, separatrix2=sep2)
 
@@ -266,72 +313,73 @@ def _g(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _TextMemo(dict):
-    """Text of each distinct value, made once per memo.
-
-    A grid repeats each eps, q_tilde and v_plus^2 many times, and a string
-    column holds a few labels.  A memo's text may carry the literal around
-    the value: the CSV's string cells come with their commas, the JSON's
-    with the field names on either side, and the SVG's x and y with the rest
-    of the cell's rect up to its fill.  Zeros are not kept: 0.0 == -0.0 as
-    keys, but the two print differently.
-    """
-
-    def __init__(self, text=_g):
-        super().__init__()
-        self._text = text
-
-    def __missing__(self, x):
-        s = self._text(x)
-        if x:
-            self[x] = s
-        return s
-
-
-def _csv_cell(s: str) -> str:
+def _csv_cell(s: str | None) -> str:
     """A string cell, quoted if it holds a comma, quote, CR or LF (RFC 4180).
 
-    A str subclass such as `RegionLabel` is written by its characters, as
-    `json.dumps` writes it, since a memo keyed by value cannot tell the two.
+    None is the empty cell.  A str subclass such as `RegionLabel` is written
+    by its characters, as `json.dumps` writes it, since a view keyed by value
+    cannot tell the two.
     """
+    if s is None:
+        return ""
     s = str.__str__(s)
     if any(c in s for c in ',"\r\n'):
         return '"' + s.replace('"', '""') + '"'
     return s
 
 
+def _column(table: ScanTable, name: str, text):
+    """Column `name` as `_woven` takes it: the `text` of each distinct value, per cell.
+
+    A column of one value gives its one text, which `_woven` writes in every
+    row as a literal.
+    """
+    values, index = table._view(name)
+    texts = list(map(text, values))
+    if len(texts) == 1:
+        return texts[0]
+    return np.array(texts, dtype=object)[index].tolist()
+
+
 def _woven(head: str, n: int, pieces, sep: str, tail: str) -> str:
     """`head + sep.join(rows) + tail` in one join, making no row.
 
     Row i is the i-th text of each piece in turn; a piece is a sequence of n
-    texts or one text for every row.  Each piece fills its stride of one
-    list of pointers, so the document's bytes are copied once.  With `sep`
-    empty the rows run end to end, and a line's newline is its last piece.
+    texts or one text for every row, and neighbouring texts for every row
+    are joined into one.  Each piece fills its stride of one list of
+    pointers, so the document's bytes are copied once.  With `sep` empty
+    the rows run end to end, and a line's newline is its last piece.
     """
-    pieces = (*pieces, sep) if sep else pieces
-    k = len(pieces)
+    merged = []
+    for piece in (*pieces, sep) if sep else pieces:
+        if isinstance(piece, str) and merged and isinstance(merged[-1], str):
+            merged[-1] += piece
+        else:
+            merged.append(piece)
+    k = len(merged)
     parts = [None] * (n * k + 2)
     parts[0], parts[-1] = head, tail
-    for i, piece in enumerate(pieces, 1):
+    for i, piece in enumerate(merged, 1):
         parts[i:-1:k] = [piece] * n if isinstance(piece, str) else piece
     if sep and n:
-        del parts[-2]  # the separator after the last row
+        parts[-2] = parts[-2].removesuffix(sep)  # no separator after the last row
     return "".join(parts)
 
 
 def scan_to_csv(result: ScanResult) -> str:
-    # A string cell's text comes with the commas on either side of it.
-    t, cell = result.records, _TextMemo(lambda s: f",{_csv_cell(s)},")
-    cell[None] = ",,"
-    eps, q_tilde, v_plus_sq, discriminant = t._texts
+    # Each text comes with the comma after it, or the newline that ends its row.
+    t = result.records
     tail = []
     for name, points in (("q1", result.separatrix1), ("q2", result.separatrix2)):
         tail += [f"# separatrix {name}", "eps,q_tilde"]
         tail += [f"{_g(e)},{_g(q)}" for e, q in points]
     return _woven(
         ",".join(_FIELDS) + "\n", len(t),
-        (eps, ",", q_tilde, map(cell.__getitem__, t.region), v_plus_sq, ",", discriminant,
-         map(cell.__getitem__, t.shoot_verdict), map(_CSV_FLAG.__getitem__, t.oscillatory)),
+        (_column(t, "eps", lambda e: _g(e) + ","), _column(t, "q_tilde", lambda q: _g(q) + ","),
+         _column(t, "region", lambda s: _csv_cell(s) + ","),
+         _column(t, "v_plus_sq", lambda v: _g(v) + ","), t._discriminant_texts,
+         _column(t, "shoot_verdict", lambda s: f",{_csv_cell(s)},"),
+         _column(t, "oscillatory", _CSV_FLAG.__getitem__)),
         "", "\n".join(tail) + "\n")
 
 
@@ -345,16 +393,7 @@ def scan_to_json(result: ScanResult) -> str:
     # level, so that `import radshock` does not load it.
     import json
 
-    def string_field(name: str, next_name: str) -> _TextMemo:
-        """A string field's text, from its name up to the next field's value."""
-        memo = _TextMemo(lambda s: f', "{name}": {json.dumps(s)}, "{next_name}": ')
-        memo[None] = memo._text(None)
-        return memo
-
     c, t = result.config, result.records
-    region = string_field("region", "v_plus_sq")
-    verdict = string_field("shoot_verdict", "oscillatory")
-    eps, q_tilde, v_plus_sq, discriminant = t._texts
     head = (
         '{\n  "meta": {"schema_version": 1, '
         f'"eps_range": [{_g(c.eps_lo)}, {_g(c.eps_hi)}, {c.eps_count}], '
@@ -366,11 +405,16 @@ def scan_to_json(result: ScanResult) -> str:
         '\n  ],\n  "separatrices": {"q1": ' + _json_pairs(result.separatrix1)
         + ', "q2": ' + _json_pairs(result.separatrix2) + "}\n}\n"
     )
+    # Each text comes with the field names up to the next field's value.
     return _woven(
         head, len(t),
-        ('    {"eps": ', eps, ', "q_tilde": ', q_tilde, map(region.__getitem__, t.region),
-         v_plus_sq, ', "discriminant": ', discriminant, map(verdict.__getitem__, t.shoot_verdict),
-         map(_JSON_FLAG.__getitem__, t.oscillatory)),
+        (_column(t, "eps", lambda e: f'    {{"eps": {_g(e)}, "q_tilde": '),
+         _column(t, "q_tilde", lambda q: f'{_g(q)}, "region": '),
+         _column(t, "region", lambda s: f'{json.dumps(s)}, "v_plus_sq": '),
+         _column(t, "v_plus_sq", lambda v: f'{_g(v)}, "discriminant": '), t._discriminant_texts,
+         _column(t, "shoot_verdict", lambda s: f', "shoot_verdict": {json.dumps(s)}, '
+                                               '"oscillatory": '),
+         _column(t, "oscillatory", _JSON_FLAG.__getitem__)),
         ",\n", tail)
 
 
@@ -389,12 +433,6 @@ def scan_to_svg(result: ScanResult) -> str:
 
     cw = pw / c.eps_count
     ch = ph / c.q_count
-    # A cell's x depends on eps alone and its y on q_tilde alone, so each
-    # memo holds the rect's text up to and after its y.  The memo is keyed
-    # by value, so float() keeps the arithmetic off the key's type.
-    cell_x = _TextMemo(lambda e: f'<rect x="{x_of(float(e)) - cw / 2.0:.2f}" y="')
-    cell_y = _TextMemo(
-        lambda q: f'{y_of(float(q)) - ch / 2.0:.2f}" width="{cw:.2f}" height="{ch:.2f}" fill="')
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -449,11 +487,15 @@ def scan_to_svg(result: ScanResult) -> str:
             f'font-family="sans-serif">{text}</text>'
         )
         ly += 22
+    # A cell's x depends on eps alone and its y on q_tilde alone, so one
+    # text holds the rect up to its y and the other the rest up to its fill.
     t = result.records
     return _woven(
         "\n".join(head) + "\n", len(t),
-        (map(cell_x.__getitem__, t.eps), map(cell_y.__getitem__, t.q_tilde),
-         map(_SVG_FILL.get, t.region, repeat(_SVG_FILL_OTHER))),
+        (_column(t, "eps", lambda e: f'<rect x="{x_of(e) - cw / 2.0:.2f}" y="'),
+         _column(t, "q_tilde", lambda q: f'{y_of(q) - ch / 2.0:.2f}" width="{cw:.2f}" '
+                                         f'height="{ch:.2f}" fill="'),
+         _column(t, "region", lambda s: _SVG_FILL.get(s, _SVG_FILL_OTHER))),
         "", "\n".join(tail) + "\n</svg>\n")
 
 

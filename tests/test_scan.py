@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from radshock import classification, equilibria, model, scan
@@ -284,48 +284,72 @@ class TestScanTable:
         scan_to_csv(result)
 
         def no_text(table):
-            raise AssertionError("column texts made twice")
+            raise AssertionError("discriminant texts made twice")
 
         rebuild = functools.cached_property(no_text)
-        rebuild.__set_name__(ScanTable, "_texts")
-        monkeypatch.setattr(ScanTable, "_texts", rebuild)
-        memo_keys, g_calls = [], []
-
-        def missing(memo, x):
-            memo_keys.append(x)
-            return memo._text(x)
+        rebuild.__set_name__(ScanTable, "_discriminant_texts")
+        monkeypatch.setattr(ScanTable, "_discriminant_texts", rebuild)
+        monkeypatch.setattr(scan, "_distinct", lambda *args: pytest.fail("a view derived"))
+        g_calls = []
 
         def g(x):
             g_calls.append(x)
             return format(float(x), ".17g")
 
-        monkeypatch.setattr(scan._TextMemo, "__missing__", missing)
         monkeypatch.setattr(scan, "_g", g)
         assert scan_to_json(result) == expected
-        # Only the string columns go through a memo, and `_g` prints only the
-        # meta ranges and the separatrix points.
-        assert all(isinstance(x, str) for x in memo_keys)
-        assert len(g_calls) == 4 + 2 * (len(result.separatrix1) + len(result.separatrix2))
+        # `_g` prints the meta ranges, the separatrix points and each of the
+        # 200 distinct eps, q_tilde and v_plus^2 once: no discriminant.
+        assert len(g_calls) == 4 + 2 * (len(result.separatrix1) + len(result.separatrix2)) + 600
+        assert not set(g_calls) & set(result.records.discriminant)
 
     def test_cached_texts_leave_eq_and_hash(self):
         config = ScanConfig(eps_count=12, q_count=12)
         emitted, fresh = run_scan(config), run_scan(config)
-        scan_to_csv(emitted)
-        assert "_texts" in vars(emitted.records) and "_texts" not in vars(fresh.records)
-        assert emitted.records == fresh.records
-        assert hash(emitted.records) == hash(fresh.records)
+        listed = ScanResult(config, list(fresh.records), [], [])
+        for result in (emitted, listed):
+            scan_to_csv(result)
+        # run_scan supplies every view; a table built from records derives them.
+        assert "_discriminant_texts" in vars(emitted.records)
+        assert "_discriminant_texts" not in vars(fresh.records)
+        assert len(fresh.records._views) == 6 and len(listed.records._views) == 6
+        for table in (emitted.records, listed.records):
+            assert table == fresh.records and hash(table) == hash(fresh.records)
+            replaced = dataclasses.replace(table)
+            assert "_views" not in vars(replaced) and "_discriminant_texts" not in vars(replaced)
+            assert replaced == table
         assert emitted == fresh
 
     def test_replaced_table_makes_its_own_texts(self, small_scan):
-        scan_to_csv(small_scan)
-        table = dataclasses.replace(
-            small_scan.records, eps=[-e for e in small_scan.records.eps],
-            discriminant=[2.0 * d for d in small_scan.records.discriminant])
-        changed = dataclasses.replace(small_scan, records=table)
-        assert "_texts" not in vars(table)
-        assert scan_to_json(changed) == _ref_json(changed)
-        assert scan_to_csv(changed) == _ref_csv(changed)
-        assert scan_to_csv(changed) != scan_to_csv(small_scan)
+        for emit in (scan_to_csv, scan_to_svg):
+            emit(small_scan)
+        # One cell takes a new eps, region and discriminant; the new eps is
+        # not on the grid, and the region is one no other cell holds.
+        t, cell = small_scan.records, 77
+        changed = dataclasses.replace(small_scan, records=dataclasses.replace(
+            t, **{name: getattr(t, name)[:cell] + (value,) + getattr(t, name)[cell + 1:]
+                  for name, value in (("eps", 0.123456789), ("region", RegionLabel.SEPARATRIX_2),
+                                      ("discriminant", -2.5))}))
+        assert "_views" not in vars(changed.records)
+        for emit, ref in ((scan_to_csv, _ref_csv), (scan_to_json, _ref_json),
+                          (scan_to_svg, _ref_svg)):
+            assert emit(changed) == ref(changed)
+            before, after = emit(small_scan).splitlines(), emit(changed).splitlines()
+            assert sum(a != b for a, b in zip(before, after)) == 1
+
+    @pytest.mark.parametrize("config", [ScanConfig(eps_count=20, q_count=20), SHOOT_3X3],
+                             ids=["20x20", "shoot-3x3"])
+    def test_grid_and_record_routes_write_the_same_bytes(self, config):
+        # run_scan's table takes its views from the grid; the same records
+        # handed over as a list make a table that derives them.
+        grid = run_scan(config)
+        listed = ScanResult(config, list(grid.records), grid.separatrix1, grid.separatrix2)
+        assert "eps" in grid.records._views and "_views" not in vars(listed.records)
+        for emit in (scan_to_csv, scan_to_json, scan_to_svg):
+            assert emit(listed) == emit(grid)
+        for name in ("eps", "q_tilde", "region", "v_plus_sq", "shoot_verdict", "oscillatory"):
+            values, index = listed.records._view(name)
+            assert [values[i] for i in index] == list(getattr(grid.records, name))
 
     def test_a_list_of_records_becomes_a_table_once(self, small_scan):
         records = list(small_scan.records)
@@ -632,7 +656,7 @@ def _ref_svg(result, width=880, height=640):
     return "\n".join(lines) + "\n"
 
 
-# Values a per-call memo keyed by the float could get wrong: signed zeros
+# Values a view of distinct values keyed by the float could get wrong: signed zeros
 # (equal as keys, printed "0" and "-0"), NaN (unequal to itself), infinities,
 # neighbours that differ in the last bit, and numpy scalars equal to floats.
 _TRAPS = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, math.nextafter(0.5, 1.0),
@@ -678,6 +702,11 @@ _record = _records(_number)
     curve=st.lists(st.tuples(_number, _number), max_size=4),
     json_first=st.booleans(),
 )
+# Both zeros in every numeric column, as a float and a numpy scalar, and a
+# label member beside its string.
+@example(pool=[ScanRecord(0.0, 0.0, "Focus", 0.0, 0.0),
+               ScanRecord(-0.0, np.float64(-0.0), RegionLabel.FOCUS, -0.0, np.float64(-0.0))],
+         picks=[0, 1, 1, 0], curve=[(0.0, -0.0)], json_first=False)
 def test_emitters_match_per_value_formatting(pool, picks, curve, json_first):
     # Records drawn from a small pool, so equal values repeat across cells;
     # no picks give the empty table, where the head meets the tail.
