@@ -157,10 +157,9 @@ class ScanTable:
     first CSV or JSON emitter call makes the `.17g` text of each
     discriminant, and the table keeps it, so the second emitter makes none
     (the CLI's `scan --format csv json`).  At 200x200 the views and texts
-    hold about 4.4 MB next to the table's own 2.9 MB (by `sys.getsizeof`,
-    each object counted once; 0.3 MB of it is the zero index of an unshot
-    table's two one-value columns, which no emitter reads).  They are not
-    fields, so they take no part in `==`, `hash` or `dataclasses.replace`.
+    hold about 4.0 MB next to the table's own 2.9 MB (by `sys.getsizeof`,
+    each object counted once).  They are not fields, so they take no part
+    in `==`, `hash` or `dataclasses.replace`.
     """
 
     eps: tuple[float, ...]
@@ -221,10 +220,8 @@ def _distinct(column, numeric: bool) -> tuple[list, np.ndarray]:
         bits, index = np.unique(floats.view(np.int64), return_inverse=True)
         return bits.view(float).tolist(), index
     values = list(dict.fromkeys(column))
-    if len(values) == 1:  # as an unshot table's verdicts: no cell needs looking up
-        return values, np.zeros(len(column), np.intp)
     position = {x: i for i, x in enumerate(values)}
-    return values, np.array([position[x] for x in column], dtype=np.intp)
+    return values, np.fromiter(map(position.__getitem__, column), dtype=np.intp, count=len(column))
 
 
 @dataclass(frozen=True)
@@ -300,7 +297,8 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
     if config.shoot:
         verdicts, oscillatory = zip(*map(_shot_cell, eps_col, q_col, repeat(shoot_options)))
     else:
-        views["shoot_verdict"] = views["oscillatory"] = ([None], np.zeros(len(eps_col), np.intp))
+        views["shoot_verdict"] = views["oscillatory"] = (
+            [None], np.broadcast_to(np.intp(0), (len(eps_col),)))
     table = ScanTable(eps_col, q_col, tuple(_CODE_TEXT[code.ravel()]),
                       tuple(z.tolist()) * config.eps_count, tuple(pval.ravel().tolist()),
                       verdicts, oscillatory)
@@ -345,24 +343,18 @@ def _woven(head: str, n: int, pieces, sep: str, tail: str) -> str:
     """`head + sep.join(rows) + tail` in one join, making no row.
 
     Row i is the i-th text of each piece in turn; a piece is a sequence of n
-    texts or one text for every row, and neighbouring texts for every row
-    are joined into one.  Each piece fills its stride of one list of
-    pointers, so the document's bytes are copied once.  With `sep` empty
-    the rows run end to end, and a line's newline is its last piece.
+    texts or one text for every row.  Each piece fills its stride of one
+    list of pointers, so the document's bytes are copied once.  With `sep`
+    empty the rows run end to end, and a line's newline is its last piece.
     """
-    merged = []
-    for piece in (*pieces, sep) if sep else pieces:
-        if isinstance(piece, str) and merged and isinstance(merged[-1], str):
-            merged[-1] += piece
-        else:
-            merged.append(piece)
-    k = len(merged)
+    pieces = (*pieces, sep) if sep else pieces
+    k = len(pieces)
     parts = [None] * (n * k + 2)
     parts[0], parts[-1] = head, tail
-    for i, piece in enumerate(merged, 1):
+    for i, piece in enumerate(pieces, 1):
         parts[i:-1:k] = [piece] * n if isinstance(piece, str) else piece
     if sep and n:
-        parts[-2] = parts[-2].removesuffix(sep)  # no separator after the last row
+        del parts[-2]  # the separator after the last row
     return "".join(parts)
 
 

@@ -277,7 +277,10 @@ class TestScanTable:
         assert len(built) == 1
 
     def test_json_after_csv_makes_no_column_text(self, monkeypatch):
-        # The benchmark's map, whose bytes test_golden_bytes pins.
+        # JSON written after CSV makes no discriminant text a second time and
+        # derives no view; it does format the distinct eps, q_tilde and
+        # v_plus^2 values again, each once, with its own literal.  The map is
+        # the benchmark's, whose bytes test_golden_bytes pins.
         config = ScanConfig(eps_count=200, q_count=200)
         expected = scan_to_json(run_scan(config))
         result = run_scan(config)
