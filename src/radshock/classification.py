@@ -5,9 +5,10 @@ evaluated at z = v_plus^2: negative means complex eigenvalues (focus),
 positive means real ones (node).  The zero set of that sign, pulled back
 through the downstream-velocity map, consists of two separatrix curves
 q1(eps) and q2(eps) that split the parameter square into a focus band
-between them and node regions below and above.  `classify_grid` labels a
-whole grid of eps against q_tilde in one array pass; `classify` runs the
-same body, `_labels`, at one point.  `local_spectrum` gates eps, then its body
+between them and node regions below and above.  `_labels` labels a whole
+grid of eps against q_tilde in one array pass, on the separatrices of
+`_separatrix_rows` (the scan's route); `classify` runs the same body at one
+point.  `local_spectrum` gates eps, then its body
 `_spectrum` checks that the state is off the singular locus and reads the
 eigenvalues off `model.spectrum_at_v`.  Entry points gate once, then run
 bodies (`_roots`, `_separatrices`, `_labels`, `_spectrum`, and P's, which take
@@ -23,12 +24,12 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import _check_q, _rest_v_sq, check_omega, q_of_vplus
+from .equilibria import _rest_v_sq, check_omega, q_of_vplus
 from .errors import (
     EpsilonAboveHat, EpsilonOutOfRange, InternalInconsistency, RootFindingFailure, ZOutOfRange,
     _real, _reals,
 )
-from .model import GodunovState, check_eps, check_off_locus, spectrum_at_v, theta_u_v
+from .model import GodunovState, check_off_locus, spectrum_at_v, theta_u_v
 
 # Points closer than this (in q_tilde) to a separatrix get the curve label;
 # strict sign classification inside the band is floating-point noise.
@@ -186,7 +187,7 @@ def separatrix_q2(eps: float) -> float:
     return q2
 
 
-# Region label of each code that `classify_grid` assigns.
+# Region label of each code that `_labels` assigns.
 CODE_LABELS = (
     RegionLabel.SEPARATRIX_1,
     RegionLabel.SEPARATRIX_2,
@@ -206,40 +207,18 @@ def _separatrices(eps: float) -> tuple[float, float]:
 
 
 def _separatrix_rows(e) -> np.ndarray:
-    """`separatrix_grid` at a gated eps."""
+    """q1 and q2 at each gated eps of an array, one cubic solve each, as rows of a (2, n) array."""
     return np.array([_separatrices(x) for x in np.ravel(e).tolist()]).T
 
 
-def separatrix_grid(eps) -> np.ndarray:
-    """q1 and q2 at each eps of a 1-D array, as rows of a (2, len(eps)) array.
-
-    One cubic solve per eps; q2 is inf where `separatrix_q2` does not define
-    it, eps >= eps_hat.  Every eps must lie in (0, 1].
-    """
-    return _separatrix_rows(check_eps(eps))
-
-
-def classify_grid(eps, q_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Region codes (see `CODE_LABELS`), v_plus^2 and P(v_plus^2, eps) for eps against q_tilde.
-
-    An array eps is a column against the q_tilde row, so codes and P values
-    have shape (len(eps), len(q_tilde)); a float eps gives that of q_tilde.
-    Labels place each q_tilde relative to the separatrix curves of one cubic
-    solve per eps, with q2 only where `separatrix_q2` defines it, eps <
-    eps_hat; off the bands each is cross-checked against the sign of P and a
-    disagreement raises InternalInconsistency.  Every eps must lie in (0, 1]
-    (EpsilonOutOfRange) and every q_tilde in (3/4, 1) (QOutOfRange).
-    """
-    e, q = check_eps(eps), _check_q(q_tilde)
-    # A float eps stays a float: numpy costs more on a 1-element array.
-    if type(e) is float:
-        return _labels(e, q, *_separatrices(e))
-    e = e.reshape(-1, 1)
-    return _labels(e, q, *_separatrix_rows(e)[..., None])
-
-
 def _labels(e, q, q1, q2):
-    """`classify_grid` at a gated eps `e` and q_tilde `q`, a float or array, with q1, q2 at e."""
+    """Region codes (see `CODE_LABELS`), v_plus^2 and P(v_plus^2, eps) at gated eps and q_tilde.
+
+    `e` and `q` are floats or arrays that broadcast, such as the scan's eps
+    column against its q_tilde row, with q1 and q2 at `e` (q2 = inf at eps >=
+    eps_hat).  Off the bands each label is cross-checked against the sign of
+    P, and a disagreement raises InternalInconsistency.
+    """
     code = np.where(q < q1, 2, np.where(q > q2, 3, 4))
     code[np.abs(q - q2) <= SEPARATRIX_BAND] = 1
     code[np.abs(q - q1) <= SEPARATRIX_BAND] = 0

@@ -6,14 +6,12 @@ two separatrix polylines.  Output is byte-deterministic: floats are printed
 with 17 significant digits and cells are ordered by (eps index, q index).
 The grid is classified in one call, and the cells are kept as columns, one
 per `ScanRecord` field, the scan's one field list; a record is built only
-when a caller reads one.  Each column but the discriminant is also seen as
-its distinct values and one index per cell (`ScanTable._view`), which
-`run_scan` supplies from the grid and any other table derives once.  An
-emitter formats each distinct value once, with the literal around it, and
-gathers the texts per cell by index; the discriminants, one per cell, are
-formatted once per table and shared by the CSV and JSON emitters.  Each
-emitter writes its document in one join over the column texts (`_woven`),
-building no line.
+when a caller reads one.  Each emitter writes its document in one join
+over the column texts (`_woven`), building no line.  A column that
+`run_scan` gave a view of its grid (its distinct values and one index per
+cell) formats each value once, with the literal around it; any other is
+formatted cell by cell.  The discriminant texts are made once per table
+and shared by the CSV and JSON emitters.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -69,8 +68,6 @@ class ScanRecord:
 
 _FIELDS = tuple(f.name for f in fields(ScanRecord))
 _row_of = operator.attrgetter(*_FIELDS)
-# The columns whose values are numbers, and so are printed by their float.
-_NUMBERS = frozenset(f.name for f in fields(ScanRecord) if f.type == "float")
 # The JSON type of each annotation of a `ScanRecord` field.
 _JSON_TYPES = {"float": "number", "str": "string", "str | None": ["string", "null"],
                "bool | None": ["boolean", "null"]}
@@ -149,17 +146,15 @@ class ScanTable:
     harness's smoke test `test_map_check_catches_a_changed_label`, and the
     tests that build a `ScanResult` from a list of records.
 
-    Each column but the discriminant has one view: its distinct values and,
-    per cell, the index of the cell's value among them (`_view`).
-    `run_scan` supplies the views from its grid; any other table, built
-    from records, by `ScanTable(...)` or by `dataclasses.replace`, derives
-    a view once, when an emitter first asks for it (`_distinct`).  The
-    first CSV or JSON emitter call makes the `.17g` text of each
-    discriminant, and the table keeps it, so the second emitter makes none
-    (the CLI's `scan --format csv json`).  At 200x200 the views and texts
-    hold about 4.0 MB next to the table's own 2.9 MB (by `sys.getsizeof`,
-    each object counted once).  They are not fields, so they take no part
-    in `==`, `hash` or `dataclasses.replace`.
+    A table from `run_scan` carries its grid's views (`_views`); one built
+    from records, by `ScanTable(...)` or by `dataclasses.replace` has none,
+    and the emitters write its columns cell by cell.  The first CSV or JSON
+    emitter call makes the `.17g` text of each discriminant, and the table
+    keeps it, so the second emitter makes none (the CLI's `scan --format
+    csv json`).  At 200x200 the views and texts hold about 4.0 MB next
+    to the table's own 2.9 MB (by `sys.getsizeof`, each object counted
+    once).  They are not fields, so they take no part in `==`, `hash` or
+    `dataclasses.replace`.
     """
 
     eps: tuple[float, ...]
@@ -187,41 +182,14 @@ class ScanTable:
     def __iter__(self):
         return map(ScanRecord, *_row_of(self))
 
-    @cached_property
-    def _views(self) -> dict[str, tuple[list, np.ndarray]]:
-        """The views made so far, by column name."""
-        return {}
-
-    def _view(self, name: str) -> tuple[list, np.ndarray]:
-        """The distinct values of column `name` and the index of each cell's value."""
-        view = self._views.get(name)
-        if view is None:
-            view = self._views[name] = _distinct(getattr(self, name), name in _NUMBERS)
-        return view
+    # Per column name, its distinct values and each cell's index; set by `run_scan` alone.
+    _views = MappingProxyType({})
 
     @cached_property
     def _discriminant_texts(self) -> list[str]:
         # The discriminants are all distinct, so each cell is formatted; a
         # ".17g" spec prints a numpy scalar as `_g` prints its float.
         return [f"{d:.17g}" for d in self.discriminant]
-
-
-def _distinct(column, numeric: bool) -> tuple[list, np.ndarray]:
-    """The distinct values of a column and, per cell, the index of its value among them.
-
-    A number is keyed by the bits of its float, which are all its text
-    depends on: 0.0 and -0.0 stay two values (printed "0" and "-0"), a NaN
-    is kept, and a numpy scalar is its float.  Any other value is keyed by
-    itself: a `RegionLabel` meets its string, and both are written by their
-    characters.
-    """
-    if numeric:
-        floats = np.fromiter(map(float, column), dtype=float, count=len(column))
-        bits, index = np.unique(floats.view(np.int64), return_inverse=True)
-        return bits.view(float).tolist(), index
-    values = list(dict.fromkeys(column))
-    position = {x: i for i, x in enumerate(values)}
-    return values, np.fromiter(map(position.__getitem__, column), dtype=np.intp, count=len(column))
 
 
 @dataclass(frozen=True)
@@ -302,7 +270,7 @@ def run_scan(config: ScanConfig, shoot_options: ShootOptions | None = None) -> S
     table = ScanTable(eps_col, q_col, tuple(_CODE_TEXT[code.ravel()]),
                       tuple(z.tolist()) * config.eps_count, tuple(pval.ravel().tolist()),
                       verdicts, oscillatory)
-    table._views.update(views)
+    object.__setattr__(table, "_views", views)
     sep1, sep2 = _separatrix_polylines(config, eps_grid, separatrices)
     return ScanResult(config=config, records=table, separatrix1=sep1, separatrix2=sep2)
 
@@ -315,8 +283,7 @@ def _csv_cell(s: str | None) -> str:
     """A string cell, quoted if it holds a comma, quote, CR or LF (RFC 4180).
 
     None is the empty cell.  A str subclass such as `RegionLabel` is written
-    by its characters, as `json.dumps` writes it, since a view keyed by value
-    cannot tell the two.
+    by its characters, as `json.dumps` writes it.
     """
     if s is None:
         return ""
@@ -327,12 +294,16 @@ def _csv_cell(s: str | None) -> str:
 
 
 def _column(table: ScanTable, name: str, text):
-    """Column `name` as `_woven` takes it: the `text` of each distinct value, per cell.
+    """Column `name` as `_woven` takes it: the `text` of each cell.
 
-    A column of one value gives its one text, which `_woven` writes in every
-    row as a literal.
+    With a view, each distinct value's text is made once and gathered by
+    index, and a view of one value gives its one text, which `_woven` writes
+    in every row as a literal; any other column is formatted cell by cell.
     """
-    values, index = table._view(name)
+    view = table._views.get(name)
+    if view is None:
+        return list(map(text, getattr(table, name)))
+    values, index = view
     texts = list(map(text, values))
     if len(texts) == 1:
         return texts[0]

@@ -12,14 +12,12 @@ from radshock.classification import (
     SEPARATRIX_BAND,
     RegionLabel,
     classify,
-    classify_grid,
     cubic_roots,
     discriminant_tail,
     epsilon_hat,
     local_spectrum,
     p_coefficients,
     p_eval,
-    separatrix_grid,
     separatrix_q1,
     separatrix_q2,
 )
@@ -321,7 +319,16 @@ class TestClassify:
             assert pval > -1e-8
 
 
+def grid_labels(eps, q):
+    """The scan's labelling of an eps column against a q_tilde row, as `run_scan` calls it."""
+    e = np.asarray(eps, dtype=float)
+    return classification._labels(e[:, None], np.asarray(q, dtype=float),
+                                  *classification._separatrix_rows(e)[..., None])
+
+
 class TestClassifyGrid:
+    """A grid labelled in one pass, as `run_scan` labels it (`grid_labels`)."""
+
     def test_cells_match_the_scalar_routes(self):
         # eps straddles eps_hat and takes both ends of the square; q_tilde
         # holds points half a band off q1 and q2 of some rows.
@@ -332,7 +339,7 @@ class TestClassifyGrid:
         q = [0.75 + 1e-6, 0.8, 0.95, 1.0 - 1e-6]
         q += [separatrix_q1(e) + d for e in q1_rows for d in (-half, half)]
         q += [separatrix_q2(e) + d for e in q2_rows for d in (-half, half)]
-        code, z, pval = classify_grid(np.array(eps), np.array(q))
+        code, z, pval = grid_labels(eps, q)
         assert code.shape == pval.shape == (len(eps), len(q))
         for j, qj in enumerate(q):
             assert z[j].hex() == v_plus_squared(qj).hex()
@@ -348,11 +355,6 @@ class TestClassifyGrid:
             assert [CODE_LABELS[c] for c in code[eps.index(e), j:j + 2]] == [
                 RegionLabel.SEPARATRIX_2] * 2
 
-    def test_float_eps_gives_the_shape_of_q(self):
-        code, z, pval = classify_grid(0.5, [0.76, 0.8])
-        assert code.shape == z.shape == pval.shape == (2,)
-        assert [CODE_LABELS[c] for c in code] == [classify(0.5, 0.76), classify(0.5, 0.8)]
-
     def test_inconsistency_names_its_cell(self, monkeypatch):
         # Flip the sign of P at one off-diagonal cell of a 4x3 grid, a Focus
         # cell well inside the band between the curves.  The separatrices are
@@ -361,7 +363,7 @@ class TestClassifyGrid:
         # negative scale leaves the cell decided.
         eps = np.array([0.2, 0.4, 0.6, 0.8])
         q = np.array([0.76, 0.85, 0.95])
-        separatrices = separatrix_grid(eps)[..., None]
+        separatrices = classification._separatrix_rows(eps)[..., None]
         z = float(v_plus_squared(q)[1])
         p = -float(p_eval(z, 0.6))
         true_horner = classification._horner
@@ -375,17 +377,6 @@ class TestClassifyGrid:
         with pytest.raises(InternalInconsistency) as info:
             classification._labels(eps[:, None], q, *separatrices)
         assert str(info.value) == f"separatrix route says Focus but P({z!r}, 0.6) = {p!r}"
-
-    @pytest.mark.parametrize("eps", [[1.5, 0.6], [math.nan, 0.6], ["a", "b"]])
-    def test_bad_eps_column_is_refused_before_any_solve(self, monkeypatch, eps):
-        # The gate runs first, so an eps column with an entry out of range
-        # reaches neither the cubic solve nor the labelling body.
-        calls = []
-        for body in ("_roots", "_labels"):
-            monkeypatch.setattr(classification, body, lambda *a, body=body: calls.append(body))
-        with pytest.raises(EpsilonOutOfRange):
-            classify_grid(np.array(eps), [0.8, 0.9])
-        assert calls == []
 
     def test_inconsistency_at_a_point_names_it(self, monkeypatch):
         # `classify` runs the same body on a float q_tilde.  Flip the sign of
@@ -404,7 +395,7 @@ class TestClassifyGrid:
         # The grid's P and its term scale share one set of coefficients, and
         # a cubic solve forms them once.
         eps = np.array([0.2, 0.6])
-        separatrices = separatrix_grid(eps)[..., None]
+        separatrices = classification._separatrix_rows(eps)[..., None]
         calls, body = [], classification._coefficients
         monkeypatch.setattr(classification, "_coefficients", lambda e: calls.append(e) or body(e))
         classification._labels(eps[:, None], np.array([0.76, 0.9]), *separatrices)

@@ -2,12 +2,9 @@
 
 Functions of eps alone raise EpsilonOutOfRange outside (0, 1]; functions of
 (eps, q_tilde) raise ParamsOutOfOmega outside the square (0, 1] x (3/4, 1).
-The grid functions `classify_grid` and `separatrix_grid`, which the README
-documents but `radshock.__all__` does not export, take eps in (0, 1], a
-number or an array, and `classify_grid` q_tilde in (3/4, 1) likewise; they
-raise EpsilonOutOfRange and QOutOfRange.  NaN and inf are outside every
-range.  Settings outside their range (shooting options, the identity
-suite's sample count and seed) raise OptionOutOfRange.
+NaN and inf are outside every range.  Settings outside their range
+(shooting options, the identity suite's sample count and seed) raise
+OptionOutOfRange.
 
 Each entry point passes its numbers through one input gate: a real number
 or a 0-d real array comes out a Python float, and anything else, such as a
@@ -16,9 +13,9 @@ or an array (empty, of one number or of several) where one number is due,
 or an empty array where an array may be, comes out NaN.  So it is outside
 every range and raises the same typed error as a number outside it; a
 state or velocity that is not a real number raises StateOutsideDomain.  A
-fuzz test calls every public callable, the grid functions and the CLI with
-such values and allows only a result or a RadshockError.  And each entry
-point hands each argument to the gate once.
+fuzz test calls every public callable and the CLI with such values and
+allows only a result or a RadshockError.  And each entry point hands each
+argument to the gate once.
 """
 
 import importlib
@@ -38,12 +35,10 @@ import radshock
 from radshock import classification
 from radshock.classification import (
     classify,
-    classify_grid,
     cubic_roots,
     local_spectrum,
     p_coefficients,
     p_eval,
-    separatrix_grid,
     separatrix_q1,
     separatrix_q2,
 )
@@ -102,12 +97,6 @@ OF_EPS = {
     "separatrix_q2": separatrix_q2,
     "b_sharp": lambda eps: b_sharp(kinematics(PSI), eps),
     "local_spectrum": lambda eps: local_spectrum(PSI, eps),
-    "separatrix_grid": separatrix_grid,
-    "separatrix_grid-array": lambda eps: separatrix_grid(np.array([0.5, eps])),
-    "classify_grid": lambda eps: classify_grid(eps, [0.8]),
-    "classify_grid-array": lambda eps: classify_grid(np.array([eps, 0.5]), [0.8]),
-    # A 1-element array is a column of one, not a float.
-    "classify_grid-one": lambda eps: classify_grid(np.array([eps]), [0.8]),
 }
 OF_EPS_AND_Q = {
     "classify": classify,
@@ -125,13 +114,6 @@ CASES = [
     pytest.param(func, args, ParamsOutOfOmega, id=f"{name}-eps={args[0]}-q={args[1]}")
     for name, func in OF_EPS_AND_Q.items()
     for args in [(eps, 0.8) for eps in BAD_EPS] + [(0.5, q) for q in BAD_Q]
-] + [
-    pytest.param(func, (q,), QOutOfRange, id=f"{name}-q={q}")
-    for name, func in {
-        "classify_grid": lambda q: classify_grid(0.5, q),
-        "classify_grid-array": lambda q: classify_grid(np.array([0.5, 0.6]), [0.8, q]),
-    }.items()
-    for q in BAD_Q
 ]
 
 
@@ -186,10 +168,6 @@ NON_NUMBER_CALLS = {
     "p_coefficients": (p_coefficients, EpsilonOutOfRange),
     "p_eval-eps": (lambda x: p_eval(0.3, x), EpsilonOutOfRange),
     "p_eval-z": (lambda x: p_eval(x, 0.5), ZOutOfRange),
-    "classify_grid-eps": (lambda x: classify_grid(x, [0.8]), EpsilonOutOfRange),
-    "classify_grid-q": (lambda x: classify_grid(0.5, x), QOutOfRange),
-    "classify_grid-eps-list": (lambda x: classify_grid([x, 0.5], [0.8]), EpsilonOutOfRange),
-    "separatrix_grid": (separatrix_grid, EpsilonOutOfRange),
     "ShootOptions-rel_tol": (lambda x: ShootOptions(rel_tol=x), OptionOutOfRange),
     "ShootOptions-abs_tol": (lambda x: ShootOptions(abs_tol=x), OptionOutOfRange),
     "ScanConfig-eps_lo": (lambda x: ScanConfig(eps_lo=x), ParamsOutOfOmega),
@@ -295,12 +273,12 @@ VALID = {
     "shoot_verdict": None, "oscillatory": None,
 }
 
-# Each numeric parameter of each public callable and grid function, as
+# Each numeric parameter of each public callable, as
 # (callable, its valid arguments, the parameter).  Enums, exceptions and
 # callables of no number have no such parameter.
 SLOTS = [
     (func, {name: VALID[name] for name in params}, name)
-    for func in [*map(radshock.__dict__.get, radshock.__all__), classify_grid, separatrix_grid]
+    for func in map(radshock.__dict__.get, radshock.__all__)
     if not (isinstance(func, type) and issubclass(func, (Enum, Exception)))
     for params in [inspect.signature(func).parameters]
     if NUMERIC & {p.annotation for p in params.values()}
@@ -346,9 +324,8 @@ def test_awkward_values_give_a_result_or_a_typed_error(tmp_path_factory, value):
 
 
 # Entry points and their arguments: eps = EPS and q_tilde = Q, values that no
-# shot or solve computes on its way, or rows of them.
+# shot or solve computes on its way.
 EPS, Q = 0.3, 0.85
-EPS_ROW, Q_ROW = np.array([0.3, 0.6]), np.array([0.8, 0.85])
 GATED_CALLS = {
     "shoot": (shoot, EPS, Q),
     "unstable_direction": (unstable_direction, EPS, Q),
@@ -362,15 +339,12 @@ GATED_CALLS = {
     "separatrix_q1": (separatrix_q1, EPS),
     "separatrix_q2": (separatrix_q2, EPS),
     "local_spectrum": (lambda eps: local_spectrum(PSI, eps), EPS),
-    "classify_grid": (classify_grid, EPS, Q_ROW),
-    "classify_grid-rows": (classify_grid, EPS_ROW, Q_ROW),
-    "separatrix_grid": (separatrix_grid, EPS_ROW),
 }
 
 
 def _carries(x, arg) -> bool:
     """Whether a gate's argument x is `arg`: the same object, or a real scalar equal to it."""
-    return x is arg or (np.ndim(arg) == 0 and isinstance(x, (float, np.floating)) and x == arg)
+    return x is arg or (isinstance(x, (float, np.floating)) and x == arg)
 
 
 def gate_arguments(monkeypatch) -> list:

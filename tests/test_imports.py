@@ -1,6 +1,7 @@
 """No dead imports or private definitions in the package, no import against its layers,
 no step loads scipy's packages, no except clause catches a bad argument's raw
-error outside the input gate, and no public name without a written purpose.
+error outside the input gate, no public name without a written purpose, and
+no package name that the benchmark reads left undefined.
 
 A dead import outlives the code that needed it and hides which layer a
 module really depends on.  Names re-exported through `__all__` count as
@@ -10,6 +11,7 @@ package, outside its own definition.
 """
 
 import ast
+import importlib
 import json
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from conftest import run_python
 
 MODULES = sorted(Path(radshock.__file__).resolve().parent.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PURPOSES = {"paper object", "CLI path", "verify's reference route", "benchmark"}
 
 
@@ -244,13 +247,10 @@ GATE_CALLERS = [
     "classification.py:_closed_eps -> _reals",
     "classification.py:_scalar_eps -> _real",
     "classification.py:classify -> check_omega",
-    "classification.py:classify_grid -> _check_q",
-    "classification.py:classify_grid -> check_eps",
     "classification.py:cubic_roots -> _scalar_eps",
     "classification.py:local_spectrum -> _scalar_eps",
     "classification.py:p_coefficients -> _closed_eps",
     "classification.py:p_eval -> _reals",
-    "classification.py:separatrix_grid -> check_eps",
     "classification.py:separatrix_q1 -> _scalar_eps",
     "classification.py:separatrix_q2 -> _scalar_eps",
     "cli.py:cmd_classify -> check_omega",
@@ -364,3 +364,36 @@ def test_readme_gives_each_public_name_one_purpose():
     rows = [line.split("|")[1:3] for line in library.splitlines() if line.startswith("| `")]
     assert sorted(name.strip().strip("`") for name, _ in rows) == sorted(radshock.__all__)
     assert {purpose.strip() for _, purpose in rows} <= PURPOSES
+
+
+def radshock_names(source: str) -> set[str]:
+    """Each name imported `from radshock...` and each `radshock.<name>`, as `module.name`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and not node.level and (
+                node.module == "radshock" or node.module.startswith("radshock.")):
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "radshock"):
+            found.add(f"radshock.{node.attr}")
+    return found
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    # The benchmark's harness changes only with the benchmark, so a name it
+    # reads that the package drops would first show as a failed benchmark run.
+    names = set().union(*(radshock_names(path.read_text(encoding="utf-8"))
+                          for path in PERFBENCH.rglob("*.py")))
+    assert names
+    missing = [f"{module}.{name}" for module, _, name in (n.rpartition(".") for n in sorted(names))
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_checker_reads_package_names():
+    source = (
+        "import radshock\nfrom radshock import a, b as c\nfrom radshock.scan import d\n"
+        "from . import e\nfrom radshockx import f\nradshock.g(radshock.h.i, other.j)\n"
+    )
+    assert radshock_names(source) == {"radshock.a", "radshock.b", "radshock.scan.d",
+                                      "radshock.g", "radshock.h"}

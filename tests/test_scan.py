@@ -277,10 +277,11 @@ class TestScanTable:
         assert len(built) == 1
 
     def test_json_after_csv_makes_no_column_text(self, monkeypatch):
-        # JSON written after CSV makes no discriminant text a second time and
-        # derives no view; it does format the distinct eps, q_tilde and
-        # v_plus^2 values again, each once, with its own literal.  The map is
-        # the benchmark's, whose bytes test_golden_bytes pins.
+        # The one column text a table keeps is the discriminant's: JSON
+        # written after CSV makes none of it a second time.  JSON does format
+        # each distinct eps, q_tilde and v_plus^2 of the grid's views again,
+        # once each with its own literal, and formats no value cell by cell.
+        # The map is the benchmark's, whose bytes test_golden_bytes pins.
         config = ScanConfig(eps_count=200, q_count=200)
         expected = scan_to_json(run_scan(config))
         result = run_scan(config)
@@ -292,7 +293,6 @@ class TestScanTable:
         rebuild = functools.cached_property(no_text)
         rebuild.__set_name__(ScanTable, "_discriminant_texts")
         monkeypatch.setattr(ScanTable, "_discriminant_texts", rebuild)
-        monkeypatch.setattr(scan, "_distinct", lambda *args: pytest.fail("a view derived"))
         g_calls = []
 
         def g(x):
@@ -312,14 +312,14 @@ class TestScanTable:
         listed = ScanResult(config, list(fresh.records), [], [])
         for result in (emitted, listed):
             scan_to_csv(result)
-        # run_scan supplies every view; a table built from records derives them.
+        # run_scan supplies every view; a table built from records has none.
         assert "_discriminant_texts" in vars(emitted.records)
         assert "_discriminant_texts" not in vars(fresh.records)
-        assert len(fresh.records._views) == 6 and len(listed.records._views) == 6
+        assert len(fresh.records._views) == 6 and not listed.records._views
         for table in (emitted.records, listed.records):
             assert table == fresh.records and hash(table) == hash(fresh.records)
             replaced = dataclasses.replace(table)
-            assert "_views" not in vars(replaced) and "_discriminant_texts" not in vars(replaced)
+            assert not replaced._views and "_discriminant_texts" not in vars(replaced)
             assert replaced == table
         assert emitted == fresh
 
@@ -333,7 +333,7 @@ class TestScanTable:
             t, **{name: getattr(t, name)[:cell] + (value,) + getattr(t, name)[cell + 1:]
                   for name, value in (("eps", 0.123456789), ("region", RegionLabel.SEPARATRIX_2),
                                       ("discriminant", -2.5))}))
-        assert "_views" not in vars(changed.records)
+        assert not changed.records._views
         for emit, ref in ((scan_to_csv, _ref_csv), (scan_to_json, _ref_json),
                           (scan_to_svg, _ref_svg)):
             assert emit(changed) == ref(changed)
@@ -344,14 +344,14 @@ class TestScanTable:
                              ids=["20x20", "shoot-3x3"])
     def test_grid_and_record_routes_write_the_same_bytes(self, config):
         # run_scan's table takes its views from the grid; the same records
-        # handed over as a list make a table that derives them.
+        # handed over as a list make a table without views, which the
+        # emitters write cell by cell.
         grid = run_scan(config)
         listed = ScanResult(config, list(grid.records), grid.separatrix1, grid.separatrix2)
-        assert "eps" in grid.records._views and "_views" not in vars(listed.records)
+        assert "eps" in grid.records._views and not listed.records._views
         for emit in (scan_to_csv, scan_to_json, scan_to_svg):
             assert emit(listed) == emit(grid)
-        for name in ("eps", "q_tilde", "region", "v_plus_sq", "shoot_verdict", "oscillatory"):
-            values, index = listed.records._view(name)
+        for name, (values, index) in grid.records._views.items():
             assert [values[i] for i in index] == list(getattr(grid.records, name))
 
     def test_a_list_of_records_becomes_a_table_once(self, small_scan):
