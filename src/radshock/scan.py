@@ -124,10 +124,11 @@ class ScanConfig:
     def __post_init__(self):
         for axis, floor, top in ("eps", EPS_MARGIN, 1), ("q", Q_MIN + Q_MARGIN, Q_MAX - Q_MARGIN):
             count, lo, hi = (getattr(self, f"{axis}_{end}") for end in ("count", "lo", "hi"))
-            if not (_count(count) >= 2 and floor <= _real(lo) < _real(hi) <= top):
+            gated = {"count": _count(count), "lo": _real(lo), "hi": _real(hi)}
+            if not (gated["count"] >= 2 and floor <= gated["lo"] < gated["hi"] <= top):
                 raise ParamsOutOfOmega(f"{axis} grid: {count!r} points over [{lo!r}, {hi!r}]; need "
                                        f"an integer count >= 2 and lo < hi in [{floor}, {top}]")
-            for end, value in (("count", _count(count)), ("lo", _real(lo)), ("hi", _real(hi))):
+            for end, value in gated.items():
                 object.__setattr__(self, f"{axis}_{end}", value)
         if not isinstance(self.shoot, (bool, np.bool_)):
             raise OptionOutOfRange(f"shoot must be a bool, got {self.shoot!r}")

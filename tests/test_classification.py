@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import bracketed_roots, frob_sq
 from radshock import classification
+from radshock.cli import main
 from radshock.classification import (
     CODE_LABELS,
     SEPARATRIX_BAND,
@@ -402,6 +403,19 @@ class TestClassifyGrid:
         assert len(calls) == 1
         cubic_roots(0.5)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("eps_min", ["1.5", "0", "-1", "nan", "inf"])
+    def test_bad_eps_range_is_refused_before_any_solve(self, monkeypatch, tmp_path, eps_min):
+        # The scan's config gate runs first, so an eps range outside (0, 1]
+        # reaches none of the grid's bodies: the command exits 2 and writes
+        # no file.
+        calls = []
+        for body in ("_roots", "_separatrix_rows", "_labels"):
+            monkeypatch.setattr(classification, body, lambda *a, body=body: calls.append(body))
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--grid=2x2", f"--eps-min={eps_min}", f"--out={out}"]) == 2
+        assert calls == []
+        assert not out.exists()
 
 
 class TestLocalSpectrum:

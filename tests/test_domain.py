@@ -62,7 +62,7 @@ from radshock.errors import (
     ZOutOfRange,
 )
 from radshock.model import GodunovState, b_sharp, causality_check, kinematics
-from radshock.scan import ScanConfig
+from radshock.scan import ScanConfig, run_scan
 from radshock.shooting import (
     OscillationReport,
     ProfileVerdict,
@@ -91,6 +91,7 @@ def field_jacobian(eps, q_tilde):
 
 BAD_EPS = [0.0, -1.0, 1.5, 2.0, math.nan, math.inf]
 BAD_Q = [0.75, 1.0, 2.0, -1.0, math.nan]
+BAD_COUNTS = [0, 1, -2, 2.5, math.nan]
 
 OF_EPS = {
     "cubic_roots": cubic_roots,
@@ -114,6 +115,14 @@ CASES = [
     pytest.param(func, args, ParamsOutOfOmega, id=f"{name}-eps={args[0]}-q={args[1]}")
     for name, func in OF_EPS_AND_Q.items()
     for args in [(eps, 0.8) for eps in BAD_EPS] + [(0.5, q) for q in BAD_Q]
+] + [
+    # The map's grid: `run_scan` labels the cells of a ScanConfig, which
+    # gates each end and count of both axes.
+    pytest.param(lambda x, field=field: ScanConfig(**{field: x}), (value,), ParamsOutOfOmega,
+                 id=f"ScanConfig-{field}={value}")
+    for field, values in [("eps_lo", BAD_EPS), ("eps_hi", BAD_EPS), ("q_lo", BAD_Q), ("q_hi", BAD_Q),
+                          ("eps_count", BAD_COUNTS), ("q_count", BAD_COUNTS)]
+    for value in values
 ]
 
 
@@ -174,6 +183,11 @@ NON_NUMBER_CALLS = {
     "ScanConfig-eps_hi": (lambda x: ScanConfig(eps_hi=x), ParamsOutOfOmega),
     "ScanConfig-q_lo": (lambda x: ScanConfig(q_lo=x), ParamsOutOfOmega),
     "ScanConfig-q_hi": (lambda x: ScanConfig(q_hi=x), ParamsOutOfOmega),
+    "ScanConfig-eps_count": (lambda x: ScanConfig(eps_count=x), ParamsOutOfOmega),
+    "ScanConfig-q_count": (lambda x: ScanConfig(q_count=x), ParamsOutOfOmega),
+    "separatrix_q1": (separatrix_q1, EpsilonOutOfRange),
+    "separatrix_q2": (separatrix_q2, EpsilonOutOfRange),
+    "local_spectrum": (lambda x: local_spectrum(PSI, x), EpsilonOutOfRange),
     "causality_check-eta": (lambda x: causality_check(x, 1.0, 1.0), NonPositiveParameter),
     "causality_check-nu": (lambda x: causality_check(1.0, 1.0, x), NonPositiveParameter),
     "GodunovState-psi0": (lambda x: GodunovState(x, 0.5), StateOutsideDomain),
@@ -218,6 +232,10 @@ ARRAY_CALLS = {
     "local_spectrum": (lambda x: local_spectrum(PSI, x), [0.5, 0.6], EpsilonOutOfRange),
     "ShootOptions": (lambda x: ShootOptions(rel_tol=x), [1e-10, 1e-9], OptionOutOfRange),
     "ScanConfig-eps_lo": (lambda x: ScanConfig(eps_lo=x), [0.1, 0.2], ParamsOutOfOmega),
+    "ScanConfig-eps_hi": (lambda x: ScanConfig(eps_hi=x), [0.8, 0.9], ParamsOutOfOmega),
+    "ScanConfig-q_lo": (lambda x: ScanConfig(q_lo=x), [0.8, 0.85], ParamsOutOfOmega),
+    "ScanConfig-q_hi": (lambda x: ScanConfig(q_hi=x), [0.9, 0.95], ParamsOutOfOmega),
+    "ScanConfig-eps_count": (lambda x: ScanConfig(eps_count=x), [3, 4], ParamsOutOfOmega),
     "causality_check": (lambda x: causality_check(x, 1.0, 1.0), [0.5, 0.6], NonPositiveParameter),
 }
 
@@ -339,6 +357,8 @@ GATED_CALLS = {
     "separatrix_q1": (separatrix_q1, EPS),
     "separatrix_q2": (separatrix_q2, EPS),
     "local_spectrum": (lambda eps: local_spectrum(PSI, eps), EPS),
+    "ScanConfig": (lambda *ends: ScanConfig(*ends[:2], 2, *ends[2:], 2), EPS, 0.6, 0.8, Q),
+    "run_scan": (lambda *ends: run_scan(ScanConfig(*ends[:2], 2, *ends[2:], 2)), EPS, 0.6, 0.8, Q),
 }
 
 

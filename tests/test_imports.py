@@ -275,9 +275,6 @@ GATE_CALLERS = [
     "model.py:flux_residual -> _real",
     "model.py:flux_residual -> _real",
     "scan.py:ScanConfig.__post_init__ -> _count",
-    "scan.py:ScanConfig.__post_init__ -> _count",
-    "scan.py:ScanConfig.__post_init__ -> _real",
-    "scan.py:ScanConfig.__post_init__ -> _real",
     "scan.py:ScanConfig.__post_init__ -> _real",
     "scan.py:ScanConfig.__post_init__ -> _real",
     "shooting.py:ShootOptions.__post_init__ -> _real",
