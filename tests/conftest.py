@@ -9,7 +9,6 @@ from hypothesis import settings
 
 import radshock
 from radshock import shooting
-from radshock.model import b_one, b_two, b_visc
 
 settings.register_profile("ci", derandomize=True, max_examples=150)
 settings.load_profile("ci")
@@ -74,11 +73,6 @@ def bracketed_roots(f, lo, hi, n=4000, tol=1e-13):
     if vals[-1] == 0.0:
         roots.append(xs[-1])
     return roots
-
-
-def blocks_b_sharp(kin, eps):
-    """`b_sharp`'s sum of the model's blocks for any number type; its gate takes floats only."""
-    return eps * b_visc(kin) - b_one(kin) - 9 * eps / (4 - eps) * b_two(kin)
 
 
 def rel_err(lhs, rhs, scale=0.0):

@@ -196,6 +196,21 @@ class TestCubicRoots:
         with pytest.raises(EpsilonOutOfRange):
             cubic_roots(1.5)
 
+    def test_root_off_its_residual_is_a_root_finding_failure(self, monkeypatch):
+        # Four times the discriminant doubles the upper pair's half-gap: the
+        # order w1 < w2 < w3 holds, so the residual check is what refuses it.
+        disc = classification._discriminant
+        monkeypatch.setattr(classification, "_discriminant", lambda eps: 4.0 * disc(eps))
+        message = r"^\|P\(0\.1539\d*, 0\.5\)\| = 0\.706\d* above 6\.80625e-09$"
+        with pytest.raises(RootFindingFailure, match=message):
+            classification._roots(0.5)
+
+    def test_polish_stops_where_the_derivative_vanishes(self):
+        # The trigonometric form lands on the double root -8 of
+        # (z + 8)^2 (z + 3) exactly, where P' is 0 in floats too: the polish
+        # stops there rather than divide by it.
+        assert classification._lowest_root((192.0, 112.0, 19.0, 1.0)) == -8.0
+
 
 class TestDiscriminant:
     def test_factored_value_at_one(self):

@@ -162,6 +162,15 @@ class TestProfileCommand:
         assert main(["profile", "--eps", "1", "--q", "0.8", "--out", str(out_file)]) == 0
         assert out_file.read_bytes() == profile_to_csv(shoot(1.0, 0.8)).encode()
 
+    def test_run_from_the_process_is_warning_free(self, tmp_path):
+        # A fresh interpreter under `-W error` imports, shoots and writes
+        # the default trajectory file with no warning on the way.
+        proc = run_cli_process(tmp_path, "profile", "--eps", "1.0", "--q", "0.8")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        digest = hashlib.sha256((tmp_path / "profile.csv").read_bytes()).hexdigest()
+        assert digest.startswith("6693be1a")
+
     def test_rel_tol_below_100_ulp(self, tmp_path, capsys):
         # LSODA gets rtol raised to 100 ulp, so the shot runs, and no raw
         # scipy warning escapes.
@@ -380,14 +389,20 @@ class TestScanCommand:
         assert "ConvergedToPlus" in body
 
 
-def test_readme_commands_parse():
-    # Every `radshock ...` line in the README's sh blocks is a command the parser takes.
+def readme_sh_lines():
+    """The lines of the README's sh blocks."""
     lines, in_sh = [], False
     for line in README.read_text().splitlines():
         if line.startswith("```"):
             in_sh = line == "```sh"
-        elif in_sh and line.startswith("radshock "):
+        elif in_sh:
             lines.append(line)
+    return lines
+
+
+def test_readme_commands_parse():
+    # Every `radshock ...` line in the README's sh blocks is a command the parser takes.
+    lines = [line for line in readme_sh_lines() if line.startswith("radshock ")]
     assert lines
     parser = radshock.cli.build_parser()
     for line in lines:
@@ -395,3 +410,12 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_python_paths_exist():
+    # Every `*.py` path that a line of the README's sh blocks names is a file of the checkout.
+    paths = [word for line in readme_sh_lines() for word in shlex.split(line, comments=True)
+             if word.endswith(".py")]
+    assert paths
+    missing = [path for path in paths if not (README.parent / path).is_file()]
+    assert not missing, f"README names files that do not exist: {missing}"

@@ -2,7 +2,7 @@
 
 The field that `shooting._field` builds runs here on elements of the rational
 function field QQ(eps, t, p, theta), unchanged, and is compared with
-T adj(B#) F / det B#(psi_plus), B# taken from the model's blocks.  The
+T adj(B#) F / det B#(psi_plus), B# taken from `model._b_sharp`.  The
 closed forms of det B#, det A and trace adj(B#) A, and the rank-one split of
 B#, are compared with the matrix builders over QQ(eps, p).
 `classification`'s coefficient body, its nested form of P and its
@@ -27,14 +27,13 @@ sympy = pytest.importorskip("sympy")
 from sympy import QQ, Poly, Rational, Symbol, discriminant, minimal_polynomial, sqrt  # noqa: E402
 from sympy.polys.fields import field as rational_field  # noqa: E402
 
-from conftest import blocks_b_sharp  # noqa: E402
 from radshock.classification import (  # noqa: E402
     _EPS_HAT, _coefficients, _discriminant, _horner, discriminant_tail,
 )
 from radshock import equilibria  # noqa: E402
 from radshock.equilibria import _q_of_vplus  # noqa: E402
 from radshock.model import (  # noqa: E402
-    Kinematics, det_b_sharp_closed, det_lin_closed, lin_matrix, trace_adj, trace_adj_closed,
+    Kinematics, _b_sharp, det_b_sharp_closed, det_lin_closed, lin_matrix, trace_adj, trace_adj_closed,
 )
 from radshock.shooting import _field  # noqa: E402
 
@@ -115,14 +114,14 @@ class Exact:
 
 
 def t_adj_b_sharp_f(eps, q_tilde, vp2, theta, u, v):
-    """T adj(B#) F / det B#(psi_plus) at (theta, u, v), B# from the model's blocks.
+    """T adj(B#) F / det B#(psi_plus) at (theta, u, v), B# from `_b_sharp`.
 
     F = (q0 - (4/3) theta^4 uv, theta^4 ((4/3) v^2 + 1/3) - 1) with q0 =
     q_tilde^(-1/2) and q1 = 1.  det B#(psi_plus) is `det_b_sharp_closed`'s,
     which `test_closed_forms_equal_the_matrix_builders` proves equal to the
-    blocks' determinant wherever u^2 - v^2 = 1.
+    determinant of `_b_sharp` wherever u^2 - v^2 = 1.
     """
-    b = blocks_b_sharp(Kinematics(theta, u, v), eps)
+    b = _b_sharp(Kinematics(theta, u, v), eps)
     t4 = theta**4
     f0 = q_tilde**-0.5 - 4 * t4 * u * v / 3
     f1 = t4 * (4 * v * v + 1) / 3 - 1
@@ -161,7 +160,7 @@ def test_closed_forms_equal_the_matrix_builders():
     ring, eps, p = rational_field("eps,p", QQ)
     e, u, v = Exact(ring, eps), Exact(ring, (p + 1 / p) / 2), Exact(ring, (p - 1 / p) / 2)
     kin = Kinematics(None, u, v)
-    b, a = blocks_b_sharp(kin, e), lin_matrix(kin)
+    b, a = _b_sharp(kin, e), lin_matrix(kin)
     assert b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0] == det_b_sharp_closed(v * v, e)
     assert a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] == det_lin_closed(v * v)
     assert trace_adj(b, a) == trace_adj_closed(v, e)
@@ -174,7 +173,7 @@ def test_b_sharp_is_the_rank_one_split():
     e, u, v = Exact(ring, eps), Exact(ring, (p + 1 / p) / 2), Exact(ring, (p - 1 / p) / 2)
     x, w, y = (v, -u), (4 * u * v, -(4 * v * v + 1)), (2 * v * v + 1, -2 * u * v)
     c2 = 9 * e / (4 - e)
-    b = blocks_b_sharp(Kinematics(None, u, v), e)
+    b = _b_sharp(Kinematics(None, u, v), e)
     for i in range(2):
         for j in range(2):
             assert b[i, j] == e * u * u * x[i] * x[j] - w[i] * w[j] - c2 * y[i] * y[j], (i, j)

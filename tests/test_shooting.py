@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import BDF, LSODA, Radau, solve_ivp
 
-from conftest import blocks_b_sharp, hide_module, run_python, spiral_samples
+from conftest import hide_module, run_python, spiral_samples
 from shot_pins import (
     DIGEST_POINTS, INTERIOR_POINTS, INTERIOR_WORK, PINS, WORK, WORK_POINTS, measure, measure_work,
 )
@@ -29,6 +29,7 @@ from radshock.scan import ScanConfig, run_scan
 from radshock.model import (
     GodunovState,
     Kinematics,
+    _b_sharp,
     b_one,
     b_sharp,
     b_two,
@@ -164,7 +165,7 @@ def mpmath_field(a, b, eps, q_tilde, dps=50):
         t4 = theta**4
         f0 = -(mpf(4) / 3) * t4 * v * u + q ** (-mpf(1) / 2)
         f1 = t4 * ((mpf(4) / 3) * v * v + mpf(1) / 3) - 1
-        g0, g1 = adjugate(blocks_b_sharp(Kinematics(theta, u, v), e)) @ [f0, f1] / det
+        g0, g1 = adjugate(_b_sharp(Kinematics(theta, u, v), e)) @ [f0, f1] / det
         return g0 + g1, g0 - g1
 
     det = mpf(det_plus(eps, q_tilde))
@@ -197,7 +198,7 @@ def mpmath_unstable_direction(eps, q_tilde, dps=80):
         plus = state(1 / (4 * (2 * q - 1 + root)))
         theta = (minus[0] ** 2 - minus[1] ** 2) ** (-mpf(1) / 2)
         kin = Kinematics(theta, theta * minus[0], theta * minus[1])
-        bs = blocks_b_sharp(kin, e)
+        bs = _b_sharp(kin, e)
         det = bs[0, 0] * bs[1, 1] - bs[0, 1] * bs[1, 0]
         jac = (mpf(4) / 3) * theta**5 / det * (adjugate(bs) @ lin_matrix(kin))
         values, vectors = mpmath.eig(mpmath.matrix(jac.tolist()))
@@ -845,6 +846,24 @@ class TestShootGuards:
                     assert q > 1.0 - 1e-14, (eps, q)
                     turned += 1
         assert turned <= 5
+
+    def test_second_order_term_that_is_not_finite_is_dropped(self):
+        # A field whose complex steps along both components blow up gives a
+        # D^2G[e, e] that is not finite; the start falls back to first order,
+        # _OFFSET scale along the unstable eigenvector.
+        eps, _, pair, field, minus, plus = shooting._setup(1.0, 0.8)
+
+        def blown(a, b):
+            g = field(a, b)
+            if isinstance(a, complex) and isinstance(b, complex):
+                return tuple(complex(x.real, math.inf) for x in g)
+            return g
+
+        _, shift, scale = shooting._start(blown, eps, pair, minus, plus)
+        _, _, (e0, e1) = shooting._saddle(field, eps, pair, minus, plus)
+        sigma = shooting._OFFSET * scale
+        assert shift == (sigma * e0, sigma * e1)
+        assert shooting._start(field, eps, pair, minus, plus)[1] != shift
 
     @pytest.mark.parametrize(
         "spectrum", [(complex(1.0, -2.0), complex(1.0, 2.0)), (complex(1.0), complex(3.0))]
